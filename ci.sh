@@ -6,7 +6,8 @@
 #
 # Usage:
 #   ./ci.sh          # tier1 + faults (everything)
-#   ./ci.sh tier1    # fmt --check + build + full test suite + clippy
+#   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
+#                    # the benchmark package's build and source-path smoke
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh perf     # quick native-bench subset vs checked-in baseline;
 #                    # fails on >20 % median regression on any workload
@@ -64,6 +65,16 @@ tier1() {
 
     echo "== clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
+
+    echo "== benchmark package (offline build + serve-source smoke) =="
+    # benchmark/ is its own workspace with path dependencies on
+    # crates/*: a renamed public item passes everything above and
+    # breaks only there. `cargo run` builds it, then drives one job
+    # stream through the source path end to end. The quick run's header
+    # says NOT FOR NUMBERS — only the exit code (0 = it built and every
+    # checked reply was correct) is gated.
+    run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --quick --workload serve-source
 
     echo "== trace smoke (fig5 --trace) =="
     # The --trace path must emit a phase-timeline table and a Chrome

@@ -1750,7 +1750,19 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 got: flats.len(),
             });
         }
-        let owned = distribute(total_iterations, strat.procs, strat.distribution);
+        // The one materialized iteration → processor split of this loop
+        // (the emitter walked each processor's slice without building
+        // it), a row at a time — `distribute`'s rows, without its
+        // per-iteration modulo.
+        let owned: Vec<Vec<u32>> = (0..strat.procs)
+            .map(|proc| {
+                strat
+                    .distribution
+                    .owned_by(total_iterations, strat.procs, proc)
+                    .map(|i| i as u32)
+                    .collect()
+            })
+            .collect();
         let mut iter_loc = vec![(0u32, 0u32); total_iterations];
         for (proc, iters) in owned.iter().enumerate() {
             for (li, &gi) in iters.iter().enumerate() {
@@ -1797,13 +1809,33 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                         .collect()
                 })
                 .collect();
-            let plan = fi.to_plan();
+            // The CSR arrays are public fields: re-run the shape checks
+            // so the unflatten below cannot index out of range.
+            let lightinspector::FlatInspection {
+                buffer_len,
+                iters,
+                iter_phase,
+                flat,
+                ..
+            } = fi;
+            let flat = lightinspector::FlatPlan::new(
+                m,
+                flat.iter_ptr,
+                flat.refs,
+                flat.copy_ptr,
+                flat.copies,
+            )?;
+            let plan =
+                InspectorPlan::from_flat(geometry, proc, buffer_len, &iters, iter_phase, &flat);
             // Verified adoption: `from_plan` runs the full plan checker
-            // against the local indirection before indexing.
+            // against the local indirection, once, before indexing. The
+            // inspector and the node snapshot each own a nested plan
+            // (they diverge under incremental updates and tiling), so
+            // one copy is inherent.
             let insp = IncrementalInspector::from_plan(plan, local_ind)?;
             let data = NodePlanData::from_parts(
                 insp.plan().clone(),
-                fi.flat,
+                flat,
                 insp.indirection(),
                 local_iters,
                 spec.num_elements,
@@ -2629,6 +2661,75 @@ mod tests {
             .prepare_from_flat(&spec, &strat, emit_flats(&spec, &other))
             .unwrap_err();
         assert!(matches!(err, EngineError::Plan(_)), "{err}");
+    }
+
+    #[test]
+    fn prepare_from_flat_rejects_plans_tampered_with_after_emission() {
+        use lightinspector::{FlatInspection, PlanError};
+        let spec = tiny_spec(32, 12, 100);
+        let strat = StrategyConfig::new(2, 2, Distribution::Block, 1);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        let n = spec.num_elements as u32;
+        let adopt = |tamper: &dyn Fn(&mut FlatInspection)| {
+            let mut flats = emit_flats(&spec, &strat);
+            tamper(&mut flats[1]);
+            match engine.prepare_from_flat(&spec, &strat, flats) {
+                Err(EngineError::Plan(e)) => e,
+                other => panic!("a tampered plan must fail verification, got {other:?}"),
+            }
+        };
+        assert!(emit_flats(&spec, &strat)[1].flat.copies.len() > 1);
+
+        // A resident reference redirected to another element.
+        let e = adopt(&|fi| {
+            let r = fi.flat.refs.iter().position(|&t| t < n).unwrap();
+            fi.flat.refs[r] = (fi.flat.refs[r] + 1) % n;
+        });
+        assert!(
+            matches!(
+                e,
+                PlanError::WrongTarget { .. } | PlanError::NotResident { .. }
+            ),
+            "{e}"
+        );
+        // A buffered reference pointed past the buffer extension.
+        let e = adopt(&|fi| {
+            let r = fi.flat.refs.iter().position(|&t| t >= n).unwrap();
+            fi.flat.refs[r] = n + fi.buffer_len as u32;
+        });
+        assert!(matches!(e, PlanError::SlotOutOfRange { .. }), "{e}");
+        // Two buffered references sharing one slot.
+        let e = adopt(&|fi| {
+            let mut slots = (0..fi.flat.refs.len()).filter(|&r| fi.flat.refs[r] >= n);
+            let (a, b) = (slots.next().unwrap(), slots.next().unwrap());
+            fi.flat.refs[b] = fi.flat.refs[a];
+        });
+        assert!(matches!(e, PlanError::BufferAliased { .. }), "{e}");
+        // A copy folded into the wrong element, dropped, or doubled.
+        let e = adopt(&|fi| fi.flat.copies[0].dest = (fi.flat.copies[0].dest + 1) % n);
+        assert!(
+            matches!(
+                e,
+                PlanError::WrongTarget { .. } | PlanError::CopyDestNotResident { .. }
+            ),
+            "{e}"
+        );
+        let e = adopt(&|fi| fi.flat.copies[0].src = fi.flat.copies[1].src);
+        assert!(matches!(e, PlanError::CopyCount { .. }), "{e}");
+        let e = adopt(&|fi| fi.flat.copies[0].src = n - 1);
+        assert!(matches!(e, PlanError::CopyCount { times: 0, .. }), "{e}");
+        // An iteration scheduled twice (and another never).
+        let e = adopt(&|fi| fi.iters[0] = fi.iters[1]);
+        assert!(matches!(e, PlanError::IterationCoverage { .. }), "{e}");
+        let e = adopt(&|fi| fi.iters[0] = u32::MAX);
+        assert!(matches!(e, PlanError::IterationCoverage { .. }), "{e}");
+        // Inconsistent CSR pointers are a shape error, not an index panic.
+        let e = adopt(&|fi| *fi.flat.iter_ptr.last_mut().unwrap() += 1);
+        assert!(matches!(e, PlanError::FlatShape { .. }), "{e}");
+        let e = adopt(&|fi| {
+            fi.flat.copies.pop();
+        });
+        assert!(matches!(e, PlanError::FlatShape { .. }), "{e}");
     }
 
     #[test]

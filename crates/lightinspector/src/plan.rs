@@ -113,12 +113,9 @@ impl InspectorPlan {
             let lo = flat.iter_ptr[p] as usize;
             let hi = flat.iter_ptr[p + 1] as usize;
             let prefs = flat.phase_refs(p);
-            let mut refs: Vec<Vec<u32>> = (0..m).map(|_| Vec::with_capacity(hi - lo)).collect();
-            for j in 0..(hi - lo) {
-                for (r, col) in refs.iter_mut().enumerate() {
-                    col.push(prefs[j * m + r]);
-                }
-            }
+            let refs: Vec<Vec<u32>> = (0..m)
+                .map(|r| prefs.iter().skip(r).step_by(m).copied().collect())
+                .collect();
             phases.push(PhasePlan {
                 iters: iters[lo..hi].to_vec(),
                 refs,
@@ -249,6 +246,8 @@ pub enum PlanError {
     NotResident { phase: usize, elem: u32 },
     /// A buffer slot is written by more than one (phase, iter, ref).
     BufferAliased { slot: u32 },
+    /// A buffered reference targets a slot past the declared extension.
+    SlotOutOfRange { slot: u32, buffer_len: usize },
     /// A buffer slot is copied zero or multiple times.
     CopyCount { slot: u32, times: usize },
     /// A copy's destination is not resident in its phase.
@@ -278,6 +277,10 @@ impl std::fmt::Display for PlanError {
             PlanError::BufferAliased { slot } => {
                 write!(f, "buffer slot {slot} written by more than one reference")
             }
+            PlanError::SlotOutOfRange { slot, buffer_len } => write!(
+                f,
+                "buffer slot {slot} lies past the {buffer_len}-slot buffer extension"
+            ),
             PlanError::CopyCount { slot, times } => write!(
                 f,
                 "buffer slot {slot} copied {times} times (must be exactly 1)"
@@ -307,16 +310,20 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// Check every structural invariant of a plan against the original
-/// indirection arrays. Used by unit tests, property tests, and (in debug
-/// builds) the executors.
+/// indirection arrays. Used by unit tests, property tests, (in debug
+/// builds) the executors, and — in every build — the adoption of
+/// externally produced plans, where it is the safety net between a
+/// compiler bug and silent corruption. Never panics on a malformed
+/// plan: every index a plan supplies is range-checked before use.
 ///
 /// Invariants:
 /// 1. every local iteration appears in exactly one phase;
 /// 2. every resident reference targets an element owned in that phase,
 ///    and equals the original indirection entry;
-/// 3. every buffered reference targets a distinct buffer slot, the slot
-///    is copied exactly once, in a strictly later phase, into the
-///    original indirection entry, which is resident in the copy's phase.
+/// 3. every buffered reference targets a distinct buffer slot inside
+///    the declared extension, the slot is copied exactly once, in a
+///    strictly later phase, into the original indirection entry, which
+///    is resident in the copy's phase.
 pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), PlanError> {
     let g = &plan.geometry;
     let n = g.num_elements() as u32;
@@ -329,26 +336,31 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
     }
     let num_iters = indirection.first().map_or(0, |a| a.len());
 
-    // 1. coverage
-    let mut seen = vec![0usize; num_iters];
+    // 1. coverage (a byte per iteration: "more than once" saturates)
+    let mut seen = vec![0u8; num_iters];
     for ph in &plan.phases {
         for &it in &ph.iters {
-            seen[it as usize] += 1;
+            match seen.get_mut(it as usize) {
+                Some(times) => *times = times.saturating_add(1),
+                None => return Err(PlanError::IterationCoverage { iter: it, times: 0 }),
+            }
         }
     }
-    for (it, &times) in seen.iter().enumerate() {
-        if times != 1 {
-            return Err(PlanError::IterationCoverage {
-                iter: it as u32,
-                times,
-            });
-        }
+    if let Some(it) = seen.iter().position(|&times| times != 1) {
+        return Err(PlanError::IterationCoverage {
+            iter: it as u32,
+            times: usize::from(seen[it]),
+        });
     }
 
-    // slot -> (write phase, original element)
-    let mut slot_written: std::collections::HashMap<u32, (usize, u32)> =
-        std::collections::HashMap::new();
+    // Buffer slot (minus `n`) -> (write phase, original element, times
+    // copied). Slots are dense in `n..n + buffer_len`, so a table
+    // replaces a hash map; `UNWRITTEN` marks a slot no reference uses
+    // (legal: incremental updates leave recycled holes).
+    const UNWRITTEN: u32 = u32::MAX;
+    let mut slots = vec![(UNWRITTEN, 0u32, 0u32); plan.buffer_len];
 
+    // 2. references
     for (p, ph) in plan.phases.iter().enumerate() {
         let owned = g.portion_owned_by(plan.proc_id, p);
         let range = g.portion_range(owned);
@@ -367,8 +379,15 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
                         });
                     }
                 } else {
-                    if slot_written.insert(target, (p, orig)).is_some() {
-                        return Err(PlanError::BufferAliased { slot: target });
+                    match slots.get_mut((target - n) as usize) {
+                        Some(slot) if slot.0 == UNWRITTEN => *slot = (p as u32, orig, 0),
+                        Some(_) => return Err(PlanError::BufferAliased { slot: target }),
+                        None => {
+                            return Err(PlanError::SlotOutOfRange {
+                                slot: target,
+                                buffer_len: plan.buffer_len,
+                            })
+                        }
                     }
                 }
             }
@@ -376,43 +395,45 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
     }
 
     // 3. copies
-    let mut copied: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for (p, ph) in plan.phases.iter().enumerate() {
         let owned = g.portion_owned_by(plan.proc_id, p);
         let range = g.portion_range(owned);
         for c in &ph.copies {
-            *copied.entry(c.src).or_insert(0) += 1;
             if !range.contains(&(c.dest as usize)) {
                 return Err(PlanError::CopyDestNotResident {
                     phase: p,
                     dest: c.dest,
                 });
             }
-            match slot_written.get(&c.src) {
-                None => {
-                    return Err(PlanError::CopyCount {
-                        slot: c.src,
-                        times: 0,
-                    })
-                }
-                Some(&(wp, orig)) => {
-                    if wp >= p {
-                        return Err(PlanError::CopyBeforeWrite { slot: c.src });
-                    }
-                    if orig != c.dest {
-                        return Err(PlanError::WrongTarget {
-                            iter: 0,
-                            r: usize::MAX,
-                        });
-                    }
-                }
+            let written = c
+                .src
+                .checked_sub(n)
+                .and_then(|s| slots.get_mut(s as usize))
+                .filter(|slot| slot.0 != UNWRITTEN);
+            let Some((wp, orig, times)) = written else {
+                return Err(PlanError::CopyCount {
+                    slot: c.src,
+                    times: 0,
+                });
+            };
+            *times += 1;
+            if *wp as usize >= p {
+                return Err(PlanError::CopyBeforeWrite { slot: c.src });
+            }
+            if *orig != c.dest {
+                return Err(PlanError::WrongTarget {
+                    iter: 0,
+                    r: usize::MAX,
+                });
             }
         }
     }
-    for (&slot, _) in slot_written.iter() {
-        let times = copied.get(&slot).copied().unwrap_or(0);
-        if times != 1 {
-            return Err(PlanError::CopyCount { slot, times });
+    for (s, &(wp, _, times)) in slots.iter().enumerate() {
+        if wp != UNWRITTEN && times != 1 {
+            return Err(PlanError::CopyCount {
+                slot: n + s as u32,
+                times: times as usize,
+            });
         }
     }
     Ok(())

@@ -146,37 +146,9 @@ impl Executor {
     /// failure mode becomes a typed [`JobErr`].
     pub fn run_job(&self, job: &SubmitJob, shed: ShedLevel, deadline: Option<Instant>) -> Frame {
         let fault = job_fault(job);
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::Deadline,
-                    0,
-                    Vec::new(),
-                    "deadline expired before execution started".into(),
-                );
-            }
-        }
-        let strat = match StrategyConfig::try_new(
-            usize::from(job.procs),
-            usize::from(job.k),
-            if job.dist == 0 {
-                Distribution::Block
-            } else {
-                Distribution::Cyclic
-            },
-            usize::from(job.sweeps),
-        ) {
+        let strat = match admit(job.job_id, deadline, job.procs, job.k, job.dist, job.sweeps) {
             Ok(s) => s,
-            Err(e) => {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::Strategy,
-                    0,
-                    Vec::new(),
-                    EngineError::Strategy(e).to_string(),
-                )
-            }
+            Err(frame) => return frame,
         };
         let kernel = Arc::new(JobKernel {
             num_refs: usize::from(job.num_refs),
@@ -211,37 +183,9 @@ impl Executor {
         shed: ShedLevel,
         deadline: Option<Instant>,
     ) -> Frame {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::Deadline,
-                    0,
-                    Vec::new(),
-                    "deadline expired before execution started".into(),
-                );
-            }
-        }
-        let strat = match StrategyConfig::try_new(
-            usize::from(job.procs),
-            usize::from(job.k),
-            if job.dist == 0 {
-                Distribution::Block
-            } else {
-                Distribution::Cyclic
-            },
-            usize::from(job.sweeps),
-        ) {
+        let strat = match admit(job.job_id, deadline, job.procs, job.k, job.dist, job.sweeps) {
             Ok(s) => s,
-            Err(e) => {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::Strategy,
-                    0,
-                    Vec::new(),
-                    EngineError::Strategy(e).to_string(),
-                )
-            }
+            Err(frame) => return frame,
         };
 
         let compiled = {
@@ -291,9 +235,10 @@ impl Executor {
         }
 
         // A malicious binding (an indirection value past an array read
-        // inside a loop body) can index out of range in the sequential
-        // interpreter, which runs regular loops inline on this worker
-        // thread. Catch it: the job fails typed, the worker survives.
+        // inside a loop body) indexes out of range in the lowered
+        // regular loops, which run inline on this worker thread with
+        // checked indexing. Catch the panic: the job fails typed, the
+        // worker survives.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shed {
             ShedLevel::Seq => (
                 compiled.execute_with(&mut b, &SeqEngine::new(ExecutionConfig::default()), &strat),
@@ -350,15 +295,15 @@ impl Executor {
                     values,
                 })
             }
-            // Post-compile failures (unbound/ill-shaped arrays, engine
-            // rejection, watchdog) carry the spanned diagnostic text.
-            Err(d) => {
-                let code = if d.message.contains("deadline") {
-                    ErrCode::Deadline
-                } else {
-                    ErrCode::InvalidSpec
-                };
-                err_frame(job.job_id, code, 0, Vec::new(), d.to_string())
+            // Post-compile failures carry the spanned diagnostic text:
+            // an engine failure under the code `run_job` would give it,
+            // a binding error (unbound/ill-shaped array) as InvalidSpec.
+            Err(e) => {
+                let code = e
+                    .cause
+                    .as_ref()
+                    .map_or(ErrCode::InvalidSpec, engine_err_code);
+                err_frame(job.job_id, code, 0, Vec::new(), e.to_string())
             }
         }
     }
@@ -481,6 +426,48 @@ impl Executor {
     }
 }
 
+/// The checks every job passes before any work is done on it: the
+/// deadline has not already expired in the queue, and the requested
+/// strategy is well-formed.
+fn admit(
+    job_id: u64,
+    deadline: Option<Instant>,
+    procs: u16,
+    k: u16,
+    dist: u8,
+    sweeps: u16,
+) -> Result<StrategyConfig, Frame> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(err_frame(
+            job_id,
+            ErrCode::Deadline,
+            0,
+            Vec::new(),
+            "deadline expired before execution started".into(),
+        ));
+    }
+    let dist = if dist == 0 {
+        Distribution::Block
+    } else {
+        Distribution::Cyclic
+    };
+    StrategyConfig::try_new(
+        usize::from(procs),
+        usize::from(k),
+        dist,
+        usize::from(sweeps),
+    )
+    .map_err(|e| {
+        err_frame(
+            job_id,
+            ErrCode::Strategy,
+            0,
+            Vec::new(),
+            EngineError::Strategy(e).to_string(),
+        )
+    })
+}
+
 /// The seed the fault plan had at retry rung `attempt` — the same rule
 /// the recovery ladder applies, so error frames are replayable.
 fn attempt_seed(fault: Option<FaultConfig>, attempt: u32) -> Option<u64> {
@@ -540,7 +527,19 @@ fn engine_err_frame(
     attempts: u32,
     fault_seeds: Vec<Option<u64>>,
 ) -> Frame {
-    let code = match e {
+    err_frame(
+        job_id,
+        engine_err_code(e),
+        attempts,
+        fault_seeds,
+        e.to_string(),
+    )
+}
+
+/// The wire code of each [`EngineError`] kind — one table for job and
+/// source replies.
+fn engine_err_code(e: &EngineError) -> ErrCode {
+    match e {
         EngineError::Invalid(_) | EngineError::Plan(_) => ErrCode::InvalidSpec,
         EngineError::Shape { .. } => ErrCode::Shape,
         EngineError::Strategy(_) => ErrCode::Strategy,
@@ -551,8 +550,7 @@ fn engine_err_frame(
         }) => ErrCode::Deadline,
         EngineError::Run(RunError::Stalled { .. }) => ErrCode::Stalled,
         EngineError::Run(_) => ErrCode::Panicked,
-    };
-    err_frame(job_id, code, attempts, fault_seeds, e.to_string())
+    }
 }
 
 #[cfg(test)]

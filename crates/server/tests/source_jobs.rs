@@ -183,3 +183,138 @@ fn unbound_array_is_a_typed_error() {
 
     srv.stop();
 }
+
+/// A bare `SubmitSource` around `source` with the given bindings.
+fn custom_job(
+    id: u64,
+    source: &str,
+    sizes: &[(&str, u32)],
+    f64s: Vec<(&str, Vec<f64>)>,
+    ints: Vec<(&str, Vec<u32>)>,
+) -> SubmitSource {
+    SubmitSource {
+        job_id: id,
+        deadline_ms: 0,
+        procs: 2,
+        k: 2,
+        dist: 1,
+        sweeps: 1,
+        source: source.into(),
+        sizes: sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        f64s: f64s.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ints: ints.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+    }
+}
+
+#[test]
+fn out_of_range_read_in_a_regular_loop_is_a_typed_error_and_the_connection_survives() {
+    let (srv, addr) = start();
+    let mut c = Client::connect(addr, "dave").expect("connect");
+
+    // `A[5]` points past `X`: the lowered regular loop indexes with
+    // bounds checks on the worker thread, the panic is caught, and the
+    // reply is a typed frame.
+    let gather = "double X[n]; double Y[e]; int A[e];\n\
+                  forall (i = 0; i < e; i++) { Y[i] = X[A[i]] * 2.0; }";
+    let mut a: Vec<u32> = (0..12).map(|i| i % 8).collect();
+    a[5] = 8;
+    let job = custom_job(
+        30,
+        gather,
+        &[("n", 8), ("e", 12)],
+        vec![("X", vec![1.0; 8])],
+        vec![("A", a.clone())],
+    );
+    let Frame::JobErr(err) = c.submit_source(job).expect("submit") else {
+        panic!("an out-of-range gather must fail");
+    };
+    assert_eq!(err.code, ErrCode::Panicked);
+    assert_eq!(err.job_id, 30);
+
+    // Same connection, same worker pool: the in-range version of the
+    // same program and a phased job both succeed.
+    a[5] = 7;
+    let job = custom_job(
+        31,
+        gather,
+        &[("n", 8), ("e", 12)],
+        vec![("X", (0..8).map(f64::from).collect())],
+        vec![("A", a.clone())],
+    );
+    let Frame::JobOk(ok) = c.submit_source(job).expect("submit") else {
+        panic!("the healthy gather must succeed");
+    };
+    let want: Vec<f64> = a.iter().map(|&j| f64::from(j) * 2.0).collect();
+    assert_eq!(ok.values, vec![(0..8).map(f64::from).collect(), want]);
+    let frame = c.submit_source(source_job(32, 16, 80, 7)).expect("submit");
+    assert!(matches!(frame, Frame::JobOk(_)), "got {frame:?}");
+
+    srv.stop();
+}
+
+#[test]
+fn seventeen_locals_is_a_compile_error_not_a_worker_panic() {
+    let (srv, addr) = start();
+    let mut c = Client::connect(addr, "erin").expect("connect");
+
+    let mut source = String::from("double X[n]; double W[e]; int A[e];\n");
+    source.push_str("forall (i = 0; i < e; i++) {\n");
+    for j in 0..17 {
+        source.push_str(&format!("  double t{j} = W[i] + {j}.0;\n"));
+    }
+    source.push_str("  X[A[i]] += t16;\n}\n");
+    let job = custom_job(
+        40,
+        &source,
+        &[("n", 8), ("e", 16)],
+        vec![("W", vec![1.0; 16])],
+        vec![("A", (0..16).map(|i| i % 8).collect())],
+    );
+    let Frame::JobErr(err) = c.submit_source(job).expect("submit") else {
+        panic!("17 locals must be refused");
+    };
+    assert_eq!(err.code, ErrCode::Compile);
+    assert!(err.message.contains("line 19"), "{}", err.message);
+    assert!(err.message.contains("at most 16 locals"), "{}", err.message);
+
+    srv.stop();
+}
+
+#[test]
+fn error_codes_come_from_the_error_kind_not_the_message_text() {
+    let (srv, addr) = start();
+    let mut c = Client::connect(addr, "frank").expect("connect");
+
+    // An ill-shaped binding of an array that happens to be called
+    // `deadline`: a binding error, whatever words its message contains.
+    let job = custom_job(
+        50,
+        "double X[n]; double deadline[e]; int A[e];\n\
+         forall (i = 0; i < e; i++) { X[A[i]] += deadline[i]; }",
+        &[("n", 8), ("e", 16)],
+        vec![("deadline", vec![1.0; 15])],
+        vec![("A", (0..16).map(|i| i % 8).collect())],
+    );
+    let Frame::JobErr(err) = c.submit_source(job).expect("submit") else {
+        panic!("a short array must be refused");
+    };
+    assert!(err.message.contains("deadline"), "{}", err.message);
+    assert_eq!(err.code, ErrCode::InvalidSpec);
+
+    // An engine rejection (reduction target past `X`) maps through the
+    // same table `SubmitJob` replies use, and keeps the source span.
+    let mut job = source_job(51, 24, 150, 3);
+    job.ints[1].1[9] = 24;
+    let Frame::JobErr(err) = c.submit_source(job).expect("submit") else {
+        panic!("an out-of-range reduction target must be refused");
+    };
+    assert_eq!(err.code, ErrCode::InvalidSpec);
+    assert!(err.message.contains("line 2"), "{}", err.message);
+    assert!(
+        err.message.contains("outside the reduction array"),
+        "{}",
+        err.message
+    );
+
+    srv.stop();
+}

@@ -11,26 +11,37 @@
 //! recognition → sema → reference-group analysis (with the dependence
 //! test) → loop fission — and *verifies* each fission against the
 //! sequential interpreter on synthetic bindings before accepting it.
-//! Each irregular loop becomes a [`CompiledLoop`]; execution lowers it
-//! with [`crate::lower`]: an [`InterpKernel`] plus per-processor CSR
-//! flat plans emitted directly by the compiler
+//! Every loop body is lowered to slot-resolved form once, here
+//! ([`crate::lower`]). Each irregular loop becomes a [`CompiledLoop`];
+//! execution binds it to the job's arrays as an [`InterpKernel`] plus
+//! per-processor CSR flat plans emitted directly by the compiler
 //! ([`crate::lower::emit_flat_plans`]) and adopted by the engine
-//! ([`irred::PhasedEngine::prepare_from_flat`]) with zero translation
-//! — that is [`CompiledProgram::execute_flat`], the compiled fast
-//! path, with [`CompiledProgram::execute_sim`] as the simulator
-//! default. [`CompiledProgram::execute_with`] remains engine-agnostic
-//! (any [`irred::ReductionEngine`] over the emitted specs). Regular
-//! loops (including fission preludes) run sequentially between phased
-//! loops.
+//! ([`irred::PhasedEngine::prepare_from_flat`]: gather, unflatten,
+//! verify, index — no inspector run) — that is
+//! [`CompiledProgram::execute_flat`], the compiled fast path, with
+//! [`CompiledProgram::execute_sim`] as the simulator default.
+//! [`CompiledProgram::execute_with`] remains engine-agnostic (any
+//! [`irred::ReductionEngine`] over the emitted specs). Regular loops
+//! (a [`RegularLoop`]: user-written ones and fission preludes) run
+//! sequentially between phased loops through the same lowered
+//! evaluator; the AST interpreter ([`crate::interp`]) stays out of job
+//! execution and serves as the reference both are tested against.
+
+use std::sync::Arc;
 
 use earth_model::sim::SimConfig;
-use irred::{PhasedEngine, PhasedSpec, ReductionEngine, RunOutcome, StrategyConfig, Workspace};
+use irred::{
+    EngineError, PhasedEngine, PhasedSpec, ReductionEngine, RunOutcome, StrategyConfig, Workspace,
+};
 
 use crate::analysis::{analyze_program, normalize_program, LoopClass};
 use crate::ast::*;
 use crate::fission::{fission_loop, FissionResult};
-use crate::interp::{interpret, interpret_loop, Bindings};
-use crate::lower::{emit_flat_plans, lower_kernel};
+use crate::interp::{interpret, Bindings};
+use crate::lower::{
+    emit_flat_plans, lower_kernel, lower_phased, lower_regular, Contribution, DirectStore,
+    LoweredBody, Snapshots,
+};
 use crate::parser::parse;
 use crate::sema::check;
 use crate::Diagnostic;
@@ -50,6 +61,17 @@ pub struct CompiledLoop {
     pub elem_size: String,
     /// Iteration-count symbol.
     pub count: String,
+    /// The loop body with names resolved to slots; each job's kernel
+    /// shares it.
+    pub(crate) body: Arc<LoweredBody<Contribution>>,
+}
+
+/// One regular loop (user-written or a fission prelude), lowered.
+#[derive(Debug)]
+pub struct RegularLoop {
+    /// Index into [`CompiledProgram::program`]'s loop list.
+    pub loop_index: usize,
+    body: LoweredBody<DirectStore>,
 }
 
 /// What to do with each loop, in program order.
@@ -57,7 +79,7 @@ pub struct CompiledLoop {
 pub enum LoopPlan {
     /// Run sequentially on the control processor (regular loops and
     /// fission preludes).
-    Regular(usize),
+    Regular(RegularLoop),
     /// Run under the phased strategy.
     Phased(CompiledLoop),
 }
@@ -99,9 +121,8 @@ pub fn compile(src: &str) -> Result<CompiledProgram, Diagnostic> {
         match &info.class {
             LoopClass::Regular => {
                 log.push(format!("loop@{line}: regular (no inspector needed)"));
-                let idx = out.loops.len();
+                plan.push(regular(out.loops.len(), l)?);
                 out.loops.push(l.clone());
-                plan.push(LoopPlan::Regular(idx));
             }
             LoopClass::IrregularReduction { groups } => {
                 log.push(format!(
@@ -125,10 +146,10 @@ pub fn compile(src: &str) -> Result<CompiledProgram, Diagnostic> {
                 let n_loops = f.loops.len();
                 for (j, fl) in f.loops.into_iter().enumerate() {
                     let idx = out.loops.len();
-                    out.loops.push(fl);
                     let is_prelude = n_loops > n_groups && j == 0;
                     if is_prelude {
-                        plan.push(LoopPlan::Regular(idx));
+                        plan.push(regular(idx, &fl)?);
+                        out.loops.push(fl);
                         continue;
                     }
                     let g = &groups[j - (n_loops - n_groups)];
@@ -147,11 +168,13 @@ pub fn compile(src: &str) -> Result<CompiledProgram, Diagnostic> {
                     ));
                     plan.push(LoopPlan::Phased(CompiledLoop {
                         loop_index: idx,
+                        body: Arc::new(lower_phased(&fl, &g.vias, &g.arrays)?),
                         reduction_arrays: g.arrays.clone(),
                         vias: g.vias.clone(),
                         elem_size,
                         count: l.count.clone(),
                     }));
+                    out.loops.push(fl);
                 }
             }
         }
@@ -161,6 +184,13 @@ pub fn compile(src: &str) -> Result<CompiledProgram, Diagnostic> {
         plan,
         log,
     })
+}
+
+fn regular(loop_index: usize, l: &Forall) -> Result<LoopPlan, Diagnostic> {
+    Ok(LoopPlan::Regular(RegularLoop {
+        loop_index,
+        body: lower_regular(l)?,
+    }))
 }
 
 /// Deterministic synthetic bindings for a program: every symbolic size
@@ -277,6 +307,38 @@ pub struct ExecReport {
     pub regular_loops: usize,
 }
 
+/// Why executing a compiled program failed: the spanned diagnostic, and
+/// — when an engine (or the compiler-side inspector) rejected or
+/// aborted a phased loop — the engine's own typed error, so callers map
+/// failures by kind instead of by message text.
+#[derive(Debug)]
+pub struct ExecError {
+    pub diagnostic: Diagnostic,
+    /// `None` for binding errors (unbound or ill-shaped arrays).
+    pub cause: Option<EngineError>,
+}
+
+impl From<Diagnostic> for ExecError {
+    fn from(diagnostic: Diagnostic) -> Self {
+        ExecError {
+            diagnostic,
+            cause: None,
+        }
+    }
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.diagnostic.fmt(f)
+    }
+}
+
+impl std::error::Error for ExecError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.cause.as_ref().map(|e| e as _)
+    }
+}
+
 impl CompiledProgram {
     /// Execute the compiled program through an arbitrary
     /// [`ReductionEngine`]: regular loops run sequentially on the control
@@ -290,55 +352,51 @@ impl CompiledProgram {
         b: &mut Bindings,
         engine: &E,
         strat: &StrategyConfig,
-    ) -> Result<ExecReport, Diagnostic>
+    ) -> Result<ExecReport, ExecError>
     where
         E: ReductionEngine<PhasedSpec<InterpKernel>>,
     {
-        b.materialize(&self.program)?;
-        let mut ws = Workspace::new();
-        let mut rep = ExecReport {
-            time_cycles: 0,
-            phased_loops: 0,
-            regular_loops: 0,
-        };
-        for p in &self.plan {
-            match p {
-                LoopPlan::Regular(idx) => {
-                    interpret_loop(&self.program.loops[*idx], b)?;
-                    rep.regular_loops += 1;
-                }
-                LoopPlan::Phased(cl) => {
-                    let span = self.program.loops[cl.loop_index].span;
-                    let spec = lower_kernel(&self.program, cl, b)?;
-                    let to_diag = |e: irred::EngineError| {
-                        Diagnostic::at(span, format!("engine `{}` failed: {e}", engine.name()))
-                    };
-                    let mut prepared = engine.prepare(&spec, strat).map_err(to_diag)?;
-                    let out: RunOutcome =
-                        engine.execute(&mut prepared, &mut ws).map_err(to_diag)?;
-                    self.accumulate(cl, b, &out);
-                    rep.time_cycles += out.time_cycles;
-                    rep.phased_loops += 1;
-                }
-            }
-        }
-        Ok(rep)
+        self.execute_loops(b, engine.name(), |spec, ws| {
+            let mut prepared = engine.prepare(spec, strat)?;
+            engine.execute(&mut prepared, ws)
+        })
     }
 
     /// Execute on the compiled fast path: the compiler emits each
     /// loop's per-processor CSR flat plans directly
     /// ([`crate::lower::emit_flat_plans`]) and the phased engine adopts
-    /// them ([`PhasedEngine::prepare_from_flat`]) — no inspector run,
-    /// no nested-plan intermediate. Results are bit-identical to
-    /// [`Self::execute_with`] on the same engine configuration.
+    /// them ([`PhasedEngine::prepare_from_flat`]) — no inspector run.
+    /// Results are bit-identical to [`Self::execute_with`] on the same
+    /// engine configuration.
     pub fn execute_flat(
         &self,
         b: &mut Bindings,
         strat: &StrategyConfig,
         engine: &PhasedEngine,
-    ) -> Result<ExecReport, Diagnostic> {
+    ) -> Result<ExecReport, ExecError> {
+        self.execute_loops(b, "phased", |spec, ws| {
+            let flats = emit_flat_plans(spec, strat).map_err(EngineError::Invalid)?;
+            let mut prepared = engine.prepare_from_flat(spec, strat, flats)?;
+            engine.execute(&mut prepared, ws)
+        })
+    }
+
+    /// The one walk over the plan behind every execute entry point:
+    /// regular loops through their lowered bodies, phased loops bound
+    /// to the job's arrays and handed to `run_phased`, reductions
+    /// accumulated back into the bindings.
+    fn execute_loops(
+        &self,
+        b: &mut Bindings,
+        engine_name: &str,
+        mut run_phased: impl FnMut(
+            &PhasedSpec<InterpKernel>,
+            &mut Workspace,
+        ) -> Result<RunOutcome, EngineError>,
+    ) -> Result<ExecReport, ExecError> {
         b.materialize(&self.program)?;
         let mut ws = Workspace::new();
+        let mut snaps = Snapshots::default();
         let mut rep = ExecReport {
             time_cycles: 0,
             phased_loops: 0,
@@ -346,27 +404,26 @@ impl CompiledProgram {
         };
         for p in &self.plan {
             match p {
-                LoopPlan::Regular(idx) => {
-                    interpret_loop(&self.program.loops[*idx], b)?;
+                LoopPlan::Regular(rl) => {
+                    let l = &self.program.loops[rl.loop_index];
+                    rl.body.run(b.size_of(&l.count)?, b);
+                    rl.body.stored().for_each(|name| snaps.invalidate(name));
                     rep.regular_loops += 1;
                 }
                 LoopPlan::Phased(cl) => {
-                    let span = self.program.loops[cl.loop_index].span;
-                    let spec = lower_kernel(&self.program, cl, b)?;
-                    let flats = emit_flat_plans(&spec, strat).map_err(|e| {
-                        Diagnostic::at(span, format!("inspector rejected the loop: {e}"))
-                    })?;
-                    let mut prepared =
-                        engine.prepare_from_flat(&spec, strat, flats).map_err(|e| {
-                            Diagnostic::at(
-                                span,
-                                format!("engine `phased` rejected the emitted plan: {e}"),
-                            )
-                        })?;
-                    let out: RunOutcome = engine.execute(&mut prepared, &mut ws).map_err(|e| {
-                        Diagnostic::at(span, format!("engine `phased` failed: {e}"))
+                    let l = &self.program.loops[cl.loop_index];
+                    let spec = lower_kernel(l, cl, b, &mut snaps)?;
+                    let out = run_phased(&spec, &mut ws).map_err(|e| ExecError {
+                        diagnostic: Diagnostic::at(
+                            l.span,
+                            format!("engine `{engine_name}` failed: {e}"),
+                        ),
+                        cause: Some(e),
                     })?;
                     self.accumulate(cl, b, &out);
+                    for name in &cl.reduction_arrays {
+                        snaps.invalidate(name);
+                    }
                     rep.time_cycles += out.time_cycles;
                     rep.phased_loops += 1;
                 }
@@ -382,7 +439,7 @@ impl CompiledProgram {
         b: &mut Bindings,
         strat: &StrategyConfig,
         cfg: SimConfig,
-    ) -> Result<ExecReport, Diagnostic> {
+    ) -> Result<ExecReport, ExecError> {
         self.execute_flat(b, strat, &PhasedEngine::sim(cfg))
     }
 
@@ -396,16 +453,17 @@ impl CompiledProgram {
         strat: &StrategyConfig,
     ) -> Result<Vec<(usize, crate::lower::FlatSummary)>, Diagnostic> {
         b.materialize(&self.program)?;
+        let mut snaps = Snapshots::default();
         let mut out = Vec::new();
         for p in &self.plan {
             if let LoopPlan::Phased(cl) = p {
-                let span = self.program.loops[cl.loop_index].span;
-                let spec = lower_kernel(&self.program, cl, b)?;
+                let l = &self.program.loops[cl.loop_index];
+                let spec = lower_kernel(l, cl, b, &mut snaps)?;
                 let flats = emit_flat_plans(&spec, strat).map_err(|e| {
-                    Diagnostic::at(span, format!("inspector rejected the loop: {e}"))
+                    Diagnostic::at(l.span, format!("inspector rejected the loop: {e}"))
                 })?;
                 out.push((
-                    span.line,
+                    l.span.line,
                     crate::lower::FlatSummary::from_flats(&flats, strat),
                 ));
             }
@@ -681,6 +739,97 @@ mod tests {
         let strat = StrategyConfig::new(2, 2, irred::Distribution::Block, 1);
         c.execute_sim(&mut b, &strat, SimConfig::default()).unwrap();
         assert_eq!(b.f64s["Y"], vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// Every f64 array of `a` and `b`, bit for bit.
+    fn assert_same_bits(a: &Bindings, b: &Bindings) {
+        assert_eq!(a.f64s.len(), b.f64s.len());
+        for (name, x) in &a.f64s {
+            let y = &b.f64s[name];
+            assert_eq!(x.len(), y.len(), "{name}");
+            for (i, (p, q)) in x.iter().zip(y).enumerate() {
+                assert_eq!(p.to_bits(), q.to_bits(), "{name}[{i}]: {p} vs {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_see_stores_made_between_phased_loops() {
+        // One job, four loops: the second kernel reads `W` after a
+        // regular loop rewrote it and `P` after a reduction updated it —
+        // the per-job array snapshots must not serve either stale.
+        let src = "
+            double P[n]; double Q[n]; double W[e]; int A[e]; int C[n];
+            forall (i = 0; i < e; i++) { P[A[i]] += W[i]; }
+            forall (i = 0; i < e; i++) { W[i] = W[i] * 2.0 + i; }
+            forall (i = 0; i < e; i++) { P[A[i]] += W[i]; }
+            forall (j = 0; j < n; j++) { Q[C[j]] += P[j]; }";
+        let c = compile(src).unwrap();
+        let (n, e) = (20usize, 120usize);
+        let mut next = rng(5);
+        let mut b = Bindings::default();
+        b.sizes.insert("n".into(), n);
+        b.sizes.insert("e".into(), e);
+        b.f64s
+            .insert("W".into(), (0..e).map(|_| (next() % 40) as f64).collect());
+        b.ints.insert(
+            "A".into(),
+            (0..e).map(|_| (next() % n as u64) as u32).collect(),
+        );
+        b.ints.insert(
+            "C".into(),
+            (0..n).map(|_| (next() % n as u64) as u32).collect(),
+        );
+        let mut direct = b.clone();
+        let strat = StrategyConfig::new(3, 2, irred::Distribution::Cyclic, 1);
+        let rep = c.execute_sim(&mut b, &strat, SimConfig::default()).unwrap();
+        assert_eq!((rep.regular_loops, rep.phased_loops), (1, 3));
+        interpret(&parse(src).unwrap(), &mut direct).unwrap();
+        // Whole-number inputs: every partial sum is exact.
+        assert_same_bits(&b, &direct);
+    }
+
+    #[test]
+    fn seventeenth_local_is_a_spanned_compile_error() {
+        let program = |locals: usize| {
+            let mut src = String::from("double X[n]; double W[e]; int A[e];\n");
+            src.push_str("forall (i = 0; i < e; i++) {\n");
+            for j in 0..locals {
+                src.push_str(&format!("  double t{j} = W[i] + {j}.0;\n"));
+            }
+            src.push_str(&format!("  X[A[i]] += t{};\n}}\n", locals - 1));
+            src
+        };
+        assert!(compile(&program(16)).is_ok());
+        let err = compile(&program(17)).unwrap_err();
+        // Line 1 declarations, line 2 `forall`, locals from line 3.
+        assert_eq!(err.span.line, 19, "{err}");
+        assert!(err.message.contains("at most 16 locals"), "{err}");
+        // The same limit guards regular loops.
+        let regular = program(17).replace("X[A[i]] +=", "W[i] =");
+        let err = compile(&regular).unwrap_err();
+        assert!(err.message.contains("at most 16 locals"), "{err}");
+    }
+
+    #[test]
+    fn engine_failures_carry_a_typed_cause() {
+        // An out-of-range reduction target is the inspector's typed
+        // rejection, not a message to be pattern-matched.
+        let c = compile(FIG1).unwrap();
+        let mut b = fig1_bindings(8, 30, 3);
+        b.ints.get_mut("IA2").unwrap()[7] = 8;
+        let strat = StrategyConfig::new(2, 2, irred::Distribution::Block, 1);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        let err = c.execute_flat(&mut b.clone(), &strat, &engine).unwrap_err();
+        assert!(matches!(err.cause, Some(EngineError::Invalid(_))), "{err}");
+        assert_eq!(err.diagnostic.span.line, 3);
+        let err = c.execute_with(&mut b, &engine, &strat).unwrap_err();
+        assert!(matches!(err.cause, Some(EngineError::Invalid(_))), "{err}");
+        // A binding error has no engine cause.
+        let mut b = fig1_bindings(8, 30, 3);
+        b.ints.get_mut("IA1").unwrap().pop();
+        let err = c.execute_flat(&mut b, &strat, &engine).unwrap_err();
+        assert!(err.cause.is_none(), "{err}");
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub use analysis::{analyze_program, normalize_program, LoopClass, LoopInfo, RefG
 pub use ast::{BinOp, Expr, Program, Stmt};
 pub use cache::{source_hash, CompileCache};
 pub use codegen::{
-    compile, synthetic_bindings, CompiledLoop, CompiledProgram, InterpKernel, LoopPlan,
+    compile, synthetic_bindings, CompiledLoop, CompiledProgram, ExecError, InterpKernel, LoopPlan,
+    RegularLoop,
 };
 pub use fission::fission_loop;
 pub use interp::{interpret, Bindings};

@@ -1,29 +1,38 @@
-//! Lowering: from a fissioned loop to the machine's input — an
-//! interpreted [`irred::EdgeKernel`] plus the CSR
-//! [`lightinspector::FlatPlan`] the executors' fast path streams.
+//! Lowering: from a fissioned loop to the machine's input — slot-resolved
+//! loop bodies (one evaluator for regular loops and phased kernels) plus
+//! the CSR [`lightinspector::FlatPlan`] the executors' fast path streams.
 //!
 //! This is the "generate code for the execution strategy presented in
-//! Section 2" step of §4, taken all the way down: instead of handing
-//! the engine raw indirection and letting it run the inspector and then
-//! flatten the nested plan, the compiler emits the flat schedule
-//! *directly* with [`emit_flat_plans`] (one
-//! [`lightinspector::inspect_flat`] pass per processor, under the same
-//! iteration distribution the engine uses) and the engine *adopts* it
-//! via [`irred::PhasedEngine::prepare_from_flat`] — zero translation
-//! between compiled output and the fast path. Adoption re-verifies
-//! every plan against the indirection, so a compiler bug surfaces as a
-//! typed error, never as silent corruption.
+//! Section 2" step of §4, taken all the way down. [`lower_body`] runs
+//! once per loop inside [`crate::compile`]: every array and local name
+//! becomes a slot index, so nothing at job time hashes a string per
+//! access. A regular loop (user-written or a fission prelude) then runs
+//! through [`LoweredBody::run`]; an irregular loop is bound to a job's
+//! arrays by [`lower_kernel`], its flat schedule emitted *directly* with
+//! [`emit_flat_plans`] (one [`lightinspector::inspect_flat`] pass per
+//! processor, under the same iteration distribution the engine uses),
+//! and the engine *adopts* that schedule via
+//! [`irred::PhasedEngine::prepare_from_flat`]: it gathers each
+//! processor's local indirection once, unflattens the schedule into the
+//! nested plan its metered and incremental paths walk, verifies that
+//! plan against the indirection, and indexes it — no inspector run, but
+//! not free either. A compiler bug therefore surfaces as a typed error,
+//! never as silent corruption.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use irred::{distribute, EdgeKernel, PhasedSpec, StrategyConfig};
+use irred::{EdgeKernel, PhasedSpec, StrategyConfig};
 use lightinspector::{inspect_flat, FlatInspection, InspectError, InspectorInput, PhaseGeometry};
 
 use crate::ast::*;
-use crate::codegen::CompiledLoop;
 use crate::interp::Bindings;
-use crate::Diagnostic;
+use crate::{Diagnostic, Span};
+
+/// Loop-local scalars one loop body may declare: the evaluators keep
+/// them in a fixed stack frame. [`lower_body`] rejects a longer body, so
+/// the limit is a compile error, never a job-time panic.
+pub(crate) const MAX_LOCALS: usize = 16;
 
 /// A compiled (resolved-reference) expression, evaluable without name
 /// lookups.
@@ -41,19 +50,23 @@ enum CExpr {
 }
 
 impl CExpr {
-    fn eval(
+    /// Evaluate at iteration `i` against slot tables — shared `Arc`
+    /// snapshots under a phased kernel, the arrays themselves under a
+    /// regular loop. Indexing is checked: an out-of-range binding
+    /// panics, which every caller that takes outside input catches.
+    fn eval<F: AsRef<[f64]>, I: AsRef<[u32]>>(
         &self,
         i: usize,
         locals: &[f64],
-        f64s: &[Arc<Vec<f64>>],
-        ints: &[Arc<Vec<u32>>],
+        f64s: &[F],
+        ints: &[I],
     ) -> f64 {
         match self {
             CExpr::Number(v) => *v,
             CExpr::LoopVar => i as f64,
             CExpr::Local(s) => locals[*s],
-            CExpr::Direct(a) => f64s[*a][i],
-            CExpr::Indirect(a, v) => f64s[*a][ints[*v][i] as usize],
+            CExpr::Direct(a) => f64s[*a].as_ref()[i],
+            CExpr::Indirect(a, v) => f64s[*a].as_ref()[ints[*v].as_ref()[i] as usize],
             CExpr::Bin(op, x, y) => {
                 let (x, y) = (x.eval(i, locals, f64s, ints), y.eval(i, locals, f64s, ints));
                 match op {
@@ -68,19 +81,245 @@ impl CExpr {
     }
 }
 
-/// The interpreted kernel generated for one irregular loop: implements
-/// [`irred::EdgeKernel`] by evaluating the loop body.
-pub struct InterpKernel {
-    locals: Vec<CExpr>,
-    /// `(ref index, array index, negate, value)` per reduction statement.
-    updates: Vec<(usize, usize, bool, CExpr)>,
-    f64s: Vec<Arc<Vec<f64>>>,
-    ints: Vec<Arc<Vec<u32>>>,
-    num_refs: usize,
-    num_arrays: usize,
+/// Where a regular loop's `Y[i] = v` / `Y[i] += v` lands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectStore {
+    /// f64 slot of `Y`.
+    array: usize,
+    accumulate: bool,
+}
+
+/// Where a phased loop's `X[IA[i]] += v` / `-= v` lands in the kernel's
+/// contribution frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Contribution {
+    /// `ref index * num_arrays + array index`.
+    out: usize,
+    negate: bool,
+}
+
+/// One statement of a lowered body, in source order.
+#[derive(Debug)]
+enum LStmt<W> {
+    /// `double name = init;` — defines the local in the given slot.
+    Local(usize, CExpr),
+    /// A store of the value to `W`.
+    Write(W, CExpr),
+}
+
+/// A loop body with every array and local name resolved to a slot.
+/// `W` is the kind of store the loop may make: [`DirectStore`] for a
+/// regular loop, [`Contribution`] for a phased one.
+#[derive(Debug)]
+pub(crate) struct LoweredBody<W> {
+    /// f64 / int array names, in slot order.
+    f64_names: Vec<String>,
+    int_names: Vec<String>,
+    stmts: Vec<LStmt<W>>,
     flops: u64,
     edge_reads: usize,
     node_reads: usize,
+}
+
+/// Name → slot resolution state while one body is lowered.
+#[derive(Default)]
+struct Slots {
+    f64s: Vec<String>,
+    ints: Vec<String>,
+    locals: HashMap<String, usize>,
+    edge_reads: usize,
+    node_reads: usize,
+}
+
+fn slot_of(names: &mut Vec<String>, name: &str) -> usize {
+    names.iter().position(|n| n == name).unwrap_or_else(|| {
+        names.push(name.to_string());
+        names.len() - 1
+    })
+}
+
+impl Slots {
+    fn lower(&mut self, e: &Expr) -> CExpr {
+        match e {
+            Expr::Number(v) => CExpr::Number(*v),
+            Expr::Var(v) => match self.locals.get(v) {
+                Some(s) => CExpr::Local(*s),
+                None => CExpr::LoopVar,
+            },
+            Expr::Direct { array, .. } => {
+                self.edge_reads += 1;
+                CExpr::Direct(slot_of(&mut self.f64s, array))
+            }
+            Expr::Indirect { array, via, .. } => {
+                self.node_reads += 1;
+                CExpr::Indirect(slot_of(&mut self.f64s, array), slot_of(&mut self.ints, via))
+            }
+            Expr::Bin(op, a, c) => {
+                CExpr::Bin(*op, Box::new(self.lower(a)), Box::new(self.lower(c)))
+            }
+            Expr::Neg(a) => CExpr::Neg(Box::new(self.lower(a))),
+        }
+    }
+}
+
+/// Lower one loop body. `write` resolves each store statement to the
+/// loop kind's target (or rejects a statement the loop kind cannot
+/// hold); locals are shared. More than [`MAX_LOCALS`] locals is a
+/// spanned diagnostic.
+fn lower_body<W>(
+    l: &Forall,
+    mut write: impl FnMut(&Stmt, &mut Slots) -> Result<W, Diagnostic>,
+) -> Result<LoweredBody<W>, Diagnostic> {
+    let mut slots = Slots::default();
+    let mut stmts = Vec::with_capacity(l.body.len());
+    let mut flops = 0u64;
+    for s in &l.body {
+        match s {
+            Stmt::Local { name, init, span } => {
+                let slot = slots.locals.len();
+                if slot == MAX_LOCALS {
+                    return Err(Diagnostic::at(
+                        *span,
+                        format!(
+                            "local `{name}` is the loop's {}th scalar; at most {MAX_LOCALS} \
+                             locals per loop are supported",
+                            MAX_LOCALS + 1
+                        ),
+                    ));
+                }
+                let init_c = slots.lower(init);
+                flops += init.flops();
+                slots.locals.insert(name.clone(), slot);
+                stmts.push(LStmt::Local(slot, init_c));
+            }
+            Stmt::ReduceIndirect { value, .. }
+            | Stmt::AssignIndirect { value, .. }
+            | Stmt::AssignDirect { value, .. } => {
+                let w = write(s, &mut slots)?;
+                flops += value.flops() + 1;
+                stmts.push(LStmt::Write(w, slots.lower(value)));
+            }
+        }
+    }
+    Ok(LoweredBody {
+        f64_names: slots.f64s,
+        int_names: slots.ints,
+        stmts,
+        flops,
+        edge_reads: slots.edge_reads,
+        node_reads: slots.node_reads,
+    })
+}
+
+/// Lower a regular loop (no inspector needed): locals and direct stores
+/// by the loop index, in source order.
+pub(crate) fn lower_regular(l: &Forall) -> Result<LoweredBody<DirectStore>, Diagnostic> {
+    lower_body(l, |s, slots| match s {
+        Stmt::AssignDirect {
+            array, accumulate, ..
+        } => Ok(DirectStore {
+            array: slot_of(&mut slots.f64s, array),
+            accumulate: *accumulate,
+        }),
+        // Analysis classifies a loop with any indirect store as
+        // irregular (or rejects it); reaching one here is a compiler bug.
+        _ => Err(Diagnostic::at(
+            s.span(),
+            "indirect store inside a regular loop (analysis should have classified it)",
+        )),
+    })
+}
+
+/// Lower one fissioned irregular loop: locals and the reduction updates
+/// of its single reference group (`vias` × `arrays`).
+pub(crate) fn lower_phased(
+    l: &Forall,
+    vias: &[String],
+    arrays: &[String],
+) -> Result<LoweredBody<Contribution>, Diagnostic> {
+    lower_body(l, |s, _| match s {
+        Stmt::ReduceIndirect {
+            array, via, negate, ..
+        } => {
+            let r = vias.iter().position(|v| v == via).expect("analysis");
+            let a = arrays.iter().position(|x| x == array).expect("analysis");
+            Ok(Contribution {
+                out: r * arrays.len() + a,
+                negate: *negate,
+            })
+        }
+        // Analysis rejects residual indirect stores and fission hoists
+        // direct writes into the prelude; reaching either here is a
+        // compiler bug.
+        _ => Err(Diagnostic::at(
+            s.span(),
+            "non-reduction write inside a phased loop (fission should have removed it)",
+        )),
+    })
+}
+
+impl LoweredBody<DirectStore> {
+    /// The f64 arrays this loop stores into.
+    pub(crate) fn stored(&self) -> impl Iterator<Item = &str> {
+        self.stmts.iter().filter_map(|s| match s {
+            LStmt::Write(w, _) => Some(self.f64_names[w.array].as_str()),
+            LStmt::Local(..) => None,
+        })
+    }
+
+    /// Run the loop sequentially over `0..count`: iterations in order,
+    /// statements in order — the semantics of
+    /// [`crate::interp::interpret_loop`], bit for bit. `b` must be
+    /// materialized. The loop's f64 arrays leave `b` for a slot table
+    /// once, up front (a store may alias a read), and return when the
+    /// loop is done.
+    pub(crate) fn run(&self, count: usize, b: &mut Bindings) {
+        let ints: Vec<&[u32]> = self
+            .int_names
+            .iter()
+            .map(|n| b.ints[n].as_slice())
+            .collect();
+        let mut f64s: Vec<Vec<f64>> = self
+            .f64_names
+            .iter()
+            .map(|n| std::mem::take(b.f64s.get_mut(n).expect("materialized")))
+            .collect();
+
+        let mut locals = [0.0f64; MAX_LOCALS];
+        for i in 0..count {
+            for s in &self.stmts {
+                match s {
+                    LStmt::Local(slot, init) => {
+                        locals[*slot] = init.eval(i, &locals, &f64s, &ints);
+                    }
+                    LStmt::Write(w, value) => {
+                        let v = value.eval(i, &locals, &f64s, &ints);
+                        let y = &mut f64s[w.array][i];
+                        if w.accumulate {
+                            *y += v;
+                        } else {
+                            *y = v;
+                        }
+                    }
+                }
+            }
+        }
+
+        for (n, data) in self.f64_names.iter().zip(f64s) {
+            *b.f64s.get_mut(n).expect("materialized") = data;
+        }
+    }
+}
+
+/// The interpreted kernel generated for one irregular loop: implements
+/// [`irred::EdgeKernel`] by evaluating the lowered loop body against
+/// one job's array snapshots.
+pub struct InterpKernel {
+    body: Arc<LoweredBody<Contribution>>,
+    f64s: Vec<Arc<[f64]>>,
+    ints: Vec<Arc<[u32]>>,
+    num_refs: usize,
+    num_arrays: usize,
 }
 
 impl EdgeKernel for InterpKernel {
@@ -93,160 +332,89 @@ impl EdgeKernel for InterpKernel {
     }
 
     fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let mut locals = [0.0f64; 16];
-        for (s, init) in self.locals.iter().enumerate() {
-            locals[s] = init.eval(iter, &locals, &self.f64s, &self.ints);
-        }
-        for (r, a, negate, value) in &self.updates {
-            let v = value.eval(iter, &locals, &self.f64s, &self.ints);
-            let slot = r * self.num_arrays + a;
-            out[slot] += if *negate { -v } else { v };
+        let mut locals = [0.0f64; MAX_LOCALS];
+        for s in &self.body.stmts {
+            match s {
+                LStmt::Local(slot, init) => {
+                    locals[*slot] = init.eval(iter, &locals, &self.f64s, &self.ints);
+                }
+                LStmt::Write(w, value) => {
+                    let v = value.eval(iter, &locals, &self.f64s, &self.ints);
+                    out[w.out] += if w.negate { -v } else { v };
+                }
+            }
         }
     }
 
     fn flops_per_iter(&self) -> u64 {
-        self.flops
+        self.body.flops
     }
 
     fn edge_reads_per_iter(&self) -> usize {
-        self.edge_reads
+        self.body.edge_reads
     }
 
     fn node_reads_per_elem(&self) -> usize {
-        self.node_reads
+        self.body.node_reads
     }
 }
 
-/// Build the [`InterpKernel`] and [`PhasedSpec`] for one compiled loop
-/// against concrete bindings.
+/// One job's shared snapshots of the arrays its phased kernels read. A
+/// kernel outlives the borrow of the job's [`Bindings`] (the engine
+/// shares it with its node threads), so it reads `Arc` copies; each
+/// array is copied at most once per job, however many fissioned loops
+/// read it, and again only after something stored into it.
+#[derive(Default)]
+pub(crate) struct Snapshots {
+    f64s: HashMap<String, Arc<[f64]>>,
+    ints: HashMap<String, Arc<[u32]>>,
+}
+
+impl Snapshots {
+    /// Forget `name`: a regular loop or a reduction just wrote it. (Int
+    /// arrays are never stored into — sema requires stored arrays to be
+    /// `double`.)
+    pub(crate) fn invalidate(&mut self, name: &str) {
+        self.f64s.remove(name);
+    }
+}
+
+fn snapshot<T: Copy>(
+    cache: &mut HashMap<String, Arc<[T]>>,
+    bound: &HashMap<String, Vec<T>>,
+    name: &str,
+    span: Span,
+) -> Result<Arc<[T]>, Diagnostic> {
+    if let Some(a) = cache.get(name) {
+        return Ok(Arc::clone(a));
+    }
+    let data = bound
+        .get(name)
+        .ok_or_else(|| Diagnostic::at(span, format!("array `{name}` not bound")))?;
+    let a: Arc<[T]> = Arc::from(data.as_slice());
+    cache.insert(name.to_string(), Arc::clone(&a));
+    Ok(a)
+}
+
+/// Bind one compiled loop's lowered body to concrete bindings: the
+/// [`InterpKernel`] and [`PhasedSpec`] the engine runs.
 pub(crate) fn lower_kernel(
-    prog: &Program,
-    cl: &CompiledLoop,
+    l: &Forall,
+    cl: &crate::codegen::CompiledLoop,
     b: &Bindings,
+    snaps: &mut Snapshots,
 ) -> Result<PhasedSpec<InterpKernel>, Diagnostic> {
-    let l = &prog.loops[cl.loop_index];
-    let mut f64_slots: Vec<(String, Arc<Vec<f64>>)> = Vec::new();
-    let mut int_slots: Vec<(String, Arc<Vec<u32>>)> = Vec::new();
-    let mut local_slots: HashMap<String, usize> = HashMap::new();
-
-    let f64_slot =
-        |name: &str, f64_slots: &mut Vec<(String, Arc<Vec<f64>>)>| -> Result<usize, Diagnostic> {
-            if let Some(p) = f64_slots.iter().position(|(n, _)| n == name) {
-                return Ok(p);
-            }
-            let data = b
-                .f64s
-                .get(name)
-                .cloned()
-                .ok_or_else(|| Diagnostic::at(l.span, format!("array `{name}` not bound")))?;
-            f64_slots.push((name.to_string(), Arc::new(data)));
-            Ok(f64_slots.len() - 1)
-        };
-    let int_slot =
-        |name: &str, int_slots: &mut Vec<(String, Arc<Vec<u32>>)>| -> Result<usize, Diagnostic> {
-            if let Some(p) = int_slots.iter().position(|(n, _)| n == name) {
-                return Ok(p);
-            }
-            let data = b.ints.get(name).cloned().ok_or_else(|| {
-                Diagnostic::at(l.span, format!("indirection array `{name}` not bound"))
-            })?;
-            int_slots.push((name.to_string(), Arc::new(data)));
-            Ok(int_slots.len() - 1)
-        };
-
-    let mut edge_reads = 0usize;
-    let mut node_reads = 0usize;
-    fn lower(
-        e: &Expr,
-        locals: &HashMap<String, usize>,
-        f64_slot: &mut dyn FnMut(&str) -> Result<usize, Diagnostic>,
-        int_slot: &mut dyn FnMut(&str) -> Result<usize, Diagnostic>,
-        edge_reads: &mut usize,
-        node_reads: &mut usize,
-    ) -> Result<CExpr, Diagnostic> {
-        Ok(match e {
-            Expr::Number(v) => CExpr::Number(*v),
-            Expr::Var(v) => match locals.get(v) {
-                Some(s) => CExpr::Local(*s),
-                None => CExpr::LoopVar,
-            },
-            Expr::Direct { array, .. } => {
-                *edge_reads += 1;
-                CExpr::Direct(f64_slot(array)?)
-            }
-            Expr::Indirect { array, via, .. } => {
-                *node_reads += 1;
-                CExpr::Indirect(f64_slot(array)?, int_slot(via)?)
-            }
-            Expr::Bin(op, a, c) => CExpr::Bin(
-                *op,
-                Box::new(lower(
-                    a, locals, f64_slot, int_slot, edge_reads, node_reads,
-                )?),
-                Box::new(lower(
-                    c, locals, f64_slot, int_slot, edge_reads, node_reads,
-                )?),
-            ),
-            Expr::Neg(a) => CExpr::Neg(Box::new(lower(
-                a, locals, f64_slot, int_slot, edge_reads, node_reads,
-            )?)),
-        })
-    }
-
-    let mut locals = Vec::new();
-    let mut updates = Vec::new();
-    let mut flops = 0u64;
-    for s in &l.body {
-        match s {
-            Stmt::Local { name, init, .. } => {
-                assert!(locals.len() < 16, "more than 16 loop locals unsupported");
-                let ce = lower(
-                    init,
-                    &local_slots,
-                    &mut |n| f64_slot(n, &mut f64_slots),
-                    &mut |n| int_slot(n, &mut int_slots),
-                    &mut edge_reads,
-                    &mut node_reads,
-                )?;
-                flops += init.flops();
-                local_slots.insert(name.clone(), locals.len());
-                locals.push(ce);
-            }
-            Stmt::ReduceIndirect {
-                array,
-                via,
-                negate,
-                value,
-                ..
-            } => {
-                let r = cl.vias.iter().position(|v| v == via).expect("analysis");
-                let a = cl
-                    .reduction_arrays
-                    .iter()
-                    .position(|x| x == array)
-                    .expect("analysis");
-                let ce = lower(
-                    value,
-                    &local_slots,
-                    &mut |n| f64_slot(n, &mut f64_slots),
-                    &mut |n| int_slot(n, &mut int_slots),
-                    &mut edge_reads,
-                    &mut node_reads,
-                )?;
-                flops += value.flops() + 1;
-                updates.push((r, a, *negate, ce));
-            }
-            // Analysis rejects residual indirect stores and fission
-            // hoists direct writes into the prelude; reaching either
-            // here is a compiler bug.
-            Stmt::AssignIndirect { span, .. } | Stmt::AssignDirect { span, .. } => {
-                return Err(Diagnostic::at(
-                    *span,
-                    "non-reduction write inside a phased loop (fission should have removed it)",
-                ))
-            }
-        }
-    }
+    let body = &cl.body;
+    let f64s = body
+        .f64_names
+        .iter()
+        .map(|n| snapshot(&mut snaps.f64s, &b.f64s, n, l.span))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ints = body
+        .int_names
+        .iter()
+        .map(|n| snapshot(&mut snaps.ints, &b.ints, n, l.span))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // The indirection arrays of the group, in via order.
     let e = b.size_of(&cl.count)?;
@@ -265,15 +433,11 @@ pub(crate) fn lower_kernel(
     }
 
     let kernel = InterpKernel {
-        locals,
-        updates,
-        f64s: f64_slots.into_iter().map(|(_, d)| d).collect(),
-        ints: int_slots.into_iter().map(|(_, d)| d).collect(),
+        body: Arc::clone(body),
+        f64s,
+        ints,
         num_refs: cl.vias.len(),
         num_arrays: cl.reduction_arrays.len(),
-        flops,
-        edge_reads,
-        node_reads,
     };
     Ok(PhasedSpec {
         kernel: Arc::new(kernel),
@@ -284,22 +448,29 @@ pub(crate) fn lower_kernel(
 
 /// Emit the per-processor CSR flat plans for a spec under a strategy —
 /// the compiler-side LightInspector. Iterations are split exactly the
-/// way the engine splits them ([`irred::distribute`] under the
-/// strategy's distribution), then each processor's local slice goes
-/// through the one-pass flat emitter. The result feeds
-/// [`irred::PhasedEngine::prepare_from_flat`] with zero translation.
+/// way the engine splits them (the strategy's [`irred::Distribution`]),
+/// one processor's slice at a time — the full iteration → processor
+/// table is built once per loop, by the engine at adoption — and each
+/// local slice goes through the one-pass flat emitter. The result feeds
+/// [`irred::PhasedEngine::prepare_from_flat`].
 pub fn emit_flat_plans<K: EdgeKernel>(
     spec: &PhasedSpec<K>,
     strat: &StrategyConfig,
 ) -> Result<Vec<FlatInspection>, InspectError> {
     let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
-    let owned = distribute(spec.num_iterations(), strat.procs, strat.distribution);
+    let total = spec.num_iterations();
     let mut flats = Vec::with_capacity(strat.procs);
-    for (proc, local_iters) in owned.iter().enumerate().take(strat.procs) {
+    for proc in 0..strat.procs {
         let local: Vec<Vec<u32>> = spec
             .indirection
             .iter()
-            .map(|arr| local_iters.iter().map(|&i| arr[i as usize]).collect())
+            .map(|arr| {
+                strat
+                    .distribution
+                    .owned_by(total, strat.procs, proc)
+                    .map(|i| arr[i])
+                    .collect()
+            })
             .collect();
         let refs: Vec<&[u32]> = local.iter().map(|v| v.as_slice()).collect();
         flats.push(inspect_flat(InspectorInput {
@@ -370,17 +541,27 @@ mod tests {
         let e = 100usize;
         let ia: Vec<u32> = (0..e).map(|j| ((j * 7 + 3) % n) as u32).collect();
         let ib: Vec<u32> = (0..e).map(|j| ((j * 13 + 1) % n) as u32).collect();
+        let body = LoweredBody {
+            f64_names: vec![],
+            int_names: vec![],
+            stmts: vec![LStmt::Write(
+                Contribution {
+                    out: 0,
+                    negate: false,
+                },
+                CExpr::Number(1.0),
+            )],
+            flops: 1,
+            edge_reads: 0,
+            node_reads: 0,
+        };
         let spec = PhasedSpec {
             kernel: Arc::new(InterpKernel {
-                locals: vec![],
-                updates: vec![(0, 0, false, CExpr::Number(1.0))],
+                body: Arc::new(body),
                 f64s: vec![],
                 ints: vec![],
                 num_refs: 2,
                 num_arrays: 1,
-                flops: 1,
-                edge_reads: 0,
-                node_reads: 0,
             }),
             num_elements: n,
             indirection: Arc::new(vec![ia, ib]),

@@ -57,6 +57,25 @@ impl Distribution {
             Distribution::Cyclic => "c",
         }
     }
+
+    /// The iterations processor `proc` owns out of `num_iters` over
+    /// `procs` processors, ascending — `try_distribute(..)[proc]` without
+    /// building the other processors' lists. `procs` must be nonzero.
+    pub fn owned_by(
+        self,
+        num_iters: usize,
+        procs: usize,
+        proc: usize,
+    ) -> std::iter::StepBy<std::ops::Range<usize>> {
+        match self {
+            Distribution::Block => {
+                let (base, extra) = (num_iters / procs, num_iters % procs);
+                let start = proc * base + proc.min(extra);
+                (start..start + base + usize::from(proc < extra)).step_by(1)
+            }
+            Distribution::Cyclic => (proc.min(num_iters)..num_iters).step_by(procs),
+        }
+    }
 }
 
 /// Assign `num_iters` iterations to `procs` processors. Returns the
@@ -220,6 +239,21 @@ mod tests {
         assert_eq!(d[0], vec![0, 3, 6]);
         assert_eq!(d[1], vec![1, 4]);
         assert_eq!(d[2], vec![2, 5]);
+    }
+
+    #[test]
+    fn owned_by_is_one_row_of_distribute() {
+        for &n in &[0usize, 1, 5, 100, 101] {
+            for &p in &[1usize, 2, 7, 32] {
+                for d in [Distribution::Block, Distribution::Cyclic] {
+                    let parts = distribute(n, p, d);
+                    for (proc, want) in parts.iter().enumerate() {
+                        let got: Vec<u32> = d.owned_by(n, p, proc).map(|i| i as u32).collect();
+                        assert_eq!(&got, want, "n={n} p={p} proc={proc} {d:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

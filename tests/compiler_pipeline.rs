@@ -470,6 +470,143 @@ fn multi_group_fission_reaches_flat_path_on_every_engine() {
     assert_bits_eq("fissioned flat/native", src, &nat, &want).unwrap();
 }
 
+/// A random expression over the loop variable, the locals defined so
+/// far, and direct / indirect reads of every f64 array (stored ones
+/// included, so statement and iteration order are observable). Division
+/// is by a nonzero literal only.
+fn regular_expr(g: &mut Gen, locals: usize, depth: usize) -> String {
+    let arrays = ["Y", "Z", "U", "W", "V"];
+    if depth == 0 || g.prob(0.3) {
+        return match g.usize_in(0..5) {
+            0 => format!("{}.5", g.usize_in(0..9)),
+            1 => "i".into(),
+            2 if locals > 0 => format!("t{}", g.usize_in(0..locals)),
+            3 => format!("{}[{}[i]]", g.pick(&arrays), g.pick(&["A", "B"])),
+            _ => format!("{}[i]", g.pick(&arrays)),
+        };
+    }
+    let lhs = regular_expr(g, locals, depth - 1);
+    match g.usize_in(0..5) {
+        0 => format!("-({lhs})"),
+        1 => format!("({lhs}) / {}.25", g.usize_incl(1, 7)),
+        op => format!(
+            "({lhs}) {} ({})",
+            ["+", "-", "*"][op - 2],
+            regular_expr(g, locals, depth - 1)
+        ),
+    }
+}
+
+/// One to three consecutive regular loops over shared arrays: later
+/// loops read what earlier ones stored.
+fn regular_program(g: &mut Gen) -> String {
+    let mut src = String::from(
+        "double Y[e]; double Z[e]; double U[e]; double W[e]; double V[e]; int A[e]; int B[e];\n",
+    );
+    for _ in 0..g.usize_incl(1, 3) {
+        src.push_str("forall (i = 0; i < e; i++) {\n");
+        let mut locals = 0;
+        for _ in 0..g.usize_incl(1, 5) {
+            let value = regular_expr(g, locals, 3);
+            if g.prob(0.4) {
+                src.push_str(&format!("  double t{locals} = {value};\n"));
+                locals += 1;
+            } else {
+                let op = if g.prob(0.5) { "=" } else { "+=" };
+                src.push_str(&format!(
+                    "  {}[i] {op} {value};\n",
+                    g.pick(&["Y", "Z", "U"])
+                ));
+            }
+        }
+        src.push_str("}\n");
+    }
+    src
+}
+
+/// The lowered regular loops a compiled program runs are bit-identical
+/// to the interpreter (`interpret_loop`, the reference semantics) on
+/// arbitrary floats — through both execute entry points, which share
+/// one regular-loop implementation.
+#[test]
+fn lowered_regular_loops_bit_identical_to_interpreter() {
+    check(
+        "lowered_regular_loops_bit_identical_to_interpreter",
+        Config::cases(96),
+        |g| {
+            (
+                regular_program(g),
+                g.usize_incl(1, 300),
+                g.u64_in(0..10_000),
+            )
+        },
+        |(src, e, seed)| {
+            let compiled = compile(src).map_err(|d| format!("{d}\nprogram:\n{src}"))?;
+            let mut want = bindings(*e, *e, *seed);
+            interpret(&parse(src).unwrap(), &mut want).unwrap();
+
+            let strat = StrategyConfig::new(2, 2, Distribution::Cyclic, 1);
+            let mut flat = bindings(*e, *e, *seed);
+            let rep = compiled
+                .execute_sim(&mut flat, &strat, SimConfig::default())
+                .unwrap();
+            prop_assert!(rep.phased_loops == 0 && rep.regular_loops >= 1);
+            let mut with = bindings(*e, *e, *seed);
+            compiled
+                .execute_with(
+                    &mut with,
+                    &SeqEngine::new(ExecutionConfig::default()),
+                    &strat,
+                )
+                .unwrap();
+            for (label, got) in [("execute_flat", &flat), ("execute_with", &with)] {
+                for arr in ["Y", "Z", "U", "W", "V"] {
+                    for (i, (a, b)) in got.f64s[arr].iter().zip(&want.f64s[arr]).enumerate() {
+                        prop_assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{label}: {arr}[{i}] = {a} vs interpreter {b}\nprogram:\n{src}"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The checked-in multigroup fixture (prelude + two phased loops):
+/// `execute_flat`, `execute_with` and the interpreter agree bit for bit,
+/// and under the CLI's defaults the simulated cost is the number the
+/// fixture has always produced — lowering the prelude and adopting
+/// plans in one pass change host time only, never the modeled machine.
+#[test]
+fn multigroup_fixture_paths_agree_and_sim_cycles_are_pinned() {
+    let src = include_str!("../crates/threadedc/testdata/multigroup.tc");
+    let compiled = compile(src).unwrap();
+    let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
+    let sim = PhasedEngine::sim(SimConfig::default());
+
+    let mut cli = threadedc::synthetic_bindings(&compiled.program, 64);
+    let rep = compiled
+        .execute_sim(&mut cli, &strat, SimConfig::default())
+        .unwrap();
+    assert_eq!(rep.time_cycles, 10_792);
+
+    let mut want = int_bindings(48, 333, 4);
+    interpret(&parse(src).unwrap(), &mut want).unwrap();
+    let mut flat = int_bindings(48, 333, 4);
+    let flat_rep = compiled.execute_flat(&mut flat, &strat, &sim).unwrap();
+    let mut with = int_bindings(48, 333, 4);
+    let with_rep = compiled.execute_with(&mut with, &sim, &strat).unwrap();
+    assert_eq!(flat_rep.time_cycles, with_rep.time_cycles);
+    for arr in ["P", "Q", "W"] {
+        for (i, w) in want.f64s[arr].iter().enumerate() {
+            assert_eq!(flat.f64s[arr][i].to_bits(), w.to_bits(), "flat {arr}[{i}]");
+            assert_eq!(with.f64s[arr][i].to_bits(), w.to_bits(), "with {arr}[{i}]");
+        }
+    }
+}
+
 fn bindings_small() -> Bindings {
     let mut b = Bindings::default();
     b.sizes.insert("n".into(), 16);
