@@ -5,37 +5,30 @@
 # pushing.
 #
 # Usage:
-#   ./ci.sh          # tier1 + faults (everything)
+#   ./ci.sh          # every lane below, in order
 #   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
 #                    # the benchmark package's build and source-path smoke
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
-#   ./ci.sh perf     # quick native-bench subset vs checked-in baseline;
-#                    # fails on >20 % median regression on any workload
-#                    # headline OR any per-core-count curve point,
-#                    # reproduced on 3 consecutive runs (host-noise
-#                    # guard), then smoke-checks the schema-2 sweep
-#                    # fields are present in the quick report
-#   ./ci.sh workloads # skewed-family golden-oracle sweeps (3 fixed
-#                    # seeds + one randomized pass) plus the strategy
-#                    # auto-selection check on the deterministic sim
+#   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
+#                    # the strategy auto-selection check on the
+#                    # deterministic sim (3 fixed seeds + one
+#                    # randomized pass)
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
-#                    # seeds + one randomized pass), the chaos-client
-#                    # soak, and a quick bench_server smoke — all under
-#                    # the hard timeout (the daemon's contract is
-#                    # "typed error, never a hang")
+#                    # seeds + one randomized pass) and the chaos-client
+#                    # soak — all under the hard timeout (the daemon's
+#                    # contract is "typed error, never a hang")
 #   ./ci.sh simd     # `--features simd` lane: build + the engine tests
 #                    # + the vector-vs-scalar bit-identity property
 #                    # suite with the core::arch kernels enabled
 #   ./ci.sh compiler # threadedc front door: the compiled-vs-interpreter
 #                    # property suite (3 fixed seeds + one randomized
-#                    # pass), the source-over-the-wire server tests, a
-#                    # CLI smoke over the checked-in fixtures, and the
-#                    # compile-cache hit/miss gate via bench_compile
+#                    # pass), the source-over-the-wire server tests
+#                    # (with exact compile-cache accounting), and a CLI
+#                    # smoke over the checked-in fixtures
 #   ./ci.sh sim      # parallel sim core: serial ≡ parallel equivalence
-#                    # suite (3 fixed seeds + one randomized pass), then
-#                    # a 256-proc quick scaling smoke via bench_sim
-#                    # --check (byte-identical cycles/values across
-#                    # host_threads), all under the hard timeout
+#                    # suite, including a fixed 256-proc case (3 fixed
+#                    # seeds + one randomized pass), under the hard
+#                    # timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -76,17 +69,26 @@ tier1() {
     run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --quick --workload serve-source
 
-    echo "== trace smoke (fig5 --trace) =="
-    # The --trace path must emit a phase-timeline table and a Chrome
-    # trace_event JSON that passes the hand validator (dump_trace
-    # panics on invalid JSON, so a non-empty file implies it parsed).
-    rm -f bench_results/fig5_trace.json
+    echo "== trace smoke (figs fig5 --trace) =="
+    # Keeps the figure binary built and run. The --trace path must emit
+    # a phase-timeline table and a Chrome trace_event JSON that passes
+    # the hand validator (dump_trace panics on invalid JSON, so a
+    # non-empty file implies it parsed). figs writes its outputs under
+    # the working directory, so it runs in a scratch one, removed on
+    # success and failure alike.
+    cargo build --release -q -p repro-bench
+    local figs="$PWD/target/release/figs" scratch trace_out
+    scratch=$(mktemp -d)
+    # `set -e` exits the shell on failure without running RETURN traps,
+    # and `scratch` is out of scope by then: expand it now, on EXIT.
+    trap "rm -rf '$scratch'" EXIT
     # Capture, then grep: `| grep -q` would close the pipe at first
     # match and SIGPIPE the still-printing binary.
-    local trace_out
-    trace_out=$(REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin fig5 -- --trace)
+    trace_out=$(cd "$scratch" && REPRO_QUICK=1 run_tests "$figs" fig5 --trace)
     grep -q "phase timeline (fig5)" <<<"$trace_out"
-    test -s bench_results/fig5_trace.json
+    test -s "$scratch/bench_results/fig5_trace.json"
+    rm -rf "$scratch"
+    trap - EXIT
 }
 
 faults() {
@@ -126,13 +128,6 @@ workloads() {
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test workload_families
-
-    # The skew sweep runs on the metered simulator — cycle counts are
-    # deterministic, so this check is immune to host noise: auto_select
-    # must pick the empirically faster strategy at the no-skew and
-    # extreme-skew endpoints.
-    echo "== strategy auto-selection (skew sweep, sim) =="
-    REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin bench_workloads -- --check
 }
 
 server() {
@@ -154,13 +149,6 @@ server() {
     # clean shutdown. The hard timeout is the hang detector.
     echo "== server chaos soak =="
     run_tests cargo test -q -p server --test soak
-
-    # End-to-end smoke over a real socket with verification on: an
-    # in-process daemon, two tenants plus a chaos neighbour, every
-    # reply checked bit-identical against a direct engine run.
-    echo "== server bench smoke (--check --chaos) =="
-    REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin bench_server -- \
-        --check --chaos
 }
 
 compiler() {
@@ -201,49 +189,6 @@ compiler() {
     fi
     grep -q "line 3" <<<"$cli_out"
     grep -q "not a recognized reduction" <<<"$cli_out"
-
-    # Compile-cache gate: every reply bit-identical to the interpreter,
-    # and the daemon's hit/miss counters must account for exactly one
-    # miss per distinct program.
-    echo "== compile-cache gate (bench_compile --check) =="
-    REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin bench_compile -- --check
-}
-
-perf() {
-    # Quick-mode native benchmark against the checked-in quick baseline
-    # (bench_results/BENCH_native_quick.json). >20 % median regression on
-    # any workload fails the pipeline — but only if it reproduces on
-    # three consecutive runs: shared CI hosts have wall-clock noise
-    # bands wider than the tolerance, and a real regression is sticky
-    # where a noisy neighbour is not. Each run rewrites the quick
-    # report, so the committed baseline is pinned to a temp copy first
-    # and every attempt compares against that.
-    echo "== perf (quick native bench vs baseline) =="
-    local pinned
-    pinned=$(mktemp)
-    cp bench_results/BENCH_native_quick.json "$pinned"
-    local attempt
-    for attempt in 1 2 3; do
-        if REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin bench_native -- \
-            --check "$pinned"; then
-            rm -f "$pinned"
-            # Core-count-sweep smoke: the quick report must be schema 2 —
-            # a real host_cores count, the tuning label, and at least one
-            # per-core-count curve point per workload. A report that
-            # silently dropped the sweep would pass the median gate while
-            # losing the scaling curves the gate is supposed to protect.
-            echo "== perf (core-count sweep smoke) =="
-            grep -q '"schema": 2' bench_results/BENCH_native_quick.json
-            grep -q '"tuning"' bench_results/BENCH_native_quick.json
-            grep -q '"core_curve"' bench_results/BENCH_native_quick.json
-            grep -q '"host_threads"' bench_results/BENCH_native_quick.json
-            return 0
-        fi
-        echo "perf gate: regression reported (attempt $attempt/3); retrying to rule out host noise"
-    done
-    rm -f "$pinned"
-    echo "perf gate: regression reproduced on 3 consecutive runs" >&2
-    return 1
 }
 
 sim() {
@@ -262,13 +207,6 @@ sim() {
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test pdes_equivalence
-
-    # 256-proc scaling smoke: the quick sweep keeps the 256-proc point,
-    # and --check gates parallel-vs-serial cycle and value equality at
-    # every (family, P, k, host_threads) point. The wall-clock speedup
-    # gate self-skips with a log line on hosts with fewer than 4 cores.
-    echo "== sim scaling smoke (bench_sim --check, quick) =="
-    REPRO_QUICK=1 run_tests cargo run --release -q -p repro-bench --bin bench_sim -- --check
 }
 
 simd() {
@@ -287,7 +225,6 @@ simd() {
 case "${1:-all}" in
     tier1) tier1 ;;
     faults) faults ;;
-    perf) perf ;;
     workloads) workloads ;;
     server) server ;;
     compiler) compiler ;;
@@ -301,10 +238,9 @@ case "${1:-all}" in
         compiler
         sim
         simd
-        perf
         ;;
     *)
-        echo "usage: $0 [tier1|faults|perf|workloads|server|compiler|sim|simd]" >&2
+        echo "usage: $0 [tier1|faults|workloads|server|compiler|sim|simd]" >&2
         exit 2
         ;;
 esac

@@ -81,36 +81,6 @@ impl RunStats {
         let s: f64 = (0..self.per_node.len()).map(|n| self.utilization(n)).sum();
         s / self.per_node.len() as f64
     }
-
-    /// EU utilization against a caller-supplied run length.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the run length is recorded in RunStats::total_cycles; use utilization(n)"
-    )]
-    pub fn utilization_with(&self, n: usize, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            self.per_node[n].busy_cycles as f64 / total_cycles as f64
-        }
-    }
-
-    /// Mean EU utilization against a caller-supplied run length.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the run length is recorded in RunStats::total_cycles; use mean_utilization()"
-    )]
-    pub fn mean_utilization_with(&self, total_cycles: u64) -> f64 {
-        if self.per_node.is_empty() || total_cycles == 0 {
-            return 0.0;
-        }
-        let s: f64 = self
-            .per_node
-            .iter()
-            .map(|n| n.busy_cycles as f64 / total_cycles as f64)
-            .sum();
-        s / self.per_node.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -154,21 +124,5 @@ mod tests {
         stats.total_cycles = 0;
         assert_eq!(stats.utilization(0), 0.0);
         assert_eq!(stats.mean_utilization(), 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn parameterized_forms_still_agree() {
-        let stats = RunStats {
-            total_cycles: 200,
-            per_node: vec![NodeStats {
-                busy_cycles: 50,
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-        assert_eq!(stats.utilization_with(0, 200), stats.utilization(0));
-        assert_eq!(stats.mean_utilization_with(200), stats.mean_utilization());
-        assert_eq!(stats.utilization_with(0, 0), 0.0);
     }
 }

@@ -164,6 +164,29 @@ fn powerlaw_serial_equals_parallel() {
     );
 }
 
+/// The property cases above stop at P ≤ 8. One fixed case at 256
+/// simulated processors (four mesh nodes each, k = 2) covers the scale
+/// where the windowed core has the most shards and cross-shard lanes:
+/// every host thread count must give the same cycles and the same bits.
+#[test]
+fn euler_256_procs_serial_equals_parallel() {
+    let p = EulerProblem::from_mesh(Mesh::generate(1_024, 4_096, 11), 11);
+    let strat = StrategyConfig::new(256, 2, Distribution::Cyclic, 1);
+    let run = |t| {
+        let sim = SimConfig::default().with_host_threads(t);
+        PhasedEngine::sim(sim)
+            .run(&p.spec, &strat)
+            .expect("sim run")
+    };
+    let bits = |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+    let serial = run(1);
+    for t in [2, 4] {
+        let par = run(t);
+        assert_eq!(par.time_cycles, serial.time_cycles, "cycles @ t={t}");
+        assert_eq!(bits(&par.values), bits(&serial.values), "values @ t={t}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // 2. Raw programs: random dataflow DAGs under lossless and chaos plans.
 // ---------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //!   results).
 //! * [`shared`] — shared-memory reduction strategies on the *native*
 //!   backend (atomic updates; per-thread replication with merge), the
-//!   modern OpenMP-style comparison points used by our ablation benches.
+//!   modern OpenMP-style comparison points used by `figs ablation`.
 
 pub mod inspector_executor;
 pub mod shared;

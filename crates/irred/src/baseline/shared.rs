@@ -1,7 +1,7 @@
 //! Shared-memory irregular-reduction strategies on the host machine.
 //!
 //! These are the standard techniques a modern OpenMP/Kokkos programmer
-//! would reach for, used by the ablation benches to put the phased
+//! would reach for, used by `figs ablation` to put the phased
 //! strategy's *native* runs in context:
 //!
 //! * [`serial_reduction`] — single-threaded loop (the baseline's

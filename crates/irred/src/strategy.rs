@@ -60,9 +60,8 @@ pub struct StrategyConfig {
     /// Inner-loop layout for unmetered execution (native / sim replay).
     ///
     /// Superseded by [`Tuning::layout`] (set through
-    /// `ExecutionConfig::with_tuning`); kept as storage for one
-    /// deprecation window. The nested layout wins if either side
-    /// requests it.
+    /// `ExecutionConfig::with_tuning`). The nested layout wins if either
+    /// side requests it.
     pub layout: LoopLayout,
 }
 
@@ -90,16 +89,6 @@ impl StrategyConfig {
             sweeps,
             layout: LoopLayout::default(),
         })
-    }
-
-    /// Select the inner-loop layout (builder style).
-    #[deprecated(
-        since = "0.9.0",
-        note = "layout is a Tuning knob: use ExecutionConfig::with_tuning(Tuning::new().layout(..))"
-    )]
-    pub fn with_layout(mut self, layout: LoopLayout) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Panicking wrapper around [`Self::try_new`] for static strategies.
@@ -202,7 +191,8 @@ impl StrategyConfig {
     /// Modeled cycles per reference on the phased executor's critical
     /// path: the ~50-cycle per-iteration EARTH-C threading overhead plus
     /// kernel and memory costs, calibrated against the simulator on the
-    /// skew sweep (`bench_workloads`; see `EXPERIMENTS.md`).
+    /// skew sweep (see `EXPERIMENTS.md`; the endpoints are re-checked by
+    /// `tests/workload_families.rs`).
     pub const PHASED_REF_CYCLES: f64 = 90.0;
     /// Modeled cycles per local reference of a LightInspector
     /// (re-)preparation pass.

@@ -98,6 +98,44 @@ impl EdgeKernel for EulerKernel {
     }
 }
 
+/// The euler edge body with the node state frozen at `q0`: no read
+/// arrays, no time-step feedback. The classic inspector/executor
+/// baseline cannot refresh replicated read state, so §5.4.3's
+/// comparison runs both schemes on this kernel.
+#[derive(Debug)]
+pub struct FrozenEulerKernel(pub EulerKernel);
+
+impl EdgeKernel for FrozenEulerKernel {
+    fn num_refs(&self) -> usize {
+        2
+    }
+
+    fn num_arrays(&self) -> usize {
+        4
+    }
+
+    fn num_read_arrays(&self) -> usize {
+        0
+    }
+
+    fn contrib(&self, _read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
+        // Euler has one read array, so `q0` already is the interleaved layout.
+        self.0.contrib(&self.0.q0, iter, elems, out)
+    }
+
+    fn flops_per_iter(&self) -> u64 {
+        self.0.flops_per_iter()
+    }
+
+    fn edge_reads_per_iter(&self) -> usize {
+        1
+    }
+
+    fn node_reads_per_elem(&self) -> usize {
+        1
+    }
+}
+
 /// A complete euler problem: mesh + kernel + spec.
 pub struct EulerProblem {
     pub mesh: Mesh,
@@ -135,6 +173,19 @@ impl EulerProblem {
             indirection: Arc::new(vec![mesh.ia1.clone(), mesh.ia2.clone()]),
         };
         EulerProblem { mesh, spec }
+    }
+
+    /// The same loop on [`FrozenEulerKernel`], sharing coefficients,
+    /// state and indirection with [`Self::spec`].
+    pub fn frozen_spec(&self) -> PhasedSpec<FrozenEulerKernel> {
+        PhasedSpec {
+            kernel: Arc::new(FrozenEulerKernel(EulerKernel {
+                coeff: Arc::clone(&self.spec.kernel.coeff),
+                q0: Arc::clone(&self.spec.kernel.q0),
+            })),
+            num_elements: self.spec.num_elements,
+            indirection: Arc::clone(&self.spec.indirection),
+        }
     }
 }
 

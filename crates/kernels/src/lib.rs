@@ -20,7 +20,7 @@ pub mod family;
 pub mod moldyn;
 pub mod mvm;
 
-pub use euler::{EulerKernel, EulerProblem};
+pub use euler::{EulerKernel, EulerProblem, FrozenEulerKernel};
 pub use family::{FamilyKernel, FamilyProblem};
 pub use moldyn::{MolDynKernel, MolDynProblem};
 pub use mvm::MvmProblem;

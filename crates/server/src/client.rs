@@ -1,6 +1,6 @@
-//! A small blocking client for the daemon: used by the `bench_server`
-//! harness, the chaos soak test, and anyone scripting against
-//! `reductiond`.
+//! A small blocking client for the daemon: used by the benchmark
+//! package (`benchmark/`), the chaos soak test, and anyone scripting
+//! against `reductiond`.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -63,43 +63,57 @@ fn start() -> (Server, std::net::SocketAddr) {
     (srv, addr)
 }
 
+/// N distinct programs, each submitted once and then resubmitted R
+/// times: every reply is bit-identical to the sequential interpreter,
+/// and the tenant's compile cache accounts for exactly N misses, N·R
+/// hits and N entries.
 #[test]
 fn source_job_matches_interpreter_and_cache_hits_on_resubmit() {
+    const PROGRAMS: u64 = 4;
+    const RESUBMITS: u64 = 2;
     let (srv, addr) = start();
     let mut c = Client::connect(addr, "alice").expect("connect");
 
-    let (n, e, seed) = (24u32, 150u32, 42u64);
-    let frame = c.submit_source(source_job(1, n, e, seed)).expect("submit");
-    let Frame::JobOk(ok) = frame else {
-        panic!("expected JobOk, got {frame:?}");
-    };
-    // Values are the non-temp f64 decls in declaration order: P, Q, W.
-    assert_eq!(ok.values.len(), 3);
+    let (n, e) = (24u32, 150u32);
+    let mut id = 0;
+    for idx in 0..PROGRAMS {
+        // A distinct multiplier makes a distinct source text, so a
+        // distinct compile-cache key; program 0 is `MULTI_GROUP` itself.
+        let source = MULTI_GROUP.replace("2.0", &format!("{}.0", idx + 2));
+        let seed = 42 + idx;
 
-    // Reference: the sequential interpreter on identical bindings.
-    let (w, a, b) = inputs(n as usize, e as usize, seed);
-    let mut bind = Bindings::default();
-    bind.sizes.insert("n".into(), n as usize);
-    bind.sizes.insert("e".into(), e as usize);
-    bind.f64s.insert("W".into(), w);
-    bind.ints.insert("A".into(), a);
-    bind.ints.insert("B".into(), b);
-    interpret(&parse(MULTI_GROUP).unwrap(), &mut bind).unwrap();
+        // Reference: the sequential interpreter on identical bindings.
+        let (w, a, b) = inputs(n as usize, e as usize, seed);
+        let mut bind = Bindings::default();
+        bind.sizes.insert("n".into(), n as usize);
+        bind.sizes.insert("e".into(), e as usize);
+        bind.f64s.insert("W".into(), w);
+        bind.ints.insert("A".into(), a);
+        bind.ints.insert("B".into(), b);
+        interpret(&parse(&source).unwrap(), &mut bind).unwrap();
 
-    for (name, got) in [("P", &ok.values[0]), ("Q", &ok.values[1])] {
-        let want = &bind.f64s[name];
-        assert_eq!(got.len(), want.len());
-        for (x, y) in got.iter().zip(want) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{name}: {x} vs {y}");
+        for _ in 0..=RESUBMITS {
+            id += 1;
+            let job = SubmitSource {
+                source: source.clone(),
+                ..source_job(id, n, e, seed)
+            };
+            let frame = c.submit_source(job).expect("submit");
+            let Frame::JobOk(ok) = frame else {
+                panic!("program {idx}: expected JobOk, got {frame:?}");
+            };
+            // Values are the non-temp f64 decls in declaration order: P, Q, W.
+            assert_eq!(ok.values.len(), 3);
+            for (name, got) in [("P", &ok.values[0]), ("Q", &ok.values[1])] {
+                let want = &bind.f64s[name];
+                assert_eq!(got.len(), want.len());
+                for (x, y) in got.iter().zip(want) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "program {idx} {name}: {x} vs {y}");
+                }
+            }
         }
     }
 
-    // Resubmit the identical source (different job id, same text): the
-    // tenant's compile cache must hit.
-    let frame = c
-        .submit_source(source_job(2, n, e, seed))
-        .expect("resubmit");
-    assert!(matches!(frame, Frame::JobOk(_)));
     let metrics = c.metrics().expect("metrics");
     let get = |key: &str| -> u64 {
         metrics
@@ -108,9 +122,9 @@ fn source_job_matches_interpreter_and_cache_hits_on_resubmit() {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("metric {key} missing in:\n{metrics}"))
     };
-    assert!(get("compile_cache_hits ") >= 1, "resubmit must hit");
-    assert!(get("compile_cache_misses ") >= 1, "first compile must miss");
-    assert_eq!(get("compile_cache_entries "), 1);
+    assert_eq!(get("compile_cache_misses "), PROGRAMS);
+    assert_eq!(get("compile_cache_hits "), PROGRAMS * RESUBMITS);
+    assert_eq!(get("compile_cache_entries "), PROGRAMS);
 
     srv.stop();
 }

@@ -1,7 +1,7 @@
 //! The serde-free hand validator for Chrome `trace_event` JSON, run
 //! against the exporter's own output and against documents a real
 //! `--trace` invocation produces. `ci.sh` relies on this contract: the
-//! `fig5 --trace` smoke writes a JSON file and validates it with
+//! `figs fig5 --trace` smoke writes a JSON file and validates it with
 //! [`trace::validate_chrome_trace`], so any drift between exporter and
 //! validator fails here first.
 

@@ -245,7 +245,8 @@ impl Mesh {
     /// pipeline — like the paper's CFD meshes — carry essentially random
     /// node numbering unless explicitly reordered (RCM etc.), which the
     /// paper's strategy pointedly does *not* do. The paper presets use
-    /// this; the ordered variant exists for the locality ablation bench.
+    /// this; the ordered variant exists for the locality ablation
+    /// (`figs ablation`).
     pub fn shuffled(mut self, seed: u64) -> Mesh {
         let mut rng = Rng64::seed_from_u64(seed ^ 0xC0FFEE);
         let n = self.num_nodes;

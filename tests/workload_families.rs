@@ -24,7 +24,7 @@ use earth_model::sim::SimConfig;
 use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::prop_assert;
-use irred::baseline::IeEngine;
+use irred::baseline::{IeEngine, InspectorExecutor};
 use irred::{
     Distribution, EngineChoice, ExecutionConfig, GatherEngine, LoopLayout, PhasedEngine,
     ReductionEngine, SeqEngine, StrategyConfig, Tuning, Workspace,
@@ -273,9 +273,50 @@ fn pic_churn_through_apply_updates_matches_fresh_prepare() {
     );
 }
 
+/// One deck of the skew sweep on the simulator at P = 8, k = 2: what
+/// `auto_select` picks from the phased plan's statistics, and which
+/// engine is faster per **adaptation** — re-preparation plus one sweep,
+/// the regime these families model. Phased re-preparation is a modeled
+/// LightInspector linear pass; IE re-preparation is its communicating
+/// inspector plus re-partitioning (§5.4.3).
+fn auto_and_empirical(family: FamilySpec) -> (EngineChoice, EngineChoice) {
+    const PROCS: usize = 8;
+    let strat = StrategyConfig::new(PROCS, 2, Distribution::Cyclic, 1);
+    let sim = SimConfig::default();
+    let partitioning =
+        InspectorExecutor::partitioning_cycles(family.num_elements, family.num_iterations(), &sim);
+    let problem = FamilyProblem::from_family(family);
+
+    let engine = PhasedEngine::sim(sim);
+    let mut prepared = engine.prepare(&problem.spec, &strat).unwrap();
+    let stats = prepared.plan_stats();
+    let phased = engine
+        .execute(&mut prepared, &mut Workspace::new())
+        .unwrap();
+    let phased_total = phased.time_cycles
+        + (stats.total_refs as f64 / PROCS as f64 * StrategyConfig::PREP_REF_CYCLES) as u64;
+
+    let ie_engine = IeEngine::sim(sim);
+    let mut ie_prepared = ie_engine.prepare(&problem.spec, &strat).unwrap();
+    let ie = ie_engine
+        .execute(&mut ie_prepared, &mut Workspace::new())
+        .unwrap();
+    let ie_total = ie.time_cycles + ie_prepared.inspector_cycles() + partitioning;
+    assert_eq!(phased.values, ie.values, "engines disagree bit-for-bit");
+
+    let empirical = if ie_total < phased_total {
+        EngineChoice::InspectorExecutor
+    } else {
+        EngineChoice::RotatingPortions
+    };
+    (strat.auto_select(&stats).engine, empirical)
+}
+
 /// The skew endpoints of the generated sweep: a flat deck must keep the
 /// rotating-portions strategy, an extreme hot-key deck must switch to
-/// the inspector/executor — driven purely by the recorded statistics.
+/// the inspector/executor — driven purely by the recorded statistics —
+/// and at the four endpoints of the power-law and hot-key sweeps the
+/// pick must be the engine the simulator measures as faster.
 #[test]
 fn auto_select_picks_by_skew_endpoint() {
     let strat = StrategyConfig::new(8, 2, Distribution::Cyclic, 1);
@@ -307,4 +348,28 @@ fn auto_select_picks_by_skew_endpoint() {
     assert_eq!(auto.engine, EngineChoice::InspectorExecutor);
     // The IE engine has no phase-local iteration space to tile.
     assert_eq!(auto.tuning.tile, irred::TileChoice::Off);
+
+    let powerlaw = |alpha| {
+        PowerLawGraph::generate(4_096, 4_096 * 8, alpha, 1)
+            .unwrap()
+            .to_family(1)
+    };
+    let hotkey = |frac| {
+        HotKeyScatter::generate(4_096, 32_768, 1, frac, 1, 2)
+            .unwrap()
+            .to_family(2)
+    };
+    let endpoints = [
+        ("powerlaw alpha=0", powerlaw(0.0)),
+        ("powerlaw alpha=2.5", powerlaw(2.5)),
+        ("hotkey frac=0", hotkey(0.0)),
+        ("hotkey frac=0.99", hotkey(0.99)),
+    ];
+    for (name, family) in endpoints {
+        let (auto, empirical) = auto_and_empirical(family);
+        assert_eq!(
+            auto, empirical,
+            "{name}: auto_select picked {auto:?} but {empirical:?} was faster"
+        );
+    }
 }
