@@ -7,7 +7,8 @@
 # Usage:
 #   ./ci.sh          # every lane below, in order
 #   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
-#                    # the benchmark package's build and source-path smoke
+#                    # the benchmark package's build and its serve-source,
+#                    # serve-cold and engine-pic smokes
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
@@ -59,15 +60,19 @@ tier1() {
     echo "== clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
 
-    echo "== benchmark package (offline build + serve-source smoke) =="
+    echo "== benchmark package (offline build + source, cold, adaptive smokes) =="
     # benchmark/ is its own workspace with path dependencies on
     # crates/*: a renamed public item passes everything above and
     # breaks only there. `cargo run` builds it, then drives one job
-    # stream through the source path end to end. The quick run's header
+    # stream each through the source path, the cold prepare path (a
+    # never-seen structure per job), and the incremental-update path
+    # (apply_updates on a live plan) end to end. The quick runs' header
     # says NOT FOR NUMBERS — only the exit code (0 = it built and every
     # checked reply was correct) is gated.
-    run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --quick --workload serve-source
+    for workload in serve-source serve-cold engine-pic; do
+        run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --quick --workload "$workload"
+    done
 
     echo "== trace smoke (figs fig5 --trace) =="
     # Keeps the figure binary built and run. The --trace path must emit

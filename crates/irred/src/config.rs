@@ -131,8 +131,8 @@ pub struct ExecutionConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Trace-sink selection (see [`TraceConfig`]).
     pub trace: TraceConfig,
-    /// Performance knobs that do not change what is computed: loop
-    /// layout, SIMD mode, tiling, host thread cap (see [`Tuning`]).
+    /// Performance knobs that do not change what is computed: SIMD
+    /// mode, tiling, host thread cap (see [`Tuning`]).
     pub tuning: Tuning,
 }
 

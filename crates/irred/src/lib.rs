@@ -79,7 +79,7 @@ pub use lightinspector::{portion_stats, PlanStats};
 pub use phased::{PhasedEngine, PhasedError, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};
 pub use seq::{seq_gather_cycles, seq_reduction, PreparedSeq, SeqEngine, SeqResult};
-pub use strategy::{AutoTuning, EngineChoice, LoopLayout, StrategyConfig, StrategyError};
+pub use strategy::{AutoTuning, EngineChoice, StrategyConfig, StrategyError};
 pub use tuning::{SimdMode, TileChoice, Tuning};
 pub use workloads::{distribute, Distribution};
 

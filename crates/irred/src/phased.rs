@@ -33,18 +33,20 @@
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use earth_model::native::{run_native_traced, NativeConfig, NativeCtx};
 use earth_model::sim::{run_sim_traced, SimConfig, SimCtx};
 use earth_model::{
-    mailbox_key, FiberCtx, FiberTemplate, Meter, NullMeter, ProgramTemplate, SlotId, TraceSink,
-    Value,
+    mailbox_key, FiberCtx, FiberTemplate, Meter, ProgramTemplate, SlotId, TraceSink, Value,
 };
-use lightinspector::{IncrementalInspector, InspectError, InspectorPlan, PhaseGeometry};
+use lightinspector::{
+    inspect_observed, FlatInspection, IncrementalInspector, InspectError, InspectorInput,
+    PhaseGeometry,
+};
 use memsim::{AddressMap, Region, StreamModel};
 use trace::{TraceEvent, TraceKind};
-use workloads::{distribute, Distribution};
+use workloads::Distribution;
 
 use crate::config::{BackendKind, ExecutionConfig, TraceConfig};
 use crate::engine::{
@@ -54,7 +56,7 @@ use crate::engine::{
 use crate::kernel::EdgeKernel;
 use crate::prepared::{PhaseCosts, PlanToken, Workspace};
 use crate::seq::seq_reduction;
-use crate::strategy::{LoopLayout, StrategyConfig};
+use crate::strategy::StrategyConfig;
 use crate::tuning::{SimdMode, TileChoice, Tuning};
 use crate::vector;
 
@@ -92,7 +94,7 @@ impl<K: EdgeKernel> PhasedSpec<K> {
     pub fn structure_hash(&self, strat: &StrategyConfig) -> u64 {
         // "IRED" tag | hash-format version: bump if the fold order or
         // field set changes, so stale cross-process keys never collide.
-        let mut h: u64 = 0x4952_4544_0000_0001;
+        let mut h: u64 = 0x4952_4544_0000_0002;
         fold64(&mut h, self.num_elements as u64);
         fold64(&mut h, self.kernel.num_refs() as u64);
         fold64(&mut h, self.kernel.num_arrays() as u64);
@@ -115,13 +117,6 @@ impl<K: EdgeKernel> PhasedSpec<K> {
             },
         );
         fold64(&mut h, strat.sweeps as u64);
-        fold64(
-            &mut h,
-            match strat.layout {
-                LoopLayout::Flat => 0,
-                LoopLayout::Nested => 1,
-            },
-        );
         h
     }
 }
@@ -168,28 +163,26 @@ struct Regions {
     copies: Region,
 }
 
-/// The immutable, reusable part of one node: the inspector plan and the
-/// addressing derived from it. Shared (`Arc`) between the prepared run
-/// and every node state instantiated from it, and rebuilt only when an
-/// incremental mesh update dirties the node.
+/// The immutable, reusable part of one node: its schedule, held once,
+/// and the addressing derived from it. Shared (`Arc`) between the
+/// prepared run and every node state instantiated from it, and rebuilt
+/// only when an incremental mesh update dirties the node.
 struct NodePlanData {
     geometry: PhaseGeometry,
-    plan: InspectorPlan,
-    /// Flattened CSR-style schedule derived from `plan` (iter-major
-    /// `m`-interleaved refs + concatenated copy ops) — the fast path
-    /// streams these contiguously instead of walking the nested plan.
+    /// The (possibly tiled) CSR schedule: `m`-interleaved scatter
+    /// targets per row and the concatenated copy ops, per phase through
+    /// `iter_ptr` / `copy_ptr`.
     flat: lightinspector::FlatPlan,
-    /// Global iteration ids per phase, phase-major.
-    giters: Vec<Vec<u32>>,
-    /// Original global element ids per phase, `m`-interleaved.
-    elems: Vec<Vec<u32>>,
-    /// Cumulative start offset of each phase in the concatenated
-    /// iteration order (for region addressing).
-    phase_off: Vec<usize>,
+    /// Buffer slots appended to this node's reduction arrays.
+    buffer_len: usize,
+    /// Global iteration id of each schedule row.
+    giters: Vec<u32>,
+    /// Original global element ids of each row, `m`-interleaved.
+    elems: Vec<u32>,
     regions: Regions,
 }
 
-/// Stable phase-local tiling: reorder each phase's iterations so that
+/// Stable phase-local tiling: reorder each phase's rows so that
 /// scatters landing in the same `span`-element block of the local
 /// reduction index space happen together (and likewise cluster the
 /// copy-folds by destination block). The sort key is the *first*
@@ -199,26 +192,33 @@ struct NodePlanData {
 /// order (the property `PreparedPhased::phase_order` exposes and
 /// `tests/tuning_equivalence.rs` proves).
 ///
-/// Tiling reorders *within a phase only*: phase membership, portion
-/// ownership, and the communication schedule are untouched, so
-/// `verify_plan` invariants are preserved by construction. It does
-/// reassociate each element's partial sums across tiles — exact on
-/// whole-number weights, ULP-bounded otherwise (see DESIGN.md §16).
-fn tile_plan(plan: &mut InspectorPlan, span: usize) {
+/// Tiling permutes rows *within a phase only*: phase membership, portion
+/// ownership, and the communication schedule are untouched, so the
+/// plan stays valid by construction. It does reassociate each element's
+/// partial sums across tiles — exact on whole-number weights,
+/// ULP-bounded otherwise (see DESIGN.md §16).
+fn tile_rows(fi: &mut FlatInspection, span: usize) {
     let span = span.max(1) as u32;
-    for ph in &mut plan.phases {
-        let n = ph.iters.len();
-        if n > 1 {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            let key = &ph.refs[0];
-            order.sort_by_key(|&j| key[j as usize] / span);
-            ph.iters = order.iter().map(|&j| ph.iters[j as usize]).collect();
-            for col in &mut ph.refs {
-                let tiled: Vec<u32> = order.iter().map(|&j| col[j as usize]).collect();
-                *col = tiled;
+    let m = fi.flat.m();
+    let (mut order, mut iters, mut refs) = (Vec::new(), Vec::new(), Vec::new());
+    for p in 0..fi.flat.num_phases() {
+        let rows = fi.flat.phase_rows(p);
+        if rows.len() > 1 {
+            let prefs = fi.flat.phase_refs(p);
+            order.clear();
+            order.extend(0..rows.len());
+            order.sort_by_key(|&j| prefs[j * m] / span);
+            iters.clear();
+            iters.extend(order.iter().map(|&j| fi.iters[rows.start + j]));
+            refs.clear();
+            for &j in &order {
+                refs.extend_from_slice(&prefs[j * m..(j + 1) * m]);
             }
+            fi.iters[rows.clone()].copy_from_slice(&iters);
+            fi.flat.refs[rows.start * m..rows.end * m].copy_from_slice(&refs);
         }
-        ph.copies.sort_by_key(|c| c.dest / span);
+        let copies = fi.flat.copy_ptr[p] as usize..fi.flat.copy_ptr[p + 1] as usize;
+        fi.flat.copies[copies].sort_by_key(|c| c.dest / span);
     }
 }
 
@@ -249,80 +249,35 @@ fn resolve_tile_span<K: EdgeKernel>(
 }
 
 impl NodePlanData {
-    /// Derive the frozen per-node data from an (incremental) inspector
-    /// state.
-    fn from_inspector<K: EdgeKernel>(
-        insp: &IncrementalInspector,
+    /// Freeze one processor's inspection into the node's schedule —
+    /// the one construction path for fresh, adopted, and incrementally
+    /// rebuilt plans. Tiles the rows if asked, then turns the local
+    /// iteration order into global ids in place and gathers the
+    /// original element ids the kernels read; the CSR arrays themselves
+    /// are adopted, not copied. `local_ind` is this processor's
+    /// indirection, indexed by local iteration. In debug builds every
+    /// node is checked against the flat verifier.
+    fn build<K: EdgeKernel>(
+        mut fi: FlatInspection,
+        local_ind: &[&[u32]],
         local_iters: &[u32],
         spec_elems: usize,
         total_iterations: usize,
         kernel: &K,
         tile_span: Option<usize>,
     ) -> NodePlanData {
-        let plan = insp.plan().clone();
-        let flat = plan.flatten();
-        Self::from_parts(
-            plan,
-            flat,
-            insp.indirection(),
-            local_iters,
-            spec_elems,
-            total_iterations,
-            kernel,
-            tile_span,
-        )
-    }
-
-    /// Derive the frozen per-node data from an already-validated plan
-    /// and its flattened form — the entry point for adopting plans
-    /// emitted directly in CSR form (e.g. by the `threadedc` compiler)
-    /// without re-flattening. `flat` must equal `plan.flatten()`; the
-    /// adoption path guarantees this because [`InspectorPlan::from_flat`]
-    /// is `flatten`'s exact inverse.
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts<K: EdgeKernel>(
-        mut plan: InspectorPlan,
-        flat: lightinspector::FlatPlan,
-        local_ind: &[Vec<u32>],
-        local_iters: &[u32],
-        spec_elems: usize,
-        total_iterations: usize,
-        kernel: &K,
-        tile_span: Option<usize>,
-    ) -> NodePlanData {
-        debug_assert_eq!(flat, plan.flatten());
-        // Tiling happens here, on the frozen snapshot: the inspector's
-        // own plan stays in inspection order, so incremental updates
-        // keep working and `refresh_dirty` re-tiles rebuilt nodes.
-        let flat = match tile_span {
-            Some(span) => {
-                tile_plan(&mut plan, span);
-                plan.flatten()
-            }
-            None => flat,
-        };
+        if let Some(span) = tile_span {
+            tile_rows(&mut fi, span);
+        }
+        debug_assert_eq!(lightinspector::verify_flat(&fi, local_ind), Ok(()));
         let m = kernel.num_refs();
-        let kp = plan.geometry.num_phases();
-        let mut giters = Vec::with_capacity(kp);
-        let mut elems = Vec::with_capacity(kp);
-        let mut phase_off = Vec::with_capacity(kp);
-        let mut off = 0usize;
-        for ph in &plan.phases {
-            phase_off.push(off);
-            off += ph.iters.len();
-            let g: Vec<u32> = ph
-                .iters
-                .iter()
-                .map(|&li| local_iters[li as usize])
-                .collect();
-            let mut e = Vec::with_capacity(ph.iters.len() * m);
-            for &li in &ph.iters {
-                for lr in local_ind.iter() {
-                    e.push(lr[li as usize]);
-                }
-            }
-            giters.push(g);
-            elems.push(e);
+        let mut elems = Vec::with_capacity(fi.iters.len() * m);
+        for &li in &fi.iters {
+            elems.extend(local_ind.iter().map(|lr| lr[li as usize]));
+        }
+        let mut giters = fi.iters;
+        for it in &mut giters {
+            *it = local_iters[*it as usize];
         }
 
         let n = spec_elems;
@@ -331,23 +286,47 @@ impl NodePlanData {
         let total_local = local_iters.len();
         let mut am = AddressMap::new(64);
         let regions = Regions {
-            x: am.alloc_f64((n + plan.buffer_len) * r_arrays),
+            x: am.alloc_f64((n + fi.buffer_len) * r_arrays),
             read: am.alloc_f64(n * n_read.max(1)),
             giter: am.alloc_u32(total_local.max(1)),
             elems: am.alloc_u32((total_local * m).max(1)),
             refs: (0..m).map(|_| am.alloc_u32(total_local.max(1))).collect(),
             edge: am.alloc_f64(total_iterations.max(1)),
-            copies: am.alloc(plan.total_copies().max(1), 8),
+            copies: am.alloc(fi.flat.copies.len().max(1), 8),
         };
         NodePlanData {
-            geometry: plan.geometry,
-            plan,
-            flat,
+            geometry: fi.geometry,
+            flat: fi.flat,
+            buffer_len: fi.buffer_len,
             giters,
             elems,
-            phase_off,
             regions,
         }
+    }
+
+    /// Phase `p`'s rows: global iteration ids, element ids, scatter
+    /// targets, and copy ops — the slices every loop variant streams.
+    fn phase(&self, p: usize) -> (&[u32], &[u32], &[u32], &[lightinspector::CopyOp]) {
+        let rows = self.flat.phase_rows(p);
+        let m = self.flat.m();
+        (
+            &self.giters[rows.clone()],
+            &self.elems[rows.start * m..rows.end * m],
+            self.flat.phase_refs(p),
+            self.flat.phase_copies(p),
+        )
+    }
+
+    /// Capacity, in bytes, of the schedule vectors this node holds.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        let f = &self.flat;
+        4 * (f.iter_ptr.capacity()
+            + f.refs.capacity()
+            + f.copy_ptr.capacity()
+            + self.giters.capacity()
+            + self.elems.capacity())
+            + std::mem::size_of::<lightinspector::CopyOp>() * f.copies.capacity()
     }
 }
 
@@ -367,19 +346,17 @@ pub struct PhasedNode<K> {
     data: Arc<NodePlanData>,
     /// Reduction arrays with buffer extension, interleaved:
     /// `(num_elements + buffer_len) * num_arrays` doubles. When
-    /// `region` is set (native flat runs) this holds *only* the buffer
+    /// `region` is set (native runs) this holds *only* the buffer
     /// extension — the element range lives in the shared region.
     x: Vec<f64>,
-    /// Zero-copy portion handoff (native flat layout only): the element
-    /// range of the reduction arrays, shared with every other node. See
-    /// [`SharedX`] for the exclusivity and ordering argument. `None` on
-    /// the simulator (which models the message payloads) and under the
-    /// nested diagnostic layout.
+    /// Zero-copy portion handoff (native runs): the element range of the
+    /// reduction arrays, shared with every other node. See [`SharedX`]
+    /// for the exclusivity and ordering argument. `None` on the
+    /// simulator, which models the message payloads.
     region: Option<Arc<SharedX>>,
-    /// Zero-copy read refresh (native flat layout only): the
-    /// sweep-parity shared read buffers — see [`SharedRead`]. `None`
-    /// on the simulator and under the nested layout, which replicate
-    /// `read` per node and ship broadcast payloads.
+    /// Zero-copy read refresh (native runs): the sweep-parity shared
+    /// read buffers — see [`SharedRead`]. `None` on the simulator, which
+    /// replicates `read` per node and ships broadcast payloads.
     shared_read: Option<Arc<SharedRead>>,
     /// Replicated read arrays, interleaved: `num_elements *
     /// num_read_arrays` doubles (empty when `shared_read` is set).
@@ -387,8 +364,6 @@ pub struct PhasedNode<K> {
     /// Reduction-group width / read-group width (cached off the kernel).
     r_arrays: usize,
     n_read: usize,
-    /// Run the flattened fast-path loops (see [`StrategyConfig::layout`]).
-    flat: bool,
     /// Resolved vector mode for this execute (see [`SimdMode`]); the
     /// flat loops dispatch to the chunked paths in [`crate::vector`]
     /// when it is not `Scalar` and the kernel shape is supported.
@@ -422,7 +397,7 @@ pub struct PhasedNode<K> {
 /// segment, interleaved read segment)`.
 type FinalPortion = (usize, Vec<f64>, Vec<f64>);
 
-/// The reduction arrays of a native flat-layout run, shared by every
+/// The reduction arrays of a native run, shared by every
 /// node: the ring rotation transfers portion *ownership* as a bare
 /// sync and the portion's doubles never travel. Sound because the
 /// phased plan gives each phase exclusive write access to exactly one
@@ -662,7 +637,7 @@ impl<K: EdgeKernel> PhasedNode<K> {
         if ctx.is_sim() {
             match s.phase_cost[p] {
                 Some(c) => {
-                    s.exec_loops(t, p, &mut NullMeter);
+                    s.exec_loops(t, p);
                     ctx.charge(c);
                 }
                 None => {
@@ -679,13 +654,13 @@ impl<K: EdgeKernel> PhasedNode<K> {
                 }
             }
         } else {
-            s.exec_loops(t, p, &mut NullMeter);
+            s.exec_loops(t, p);
         }
         // Generated-code overhead of the phased loops (see SimConfig).
         if ctx.is_sim() {
             ctx.charge(
-                s.data.giters[p].len() as u64 * s.iter_overhead
-                    + s.data.plan.phases[p].copies.len() as u64 * s.copy_overhead,
+                s.data.flat.phase_rows(p).len() as u64 * s.iter_overhead
+                    + s.data.flat.phase_copies(p).len() as u64 * s.copy_overhead,
             );
         }
 
@@ -844,12 +819,10 @@ impl<K: EdgeKernel> PhasedNode<K> {
         }
     }
 
-    /// Loop 1 + loop 2 without metering: the native / replay hot path.
-    /// Under the default flat layout this streams the inspector's
-    /// flattened iteration schedule; the nested layout replays the same
-    /// float operations from the per-phase plan structures.
-    fn exec_loops(&mut self, t: usize, p: usize, _meter: &mut NullMeter) {
-        let d = &self.data;
+    /// Loop 1 + loop 2 without metering: the native / replay hot path,
+    /// streaming the node's flat schedule.
+    fn exec_loops(&mut self, t: usize, p: usize) {
+        let (giters, elems, refs, copies) = self.data.phase(p);
         let use_vec = self.simd != SimdMode::Scalar
             && vector::supported(self.kernel.num_refs(), self.r_arrays);
         let intr = self.simd == SimdMode::Intrinsics;
@@ -874,10 +847,10 @@ impl<K: EdgeKernel> PhasedNode<K> {
                         reg.len(),
                         &mut self.x,
                         self.r_arrays,
-                        &d.giters[p],
-                        &d.elems[p],
-                        d.flat.phase_refs(p),
-                        d.flat.phase_copies(p),
+                        giters,
+                        elems,
+                        refs,
+                        copies,
                         intr,
                     );
                 }
@@ -888,80 +861,66 @@ impl<K: EdgeKernel> PhasedNode<K> {
                     reg,
                     &mut self.x,
                     self.r_arrays,
-                    &d.giters[p],
-                    &d.elems[p],
-                    d.flat.phase_refs(p),
-                    d.flat.phase_copies(p),
+                    giters,
+                    elems,
+                    refs,
+                    copies,
                     &mut self.out,
                 );
             }
-        } else if self.flat {
-            if use_vec {
-                vector::loops_flat_vec(
-                    &*self.kernel,
-                    &self.read,
-                    &mut self.x,
-                    self.r_arrays,
-                    &d.giters[p],
-                    &d.elems[p],
-                    d.flat.phase_refs(p),
-                    d.flat.phase_copies(p),
-                    intr,
-                );
-            } else {
-                loops_flat(
-                    &*self.kernel,
-                    &self.read,
-                    &mut self.x,
-                    self.r_arrays,
-                    &d.giters[p],
-                    &d.elems[p],
-                    d.flat.phase_refs(p),
-                    d.flat.phase_copies(p),
-                    &mut self.out,
-                );
-            }
-        } else {
-            loops(
+        } else if use_vec {
+            vector::loops_flat_vec(
                 &*self.kernel,
                 &self.read,
                 &mut self.x,
                 self.r_arrays,
-                self.n_read,
-                &d.giters[p],
-                &d.elems[p],
-                &d.plan.phases[p],
+                giters,
+                elems,
+                refs,
+                copies,
+                intr,
+            );
+        } else {
+            loops_flat(
+                &*self.kernel,
+                &self.read,
+                &mut self.x,
+                self.r_arrays,
+                giters,
+                elems,
+                refs,
+                copies,
                 &mut self.out,
-                &d.regions,
-                d.phase_off[p],
-                &mut NullMeter,
             );
         }
     }
 
-    /// Loop 1 + loop 2 with full cache metering. Always runs the nested
-    /// plan walk so the meter sees the byte-identical access sequence
-    /// regardless of the layout knob.
+    /// Loop 1 + loop 2 with full cache metering, over the same schedule
+    /// [`Self::exec_loops`] streams.
     fn exec_loops_metered<M: Meter>(&mut self, p: usize, meter: &mut M) {
-        let d = &self.data;
+        let (giters, elems, refs, copies) = self.data.phase(p);
         loops(
             &*self.kernel,
             &self.read,
             &mut self.x,
             self.r_arrays,
             self.n_read,
-            &d.giters[p],
-            &d.elems[p],
-            &d.plan.phases[p],
+            giters,
+            elems,
+            refs,
+            copies,
             &mut self.out,
-            &d.regions,
-            d.phase_off[p],
+            &self.data.regions,
+            self.data.flat.phase_rows(p).start,
             meter,
         );
     }
 }
 
-/// The inner loops, written once and monomorphized over the meter.
+/// The metered inner loops: the simulator's first (measuring) sweep of
+/// each phase. Every array access goes through the meter at the address
+/// [`Regions`] assigns it; the float operations and their order are the
+/// flat loops' own.
 #[allow(clippy::too_many_arguments)]
 fn loops<K: EdgeKernel, M: Meter>(
     kernel: &K,
@@ -971,13 +930,14 @@ fn loops<K: EdgeKernel, M: Meter>(
     n_read: usize,
     giters: &[u32],
     elems: &[u32],
-    phase: &lightinspector::PhasePlan,
+    refs: &[u32],
+    copies: &[lightinspector::CopyOp],
     out: &mut [f64],
     regs: &Regions,
     phase_off: usize,
     meter: &mut M,
 ) {
-    let m = phase.refs.len();
+    let m = kernel.num_refs();
     let edge_reads = kernel.edge_reads_per_iter();
     let node_reads = kernel.node_reads_per_elem();
     let flops = kernel.flops_per_iter();
@@ -1005,7 +965,7 @@ fn loops<K: EdgeKernel, M: Meter>(
         kernel.contrib(read, gi as usize, e, out);
         meter.flops(flops);
         for r in 0..m {
-            let base = phase.refs[r][j] as usize * r_arrays;
+            let base = refs[j * m + r] as usize * r_arrays;
             meter.load(regs.refs[r].addr(pos));
             for a in 0..r_arrays {
                 x[base + a] += out[r * r_arrays + a];
@@ -1018,7 +978,7 @@ fn loops<K: EdgeKernel, M: Meter>(
 
     // Loop 2: fold buffered contributions into the now-resident portion
     // and reset the buffer slots for the next sweep.
-    for (ci, c) in phase.copies.iter().enumerate() {
+    for (ci, c) in copies.iter().enumerate() {
         meter.load(regs.copies.addr(ci));
         let sb = c.src as usize * r_arrays;
         let db = c.dest as usize * r_arrays;
@@ -1544,39 +1504,65 @@ fn build_template<K: EdgeKernel, C: FiberCtx<PhasedNode<K>> + 'static>(
     tmpl
 }
 
-/// A fully prepared phased run: validated spec, per-node inspector
-/// plans (held incrementally so adaptive meshes re-prepare in `O(m)` per
-/// changed iteration), remapped indirection, and the EARTH program
-/// template. Execute it any number of times; repeated executes skip
-/// inspection, remapping, program construction, and (on the simulator)
-/// metering.
+/// Run `f` over `items` on `min(items, cores)` workers (the calling
+/// thread plus scoped threads), each taking a contiguous run of items,
+/// and return the results in item order — so the output never depends
+/// on the host's core count.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per = items.len().div_ceil(workers).max(1);
+    let mut runs: Vec<Vec<(usize, T)>> = Vec::new();
+    for (i, t) in items.into_iter().enumerate() {
+        if i % per == 0 {
+            runs.push(Vec::with_capacity(per));
+        }
+        runs.last_mut().expect("pushed above").push((i, t));
+    }
+    let f = &f;
+    let work =
+        move |run: Vec<(usize, T)>| -> Vec<R> { run.into_iter().map(|(i, t)| f(i, t)).collect() };
+    let mut runs = runs.into_iter();
+    let Some(first) = runs.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        let mut out = work(first);
+        for h in handles {
+            out.extend(h.join().expect("prepare worker panicked"));
+        }
+        out
+    })
+}
+
+/// A fully prepared phased run: validated spec, one frozen flat
+/// schedule per node, and the EARTH program template. Execute it any
+/// number of times; repeated executes skip inspection, program
+/// construction, and (on the simulator) metering. Adaptive meshes
+/// re-route iterations through [`Self::apply_updates`], whose
+/// incremental inspectors are built on first use.
 pub struct PreparedPhased<K> {
     kernel: Arc<K>,
     num_elements: usize,
     strat: StrategyConfig,
-    /// Tuning captured at prepare time (layout/tile shaped the plan;
+    /// Tuning captured at prepare time (tile shaped the plan;
     /// simd/host_threads are the defaults for entry points that bypass
     /// the engine's [`ExecutionConfig`], e.g.
     /// [`Self::execute_recovering_with`]).
     tuning: Tuning,
     /// Resolved phase-local tile span in elements (`None` = untiled);
-    /// see [`TileChoice`] and [`tile_plan`].
+    /// see [`TileChoice`] and [`tile_rows`].
     tile_span: Option<usize>,
-    /// Whether the flat fast path is active (both the legacy
-    /// [`StrategyConfig::layout`] and [`Tuning::layout`] request Flat —
-    /// nested wins if either side asks for the diagnostic layout).
-    layout_flat: bool,
-    /// Current global indirection arrays (kept in sync with the per-node
-    /// inspectors by [`Self::apply_updates`]).
-    indirection: Vec<Vec<u32>>,
-    /// Global iteration → (proc, local index) under the distribution.
-    iter_loc: Vec<(u32, u32)>,
-    /// Per-proc incremental inspectors (own the local indirection).
-    inspectors: Vec<IncrementalInspector>,
+    /// Current global indirection arrays: the spec's own allocation
+    /// until the first [`Self::apply_updates`] writes to it.
+    indirection: Arc<Vec<Vec<u32>>>,
     /// Per-proc local→global iteration maps.
     local_iters: Vec<Vec<u32>>,
     /// Frozen per-node plan snapshots handed to node states.
     node_data: Vec<Arc<NodePlanData>>,
+    /// Incremental-update state, built by the first
+    /// [`Self::apply_updates`].
+    adaptive: Option<Adaptive>,
     /// Nodes whose snapshot is stale after incremental updates.
     dirty: Vec<bool>,
     /// The kernel's initial read state (element-major interleaved),
@@ -1595,10 +1581,21 @@ pub struct PreparedPhased<K> {
     template: PhasedTemplate<K>,
     token: PlanToken,
     /// [`PhasedSpec::structure_hash`] of the originating (spec,
-    /// strategy) pair, fixed at prepare; combined with the mutation
-    /// version to form [`Self::cache_key`].
-    structure_hash: u64,
+    /// strategy) pair and the plan-shaping tuning, combined with the
+    /// mutation version to form [`Self::cache_key`]. Hashing reads the
+    /// whole indirection, so it runs on the first `cache_key` or before
+    /// the first update rewrites the indirection, whichever comes first.
+    structure_hash: OnceLock<u64>,
     executions: u64,
+}
+
+/// What only [`PreparedPhased::apply_updates`] needs, built on its
+/// first call so runs that never adapt never pay for it.
+struct Adaptive {
+    /// Global iteration → (proc, local index) under the distribution.
+    iter_loc: Vec<(u32, u32)>,
+    /// Per-proc incremental inspectors (own the local indirection).
+    inspectors: Vec<IncrementalInspector>,
 }
 
 impl<K> std::fmt::Debug for PreparedPhased<K> {
@@ -1618,42 +1615,19 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         strat: &StrategyConfig,
         cfg: &ExecutionConfig,
     ) -> Result<Self, EngineError> {
-        validate_phased_spec(spec)?;
-        // n < k·P is legal: trailing portions are empty and their phases
-        // degenerate to bare synchronization (PhaseGeometry handles this).
-        let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
-        let m = spec.kernel.num_refs();
-        let total_iterations = spec.num_iterations();
-        let tile_span = resolve_tile_span(&cfg.tuning, cfg, &geometry, &*spec.kernel);
-        let owned = distribute(total_iterations, strat.procs, strat.distribution);
-
-        let mut iter_loc = vec![(0u32, 0u32); total_iterations];
-        for (proc, iters) in owned.iter().enumerate() {
-            for (li, &gi) in iters.iter().enumerate() {
-                iter_loc[gi as usize] = (proc as u32, li as u32);
-            }
-        }
-
-        // One inspector pass per processor — each pass only touches its
-        // own local indirection, so the passes are embarrassingly
-        // parallel. On multi-core hosts they run on scoped threads; the
-        // results are collected in processor order, so the plans, trace
-        // events, and everything derived from them are deterministic and
-        // identical to the serial construction.
         let trace_on = cfg.trace.enabled();
-        type ProcPrep = Result<(IncrementalInspector, NodePlanData, Vec<TraceEvent>), EngineError>;
-        let build_one = |proc: usize, local_iters: &Vec<u32>| -> ProcPrep {
-            let local_ind: Vec<Vec<u32>> = (0..m)
-                .map(|r| {
-                    local_iters
-                        .iter()
-                        .map(|&i| spec.indirection[r][i as usize])
-                        .collect()
-                })
-                .collect();
-            let mut events = Vec::new();
-            let insp =
-                IncrementalInspector::try_new_observed(geometry, proc, local_ind, &mut |stage| {
+        Self::build(
+            spec,
+            strat,
+            cfg,
+            vec![(); strat.procs],
+            |proc, (), geometry, local, events| {
+                let input = InspectorInput {
+                    geometry: *geometry,
+                    proc_id: proc,
+                    indirection: local,
+                };
+                Ok(inspect_observed(input, &mut |stage| {
                     if trace_on {
                         events.push(TraceEvent::new(
                             0,
@@ -1661,88 +1635,25 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                             TraceKind::InspectorStage { stage },
                         ));
                     }
-                })?;
-            debug_assert!({
-                let refs: Vec<&[u32]> = insp.indirection().iter().map(|v| v.as_slice()).collect();
-                lightinspector::verify_plan(insp.plan(), &refs).is_ok()
-            });
-            let data = NodePlanData::from_inspector(
-                &insp,
-                local_iters,
-                spec.num_elements,
-                total_iterations,
-                &*spec.kernel,
-                tile_span,
-            );
-            Ok((insp, data, events))
-        };
-        let parallel = strat.procs > 1
-            && std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false);
-        let prepped: Vec<ProcPrep> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = owned
-                    .iter()
-                    .enumerate()
-                    .take(strat.procs)
-                    .map(|(proc, local_iters)| scope.spawn(move || build_one(proc, local_iters)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("inspector pass panicked"))
-                    .collect()
-            })
-        } else {
-            owned
-                .iter()
-                .enumerate()
-                .take(strat.procs)
-                .map(|(proc, local_iters)| build_one(proc, local_iters))
-                .collect()
-        };
-        let mut inspectors = Vec::with_capacity(strat.procs);
-        let mut node_data = Vec::with_capacity(strat.procs);
-        let mut inspector_events = Vec::new();
-        for prep in prepped {
-            let (insp, data, events) = prep?;
-            inspectors.push(insp);
-            node_data.push(Arc::new(data));
-            inspector_events.extend(events);
-        }
-
-        Self::assemble(
-            spec,
-            strat,
-            cfg,
-            iter_loc,
-            owned,
-            inspectors,
-            node_data,
-            inspector_events,
-            tile_span,
+                })?)
+            },
         )
     }
 
     /// Prepare a phased run by *adopting* externally produced flat plans
     /// (one [`FlatInspection`] per processor, e.g. emitted directly by
     /// the `threadedc` compiler) instead of running the inspector here.
-    /// Each plan is verified against the spec's indirection before
-    /// anything executes — a malformed or stale plan is a typed
-    /// [`EngineError::Plan`], never silent corruption. The resulting
-    /// prepared run is bit-identical to one built by [`Self::new`] on
-    /// the same `(spec, strategy)`.
+    /// Each plan is checked by [`lightinspector::verify_flat`] against
+    /// the spec's indirection before anything executes — a malformed or
+    /// stale plan is a typed [`EngineError::Plan`], never silent
+    /// corruption — and then frozen exactly as [`Self::new`] freezes
+    /// the inspector's output, so the prepared run is bit-identical.
     pub(crate) fn new_from_flat(
         spec: &PhasedSpec<K>,
         strat: &StrategyConfig,
         cfg: &ExecutionConfig,
-        flats: Vec<lightinspector::FlatInspection>,
+        flats: Vec<FlatInspection>,
     ) -> Result<Self, EngineError> {
-        validate_phased_spec(spec)?;
-        let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
-        let m = spec.kernel.num_refs();
-        let total_iterations = spec.num_iterations();
-        let tile_span = resolve_tile_span(&cfg.tuning, cfg, &geometry, &*spec.kernel);
         if flats.len() != strat.procs {
             return Err(EngineError::Shape {
                 what: "flat inspections (strat.procs)",
@@ -1750,29 +1661,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 got: flats.len(),
             });
         }
-        // The one materialized iteration → processor split of this loop
-        // (the emitter walked each processor's slice without building
-        // it), a row at a time — `distribute`'s rows, without its
-        // per-iteration modulo.
-        let owned: Vec<Vec<u32>> = (0..strat.procs)
-            .map(|proc| {
-                strat
-                    .distribution
-                    .owned_by(total_iterations, strat.procs, proc)
-                    .map(|i| i as u32)
-                    .collect()
-            })
-            .collect();
-        let mut iter_loc = vec![(0u32, 0u32); total_iterations];
-        for (proc, iters) in owned.iter().enumerate() {
-            for (li, &gi) in iters.iter().enumerate() {
-                iter_loc[gi as usize] = (proc as u32, li as u32);
-            }
-        }
-
-        let mut inspectors = Vec::with_capacity(strat.procs);
-        let mut node_data = Vec::with_capacity(strat.procs);
-        for (proc, fi) in flats.into_iter().enumerate() {
+        Self::build(spec, strat, cfg, flats, |proc, fi, geometry, local, _| {
             if fi.proc_id != proc {
                 return Err(EngineError::Shape {
                     what: "flat inspection proc_id",
@@ -1780,100 +1669,78 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                     got: fi.proc_id,
                 });
             }
-            if fi.geometry != geometry {
+            if fi.geometry != *geometry {
                 return Err(EngineError::Plan(lightinspector::PlanError::FlatShape {
                     what: "inspection geometry must match (procs, k, num_elements)",
                 }));
             }
-            if fi.flat.m() != m {
-                return Err(EngineError::Shape {
-                    what: "flat plan ref arity (kernel.num_refs)",
-                    expected: m,
-                    got: fi.flat.m(),
-                });
-            }
-            let local_iters = &owned[proc];
-            if fi.iters.len() != local_iters.len()
-                || fi.iter_phase.len() != local_iters.len()
-                || fi.flat.refs.len() != local_iters.len() * m
-            {
-                return Err(EngineError::Plan(lightinspector::PlanError::FlatShape {
-                    what: "inspection iteration count must match the distribution",
-                }));
-            }
-            let local_ind: Vec<Vec<u32>> = (0..m)
-                .map(|r| {
-                    local_iters
-                        .iter()
-                        .map(|&i| spec.indirection[r][i as usize])
-                        .collect()
-                })
+            lightinspector::verify_flat(&fi, local)?;
+            Ok(fi)
+        })
+    }
+
+    /// The one construction path behind [`Self::new`] and
+    /// [`Self::new_from_flat`]. Per processor — fanned out over
+    /// `min(P, cores)` workers and merged in processor order, so plans
+    /// and trace events do not depend on the host — split off its
+    /// iterations, gather its local indirection, obtain its flat
+    /// inspection from `plan_of` (run the inspector, or check an adopted
+    /// plan), and freeze it with [`NodePlanData::build`].
+    fn build<S: Send>(
+        spec: &PhasedSpec<K>,
+        strat: &StrategyConfig,
+        cfg: &ExecutionConfig,
+        sources: Vec<S>,
+        plan_of: impl Fn(
+                usize,
+                S,
+                &PhaseGeometry,
+                &[&[u32]],
+                &mut Vec<TraceEvent>,
+            ) -> Result<FlatInspection, EngineError>
+            + Sync,
+    ) -> Result<Self, EngineError> {
+        validate_phased_spec(spec)?;
+        // n < k·P is legal: trailing portions are empty and their phases
+        // degenerate to bare synchronization (PhaseGeometry handles this).
+        let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
+        let total_iterations = spec.num_iterations();
+        let tile_span = resolve_tile_span(&cfg.tuning, cfg, &geometry, &*spec.kernel);
+        let prepped = fan_out(sources, |proc, source| {
+            let local_iters: Vec<u32> = strat
+                .distribution
+                .owned_by(total_iterations, strat.procs, proc)
+                .map(|i| i as u32)
                 .collect();
-            // The CSR arrays are public fields: re-run the shape checks
-            // so the unflatten below cannot index out of range.
-            let lightinspector::FlatInspection {
-                buffer_len,
-                iters,
-                iter_phase,
-                flat,
-                ..
-            } = fi;
-            let flat = lightinspector::FlatPlan::new(
-                m,
-                flat.iter_ptr,
-                flat.refs,
-                flat.copy_ptr,
-                flat.copies,
-            )?;
-            let plan =
-                InspectorPlan::from_flat(geometry, proc, buffer_len, &iters, iter_phase, &flat);
-            // Verified adoption: `from_plan` runs the full plan checker
-            // against the local indirection, once, before indexing. The
-            // inspector and the node snapshot each own a nested plan
-            // (they diverge under incremental updates and tiling), so
-            // one copy is inherent.
-            let insp = IncrementalInspector::from_plan(plan, local_ind)?;
-            let data = NodePlanData::from_parts(
-                insp.plan().clone(),
-                flat,
-                insp.indirection(),
-                local_iters,
+            let local_ind: Vec<Vec<u32>> = spec
+                .indirection
+                .iter()
+                .map(|arr| local_iters.iter().map(|&i| arr[i as usize]).collect())
+                .collect();
+            let local: Vec<&[u32]> = local_ind.iter().map(Vec::as_slice).collect();
+            let mut events = Vec::new();
+            let fi = plan_of(proc, source, &geometry, &local, &mut events)?;
+            let data = NodePlanData::build(
+                fi,
+                &local,
+                &local_iters,
                 spec.num_elements,
                 total_iterations,
                 &*spec.kernel,
                 tile_span,
             );
-            inspectors.push(insp);
+            Ok::<_, EngineError>((local_iters, data, events))
+        });
+        let mut local_iters = Vec::with_capacity(strat.procs);
+        let mut node_data = Vec::with_capacity(strat.procs);
+        let mut inspector_events = Vec::new();
+        for prep in prepped {
+            let (iters, data, events) = prep?;
+            local_iters.push(iters);
             node_data.push(Arc::new(data));
+            inspector_events.extend(events);
         }
 
-        Self::assemble(
-            spec,
-            strat,
-            cfg,
-            iter_loc,
-            owned,
-            inspectors,
-            node_data,
-            Vec::new(),
-            tile_span,
-        )
-    }
-
-    /// Common tail of [`Self::new`] and [`Self::new_from_flat`]: read
-    /// state, backend template, and the prepared-run record itself.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        spec: &PhasedSpec<K>,
-        strat: &StrategyConfig,
-        cfg: &ExecutionConfig,
-        iter_loc: Vec<(u32, u32)>,
-        owned: Vec<Vec<u32>>,
-        inspectors: Vec<IncrementalInspector>,
-        node_data: Vec<Arc<NodePlanData>>,
-        inspector_events: Vec<TraceEvent>,
-        tile_span: Option<usize>,
-    ) -> Result<Self, EngineError> {
         let n_read = spec.kernel.num_read_arrays();
         let read_init = spec.kernel.init_read();
         if read_init.len() != spec.num_elements * n_read {
@@ -1901,27 +1768,16 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             ),
         };
 
-        // The plan-shaping Tuning knobs participate in the cache
-        // identity: a tiled plan is not interchangeable with an untiled
-        // one. Execute-time knobs (simd, host_threads) deliberately do
-        // not — see [`Tuning::plan_fingerprint`].
-        let mut structure_hash = spec.structure_hash(strat);
-        fold64(&mut structure_hash, cfg.tuning.plan_fingerprint());
-        let layout_flat = matches!(strat.layout, LoopLayout::Flat)
-            && matches!(cfg.tuning.layout, LoopLayout::Flat);
-
         Ok(PreparedPhased {
             kernel: Arc::clone(&spec.kernel),
             num_elements: spec.num_elements,
             strat: *strat,
             tuning: cfg.tuning,
             tile_span,
-            layout_flat,
-            indirection: spec.indirection.as_ref().clone(),
-            iter_loc,
-            inspectors,
-            local_iters: owned,
+            indirection: Arc::clone(&spec.indirection),
+            local_iters,
             node_data,
+            adaptive: None,
             dirty: vec![false; strat.procs],
             read_init,
             mem_cfg,
@@ -1930,9 +1786,24 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             inspector_events,
             template,
             token: PlanToken::fresh(),
-            structure_hash,
+            structure_hash: OnceLock::new(),
             executions: 0,
         })
+    }
+
+    /// Capacity, in bytes, of the schedule vectors this run holds: every
+    /// node's flat schedule, the local→global iteration maps, and (once
+    /// built) the iteration locator. The incremental inspectors are not
+    /// counted.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        let nodes: usize = self.node_data.iter().map(|d| d.resident_bytes()).sum();
+        let iters: usize = self.local_iters.iter().map(|v| 4 * v.capacity()).sum();
+        let locator = self
+            .adaptive
+            .as_ref()
+            .map_or(0, |a| 8 * a.iter_loc.capacity());
+        nodes + iters + locator
     }
 
     /// Cache identity of this plan for cross-request plan caching: the
@@ -1943,9 +1814,26 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// (spec, strategy) pair — up to kernel values, which
     /// [`Self::set_kernel`] may swap.
     pub fn cache_key(&self) -> u64 {
-        let mut h = self.structure_hash;
+        let mut h = self.structure_hash();
         fold64(&mut h, self.token.version());
         h
+    }
+
+    /// The prepare-time structure hash (see the field). The plan-shaping
+    /// Tuning knobs participate: a tiled plan is not interchangeable with
+    /// an untiled one. Execute-time knobs (simd, host_threads)
+    /// deliberately do not — see [`Tuning::plan_fingerprint`].
+    fn structure_hash(&self) -> u64 {
+        *self.structure_hash.get_or_init(|| {
+            let spec = PhasedSpec {
+                kernel: Arc::clone(&self.kernel),
+                num_elements: self.num_elements,
+                indirection: Arc::clone(&self.indirection),
+            };
+            let mut h = spec.structure_hash(&self.strat);
+            fold64(&mut h, self.tuning.plan_fingerprint());
+            h
+        })
     }
 
     /// Swap in a kernel with identical *shape* but (possibly) different
@@ -2020,7 +1908,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
 
     /// Number of phases per sweep (`k·P`).
     pub fn num_phases(&self) -> usize {
-        self.node_data.first().map_or(0, |d| d.giters.len())
+        self.node_data.first().map_or(0, |d| d.flat.num_phases())
     }
 
     /// The (possibly tiled) iteration order of phase `p` on processor
@@ -2028,7 +1916,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// tiling contract: within one tile block the order is a
     /// subsequence of the untiled order (stable sort).
     pub fn phase_order(&self, proc: usize, p: usize) -> Vec<u32> {
-        self.node_data[proc].giters[p].clone()
+        self.node_data[proc].phase(p).0.to_vec()
     }
 
     /// The first-reference scatter target (local element index) of each
@@ -2074,7 +1962,10 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// global iteration `iter` to `new_refs` (one element per indirection
     /// array). The affected nodes' plans are updated incrementally in
     /// `O(m)` per iteration via [`lightinspector::incremental`] — no
-    /// full re-inspection — and cached phase costs are invalidated.
+    /// full re-inspection — and cached phase costs are invalidated. The
+    /// first call builds the incremental inspectors by re-inspecting
+    /// each node's local indirection, which for a `prepare`d run is the
+    /// state its inspector pass ended in.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<u32>)]) -> Result<(), EngineError> {
         if updates.is_empty() {
             return Ok(());
@@ -2107,11 +1998,17 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 }
             }
         }
+        self.structure_hash();
+        if self.adaptive.is_none() {
+            self.adaptive = Some(self.build_adaptive()?);
+        }
+        let adaptive = self.adaptive.as_mut().expect("built above");
+        let indirection = Arc::make_mut(&mut self.indirection);
         for (iter, new_refs) in updates {
-            let (proc, local) = self.iter_loc[*iter];
-            self.inspectors[proc as usize].update(local as usize, new_refs);
+            let (proc, local) = adaptive.iter_loc[*iter];
+            adaptive.inspectors[proc as usize].update(local as usize, new_refs);
             for (r, &e) in new_refs.iter().enumerate() {
-                self.indirection[r][*iter] = e;
+                indirection[r][*iter] = e;
             }
             self.dirty[proc as usize] = true;
         }
@@ -2119,21 +2016,58 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         Ok(())
     }
 
-    /// Rebuild frozen snapshots for nodes dirtied by incremental updates.
-    fn refresh_dirty(&mut self) {
-        let total_iterations = self.indirection[0].len();
-        for proc in 0..self.strat.procs {
-            if !self.dirty[proc] {
-                continue;
+    /// The incremental-update state: the iteration locator, and one
+    /// incremental inspector per node over its current local indirection.
+    fn build_adaptive(&self) -> Result<Adaptive, EngineError> {
+        let geometry = self.node_data[0].geometry;
+        let mut iter_loc = vec![(0u32, 0u32); self.indirection[0].len()];
+        for (proc, iters) in self.local_iters.iter().enumerate() {
+            for (li, &gi) in iters.iter().enumerate() {
+                iter_loc[gi as usize] = (proc as u32, li as u32);
             }
-            self.node_data[proc] = Arc::new(NodePlanData::from_inspector(
-                &self.inspectors[proc],
-                &self.local_iters[proc],
-                self.num_elements,
+        }
+        let indirection = &self.indirection;
+        let inspectors = fan_out(self.local_iters.iter().collect(), |proc, iters| {
+            let local = indirection
+                .iter()
+                .map(|arr| iters.iter().map(|&i| arr[i as usize]).collect())
+                .collect();
+            IncrementalInspector::try_new(geometry, proc, local)
+        });
+        Ok(Adaptive {
+            iter_loc,
+            inspectors: inspectors.into_iter().collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// Rebuild frozen snapshots for nodes dirtied by incremental updates,
+    /// straight from each node's inspector plan.
+    fn refresh_dirty(&mut self) {
+        let Some(adaptive) = &self.adaptive else {
+            return;
+        };
+        let dirty: Vec<usize> = (0..self.strat.procs).filter(|&p| self.dirty[p]).collect();
+        if dirty.is_empty() {
+            return;
+        }
+        let total_iterations = self.indirection[0].len();
+        let (local_iters, kernel) = (&self.local_iters, &*self.kernel);
+        let (num_elements, tile_span) = (self.num_elements, self.tile_span);
+        let rebuilt = fan_out(dirty.clone(), |_, proc| {
+            let insp = &adaptive.inspectors[proc];
+            let local: Vec<&[u32]> = insp.indirection().iter().map(Vec::as_slice).collect();
+            NodePlanData::build(
+                insp.plan().to_flat(),
+                &local,
+                &local_iters[proc],
+                num_elements,
                 total_iterations,
-                &*self.kernel,
-                self.tile_span,
-            ));
+                kernel,
+                tile_span,
+            )
+        });
+        for (proc, data) in dirty.into_iter().zip(rebuilt) {
+            self.node_data[proc] = Arc::new(data);
             self.dirty[proc] = false;
         }
     }
@@ -2146,19 +2080,16 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let n_read = self.kernel.num_read_arrays();
         let m = self.kernel.num_refs();
         let n = self.num_elements;
-        let flat = self.layout_flat;
         let cached = if sim {
             ws.costs_for(self.token).cloned()
         } else {
             None
         };
-        // Native flat runs share one region allocation: the ring
-        // rotation moves portion *ownership* (a bare sync), never the
-        // doubles. The simulator keeps private arrays and real payloads
-        // so the modeled message costs stay byte-identical, and the
-        // nested diagnostic layout keeps the naive copying path as the
-        // bit-identity reference.
-        let region = (!sim && flat).then(|| Arc::new(SharedX::new(n * r_arrays)));
+        // Native runs share one region allocation: the ring rotation
+        // moves portion *ownership* (a bare sync), never the doubles.
+        // The simulator keeps private arrays and real payloads so the
+        // modeled message costs stay byte-identical.
+        let region = (!sim).then(|| Arc::new(SharedX::new(n * r_arrays)));
         let shared_read = region.is_some().then(|| {
             Arc::new(SharedRead::new(
                 &self.read_init,
@@ -2171,9 +2102,9 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             let x = if region.is_some() {
                 // Only the private buffer extension: the element range
                 // lives in the shared region.
-                ws.take_buffer(data.plan.buffer_len * r_arrays)
+                ws.take_buffer(data.buffer_len * r_arrays)
             } else {
-                ws.take_buffer((n + data.plan.buffer_len) * r_arrays)
+                ws.take_buffer((n + data.buffer_len) * r_arrays)
             };
             let mut read = if shared_read.is_some() {
                 Vec::new()
@@ -2198,7 +2129,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 read,
                 r_arrays,
                 n_read,
-                flat,
                 simd,
                 out: vec![0.0; m * r_arrays],
                 pool: Vec::new(),
@@ -2225,7 +2155,11 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let mut counts = Vec::with_capacity(nodes.len());
         let mut harvest: PhaseCosts = Vec::with_capacity(if sim { nodes.len() } else { 0 });
         for node in nodes {
-            counts.push(node.data.plan.phase_iter_counts());
+            counts.push(
+                (0..node.data.flat.num_phases())
+                    .map(|p| node.data.flat.phase_rows(p).len())
+                    .collect(),
+            );
             // De-interleave final portions into the public per-array
             // shape — the only place the interleaved layout leaks out.
             for (portion, xs, rs) in node.results {
@@ -2271,7 +2205,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let spec = PhasedSpec {
             kernel: Arc::clone(&self.kernel),
             num_elements: self.num_elements,
-            indirection: Arc::new(self.indirection.clone()),
+            indirection: Arc::clone(&self.indirection),
         };
         let seq = seq_reduction(&spec, self.strat.sweeps, SimConfig::default());
         RunOutcome {
@@ -2514,7 +2448,8 @@ mod tests {
     use crate::approx_eq;
     use crate::kernel::WeightedPairKernel;
     use crate::seq::seq_reduction;
-    use workloads::Distribution;
+    use lightinspector::{FlatInspection, PlanError};
+    use workloads::{distribute, Distribution};
 
     fn tiny_spec(num_elems: usize, seed: u64, iters: usize) -> PhasedSpec<WeightedPairKernel> {
         let mut s = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -2595,11 +2530,11 @@ mod tests {
 
     /// Build the per-proc flat inspections exactly the way the compiler
     /// does: split iterations under the strategy's distribution, then
-    /// run the one-pass flat emitter on each local slice.
+    /// run the inspector on each local slice.
     fn emit_flats(
         spec: &PhasedSpec<WeightedPairKernel>,
         strat: &StrategyConfig,
-    ) -> Vec<lightinspector::FlatInspection> {
+    ) -> Vec<FlatInspection> {
         let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements).unwrap();
         let owned = distribute(spec.num_iterations(), strat.procs, strat.distribution);
         (0..strat.procs)
@@ -2610,7 +2545,7 @@ mod tests {
                     .map(|arr| owned[proc].iter().map(|&i| arr[i as usize]).collect())
                     .collect();
                 let refs: Vec<&[u32]> = local.iter().map(|v| v.as_slice()).collect();
-                lightinspector::inspect_flat(lightinspector::InspectorInput {
+                lightinspector::inspect(InspectorInput {
                     geometry,
                     proc_id: proc,
                     indirection: &refs,
@@ -2665,7 +2600,6 @@ mod tests {
 
     #[test]
     fn prepare_from_flat_rejects_plans_tampered_with_after_emission() {
-        use lightinspector::{FlatInspection, PlanError};
         let spec = tiny_spec(32, 12, 100);
         let strat = StrategyConfig::new(2, 2, Distribution::Block, 1);
         let engine = PhasedEngine::sim(SimConfig::default());
@@ -2678,20 +2612,32 @@ mod tests {
                 other => panic!("a tampered plan must fail verification, got {other:?}"),
             }
         };
-        assert!(emit_flats(&spec, &strat)[1].flat.copies.len() > 1);
+        let flats = emit_flats(&spec, &strat);
+        let fi = &flats[1];
+        let phase_of_copy = |ci: usize| {
+            (0..fi.flat.num_phases())
+                .find(|&p| ci < fi.flat.copy_ptr[p + 1] as usize)
+                .unwrap()
+        };
 
         // A resident reference redirected to another element.
         let e = adopt(&|fi| {
             let r = fi.flat.refs.iter().position(|&t| t < n).unwrap();
             fi.flat.refs[r] = (fi.flat.refs[r] + 1) % n;
         });
-        assert!(
-            matches!(
-                e,
-                PlanError::WrongTarget { .. } | PlanError::NotResident { .. }
-            ),
-            "{e}"
-        );
+        assert!(matches!(e, PlanError::WrongTarget { .. }), "{e}");
+        // Two rows of different phases swapped: every reference still
+        // names its own element, but in the wrong phase.
+        let (p0, p1) = (0, fi.flat.num_phases() - 1);
+        assert!(!fi.flat.phase_rows(p0).is_empty() && !fi.flat.phase_rows(p1).is_empty());
+        let e = adopt(&|fi| {
+            let (a, b) = (fi.flat.phase_rows(p0).start, fi.flat.phase_rows(p1).start);
+            fi.iters.swap(a, b);
+            for r in 0..2 {
+                fi.flat.refs.swap(2 * a + r, 2 * b + r);
+            }
+        });
+        assert!(matches!(e, PlanError::NotResident { phase: 0, .. }), "{e}");
         // A buffered reference pointed past the buffer extension.
         let e = adopt(&|fi| {
             let r = fi.flat.refs.iter().position(|&t| t >= n).unwrap();
@@ -2705,16 +2651,48 @@ mod tests {
             fi.flat.refs[b] = fi.flat.refs[a];
         });
         assert!(matches!(e, PlanError::BufferAliased { .. }), "{e}");
-        // A copy folded into the wrong element, dropped, or doubled.
-        let e = adopt(&|fi| fi.flat.copies[0].dest = (fi.flat.copies[0].dest + 1) % n);
-        assert!(
-            matches!(
-                e,
-                PlanError::WrongTarget { .. } | PlanError::CopyDestNotResident { .. }
-            ),
-            "{e}"
-        );
-        let e = adopt(&|fi| fi.flat.copies[0].src = fi.flat.copies[1].src);
+        // A copy folded into an element its phase does not hold.
+        let e = adopt(&|fi| {
+            let p = phase_of_copy(0);
+            let held = fi
+                .geometry
+                .portion_range(fi.geometry.portion_owned_by(1, p));
+            fi.flat.copies[0].dest = (held.end as u32) % n;
+        });
+        assert!(matches!(e, PlanError::CopyDestNotResident { .. }), "{e}");
+        // Two folds of one phase into different resident elements, swapped.
+        let pair = (1..fi.flat.copies.len())
+            .find(|&ci| {
+                phase_of_copy(ci - 1) == phase_of_copy(ci)
+                    && fi.flat.copies[ci - 1].dest != fi.flat.copies[ci].dest
+            })
+            .expect("some phase folds two distinct elements");
+        let e = adopt(&|fi| {
+            let (a, b) = (fi.flat.copies[pair - 1].dest, fi.flat.copies[pair].dest);
+            fi.flat.copies[pair - 1].dest = b;
+            fi.flat.copies[pair].dest = a;
+        });
+        assert!(matches!(e, PlanError::CopyWrongDest { .. }), "{e}");
+        // A fold of a slot that is only written in the same or a later
+        // phase.
+        let (ci, late) = (0..fi.flat.copies.len())
+            .find_map(|ci| {
+                let p = phase_of_copy(ci);
+                let rows = fi.flat.phase_rows(p).start..fi.iters.len();
+                let late = fi.flat.refs[rows.start * 2..rows.end * 2]
+                    .iter()
+                    .find(|&&t| t >= n)?;
+                Some((ci, *late))
+            })
+            .expect("some slot is written at or after a fold's phase");
+        let e = adopt(&|fi| fi.flat.copies[ci].src = late);
+        assert!(matches!(e, PlanError::CopyBeforeWrite { .. }), "{e}");
+        // A fold doubled (its neighbour's slot then never folds), or
+        // pointed below the buffer extension.
+        let twin = (1..fi.flat.copies.len())
+            .find(|&ci| phase_of_copy(ci - 1) == phase_of_copy(ci))
+            .expect("some phase has two folds");
+        let e = adopt(&|fi| fi.flat.copies[twin] = fi.flat.copies[twin - 1]);
         assert!(matches!(e, PlanError::CopyCount { .. }), "{e}");
         let e = adopt(&|fi| fi.flat.copies[0].src = n - 1);
         assert!(matches!(e, PlanError::CopyCount { times: 0, .. }), "{e}");
@@ -2832,6 +2810,88 @@ mod tests {
     }
 
     #[test]
+    fn prepare_defers_incremental_state_to_the_first_update() {
+        let spec = tiny_spec(64, 24, 300);
+        let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        let mut prepared = engine.prepare(&spec, &strat).unwrap();
+        let _ = engine
+            .execute(&mut prepared, &mut Workspace::new())
+            .unwrap();
+        prepared.apply_updates(&[]).unwrap();
+        assert!(
+            prepared.adaptive.is_none(),
+            "no incremental state before an update"
+        );
+        assert!(Arc::ptr_eq(&prepared.indirection, &spec.indirection));
+        let before = spec.indirection[0][0];
+        prepared.apply_updates(&[(0, vec![before ^ 1, 2])]).unwrap();
+        assert!(prepared.adaptive.is_some());
+        assert_eq!(prepared.indirection()[0][0], before ^ 1);
+        assert_eq!(spec.indirection[0][0], before, "the spec is never written");
+    }
+
+    /// On integer weights every summation order is exact, so a lazily
+    /// built, incrementally updated plan must match a fresh prepare of
+    /// the updated spec bit for bit — on both backends, over several
+    /// rounds of updates.
+    #[test]
+    fn lazy_incremental_updates_equal_fresh_prepare_bitwise() {
+        let base = tiny_spec(64, 25, 400);
+        let weights = base.kernel.weights.iter().map(|w| (w * 100.0).round());
+        let spec = PhasedSpec {
+            kernel: Arc::new(WeightedPairKernel {
+                weights: Arc::new(weights.collect()),
+            }),
+            ..base
+        };
+        let bits =
+            |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 2);
+        for engine in [
+            PhasedEngine::sim(SimConfig::default()),
+            PhasedEngine::native(NativeConfig::default()),
+        ] {
+            let mut prepared = engine.prepare(&spec, &strat).unwrap();
+            let mut ws = Workspace::new();
+            for round in 0..3usize {
+                let updates: Vec<(usize, Vec<u32>)> = (0..40)
+                    .map(|i| {
+                        let e = |a: usize| ((i * a + round * 7) % 64) as u32;
+                        ((i * 11 + round * 7) % 400, vec![e(3), e(5)])
+                    })
+                    .collect();
+                prepared.apply_updates(&updates).unwrap();
+                let got = engine.execute(&mut prepared, &mut ws).unwrap();
+                let updated = PhasedSpec {
+                    indirection: Arc::new(prepared.indirection().to_vec()),
+                    ..spec.clone()
+                };
+                let fresh = engine.run(&updated, &strat).unwrap();
+                let at = format!("round {round} on {:?}", engine.config().backend);
+                assert_eq!(bits(&got.values), bits(&fresh.values), "{at}");
+                assert_eq!(bits(&got.read), bits(&fresh.read), "{at}");
+            }
+        }
+    }
+
+    /// Plan size at the `serve-cold` shape: two references into one
+    /// array, P4 k2 cyclic, 131 072 random iterations on 16 384
+    /// elements. Holding the schedule once costs ≈ 31 B/iteration; the
+    /// bound leaves room for slack, not for a nested second form of the
+    /// plan (≈ 23 B/iteration more).
+    #[test]
+    fn prepared_plan_holds_its_schedule_once() {
+        let spec = tiny_spec(16_384, 26, 131_072);
+        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
+        let prepared = PhasedEngine::native(NativeConfig::default())
+            .prepare(&spec, &strat)
+            .unwrap();
+        let per_iter = prepared.resident_bytes() as f64 / spec.num_iterations() as f64;
+        assert!(per_iter <= 45.0, "{per_iter:.1} resident B/iteration");
+    }
+
+    #[test]
     fn structure_hash_keys_on_structure_not_values() {
         let spec = tiny_spec(64, 21, 300);
         let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
@@ -2876,6 +2936,11 @@ mod tests {
         let k1 = prepared.cache_key();
         assert_ne!(k0, k1, "mutation must derive a new cache key");
         assert_eq!(k1, prepared.cache_key());
+        // First asked after the update, the key still hashes the
+        // prepare-time structure.
+        let mut late = engine.prepare(&spec, &strat).unwrap();
+        late.apply_updates(&[(0, vec![1, 2])]).unwrap();
+        assert_eq!(late.cache_key(), k1);
     }
 
     #[test]

@@ -30,22 +30,6 @@ impl std::fmt::Display for StrategyError {
 
 impl std::error::Error for StrategyError {}
 
-/// How the phased executor's unmetered inner loops walk the inspector
-/// schedule. Both layouts perform the identical float operations in the
-/// identical order — results are bit-for-bit the same; the knob only
-/// trades loop structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoopLayout {
-    /// Stream the flattened CSR-style schedule (iter-major interleaved
-    /// refs, concatenated copy ops): contiguous reads, no per-reference
-    /// column hopping. The fast path, on by default.
-    #[default]
-    Flat,
-    /// Walk the nested per-phase plan structures, exactly as the metered
-    /// (simulated) sweep does. Kept for A/B comparison and validation.
-    Nested,
-}
-
 /// One point in the paper's strategy space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrategyConfig {
@@ -57,12 +41,6 @@ pub struct StrategyConfig {
     pub distribution: Distribution,
     /// Time-step iterations (the paper uses 100 for euler/moldyn).
     pub sweeps: usize,
-    /// Inner-loop layout for unmetered execution (native / sim replay).
-    ///
-    /// Superseded by [`Tuning::layout`] (set through
-    /// `ExecutionConfig::with_tuning`). The nested layout wins if either
-    /// side requests it.
-    pub layout: LoopLayout,
 }
 
 impl StrategyConfig {
@@ -87,7 +65,6 @@ impl StrategyConfig {
             k,
             distribution,
             sweeps,
-            layout: LoopLayout::default(),
         })
     }
 
@@ -142,7 +119,7 @@ impl StrategyConfig {
     /// keying limit) always select rotating portions.
     ///
     /// The returned [`AutoTuning`] pairs the engine choice with a full
-    /// [`Tuning`]: flat layout, the fastest SIMD mode this build
+    /// [`Tuning`]: the fastest SIMD mode this build
     /// honours, and — for rotating portions, whose per-phase portion
     /// working set is the locality hook — memory-model-predicted tiling
     /// ([`TileChoice::Auto`], which switches itself off at prepare time
@@ -157,7 +134,6 @@ impl StrategyConfig {
         AutoTuning {
             engine,
             tuning: Tuning {
-                layout: LoopLayout::Flat,
                 simd: SimdMode::preferred(),
                 tile,
                 host_threads: None,
@@ -305,9 +281,8 @@ mod tests {
         let flat = stats(vec![1_000; 8], 800);
         let auto = s.auto_select(&flat);
         assert_eq!(auto.engine, EngineChoice::RotatingPortions);
-        // Phased gets the locality treatment: tiled, vectorized, flat.
+        // Phased gets the locality treatment: tiled and vectorized.
         assert_eq!(auto.tuning.tile, TileChoice::Auto);
-        assert_eq!(auto.tuning.layout, LoopLayout::Flat);
         assert_ne!(auto.tuning.simd, SimdMode::Scalar);
     }
 

@@ -1,12 +1,8 @@
 //! [`Tuning`] — every performance knob that does not change *what* is
 //! computed, in one builder.
 //!
-//! Before this module the tuning surface was scattered:
-//! `StrategyConfig::layout` picked the inner-loop layout,
-//! `NativeConfig::host_threads` capped the host thread pool, and the
-//! SIMD/tiling work landing alongside this module would have added two
-//! more loose knobs. `Tuning` collapses them into one `Copy` struct
-//! reachable uniformly through
+//! `Tuning` collects the SIMD mode, tiling, and host thread cap into one
+//! `Copy` struct reachable uniformly through
 //! [`ExecutionConfig::with_tuning`](crate::ExecutionConfig::with_tuning):
 //!
 //! ```
@@ -19,9 +15,9 @@
 //! # let _ = (SimdMode::Scalar, TileChoice::Off, cfg);
 //! ```
 //!
-//! Two of the knobs change the *plan* (layout, tile) and two change only
-//! the *execution* (simd, host_threads); [`Tuning::plan_fingerprint`]
-//! folds exactly the plan-shaping knobs into prepared-plan cache keys.
+//! One knob changes the *plan* (tile) and two change only the
+//! *execution* (simd, host_threads); [`Tuning::plan_fingerprint`] folds
+//! exactly the plan-shaping knob into prepared-plan cache keys.
 //!
 //! ## Determinism contract
 //!
@@ -37,8 +33,6 @@
 //!   reassociates floating-point sums across tile boundaries: results
 //!   are bit-identical on whole-number-weight kernels (exact f64 sums)
 //!   and within the documented ULP bound otherwise (DESIGN.md §16).
-
-use crate::strategy::LoopLayout;
 
 /// How the flat inner loops compute and scatter contributions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,15 +105,11 @@ impl TileChoice {
     }
 }
 
-/// The unified tuning bundle: loop layout, SIMD mode, tiling, and host
-/// thread cap. Carried by [`ExecutionConfig`](crate::ExecutionConfig);
-/// every engine reads its knobs from here.
+/// The unified tuning bundle: SIMD mode, tiling, and host thread cap.
+/// Carried by [`ExecutionConfig`](crate::ExecutionConfig); every engine
+/// reads its knobs from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Tuning {
-    /// Inner-loop layout for unmetered execution (native / sim replay).
-    /// Supersedes `StrategyConfig::layout` (still honoured: the nested
-    /// layout wins if either side requests it).
-    pub layout: LoopLayout,
     /// How flat inner loops compute and scatter contributions.
     pub simd: SimdMode,
     /// Phase-local iteration tiling.
@@ -137,28 +127,21 @@ pub struct Tuning {
 }
 
 impl Tuning {
-    /// The determinism reference: flat layout, scalar loops, no tiling,
-    /// host threads from the hardware. Identical to pre-`Tuning`
+    /// The determinism reference: scalar loops, no tiling, host threads
+    /// from the hardware. Identical to pre-`Tuning`
     /// behaviour.
     pub fn new() -> Self {
         Tuning::default()
     }
 
-    /// The performance default: flat layout, the fastest SIMD mode this
-    /// build honours, memory-model-predicted tiling.
+    /// The performance default: the fastest SIMD mode this build
+    /// honours, memory-model-predicted tiling.
     pub fn auto() -> Self {
         Tuning {
-            layout: LoopLayout::Flat,
             simd: SimdMode::preferred(),
             tile: TileChoice::Auto,
             host_threads: None,
         }
-    }
-
-    /// Select the inner-loop layout.
-    pub fn layout(mut self, layout: LoopLayout) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Select the SIMD mode.
@@ -179,32 +162,24 @@ impl Tuning {
         self
     }
 
-    /// Short label for bench reports: `"flat+chunked+tile:auto"`.
+    /// Short label for bench reports: `"chunked+tile:auto"`.
     pub fn label(&self) -> String {
-        let layout = match self.layout {
-            LoopLayout::Flat => "flat",
-            LoopLayout::Nested => "nested",
-        };
-        format!("{layout}+{}+tile:{}", self.simd.label(), self.tile.label())
+        format!("{}+tile:{}", self.simd.label(), self.tile.label())
     }
 
-    /// Fold of the **plan-shaping** knobs (layout, tile) for prepared
-    /// plan cache keys. SIMD mode and host threads are execute-time
-    /// choices over the same plan and deliberately do not participate:
-    /// a cached plan may be re-executed scalar (the server's shed
-    /// ladder relies on this).
+    /// Fold of the **plan-shaping** knob (tile) for prepared plan cache
+    /// keys. SIMD mode and host threads are execute-time choices over
+    /// the same plan and deliberately do not participate: a cached plan
+    /// may be re-executed scalar (the server's shed ladder relies on
+    /// this).
     pub fn plan_fingerprint(&self) -> u64 {
-        let layout = match self.layout {
-            LoopLayout::Flat => 0u64,
-            LoopLayout::Nested => 1,
-        };
         let tile = match self.tile {
             TileChoice::Off => 0u64,
             TileChoice::Auto => 1,
             TileChoice::Elements(n) => 2u64.wrapping_add((n as u64) << 2),
         };
-        // splitmix64-style avalanche over the two words.
-        let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ layout;
+        // splitmix64-style avalanche.
+        let mut h = 0x9e37_79b9_7f4a_7c15u64;
         h ^= tile.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = (h ^ (h >> 30)).wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
@@ -219,7 +194,6 @@ mod tests {
     #[test]
     fn default_is_the_determinism_reference() {
         let t = Tuning::default();
-        assert_eq!(t.layout, LoopLayout::Flat);
         assert_eq!(t.simd, SimdMode::Scalar);
         assert_eq!(t.tile, TileChoice::Off);
         assert_eq!(t.host_threads, None);
@@ -236,15 +210,13 @@ mod tests {
     #[test]
     fn builder_composes() {
         let t = Tuning::new()
-            .layout(LoopLayout::Nested)
             .simd(SimdMode::Chunked)
             .tile(TileChoice::Elements(256))
             .host_threads(3);
-        assert_eq!(t.layout, LoopLayout::Nested);
         assert_eq!(t.simd, SimdMode::Chunked);
         assert_eq!(t.tile, TileChoice::Elements(256));
         assert_eq!(t.host_threads, Some(3));
-        assert_eq!(t.label(), "nested+chunked+tile:elems:256");
+        assert_eq!(t.label(), "chunked+tile:elems:256");
     }
 
     #[test]
@@ -257,11 +229,7 @@ mod tests {
                 .host_threads(7)
                 .plan_fingerprint()
         );
-        // Plan-shaping knobs: fingerprint changes.
-        assert_ne!(
-            base.plan_fingerprint(),
-            base.layout(LoopLayout::Nested).plan_fingerprint()
-        );
+        // The plan-shaping knob: fingerprint changes.
         assert_ne!(
             base.plan_fingerprint(),
             base.tile(TileChoice::Auto).plan_fingerprint()

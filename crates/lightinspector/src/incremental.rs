@@ -14,11 +14,15 @@
 //! iterations as a from-scratch inspection of the updated indirection
 //! arrays; only the order of iterations within phases may differ, which
 //! is irrelevant to a reduction.
+//!
+//! It edits the nested [`InspectorPlan`] (the full inspection's
+//! [`to_plan`](crate::FlatInspection::to_plan)), the one place that form
+//! is still used.
 
 use std::collections::HashMap;
 
 use crate::geometry::PhaseGeometry;
-use crate::inspector::{inspect_observed, InspectorInput};
+use crate::inspector::{inspect, InspectorInput};
 use crate::plan::{CopyOp, InspectorPlan};
 
 /// A LightInspector plan that can be updated in place as the application
@@ -48,26 +52,13 @@ impl IncrementalInspector {
         proc_id: usize,
         indirection: Vec<Vec<u32>>,
     ) -> Result<Self, crate::InspectError> {
-        Self::try_new_observed(geometry, proc_id, indirection, &mut |_| {})
-    }
-
-    /// [`Self::try_new`] with the full inspection's stage-completion
-    /// callback (see [`inspect_observed`](crate::inspect_observed)).
-    pub fn try_new_observed(
-        geometry: PhaseGeometry,
-        proc_id: usize,
-        indirection: Vec<Vec<u32>>,
-        observe: &mut dyn FnMut(u32),
-    ) -> Result<Self, crate::InspectError> {
         let refs: Vec<&[u32]> = indirection.iter().map(|v| v.as_slice()).collect();
-        let plan = inspect_observed(
-            InspectorInput {
-                geometry,
-                proc_id,
-                indirection: &refs,
-            },
-            observe,
-        )?;
+        let plan = inspect(InspectorInput {
+            geometry,
+            proc_id,
+            indirection: &refs,
+        })?
+        .to_plan();
         Ok(Self::index(plan, indirection))
     }
 
@@ -77,32 +68,6 @@ impl IncrementalInspector {
     pub fn new(geometry: PhaseGeometry, proc_id: usize, indirection: Vec<Vec<u32>>) -> Self {
         Self::try_new(geometry, proc_id, indirection)
             .expect("IncrementalInspector::new: invalid inspector input")
-    }
-
-    /// Adopt an externally produced plan (e.g. the compiler's direct
-    /// flat emission, unflattened) instead of re-running inspection.
-    /// The plan is [`verify_plan`](crate::verify_plan)-checked against
-    /// `indirection` first, so a malformed plan is a typed error here
-    /// rather than corruption later.
-    pub fn from_plan(
-        plan: InspectorPlan,
-        indirection: Vec<Vec<u32>>,
-    ) -> Result<Self, crate::PlanError> {
-        let m = plan.phases.first().map_or(0, |p| p.refs.len());
-        if indirection.len() != m {
-            return Err(crate::PlanError::FlatShape {
-                what: "indirection arity must match the plan's reference count",
-            });
-        }
-        let num_iters = indirection.first().map_or(0, |a| a.len());
-        if plan.iter_phase.len() != num_iters {
-            return Err(crate::PlanError::FlatShape {
-                what: "iter_phase length must match the local iteration count",
-            });
-        }
-        let refs: Vec<&[u32]> = indirection.iter().map(|v| v.as_slice()).collect();
-        crate::verify_plan(&plan, &refs)?;
-        Ok(Self::index(plan, indirection))
     }
 
     /// Index a freshly inspected plan for O(m) incremental updates.
@@ -349,7 +314,8 @@ mod tests {
             proc_id: 2,
             indirection: &refs,
         })
-        .unwrap();
+        .unwrap()
+        .to_plan();
         assert_eq!(full.iter_phase, inc.plan().iter_phase);
         for p in 0..g.num_phases() {
             let mut a: Vec<u32> = inc.plan().phases[p].iters.clone();

@@ -1,24 +1,25 @@
 //! The LightInspector algorithm (§3 of the paper).
 //!
-//! Three passes, all linear in the number of local iterations, with no
+//! Two passes, both linear in the number of local iterations, with no
 //! inter-processor communication:
 //!
-//! 1. For every local iteration, find the phases at which each referenced
-//!    reduction element is resident here; the minimum is the iteration's
-//!    phase. Count iterations and future references per phase.
-//! 2. Place iterations into per-phase lists; rewrite each reference
-//!    either to its global index (resident during the iteration's phase)
-//!    or to a freshly allocated buffer slot.
-//! 3. Emit the second-loop copy list: a buffered contribution written for
-//!    element `e` during phase `min` is folded into `e` during the phase
-//!    at which `e`'s portion is resident (`max`), strictly later.
+//! 1. **Classify.** For every local iteration, find the phases at which
+//!    each referenced reduction element is resident here; the minimum is
+//!    the iteration's phase. Count iterations per phase, and per phase
+//!    the buffered contributions it will fold.
+//! 2. **Place.** The counts' prefix sums are the CSR pointers, so every
+//!    iteration is scattered straight into its phase's row range. Each
+//!    reference is rewritten either to its global index (resident during
+//!    the iteration's phase) or to a freshly allocated buffer slot, and
+//!    the slot's second-loop fold `X[e] += X[slot]` is placed in the
+//!    phase at which `e`'s portion is resident (strictly later).
 //!
 //! The algorithm handles any number `m ≥ 1` of distinct indirection
 //! references ("trivially extended", §3); the paper's examples use
 //! `m = 2` (edges/interactions touching two nodes/molecules).
 
 use crate::geometry::PhaseGeometry;
-use crate::plan::{CopyOp, FlatPlan, InspectorPlan, PhasePlan, SingleRefPlan};
+use crate::plan::{CopyOp, FlatInspection, FlatPlan, SingleRefPlan};
 
 /// Why an inspector input was rejected. Every variant is a caller bug
 /// that would previously panic (debug) or silently mis-bucket references
@@ -130,6 +131,41 @@ fn validate(g: &PhaseGeometry, proc_id: usize, indirection: &[&[u32]]) -> Result
     Ok(())
 }
 
+/// The phase at which element `e` is resident on one processor —
+/// `g.phase_of_portion_on(proc, g.portion_of(e))` — without a hardware
+/// divide: the portion is `e · ⌈2^64 / portion_size⌉ >> 64`, exact for
+/// every 32-bit `e` (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019), and the ring offset needs one conditional
+/// subtract. The inspector evaluates it twice per reference.
+struct PhaseOf {
+    magic: u128,
+    kp: usize,
+    offset: usize,
+}
+
+impl PhaseOf {
+    fn new(g: &PhaseGeometry, proc: usize) -> Self {
+        let kp = g.num_phases();
+        let d = g.portion_size() as u128;
+        PhaseOf {
+            magic: (1u128 << 64).div_ceil(d),
+            kp,
+            offset: kp - (g.k() * proc) % kp,
+        }
+    }
+
+    #[inline]
+    fn phase(&self, e: u32) -> usize {
+        let portion = ((self.magic * u128::from(e)) >> 64) as usize;
+        let ph = portion + self.offset;
+        if ph >= self.kp {
+            ph - self.kp
+        } else {
+            ph
+        }
+    }
+}
+
 /// Pipeline stage ids reported through [`inspect_observed`]'s callback,
 /// in completion order. These feed the tracing layer's
 /// `InspectorStage` events; the crate itself stays dependency-free.
@@ -144,7 +180,11 @@ pub const STAGE_PLACE: u32 = 2;
 /// Rejects malformed input (out-of-range indices, ragged arrays, a
 /// foreign `proc_id`) with a typed [`InspectError`] instead of panicking
 /// or silently mis-bucketing through wrapped modular arithmetic.
-pub fn inspect(input: InspectorInput<'_>) -> Result<InspectorPlan, InspectError> {
+///
+/// Iterations within a phase appear in ascending local order, buffer
+/// slots are numbered in `(iteration, reference)` scan order from
+/// `num_elements` up, and each phase's copy list keeps that scan order.
+pub fn inspect(input: InspectorInput<'_>) -> Result<FlatInspection, InspectError> {
     inspect_observed(input, &mut |_| {})
 }
 
@@ -154,15 +194,16 @@ pub fn inspect(input: InspectorInput<'_>) -> Result<InspectorPlan, InspectError>
 pub fn inspect_observed(
     input: InspectorInput<'_>,
     observe: &mut dyn FnMut(u32),
-) -> Result<InspectorPlan, InspectError> {
+) -> Result<FlatInspection, InspectError> {
     let g = input.geometry;
     validate(&g, input.proc_id, input.indirection)?;
     observe(STAGE_VALIDATE);
     let m = input.indirection.len();
     let num_iters = input.indirection[0].len();
     let kp = g.num_phases();
+    let phase_of = PhaseOf::new(&g, input.proc_id);
 
-    // Pass 1: phase of each iteration + per-phase counts.
+    // Pass 1: phase of each iteration + per-phase iteration/copy counts.
     let mut iter_phase = vec![0u32; num_iters];
     let mut phase_counts = vec![0usize; kp];
     let mut copy_counts = vec![0usize; kp];
@@ -170,8 +211,7 @@ pub fn inspect_observed(
     for i in 0..num_iters {
         let mut min_phase = usize::MAX;
         for (r, ind) in input.indirection.iter().enumerate() {
-            let e = ind[i] as usize;
-            let ph = g.phase_of_portion_on(input.proc_id, g.portion_of(e));
+            let ph = phase_of.phase(ind[i]);
             scratch[r] = ph;
             min_phase = min_phase.min(ph);
         }
@@ -183,123 +223,7 @@ pub fn inspect_observed(
             }
         }
     }
-
     observe(STAGE_CLASSIFY);
-
-    // Pass 2: place iterations, rewrite references, allocate buffers.
-    let mut phases: Vec<PhasePlan> = (0..kp)
-        .map(|p| PhasePlan {
-            iters: Vec::with_capacity(phase_counts[p]),
-            refs: (0..m)
-                .map(|_| Vec::with_capacity(phase_counts[p]))
-                .collect(),
-            copies: Vec::with_capacity(copy_counts[p]),
-        })
-        .collect();
-    let n = g.num_elements() as u32;
-    let mut next_slot = n;
-    for i in 0..num_iters {
-        let p = iter_phase[i] as usize;
-        phases[p].iters.push(i as u32);
-        for (r, ind) in input.indirection.iter().enumerate() {
-            let e = ind[i];
-            let ph = g.phase_of_portion_on(input.proc_id, g.portion_of(e as usize));
-            if ph == p {
-                phases[p].refs[r].push(e);
-            } else {
-                // Owned in a future phase: extend X with a buffer slot and
-                // schedule the second-loop fold for phase `ph`.
-                let slot = next_slot;
-                next_slot += 1;
-                phases[p].refs[r].push(slot);
-                phases[ph].copies.push(CopyOp { dest: e, src: slot });
-            }
-        }
-    }
-
-    observe(STAGE_PLACE);
-
-    Ok(InspectorPlan {
-        geometry: g,
-        proc_id: input.proc_id,
-        buffer_len: (next_slot - n) as usize,
-        phases,
-        iter_phase,
-    })
-}
-
-/// A complete inspection emitted directly in flat (CSR) form: the
-/// [`FlatPlan`] the executors' fast path streams, plus the sidecar
-/// arrays (iteration order, phase assignment, buffer size) the nested
-/// [`InspectorPlan`] would otherwise carry. Produced by
-/// [`inspect_flat`] with **no nested intermediate** — the compiler's
-/// direct lowering path hands these straight to the phased executor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatInspection {
-    pub geometry: PhaseGeometry,
-    pub proc_id: usize,
-    /// Buffer slots appended to the reduction array.
-    pub buffer_len: usize,
-    /// Local iteration ids in phase-concatenated order (phase `p`
-    /// occupies `flat.iter_ptr[p]..flat.iter_ptr[p+1]`) — the executors'
-    /// `giters` flattening.
-    pub iters: Vec<u32>,
-    /// Phase of each local iteration, indexed by local iteration id.
-    pub iter_phase: Vec<u32>,
-    pub flat: FlatPlan,
-}
-
-impl FlatInspection {
-    /// Reconstruct the nested [`InspectorPlan`]. Exact: for any input,
-    /// `inspect_flat(x)?.to_plan() == inspect(x)?` and conversely
-    /// `to_plan().flatten() == flat`.
-    pub fn to_plan(&self) -> InspectorPlan {
-        InspectorPlan::from_flat(
-            self.geometry,
-            self.proc_id,
-            self.buffer_len,
-            &self.iters,
-            self.iter_phase.clone(),
-            &self.flat,
-        )
-    }
-}
-
-/// Run the LightInspector emitting the flat (CSR) schedule directly —
-/// no nested per-phase structures are ever built. Produces bit-identical
-/// output to `inspect(input)?.flatten()`: iterations within a phase
-/// appear in ascending local order, buffer slots are numbered in the
-/// same global `(iteration, reference)` scan order, and each phase's
-/// copy list preserves that order.
-pub fn inspect_flat(input: InspectorInput<'_>) -> Result<FlatInspection, InspectError> {
-    let g = input.geometry;
-    validate(&g, input.proc_id, input.indirection)?;
-    let m = input.indirection.len();
-    let num_iters = input.indirection[0].len();
-    let kp = g.num_phases();
-
-    // Pass 1: phase of each iteration + per-phase iteration/copy counts
-    // (identical to `inspect`'s first pass).
-    let mut iter_phase = vec![0u32; num_iters];
-    let mut phase_counts = vec![0usize; kp];
-    let mut copy_counts = vec![0usize; kp];
-    let mut scratch = vec![0usize; m];
-    for i in 0..num_iters {
-        let mut min_phase = usize::MAX;
-        for (r, ind) in input.indirection.iter().enumerate() {
-            let e = ind[i] as usize;
-            let ph = g.phase_of_portion_on(input.proc_id, g.portion_of(e));
-            scratch[r] = ph;
-            min_phase = min_phase.min(ph);
-        }
-        iter_phase[i] = min_phase as u32;
-        phase_counts[min_phase] += 1;
-        for &ph in &scratch {
-            if ph > min_phase {
-                copy_counts[ph] += 1;
-            }
-        }
-    }
 
     // CSR pointers are exactly the prefix sums of the counts.
     let mut iter_ptr = Vec::with_capacity(kp + 1);
@@ -313,9 +237,8 @@ pub fn inspect_flat(input: InspectorInput<'_>) -> Result<FlatInspection, Inspect
 
     // Pass 2: place every iteration straight into its phase's CSR range.
     // Scanning iterations in ascending order and bumping a per-phase
-    // cursor reproduces the within-phase order `inspect`'s push-based
-    // placement yields; the single `next_slot` counter reproduces its
-    // buffer numbering.
+    // cursor keeps each phase in ascending local order; the single
+    // `next_slot` counter numbers buffer slots in scan order.
     let total_iters: usize = *iter_ptr.last().unwrap() as usize;
     let total_copies: usize = *copy_ptr.last().unwrap() as usize;
     let mut iters = vec![0u32; total_iters];
@@ -332,10 +255,12 @@ pub fn inspect_flat(input: InspectorInput<'_>) -> Result<FlatInspection, Inspect
         iters[j] = i as u32;
         for (r, ind) in input.indirection.iter().enumerate() {
             let e = ind[i];
-            let ph = g.phase_of_portion_on(input.proc_id, g.portion_of(e as usize));
+            let ph = phase_of.phase(e);
             refs[j * m + r] = if ph == p {
                 e
             } else {
+                // Owned in a future phase: extend X with a buffer slot and
+                // schedule the second-loop fold for phase `ph`.
                 let slot = next_slot;
                 next_slot += 1;
                 let ci = copy_cursor[ph] as usize;
@@ -347,6 +272,7 @@ pub fn inspect_flat(input: InspectorInput<'_>) -> Result<FlatInspection, Inspect
     }
     debug_assert_eq!(iter_cursor, iter_ptr[1..]);
     debug_assert_eq!(copy_cursor, copy_ptr[1..]);
+    observe(STAGE_PLACE);
 
     let flat = FlatPlan::new(m, iter_ptr, refs, copy_ptr, copies)
         .expect("prefix-sum construction satisfies the CSR invariants");
@@ -355,7 +281,6 @@ pub fn inspect_flat(input: InspectorInput<'_>) -> Result<FlatInspection, Inspect
         proc_id: input.proc_id,
         buffer_len: (next_slot - n) as usize,
         iters,
-        iter_phase,
         flat,
     })
 }
@@ -373,15 +298,14 @@ pub fn inspect_single(
     indirection: &[u32],
 ) -> Result<SingleRefPlan, InspectError> {
     validate(&geometry, proc_id, &[indirection])?;
-    let kp = geometry.num_phases();
-    let mut counts = vec![0usize; kp];
+    let phase_of = PhaseOf::new(&geometry, proc_id);
+    let mut counts = vec![0usize; geometry.num_phases()];
     for &e in indirection {
-        counts[geometry.phase_of_portion_on(proc_id, geometry.portion_of(e as usize))] += 1;
+        counts[phase_of.phase(e)] += 1;
     }
     let mut phases: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
     for (i, &e) in indirection.iter().enumerate() {
-        let p = geometry.phase_of_portion_on(proc_id, geometry.portion_of(e as usize));
-        phases[p].push(i as u32);
+        phases[phase_of.phase(e)].push(i as u32);
     }
     Ok(SingleRefPlan {
         geometry,
@@ -393,7 +317,7 @@ pub fn inspect_single(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::verify_plan;
+    use crate::plan::{verify_flat, verify_plan};
 
     /// The worked example in the spirit of the paper's Figure 3:
     /// 2 processors, k = 2, a mesh of 8 nodes and 20 edges. Processor 0
@@ -407,8 +331,7 @@ mod tests {
         (g, ind1, ind2)
     }
 
-    #[test]
-    fn fig3_phase_assignment() {
+    fn fig3_p0_plan() -> (FlatInspection, Vec<u32>, Vec<u32>) {
         let (g, ind1, ind2) = fig3_p0_input();
         let plan = inspect(InspectorInput {
             geometry: g,
@@ -416,55 +339,42 @@ mod tests {
             indirection: &[&ind1, &ind2],
         })
         .unwrap();
+        (plan, ind1, ind2)
+    }
+
+    #[test]
+    fn fig3_phase_assignment() {
+        let (plan, ind1, ind2) = fig3_p0_plan();
+        let iter_phase = plan.to_plan().iter_phase;
         // Edge 0 (0,1): both in portion 0 → phase 0, both resident.
-        assert_eq!(plan.iter_phase[0], 0);
+        assert_eq!(iter_phase[0], 0);
         // Edge 4 (1,2): portions 0 and 1 → phase 0, node 2 buffered.
-        assert_eq!(plan.iter_phase[4], 0);
+        assert_eq!(iter_phase[4], 0);
         // Edge 7 (7,4): portions 3 and 2 → phase 2 (min), node 7 buffered.
-        assert_eq!(plan.iter_phase[7], 2);
+        assert_eq!(iter_phase[7], 2);
         // Edge 3 (6,7): portion 3 → phase 3.
-        assert_eq!(plan.iter_phase[3], 3);
-        verify_plan(&plan, &[&ind1, &ind2]).unwrap();
+        assert_eq!(iter_phase[3], 3);
+        verify_flat(&plan, &[&ind1, &ind2]).unwrap();
     }
 
     #[test]
     fn fig3_buffer_layout_starts_at_num_nodes() {
-        let (g, ind1, ind2) = fig3_p0_input();
-        let plan = inspect(InspectorInput {
-            geometry: g,
-            proc_id: 0,
-            indirection: &[&ind1, &ind2],
-        })
-        .unwrap();
+        let (plan, _, _) = fig3_p0_plan();
         // Buffer slots are allocated from 8 (= num_nodes) upward, exactly
         // as in the paper ("the remote buffer starts at location 8").
-        let mut min_slot = u32::MAX;
-        for ph in &plan.phases {
-            for refs_r in &ph.refs {
-                for &t in refs_r {
-                    if t >= 8 {
-                        min_slot = min_slot.min(t);
-                    }
-                }
-            }
-        }
-        assert_eq!(min_slot, 8);
+        let min_slot = plan.flat.refs.iter().filter(|&&t| t >= 8).min();
+        assert_eq!(min_slot, Some(&8));
         assert!(plan.buffer_len > 0);
     }
 
     #[test]
     fn fig3_second_loop_folds_buffered_contribs() {
-        let (g, ind1, ind2) = fig3_p0_input();
-        let plan = inspect(InspectorInput {
-            geometry: g,
-            proc_id: 0,
-            indirection: &[&ind1, &ind2],
-        })
-        .unwrap();
+        let (plan, _, _) = fig3_p0_plan();
         // Edge 7 = (7,4): assigned phase 2 (node 4 resident), node 7
         // buffered, folded at phase 3 when portion 3 arrives.
-        let copy = plan.phases[3]
-            .copies
+        let copy = plan
+            .flat
+            .phase_copies(3)
             .iter()
             .find(|c| c.dest == 7)
             .expect("phase 3 folds node 7");
@@ -473,17 +383,10 @@ mod tests {
 
     #[test]
     fn both_residents_update_in_place() {
-        let (g, ind1, ind2) = fig3_p0_input();
-        let plan = inspect(InspectorInput {
-            geometry: g,
-            proc_id: 0,
-            indirection: &[&ind1, &ind2],
-        })
-        .unwrap();
+        let (plan, _, _) = fig3_p0_plan();
         // Edge 0 (0,1): both resident at phase 0 → remapped to themselves.
-        let j = plan.phases[0].iters.iter().position(|&i| i == 0).unwrap();
-        assert_eq!(plan.phases[0].refs[0][j], 0);
-        assert_eq!(plan.phases[0].refs[1][j], 1);
+        let j = plan.phase_iters(0).iter().position(|&i| i == 0).unwrap();
+        assert_eq!(plan.flat.phase_refs(0)[2 * j..2 * j + 2], [0, 1]);
     }
 
     #[test]
@@ -496,9 +399,9 @@ mod tests {
             indirection: &[&ind1, &ind2],
         })
         .unwrap();
-        verify_plan(&plan, &[&ind1, &ind2]).unwrap();
+        verify_flat(&plan, &[&ind1, &ind2]).unwrap();
         // Edge 0 (0,1): portion 0 is owned by P1 at phase 2.
-        assert_eq!(plan.iter_phase[0], 2);
+        assert_eq!(plan.to_plan().iter_phase[0], 2);
     }
 
     #[test]
@@ -514,11 +417,11 @@ mod tests {
             indirection: &[&a, &b, &c],
         })
         .unwrap();
-        verify_plan(&plan, &[&a, &b, &c]).unwrap();
-        assert_eq!(plan.total_iters(), 5);
+        verify_flat(&plan, &[&a, &b, &c]).unwrap();
+        assert_eq!(plan.iters.len(), 5);
         // Each iteration has exactly 3 -1 = 2 buffered refs at most; total
         // copies ≤ 2 per iteration.
-        assert!(plan.total_copies() <= 10);
+        assert!(plan.flat.copies.len() <= 10);
     }
 
     #[test]
@@ -550,8 +453,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(plan.buffer_len, 0);
-        assert_eq!(plan.total_copies(), 0);
-        verify_plan(&plan, &[&a, &b]).unwrap();
+        assert!(plan.flat.copies.is_empty());
+        verify_flat(&plan, &[&a, &b]).unwrap();
     }
 
     #[test]
@@ -565,7 +468,7 @@ mod tests {
             indirection: &[&a, &b],
         })
         .unwrap();
-        verify_plan(&plan, &[&a, &b]).unwrap();
+        verify_flat(&plan, &[&a, &b]).unwrap();
     }
 
     #[test]
@@ -579,15 +482,17 @@ mod tests {
             indirection: &[&a, &b],
         })
         .unwrap();
-        assert_eq!(plan.total_iters(), 0);
+        assert!(plan.iters.is_empty());
         assert_eq!(plan.buffer_len, 0);
-        verify_plan(&plan, &[&a, &b]).unwrap();
+        verify_flat(&plan, &[&a, &b]).unwrap();
     }
 
     #[test]
-    fn flat_emission_equals_flattened_nested_plan() {
-        // Bit-equality of the one-pass CSR emission against
-        // inspect().flatten(), across geometries and skews.
+    fn emission_follows_scan_order_and_round_trips() {
+        // The determinism contract of the CSR emission, across geometries
+        // and skews: ascending iterations within a phase, buffer slots
+        // numbered in (iteration, reference) scan order, copy lists in
+        // that same order — and the nested form converts back exactly.
         let mut s = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             s ^= s << 13;
@@ -608,41 +513,61 @@ mod tests {
                 .collect();
             let refs: Vec<&[u32]> = ind.iter().map(|v| v.as_slice()).collect();
             for proc in 0..procs {
-                let input = InspectorInput {
+                let fi = inspect(InspectorInput {
                     geometry: g,
                     proc_id: proc,
                     indirection: &refs,
-                };
-                let nested = inspect(input).unwrap();
-                let fi = inspect_flat(input).unwrap();
-                assert_eq!(fi.flat, nested.flatten(), "P{procs} k{k} n{n} proc{proc}");
-                assert_eq!(fi.iter_phase, nested.iter_phase);
-                assert_eq!(fi.buffer_len, nested.buffer_len);
-                let concat: Vec<u32> = nested
-                    .phases
-                    .iter()
-                    .flat_map(|p| p.iters.iter().copied())
+                })
+                .unwrap();
+                let at = format!("P{procs} k{k} n{n} proc{proc}");
+                verify_flat(&fi, &refs).unwrap();
+                let mut row = vec![0usize; iters];
+                for p in 0..g.num_phases() {
+                    let its = fi.phase_iters(p);
+                    assert!(its.windows(2).all(|w| w[0] < w[1]), "{at}");
+                    let srcs: Vec<u32> = fi.flat.phase_copies(p).iter().map(|c| c.src).collect();
+                    assert!(srcs.windows(2).all(|w| w[0] < w[1]), "{at}");
+                    for (j, &it) in fi.flat.phase_rows(p).zip(its) {
+                        row[it as usize] = j;
+                    }
+                }
+                let scan: Vec<u32> = (0..iters)
+                    .flat_map(|i| fi.flat.refs[row[i] * m..(row[i] + 1) * m].to_vec())
+                    .filter(|&t| t >= n as u32)
                     .collect();
-                assert_eq!(fi.iters, concat);
-                // And the unflattened form is the nested plan, exactly.
-                assert_eq!(fi.to_plan(), nested);
-                verify_plan(&fi.to_plan(), &refs).unwrap();
+                let want: Vec<u32> = (n as u32..(n + fi.buffer_len) as u32).collect();
+                assert_eq!(scan, want, "{at}");
+                let nested = fi.to_plan();
+                verify_plan(&nested, &refs).unwrap();
+                assert_eq!(nested.to_flat(), fi, "{at}");
             }
         }
     }
 
     #[test]
-    fn flat_emission_rejects_what_inspect_rejects() {
-        let g = PhaseGeometry::new(2, 2, 8);
-        let a: Vec<u32> = vec![0, 8, 1];
-        let b: Vec<u32> = vec![1, 2, 3];
-        let err = inspect_flat(InspectorInput {
-            geometry: g,
-            proc_id: 0,
-            indirection: &[&a, &b],
-        })
-        .unwrap_err();
-        assert!(matches!(err, InspectError::OutOfRange { elem: 8, .. }));
+    fn phase_of_matches_the_geometry() {
+        let mut shapes = vec![
+            (1usize, 1usize, 1usize),
+            (3, 2, 7),
+            (4, 2, 16_384),
+            (32, 2, 10_000),
+        ];
+        shapes.extend([(2, 3, 1_000_003), (5, 1, u32::MAX as usize)]);
+        for (procs, k, n) in shapes {
+            let g = PhaseGeometry::new(procs, k, n);
+            let step = (n / 5_000).max(1);
+            let probe = (0..n).step_by(step).chain([n - 1]);
+            for e in probe {
+                for proc in 0..procs {
+                    let want = g.phase_of_portion_on(proc, g.portion_of(e));
+                    assert_eq!(
+                        PhaseOf::new(&g, proc).phase(e as u32),
+                        want,
+                        "P{procs} k{k} n{n} e{e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

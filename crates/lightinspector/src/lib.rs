@@ -28,7 +28,8 @@
 //!
 //! Unlike the classic inspector/executor inspector, the LightInspector
 //! runs **independently on every processor with no communication** — its
-//! cost is a few linear passes over the local indirection arrays.
+//! cost is two linear passes over the local indirection arrays, and its
+//! output is the CSR schedule ([`FlatInspection`]) the executors stream.
 //!
 //! The [`incremental`] module implements the incremental variant the
 //! paper names as future work: when an adaptive application rewrites a
@@ -43,8 +44,11 @@ pub mod stats;
 pub use geometry::{PhaseGeometry, PortionId};
 pub use incremental::{diff_pairs, IncrementalInspector};
 pub use inspector::{
-    inspect, inspect_flat, inspect_observed, inspect_single, FlatInspection, InspectError,
-    InspectorInput, STAGE_CLASSIFY, STAGE_PLACE, STAGE_VALIDATE,
+    inspect, inspect_observed, inspect_single, InspectError, InspectorInput, STAGE_CLASSIFY,
+    STAGE_PLACE, STAGE_VALIDATE,
 };
-pub use plan::{verify_plan, CopyOp, FlatPlan, InspectorPlan, PhasePlan, PlanError, SingleRefPlan};
+pub use plan::{
+    verify_flat, verify_plan, CopyOp, FlatInspection, FlatPlan, InspectorPlan, PhasePlan,
+    PlanError, SingleRefPlan,
+};
 pub use stats::{portion_stats, PlanStats};

@@ -1,4 +1,9 @@
 //! Output of the LightInspector and its validity checker.
+//!
+//! The inspector emits one form, [`FlatInspection`]: the CSR schedule
+//! the executors stream. The nested [`InspectorPlan`] is the incremental
+//! inspector's editable state and nothing else. One checker,
+//! [`verify_flat`], validates both ([`verify_plan`] converts first).
 
 use crate::geometry::PhaseGeometry;
 
@@ -13,7 +18,7 @@ pub struct CopyOp {
     pub src: u32,
 }
 
-/// Per-phase executor input produced by the inspector.
+/// One phase of an [`InspectorPlan`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhasePlan {
     /// Local iteration indices executed in this phase (the first loop).
@@ -27,7 +32,11 @@ pub struct PhasePlan {
     pub copies: Vec<CopyOp>,
 }
 
-/// Complete local plan for one processor.
+/// The nested per-phase form of one processor's plan. The inspector
+/// emits [`FlatInspection`]; this form exists only as the incremental
+/// inspector's editable state ([`crate::IncrementalInspector`]), and
+/// converts exactly both ways ([`FlatInspection::to_plan`],
+/// [`InspectorPlan::to_flat`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InspectorPlan {
     pub geometry: PhaseGeometry,
@@ -53,91 +62,52 @@ impl InspectorPlan {
         self.phases.iter().map(|p| p.copies.len()).sum()
     }
 
-    /// Per-phase iteration counts — the load-balance signature the paper
-    /// analyzes when comparing block and cyclic distributions (§5.4.2).
-    pub fn phase_iter_counts(&self) -> Vec<usize> {
-        self.phases.iter().map(|p| p.iters.len()).collect()
-    }
-
-    /// Flatten the nested per-phase structures into the CSR-style
-    /// schedule the executors' fast path streams (see [`FlatPlan`]).
-    pub fn flatten(&self) -> FlatPlan {
+    /// The flat (CSR) form of this plan, in one pass: the exact inverse
+    /// of [`FlatInspection::to_plan`]. The plan must be well formed (one
+    /// reference column per reference, each as long as its phase's
+    /// iteration list), as the inspectors build it; [`verify_plan`]
+    /// checks that before converting.
+    pub fn to_flat(&self) -> FlatInspection {
         let m = self.phases.first().map_or(0, |p| p.refs.len());
-        let total_iters = self.total_iters();
+        let total = self.total_iters();
+        let mut iters = Vec::with_capacity(total);
+        let mut refs = Vec::with_capacity(total * m);
+        let mut copies = Vec::with_capacity(self.total_copies());
         let mut iter_ptr = Vec::with_capacity(self.phases.len() + 1);
         let mut copy_ptr = Vec::with_capacity(self.phases.len() + 1);
-        let mut refs = Vec::with_capacity(total_iters * m);
-        let mut copies = Vec::with_capacity(self.total_copies());
         iter_ptr.push(0);
         copy_ptr.push(0);
         for ph in &self.phases {
-            for j in 0..ph.iters.len() {
-                for refs_r in &ph.refs {
-                    refs.push(refs_r[j]);
-                }
+            for (j, &it) in ph.iters.iter().enumerate() {
+                iters.push(it);
+                refs.extend(ph.refs.iter().map(|col| col[j]));
             }
             copies.extend_from_slice(&ph.copies);
-            iter_ptr.push(refs.len() as u32 / m.max(1) as u32);
+            iter_ptr.push(iters.len() as u32);
             copy_ptr.push(copies.len() as u32);
         }
-        FlatPlan {
-            m,
-            iter_ptr,
-            refs,
-            copy_ptr,
-            copies,
-        }
-    }
-}
-
-impl InspectorPlan {
-    /// Reconstruct the nested per-phase structure from a flat schedule —
-    /// the exact inverse of [`InspectorPlan::flatten`]. `iters` is the
-    /// phase-concatenated local iteration order (phase `p` occupies
-    /// `iter_ptr[p]..iter_ptr[p+1]`), `iter_phase` the per-iteration
-    /// phase assignment. Used to adopt compiler-emitted flat plans into
-    /// machinery that walks the nested form (metering, incremental
-    /// updates).
-    pub fn from_flat(
-        geometry: PhaseGeometry,
-        proc_id: usize,
-        buffer_len: usize,
-        iters: &[u32],
-        iter_phase: Vec<u32>,
-        flat: &FlatPlan,
-    ) -> InspectorPlan {
-        let m = flat.m();
-        let kp = flat.num_phases();
-        let mut phases = Vec::with_capacity(kp);
-        for p in 0..kp {
-            let lo = flat.iter_ptr[p] as usize;
-            let hi = flat.iter_ptr[p + 1] as usize;
-            let prefs = flat.phase_refs(p);
-            let refs: Vec<Vec<u32>> = (0..m)
-                .map(|r| prefs.iter().skip(r).step_by(m).copied().collect())
-                .collect();
-            phases.push(PhasePlan {
-                iters: iters[lo..hi].to_vec(),
+        FlatInspection {
+            geometry: self.geometry,
+            proc_id: self.proc_id,
+            buffer_len: self.buffer_len,
+            iters,
+            flat: FlatPlan {
+                m,
+                iter_ptr,
                 refs,
-                copies: flat.phase_copies(p).to_vec(),
-            });
-        }
-        InspectorPlan {
-            geometry,
-            proc_id,
-            buffer_len,
-            phases,
-            iter_phase,
+                copy_ptr,
+                copies,
+            },
         }
     }
 }
 
-/// The inspector plan flattened into a CSR-style schedule: one
-/// contiguous reference array (iteration-major, `m`-interleaved — the
-/// order the executor's scatter consumes them in) and one contiguous
-/// copy-op array, each indexed per phase through a pointer array. The
-/// executors' unmetered fast path streams these arrays front to back,
-/// touching no nested structure and no per-reference columns.
+/// The inspector plan as a CSR-style schedule: one contiguous reference
+/// array (iteration-major, `m`-interleaved — the order the executor's
+/// scatter consumes them in) and one contiguous copy-op array, each
+/// indexed per phase through a pointer array. The executors stream
+/// these arrays front to back, touching no nested structure and no
+/// per-reference columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatPlan {
     /// References per iteration (`num_refs`).
@@ -156,11 +126,9 @@ pub struct FlatPlan {
 }
 
 impl FlatPlan {
-    /// Assemble a flat plan from externally produced CSR arrays — the
-    /// constructor the compiler's direct lowering path uses (it never
-    /// builds the nested [`InspectorPlan`]). Shape invariants are
-    /// checked; *semantic* validity against an indirection array is the
-    /// job of [`verify_plan`] on the unflattened form.
+    /// Assemble a flat plan from externally produced CSR arrays. Shape
+    /// invariants are checked; *semantic* validity against an
+    /// indirection array is the job of [`verify_flat`].
     pub fn new(
         m: usize,
         iter_ptr: Vec<u32>,
@@ -168,29 +136,38 @@ impl FlatPlan {
         copy_ptr: Vec<u32>,
         copies: Vec<CopyOp>,
     ) -> Result<FlatPlan, PlanError> {
-        let shape = |what| Err(PlanError::FlatShape { what });
-        if iter_ptr.len() < 2 || copy_ptr.len() != iter_ptr.len() {
-            return shape("pointer arrays need one entry per phase plus one");
-        }
-        if iter_ptr[0] != 0 || copy_ptr[0] != 0 {
-            return shape("pointer arrays must start at 0");
-        }
-        if iter_ptr.windows(2).any(|w| w[0] > w[1]) || copy_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return shape("pointer arrays must be monotone");
-        }
-        if refs.len() != *iter_ptr.last().unwrap() as usize * m {
-            return shape("refs length must be total iterations times m");
-        }
-        if copies.len() != *copy_ptr.last().unwrap() as usize {
-            return shape("copies length must match the last copy pointer");
-        }
-        Ok(FlatPlan {
+        let plan = FlatPlan {
             m,
             iter_ptr,
             refs,
             copy_ptr,
             copies,
-        })
+        };
+        plan.check_shape()?;
+        Ok(plan)
+    }
+
+    /// The CSR shape invariants. The arrays are public fields, so
+    /// [`verify_flat`] re-runs this before indexing anything.
+    fn check_shape(&self) -> Result<(), PlanError> {
+        let shape = |what| Err(PlanError::FlatShape { what });
+        let (ip, cp) = (&self.iter_ptr, &self.copy_ptr);
+        if ip.len() < 2 || cp.len() != ip.len() {
+            return shape("pointer arrays need one entry per phase plus one");
+        }
+        if ip[0] != 0 || cp[0] != 0 {
+            return shape("pointer arrays must start at 0");
+        }
+        if ip.windows(2).any(|w| w[0] > w[1]) || cp.windows(2).any(|w| w[0] > w[1]) {
+            return shape("pointer arrays must be monotone");
+        }
+        if self.refs.len() != *ip.last().unwrap() as usize * self.m {
+            return shape("refs length must be total iterations times m");
+        }
+        if self.copies.len() != *cp.last().unwrap() as usize {
+            return shape("copies length must match the last copy pointer");
+        }
+        Ok(())
     }
 
     /// References per iteration (`num_refs`).
@@ -203,16 +180,76 @@ impl FlatPlan {
         self.iter_ptr.len() - 1
     }
 
+    /// Rows `iter_ptr[p]..iter_ptr[p+1]` of phase `p`.
+    pub fn phase_rows(&self, p: usize) -> std::ops::Range<usize> {
+        self.iter_ptr[p] as usize..self.iter_ptr[p + 1] as usize
+    }
+
     /// Phase `p`'s scatter targets, iteration-major `m`-interleaved.
     pub fn phase_refs(&self, p: usize) -> &[u32] {
-        let lo = self.iter_ptr[p] as usize * self.m;
-        let hi = self.iter_ptr[p + 1] as usize * self.m;
-        &self.refs[lo..hi]
+        let rows = self.phase_rows(p);
+        &self.refs[rows.start * self.m..rows.end * self.m]
     }
 
     /// Phase `p`'s copy operations.
     pub fn phase_copies(&self, p: usize) -> &[CopyOp] {
         &self.copies[self.copy_ptr[p] as usize..self.copy_ptr[p + 1] as usize]
+    }
+}
+
+/// One processor's complete inspection, the inspector's only output:
+/// the [`FlatPlan`] the executors stream plus the iteration order and
+/// buffer size that go with it. Built by [`crate::inspect`] with no
+/// nested intermediate; the compiler's direct lowering path hands the
+/// same form to the phased executor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatInspection {
+    pub geometry: PhaseGeometry,
+    pub proc_id: usize,
+    /// Buffer slots appended to the reduction array.
+    pub buffer_len: usize,
+    /// Local iteration ids in phase-concatenated order (phase `p`
+    /// occupies `flat.iter_ptr[p]..flat.iter_ptr[p+1]`) — the executors'
+    /// `giters` flattening.
+    pub iters: Vec<u32>,
+    pub flat: FlatPlan,
+}
+
+impl FlatInspection {
+    /// Phase `p`'s local iteration ids, in schedule order.
+    pub fn phase_iters(&self, p: usize) -> &[u32] {
+        &self.iters[self.flat.phase_rows(p)]
+    }
+
+    /// The nested form the incremental inspector edits: the exact
+    /// inverse of [`InspectorPlan::to_flat`], with each iteration's
+    /// phase read off the schedule.
+    pub fn to_plan(&self) -> InspectorPlan {
+        let m = self.flat.m();
+        let mut iter_phase = vec![0u32; self.iters.len()];
+        let phases = (0..self.flat.num_phases())
+            .map(|p| {
+                let iters = self.phase_iters(p).to_vec();
+                for &it in &iters {
+                    iter_phase[it as usize] = p as u32;
+                }
+                let prefs = self.flat.phase_refs(p);
+                PhasePlan {
+                    iters,
+                    refs: (0..m)
+                        .map(|r| prefs.iter().skip(r).step_by(m).copied().collect())
+                        .collect(),
+                    copies: self.flat.phase_copies(p).to_vec(),
+                }
+            })
+            .collect();
+        InspectorPlan {
+            geometry: self.geometry,
+            proc_id: self.proc_id,
+            buffer_len: self.buffer_len,
+            phases,
+            iter_phase,
+        }
     }
 }
 
@@ -237,7 +274,7 @@ impl SingleRefPlan {
     }
 }
 
-/// Violation found by [`verify_plan`].
+/// Violation found by [`verify_flat`] / [`verify_plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// An iteration appears in no phase or more than one phase.
@@ -254,12 +291,15 @@ pub enum PlanError {
     CopyDestNotResident { phase: usize, dest: u32 },
     /// A copy runs at or before the phase that wrote the buffer.
     CopyBeforeWrite { slot: u32 },
+    /// A copy folds buffer slot `slot` into `dest`, which is not the
+    /// element the reference that wrote the slot names.
+    CopyWrongDest { slot: u32, dest: u32 },
     /// A remapped reference disagrees with the original indirection array.
     WrongTarget { iter: u32, r: usize },
     /// Phase count does not match the geometry.
     PhaseCount { got: usize, want: usize },
-    /// A [`FlatPlan`] handed to [`FlatPlan::new`] has inconsistent CSR
-    /// arrays.
+    /// The plan's arrays are inconsistent with each other or with the
+    /// indirection they are checked against.
     FlatShape { what: &'static str },
 }
 
@@ -293,6 +333,10 @@ impl std::fmt::Display for PlanError {
                 f,
                 "buffer slot {slot} copied at or before the phase that writes it"
             ),
+            PlanError::CopyWrongDest { slot, dest } => write!(
+                f,
+                "buffer slot {slot} is folded into element {dest}, not the element its reference names"
+            ),
             PlanError::WrongTarget { iter, r } => write!(
                 f,
                 "remapped reference {r} of iteration {iter} disagrees with the indirection array"
@@ -309,12 +353,13 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Check every structural invariant of a plan against the original
-/// indirection arrays. Used by unit tests, property tests, (in debug
-/// builds) the executors, and — in every build — the adoption of
-/// externally produced plans, where it is the safety net between a
-/// compiler bug and silent corruption. Never panics on a malformed
-/// plan: every index a plan supplies is range-checked before use.
+/// Check every structural invariant of a flat inspection against the
+/// original (local) indirection arrays. Used by unit and property tests,
+/// in debug builds by the executor on every node it freezes, and — in
+/// every build — by the adoption of externally produced plans, where it
+/// is the safety net between a compiler bug and silent corruption.
+/// Never panics on a malformed plan: the CSR shape is re-checked and
+/// every index a plan supplies is range-checked before use.
 ///
 /// Invariants:
 /// 1. every local iteration appears in exactly one phase;
@@ -324,26 +369,40 @@ impl std::error::Error for PlanError {}
 ///    the declared extension, the slot is copied exactly once, in a
 ///    strictly later phase, into the original indirection entry, which
 ///    is resident in the copy's phase.
-pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), PlanError> {
-    let g = &plan.geometry;
-    let n = g.num_elements() as u32;
+pub fn verify_flat(fi: &FlatInspection, indirection: &[&[u32]]) -> Result<(), PlanError> {
+    let (g, flat) = (&fi.geometry, &fi.flat);
+    flat.check_shape()?;
     let kp = g.num_phases();
-    if plan.phases.len() != kp {
+    if flat.num_phases() != kp {
         return Err(PlanError::PhaseCount {
-            got: plan.phases.len(),
+            got: flat.num_phases(),
             want: kp,
         });
     }
+    let shape = |what| Err(PlanError::FlatShape { what });
+    let m = flat.m();
+    if indirection.len() != m {
+        return shape("reference count must match the indirection arity");
+    }
     let num_iters = indirection.first().map_or(0, |a| a.len());
+    if indirection.iter().any(|a| a.len() != num_iters) {
+        return shape("indirection arrays must have equal lengths");
+    }
+    if fi.iters.len() != flat.phase_rows(kp - 1).end {
+        return shape("iters length must match the iteration pointer total");
+    }
+    // Every live slot is written by a distinct reference, so a larger
+    // extension is malformed (and would size the table below).
+    if fi.buffer_len > flat.refs.len() {
+        return shape("buffer extension larger than the reference count");
+    }
 
     // 1. coverage (a byte per iteration: "more than once" saturates)
     let mut seen = vec![0u8; num_iters];
-    for ph in &plan.phases {
-        for &it in &ph.iters {
-            match seen.get_mut(it as usize) {
-                Some(times) => *times = times.saturating_add(1),
-                None => return Err(PlanError::IterationCoverage { iter: it, times: 0 }),
-            }
+    for &it in &fi.iters {
+        match seen.get_mut(it as usize) {
+            Some(times) => *times = times.saturating_add(1),
+            None => return Err(PlanError::IterationCoverage { iter: it, times: 0 }),
         }
     }
     if let Some(it) = seen.iter().position(|&times| times != 1) {
@@ -358,16 +417,17 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
     // replaces a hash map; `UNWRITTEN` marks a slot no reference uses
     // (legal: incremental updates leave recycled holes).
     const UNWRITTEN: u32 = u32::MAX;
-    let mut slots = vec![(UNWRITTEN, 0u32, 0u32); plan.buffer_len];
+    let n = g.num_elements() as u32;
+    let mut slots = vec![(UNWRITTEN, 0u32, 0u32); fi.buffer_len];
 
     // 2. references
-    for (p, ph) in plan.phases.iter().enumerate() {
-        let owned = g.portion_owned_by(plan.proc_id, p);
-        let range = g.portion_range(owned);
-        for (j, &it) in ph.iters.iter().enumerate() {
-            for (r, refs_r) in ph.refs.iter().enumerate() {
-                let target = refs_r[j];
-                let orig = indirection[r][it as usize];
+    for p in 0..kp {
+        let range = g.portion_range(g.portion_owned_by(fi.proc_id, p));
+        for j in flat.phase_rows(p) {
+            let it = fi.iters[j];
+            for (r, ind) in indirection.iter().enumerate() {
+                let target = flat.refs[j * m + r];
+                let orig = ind[it as usize];
                 if target < n {
                     if target != orig {
                         return Err(PlanError::WrongTarget { iter: it, r });
@@ -385,7 +445,7 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
                         None => {
                             return Err(PlanError::SlotOutOfRange {
                                 slot: target,
-                                buffer_len: plan.buffer_len,
+                                buffer_len: fi.buffer_len,
                             })
                         }
                     }
@@ -395,10 +455,9 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
     }
 
     // 3. copies
-    for (p, ph) in plan.phases.iter().enumerate() {
-        let owned = g.portion_owned_by(plan.proc_id, p);
-        let range = g.portion_range(owned);
-        for c in &ph.copies {
+    for p in 0..kp {
+        let range = g.portion_range(g.portion_owned_by(fi.proc_id, p));
+        for c in flat.phase_copies(p) {
             if !range.contains(&(c.dest as usize)) {
                 return Err(PlanError::CopyDestNotResident {
                     phase: p,
@@ -421,9 +480,9 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
                 return Err(PlanError::CopyBeforeWrite { slot: c.src });
             }
             if *orig != c.dest {
-                return Err(PlanError::WrongTarget {
-                    iter: 0,
-                    r: usize::MAX,
+                return Err(PlanError::CopyWrongDest {
+                    slot: c.src,
+                    dest: c.dest,
                 });
             }
         }
@@ -439,15 +498,35 @@ pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), P
     Ok(())
 }
 
+/// [`verify_flat`] for the nested form: checks that every phase has one
+/// reference column per indirection array, as long as its iteration
+/// list, then verifies [`InspectorPlan::to_flat`].
+pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), PlanError> {
+    let want = plan.geometry.num_phases();
+    if plan.phases.len() != want {
+        return Err(PlanError::PhaseCount {
+            got: plan.phases.len(),
+            want,
+        });
+    }
+    let ragged = |ph: &PhasePlan| {
+        ph.refs.len() != indirection.len() || ph.refs.iter().any(|c| c.len() != ph.iters.len())
+    };
+    if plan.phases.iter().any(ragged) {
+        return Err(PlanError::FlatShape {
+            what: "every phase needs one reference column per indirection array",
+        });
+    }
+    verify_flat(&plan.to_flat(), indirection)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn flatten_interleaves_refs_and_concatenates_copies() {
-        let geometry = PhaseGeometry::try_new(2, 1, 8).unwrap();
-        let plan = InspectorPlan {
-            geometry,
+    fn two_phase_plan() -> InspectorPlan {
+        InspectorPlan {
+            geometry: PhaseGeometry::try_new(2, 1, 8).unwrap(),
             proc_id: 0,
             buffer_len: 2,
             phases: vec![
@@ -463,25 +542,29 @@ mod tests {
                 },
             ],
             iter_phase: vec![0, 0, 1],
-        };
-        let flat = plan.flatten();
-        // refs[r][j] becomes refs[j*m + r]: iteration-major.
-        assert_eq!(flat.phase_refs(0), &[0, 8, 1, 9]);
-        assert_eq!(flat.phase_refs(1), &[4, 5]);
-        assert!(flat.phase_copies(0).is_empty());
-        assert_eq!(flat.phase_copies(1), &plan.phases[1].copies[..]);
+        }
+    }
 
-        // Unflatten is the exact inverse.
-        let iters: Vec<u32> = plan.phases.iter().flat_map(|p| p.iters.clone()).collect();
-        let back = InspectorPlan::from_flat(
-            plan.geometry,
-            plan.proc_id,
-            plan.buffer_len,
-            &iters,
-            plan.iter_phase.clone(),
-            &flat,
-        );
-        assert_eq!(back, plan);
+    #[test]
+    fn to_flat_interleaves_refs_and_concatenates_copies() {
+        let plan = two_phase_plan();
+        let fi = plan.to_flat();
+        // refs[r][j] becomes refs[j*m + r]: iteration-major.
+        assert_eq!(fi.flat.phase_refs(0), &[0, 8, 1, 9]);
+        assert_eq!(fi.flat.phase_refs(1), &[4, 5]);
+        assert_eq!(fi.phase_iters(0), &[0, 1]);
+        assert!(fi.flat.phase_copies(0).is_empty());
+        assert_eq!(fi.flat.phase_copies(1), &plan.phases[1].copies[..]);
+        // to_plan is the exact inverse, iteration phases included.
+        assert_eq!(fi.to_plan(), plan);
+    }
+
+    #[test]
+    fn verify_plan_rejects_ragged_columns_without_panicking() {
+        let mut plan = two_phase_plan();
+        plan.phases[1].refs[1].pop();
+        let err = verify_plan(&plan, &[&[0, 1, 4], &[5, 5, 5]]).unwrap_err();
+        assert!(matches!(err, PlanError::FlatShape { .. }), "{err}");
     }
 
     #[test]

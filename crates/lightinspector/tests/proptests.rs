@@ -13,7 +13,8 @@
 use harness::prop::{check, Config, Gen};
 use harness::{prop_assert, prop_assert_eq};
 use lightinspector::{
-    inspect, inspect_single, verify_plan, IncrementalInspector, InspectorInput, PhaseGeometry,
+    inspect, inspect_single, verify_flat, verify_plan, IncrementalInspector, InspectorInput,
+    PhaseGeometry,
 };
 
 /// Geometry + matching random indirection arrays.
@@ -47,8 +48,8 @@ fn plan_is_always_valid() {
                 indirection: &[&s.a, &s.b],
             })
             .unwrap();
-            prop_assert!(verify_plan(&plan, &[&s.a, &s.b]).is_ok());
-            prop_assert_eq!(plan.total_iters(), s.a.len());
+            prop_assert!(verify_flat(&plan, &[&s.a, &s.b]).is_ok());
+            prop_assert_eq!(plan.iters.len(), s.a.len());
         }
         Ok(())
     });
@@ -71,7 +72,7 @@ fn buffers_bounded_by_refs() {
             // At most one buffered reference per (iteration, ref) pair
             // beyond the resident one: m-1 = 1 per iteration here.
             prop_assert!(plan.buffer_len <= s.a.len());
-            prop_assert_eq!(plan.buffer_len, plan.total_copies());
+            prop_assert_eq!(plan.buffer_len, plan.flat.copies.len());
             Ok(())
         },
     );
@@ -130,7 +131,8 @@ fn incremental_matches_full() {
                 proc_id: 0,
                 indirection: &refs,
             })
-            .unwrap();
+            .unwrap()
+            .to_plan();
             prop_assert_eq!(&full.iter_phase, &inc.plan().iter_phase);
             Ok(())
         },

@@ -16,8 +16,8 @@
 //! execution binds it to the job's arrays as an [`InterpKernel`] plus
 //! per-processor CSR flat plans emitted directly by the compiler
 //! ([`crate::lower::emit_flat_plans`]) and adopted by the engine
-//! ([`irred::PhasedEngine::prepare_from_flat`]: gather, unflatten,
-//! verify, index — no inspector run) — that is
+//! ([`irred::PhasedEngine::prepare_from_flat`]: gather, verify,
+//! freeze — no inspector run) — that is
 //! [`CompiledProgram::execute_flat`], the compiled fast path, with
 //! [`CompiledProgram::execute_sim`] as the simulator default.
 //! [`CompiledProgram::execute_with`] remains engine-agnostic (any

@@ -9,21 +9,20 @@
 //! access. A regular loop (user-written or a fission prelude) then runs
 //! through [`LoweredBody::run`]; an irregular loop is bound to a job's
 //! arrays by [`lower_kernel`], its flat schedule emitted *directly* with
-//! [`emit_flat_plans`] (one [`lightinspector::inspect_flat`] pass per
+//! [`emit_flat_plans`] (one [`lightinspector::inspect`] pass per
 //! processor, under the same iteration distribution the engine uses),
 //! and the engine *adopts* that schedule via
 //! [`irred::PhasedEngine::prepare_from_flat`]: it gathers each
-//! processor's local indirection once, unflattens the schedule into the
-//! nested plan its metered and incremental paths walk, verifies that
-//! plan against the indirection, and indexes it — no inspector run, but
-//! not free either. A compiler bug therefore surfaces as a typed error,
+//! processor's local indirection once, verifies the flat schedule
+//! against it, and freezes it exactly as its own `prepare` would — no
+//! inspector run. A compiler bug therefore surfaces as a typed error,
 //! never as silent corruption.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use irred::{EdgeKernel, PhasedSpec, StrategyConfig};
-use lightinspector::{inspect_flat, FlatInspection, InspectError, InspectorInput, PhaseGeometry};
+use lightinspector::{inspect, FlatInspection, InspectError, InspectorInput, PhaseGeometry};
 
 use crate::ast::*;
 use crate::interp::Bindings;
@@ -451,7 +450,7 @@ pub(crate) fn lower_kernel(
 /// way the engine splits them (the strategy's [`irred::Distribution`]),
 /// one processor's slice at a time — the full iteration → processor
 /// table is built once per loop, by the engine at adoption — and each
-/// local slice goes through the one-pass flat emitter. The result feeds
+/// local slice goes through the LightInspector. The result feeds
 /// [`irred::PhasedEngine::prepare_from_flat`].
 pub fn emit_flat_plans<K: EdgeKernel>(
     spec: &PhasedSpec<K>,
@@ -473,7 +472,7 @@ pub fn emit_flat_plans<K: EdgeKernel>(
             })
             .collect();
         let refs: Vec<&[u32]> = local.iter().map(|v| v.as_slice()).collect();
-        flats.push(inspect_flat(InspectorInput {
+        flats.push(inspect(InspectorInput {
             geometry,
             proc_id: proc,
             indirection: &refs,

@@ -1,15 +1,16 @@
 //! A walkthrough of the LightInspector in the style of the paper's
 //! Figure 3: 2 processors, k = 2, a mesh of 8 nodes and 20 edges.
 //!
-//! Prints the input indirection arrays and, for processor 0, the phase
-//! assignment, the rewritten (buffered) references, and the second-loop
-//! copy lists — the exact artifacts Figure 3 tabulates.
+//! Prints the input indirection arrays and, for processor 0, the CSR
+//! plan the inspector emits — the phase pointers, and per phase the
+//! edges, their rewritten (buffered) references, and the second-loop
+//! copy list: the artifacts Figure 3 tabulates.
 //!
 //! ```sh
 //! cargo run --example inspector_walkthrough
 //! ```
 
-use lightinspector::{inspect, verify_plan, InspectorInput, PhaseGeometry};
+use lightinspector::{inspect, verify_flat, InspectorInput, PhaseGeometry};
 
 fn main() {
     // 8 nodes, 20 edges, split as 10 edges per processor (block).
@@ -37,38 +38,45 @@ fn main() {
         indirection: &[&indir1_in, &indir2_in],
     })
     .expect("inspector input valid");
-    verify_plan(&plan, &[&indir1_in, &indir2_in]).expect("plan valid");
+    verify_flat(&plan, &[&indir1_in, &indir2_in]).expect("plan valid");
 
     println!(
         "\nremote buffer starts at location {} (= num_nodes)",
         geometry.num_elements()
     );
     println!("buffer slots allocated: {}", plan.buffer_len);
+    println!("\nCSR plan (rows = edges in phase order, m = 2 refs per row):");
+    println!("  iter_ptr = {:?}", plan.flat.iter_ptr);
+    println!("  iters    = {:?}", plan.iters);
+    println!("  refs     = {:?}", plan.flat.refs);
+    println!("  copy_ptr = {:?}", plan.flat.copy_ptr);
 
-    for (p, phase) in plan.phases.iter().enumerate() {
-        println!("\nphase {p}:");
-        println!("  edges     = {:?}", phase.iters);
-        println!("  indir1_out = {:?}", phase.refs[0]);
-        println!("  indir2_out = {:?}", phase.refs[1]);
-        if phase.copies.is_empty() {
+    for p in 0..plan.flat.num_phases() {
+        println!("\nphase {p}: rows {:?}", plan.flat.phase_rows(p));
+        println!("  edges = {:?}", plan.phase_iters(p));
+        let outs: Vec<&[u32]> = plan.flat.phase_refs(p).chunks(2).collect();
+        println!("  (indir1_out, indir2_out) = {outs:?}");
+        let copies = plan.flat.phase_copies(p);
+        if copies.is_empty() {
             println!("  second loop: (empty)");
-        } else {
-            for c in &phase.copies {
-                println!(
-                    "  second loop: X[{}] += X[{}]; X[{}] = 0",
-                    c.dest, c.src, c.src
-                );
-            }
+        }
+        for c in copies {
+            println!(
+                "  second loop: X[{}] += X[{}]; X[{}] = 0",
+                c.dest, c.src, c.src
+            );
         }
     }
 
     // The Figure-3 narrative: an edge whose second endpoint is owned in
     // a future phase gets a buffer location.
-    let edge = 7usize; // endpoints (7, 4): phases 3 and 2 on P0
-    let p = plan.iter_phase[edge] as usize;
+    let edge = 7u32; // endpoints (7, 4): phases 3 and 2 on P0
+    let p = (0..plan.flat.num_phases())
+        .find(|&p| plan.phase_iters(p).contains(&edge))
+        .expect("every edge is scheduled");
     println!(
         "\nedge {edge} touches nodes ({}, {}) → assigned to phase {p}; \
          the other endpoint is folded later by the second loop",
-        indir1_in[edge], indir2_in[edge]
+        indir1_in[edge as usize], indir2_in[edge as usize]
     );
 }

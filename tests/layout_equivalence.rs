@@ -1,14 +1,18 @@
-//! Property suite for the native fast path: the phase-sorted CSR
-//! iteration layout plus pooled zero-copy region handoff
-//! ([`LoopLayout::Flat`], the default) must be **bit-identical** to the
-//! naive nested plan walk ([`LoopLayout::Nested`]) on all three paper
-//! workloads — on the simulator AND on the native backend running
-//! under a lossless fault plan (delays, reorders, duplicate
-//! deliveries). The fault arm doubles as a dedup check on the SPSC
-//! lanes: a duplicated deposit that slipped through, or a lost one,
-//! would shift the reduction sums and break exact equality.
+//! Property suite for the native fast path on the skewed families: the
+//! phase-sorted CSR iteration layout with pooled zero-copy region
+//! handoff — the only layout; the naive nested plan walk these tests
+//! were first written against is gone — must be **bit-identical** to
+//! the simulator's metered walk of the same flat plan, which ships every
+//! portion as a payload message. The native side runs under a lossless
+//! fault plan (delays, reorders, duplicate deliveries), which doubles as
+//! a dedup check on the SPSC lanes: a duplicated deposit that slipped
+//! through, or a lost one, would shift the reduction sums and break
+//! exact equality.
+//!
+//! The paper workloads get the same check in `cross_backend.rs`; this
+//! suite sweeps the skew of the power-law and hot-key families and
+//! follows the particle-in-cell deck through its churn steps.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use earth_model::native::NativeConfig;
@@ -17,11 +21,10 @@ use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::prop_assert;
 use irred::{
-    Distribution, EdgeKernel, ExecutionConfig, GatherEngine, LoopLayout, PhasedEngine, PhasedSpec,
-    ReductionEngine, StrategyConfig, Tuning,
+    Distribution, EdgeKernel, PhasedEngine, PhasedSpec, ReductionEngine, StrategyConfig, Workspace,
 };
-use kernels::{EulerProblem, FamilyProblem, MolDynProblem, MvmProblem};
-use workloads::{HotKeyScatter, Mesh, MolDyn, PicDeck, PowerLawGraph, SparseMatrix};
+use kernels::FamilyProblem;
+use workloads::{HotKeyScatter, PicDeck, PowerLawGraph};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -58,73 +61,22 @@ fn native_cfg(fault_seed: u64) -> NativeConfig {
     }
 }
 
-/// The nested (naive plan walk) layout, requested through the Tuning API.
-fn nested() -> Tuning {
-    Tuning::new().layout(LoopLayout::Nested)
-}
-
-/// Run one phased spec all four ways (sim/native × flat/nested) and
-/// demand exact `f64` equality of every reduction and read array.
-fn assert_layouts_agree<K: EdgeKernel>(spec: &PhasedSpec<K>, c: &Case) -> Result<(), String> {
+/// Run one phased spec on the simulator and on the faulted native
+/// backend and demand exact `f64` equality of every reduction and read
+/// array.
+fn assert_backends_agree<K: EdgeKernel>(spec: &PhasedSpec<K>, c: &Case) -> Result<(), String> {
     let strat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
-    let sf = PhasedEngine::sim(SimConfig::default())
+    let sim = PhasedEngine::sim(SimConfig::default())
         .run(spec, &strat)
         .map_err(|e| format!("{e}"))?;
-    let sn = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()).with_tuning(nested()))
-        .run(spec, &strat)
-        .map_err(|e| format!("{e}"))?;
-    prop_assert!(
-        sf.values == sn.values && sf.read == sn.read,
-        "sim flat != sim nested for {c:?}"
-    );
-    let nf = PhasedEngine::native(native_cfg(c.seed))
+    let nat = PhasedEngine::native(native_cfg(c.seed))
         .run(spec, &strat)
         .map_err(|e| format!("{e}"))?;
     prop_assert!(
-        nf.values == sf.values && nf.read == sf.read,
+        nat.values == sim.values && nat.read == sim.read,
         "native flat (lossless faults) != sim for {c:?}"
     );
-    let nn = PhasedEngine::new(ExecutionConfig::native(native_cfg(c.seed)).with_tuning(nested()))
-        .run(spec, &strat)
-        .map_err(|e| format!("{e}"))?;
-    prop_assert!(
-        nn.values == sf.values && nn.read == sf.read,
-        "native nested (lossless faults) != sim for {c:?}"
-    );
     Ok(())
-}
-
-#[test]
-fn moldyn_flat_equals_nested() {
-    check(
-        "moldyn_flat_equals_nested",
-        Config::cases_quick(64),
-        gen_case,
-        |c| {
-            // 2–3 fcc cells: 32–108 molecules, enough for portions on up
-            // to 6 nodes while keeping 4 runs per case cheap.
-            let cells = 2 + c.size.min(1);
-            let cutoff = 1.2 + 0.3 * c.size as f64;
-            let problem = MolDynProblem::from_config(MolDyn::fcc(cells, cutoff));
-            assert_layouts_agree(&problem.spec, c)
-        },
-    );
-}
-
-#[test]
-fn euler_flat_equals_nested() {
-    check(
-        "euler_flat_equals_nested",
-        Config::cases_quick(64),
-        gen_case,
-        |c| {
-            let nodes = 48 + 40 * c.size;
-            let edges = nodes * (3 + c.size);
-            let problem =
-                EulerProblem::from_mesh(Mesh::generate3d(nodes, edges, c.seed), c.seed ^ 7);
-            assert_layouts_agree(&problem.spec, c)
-        },
-    );
 }
 
 #[test]
@@ -140,7 +92,7 @@ fn powerlaw_flat_equals_nested() {
             let g =
                 PowerLawGraph::generate(nodes, edges, alpha, c.seed).map_err(|e| format!("{e}"))?;
             let p = FamilyProblem::from_family(g.to_family(c.seed));
-            assert_layouts_agree(&p.spec, c)
+            assert_backends_agree(&p.spec, c)
         },
     );
 }
@@ -158,14 +110,14 @@ fn hotkey_flat_equals_nested() {
             let d = HotKeyScatter::generate(keys, rows, 2, hot_frac, 1 + c.size, c.seed)
                 .map_err(|e| format!("{e}"))?;
             let p = FamilyProblem::from_family(d.to_family(c.seed));
-            assert_layouts_agree(&p.spec, c)
+            assert_backends_agree(&p.spec, c)
         },
     );
 }
 
-/// The PIC family through the churn path: both layouts must stay
-/// bit-identical to each other *after* `apply_updates` re-targets the
-/// deposits — on the simulator and on the faulted native backend.
+/// The PIC family through the churn path: a simulator plan kept live
+/// through `apply_updates` must stay bit-identical to a cold run of the
+/// churned spec on the faulted native backend at every step.
 #[test]
 fn pic_flat_equals_nested_across_churn() {
     check(
@@ -179,82 +131,27 @@ fn pic_flat_equals_nested_across_churn() {
                 PicDeck::generate(cells, particles, 2, 0.4, c.seed).map_err(|e| format!("{e}"))?;
             let strat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
             let engine = PhasedEngine::sim(SimConfig::default());
-            let engine_n =
-                PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()).with_tuning(nested()));
             let problem = FamilyProblem::from_family(d.initial());
-            let mut pf = engine
+            let mut prepared = engine
                 .prepare(&problem.spec, &strat)
                 .map_err(|e| format!("{e}"))?;
-            let mut pn = engine_n
-                .prepare(&problem.spec, &strat)
-                .map_err(|e| format!("{e}"))?;
-            let mut ws = irred::Workspace::new();
+            let mut ws = Workspace::new();
             for step in 0..d.steps {
-                let of = engine
-                    .execute(&mut pf, &mut ws)
+                let out = engine
+                    .execute(&mut prepared, &mut ws)
                     .map_err(|e| format!("{e}"))?;
-                let on = engine_n
-                    .execute(&mut pn, &mut ws)
-                    .map_err(|e| format!("{e}"))?;
-                prop_assert!(
-                    of.values == on.values,
-                    "sim flat != sim nested at churn step {step} for {c:?}"
-                );
-                // The churned spec, run cold on the faulted native
-                // backend in both layouts, must match too.
                 let churned = FamilyProblem::from_family(d.family_at(step));
-                let nf = PhasedEngine::native(native_cfg(c.seed ^ step as u64))
+                let nat = PhasedEngine::native(native_cfg(c.seed ^ step as u64))
                     .run(&churned.spec, &strat)
                     .map_err(|e| format!("{e}"))?;
                 prop_assert!(
-                    nf.values == of.values,
+                    nat.values == out.values,
                     "native flat != churned sim at step {step} for {c:?}"
                 );
-                let updates = d.step_updates(step);
-                pf.apply_updates(&updates).map_err(|e| format!("{e}"))?;
-                pn.apply_updates(&updates).map_err(|e| format!("{e}"))?;
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn mvm_flat_equals_nested() {
-    check(
-        "mvm_flat_equals_nested",
-        Config::cases_quick(64),
-        gen_case,
-        |c| {
-            let rows = 24 + 32 * c.size;
-            let nnz = rows * (3 + c.size);
-            let problem =
-                MvmProblem::from_matrix(Arc::new(SparseMatrix::random(rows, rows, nnz, c.seed)));
-            let strat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
-            let sf = GatherEngine::sim(SimConfig::default())
-                .run(&problem.spec, &strat)
-                .map_err(|e| format!("{e}"))?;
-            let sn =
-                GatherEngine::new(ExecutionConfig::sim(SimConfig::default()).with_tuning(nested()))
-                    .run(&problem.spec, &strat)
+                prepared
+                    .apply_updates(&d.step_updates(step))
                     .map_err(|e| format!("{e}"))?;
-            prop_assert!(sf.values == sn.values, "sim flat != sim nested for {c:?}");
-            let nf = GatherEngine::native(native_cfg(c.seed))
-                .run(&problem.spec, &strat)
-                .map_err(|e| format!("{e}"))?;
-            prop_assert!(
-                nf.values == sf.values,
-                "native flat (lossless faults) != sim for {c:?}"
-            );
-            let nn = GatherEngine::new(
-                ExecutionConfig::native(native_cfg(c.seed)).with_tuning(nested()),
-            )
-            .run(&problem.spec, &strat)
-            .map_err(|e| format!("{e}"))?;
-            prop_assert!(
-                nn.values == sf.values,
-                "native nested (lossless faults) != sim for {c:?}"
-            );
+            }
             Ok(())
         },
     );

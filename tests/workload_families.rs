@@ -4,8 +4,8 @@
 //! particle-in-cell — is checked against the straight-line sequential
 //! oracle ([`workloads::oracle`]) **bit for bit** on every engine that
 //! can run it: the sequential reference, the inspector/executor
-//! baseline, the phased executor (simulator and native backend, flat
-//! and nested layouts, the native runs under a lossless fault plan),
+//! baseline, the phased executor (simulator and native backend, the
+//! native runs under a lossless fault plan),
 //! and the gather engine via the sparse-matrix re-expression of each
 //! reduction array. Family weights are integer-valued, so summation
 //! order cannot perturb the bits: any lost, duplicated, or misrouted
@@ -14,7 +14,8 @@
 //! The suite also records the inspector statistics (portion histogram,
 //! max/mean refs, skew coefficient) for every deck and checks their
 //! invariants, exercises the particle-in-cell churn path through
-//! `PreparedPhased::apply_updates` against freshly prepared plans, and
+//! `PreparedPhased::apply_updates` against freshly prepared plans on
+//! both backends, and
 //! pins `StrategyConfig::auto_select` on the skew endpoints.
 
 use std::time::Duration;
@@ -26,8 +27,8 @@ use harness::prop::{check, Config, Gen};
 use harness::prop_assert;
 use irred::baseline::{IeEngine, InspectorExecutor};
 use irred::{
-    Distribution, EngineChoice, ExecutionConfig, GatherEngine, LoopLayout, PhasedEngine,
-    ReductionEngine, SeqEngine, StrategyConfig, Tuning, Workspace,
+    Distribution, EngineChoice, GatherEngine, PhasedEngine, ReductionEngine, SeqEngine,
+    StrategyConfig, Tuning, Workspace,
 };
 use kernels::FamilyProblem;
 use workloads::{oracle_reduce, FamilySpec, HotKeyScatter, PicDeck, PowerLawGraph};
@@ -71,15 +72,14 @@ fn native_cfg(fault_seed: u64) -> NativeConfig {
     }
 }
 
-/// Run one family deck through every engine × backend × layout and
-/// demand exact equality with the golden oracle.
+/// Run one family deck through every engine × backend and demand exact
+/// equality with the golden oracle.
 fn assert_family_matches_oracle(family: &FamilySpec, c: &Case) -> Result<(), String> {
     family.validate().map_err(|e| format!("generator: {e}"))?;
     let want = oracle_reduce(family);
     let problem = FamilyProblem::from_family(family.clone());
     let name = &problem.family.name;
     let flat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
-    let nested = Tuning::new().layout(LoopLayout::Nested);
     let sim = SimConfig::default();
 
     let seq = SeqEngine::new(sim)
@@ -93,7 +93,7 @@ fn assert_family_matches_oracle(family: &FamilySpec, c: &Case) -> Result<(), Str
     prop_assert!(ie.values == want, "{name}: ie != oracle for {c:?}");
 
     // Phased: prepare once so the statistics surface is exercised, then
-    // check both layouts on both backends.
+    // check both backends.
     let phased = PhasedEngine::sim(sim);
     let mut prepared = phased
         .prepare(&problem.spec, &flat)
@@ -123,28 +123,12 @@ fn assert_family_matches_oracle(family: &FamilySpec, c: &Case) -> Result<(), Str
         .map_err(|e| format!("phased sim: {e}"))?;
     prop_assert!(ps.values == want, "{name}: phased sim != oracle for {c:?}");
 
-    let pn = PhasedEngine::new(ExecutionConfig::sim(sim).with_tuning(nested))
+    let pn = PhasedEngine::native(native_cfg(c.seed))
         .run(&problem.spec, &flat)
-        .map_err(|e| format!("phased sim nested: {e}"))?;
+        .map_err(|e| format!("phased native: {e}"))?;
     prop_assert!(
-        pn.values == want,
-        "{name}: phased sim nested != oracle for {c:?}"
-    );
-
-    let nf = PhasedEngine::native(native_cfg(c.seed))
-        .run(&problem.spec, &flat)
-        .map_err(|e| format!("phased native flat: {e}"))?;
-    prop_assert!(
-        nf.values == want,
-        "{name}: phased native flat (lossless faults) != oracle for {c:?}"
-    );
-    let nn =
-        PhasedEngine::new(ExecutionConfig::native(native_cfg(c.seed ^ 0xA5)).with_tuning(nested))
-            .run(&problem.spec, &flat)
-            .map_err(|e| format!("phased native nested: {e}"))?;
-    prop_assert!(
-        nn.values == want,
-        "{name}: phased native nested (lossless faults) != oracle for {c:?}"
+        pn.values == want && pn.read == ps.read,
+        "{name}: phased native (lossless faults) != oracle / sim for {c:?}"
     );
 
     // Gather re-expression: every reduction array as y = A·w on the
@@ -225,9 +209,10 @@ fn pic_family_matches_oracle_at_every_step() {
 }
 
 /// The particle-in-cell churn path: feeding each step's re-targeted
-/// deposits through `apply_updates` must give bit-identical values to a
-/// freshly prepared plan of the post-churn family — and both must match
-/// the oracle.
+/// deposits through `apply_updates` — on the simulator, and on the
+/// native backend under a lossless fault plan — must give bit-identical
+/// values to a freshly prepared plan of the post-churn family, and all
+/// must match the oracle.
 #[test]
 fn pic_churn_through_apply_updates_matches_fresh_prepare() {
     check(
@@ -242,10 +227,13 @@ fn pic_churn_through_apply_updates_matches_fresh_prepare() {
                 .map_err(|e| format!("generate: {e}"))?;
             let strat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
             let engine = PhasedEngine::sim(SimConfig::default());
+            let native = PhasedEngine::native(native_cfg(c.seed));
             let problem = FamilyProblem::from_family(d.initial());
-            let mut prepared = engine
-                .prepare(&problem.spec, &strat)
-                .map_err(|e| format!("prepare: {e}"))?;
+            let prepare = |e: &PhasedEngine| {
+                e.prepare(&problem.spec, &strat)
+                    .map_err(|e| format!("prepare: {e}"))
+            };
+            let (mut prepared, mut prepared_n) = (prepare(&engine)?, prepare(&native)?);
             let mut ws = Workspace::new();
             for step in 0..d.steps {
                 let out = engine
@@ -264,9 +252,18 @@ fn pic_churn_through_apply_updates_matches_fresh_prepare() {
                     out.values == fresh.values,
                     "incremental != fresh prepare at step {step} for {c:?}"
                 );
-                prepared
-                    .apply_updates(&d.step_updates(step))
-                    .map_err(|e| format!("apply_updates step {step}: {e}"))?;
+                let out_n = native
+                    .execute(&mut prepared_n, &mut ws)
+                    .map_err(|e| format!("native execute step {step}: {e}"))?;
+                prop_assert!(
+                    out_n.values == want,
+                    "native incremental (lossless faults) != oracle at step {step} for {c:?}"
+                );
+                let updates = d.step_updates(step);
+                for p in [&mut prepared, &mut prepared_n] {
+                    p.apply_updates(&updates)
+                        .map_err(|e| format!("apply_updates step {step}: {e}"))?;
+                }
             }
             Ok(())
         },
