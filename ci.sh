@@ -7,8 +7,8 @@
 # Usage:
 #   ./ci.sh          # every lane below, in order
 #   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
-#                    # the benchmark package's build and its serve-source,
-#                    # serve-cold and engine-pic smokes
+#                    # the benchmark package's build and its serve-warm,
+#                    # serve-source, serve-cold and engine-pic smokes
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
@@ -60,16 +60,16 @@ tier1() {
     echo "== clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
 
-    echo "== benchmark package (offline build + source, cold, adaptive smokes) =="
+    echo "== benchmark package (offline build + warm, source, cold, adaptive smokes) =="
     # benchmark/ is its own workspace with path dependencies on
     # crates/*: a renamed public item passes everything above and
     # breaks only there. `cargo run` builds it, then drives one job
-    # stream each through the source path, the cold prepare path (a
-    # never-seen structure per job), and the incremental-update path
-    # (apply_updates on a live plan) end to end. The quick runs' header
-    # says NOT FOR NUMBERS — only the exit code (0 = it built and every
-    # checked reply was correct) is gated.
-    for workload in serve-source serve-cold engine-pic; do
+    # stream each through the plan-cache hit path, the source path, the
+    # cold prepare path (a never-seen structure per job), and the
+    # incremental-update path (apply_updates on a live plan) end to end.
+    # The quick runs' header says NOT FOR NUMBERS — only the exit code
+    # (0 = it built and every checked reply was correct) is gated.
+    for workload in serve-warm serve-source serve-cold engine-pic; do
         run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --quick --workload "$workload"
     done

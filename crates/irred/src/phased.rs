@@ -92,33 +92,67 @@ impl<K: EdgeKernel> PhasedSpec<K> {
     /// participate, so a cached [`PreparedPhased`] can serve specs that
     /// differ only in values via [`PreparedPhased::set_kernel`].
     pub fn structure_hash(&self, strat: &StrategyConfig) -> u64 {
-        // "IRED" tag | hash-format version: bump if the fold order or
-        // field set changes, so stale cross-process keys never collide.
-        let mut h: u64 = 0x4952_4544_0000_0002;
-        fold64(&mut h, self.num_elements as u64);
-        fold64(&mut h, self.kernel.num_refs() as u64);
-        fold64(&mut h, self.kernel.num_arrays() as u64);
-        fold64(&mut h, self.kernel.num_read_arrays() as u64);
-        fold64(&mut h, u64::from(self.kernel.updates_read_state()));
-        fold64(&mut h, self.indirection.len() as u64);
-        for arr in self.indirection.iter() {
-            fold64(&mut h, arr.len() as u64);
-            for &e in arr {
-                fold64(&mut h, u64::from(e));
-            }
-        }
-        fold64(&mut h, strat.procs as u64);
-        fold64(&mut h, strat.k as u64);
-        fold64(
-            &mut h,
-            match strat.distribution {
-                Distribution::Block => 0,
-                Distribution::Cyclic => 1,
-            },
-        );
-        fold64(&mut h, strat.sweeps as u64);
-        h
+        structure_hash(self.num_elements, &*self.kernel, &self.indirection, strat)
     }
+}
+
+/// The structure hash of a (spec, strategy) pair given as borrowed
+/// parts — see [`PhasedSpec::structure_hash`]. Callers that hold the
+/// indirection outside a [`PhasedSpec`] (the server, keying its plan
+/// cache on a decoded frame) hash it without copying it into one.
+///
+/// Each indirection array is read as 64-bit words of two entries
+/// (zero-padded to a whole 8-entry chunk; the length is folded first,
+/// so padding is unambiguous) and word `w` is folded into lane `w % 4`
+/// of four independent splitmix64 chains, which are then folded into
+/// the running hash in lane order. The four chains have no data
+/// dependency on each other, so the pass runs at memory speed instead
+/// of one multiply chain per entry.
+pub fn structure_hash<K: EdgeKernel>(
+    num_elements: usize,
+    kernel: &K,
+    indirection: &[Vec<u32>],
+    strat: &StrategyConfig,
+) -> u64 {
+    // "IRED" tag | hash-format version: bump if the fold order or field
+    // set changes. Keys are only compared within one process.
+    let mut h: u64 = 0x4952_4544_0000_0003;
+    fold64(&mut h, num_elements as u64);
+    fold64(&mut h, kernel.num_refs() as u64);
+    fold64(&mut h, kernel.num_arrays() as u64);
+    fold64(&mut h, kernel.num_read_arrays() as u64);
+    fold64(&mut h, u64::from(kernel.updates_read_state()));
+    fold64(&mut h, indirection.len() as u64);
+    for arr in indirection {
+        fold64(&mut h, arr.len() as u64);
+        let mut lanes: [u64; 4] = std::array::from_fn(|l| h ^ l as u64);
+        let mut fold_chunk = |c: &[u32; 8]| {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                fold64(lane, u64::from(c[2 * l]) | u64::from(c[2 * l + 1]) << 32);
+            }
+        };
+        let (chunks, rest) = arr.as_chunks::<8>();
+        chunks.iter().for_each(&mut fold_chunk);
+        if !rest.is_empty() {
+            let mut padded = [0u32; 8];
+            padded[..rest.len()].copy_from_slice(rest);
+            fold_chunk(&padded);
+        }
+        for lane in lanes {
+            fold64(&mut h, lane);
+        }
+    }
+    fold64(&mut h, strat.procs as u64);
+    fold64(&mut h, strat.k as u64);
+    fold64(
+        &mut h,
+        match strat.distribution {
+            Distribution::Block => 0,
+            Distribution::Cyclic => 1,
+        },
+    );
+    fold64(&mut h, strat.sweeps as u64);
+    h
 }
 
 /// Fold one word into a running structure hash. The state is replaced
@@ -1825,12 +1859,12 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// deliberately do not — see [`Tuning::plan_fingerprint`].
     fn structure_hash(&self) -> u64 {
         *self.structure_hash.get_or_init(|| {
-            let spec = PhasedSpec {
-                kernel: Arc::clone(&self.kernel),
-                num_elements: self.num_elements,
-                indirection: Arc::clone(&self.indirection),
-            };
-            let mut h = spec.structure_hash(&self.strat);
+            let mut h = structure_hash(
+                self.num_elements,
+                &*self.kernel,
+                &self.indirection,
+                &self.strat,
+            );
             fold64(&mut h, self.tuning.plan_fingerprint());
             h
         })
@@ -1882,6 +1916,11 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.kernel = kernel;
         self.read_init = read_init;
         Ok(())
+    }
+
+    /// Length of the reduction array(s) this run was prepared for.
+    pub fn num_elements(&self) -> usize {
+        self.num_elements
     }
 
     /// The strategy this run was prepared for.
@@ -2941,6 +2980,58 @@ mod tests {
         let mut late = engine.prepare(&spec, &strat).unwrap();
         late.apply_updates(&[(0, vec![1, 2])]).unwrap();
         assert_eq!(late.cache_key(), k1);
+    }
+
+    /// Lengths 1–17 cover a partial chunk alone, one whole chunk (every
+    /// lane, both halves of each word), and a whole chunk plus a padded
+    /// remainder: a single-entry change anywhere must move the hash.
+    #[test]
+    fn structure_hash_sees_every_entry_of_every_lane() {
+        let spec = tiny_spec(64, 24, 17);
+        let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
+        let hash = |ind: &[Vec<u32>]| structure_hash(64, &*spec.kernel, ind, &strat);
+        for len in 1..=17 {
+            let base: Vec<Vec<u32>> = spec.indirection.iter().map(|a| a[..len].to_vec()).collect();
+            let h = hash(&base);
+            for r in 0..base.len() {
+                for pos in 0..len {
+                    let mut changed = base.clone();
+                    changed[r][pos] ^= 1;
+                    assert_ne!(h, hash(&changed), "len {len}, ref {r}, entry {pos}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structure_hash_orders_entries_across_lanes() {
+        let spec = tiny_spec(64, 25, 17);
+        let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
+        let ind: Vec<Vec<u32>> = vec![(0..17).collect(), (0..17).rev().collect()];
+        let h = structure_hash(64, &*spec.kernel, &ind, &strat);
+        // Entry pairs in lanes 0|1 and 1|3 of one chunk, in lane 0 of
+        // two chunks, and in lane 2 | the padded remainder.
+        for (a, b) in [(0, 2), (3, 7), (1, 9), (5, 16)] {
+            let mut swapped = ind.clone();
+            swapped[0].swap(a, b);
+            assert_ne!(
+                h,
+                structure_hash(64, &*spec.kernel, &swapped, &strat),
+                "swap {a} <-> {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn prepared_hash_is_the_spec_hash_with_the_tuning_folded_in() {
+        let spec = tiny_spec(64, 26, 300);
+        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 2);
+        let prepared = PhasedEngine::sim(SimConfig::default())
+            .prepare(&spec, &strat)
+            .unwrap();
+        let mut h = spec.structure_hash(&strat);
+        fold64(&mut h, prepared.tuning().plan_fingerprint());
+        assert_eq!(prepared.structure_hash(), h);
     }
 
     #[test]

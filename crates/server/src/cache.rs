@@ -58,7 +58,16 @@ pub struct PlanCache {
     pub misses: u64,
     pub quarantined: u64,
     pub evicted: u64,
+    /// Checkouts whose plan turned out to be another structure's under
+    /// the same key (see [`PlanCache::collision`]).
+    pub collisions: u64,
 }
+
+/// A plan the cache let go of at check-in (quarantined, evicted, or
+/// replaced by a concurrent job's plan for the same structure). It is
+/// handed back so the caller frees its megabytes after releasing the
+/// cache mutex, not while other workers wait on it.
+pub type Released = (Box<PreparedPhased<JobKernel>>, Workspace);
 
 impl PlanCache {
     pub fn new() -> Self {
@@ -86,12 +95,22 @@ impl PlanCache {
         }
     }
 
+    /// Re-count the last hit as a miss: the caller found the checked-out
+    /// plan was prepared for another structure whose key collides with
+    /// its own, and prepares afresh.
+    pub fn collision(&mut self) {
+        self.hits -= 1;
+        self.misses += 1;
+        self.collisions += 1;
+    }
+
     /// Return a plan after a job. `ok = false` counts a failure; a plan
-    /// that keeps failing is quarantined (dropped) so the next job
+    /// that keeps failing is quarantined (released) so the next job
     /// re-prepares instead of inheriting poisoned state. The failure
     /// count survives check-out/check-in cycles via the entry itself,
     /// so two failing jobs in a row are enough regardless of
-    /// interleaving with the map.
+    /// interleaving with the map. Whatever plan the cache lets go of
+    /// comes back as [`Released`], for the caller to drop unlocked.
     pub fn checkin(
         &mut self,
         key: u64,
@@ -99,27 +118,29 @@ impl PlanCache {
         ws: Workspace,
         ok: bool,
         prior_failures: u32,
-    ) {
+    ) -> Option<Released> {
         let failures = if ok { 0 } else { prior_failures + 1 };
         if failures >= QUARANTINE_AFTER {
             self.quarantined += 1;
-            return;
+            return Some((prepared, ws));
         }
-        if self.entries.len() >= MAX_ENTRIES {
-            // FIFO eviction: drop the oldest stamp.
+        // A key already present is replaced below and needs no room.
+        let mut evicted = None;
+        if self.entries.len() >= MAX_ENTRIES && !self.entries.contains_key(&key) {
+            // FIFO eviction: release the oldest stamp.
             if let Some(&old) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k)
             {
-                self.entries.remove(&old);
+                evicted = self.entries.remove(&old);
                 self.evicted += 1;
             }
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.entries.insert(
+        let replaced = self.entries.insert(
             key,
             Entry {
                 prepared,
@@ -128,6 +149,7 @@ impl PlanCache {
                 stamp,
             },
         );
+        replaced.or(evicted).map(|e| (e.prepared, e.ws))
     }
 
     pub fn len(&self) -> usize {
@@ -136,5 +158,58 @@ impl PlanCache {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use earth_model::native::NativeConfig;
+    use irred::{Distribution, PhasedEngine, PhasedSpec, ReductionEngine, StrategyConfig};
+
+    use super::*;
+
+    fn plan() -> Box<PreparedPhased<JobKernel>> {
+        let spec = PhasedSpec {
+            kernel: Arc::new(JobKernel {
+                num_refs: 1,
+                num_arrays: 1,
+                weights: Arc::new(vec![1.0; 4]),
+            }),
+            num_elements: 4,
+            indirection: Arc::new(vec![vec![0, 1, 2, 3]]),
+        };
+        let strat = StrategyConfig::try_new(1, 1, Distribution::Block, 1).unwrap();
+        Box::new(
+            PhasedEngine::native(NativeConfig::default())
+                .prepare(&spec, &strat)
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn checkin_hands_back_every_plan_it_lets_go_of() {
+        let mut cache = PlanCache::new();
+        for key in 0..MAX_ENTRIES as u64 {
+            assert!(cache
+                .checkin(key, plan(), Workspace::new(), true, 0)
+                .is_none());
+        }
+        // Full: a new key evicts the oldest entry and returns it.
+        let released = cache.checkin(1000, plan(), Workspace::new(), true, 0);
+        assert!(released.is_some());
+        assert_eq!((cache.evicted, cache.len()), (1, MAX_ENTRIES));
+        assert!(matches!(cache.checkout(0), Checkout::Miss));
+        // A key already present is replaced, not evicted for.
+        let released = cache.checkin(1000, plan(), Workspace::new(), true, 0);
+        assert!(released.is_some());
+        assert_eq!(cache.evicted, 1);
+        // A plan failing for the second time in a row is quarantined and
+        // returned rather than kept.
+        let released = cache.checkin(2000, plan(), Workspace::new(), false, 1);
+        assert!(released.is_some());
+        assert_eq!(cache.quarantined, 1);
+        assert!(matches!(cache.checkout(2000), Checkout::Miss));
     }
 }

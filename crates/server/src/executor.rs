@@ -155,16 +155,10 @@ impl Executor {
             num_arrays: usize::from(job.num_arrays),
             weights: Arc::new(job.weights.clone()),
         });
-        let spec = PhasedSpec {
-            kernel,
-            num_elements: job.num_elements as usize,
-            indirection: Arc::new(job.indirection.clone()),
-        };
-
         match shed {
-            ShedLevel::Seq => self.run_seq(job, &spec, &strat),
+            ShedLevel::Seq => run_seq(job, &job_spec(job, kernel), &strat),
             ShedLevel::Native | ShedLevel::Scalar => {
-                self.run_native(job, &spec, &strat, fault, deadline, shed)
+                self.run_native(job, kernel, &strat, fault, deadline, shed)
             }
         }
     }
@@ -308,25 +302,13 @@ impl Executor {
         }
     }
 
-    /// Load-shed path: sequential execution, no plan cache, no faults
-    /// (the fault plan models machine-level faults; there is no machine
-    /// here). Bit-identical to the native result by the repo invariant.
-    fn run_seq(
-        &self,
-        job: &SubmitJob,
-        spec: &PhasedSpec<JobKernel>,
-        strat: &StrategyConfig,
-    ) -> Frame {
-        match SeqEngine::new(ExecutionConfig::default()).run(spec, strat) {
-            Ok(out) => ok_frame(job.job_id, 2, &out),
-            Err(e) => engine_err_frame(job.job_id, &e, 0, Vec::new()),
-        }
-    }
-
+    /// The warm path reads the job's indirection twice — once to hash
+    /// it, once to check a hit against the cached plan's — and copies
+    /// it only on a miss, into the [`PhasedSpec`] a fresh prepare needs.
     fn run_native(
         &self,
         job: &SubmitJob,
-        spec: &PhasedSpec<JobKernel>,
+        kernel: Arc<JobKernel>,
         strat: &StrategyConfig,
         fault: Option<FaultConfig>,
         deadline: Option<Instant>,
@@ -351,40 +333,50 @@ impl Executor {
             cfg = cfg.with_faults(f);
         }
         let engine = PhasedEngine::new(cfg);
-        // Plan-shaping tuning knobs participate in the cache key; both
-        // native rungs fingerprint identically and so share entries.
-        let key = spec.structure_hash(strat) ^ tuning.plan_fingerprint();
+        let key = plan_key(job, &kernel, strat, tuning);
 
-        // Check the plan cache out exclusively; swap our kernel values
-        // into a hit. A swap rejection means a structure-hash collision
-        // (different kernel shape, same key) — treat it as a miss.
-        let (mut prepared, mut ws, prior_failures) = {
-            let checkout = self.cache.lock().unwrap().checkout(key);
-            match checkout {
-                Checkout::Hit {
-                    mut prepared,
-                    ws,
-                    failures,
-                } => match prepared.set_kernel(Arc::clone(&spec.kernel)) {
-                    Ok(()) => (prepared, ws, failures),
-                    Err(_) => match self.prepare_fresh(&engine, spec, strat) {
-                        Ok(p) => (Box::new(p), Workspace::new(), 0),
-                        Err(frame) => return frame_err_for_job(job.job_id, frame),
-                    },
-                },
-                Checkout::Miss => match self.prepare_fresh(&engine, spec, strat) {
-                    Ok(p) => (Box::new(p), Workspace::new(), 0),
-                    Err(frame) => return frame_err_for_job(job.job_id, frame),
-                },
+        // Check the plan cache out exclusively. A hit is exact, not
+        // probabilistic: the cached plan must be for this very structure
+        // (a 64-bit key collision fails the comparison) and accept this
+        // kernel's shape, and only then are our kernel values swapped in.
+        // Anything else is a miss, and the stale plan is dropped unlocked.
+        let checkout = self.cache.lock().unwrap().checkout(key);
+        let hit = match checkout {
+            Checkout::Hit {
+                mut prepared,
+                ws,
+                failures,
+            } => {
+                let exact = prepared.num_elements() == job.num_elements as usize
+                    && prepared.strategy() == strat
+                    && prepared.tuning().plan_fingerprint() == tuning.plan_fingerprint()
+                    && prepared.indirection() == job.indirection.as_slice()
+                    && prepared.set_kernel(Arc::clone(&kernel)).is_ok();
+                if !exact {
+                    self.cache.lock().unwrap().collision();
+                }
+                exact.then_some((prepared, ws, failures))
             }
+            Checkout::Miss => None,
+        };
+        let (mut prepared, mut ws, prior_failures) = match hit {
+            Some(hit) => hit,
+            None => match engine.prepare(&job_spec(job, kernel), strat) {
+                Ok(p) => (Box::new(p), Workspace::new(), 0),
+                Err(e) => return engine_err_frame(job.job_id, &e, 0, Vec::new()),
+            },
         };
 
         let result = engine.execute(&mut prepared, &mut ws);
         let ok = result.is_ok();
-        self.cache
+        let released = self
+            .cache
             .lock()
             .unwrap()
             .checkin(key, prepared, ws, ok, prior_failures);
+        // The evicted (or quarantined) plan is freed here, with the
+        // cache mutex already released.
+        drop(released);
 
         match result {
             Ok(out) => {
@@ -393,12 +385,7 @@ impl Executor {
                 } else {
                     shed.degraded()
                 };
-                let mut frame = ok_frame(job.job_id, degraded, &out);
-                if let Frame::JobOk(ok) = &mut frame {
-                    ok.attempts = out.recovery.attempts;
-                    ok.fault_seeds = out.recovery.fault_seeds.clone();
-                }
-                frame
+                ok_frame(job.job_id, degraded, out)
             }
             Err(e) => {
                 // The ladder's report is lost on the error path; the
@@ -415,15 +402,34 @@ impl Executor {
             }
         }
     }
+}
 
-    fn prepare_fresh(
-        &self,
-        engine: &PhasedEngine,
-        spec: &PhasedSpec<JobKernel>,
-        strat: &StrategyConfig,
-    ) -> Result<irred::PreparedPhased<JobKernel>, EngineError> {
-        engine.prepare(spec, strat)
+/// Load-shed path: sequential execution, no plan cache, no faults (the
+/// fault plan models machine-level faults; there is no machine here).
+/// Bit-identical to the native result by the repo invariant.
+fn run_seq(job: &SubmitJob, spec: &PhasedSpec<JobKernel>, strat: &StrategyConfig) -> Frame {
+    match SeqEngine::new(ExecutionConfig::default()).run(spec, strat) {
+        Ok(out) => ok_frame(job.job_id, 2, out),
+        Err(e) => engine_err_frame(job.job_id, &e, 0, Vec::new()),
     }
+}
+
+/// The job as an engine spec. This copies the indirection, so the
+/// native path builds it only to prepare a plan the cache lacks.
+fn job_spec(job: &SubmitJob, kernel: Arc<JobKernel>) -> PhasedSpec<JobKernel> {
+    PhasedSpec {
+        kernel,
+        num_elements: job.num_elements as usize,
+        indirection: Arc::new(job.indirection.clone()),
+    }
+}
+
+/// The plan-cache key of a job: its structure hash, hashed straight from
+/// the decoded frame's arrays, with the plan-shaping tuning knobs. Both
+/// native rungs fingerprint identically and so share entries.
+fn plan_key(job: &SubmitJob, kernel: &JobKernel, strat: &StrategyConfig, tuning: Tuning) -> u64 {
+    irred::structure_hash(job.num_elements as usize, kernel, &job.indirection, strat)
+        ^ tuning.plan_fingerprint()
 }
 
 /// The checks every job passes before any work is done on it: the
@@ -488,13 +494,13 @@ fn job_fault(job: &SubmitJob) -> Option<FaultConfig> {
     })
 }
 
-fn ok_frame(job_id: u64, degraded: u8, out: &RunOutcome) -> Frame {
+fn ok_frame(job_id: u64, degraded: u8, out: RunOutcome) -> Frame {
     Frame::JobOk(JobOk {
         job_id,
         degraded,
         attempts: out.recovery.attempts,
-        fault_seeds: out.recovery.fault_seeds.clone(),
-        values: out.values.clone(),
+        fault_seeds: out.recovery.fault_seeds,
+        values: out.values,
     })
 }
 
@@ -512,10 +518,6 @@ fn err_frame(
         fault_seeds,
         message,
     })
-}
-
-fn frame_err_for_job(job_id: u64, e: EngineError) -> Frame {
-    engine_err_frame(job_id, &e, 0, Vec::new())
 }
 
 /// Map an [`EngineError`] to a typed wire code, forwarding the stable
@@ -660,6 +662,56 @@ mod tests {
         let misses = e.cache.lock().unwrap().misses;
         let _ = e.run_job(&j, ShedLevel::Native, None);
         assert_eq!(e.cache.lock().unwrap().misses, misses + 1);
+    }
+
+    #[test]
+    fn colliding_plan_key_is_a_miss_not_another_structures_plan() {
+        let e = exec();
+        let a = job(10);
+        let mut b = job(11);
+        b.indirection[0].reverse();
+        let strat = StrategyConfig::try_new(2, 2, Distribution::Block, 2).unwrap();
+        let kernel = |j: &SubmitJob| {
+            Arc::new(JobKernel {
+                num_refs: 2,
+                num_arrays: 1,
+                weights: Arc::new(j.weights.clone()),
+            })
+        };
+        // Job A's plan checked in under job B's key: a forced collision.
+        let plan_a = PhasedEngine::native(NativeConfig::default())
+            .prepare(&job_spec(&a, kernel(&a)), &strat)
+            .unwrap();
+        let key_b = plan_key(&b, &kernel(&b), &strat, ShedLevel::Native.tuning());
+        let released =
+            e.cache
+                .lock()
+                .unwrap()
+                .checkin(key_b, Box::new(plan_a), Workspace::new(), true, 0);
+        assert!(released.is_none());
+
+        let Frame::JobOk(ok) = e.run_job(&b, ShedLevel::Native, None) else {
+            panic!("job B must succeed");
+        };
+        {
+            let c = e.cache.lock().unwrap();
+            assert_eq!((c.hits, c.misses, c.collisions), (0, 1, 1));
+        }
+        let seq = SeqEngine::new(ExecutionConfig::default())
+            .run(&job_spec(&b, kernel(&b)), &strat)
+            .unwrap();
+        let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|a| a.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&ok.values), bits(&seq.values));
+        // B's own plan replaced A's under the key: the next B hits.
+        assert!(matches!(
+            e.run_job(&b, ShedLevel::Native, None),
+            Frame::JobOk(_)
+        ));
+        assert_eq!(e.cache.lock().unwrap().hits, 1);
     }
 
     #[test]

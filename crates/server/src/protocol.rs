@@ -283,23 +283,45 @@ pub enum Frame {
 
 // ---------------------------------------------------------------- encode
 
-struct Enc(Vec<u8>);
+/// Frame writer. [`encode`] runs it twice over the same frame: first
+/// with no buffer, only counting bytes, then into a buffer reserved to
+/// exactly that count — one allocation per frame, arrays written in
+/// bulk.
+struct Enc {
+    out: Option<Vec<u8>>,
+    len: usize,
+}
 
 impl Enc {
+    fn put(&mut self, b: &[u8]) {
+        self.len += b.len();
+        if let Some(out) = &mut self.out {
+            out.extend_from_slice(b);
+        }
+    }
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+    /// A whole array, `N` little-endian bytes per item, in one pass.
+    fn bulk<T: Copy, const N: usize>(&mut self, vs: &[T], le: fn(T) -> [u8; N]) {
+        self.len += vs.len() * N;
+        if let Some(out) = &mut self.out {
+            let start = out.len();
+            out.resize(start + vs.len() * N, 0);
+            let (dst, _) = out[start..].as_chunks_mut::<N>();
+            for (d, &v) in dst.iter_mut().zip(vs) {
+                *d = le(v);
+            }
+        }
     }
     fn seeds(&mut self, seeds: &[Option<u64>]) {
         self.u32(seeds.len() as u32);
@@ -315,130 +337,128 @@ impl Enc {
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
+    }
+
+    fn frame(&mut self, frame: &Frame) {
+        match frame {
+            Frame::Hello(h) => {
+                self.u8(T_HELLO);
+                self.put(&MAGIC);
+                self.u16(h.version);
+                self.str(&h.tenant);
+                self.u32(h.max_frame);
+            }
+            Frame::HelloAck(a) => {
+                self.u8(T_HELLO_ACK);
+                self.u16(a.version);
+                self.u32(a.max_frame);
+                self.u32(a.queue_capacity);
+                self.u16(a.tenant_inflight);
+            }
+            Frame::SubmitJob(j) => {
+                self.u8(T_SUBMIT_JOB);
+                self.u64(j.job_id);
+                self.u32(j.deadline_ms);
+                self.u8(j.flags);
+                self.u32(j.num_elements);
+                self.u32(j.iterations);
+                self.u8(j.num_refs);
+                self.u8(j.num_arrays);
+                self.u16(j.procs);
+                self.u16(j.k);
+                self.u8(j.dist);
+                self.u16(j.sweeps);
+                match j.fault {
+                    Some(f) => {
+                        self.u8(f.kind);
+                        self.u64(f.seed);
+                    }
+                    None => self.u8(0),
+                }
+                self.bulk(&j.weights, f64::to_le_bytes);
+                for arr in &j.indirection {
+                    self.bulk(arr, u32::to_le_bytes);
+                }
+            }
+            Frame::SubmitSource(s) => {
+                self.u8(T_SUBMIT_SOURCE);
+                self.u64(s.job_id);
+                self.u32(s.deadline_ms);
+                self.u16(s.procs);
+                self.u16(s.k);
+                self.u8(s.dist);
+                self.u16(s.sweeps);
+                self.str(&s.source);
+                self.u8(s.sizes.len() as u8);
+                for (name, v) in &s.sizes {
+                    self.str(name);
+                    self.u32(*v);
+                }
+                self.u8(s.f64s.len() as u8);
+                for (name, arr) in &s.f64s {
+                    self.str(name);
+                    self.u32(arr.len() as u32);
+                    self.bulk(arr, f64::to_le_bytes);
+                }
+                self.u8(s.ints.len() as u8);
+                for (name, arr) in &s.ints {
+                    self.str(name);
+                    self.u32(arr.len() as u32);
+                    self.bulk(arr, u32::to_le_bytes);
+                }
+            }
+            Frame::JobOk(o) => {
+                self.u8(T_JOB_OK);
+                self.u64(o.job_id);
+                self.u8(o.degraded);
+                self.u32(o.attempts);
+                self.seeds(&o.fault_seeds);
+                self.u8(o.values.len() as u8);
+                for arr in &o.values {
+                    self.u32(arr.len() as u32);
+                    self.bulk(arr, f64::to_le_bytes);
+                }
+            }
+            Frame::JobErr(j) => {
+                self.u8(T_JOB_ERR);
+                self.u64(j.job_id);
+                self.u8(j.code as u8);
+                self.u32(j.attempts);
+                self.seeds(&j.fault_seeds);
+                self.str(&j.message);
+            }
+            Frame::Busy(b) => {
+                self.u8(T_BUSY);
+                self.u64(b.job_id);
+                self.u32(b.retry_after_ms);
+            }
+            Frame::GetMetrics => self.u8(T_GET_METRICS),
+            Frame::MetricsReport(text) => {
+                self.u8(T_METRICS_REPORT);
+                self.str(text);
+            }
+            Frame::Shutdown => self.u8(T_SHUTDOWN),
+            Frame::ShutdownAck => self.u8(T_SHUTDOWN_ACK),
+            Frame::ProtoErr(p) => {
+                self.u8(T_PROTO_ERR);
+                self.str(&p.message);
+            }
+        }
     }
 }
 
 /// Encode a frame, *including* the 4-byte length prefix.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut e = Enc(vec![0, 0, 0, 0]);
-    match frame {
-        Frame::Hello(h) => {
-            e.u8(T_HELLO);
-            e.0.extend_from_slice(&MAGIC);
-            e.u16(h.version);
-            e.str(&h.tenant);
-            e.u32(h.max_frame);
-        }
-        Frame::HelloAck(a) => {
-            e.u8(T_HELLO_ACK);
-            e.u16(a.version);
-            e.u32(a.max_frame);
-            e.u32(a.queue_capacity);
-            e.u16(a.tenant_inflight);
-        }
-        Frame::SubmitJob(j) => {
-            e.u8(T_SUBMIT_JOB);
-            e.u64(j.job_id);
-            e.u32(j.deadline_ms);
-            e.u8(j.flags);
-            e.u32(j.num_elements);
-            e.u32(j.iterations);
-            e.u8(j.num_refs);
-            e.u8(j.num_arrays);
-            e.u16(j.procs);
-            e.u16(j.k);
-            e.u8(j.dist);
-            e.u16(j.sweeps);
-            match j.fault {
-                Some(f) => {
-                    e.u8(f.kind);
-                    e.u64(f.seed);
-                }
-                None => e.u8(0),
-            }
-            for w in &j.weights {
-                e.f64(*w);
-            }
-            for arr in &j.indirection {
-                for v in arr {
-                    e.u32(*v);
-                }
-            }
-        }
-        Frame::SubmitSource(s) => {
-            e.u8(T_SUBMIT_SOURCE);
-            e.u64(s.job_id);
-            e.u32(s.deadline_ms);
-            e.u16(s.procs);
-            e.u16(s.k);
-            e.u8(s.dist);
-            e.u16(s.sweeps);
-            e.str(&s.source);
-            e.u8(s.sizes.len() as u8);
-            for (name, v) in &s.sizes {
-                e.str(name);
-                e.u32(*v);
-            }
-            e.u8(s.f64s.len() as u8);
-            for (name, arr) in &s.f64s {
-                e.str(name);
-                e.u32(arr.len() as u32);
-                for v in arr {
-                    e.f64(*v);
-                }
-            }
-            e.u8(s.ints.len() as u8);
-            for (name, arr) in &s.ints {
-                e.str(name);
-                e.u32(arr.len() as u32);
-                for v in arr {
-                    e.u32(*v);
-                }
-            }
-        }
-        Frame::JobOk(o) => {
-            e.u8(T_JOB_OK);
-            e.u64(o.job_id);
-            e.u8(o.degraded);
-            e.u32(o.attempts);
-            e.seeds(&o.fault_seeds);
-            e.u8(o.values.len() as u8);
-            for arr in &o.values {
-                e.u32(arr.len() as u32);
-                for v in arr {
-                    e.f64(*v);
-                }
-            }
-        }
-        Frame::JobErr(j) => {
-            e.u8(T_JOB_ERR);
-            e.u64(j.job_id);
-            e.u8(j.code as u8);
-            e.u32(j.attempts);
-            e.seeds(&j.fault_seeds);
-            e.str(&j.message);
-        }
-        Frame::Busy(b) => {
-            e.u8(T_BUSY);
-            e.u64(b.job_id);
-            e.u32(b.retry_after_ms);
-        }
-        Frame::GetMetrics => e.u8(T_GET_METRICS),
-        Frame::MetricsReport(text) => {
-            e.u8(T_METRICS_REPORT);
-            e.str(text);
-        }
-        Frame::Shutdown => e.u8(T_SHUTDOWN),
-        Frame::ShutdownAck => e.u8(T_SHUTDOWN_ACK),
-        Frame::ProtoErr(p) => {
-            e.u8(T_PROTO_ERR);
-            e.str(&p.message);
-        }
-    }
-    let len = (e.0.len() - 4) as u32;
-    e.0[..4].copy_from_slice(&len.to_le_bytes());
-    e.0
+    let mut count = Enc { out: None, len: 0 };
+    count.frame(frame);
+    let mut e = Enc {
+        out: Some(Vec::with_capacity(4 + count.len)),
+        len: 0,
+    };
+    e.u32(count.len as u32);
+    e.frame(frame);
+    e.out.unwrap_or_default()
 }
 
 // ---------------------------------------------------------------- decode
@@ -490,8 +510,17 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    fn f64(&mut self, what: &'static str) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64(what)?))
+    /// `n` little-endian `f64`s, bounds-checked as one slice before the
+    /// output is allocated.
+    fn f64s(&mut self, n: usize, what: &'static str) -> Result<Vec<f64>, ProtocolError> {
+        let (words, _) = self.bytes(n.saturating_mul(8), what)?.as_chunks::<8>();
+        Ok(words.iter().map(|&w| f64::from_le_bytes(w)).collect())
+    }
+
+    /// `n` little-endian `u32`s, like [`Self::f64s`].
+    fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, ProtocolError> {
+        let (words, _) = self.bytes(n.saturating_mul(4), what)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 
     /// A `u32` count that must be coverable by `elem_size`-byte items in
@@ -599,19 +628,14 @@ pub fn decode(frame: &[u8]) -> Result<Frame, ProtocolError> {
             let degraded = d.u8("degraded flag")?;
             let attempts = d.u32("attempts")?;
             let fault_seeds = d.seeds()?;
-            let num_arrays = d.u8("value array count")? as usize;
-            let mut values = Vec::with_capacity(num_arrays);
-            for _ in 0..num_arrays {
-                // Per-array length (source jobs return decl arrays of
-                // differing sizes), validated against the bytes present
-                // before the allocation.
-                let per = d.count(8, "values per array")?;
-                let mut arr = Vec::with_capacity(per);
-                for _ in 0..per {
-                    arr.push(d.f64("value")?);
-                }
-                values.push(arr);
-            }
+            // Per-array lengths: source jobs return decl arrays of
+            // differing sizes.
+            let values = (0..d.u8("value array count")?)
+                .map(|_| {
+                    let per = d.u32("values per array")? as usize;
+                    d.f64s(per, "values")
+                })
+                .collect::<Result<_, _>>()?;
             Frame::JobOk(JobOk {
                 job_id,
                 degraded,
@@ -716,29 +740,13 @@ fn decode_submit(d: &mut Dec<'_>) -> Result<SubmitJob, ProtocolError> {
             })
         }
     };
+    // `iterations` weights, then `num_refs` arrays of `iterations`
+    // indices; each read is bounds-checked before its allocation.
     let iters = iterations as usize;
-    // The payload carries `iters` weights then `num_refs * iters`
-    // indices: check the whole tail is present before allocating.
-    let need = iters
-        .saturating_mul(8)
-        .saturating_add(iters.saturating_mul(num_refs as usize).saturating_mul(4));
-    if d.remaining() < need {
-        return Err(ProtocolError::Truncated {
-            what: "job payload (weights + indirection)",
-        });
-    }
-    let mut weights = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        weights.push(d.f64("weight")?);
-    }
-    let mut indirection = Vec::with_capacity(num_refs as usize);
-    for _ in 0..num_refs {
-        let mut arr = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            arr.push(d.u32("indirection entry")?);
-        }
-        indirection.push(arr);
-    }
+    let weights = d.f64s(iters, "weights")?;
+    let indirection = (0..num_refs)
+        .map(|_| d.u32s(iters, "indirection"))
+        .collect::<Result<_, _>>()?;
     Ok(SubmitJob {
         job_id,
         deadline_ms,
@@ -808,23 +816,15 @@ fn decode_submit_source(d: &mut Dec<'_>) -> Result<SubmitSource, ProtocolError> 
     let mut f64s = Vec::with_capacity(n_f64s);
     for _ in 0..n_f64s {
         let nm = name(d, "f64 binding name")?;
-        let len = d.count(8, "f64 binding length")?;
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            arr.push(d.f64("f64 binding value")?);
-        }
-        f64s.push((nm, arr));
+        let len = d.u32("f64 binding length")? as usize;
+        f64s.push((nm, d.f64s(len, "f64 binding values")?));
     }
     let n_ints = bind_count(d, "int binding count")?;
     let mut ints = Vec::with_capacity(n_ints);
     for _ in 0..n_ints {
         let nm = name(d, "int binding name")?;
-        let len = d.count(4, "int binding length")?;
-        let mut arr = Vec::with_capacity(len);
-        for _ in 0..len {
-            arr.push(d.u32("int binding value")?);
-        }
-        ints.push((nm, arr));
+        let len = d.u32("int binding length")? as usize;
+        ints.push((nm, d.u32s(len, "int binding values")?));
     }
     Ok(SubmitSource {
         job_id,
@@ -945,9 +945,7 @@ mod tests {
         bytes[22..26].copy_from_slice(&MAX_ITERATIONS.to_le_bytes());
         assert_eq!(
             decode(&bytes[4..]),
-            Err(ProtocolError::Truncated {
-                what: "job payload (weights + indirection)"
-            })
+            Err(ProtocolError::Truncated { what: "weights" })
         );
     }
 
