@@ -13,7 +13,8 @@
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
 #                    # deterministic sim (3 fixed seeds + one
-#                    # randomized pass)
+#                    # randomized pass), and a quick `figs adaptive`
+#                    # run that must print its prepared-run table
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
 #                    # seeds + one randomized pass) and the chaos-client
 #                    # soak — all under the hard timeout (the daemon's
@@ -66,7 +67,8 @@ tier1() {
     # breaks only there. `cargo run` builds it, then drives one job
     # stream each through the plan-cache hit path, the source path, the
     # cold prepare path (a never-seen structure per job), and the
-    # incremental-update path (apply_updates on a live plan) end to end.
+    # adaptive path (apply_updates re-inspecting a live plan's touched
+    # nodes every job) end to end.
     # The quick runs' header says NOT FOR NUMBERS — only the exit code
     # (0 = it built and every checked reply was correct) is gated.
     for workload in serve-warm serve-source serve-cold engine-pic; do
@@ -133,6 +135,21 @@ workloads() {
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test workload_families
+
+    echo "== adaptive smoke (figs adaptive, prepared-run churn sweep) =="
+    # The churn sweep through PreparedPhased::apply_updates on a
+    # particle-in-cell deck, reduced by REPRO_QUICK. figs writes under
+    # the working directory, so it runs in a scratch one, removed on
+    # success and failure alike (the same pattern as the tier-1 trace
+    # smoke).
+    cargo build --release -q -p repro-bench
+    local figs="$PWD/target/release/figs" scratch adaptive_out
+    scratch=$(mktemp -d)
+    trap "rm -rf '$scratch'" EXIT
+    adaptive_out=$(cd "$scratch" && REPRO_QUICK=1 run_tests "$figs" adaptive)
+    grep -q "prepared run: apply_updates" <<<"$adaptive_out"
+    rm -rf "$scratch"
+    trap - EXIT
 }
 
 server() {

@@ -41,8 +41,7 @@ use earth_model::{
     mailbox_key, FiberCtx, FiberTemplate, Meter, ProgramTemplate, SlotId, TraceSink, Value,
 };
 use lightinspector::{
-    inspect_observed, FlatInspection, IncrementalInspector, InspectError, InspectorInput,
-    PhaseGeometry,
+    inspect, inspect_observed, FlatInspection, InspectError, InspectorInput, PhaseGeometry,
 };
 use memsim::{AddressMap, Region, StreamModel};
 use trace::{TraceEvent, TraceKind};
@@ -200,7 +199,7 @@ struct Regions {
 /// The immutable, reusable part of one node: its schedule, held once,
 /// and the addressing derived from it. Shared (`Arc`) between the
 /// prepared run and every node state instantiated from it, and rebuilt
-/// only when an incremental mesh update dirties the node.
+/// only when a mesh update touches the node.
 struct NodePlanData {
     geometry: PhaseGeometry,
     /// The (possibly tiled) CSR schedule: `m`-interleaved scatter
@@ -284,11 +283,11 @@ fn resolve_tile_span<K: EdgeKernel>(
 
 impl NodePlanData {
     /// Freeze one processor's inspection into the node's schedule —
-    /// the one construction path for fresh, adopted, and incrementally
-    /// rebuilt plans. Tiles the rows if asked, then turns the local
-    /// iteration order into global ids in place and gathers the
-    /// original element ids the kernels read; the CSR arrays themselves
-    /// are adopted, not copied. `local_ind` is this processor's
+    /// the one construction path for fresh, adopted, and updated plans.
+    /// Tiles the rows if asked, then turns the local iteration order
+    /// into global ids in place and gathers the original element ids
+    /// the kernels read; the CSR arrays themselves are adopted, not
+    /// copied. `local_ind` is this processor's
     /// indirection, indexed by local iteration. In debug builds every
     /// node is checked against the flat verifier.
     fn build<K: EdgeKernel>(
@@ -1573,8 +1572,8 @@ fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) ->
 /// schedule per node, and the EARTH program template. Execute it any
 /// number of times; repeated executes skip inspection, program
 /// construction, and (on the simulator) metering. Adaptive meshes
-/// re-route iterations through [`Self::apply_updates`], whose
-/// incremental inspectors are built on first use.
+/// re-route iterations through [`Self::apply_updates`], which
+/// re-inspects only the nodes an update touches.
 pub struct PreparedPhased<K> {
     kernel: Arc<K>,
     num_elements: usize,
@@ -1594,11 +1593,8 @@ pub struct PreparedPhased<K> {
     local_iters: Vec<Vec<u32>>,
     /// Frozen per-node plan snapshots handed to node states.
     node_data: Vec<Arc<NodePlanData>>,
-    /// Incremental-update state, built by the first
-    /// [`Self::apply_updates`].
+    /// Mesh-update state, built by the first [`Self::apply_updates`].
     adaptive: Option<Adaptive>,
-    /// Nodes whose snapshot is stale after incremental updates.
-    dirty: Vec<bool>,
     /// The kernel's initial read state (element-major interleaved),
     /// computed once and copied into pooled buffers on each execute.
     read_init: Vec<f64>,
@@ -1626,10 +1622,10 @@ pub struct PreparedPhased<K> {
 /// What only [`PreparedPhased::apply_updates`] needs, built on its
 /// first call so runs that never adapt never pay for it.
 struct Adaptive {
-    /// Global iteration → (proc, local index) under the distribution.
-    iter_loc: Vec<(u32, u32)>,
-    /// Per-proc incremental inspectors (own the local indirection).
-    inspectors: Vec<IncrementalInspector>,
+    /// Each node's current local indirection, `local[proc][r][i]` for
+    /// its local iteration `i` — the inspector's input when the node is
+    /// rebuilt.
+    local: Vec<Vec<Vec<u32>>>,
 }
 
 impl<K> std::fmt::Debug for PreparedPhased<K> {
@@ -1812,7 +1808,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             local_iters,
             node_data,
             adaptive: None,
-            dirty: vec![false; strat.procs],
             read_init,
             mem_cfg,
             overheads,
@@ -1827,17 +1822,18 @@ impl<K: EdgeKernel> PreparedPhased<K> {
 
     /// Capacity, in bytes, of the schedule vectors this run holds: every
     /// node's flat schedule, the local→global iteration maps, and (once
-    /// built) the iteration locator. The incremental inspectors are not
-    /// counted.
+    /// built) the nodes' local indirection copies.
     #[cfg(test)]
     fn resident_bytes(&self) -> usize {
         let nodes: usize = self.node_data.iter().map(|d| d.resident_bytes()).sum();
         let iters: usize = self.local_iters.iter().map(|v| 4 * v.capacity()).sum();
-        let locator = self
+        let adaptive: usize = self
             .adaptive
-            .as_ref()
-            .map_or(0, |a| 8 * a.iter_loc.capacity());
-        nodes + iters + locator
+            .iter()
+            .flat_map(|a| a.local.iter().flatten())
+            .map(|v| 4 * v.capacity())
+            .sum();
+        nodes + iters + adaptive
     }
 
     /// Cache identity of this plan for cross-request plan caching: the
@@ -1999,12 +1995,13 @@ impl<K: EdgeKernel> PreparedPhased<K> {
 
     /// Re-route iterations of an adaptive mesh: each entry re-targets
     /// global iteration `iter` to `new_refs` (one element per indirection
-    /// array). The affected nodes' plans are updated incrementally in
-    /// `O(m)` per iteration via [`lightinspector::incremental`] — no
-    /// full re-inspection — and cached phase costs are invalidated. The
-    /// first call builds the incremental inspectors by re-inspecting
-    /// each node's local indirection, which for a `prepare`d run is the
-    /// state its inspector pass ended in.
+    /// array). The batch is validated all-or-nothing first. Every node
+    /// the batch touches then re-runs the LightInspector over its updated
+    /// local indirection and is frozen exactly as `prepare` freezes it
+    /// (fanned out over `min(touched nodes, cores)` workers), so the plan
+    /// left behind is the plan a fresh prepare of the updated spec would
+    /// build; the token bump invalidates cached phase costs. The first
+    /// call gathers each node's local indirection from the global one.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<u32>)]) -> Result<(), EngineError> {
         if updates.is_empty() {
             return Ok(());
@@ -2038,77 +2035,53 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             }
         }
         self.structure_hash();
-        if self.adaptive.is_none() {
-            self.adaptive = Some(self.build_adaptive()?);
-        }
-        let adaptive = self.adaptive.as_mut().expect("built above");
+        let (procs, dist) = (self.strat.procs, self.strat.distribution);
+        let (indirection, local_iters) = (&self.indirection, &self.local_iters);
+        let adaptive = self.adaptive.get_or_insert_with(|| Adaptive {
+            local: fan_out(local_iters.iter().collect(), |_, iters: &Vec<u32>| {
+                indirection
+                    .iter()
+                    .map(|arr| iters.iter().map(|&i| arr[i as usize]).collect())
+                    .collect()
+            }),
+        });
         let indirection = Arc::make_mut(&mut self.indirection);
+        let mut touched = vec![false; procs];
         for (iter, new_refs) in updates {
-            let (proc, local) = adaptive.iter_loc[*iter];
-            adaptive.inspectors[proc as usize].update(local as usize, new_refs);
+            let (proc, local) = dist.locate(*iter, total, procs);
             for (r, &e) in new_refs.iter().enumerate() {
                 indirection[r][*iter] = e;
+                adaptive.local[proc][r][local] = e;
             }
-            self.dirty[proc as usize] = true;
+            touched[proc] = true;
         }
-        self.token.bump();
-        Ok(())
-    }
-
-    /// The incremental-update state: the iteration locator, and one
-    /// incremental inspector per node over its current local indirection.
-    fn build_adaptive(&self) -> Result<Adaptive, EngineError> {
+        let touched: Vec<usize> = (0..procs).filter(|&p| touched[p]).collect();
         let geometry = self.node_data[0].geometry;
-        let mut iter_loc = vec![(0u32, 0u32); self.indirection[0].len()];
-        for (proc, iters) in self.local_iters.iter().enumerate() {
-            for (li, &gi) in iters.iter().enumerate() {
-                iter_loc[gi as usize] = (proc as u32, li as u32);
-            }
-        }
-        let indirection = &self.indirection;
-        let inspectors = fan_out(self.local_iters.iter().collect(), |proc, iters| {
-            let local = indirection
-                .iter()
-                .map(|arr| iters.iter().map(|&i| arr[i as usize]).collect())
-                .collect();
-            IncrementalInspector::try_new(geometry, proc, local)
-        });
-        Ok(Adaptive {
-            iter_loc,
-            inspectors: inspectors.into_iter().collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// Rebuild frozen snapshots for nodes dirtied by incremental updates,
-    /// straight from each node's inspector plan.
-    fn refresh_dirty(&mut self) {
-        let Some(adaptive) = &self.adaptive else {
-            return;
-        };
-        let dirty: Vec<usize> = (0..self.strat.procs).filter(|&p| self.dirty[p]).collect();
-        if dirty.is_empty() {
-            return;
-        }
-        let total_iterations = self.indirection[0].len();
-        let (local_iters, kernel) = (&self.local_iters, &*self.kernel);
+        let (adaptive, kernel) = (&*adaptive, &*self.kernel);
         let (num_elements, tile_span) = (self.num_elements, self.tile_span);
-        let rebuilt = fan_out(dirty.clone(), |_, proc| {
-            let insp = &adaptive.inspectors[proc];
-            let local: Vec<&[u32]> = insp.indirection().iter().map(Vec::as_slice).collect();
+        let rebuilt = fan_out(touched.clone(), |_, proc| {
+            let local: Vec<&[u32]> = adaptive.local[proc].iter().map(Vec::as_slice).collect();
+            let input = InspectorInput {
+                geometry,
+                proc_id: proc,
+                indirection: &local,
+            };
+            let fi = inspect(input).expect("validated updates keep the node inspectable");
             NodePlanData::build(
-                insp.plan().to_flat(),
+                fi,
                 &local,
                 &local_iters[proc],
                 num_elements,
-                total_iterations,
+                total,
                 kernel,
                 tile_span,
             )
         });
-        for (proc, data) in dirty.into_iter().zip(rebuilt) {
+        for (proc, data) in touched.into_iter().zip(rebuilt) {
             self.node_data[proc] = Arc::new(data);
-            self.dirty[proc] = false;
         }
+        self.token.bump();
+        Ok(())
     }
 
     /// Instantiate per-node states from pooled buffers. `simd` is the
@@ -2271,7 +2244,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         cfg: &ExecutionConfig,
         ws: &mut Workspace,
     ) -> Result<RunOutcome, EngineError> {
-        self.refresh_dirty();
         let reused = self.executions > 0;
         self.executions += 1;
         let sink = cfg.trace.make_sink(self.strat.procs);
@@ -2378,7 +2350,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         policy: RecoveryPolicy,
         cfg_for_attempt: impl Fn(u32) -> NativeConfig,
     ) -> Result<RunOutcome, EngineError> {
-        self.refresh_dirty();
         let reused = self.executions > 0;
         self.executions += 1;
         let sink = self.trace_cfg.make_sink(self.strat.procs);
@@ -2820,35 +2791,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_updates_matches_fresh_prepare() {
-        let spec = tiny_spec(64, 14, 300);
-        let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
-        let engine = PhasedEngine::sim(SimConfig::default());
-        let mut prepared = engine.prepare(&spec, &strat).unwrap();
-        let mut ws = Workspace::new();
-        let _ = engine.execute(&mut prepared, &mut ws).unwrap();
-
-        // Re-route some iterations, then compare against preparing the
-        // mutated spec from scratch.
-        let updates: Vec<(usize, Vec<u32>)> = (0..20)
-            .map(|i| (i * 7 % 300, vec![(i * 3 % 64) as u32, (i * 5 % 64) as u32]))
-            .collect();
-        prepared.apply_updates(&updates).unwrap();
-        let after = engine.execute(&mut prepared, &mut ws).unwrap();
-
-        let mutated = PhasedSpec {
-            kernel: Arc::clone(&spec.kernel),
-            num_elements: spec.num_elements,
-            indirection: Arc::new(prepared.indirection().to_vec()),
-        };
-        let fresh = engine.run(&mutated, &strat).unwrap();
-        assert!(
-            approx_eq(&after.values[0], &fresh.values[0], 1e-9),
-            "incremental re-prepare must agree with fresh prepare"
-        );
-    }
-
-    #[test]
     fn prepare_defers_incremental_state_to_the_first_update() {
         let spec = tiny_spec(64, 24, 300);
         let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
@@ -2860,57 +2802,22 @@ mod tests {
         prepared.apply_updates(&[]).unwrap();
         assert!(
             prepared.adaptive.is_none(),
-            "no incremental state before an update"
+            "no update state before an update"
         );
         assert!(Arc::ptr_eq(&prepared.indirection, &spec.indirection));
-        let before = spec.indirection[0][0];
-        prepared.apply_updates(&[(0, vec![before ^ 1, 2])]).unwrap();
-        assert!(prepared.adaptive.is_some());
-        assert_eq!(prepared.indirection()[0][0], before ^ 1);
-        assert_eq!(spec.indirection[0][0], before, "the spec is never written");
-    }
-
-    /// On integer weights every summation order is exact, so a lazily
-    /// built, incrementally updated plan must match a fresh prepare of
-    /// the updated spec bit for bit — on both backends, over several
-    /// rounds of updates.
-    #[test]
-    fn lazy_incremental_updates_equal_fresh_prepare_bitwise() {
-        let base = tiny_spec(64, 25, 400);
-        let weights = base.kernel.weights.iter().map(|w| (w * 100.0).round());
-        let spec = PhasedSpec {
-            kernel: Arc::new(WeightedPairKernel {
-                weights: Arc::new(weights.collect()),
-            }),
-            ..base
-        };
-        let bits =
-            |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
-        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 2);
-        for engine in [
-            PhasedEngine::sim(SimConfig::default()),
-            PhasedEngine::native(NativeConfig::default()),
-        ] {
-            let mut prepared = engine.prepare(&spec, &strat).unwrap();
-            let mut ws = Workspace::new();
-            for round in 0..3usize {
-                let updates: Vec<(usize, Vec<u32>)> = (0..40)
-                    .map(|i| {
-                        let e = |a: usize| ((i * a + round * 7) % 64) as u32;
-                        ((i * 11 + round * 7) % 400, vec![e(3), e(5)])
-                    })
-                    .collect();
-                prepared.apply_updates(&updates).unwrap();
-                let got = engine.execute(&mut prepared, &mut ws).unwrap();
-                let updated = PhasedSpec {
-                    indirection: Arc::new(prepared.indirection().to_vec()),
-                    ..spec.clone()
-                };
-                let fresh = engine.run(&updated, &strat).unwrap();
-                let at = format!("round {round} on {:?}", engine.config().backend);
-                assert_eq!(bits(&got.values), bits(&fresh.values), "{at}");
-                assert_eq!(bits(&got.read), bits(&fresh.read), "{at}");
-            }
+        let untouched: Vec<_> = prepared.node_data.iter().map(Arc::clone).collect();
+        // Block over 4 procs: iteration 75 is processor 1's first.
+        let before = spec.indirection[0][75];
+        prepared
+            .apply_updates(&[(75, vec![before ^ 1, 2])])
+            .unwrap();
+        let local = &prepared.adaptive.as_ref().unwrap().local;
+        assert_eq!((local[1][0][0], local[1][1][0]), (before ^ 1, 2));
+        assert_eq!(local[2][0], spec.indirection[0][150..225]);
+        assert_eq!(prepared.indirection()[0][75], before ^ 1);
+        assert_eq!(spec.indirection[0][75], before, "the spec is never written");
+        for (proc, (now, was)) in prepared.node_data.iter().zip(&untouched).enumerate() {
+            assert_eq!(Arc::ptr_eq(now, was), proc != 1, "only proc 1 is rebuilt");
         }
     }
 
@@ -2928,6 +2835,45 @@ mod tests {
             .unwrap();
         let per_iter = prepared.resident_bytes() as f64 / spec.num_iterations() as f64;
         assert!(per_iter <= 45.0, "{per_iter:.1} resident B/iteration");
+    }
+
+    /// At the `engine-pic` shape (P8 k2 cyclic, 524 288 two-reference
+    /// iterations on 65 536 elements), a 10 % update leaves exactly the
+    /// plan a fresh prepare of the updated spec builds — rows, buffer
+    /// slots and copies — plus only the nodes' local indirection
+    /// copies: 4·m B/iteration.
+    #[test]
+    fn updated_plan_costs_a_fresh_plan_plus_the_local_indirection() {
+        let spec = tiny_spec(65_536, 27, 524_288);
+        let strat = StrategyConfig::new(8, 2, Distribution::Cyclic, 1);
+        let engine = PhasedEngine::native(NativeConfig::default());
+        let mut prepared = engine.prepare(&spec, &strat).unwrap();
+        let updates: Vec<(usize, Vec<u32>)> = (0..52_429)
+            .map(|i| {
+                (
+                    i * 10 + 3,
+                    vec![(i % 65_536) as u32, (i * 7 % 65_536) as u32],
+                )
+            })
+            .collect();
+        prepared.apply_updates(&updates).unwrap();
+        let updated = PhasedSpec {
+            indirection: Arc::new(prepared.indirection().to_vec()),
+            ..spec.clone()
+        };
+        let fresh = engine.prepare(&updated, &strat).unwrap();
+        for (a, b) in prepared.node_data.iter().zip(&fresh.node_data) {
+            assert_eq!(a.flat, b.flat);
+            assert_eq!(a.buffer_len, b.buffer_len);
+            assert_eq!((&a.giters, &a.elems), (&b.giters, &b.elems));
+        }
+        let m = spec.kernel.num_refs();
+        let bound = fresh.resident_bytes() + 4 * m * spec.num_iterations();
+        assert!(
+            prepared.resident_bytes() <= bound,
+            "{} resident B after the update, bound {bound}",
+            prepared.resident_bytes()
+        );
     }
 
     #[test]

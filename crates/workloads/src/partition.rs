@@ -76,6 +76,29 @@ impl Distribution {
             Distribution::Cyclic => (proc.min(num_iters)..num_iters).step_by(procs),
         }
     }
+
+    /// Where iteration `iter` of `num_iters` over `procs` processors
+    /// lives: `(proc, local)` such that `owned_by(num_iters, procs,
+    /// proc)` yields `iter` at position `local`. Closed-form, so callers
+    /// need no per-iteration table. Requires `iter < num_iters` and
+    /// nonzero `procs`.
+    pub fn locate(self, iter: usize, num_iters: usize, procs: usize) -> (usize, usize) {
+        debug_assert!(iter < num_iters && procs > 0);
+        match self {
+            Distribution::Block => {
+                // The first `extra` blocks hold `base + 1` iterations.
+                let (base, extra) = (num_iters / procs, num_iters % procs);
+                let long = extra * (base + 1);
+                if iter < long {
+                    (iter / (base + 1), iter % (base + 1))
+                } else {
+                    let j = iter - long;
+                    (extra + j / base, j % base)
+                }
+            }
+            Distribution::Cyclic => (iter % procs, iter / procs),
+        }
+    }
 }
 
 /// Assign `num_iters` iterations to `procs` processors. Returns the
@@ -250,6 +273,23 @@ mod tests {
                     for (proc, want) in parts.iter().enumerate() {
                         let got: Vec<u32> = d.owned_by(n, p, proc).map(|i| i as u32).collect();
                         assert_eq!(&got, want, "n={n} p={p} proc={proc} {d:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Exhaustive over small shapes, including `num_iters < procs` and
+    /// every uneven block remainder.
+    #[test]
+    fn locate_inverts_owned_by() {
+        for n in 0..=40usize {
+            for p in 1..=9usize {
+                for d in [Distribution::Block, Distribution::Cyclic] {
+                    for proc in 0..p {
+                        for (local, iter) in d.owned_by(n, p, proc).enumerate() {
+                            assert_eq!(d.locate(iter, n, p), (proc, local), "n={n} p={p} {d:?}");
+                        }
                     }
                 }
             }

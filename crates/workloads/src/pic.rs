@@ -7,14 +7,14 @@
 //! reduction arrays (charge and current). Between sweeps a fraction of
 //! the particles advances by its velocity, re-targeting its deposit
 //! cells — the churn stream that feeds
-//! `PreparedPhased::apply_updates` incrementally instead of forcing a
-//! full re-inspection.
+//! `PreparedPhased::apply_updates`, which re-inspects only the nodes it
+//! touches instead of forcing a full re-prepare.
 //!
 //! The generator precomputes the whole trajectory deterministically:
 //! [`PicDeck::initial`] is the sweep-0 family, [`PicDeck::step_updates`]
 //! yields each step's `(iteration, new_refs)` list, and
 //! [`PicDeck::family_at`] materializes the full family after any number
-//! of steps (the re-prepare reference the incremental path must match).
+//! of steps (the re-prepare reference the update path must match).
 
 use harness::Rng64;
 

@@ -9,10 +9,11 @@
 //! pair list lives in a fixed-capacity buffer padded with inactive
 //! `(0, 0)` self-pairs (which contribute exactly zero force), a multiset
 //! diff of the old and new lists yields the changed slots, and
-//! [`irred::PreparedPhased::apply_updates`] re-runs the incremental
-//! LightInspector on only the processors that own a changed iteration —
-//! the EARTH program template, the untouched processors' plans, and the
-//! pooled buffers all survive the adaptation.
+//! [`irred::PreparedPhased::apply_updates`] re-runs the LightInspector
+//! on only the processors that own a changed iteration, leaving exactly
+//! the plan a fresh prepare of the new list would build — the EARTH
+//! program template, the untouched processors' plans, and the pooled
+//! buffers all survive the adaptation.
 //!
 //! ```sh
 //! cargo run --release --example moldyn_adaptive
@@ -116,8 +117,8 @@ fn main() {
         md.perturb(0.05, epoch as u64);
         let churn = md.rebuild_interactions();
 
-        // Patch the prepared run incrementally: a multiset diff against
-        // the plan's current indirection yields the changed slots, and
+        // Patch the prepared run: a multiset diff against the plan's
+        // current indirection yields the changed slots, and
         // apply_updates re-inspects only the owning processors.
         let t = std::time::Instant::now();
         let (na, nb) = padded(&pairs_of(&md), capacity);
@@ -134,7 +135,7 @@ fn main() {
         let updated = updates.len();
         prepared
             .apply_updates(&updates)
-            .expect("incremental update valid");
+            .expect("valid neighbour-list update");
         println!(
             "         adapted: {churn} pairs churned → {updated} plan updates in {:.2?} (no communication, no re-prepare)",
             t.elapsed()

@@ -252,6 +252,12 @@ fn pic_churn_through_apply_updates_matches_fresh_prepare() {
                     out.values == fresh.values,
                     "incremental != fresh prepare at step {step} for {c:?}"
                 );
+                prop_assert!(
+                    out.time_cycles == fresh.time_cycles,
+                    "incremental cycles {} != fresh prepare's {} at step {step} for {c:?}",
+                    out.time_cycles,
+                    fresh.time_cycles
+                );
                 let out_n = native
                     .execute(&mut prepared_n, &mut ws)
                     .map_err(|e| format!("native execute step {step}: {e}"))?;
