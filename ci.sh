@@ -7,8 +7,10 @@
 # Usage:
 #   ./ci.sh          # every lane below, in order
 #   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
-#                    # the benchmark package's build and its serve-warm,
-#                    # serve-source, serve-cold and engine-pic smokes
+#                    # rustdoc (-D warnings: no broken or private
+#                    # intra-doc links) + the benchmark package's build
+#                    # and its serve-warm, serve-source, serve-cold and
+#                    # engine-pic smokes
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
@@ -60,6 +62,11 @@ tier1() {
 
     echo "== clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
+
+    echo "== rustdoc (-D warnings) =="
+    # A doc link to a deleted or private item is a warning, and nothing
+    # above builds the docs: deny it here.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
     echo "== benchmark package (offline build + warm, source, cold, adaptive smokes) =="
     # benchmark/ is its own workspace with path dependencies on

@@ -39,7 +39,7 @@ use irred::{
     RunOutcome, StrategyConfig, Tuning, Workspace,
 };
 use kernels::{EulerProblem, FamilyProblem, MolDynProblem, MvmProblem};
-use lightinspector::{diff_pairs, inspect, IncrementalInspector, InspectorInput, PhaseGeometry};
+use lightinspector::{inspect, InspectorInput, PhaseGeometry};
 use trace::{TraceEvent, TraceKind};
 use workloads::{
     distribute, hash_distribute_pairs, rcb_partition, CgClass, Distribution, Mesh, MeshPreset,
@@ -618,15 +618,14 @@ fn padded(pairs: &[(u32, u32)], capacity: usize) -> (Vec<u32>, Vec<u32>) {
 ///
 /// Inspector only: `moldyn` with positions drifting every round,
 /// forcing a neighbour-list rebuild. Preprocessing cost per adaptation
-/// event for a full LightInspector re-run (what the paper's system
-/// would do), the nested incremental LightInspector (stable hash
-/// ownership of pairs + a multiset diff, so updates scale with the
-/// *churn*), and what a partitioning-based scheme would pay (modeled).
-/// None of these rows rebuilds an executable plan; the prepared-run
-/// table ([`adaptive_prepared`]) times the step a solver pays.
+/// event for a full LightInspector re-run on every processor (what the
+/// paper's system would do, over stable hash ownership of pairs)
+/// against what a partitioning-based scheme would pay (modeled).
+/// Neither row rebuilds an executable plan; the prepared-run table
+/// ([`adaptive_prepared`]) times the step a solver pays.
 fn adaptive(trace: bool) {
     let cfg = SimConfig::default();
-    let mut rep = Report::new("Adaptive: incremental LightInspector under churn");
+    let mut rep = Report::new("Adaptive: LightInspector re-runs under churn");
     let procs = 8usize;
     let rounds = if quick() { 3 } else { 10 };
 
@@ -636,18 +635,8 @@ fn adaptive(trace: bool) {
     // Fixed-capacity local lists (15% slack) with stable hash ownership.
     let initial = hash_distribute_pairs(&md.ia1, &md.ia2, procs);
     let caps: Vec<usize> = initial.iter().map(|v| v.len() + v.len() / 7 + 8).collect();
-    let mut incs: Vec<IncrementalInspector> = initial
-        .iter()
-        .zip(&caps)
-        .enumerate()
-        .map(|(q, (pairs, &cap))| {
-            let (a, b) = padded(pairs, cap);
-            IncrementalInspector::new(g, q, vec![a, b])
-        })
-        .collect();
 
     let mut total_full = 0.0;
-    let mut total_inc = 0.0;
     for round in 0..rounds {
         md.perturb(0.04, round as u64);
         let churn = md.rebuild_interactions();
@@ -666,39 +655,8 @@ fn adaptive(trace: bool) {
         }
         let full_ms = t0.elapsed().as_secs_f64() * 1e3;
         total_full += full_ms;
-
-        // Incremental. The diff is neighbour-list bookkeeping a real
-        // rebuild produces for free (it knows which pairs it added or
-        // removed), so it is timed separately from the plan updates.
-        let td = std::time::Instant::now();
-        let diffs: Vec<_> = incs
-            .iter()
-            .enumerate()
-            .map(|(q, inc)| {
-                let (na, nb) = padded(&fresh[q], caps[q]);
-                let new_pairs: Vec<(u32, u32)> = na.into_iter().zip(nb).collect();
-                diff_pairs(
-                    inc.indirection()[0].as_slice(),
-                    inc.indirection()[1].as_slice(),
-                    &new_pairs,
-                )
-            })
-            .collect();
-        let diff_ms = td.elapsed().as_secs_f64() * 1e3;
-        let t1 = std::time::Instant::now();
-        let mut updated = 0usize;
-        for (inc, d) in incs.iter_mut().zip(diffs) {
-            updated += d.len();
-            for (slot, x, y) in d {
-                inc.update(slot, &[x, y]);
-            }
-        }
-        let inc_ms = t1.elapsed().as_secs_f64() * 1e3;
-        total_inc += inc_ms;
-
         rep.note(format!(
-            "inspector only, round {round}: churn {churn} pairs → {updated} plan updates — full {full_ms:.2} ms vs incremental {inc_ms:.2} ms (+{diff_ms:.2} ms list diff) = {:.1}x",
-            full_ms / inc_ms.max(1e-9)
+            "inspector only, round {round}: churn {churn} pairs — full re-inspection {full_ms:.2} ms"
         ));
     }
 
@@ -710,8 +668,7 @@ fn adaptive(trace: bool) {
         cfg.seconds(part) * 1e3
     ));
     rep.note(format!(
-        "inspector only, totals over {rounds} rounds: full {total_full:.1} ms, incremental {total_inc:.1} ms ({:.1}x cheaper)",
-        total_full / total_inc.max(1e-9)
+        "inspector only, total over {rounds} rounds: full re-inspection {total_full:.1} ms"
     ));
     adaptive_prepared(&mut rep);
     rep.save();

@@ -109,7 +109,7 @@ impl FaultConfig {
     }
 
     /// Derive a fresh plan for a retry attempt: same rates, new seed.
-    /// Models transient faults — a [`RecoveryPolicy`] retry re-rolls the
+    /// Models transient faults — a `RecoveryPolicy` retry re-rolls the
     /// dice instead of replaying the exact failure.
     ///
     /// (`RecoveryPolicy` lives in the `irred` crate's phased executor.)

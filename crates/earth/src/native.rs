@@ -38,7 +38,7 @@
 //! lane messages; per-lane FIFO plus a drain-all-lanes step before
 //! every fiber firing preserves the EARTH guarantee that a fiber's
 //! data has landed before its sync fires (see the ordering argument at
-//! [`drain_lanes`]). Logical nodes are hosted on up to
+//! `drain_lanes`). Logical nodes are hosted on up to
 //! `available_parallelism()` OS threads (one per node on big hosts;
 //! round-robin multiplexed on oversubscribed ones — see
 //! [`NativeConfig::host_threads`]). Idle host threads spin briefly (on

@@ -14,7 +14,8 @@
 //!
 //! Outer loops (CG iterations, adaptive time steps) hold the prepared
 //! run and call `execute` repeatedly; adaptive mesh changes go through
-//! the incremental inspector instead of re-preparing from scratch.
+//! `apply_updates`, which re-inspects only the nodes they touch instead
+//! of re-preparing from scratch.
 
 use std::time::Duration;
 

@@ -9,8 +9,9 @@
 //! `y` entries), the vector `x` rotates around the ring in `k·P`
 //! portions, and during phase `p` the processor processes exactly those
 //! of its nonzeros whose column lies in the resident portion. Bucketing
-//! nonzeros by phase is the single-reference inspection
-//! ([`lightinspector::inspect_single`] at the granularity of nonzeros).
+//! nonzeros by phase is a [`lightinspector::inspect`] with one reference
+//! per nonzero (its column), which is always resident in its phase: the
+//! schedule has no buffer and no second loop.
 //!
 //! The phase bucketing depends only on the matrix structure, so a
 //! [`PreparedGather`] is reused across input vectors: a CG iteration
@@ -26,7 +27,7 @@ use earth_model::{
     mailbox_key, FiberCtx, FiberTemplate, Meter, NullMeter, ProgramTemplate, SlotId, TraceSink,
     Value,
 };
-use lightinspector::PhaseGeometry;
+use lightinspector::{inspect, FlatPlan, InspectorInput, PhaseGeometry};
 use memsim::{AddressMap, Region, StreamModel};
 use trace::TraceKind;
 use workloads::{distribute, SparseMatrix};
@@ -36,6 +37,7 @@ use crate::engine::{
     attempt_faults, run_recovery_ladder, validate_gather_spec, validate_gather_x, EngineError,
     Provenance, RecoveryPolicy, ReductionEngine, RunOutcome,
 };
+use crate::phased::fan_out;
 use crate::prepared::{PhaseCosts, PlanToken, Workspace};
 use crate::strategy::StrategyConfig;
 
@@ -64,12 +66,12 @@ struct GatherNodePlan {
     geometry: PhaseGeometry,
     /// Rows owned by this node (global ids, ascending).
     rows: Vec<u32>,
-    /// Per phase: parallel arrays of (local row, column, value).
-    ph_rows: Vec<Vec<u32>>,
-    ph_cols: Vec<Vec<u32>>,
-    ph_vals: Vec<Vec<f64>>,
-    /// Start offset of each phase in the concatenated nonzero order.
-    phase_off: Vec<usize>,
+    /// The node's nonzeros in schedule order (phase `p` occupies
+    /// `sched.phase_rows(p)`): local row and value of each; the column
+    /// of each is its single, resident reference, `sched.refs`.
+    nz_rows: Vec<u32>,
+    vals: Vec<f64>,
+    sched: FlatPlan,
     regions: NodeRegions,
 }
 
@@ -79,28 +81,32 @@ impl GatherNodePlan {
         geometry: PhaseGeometry,
         proc: usize,
         rows: Vec<u32>,
-    ) -> GatherNodePlan {
-        let kp = geometry.num_phases();
-        let mut ph_rows = vec![Vec::new(); kp];
-        let mut ph_cols = vec![Vec::new(); kp];
-        let mut ph_vals = vec![Vec::new(); kp];
+    ) -> Result<GatherNodePlan, EngineError> {
+        // The inspector's iterations are this node's nonzeros in
+        // row-major order; it keeps each phase in ascending iteration
+        // order.
+        let (mut nz_row, mut nz_idx, mut cols) = (Vec::new(), Vec::new(), Vec::new());
         for (lr, &r) in rows.iter().enumerate() {
             for nz in matrix.row_ptr[r as usize] as usize..matrix.row_ptr[r as usize + 1] as usize {
-                let c = matrix.col_idx[nz];
-                let p = geometry.phase_of_portion_on(proc, geometry.portion_of(c as usize));
-                ph_rows[p].push(lr as u32);
-                ph_cols[p].push(c);
-                ph_vals[p].push(matrix.values[nz]);
+                nz_row.push(lr as u32);
+                nz_idx.push(nz);
+                cols.push(matrix.col_idx[nz]);
             }
         }
-        let mut phase_off = Vec::with_capacity(kp);
-        let mut off = 0;
-        for r in ph_rows.iter().take(kp) {
-            phase_off.push(off);
-            off += r.len();
-        }
+        let fi = inspect(InspectorInput {
+            geometry,
+            proc_id: proc,
+            indirection: &[&cols],
+        })?;
+        debug_assert_eq!(fi.buffer_len, 0);
+        let nz_rows = fi.iters.iter().map(|&i| nz_row[i as usize]).collect();
+        let vals = fi
+            .iters
+            .iter()
+            .map(|&i| matrix.values[nz_idx[i as usize]])
+            .collect();
 
-        let total_nnz = off;
+        let total_nnz = cols.len();
         let mut am = AddressMap::new(64);
         let regions = NodeRegions {
             rows: am.alloc_u32(total_nnz.max(1)),
@@ -110,14 +116,33 @@ impl GatherNodePlan {
             y: am.alloc_f64(rows.len().max(1)),
         };
 
-        GatherNodePlan {
+        Ok(GatherNodePlan {
             geometry,
             rows,
-            ph_rows,
-            ph_cols,
-            ph_vals,
-            phase_off,
+            nz_rows,
+            vals,
+            sched: fi.flat,
             regions,
+        })
+    }
+
+    /// Phase `p`'s nonzeros through `y[row] += val · x[col]`.
+    fn gather_phase<M: Meter>(&self, p: usize, x: &[f64], y: &mut [f64], meter: &mut M) {
+        let regs = &self.regions;
+        for pos in self.sched.phase_rows(p) {
+            let (r, c, v) = (
+                self.nz_rows[pos] as usize,
+                self.sched.refs[pos] as usize,
+                self.vals[pos],
+            );
+            meter.load(regs.rows.addr(pos));
+            meter.load(regs.cols.addr(pos));
+            meter.load(regs.vals.addr(pos));
+            meter.load(regs.x.addr(c));
+            meter.load(regs.y.addr(r));
+            y[r] += v * x[c];
+            meter.store(regs.y.addr(r));
+            meter.flops(2);
         }
     }
 }
@@ -209,7 +234,7 @@ impl GatherNode {
                 None => {
                     let before = ctx.charged();
                     let mut meter = earth_model::program::CtxMeter::<Self, C>::new(ctx);
-                    s.exec_loop_metered(p, &mut meter);
+                    s.exec_loop(p, &mut meter);
                     let cost = ctx.charged() - before;
                     if t > 0 || s.sweeps == 1 {
                         s.phase_cost[p] = Some(cost);
@@ -262,57 +287,8 @@ impl GatherNode {
         }
     }
 
-    fn exec_loop(&mut self, p: usize, meter: &mut NullMeter) {
-        let d = &self.data;
-        gather_loop(
-            &d.ph_rows[p],
-            &d.ph_cols[p],
-            &d.ph_vals[p],
-            &self.x,
-            &mut self.y,
-            &d.regions,
-            d.phase_off[p],
-            meter,
-        );
-    }
-
-    fn exec_loop_metered<M: Meter>(&mut self, p: usize, meter: &mut M) {
-        let d = &self.data;
-        gather_loop(
-            &d.ph_rows[p],
-            &d.ph_cols[p],
-            &d.ph_vals[p],
-            &self.x,
-            &mut self.y,
-            &d.regions,
-            d.phase_off[p],
-            meter,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gather_loop<M: Meter>(
-    rows: &[u32],
-    cols: &[u32],
-    vals: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    regs: &NodeRegions,
-    phase_off: usize,
-    meter: &mut M,
-) {
-    for j in 0..rows.len() {
-        let pos = phase_off + j;
-        let (r, c, v) = (rows[j] as usize, cols[j] as usize, vals[j]);
-        meter.load(regs.rows.addr(pos));
-        meter.load(regs.cols.addr(pos));
-        meter.load(regs.vals.addr(pos));
-        meter.load(regs.x.addr(c));
-        meter.load(regs.y.addr(r));
-        y[r] += v * x[c];
-        meter.store(regs.y.addr(r));
-        meter.flops(2);
+    fn exec_loop<M: Meter>(&mut self, p: usize, meter: &mut M) {
+        self.data.gather_phase(p, &self.x, &mut self.y, meter);
     }
 }
 
@@ -388,40 +364,14 @@ impl PreparedGather {
         // phases degenerate to bare synchronization.
         let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.matrix.ncols)?;
         let rows = distribute(spec.matrix.nrows, strat.procs, strat.distribution);
-        // Per-node phase bucketing only reads the shared matrix, so the
-        // passes run in parallel on multi-core hosts; collecting in
-        // processor order keeps the result identical to the serial build.
-        let parallel = strat.procs > 1
-            && std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false);
-        let node_data: Vec<Arc<GatherNodePlan>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = rows
-                    .into_iter()
-                    .enumerate()
-                    .take(strat.procs)
-                    .map(|(proc, proc_rows)| {
-                        let matrix = &spec.matrix;
-                        scope.spawn(move || {
-                            Arc::new(GatherNodePlan::new(matrix, geometry, proc, proc_rows))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("bucketing pass panicked"))
-                    .collect()
-            })
-        } else {
-            rows.into_iter()
-                .enumerate()
-                .take(strat.procs)
-                .map(|(proc, proc_rows)| {
-                    Arc::new(GatherNodePlan::new(&spec.matrix, geometry, proc, proc_rows))
-                })
-                .collect()
-        };
+        // Per-node phase bucketing only reads the shared matrix, so it
+        // fans out like the phased executor's prepare, merged in
+        // processor order.
+        let node_data = fan_out(rows, |proc, proc_rows| {
+            GatherNodePlan::new(&spec.matrix, geometry, proc, proc_rows).map(Arc::new)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let (mem_cfg, template) = match cfg.backend {
             BackendKind::Sim => (cfg.sim.mem, GatherTemplate::Sim(build_template(strat))),
             BackendKind::Native => (

@@ -1088,7 +1088,7 @@ fn loops_flat_r<K: EdgeKernel, const R: usize>(
             // bounded by the node's `x` extent (region plus buffer): the
             // spec's element indices are range-checked when the plan is
             // built (`InspectError::OutOfRange`) and the plan itself is
-            // `verify_plan`-checked in debug builds. `r < m` and `out`
+            // `verify_flat`-checked in debug builds. `r < m` and `out`
             // holds `m * R` slots.
             unsafe {
                 for a in 0..R {
@@ -1541,7 +1541,7 @@ fn build_template<K: EdgeKernel, C: FiberCtx<PhasedNode<K>> + 'static>(
 /// thread plus scoped threads), each taking a contiguous run of items,
 /// and return the results in item order — so the output never depends
 /// on the host's core count.
-fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let per = items.len().div_ceil(workers).max(1);
     let mut runs: Vec<Vec<(usize, T)>> = Vec::new();
@@ -1946,22 +1946,23 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.node_data.first().map_or(0, |d| d.flat.num_phases())
     }
 
+    /// Processor `proc`'s frozen schedule: the (possibly tiled) CSR
+    /// plan its executor streams, rows in [`Self::phase_order`] order.
+    pub fn node_plan(&self, proc: usize) -> &lightinspector::FlatPlan {
+        &self.node_data[proc].flat
+    }
+
+    /// Buffer slots appended to processor `proc`'s reduction arrays.
+    pub fn buffer_len(&self, proc: usize) -> usize {
+        self.node_data[proc].buffer_len
+    }
+
     /// The (possibly tiled) iteration order of phase `p` on processor
     /// `proc`, as global iteration ids. Exposed so tests can prove the
     /// tiling contract: within one tile block the order is a
     /// subsequence of the untiled order (stable sort).
     pub fn phase_order(&self, proc: usize, p: usize) -> Vec<u32> {
         self.node_data[proc].phase(p).0.to_vec()
-    }
-
-    /// The first-reference scatter target (local element index) of each
-    /// iteration of phase `p` on processor `proc`, in the same order as
-    /// [`Self::phase_order`] — the tiling sort key.
-    pub fn phase_first_ref_targets(&self, proc: usize, p: usize) -> Vec<u32> {
-        let d = &self.node_data[proc];
-        let refs = d.flat.phase_refs(p);
-        let m = d.flat.m();
-        refs.iter().step_by(m.max(1)).copied().collect()
     }
 
     /// The current global indirection arrays (reflecting all applied

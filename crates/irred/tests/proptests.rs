@@ -15,7 +15,7 @@ use harness::prop::{check, Config, Gen};
 use harness::{prop_assert, prop_assert_eq};
 use irred::{
     approx_eq, seq_reduction, Distribution, EdgeKernel, ExecutionConfig, GatherEngine, GatherSpec,
-    PhasedEngine, PhasedSpec, ReductionEngine, StrategyConfig,
+    PhasedEngine, PhasedSpec, ReductionEngine, StrategyConfig, Workspace,
 };
 use workloads::SparseMatrix;
 
@@ -157,6 +157,79 @@ fn communication_independent_of_contents() {
             // message count and payload volume, whatever the indirection.
             prop_assert_eq!(a.stats.ops.messages, b.stats.ops.messages);
             prop_assert_eq!(a.stats.ops.bytes, b.stats.ops.bytes);
+            Ok(())
+        },
+    );
+}
+
+/// Adaptive updates leave exactly the plan a fresh prepare of the
+/// updated spec builds: random small specs and strategies, random
+/// batches (repeated iterations and empty batches included), and after
+/// each `apply_updates` the per-node schedule equals a fresh prepare's
+/// and the simulated values, read state and cycles match bit for bit.
+#[test]
+fn incremental_matches_full() {
+    check(
+        "incremental_matches_full",
+        Config::cases(64),
+        |g| {
+            let s = shape(g);
+            let batches = g.vec(0, 3, |g| {
+                g.vec(0, 12, |g| {
+                    // A few hot iterations, so repeats are common.
+                    let iter = if g.prob(0.3) {
+                        g.usize_in(0..3)
+                    } else {
+                        g.usize_in(0..400)
+                    };
+                    let refs: Vec<u32> = (0..s.m).map(|_| g.u32_in(0..s.n as u32)).collect();
+                    (iter, refs)
+                })
+            });
+            (s, batches)
+        },
+        |(s, batches)| {
+            let spec = build_spec(s);
+            let strat = StrategyConfig::new(s.procs, s.k, s.dist, s.sweeps);
+            let engine = PhasedEngine::sim(SimConfig::default());
+            let mut prepared = engine.prepare(&spec, &strat).map_err(|e| format!("{e}"))?;
+            let bits =
+                |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
+            for batch in batches {
+                // A spec with no iterations gets only empty batches.
+                let updates: Vec<(usize, Vec<u32>)> = if s.e == 0 {
+                    Vec::new()
+                } else {
+                    batch.iter().map(|(i, r)| (i % s.e, r.clone())).collect()
+                };
+                prepared
+                    .apply_updates(&updates)
+                    .map_err(|e| format!("{e}"))?;
+                let updated = PhasedSpec {
+                    indirection: Arc::new(prepared.indirection().to_vec()),
+                    ..spec.clone()
+                };
+                let mut fresh = engine
+                    .prepare(&updated, &strat)
+                    .map_err(|e| format!("{e}"))?;
+                for proc in 0..s.procs {
+                    prop_assert_eq!(prepared.buffer_len(proc), fresh.buffer_len(proc));
+                    prop_assert!(prepared.node_plan(proc) == fresh.node_plan(proc));
+                    for p in 0..fresh.num_phases() {
+                        prop_assert_eq!(prepared.phase_order(proc, p), fresh.phase_order(proc, p));
+                    }
+                }
+                let mut ws = Workspace::new();
+                let got = engine
+                    .execute(&mut prepared, &mut ws)
+                    .map_err(|e| format!("{e}"))?;
+                let want = engine
+                    .execute(&mut fresh, &mut Workspace::new())
+                    .map_err(|e| format!("{e}"))?;
+                prop_assert_eq!(bits(&got.values), bits(&want.values));
+                prop_assert_eq!(bits(&got.read), bits(&want.read));
+                prop_assert_eq!(got.time_cycles, want.time_cycles);
+            }
             Ok(())
         },
     );

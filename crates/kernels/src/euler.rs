@@ -1,6 +1,6 @@
 //! The `euler` kernel: an unstructured-mesh CFD edge loop.
 //!
-//! Derived from the shape of the paper's Figure 1 (its reference [5]):
+//! Derived from the shape of the paper's Figure 1 (its reference \[5\]):
 //! the loop sweeps the mesh edges; each edge computes a flux from the
 //! state of its two nodes and a per-edge coefficient, and accumulates it
 //! into both nodes with opposite signs (conservation). After the sweep,

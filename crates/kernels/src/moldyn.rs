@@ -1,6 +1,6 @@
 //! The `moldyn` kernel: a molecular-dynamics force loop.
 //!
-//! From the classic benchmark (the paper's reference [14], the
+//! From the classic benchmark (the paper's reference \[14\], the
 //! Tseng/Han code): the interaction list pairs molecules within the
 //! cutoff; each pair computes a truncated Lennard-Jones-style force from
 //! the two positions and accumulates ±f into the two molecules' force

@@ -35,8 +35,9 @@ impl PhaseGeometry {
             .unwrap_or_else(|e| panic!("invalid PhaseGeometry: {e}"))
     }
 
-    /// Fallible constructor: returns a typed [`InspectError`] instead of
-    /// panicking on a degenerate `(P, k, n)` triple.
+    /// Fallible constructor: returns a typed
+    /// [`InspectError`](crate::InspectError) instead of panicking on a
+    /// degenerate `(P, k, n)` triple.
     pub fn try_new(
         num_procs: usize,
         k: usize,

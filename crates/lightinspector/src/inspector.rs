@@ -19,7 +19,7 @@
 //! `m = 2` (edges/interactions touching two nodes/molecules).
 
 use crate::geometry::PhaseGeometry;
-use crate::plan::{CopyOp, FlatInspection, FlatPlan, SingleRefPlan};
+use crate::plan::{CopyOp, FlatInspection, FlatPlan};
 
 /// Why an inspector input was rejected. Every variant is a caller bug
 /// that would previously panic (debug) or silently mis-bucket references
@@ -96,7 +96,7 @@ pub struct InspectorInput<'a> {
     pub indirection: &'a [&'a [u32]],
 }
 
-/// Validate the shared preconditions of [`inspect`] / [`inspect_single`].
+/// Validate the preconditions of [`inspect`].
 fn validate(g: &PhaseGeometry, proc_id: usize, indirection: &[&[u32]]) -> Result<(), InspectError> {
     if proc_id >= g.num_procs() {
         return Err(InspectError::ProcOutOfRange {
@@ -285,39 +285,22 @@ pub fn inspect_observed(
     })
 }
 
-/// The single-reference fast path (§3): when the reduction array is
-/// updated through one distinct indirection reference per iteration,
-/// every update can be made while the element is resident — iterations
-/// are merely bucketed by phase, with no buffers and no second loop.
-///
-/// `mvm` uses this shape (the gathered vector rotates; the reduction
-/// array `y` is never indirectly accessed).
-pub fn inspect_single(
-    geometry: PhaseGeometry,
-    proc_id: usize,
-    indirection: &[u32],
-) -> Result<SingleRefPlan, InspectError> {
-    validate(&geometry, proc_id, &[indirection])?;
-    let phase_of = PhaseOf::new(&geometry, proc_id);
-    let mut counts = vec![0usize; geometry.num_phases()];
-    for &e in indirection {
-        counts[phase_of.phase(e)] += 1;
-    }
-    let mut phases: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (i, &e) in indirection.iter().enumerate() {
-        phases[phase_of.phase(e)].push(i as u32);
-    }
-    Ok(SingleRefPlan {
-        geometry,
-        proc_id,
-        phases,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{verify_flat, verify_plan};
+    use crate::plan::verify_flat;
+
+    /// The phase each local iteration was assigned to, read off the
+    /// schedule.
+    fn iter_phase(fi: &FlatInspection) -> Vec<usize> {
+        let mut phase = vec![usize::MAX; fi.iters.len()];
+        for p in 0..fi.flat.num_phases() {
+            for &it in fi.phase_iters(p) {
+                phase[it as usize] = p;
+            }
+        }
+        phase
+    }
 
     /// The worked example in the spirit of the paper's Figure 3:
     /// 2 processors, k = 2, a mesh of 8 nodes and 20 edges. Processor 0
@@ -345,7 +328,7 @@ mod tests {
     #[test]
     fn fig3_phase_assignment() {
         let (plan, ind1, ind2) = fig3_p0_plan();
-        let iter_phase = plan.to_plan().iter_phase;
+        let iter_phase = iter_phase(&plan);
         // Edge 0 (0,1): both in portion 0 → phase 0, both resident.
         assert_eq!(iter_phase[0], 0);
         // Edge 4 (1,2): portions 0 and 1 → phase 0, node 2 buffered.
@@ -401,7 +384,7 @@ mod tests {
         .unwrap();
         verify_flat(&plan, &[&ind1, &ind2]).unwrap();
         // Edge 0 (0,1): portion 0 is owned by P1 at phase 2.
-        assert_eq!(plan.to_plan().iter_phase[0], 2);
+        assert_eq!(iter_phase(&plan)[0], 2);
     }
 
     #[test]
@@ -428,14 +411,23 @@ mod tests {
     fn single_ref_plan_partitions_iterations() {
         let g = PhaseGeometry::new(4, 2, 64);
         let ind: Vec<u32> = (0..200).map(|i| (i * 7) as u32 % 64).collect();
-        let plan = inspect_single(g, 2, &ind).unwrap();
-        assert_eq!(plan.total_iters(), 200);
-        // Every iteration's element must be resident in its phase.
-        for (p, iters) in plan.phases.iter().enumerate() {
-            let owned = g.portion_owned_by(2, p);
-            let range = g.portion_range(owned);
-            for &i in iters {
-                assert!(range.contains(&(ind[i as usize] as usize)));
+        let plan = inspect(InspectorInput {
+            geometry: g,
+            proc_id: 2,
+            indirection: &[&ind],
+        })
+        .unwrap();
+        verify_flat(&plan, &[&ind]).unwrap();
+        // One reference is always resident in its iteration's phase:
+        // nothing is buffered and nothing is copied.
+        assert_eq!(plan.buffer_len, 0);
+        assert!(plan.flat.copies.is_empty());
+        assert_eq!(plan.iters.len(), 200);
+        for p in 0..g.num_phases() {
+            let range = g.portion_range(g.portion_owned_by(2, p));
+            for (&i, &target) in plan.phase_iters(p).iter().zip(plan.flat.phase_refs(p)) {
+                assert_eq!(target, ind[i as usize]);
+                assert!(range.contains(&(target as usize)));
             }
         }
     }
@@ -492,7 +484,7 @@ mod tests {
         // The determinism contract of the CSR emission, across geometries
         // and skews: ascending iterations within a phase, buffer slots
         // numbered in (iteration, reference) scan order, copy lists in
-        // that same order — and the nested form converts back exactly.
+        // that same order.
         let mut s = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             s ^= s << 13;
@@ -537,9 +529,6 @@ mod tests {
                     .collect();
                 let want: Vec<u32> = (n as u32..(n + fi.buffer_len) as u32).collect();
                 assert_eq!(scan, want, "{at}");
-                let nested = fi.to_plan();
-                verify_plan(&nested, &refs).unwrap();
-                assert_eq!(nested.to_flat(), fi, "{at}");
             }
         }
     }
@@ -617,7 +606,12 @@ mod tests {
     fn rejects_foreign_proc_id() {
         let g = PhaseGeometry::new(2, 2, 8);
         let a: Vec<u32> = vec![0];
-        let err = inspect_single(g, 2, &a).unwrap_err();
+        let err = inspect(InspectorInput {
+            geometry: g,
+            proc_id: 2,
+            indirection: &[&a],
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             InspectError::ProcOutOfRange {

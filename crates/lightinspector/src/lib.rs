@@ -30,25 +30,22 @@
 //! runs **independently on every processor with no communication** — its
 //! cost is two linear passes over the local indirection arrays, and its
 //! output is the CSR schedule ([`FlatInspection`]) the executors stream.
-//!
-//! The [`incremental`] module implements the incremental variant the
-//! paper names as future work: when an adaptive application rewrites a
-//! few indirection entries, only the affected iterations are re-planned.
+//! That pass is the whole crate: one inspector ([`inspect`]), one plan
+//! form ([`FlatPlan`]) and one checker ([`verify_flat`]). A single
+//! reference per iteration needs no special case — it is always
+//! resident in its iteration's phase, so the plan has no buffers and no
+//! copies. Adaptive callers re-run [`inspect`] on the processors whose
+//! iterations changed.
 
 pub mod geometry;
-pub mod incremental;
 pub mod inspector;
 pub mod plan;
 pub mod stats;
 
 pub use geometry::{PhaseGeometry, PortionId};
-pub use incremental::{diff_pairs, IncrementalInspector};
 pub use inspector::{
-    inspect, inspect_observed, inspect_single, InspectError, InspectorInput, STAGE_CLASSIFY,
-    STAGE_PLACE, STAGE_VALIDATE,
+    inspect, inspect_observed, InspectError, InspectorInput, STAGE_CLASSIFY, STAGE_PLACE,
+    STAGE_VALIDATE,
 };
-pub use plan::{
-    verify_flat, verify_plan, CopyOp, FlatInspection, FlatPlan, InspectorPlan, PhasePlan,
-    PlanError, SingleRefPlan,
-};
+pub use plan::{verify_flat, CopyOp, FlatInspection, FlatPlan, PlanError};
 pub use stats::{portion_stats, PlanStats};

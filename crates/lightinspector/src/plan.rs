@@ -1,9 +1,8 @@
 //! Output of the LightInspector and its validity checker.
 //!
 //! The inspector emits one form, [`FlatInspection`]: the CSR schedule
-//! the executors stream. The nested [`InspectorPlan`] is the incremental
-//! inspector's editable state and nothing else. One checker,
-//! [`verify_flat`], validates both ([`verify_plan`] converts first).
+//! the executors stream. One checker, [`verify_flat`], validates it
+//! against the indirection it was built from.
 
 use crate::geometry::PhaseGeometry;
 
@@ -16,90 +15,6 @@ pub struct CopyOp {
     pub dest: u32,
     /// Buffer index: `>= num_elements`, into the buffer extension.
     pub src: u32,
-}
-
-/// One phase of an [`InspectorPlan`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PhasePlan {
-    /// Local iteration indices executed in this phase (the first loop).
-    pub iters: Vec<u32>,
-    /// `refs[r][j]` is where the `r`-th reduction reference of iteration
-    /// `iters[j]` goes: either a global element index (`< num_elements`,
-    /// resident this phase) or a buffer index (`>= num_elements`).
-    pub refs: Vec<Vec<u32>>,
-    /// The second loop: contributions buffered by earlier phases for
-    /// elements that become resident now.
-    pub copies: Vec<CopyOp>,
-}
-
-/// The nested per-phase form of one processor's plan. The inspector
-/// emits [`FlatInspection`]; this form exists only as the incremental
-/// inspector's editable state ([`crate::IncrementalInspector`]), and
-/// converts exactly both ways ([`FlatInspection::to_plan`],
-/// [`InspectorPlan::to_flat`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InspectorPlan {
-    pub geometry: PhaseGeometry,
-    pub proc_id: usize,
-    /// Number of buffer slots appended to the reduction array; the
-    /// executor allocates `num_elements + buffer_len` elements.
-    pub buffer_len: usize,
-    /// One plan per phase, `k·P` of them.
-    pub phases: Vec<PhasePlan>,
-    /// Phase each local iteration was assigned to (indexed by local
-    /// iteration number) — consumed by the incremental inspector.
-    pub iter_phase: Vec<u32>,
-}
-
-impl InspectorPlan {
-    /// Total iterations across all phases.
-    pub fn total_iters(&self) -> usize {
-        self.phases.iter().map(|p| p.iters.len()).sum()
-    }
-
-    /// Total buffered contributions (= total copy operations).
-    pub fn total_copies(&self) -> usize {
-        self.phases.iter().map(|p| p.copies.len()).sum()
-    }
-
-    /// The flat (CSR) form of this plan, in one pass: the exact inverse
-    /// of [`FlatInspection::to_plan`]. The plan must be well formed (one
-    /// reference column per reference, each as long as its phase's
-    /// iteration list), as the inspectors build it; [`verify_plan`]
-    /// checks that before converting.
-    pub fn to_flat(&self) -> FlatInspection {
-        let m = self.phases.first().map_or(0, |p| p.refs.len());
-        let total = self.total_iters();
-        let mut iters = Vec::with_capacity(total);
-        let mut refs = Vec::with_capacity(total * m);
-        let mut copies = Vec::with_capacity(self.total_copies());
-        let mut iter_ptr = Vec::with_capacity(self.phases.len() + 1);
-        let mut copy_ptr = Vec::with_capacity(self.phases.len() + 1);
-        iter_ptr.push(0);
-        copy_ptr.push(0);
-        for ph in &self.phases {
-            for (j, &it) in ph.iters.iter().enumerate() {
-                iters.push(it);
-                refs.extend(ph.refs.iter().map(|col| col[j]));
-            }
-            copies.extend_from_slice(&ph.copies);
-            iter_ptr.push(iters.len() as u32);
-            copy_ptr.push(copies.len() as u32);
-        }
-        FlatInspection {
-            geometry: self.geometry,
-            proc_id: self.proc_id,
-            buffer_len: self.buffer_len,
-            iters,
-            flat: FlatPlan {
-                m,
-                iter_ptr,
-                refs,
-                copy_ptr,
-                copies,
-            },
-        }
-    }
 }
 
 /// The inspector plan as a CSR-style schedule: one contiguous reference
@@ -220,61 +135,9 @@ impl FlatInspection {
     pub fn phase_iters(&self, p: usize) -> &[u32] {
         &self.iters[self.flat.phase_rows(p)]
     }
-
-    /// The nested form the incremental inspector edits: the exact
-    /// inverse of [`InspectorPlan::to_flat`], with each iteration's
-    /// phase read off the schedule.
-    pub fn to_plan(&self) -> InspectorPlan {
-        let m = self.flat.m();
-        let mut iter_phase = vec![0u32; self.iters.len()];
-        let phases = (0..self.flat.num_phases())
-            .map(|p| {
-                let iters = self.phase_iters(p).to_vec();
-                for &it in &iters {
-                    iter_phase[it as usize] = p as u32;
-                }
-                let prefs = self.flat.phase_refs(p);
-                PhasePlan {
-                    iters,
-                    refs: (0..m)
-                        .map(|r| prefs.iter().skip(r).step_by(m).copied().collect())
-                        .collect(),
-                    copies: self.flat.phase_copies(p).to_vec(),
-                }
-            })
-            .collect();
-        InspectorPlan {
-            geometry: self.geometry,
-            proc_id: self.proc_id,
-            buffer_len: self.buffer_len,
-            phases,
-            iter_phase,
-        }
-    }
 }
 
-/// Plan for the single-indirection-reference case (`mvm`): iterations are
-/// only grouped by phase; no buffers and no second loop are needed
-/// because every update is made while its element is resident (§3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SingleRefPlan {
-    pub geometry: PhaseGeometry,
-    pub proc_id: usize,
-    /// `phases[p]` = local iterations executed during phase `p`.
-    pub phases: Vec<Vec<u32>>,
-}
-
-impl SingleRefPlan {
-    pub fn total_iters(&self) -> usize {
-        self.phases.iter().map(|p| p.len()).sum()
-    }
-
-    pub fn phase_iter_counts(&self) -> Vec<usize> {
-        self.phases.iter().map(|p| p.len()).collect()
-    }
-}
-
-/// Violation found by [`verify_flat`] / [`verify_plan`].
+/// Violation found by [`verify_flat`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// An iteration appears in no phase or more than one phase.
@@ -414,8 +277,11 @@ pub fn verify_flat(fi: &FlatInspection, indirection: &[&[u32]]) -> Result<(), Pl
 
     // Buffer slot (minus `n`) -> (write phase, original element, times
     // copied). Slots are dense in `n..n + buffer_len`, so a table
-    // replaces a hash map; `UNWRITTEN` marks a slot no reference uses
-    // (legal: incremental updates leave recycled holes).
+    // replaces a hash map; `UNWRITTEN` marks a slot no reference uses.
+    // Such a slot is harmless: nothing scatters into it and a copy out
+    // of it is rejected below, so it only costs one zeroed buffer
+    // element. The inspector numbers slots densely and never leaves one;
+    // an adopted plan may.
     const UNWRITTEN: u32 = u32::MAX;
     let n = g.num_elements() as u32;
     let mut slots = vec![(UNWRITTEN, 0u32, 0u32); fi.buffer_len];
@@ -498,74 +364,9 @@ pub fn verify_flat(fi: &FlatInspection, indirection: &[&[u32]]) -> Result<(), Pl
     Ok(())
 }
 
-/// [`verify_flat`] for the nested form: checks that every phase has one
-/// reference column per indirection array, as long as its iteration
-/// list, then verifies [`InspectorPlan::to_flat`].
-pub fn verify_plan(plan: &InspectorPlan, indirection: &[&[u32]]) -> Result<(), PlanError> {
-    let want = plan.geometry.num_phases();
-    if plan.phases.len() != want {
-        return Err(PlanError::PhaseCount {
-            got: plan.phases.len(),
-            want,
-        });
-    }
-    let ragged = |ph: &PhasePlan| {
-        ph.refs.len() != indirection.len() || ph.refs.iter().any(|c| c.len() != ph.iters.len())
-    };
-    if plan.phases.iter().any(ragged) {
-        return Err(PlanError::FlatShape {
-            what: "every phase needs one reference column per indirection array",
-        });
-    }
-    verify_flat(&plan.to_flat(), indirection)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn two_phase_plan() -> InspectorPlan {
-        InspectorPlan {
-            geometry: PhaseGeometry::try_new(2, 1, 8).unwrap(),
-            proc_id: 0,
-            buffer_len: 2,
-            phases: vec![
-                PhasePlan {
-                    iters: vec![0, 1],
-                    refs: vec![vec![0, 1], vec![8, 9]],
-                    copies: vec![],
-                },
-                PhasePlan {
-                    iters: vec![2],
-                    refs: vec![vec![4], vec![5]],
-                    copies: vec![CopyOp { dest: 4, src: 8 }, CopyOp { dest: 5, src: 9 }],
-                },
-            ],
-            iter_phase: vec![0, 0, 1],
-        }
-    }
-
-    #[test]
-    fn to_flat_interleaves_refs_and_concatenates_copies() {
-        let plan = two_phase_plan();
-        let fi = plan.to_flat();
-        // refs[r][j] becomes refs[j*m + r]: iteration-major.
-        assert_eq!(fi.flat.phase_refs(0), &[0, 8, 1, 9]);
-        assert_eq!(fi.flat.phase_refs(1), &[4, 5]);
-        assert_eq!(fi.phase_iters(0), &[0, 1]);
-        assert!(fi.flat.phase_copies(0).is_empty());
-        assert_eq!(fi.flat.phase_copies(1), &plan.phases[1].copies[..]);
-        // to_plan is the exact inverse, iteration phases included.
-        assert_eq!(fi.to_plan(), plan);
-    }
-
-    #[test]
-    fn verify_plan_rejects_ragged_columns_without_panicking() {
-        let mut plan = two_phase_plan();
-        plan.phases[1].refs[1].pop();
-        let err = verify_plan(&plan, &[&[0, 1, 4], &[5, 5, 5]]).unwrap_err();
-        assert!(matches!(err, PlanError::FlatShape { .. }), "{err}");
-    }
 
     #[test]
     fn flat_plan_constructor_validates_shape() {

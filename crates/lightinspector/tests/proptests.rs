@@ -5,17 +5,14 @@
 //! contents, the plan produced by the inspector is structurally valid —
 //! every iteration runs exactly once, every resident reference is
 //! actually resident, and every buffered contribution is folded exactly
-//! once, later, into the right element. `verify_plan` encodes those
+//! once, later, into the right element. `verify_flat` encodes those
 //! checks; these tests drive it across the parameter space.
 //!
 //! Failing cases print a `PROP_SEED` replay line; see DESIGN.md.
 
 use harness::prop::{check, Config, Gen};
 use harness::{prop_assert, prop_assert_eq};
-use lightinspector::{
-    inspect, inspect_single, verify_flat, verify_plan, IncrementalInspector, InspectorInput,
-    PhaseGeometry,
-};
+use lightinspector::{inspect, verify_flat, InspectorInput, PhaseGeometry};
 
 /// Geometry + matching random indirection arrays.
 #[derive(Debug, Clone)]
@@ -86,54 +83,25 @@ fn single_ref_groups_residents() {
         scenario,
         |s| {
             let g = PhaseGeometry::new(s.p, s.k, s.n);
-            let plan = inspect_single(g, s.p - 1, &s.a).unwrap();
-            prop_assert_eq!(plan.total_iters(), s.a.len());
-            for (phase, iters) in plan.phases.iter().enumerate() {
-                let owned = g.portion_owned_by(s.p - 1, phase);
-                let range = g.portion_range(owned);
-                for &i in iters {
-                    prop_assert!(range.contains(&(s.a[i as usize] as usize)));
+            let proc_id = s.p - 1;
+            let plan = inspect(InspectorInput {
+                geometry: g,
+                proc_id,
+                indirection: &[&s.a],
+            })
+            .unwrap();
+            prop_assert!(verify_flat(&plan, &[&s.a]).is_ok());
+            prop_assert_eq!(plan.iters.len(), s.a.len());
+            // One reference is always resident in its iteration's phase:
+            // no buffer, no copies.
+            prop_assert_eq!(plan.buffer_len, 0);
+            prop_assert!(plan.flat.copies.is_empty());
+            for phase in 0..g.num_phases() {
+                let range = g.portion_range(g.portion_owned_by(proc_id, phase));
+                for &target in plan.flat.phase_refs(phase) {
+                    prop_assert!(range.contains(&(target as usize)));
                 }
             }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn incremental_matches_full() {
-    check(
-        "incremental_matches_full",
-        Config::cases(256),
-        |g| {
-            let mut s = scenario(g);
-            if s.a.is_empty() {
-                // Updates need at least one iteration to target.
-                s.a.push(g.u32_in(0..s.n as u32));
-                s.b.push(g.u32_in(0..s.n as u32));
-            }
-            let updates = g.vec(0, 40, |g| {
-                (g.usize_in(0..300), g.u32_in(0..100), g.u32_in(0..100))
-            });
-            (s, updates)
-        },
-        |(s, updates)| {
-            let g = PhaseGeometry::new(s.p, s.k, s.n);
-            let mut inc = IncrementalInspector::new(g, 0, vec![s.a.clone(), s.b.clone()]);
-            for &(i, e1, e2) in updates {
-                let iter = i % s.a.len();
-                inc.update(iter, &[e1 % s.n as u32, e2 % s.n as u32]);
-            }
-            let refs: Vec<&[u32]> = inc.indirection().iter().map(|v| v.as_slice()).collect();
-            prop_assert!(verify_plan(inc.plan(), &refs).is_ok());
-            let full = inspect(InspectorInput {
-                geometry: g,
-                proc_id: 0,
-                indirection: &refs,
-            })
-            .unwrap()
-            .to_plan();
-            prop_assert_eq!(&full.iter_phase, &inc.plan().iter_phase);
             Ok(())
         },
     );

@@ -3,12 +3,12 @@
 //! the CSR [`lightinspector::FlatPlan`] the executors' fast path streams.
 //!
 //! This is the "generate code for the execution strategy presented in
-//! Section 2" step of §4, taken all the way down. [`lower_body`] runs
+//! Section 2" step of §4, taken all the way down. `lower_body` runs
 //! once per loop inside [`crate::compile`]: every array and local name
 //! becomes a slot index, so nothing at job time hashes a string per
 //! access. A regular loop (user-written or a fission prelude) then runs
-//! through [`LoweredBody::run`]; an irregular loop is bound to a job's
-//! arrays by [`lower_kernel`], its flat schedule emitted *directly* with
+//! through `LoweredBody::run`; an irregular loop is bound to a job's
+//! arrays by `lower_kernel`, its flat schedule emitted *directly* with
 //! [`emit_flat_plans`] (one [`lightinspector::inspect`] pass per
 //! processor, under the same iteration distribution the engine uses),
 //! and the engine *adopts* that schedule via

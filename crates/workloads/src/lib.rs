@@ -1,7 +1,7 @@
 //! # workloads — dataset generators and partitioners for the reproduction
 //!
 //! The paper evaluates on three kernels whose inputs we do not have
-//! (NAS CG matrices, CFD meshes from [5], and the Tseng/Han `moldyn`
+//! (NAS CG matrices, CFD meshes from \[5\], and the Tseng/Han `moldyn`
 //! datasets). This crate generates synthetic equivalents **at exactly the
 //! paper's sizes** (see `DESIGN.md` §3 for the substitution argument):
 //!
@@ -51,8 +51,9 @@ pub use moldyn::{MolDyn, MolDynPreset};
 pub use nascg::{CgClass, SparseMatrix};
 pub use oracle::{oracle_reduce, oracle_reduce_raw};
 pub use partition::{
-    distribute, hash_distribute_pairs, rcb_partition, try_distribute, try_distribute_nonempty,
-    try_hash_distribute_pairs, try_rcb_partition, Distribution, PartitionError,
+    diff_pairs, distribute, hash_distribute_pairs, rcb_partition, try_distribute,
+    try_distribute_nonempty, try_hash_distribute_pairs, try_rcb_partition, Distribution,
+    PartitionError,
 };
 pub use pic::PicDeck;
 pub use powerlaw::PowerLawGraph;

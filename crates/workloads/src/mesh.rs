@@ -1,6 +1,6 @@
 //! Unstructured mesh generation for the `euler` kernel.
 //!
-//! The paper's `euler` meshes (from the CFD code of its reference [5])
+//! The paper's `euler` meshes (from the CFD code of its reference \[5\])
 //! are not available; we generate meshes with the same node and edge
 //! counts and the locality structure typical of mesh-generator output:
 //! nodes numbered along a space-filling (row-major, jittered) order, and
@@ -63,7 +63,7 @@ impl Mesh {
     }
 
     /// Generate one of the paper's euler datasets: a 3-D mesh (the CFD
-    /// code of the paper's reference [5] works on 3-D unstructured
+    /// code of the paper's reference \[5\] works on 3-D unstructured
     /// meshes), whose row-major numbering yields index spans of order
     /// `n^(2/3)` — local enough that consecutive edges reference nearby
     /// nodes (the source of block-distribution load imbalance, §5.4.2),

@@ -191,7 +191,7 @@ impl MolDyn {
 
     /// Recompute the interaction list with a periodic cell-list search.
     /// Returns the number of pairs added plus removed relative to the
-    /// previous list (the "churn" an incremental inspector must absorb).
+    /// previous list (the "churn" an adaptive plan update must absorb).
     pub fn rebuild_interactions(&mut self) -> usize {
         let old: std::collections::HashSet<(u32, u32)> = self
             .ia1

@@ -7,6 +7,8 @@
 //! instead pays for a geometric partitioner; we provide recursive
 //! coordinate bisection (RCB), the standard light-geometry choice.
 
+use std::collections::HashMap;
+
 /// Why a partition request is rejected. The high-skew workload families
 /// routinely produce degenerate shapes (more processors than iterations,
 /// part counts that RCB cannot halve); callers that reach those corners
@@ -160,7 +162,7 @@ pub fn distribute(num_iters: usize, procs: usize, d: Distribution) -> Vec<Vec<u3
 /// pair's identity. Balanced like a cyclic distribution, but invariant
 /// under reordering of the list — after an adaptive neighbour-list
 /// rebuild, surviving pairs land on the *same* processor, so only real
-/// churn reaches the incremental inspector.
+/// churn reaches the re-inspection.
 pub fn try_hash_distribute_pairs(
     ia1: &[u32],
     ia2: &[u32],
@@ -184,6 +186,44 @@ pub fn try_hash_distribute_pairs(
 pub fn hash_distribute_pairs(ia1: &[u32], ia2: &[u32], procs: usize) -> Vec<Vec<(u32, u32)>> {
     try_hash_distribute_pairs(ia1, ia2, procs)
         .unwrap_or_else(|e| panic!("invalid distribution: {e}"))
+}
+
+/// Compute the minimal slot-update set that turns an old local pair list
+/// into a new one, treating the lists as multisets: pairs present in
+/// both keep their slots, freed slots are refilled with the new pairs.
+///
+/// This is the neighbour-list discipline adaptive codes use with a
+/// fixed-capacity interaction list: after a rebuild the *positions* of
+/// surviving pairs are irrelevant — only genuinely added/removed pairs
+/// should reach the plan update (`irred::PreparedPhased::apply_updates`).
+/// Lists must have equal length (pad with an inactive sentinel pair,
+/// e.g. `(0, 0)`, to keep a fixed capacity).
+pub fn diff_pairs(old1: &[u32], old2: &[u32], new_pairs: &[(u32, u32)]) -> Vec<(usize, u32, u32)> {
+    assert_eq!(old1.len(), old2.len());
+    assert_eq!(old1.len(), new_pairs.len(), "fixed-capacity lists required");
+    let mut want: HashMap<(u32, u32), i32> = HashMap::with_capacity(new_pairs.len());
+    for &p in new_pairs {
+        *want.entry(p).or_insert(0) += 1;
+    }
+    // Keep slots whose pair is still wanted.
+    let mut free_slots: Vec<usize> = Vec::new();
+    for (slot, (&a, &b)) in old1.iter().zip(old2).enumerate() {
+        match want.get_mut(&(a, b)) {
+            Some(c) if *c > 0 => *c -= 1,
+            _ => free_slots.push(slot),
+        }
+    }
+    // Fill freed slots with the leftover new pairs.
+    let mut out = Vec::with_capacity(free_slots.len());
+    let mut free = free_slots.into_iter();
+    for (&p, &c) in want.iter() {
+        for _ in 0..c {
+            let slot = free.next().expect("equal multiset sizes");
+            out.push((slot, p.0, p.1));
+        }
+    }
+    debug_assert!(free.next().is_none());
+    out
 }
 
 /// Recursive coordinate bisection over 3-D points: split the longest
@@ -403,5 +443,41 @@ mod tests {
         assert!(format!("{}", PartitionError::ZeroProcs).contains("at least 1"));
         assert!(format!("{}", PartitionError::NotPowerOfTwo { parts: 3 }).contains("power-of-two"));
         assert!(format!("{}", PartitionError::EmptyPart { part: 2, parts: 4 }).contains("part 2"));
+    }
+
+    #[test]
+    fn diff_pairs_identical_lists_is_empty() {
+        let a = vec![1u32, 2, 3];
+        let b = vec![4u32, 5, 6];
+        let new: Vec<(u32, u32)> = a.iter().zip(&b).map(|(&x, &y)| (x, y)).collect();
+        assert!(diff_pairs(&a, &b, &new).is_empty());
+    }
+
+    #[test]
+    fn diff_pairs_ignores_permutation() {
+        let a = vec![1u32, 2, 3];
+        let b = vec![4u32, 5, 6];
+        // Same pairs, shuffled order.
+        let new = vec![(3u32, 6u32), (1, 4), (2, 5)];
+        assert!(diff_pairs(&a, &b, &new).is_empty());
+    }
+
+    #[test]
+    fn diff_pairs_finds_real_changes() {
+        let a = vec![1u32, 2, 3];
+        let b = vec![4u32, 5, 6];
+        let new = vec![(2u32, 5u32), (9, 9), (1, 4)]; // (3,6) replaced by (9,9)
+        let d = diff_pairs(&a, &b, &new);
+        assert_eq!(d, vec![(2, 9, 9)]);
+    }
+
+    #[test]
+    fn diff_pairs_handles_duplicates_as_multiset() {
+        let a = vec![1u32, 1, 1];
+        let b = vec![2u32, 2, 2];
+        let new = vec![(1u32, 2u32), (1, 2), (7, 8)];
+        let d = diff_pairs(&a, &b, &new);
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].1, d[0].2), (7, 8));
     }
 }

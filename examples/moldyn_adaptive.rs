@@ -27,8 +27,7 @@ use irred::{
     StrategyConfig, Workspace,
 };
 use kernels::moldyn::MolDynKernel;
-use lightinspector::diff_pairs;
-use workloads::MolDyn;
+use workloads::{diff_pairs, MolDyn};
 
 /// Pad a pair list to `capacity` with inactive self-pairs.
 fn padded(pairs: &[(u32, u32)], capacity: usize) -> (Vec<u32>, Vec<u32>) {

@@ -10,8 +10,9 @@
 //!   split-phase operations) with native-thread and discrete-event
 //!   simulator backends;
 //! * [`memsim`] — the cache / memory cost model behind the simulator;
-//! * [`lightinspector`] — the LightInspector runtime (plus the
-//!   incremental variant for adaptive problems);
+//! * [`lightinspector`] — the LightInspector runtime: one
+//!   communication-free inspection pass, one flat plan form and its
+//!   checker;
 //! * [`threadedc`] — the mini EARTH-C compiler (sections, reference
 //!   groups, loop fission, phased code generation);
 //! * [`irred`] — the rotating-portion phased execution strategy (the

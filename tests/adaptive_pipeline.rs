@@ -1,64 +1,77 @@
-//! Adaptivity end to end: perturb a moldyn configuration, update the
-//! plans incrementally, and verify a fresh phased execution of the new
-//! interaction list still matches the sequential reference.
+//! Adaptivity end to end: perturb a moldyn configuration, patch a
+//! prepared run with the neighbour-list diff, and check it against a
+//! fresh prepare of the new interaction list and the sequential
+//! reference.
+
+use std::sync::Arc;
 
 use earth_model::sim::SimConfig;
 use irred::{
-    approx_eq, seq_reduction, Distribution, PhasedEngine, ReductionEngine, StrategyConfig,
+    approx_eq, seq_reduction, Distribution, PhasedEngine, PhasedSpec, ReductionEngine,
+    StrategyConfig, Workspace,
 };
+use kernels::moldyn::MolDynKernel;
 use kernels::MolDynProblem;
-use lightinspector::{diff_pairs, verify_plan, IncrementalInspector, PhaseGeometry};
-use workloads::{hash_distribute_pairs, MolDyn};
+use workloads::{diff_pairs, MolDyn};
+
+/// The pair list padded to `capacity` with inactive `(0, 0)` self-pairs,
+/// which contribute exactly zero force.
+fn padded_pairs(md: &MolDyn, capacity: usize) -> Vec<(u32, u32)> {
+    let mut pairs: Vec<(u32, u32)> = md.ia1.iter().copied().zip(md.ia2.iter().copied()).collect();
+    assert!(pairs.len() <= capacity, "neighbour list overflow");
+    pairs.resize(capacity, (0, 0));
+    pairs
+}
 
 #[test]
 fn incremental_plans_stay_valid_across_rebuilds() {
-    let procs = 4usize;
     let mut md = MolDyn::fcc(4, 0.75);
-    let g = PhaseGeometry::new(procs, 2, md.num_molecules);
-
-    let initial = hash_distribute_pairs(&md.ia1, &md.ia2, procs);
-    let caps: Vec<usize> = initial.iter().map(|v| v.len() + v.len() / 4 + 8).collect();
-    let mut incs: Vec<IncrementalInspector> = initial
-        .iter()
-        .zip(&caps)
-        .enumerate()
-        .map(|(q, (pairs, &cap))| {
-            let mut a: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let mut b: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-            a.resize(cap, 0);
-            b.resize(cap, 0);
-            IncrementalInspector::new(g, q, vec![a, b])
-        })
-        .collect();
+    let capacity = md.num_interactions() + md.num_interactions() / 4 + 8;
+    let (ia1, ia2) = padded_pairs(&md, capacity).into_iter().unzip();
+    let spec = PhasedSpec {
+        kernel: Arc::new(MolDynKernel {
+            pos0: Arc::new(md.pos.clone()),
+            box_side: md.box_side,
+        }),
+        num_elements: md.num_molecules,
+        indirection: Arc::new(vec![ia1, ia2]),
+    };
+    let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 2);
+    let engine = PhasedEngine::sim(SimConfig::default());
+    let mut prepared = engine.prepare(&spec, &strat).unwrap();
+    let mut ws = Workspace::new();
+    let bits = |v: &[Vec<f64>]| -> Vec<u64> { v.iter().flatten().map(|x| x.to_bits()).collect() };
 
     for round in 0..4 {
         md.perturb(0.06, round);
         md.rebuild_interactions();
-        let fresh = hash_distribute_pairs(&md.ia1, &md.ia2, procs);
-        for (q, inc) in incs.iter_mut().enumerate() {
-            let mut na: Vec<u32> = fresh[q].iter().map(|p| p.0).collect();
-            let mut nb: Vec<u32> = fresh[q].iter().map(|p| p.1).collect();
-            na.resize(caps[q], 0);
-            nb.resize(caps[q], 0);
-            let new_pairs: Vec<(u32, u32)> = na.iter().zip(&nb).map(|(&x, &y)| (x, y)).collect();
-            let d = diff_pairs(
-                inc.indirection()[0].as_slice(),
-                inc.indirection()[1].as_slice(),
-                &new_pairs,
-            );
-            for (slot, x, y) in d {
-                inc.update(slot, &[x, y]);
-            }
-            let refs: Vec<&[u32]> = inc.indirection().iter().map(|v| v.as_slice()).collect();
-            verify_plan(inc.plan(), &refs).expect("plan valid after rebuild");
-            // The plan's pairs are exactly the fresh local list (as a set).
-            let mut have: Vec<(u32, u32)> =
-                refs[0].iter().zip(refs[1]).map(|(&x, &y)| (x, y)).collect();
-            let mut want = new_pairs;
-            have.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(have, want, "proc {q} round {round}");
-        }
+        let new_pairs = padded_pairs(&md, capacity);
+        let ind = prepared.indirection();
+        let updates: Vec<(usize, Vec<u32>)> = diff_pairs(&ind[0], &ind[1], &new_pairs)
+            .into_iter()
+            .map(|(slot, x, y)| (slot, vec![x, y]))
+            .collect();
+        prepared.apply_updates(&updates).unwrap();
+
+        // The run's pairs are exactly the fresh list, as a multiset.
+        let ind = prepared.indirection();
+        let mut have: Vec<(u32, u32)> =
+            ind[0].iter().copied().zip(ind[1].iter().copied()).collect();
+        let mut want = new_pairs;
+        have.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(have, want, "round {round}");
+
+        // And it executes exactly as a fresh prepare of its indirection.
+        let got = engine.execute(&mut prepared, &mut ws).unwrap();
+        let updated = PhasedSpec {
+            indirection: Arc::new(prepared.indirection().to_vec()),
+            ..spec.clone()
+        };
+        let want = engine.run(&updated, &strat).unwrap();
+        assert_eq!(bits(&got.values), bits(&want.values), "round {round}");
+        assert_eq!(bits(&got.read), bits(&want.read), "round {round}");
+        assert_eq!(got.time_cycles, want.time_cycles, "round {round}");
     }
 }
 

@@ -22,7 +22,8 @@
 //!    iteration order is exactly the untiled order filtered to that
 //!    bucket (stable sort), and bucket ids are monotone non-decreasing
 //!    across the phase — proven against the prepared plan's exposed
-//!    `phase_order` / `phase_first_ref_targets`.
+//!    `phase_order` and `node_plan` (whose first reference per row is
+//!    the tiling sort key).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,6 +38,7 @@ use irred::{
     StrategyConfig, TileChoice, Tuning,
 };
 use kernels::{FamilyProblem, MolDynProblem};
+use lightinspector::FlatPlan;
 use workloads::{HotKeyScatter, MolDyn, PowerLawGraph};
 
 #[derive(Debug, Clone)]
@@ -265,6 +267,16 @@ fn tiled_equals_untiled_on_integer_weights() {
     );
 }
 
+/// The first-reference scatter target of each row of phase `p`, in
+/// schedule order: the tiling sort key.
+fn first_refs(plan: &FlatPlan, p: usize) -> Vec<u32> {
+    plan.phase_refs(p)
+        .iter()
+        .step_by(plan.m())
+        .copied()
+        .collect()
+}
+
 /// The stable-order proof: prepare the same spec untiled and tiled and
 /// compare phase by phase. Tiled targets must walk tile buckets in
 /// non-decreasing order, and filtering the untiled order to one bucket
@@ -298,9 +310,9 @@ fn tile_boundaries_preserve_stable_order() {
             for proc in 0..tiled.num_procs() {
                 for p in 0..tiled.num_phases() {
                     let t_order = tiled.phase_order(proc, p);
-                    let t_targets = tiled.phase_first_ref_targets(proc, p);
+                    let t_targets = first_refs(tiled.node_plan(proc), p);
                     let u_order = plain.phase_order(proc, p);
-                    let u_targets = plain.phase_first_ref_targets(proc, p);
+                    let u_targets = first_refs(plain.node_plan(proc), p);
                     prop_assert!(
                         t_order.len() == u_order.len(),
                         "tiling changed the iteration count in proc {proc} phase {p} for {c:?}"
