@@ -9,8 +9,9 @@
 #   ./ci.sh tier1    # fmt --check + build + full test suite + clippy +
 #                    # rustdoc (-D warnings: no broken or private
 #                    # intra-doc links) + the benchmark package's build
-#                    # and its serve-warm, serve-source, serve-cold and
-#                    # engine-pic smokes
+#                    # and its serve-warm, serve-source, serve-cold,
+#                    # engine-pic, engine-moldyn and sim-moldyn-p32
+#                    # smokes
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
@@ -21,9 +22,6 @@
 #                    # seeds + one randomized pass) and the chaos-client
 #                    # soak — all under the hard timeout (the daemon's
 #                    # contract is "typed error, never a hang")
-#   ./ci.sh simd     # `--features simd` lane: build + the engine tests
-#                    # + the vector-vs-scalar bit-identity property
-#                    # suite with the core::arch kernels enabled
 #   ./ci.sh compiler # threadedc front door: the compiled-vs-interpreter
 #                    # property suite (3 fixed seeds + one randomized
 #                    # pass), the source-over-the-wire server tests
@@ -68,17 +66,21 @@ tier1() {
     # above builds the docs: deny it here.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-    echo "== benchmark package (offline build + warm, source, cold, adaptive smokes) =="
+    echo "== benchmark package (offline build + warm, source, cold, adaptive, engine, sim smokes) =="
     # benchmark/ is its own workspace with path dependencies on
     # crates/*: a renamed public item passes everything above and
     # breaks only there. `cargo run` builds it, then drives one job
     # stream each through the plan-cache hit path, the source path, the
-    # cold prepare path (a never-seen structure per job), and the
-    # adaptive path (apply_updates re-inspecting a live plan's touched
-    # nodes every job) end to end.
+    # cold prepare path (a never-seen structure per job), the adaptive
+    # path (apply_updates re-inspecting a live plan's touched nodes
+    # every job), the library's native chunked kernel (engine-moldyn)
+    # and the simulator's metered and replayed sweeps (sim-moldyn-p32)
+    # end to end.
     # The quick runs' header says NOT FOR NUMBERS — only the exit code
-    # (0 = it built and every checked reply was correct) is gated.
-    for workload in serve-warm serve-source serve-cold engine-pic; do
+    # (0 = it built and every checked output was correct: values
+    # against the sequential engine, and identical simulated cycles on
+    # every repetition) is gated.
+    for workload in serve-warm serve-source serve-cold engine-pic engine-moldyn sim-moldyn-p32; do
         run_tests cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --quick --workload "$workload"
     done
@@ -238,19 +240,6 @@ sim() {
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test pdes_equivalence
 }
 
-simd() {
-    # The explicit-SIMD lane: the `simd` cargo feature swaps the chunked
-    # auto-vectorizable inner kernels for core::arch intrinsics, and the
-    # whole point of the design is that the swap is invisible — every
-    # engine test and the vector-vs-scalar bit-identity property suite
-    # must pass unchanged with the feature on.
-    echo "== simd lane (build + engine tests, --features simd) =="
-    cargo build --release --features simd
-    run_tests cargo test -q -p irred --features simd
-    echo "== simd lane (bit-identity property suite) =="
-    run_tests cargo test -q --features simd --test tuning_equivalence
-}
-
 case "${1:-all}" in
     tier1) tier1 ;;
     faults) faults ;;
@@ -258,7 +247,6 @@ case "${1:-all}" in
     server) server ;;
     compiler) compiler ;;
     sim) sim ;;
-    simd) simd ;;
     all)
         tier1
         faults
@@ -266,10 +254,9 @@ case "${1:-all}" in
         server
         compiler
         sim
-        simd
         ;;
     *)
-        echo "usage: $0 [tier1|faults|workloads|server|compiler|sim|simd]" >&2
+        echo "usage: $0 [tier1|faults|workloads|server|compiler|sim]" >&2
         exit 2
         ;;
 esac

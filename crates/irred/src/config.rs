@@ -131,8 +131,8 @@ pub struct ExecutionConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Trace-sink selection (see [`TraceConfig`]).
     pub trace: TraceConfig,
-    /// Performance knobs that do not change what is computed: SIMD
-    /// mode, tiling, host thread cap (see [`Tuning`]).
+    /// Performance knobs that do not change what is computed: tiling,
+    /// host thread cap (see [`Tuning`]).
     pub tuning: Tuning,
 }
 
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn with_tuning_mirrors_host_threads_into_native() {
-        use crate::tuning::{SimdMode, TileChoice};
+        use crate::tuning::TileChoice;
         let cfg = ExecutionConfig::native(NativeConfig::default())
             .with_tuning(Tuning::auto().host_threads(3));
         assert_eq!(cfg.native.host_threads, Some(3));
@@ -286,10 +286,8 @@ mod tests {
             host_threads: Some(2),
             ..Default::default()
         };
-        let cfg =
-            ExecutionConfig::native(native).with_tuning(Tuning::new().simd(SimdMode::Chunked));
+        let cfg = ExecutionConfig::native(native).with_tuning(Tuning::new());
         assert_eq!(cfg.native.host_threads, Some(2));
-        assert_eq!(cfg.tuning.simd, SimdMode::Chunked);
     }
 
     #[test]

@@ -72,17 +72,19 @@ pub trait EdgeKernel: Send + Sync + 'static {
     /// caller-provided buffer: iteration `giters[j]` (with elements
     /// `elems[j*m..(j+1)*m]`) writes the
     /// `num_refs() * num_arrays()`-wide slot group
-    /// `out[j*w..(j+1)*w]`. This is the hook of the chunked
-    /// ([`SimdMode::Chunked`](crate::SimdMode)) flat loops: the default
-    /// calls [`Self::contrib`] per iteration, and kernels may override
-    /// it with a branchless batch body the compiler can auto-vectorize.
+    /// `out[j*w..(j+1)*w]`. This is the hook of the chunked kernel that
+    /// runs every native phase and every replayed simulator sweep: the
+    /// default calls [`Self::contrib`] per iteration, and kernels may
+    /// override it with a branchless batch body the compiler can
+    /// auto-vectorize.
     ///
     /// **Contract:** an override must produce, slot for slot, the
     /// bit-identical values of `num_refs()*num_arrays()` pre-zeroed
-    /// per-iteration `contrib` calls — the vector paths' bit-identity
-    /// to the scalar reference rests on it (property-tested in
-    /// `tests/tuning_equivalence.rs`). `out` arrives zeroed; overrides
-    /// that assign every slot may rely on nothing else.
+    /// per-iteration `contrib` calls — the chunked kernel's bit-identity
+    /// to the simulator's metered sweep (which calls `contrib`) rests on
+    /// it (property-tested in `tests/tuning_equivalence.rs`). `out`
+    /// arrives zeroed; overrides that assign every slot may rely on
+    /// nothing else.
     fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
         let m = self.num_refs();
         let w = m * self.num_arrays();

@@ -56,7 +56,7 @@ use crate::kernel::EdgeKernel;
 use crate::prepared::{PhaseCosts, PlanToken, Workspace};
 use crate::seq::seq_reduction;
 use crate::strategy::StrategyConfig;
-use crate::tuning::{SimdMode, TileChoice, Tuning};
+use crate::tuning::{TileChoice, Tuning};
 use crate::vector;
 
 // Compatibility names: the error and recovery types moved to the shared
@@ -397,10 +397,6 @@ pub struct PhasedNode<K> {
     /// Reduction-group width / read-group width (cached off the kernel).
     r_arrays: usize,
     n_read: usize,
-    /// Resolved vector mode for this execute (see [`SimdMode`]); the
-    /// flat loops dispatch to the chunked paths in [`crate::vector`]
-    /// when it is not `Scalar` and the kernel shape is supported.
-    simd: SimdMode,
     /// Scratch for kernel contributions.
     out: Vec<f64>,
     /// Recycled portion-payload buffers: boxes received from the ring
@@ -853,77 +849,50 @@ impl<K: EdgeKernel> PhasedNode<K> {
     }
 
     /// Loop 1 + loop 2 without metering: the native / replay hot path,
-    /// streaming the node's flat schedule.
+    /// streaming the node's flat schedule through the chunked kernel
+    /// ([`vector::run_phase`]).
     fn exec_loops(&mut self, t: usize, p: usize) {
         let (giters, elems, refs, copies) = self.data.phase(p);
-        let use_vec = self.simd != SimdMode::Scalar
-            && vector::supported(self.kernel.num_refs(), self.r_arrays);
-        let intr = self.simd == SimdMode::Intrinsics;
-        if let Some(reg) = &self.region {
-            let read: &[f64] = match &self.shared_read {
-                // SAFETY: called from a sweep-`t` fiber; see
-                // [`SharedRead::read_for`].
-                Some(sr) => unsafe { sr.read_for(t, self.kernel.updates_read_state()) },
-                None => &self.read,
-            };
-            if use_vec {
-                // SAFETY: identical region-ownership argument as the
-                // scalar path below (`loops_flat_region_r`): every
-                // dereferenced region offset lies inside the portion
-                // this phase owns, and `x` is the node's private
-                // buffer extension.
-                unsafe {
-                    vector::loops_flat_region_vec(
-                        &*self.kernel,
-                        read,
-                        reg.ptr(),
-                        reg.len(),
-                        &mut self.x,
-                        self.r_arrays,
-                        giters,
-                        elems,
-                        refs,
-                        copies,
-                        intr,
-                    );
-                }
-            } else {
-                loops_flat_region(
-                    &*self.kernel,
-                    read,
-                    reg,
-                    &mut self.x,
-                    self.r_arrays,
-                    giters,
-                    elems,
-                    refs,
-                    copies,
-                    &mut self.out,
-                );
+        let (read, rp, split, buf): (&[f64], *mut f64, usize, &mut [f64]) = match &self.region {
+            Some(reg) => {
+                let read = match &self.shared_read {
+                    // SAFETY: called from a sweep-`t` fiber; see
+                    // [`SharedRead::read_for`].
+                    Some(sr) => unsafe { sr.read_for(t, self.kernel.updates_read_state()) },
+                    None => &self.read,
+                };
+                // SAFETY: every region offset the kernel dereferences
+                // lies inside the portion this phase owns (scatter refs
+                // below the region length target the resident portion;
+                // copy dests are resident elements by construction —
+                // see the inspector's PLACE pass), so the accesses are
+                // exclusive under the ring protocol on [`SharedX`].
+                (read, unsafe { reg.ptr() }, reg.len(), &mut self.x)
             }
-        } else if use_vec {
-            vector::loops_flat_vec(
+            None => {
+                // Simulator replay: the private `x` is the resident
+                // element range followed by the buffer extension.
+                let split = self.x.len() - self.data.buffer_len * self.r_arrays;
+                let (resident, buf) = self.x.split_at_mut(split);
+                (&self.read, resident.as_mut_ptr(), split, buf)
+            }
+        };
+        // SAFETY: `rp` is valid for `split` doubles the phase owns (see
+        // above), `buf` is the node's private buffer extension, and the
+        // schedule is inspector-built and plan-verified, so every scatter
+        // ref and copy endpoint lands in one of the two.
+        unsafe {
+            vector::run_phase(
                 &*self.kernel,
-                &self.read,
-                &mut self.x,
+                read,
+                rp,
+                split,
+                buf,
                 self.r_arrays,
                 giters,
                 elems,
                 refs,
                 copies,
-                intr,
-            );
-        } else {
-            loops_flat(
-                &*self.kernel,
-                &self.read,
-                &mut self.x,
-                self.r_arrays,
-                giters,
-                elems,
-                refs,
-                copies,
-                &mut self.out,
             );
         }
     }
@@ -1028,468 +997,6 @@ fn loops<K: EdgeKernel, M: Meter>(
     }
 }
 
-/// The unmetered fast path over the flattened schedule: references come
-/// interleaved per iteration (`refs[j*m + r]`) so the inner loop streams
-/// one contiguous array instead of hopping between `m` columns, and no
-/// meter plumbing survives into the generated code. Performs exactly the
-/// same float operations in exactly the same order as [`loops`], so the
-/// results are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn loops_flat<K: EdgeKernel>(
-    kernel: &K,
-    read: &[f64],
-    x: &mut [f64],
-    r_arrays: usize,
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    // Monomorphize the per-element vector width for the common kernel
-    // shapes (mvm: 1, moldyn: 3, euler: 4) so the scatter and copy inner
-    // loops unroll; anything else takes the generic-width path.
-    match r_arrays {
-        1 => loops_flat_r::<K, 1>(kernel, read, x, giters, elems, refs, copies, out),
-        2 => loops_flat_r::<K, 2>(kernel, read, x, giters, elems, refs, copies, out),
-        3 => loops_flat_r::<K, 3>(kernel, read, x, giters, elems, refs, copies, out),
-        4 => loops_flat_r::<K, 4>(kernel, read, x, giters, elems, refs, copies, out),
-        _ => generic_loops_flat(kernel, read, x, r_arrays, giters, elems, refs, copies, out),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn loops_flat_r<K: EdgeKernel, const R: usize>(
-    kernel: &K,
-    read: &[f64],
-    x: &mut [f64],
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    debug_assert_eq!(giters.len() * m, refs.len());
-    debug_assert!(out.len() >= m * R);
-    for (j, &gi) in giters.iter().enumerate() {
-        let e = &elems[j * m..(j + 1) * m];
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, e, out);
-        let rf = &refs[j * m..(j + 1) * m];
-        for (r, &tgt) in rf.iter().enumerate() {
-            let base = tgt as usize * R;
-            debug_assert!(base + R <= x.len());
-            // SAFETY: `tgt` is a local index the inspector produced and
-            // bounded by the node's `x` extent (region plus buffer): the
-            // spec's element indices are range-checked when the plan is
-            // built (`InspectError::OutOfRange`) and the plan itself is
-            // `verify_flat`-checked in debug builds. `r < m` and `out`
-            // holds `m * R` slots.
-            unsafe {
-                for a in 0..R {
-                    *x.get_unchecked_mut(base + a) += *out.get_unchecked(r * R + a);
-                }
-            }
-        }
-    }
-    for c in copies {
-        let sb = c.src as usize * R;
-        let db = c.dest as usize * R;
-        debug_assert!(sb + R <= x.len() && db + R <= x.len());
-        // SAFETY: copy sources live in the buffer extension and copy
-        // destinations in the resident region, both sized into `x` at
-        // prepare time from the same verified plan as above.
-        unsafe {
-            for a in 0..R {
-                let v = *x.get_unchecked(sb + a);
-                *x.get_unchecked_mut(db + a) += v;
-                *x.get_unchecked_mut(sb + a) = 0.0;
-            }
-        }
-    }
-}
-
-/// [`loops_flat`] against the shared region of a zero-copy native run:
-/// scatter targets below the region length land in the shared
-/// allocation (the portion this phase owns), targets at or above it in
-/// the node's private buffer extension, and every copy-op folds a
-/// buffer slot into the region. Performs exactly the same float
-/// operations in exactly the same order as [`loops`] / [`loops_flat`] —
-/// only the storage differs — so the results stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn loops_flat_region<K: EdgeKernel>(
-    kernel: &K,
-    read: &[f64],
-    region: &SharedX,
-    buf: &mut [f64],
-    r_arrays: usize,
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    // Fully const-specialized (refs-per-iter × arrays-per-element)
-    // combinations for the common kernel shapes: the inner loops unroll
-    // completely and the contribution buffer lives on the stack, so the
-    // scatter reads come straight out of registers.
-    macro_rules! mr {
-        ($m:literal, $r:literal) => {
-            loops_flat_region_mr::<K, $m, $r>(
-                kernel, read, region, buf, giters, elems, refs, copies,
-            )
-        };
-    }
-    match (m, r_arrays) {
-        (1, 1) => mr!(1, 1),
-        (2, 1) => mr!(2, 1),
-        (2, 2) => mr!(2, 2),
-        (2, 3) => mr!(2, 3),
-        (2, 4) => mr!(2, 4),
-        (4, 1) => mr!(4, 1),
-        (4, 2) => mr!(4, 2),
-        (4, 3) => mr!(4, 3),
-        (4, 4) => mr!(4, 4),
-        _ => match r_arrays {
-            1 => loops_flat_region_r::<K, 1>(
-                kernel, read, region, buf, giters, elems, refs, copies, out,
-            ),
-            2 => loops_flat_region_r::<K, 2>(
-                kernel, read, region, buf, giters, elems, refs, copies, out,
-            ),
-            3 => loops_flat_region_r::<K, 3>(
-                kernel, read, region, buf, giters, elems, refs, copies, out,
-            ),
-            4 => loops_flat_region_r::<K, 4>(
-                kernel, read, region, buf, giters, elems, refs, copies, out,
-            ),
-            _ => loops_flat_region_generic(
-                kernel, read, region, buf, r_arrays, giters, elems, refs, copies, out,
-            ),
-        },
-    }
-}
-
-/// Distance (in iterations) the flat loops prefetch ahead of the
-/// current iteration. Far enough to cover an L2 miss at ~2 refs per
-/// iteration, near enough that the lines are still resident when used.
-pub(crate) const PREFETCH_AHEAD: usize = 8;
-
-/// Best-effort prefetch of the cache line holding `ptr`. A pure
-/// latency hint — no architectural effect, so float results are
-/// untouched. `wrapping_add`-derived pointers are fine: the hint never
-/// faults and we never dereference them here.
-#[inline(always)]
-pub(crate) fn prefetch(ptr: *const f64) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint; it cannot fault or write.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(ptr as *const i8, std::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
-}
-
-#[allow(clippy::too_many_arguments)]
-fn loops_flat_region_r<K: EdgeKernel, const R: usize>(
-    kernel: &K,
-    read: &[f64],
-    region: &SharedX,
-    buf: &mut [f64],
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    let split = region.len();
-    // SAFETY: every region offset dereferenced below lies inside the
-    // portion this phase owns (scatter refs `< n` target the resident
-    // portion; copy dests are resident elements by construction — see
-    // the inspector's PLACE pass), so the accesses are exclusive under
-    // the ring protocol documented on [`SharedX`].
-    let rp = unsafe { region.ptr() };
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    debug_assert_eq!(giters.len() * m, refs.len());
-    debug_assert!(out.len() >= m * R);
-    let n_read = kernel.num_read_arrays();
-    let bp = buf.as_mut_ptr();
-    // Branch-free select of a ref's scatter destination: the resident
-    // portion (region) below `split`, the private buffer extension
-    // above it. Both candidate pointers are computed with wrapping
-    // arithmetic (never dereferenced when unselected), so the compiler
-    // can lower the select to a cmov instead of an unpredictable
-    // branch — the region/buffer mix within a phase is data-dependent.
-    let target = |base: usize| -> *mut f64 {
-        let pr = rp.wrapping_add(base);
-        let pb = bp.wrapping_add(base.wrapping_sub(split));
-        if base < split {
-            pr
-        } else {
-            pb
-        }
-    };
-    for (j, &gi) in giters.iter().enumerate() {
-        // Hide the random-access latency of a future iteration's
-        // position reads and scatter targets while this one computes.
-        let pj = j + PREFETCH_AHEAD;
-        if pj < giters.len() {
-            for r in 0..m {
-                let el = elems[pj * m + r] as usize;
-                if n_read > 0 {
-                    prefetch(read.as_ptr().wrapping_add(el * n_read));
-                }
-                prefetch(target(refs[pj * m + r] as usize * R));
-            }
-        }
-        let e = &elems[j * m..(j + 1) * m];
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, e, out);
-        let rf = &refs[j * m..(j + 1) * m];
-        for (r, &tgt) in rf.iter().enumerate() {
-            let base = tgt as usize * R;
-            debug_assert!(base < split || base - split + R <= buf.len());
-            // SAFETY: `tgt` is inspector-produced and plan-verified:
-            // `< n` means the resident portion (region), otherwise a
-            // buffer slot sized into `buf` at prepare time, so the
-            // selected pointer is valid for `R` doubles.
-            unsafe {
-                let p = target(base);
-                for a in 0..R {
-                    *p.add(a) += *out.get_unchecked(r * R + a);
-                }
-            }
-        }
-    }
-    fold_copies_region::<R>(rp, split, buf, copies);
-}
-
-/// The copy loop shared by the region-mode flat loops: fold every
-/// buffered contribution into its resident element and reset the slot
-/// for the next sweep. Same float operations, same order as the
-/// in-place copy walk in [`loops`].
-fn fold_copies_region<const R: usize>(
-    rp: *mut f64,
-    split: usize,
-    buf: &mut [f64],
-    copies: &[lightinspector::CopyOp],
-) {
-    for (i, c) in copies.iter().enumerate() {
-        if let Some(nc) = copies.get(i + PREFETCH_AHEAD) {
-            prefetch(rp.wrapping_add(nc.dest as usize * R) as *const f64);
-        }
-        let sb = c.src as usize * R;
-        let db = c.dest as usize * R;
-        debug_assert!(sb >= split && sb - split + R <= buf.len());
-        debug_assert!(db + R <= split);
-        // SAFETY: copy sources are buffer slots (`src >= n` by the
-        // inspector's slot allocation) and destinations resident
-        // elements of the owned portion.
-        unsafe {
-            let sb = sb - split;
-            for a in 0..R {
-                let v = *buf.get_unchecked(sb + a);
-                *rp.add(db + a) += v;
-                *buf.get_unchecked_mut(sb + a) = 0.0;
-            }
-        }
-    }
-}
-
-/// Fully unrolled variant of [`loops_flat_region_r`] for kernels with
-/// exactly `M` indirection refs per iteration. The contribution buffer
-/// is a stack array the compiler can promote to registers once the
-/// kernel inlines, and the per-iteration slicing uses plan-verified
-/// unchecked indexing. Float operations and their order are identical
-/// to [`loops`] / [`loops_flat`] — results stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn loops_flat_region_mr<K: EdgeKernel, const M: usize, const R: usize>(
-    kernel: &K,
-    read: &[f64],
-    region: &SharedX,
-    buf: &mut [f64],
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-) {
-    const { assert!(M * R <= 16) };
-    let split = region.len();
-    // SAFETY: region offsets stay inside the phase's owned portion —
-    // see `loops_flat_region_r`.
-    let rp = unsafe { region.ptr() };
-    assert_eq!(giters.len() * M, refs.len());
-    assert_eq!(elems.len(), refs.len());
-    let n_read = kernel.num_read_arrays();
-    let bp = buf.as_mut_ptr();
-    // Branch-free region/buffer select — see `loops_flat_region_r`.
-    let target = |base: usize| -> *mut f64 {
-        let pr = rp.wrapping_add(base);
-        let pb = bp.wrapping_add(base.wrapping_sub(split));
-        if base < split {
-            pr
-        } else {
-            pb
-        }
-    };
-    let mut outb = [0.0f64; 16];
-    for (j, &gi) in giters.iter().enumerate() {
-        let pj = j + PREFETCH_AHEAD;
-        if pj < giters.len() {
-            for r in 0..M {
-                // SAFETY: `pj < giters.len()` and the length equalities
-                // asserted above bound `pj * M + r`.
-                let (el, tgt) = unsafe {
-                    (
-                        *elems.get_unchecked(pj * M + r) as usize,
-                        *refs.get_unchecked(pj * M + r) as usize,
-                    )
-                };
-                if n_read > 0 {
-                    prefetch(read.as_ptr().wrapping_add(el * n_read));
-                }
-                prefetch(target(tgt * R));
-            }
-        }
-        let out = &mut outb[..M * R];
-        out.fill(0.0);
-        // SAFETY: the length equalities asserted above bound the slice.
-        let e = unsafe { elems.get_unchecked(j * M..(j + 1) * M) };
-        kernel.contrib(read, gi as usize, e, out);
-        for r in 0..M {
-            // SAFETY: index bounded as above; the selected pointer is
-            // valid for `R` doubles (plan-verified ref targets).
-            unsafe {
-                let base = *refs.get_unchecked(j * M + r) as usize * R;
-                debug_assert!(base < split || base - split + R <= buf.len());
-                let p = target(base);
-                for a in 0..R {
-                    *p.add(a) += *out.get_unchecked(r * R + a);
-                }
-            }
-        }
-    }
-    fold_copies_region::<R>(rp, split, buf, copies);
-}
-
-/// Checked-arithmetic fallback of [`loops_flat_region_r`] for kernels
-/// with more than four reduction arrays per element.
-#[allow(clippy::too_many_arguments)]
-fn loops_flat_region_generic<K: EdgeKernel>(
-    kernel: &K,
-    read: &[f64],
-    region: &SharedX,
-    buf: &mut [f64],
-    r_arrays: usize,
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    let split = region.len();
-    // SAFETY: as in `loops_flat_region_r` — region offsets stay inside
-    // the phase's owned portion.
-    let rp = unsafe { region.ptr() };
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    for (j, &gi) in giters.iter().enumerate() {
-        let e = &elems[j * m..(j + 1) * m];
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, e, out);
-        let rf = &refs[j * m..(j + 1) * m];
-        for (r, &tgt) in rf.iter().enumerate() {
-            let base = tgt as usize * r_arrays;
-            if base < split {
-                // SAFETY: resident-portion scatter, exclusive per the
-                // ring protocol.
-                unsafe {
-                    for a in 0..r_arrays {
-                        *rp.add(base + a) += out[r * r_arrays + a];
-                    }
-                }
-            } else {
-                let bb = base - split;
-                for a in 0..r_arrays {
-                    buf[bb + a] += out[r * r_arrays + a];
-                }
-            }
-        }
-    }
-    for c in copies {
-        let sb = c.src as usize * r_arrays - split;
-        let db = c.dest as usize * r_arrays;
-        for a in 0..r_arrays {
-            let v = buf[sb + a];
-            // SAFETY: copy dest is a resident element of the owned
-            // portion.
-            unsafe {
-                *rp.add(db + a) += v;
-            }
-            buf[sb + a] = 0.0;
-        }
-    }
-}
-
-/// Checked, dynamic-width fallback of [`loops_flat_r`] for kernels with
-/// more than four reduction arrays per element.
-#[allow(clippy::too_many_arguments)]
-fn generic_loops_flat<K: EdgeKernel>(
-    kernel: &K,
-    read: &[f64],
-    x: &mut [f64],
-    r_arrays: usize,
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[lightinspector::CopyOp],
-    out: &mut [f64],
-) {
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    for (j, &gi) in giters.iter().enumerate() {
-        let e = &elems[j * m..(j + 1) * m];
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, e, out);
-        let rf = &refs[j * m..(j + 1) * m];
-        for (r, &tgt) in rf.iter().enumerate() {
-            let base = tgt as usize * r_arrays;
-            for a in 0..r_arrays {
-                x[base + a] += out[r * r_arrays + a];
-            }
-        }
-    }
-    for c in copies {
-        let sb = c.src as usize * r_arrays;
-        let db = c.dest as usize * r_arrays;
-        for a in 0..r_arrays {
-            let v = x[sb + a];
-            x[db + a] += v;
-            x[sb + a] = 0.0;
-        }
-    }
-}
-
 /// Compute the sync count of phase fiber `(t, p)`.
 fn sync_count(t: usize, p: usize, k: usize, kp: usize, updates_read: bool) -> u32 {
     let mut c = 0u32;
@@ -1578,10 +1085,7 @@ pub struct PreparedPhased<K> {
     kernel: Arc<K>,
     num_elements: usize,
     strat: StrategyConfig,
-    /// Tuning captured at prepare time (tile shaped the plan;
-    /// simd/host_threads are the defaults for entry points that bypass
-    /// the engine's [`ExecutionConfig`], e.g.
-    /// [`Self::execute_recovering_with`]).
+    /// Tuning captured at prepare time (tile shaped the plan).
     tuning: Tuning,
     /// Resolved phase-local tile span in elements (`None` = untiled);
     /// see [`TileChoice`] and [`tile_rows`].
@@ -1851,7 +1355,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
 
     /// The prepare-time structure hash (see the field). The plan-shaping
     /// Tuning knobs participate: a tiled plan is not interchangeable with
-    /// an untiled one. Execute-time knobs (simd, host_threads)
+    /// an untiled one. The execute-time knob (host_threads)
     /// deliberately do not — see [`Tuning::plan_fingerprint`].
     fn structure_hash(&self) -> u64 {
         *self.structure_hash.get_or_init(|| {
@@ -2085,9 +1589,8 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         Ok(())
     }
 
-    /// Instantiate per-node states from pooled buffers. `simd` is the
-    /// already-[`vector::resolve`]d execute-time vector mode.
-    fn make_nodes(&self, ws: &mut Workspace, sim: bool, simd: SimdMode) -> Vec<PhasedNode<K>> {
+    /// Instantiate per-node states from pooled buffers.
+    fn make_nodes(&self, ws: &mut Workspace, sim: bool) -> Vec<PhasedNode<K>> {
         let kp = self.strat.phases_per_sweep();
         let r_arrays = self.kernel.num_arrays();
         let n_read = self.kernel.num_read_arrays();
@@ -2142,7 +1645,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 read,
                 r_arrays,
                 n_read,
-                simd,
                 out: vec![0.0; m * r_arrays],
                 pool: Vec::new(),
                 phase_cost,
@@ -2249,13 +1751,9 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.executions += 1;
         let sink = cfg.trace.make_sink(self.strat.procs);
         self.replay_inspector_events(sink.as_ref());
-        // Execute-time vector mode: the *caller's* config wins over the
-        // prepare-time tuning, so a cached plan can be re-executed
-        // scalar (the server's shed ladder relies on this).
-        let simd = vector::resolve(cfg.tuning.simd);
         match (&self.template, cfg.backend) {
             (PhasedTemplate::Sim(tmpl), BackendKind::Sim) => {
-                let nodes = self.make_nodes(ws, true, simd);
+                let nodes = self.make_nodes(ws, true);
                 let prog = tmpl.instantiate(nodes);
                 let report = run_sim_traced(prog, cfg.sim, Arc::clone(&sink));
                 assert_eq!(report.stats.unfired_fibers, 0, "phase fiber starved");
@@ -2278,7 +1776,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             (PhasedTemplate::Native(_), BackendKind::Native) => {
                 let base = cfg.native;
                 let mut out = match cfg.recovery {
-                    None => self.native_attempt(base, &sink, ws, simd)?,
+                    None => self.native_attempt(base, &sink, ws)?,
                     Some(policy) => run_recovery_ladder(
                         policy,
                         sink.as_ref(),
@@ -2286,7 +1784,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                         |attempt| {
                             let mut c = base;
                             c.faults = attempt_faults(base.faults, attempt);
-                            self.native_attempt(c, &sink, ws, simd)
+                            self.native_attempt(c, &sink, ws)
                         },
                         || self.seq_fallback(),
                     )?,
@@ -2316,7 +1814,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         cfg: NativeConfig,
         sink: &Arc<dyn TraceSink>,
         ws: &mut Workspace,
-        simd: SimdMode,
     ) -> Result<RunOutcome, EngineError> {
         let PhasedTemplate::Native(tmpl) = &self.template else {
             return Err(EngineError::Unsupported(
@@ -2327,7 +1824,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             starved_is_error: true,
             ..cfg
         };
-        let nodes = self.make_nodes(ws, false, simd);
+        let nodes = self.make_nodes(ws, false);
         let prog = tmpl.instantiate(nodes);
         let report = run_native_traced(prog, cfg, Arc::clone(sink))?;
         let (values, read, counts) = self.finish(report.states, ws, false);
@@ -2355,14 +1852,11 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.executions += 1;
         let sink = self.trace_cfg.make_sink(self.strat.procs);
         self.replay_inspector_events(sink.as_ref());
-        // No caller config here: the prepare-time tuning supplies the
-        // vector mode.
-        let simd = vector::resolve(self.tuning.simd);
         let mut out = run_recovery_ladder(
             policy,
             sink.as_ref(),
             |attempt| cfg_for_attempt(attempt).faults.map(|f| f.seed),
-            |attempt| self.native_attempt(cfg_for_attempt(attempt), &sink, ws, simd),
+            |attempt| self.native_attempt(cfg_for_attempt(attempt), &sink, ws),
             || self.seq_fallback(),
         )?;
         out.trace = sink.drain();

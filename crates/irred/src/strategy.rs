@@ -6,7 +6,7 @@
 use lightinspector::PlanStats;
 use workloads::Distribution;
 
-use crate::tuning::{SimdMode, TileChoice, Tuning};
+use crate::tuning::{TileChoice, Tuning};
 
 /// Why a strategy configuration is rejected. Every field of
 /// [`StrategyConfig`] must be at least 1: zero processors or zero phases
@@ -119,9 +119,8 @@ impl StrategyConfig {
     /// keying limit) always select rotating portions.
     ///
     /// The returned [`AutoTuning`] pairs the engine choice with a full
-    /// [`Tuning`]: the fastest SIMD mode this build
-    /// honours, and — for rotating portions, whose per-phase portion
-    /// working set is the locality hook — memory-model-predicted tiling
+    /// [`Tuning`]: for rotating portions, whose per-phase portion
+    /// working set is the locality hook, memory-model-predicted tiling
     /// ([`TileChoice::Auto`], which switches itself off at prepare time
     /// when a portion already fits the modeled cache). The IE executor
     /// walks owner-partitioned data in index order and gets no tiling.
@@ -133,11 +132,7 @@ impl StrategyConfig {
         };
         AutoTuning {
             engine,
-            tuning: Tuning {
-                simd: SimdMode::preferred(),
-                tile,
-                host_threads: None,
-            },
+            tuning: Tuning::new().tile(tile),
         }
     }
 
@@ -281,9 +276,8 @@ mod tests {
         let flat = stats(vec![1_000; 8], 800);
         let auto = s.auto_select(&flat);
         assert_eq!(auto.engine, EngineChoice::RotatingPortions);
-        // Phased gets the locality treatment: tiled and vectorized.
+        // Phased gets the locality treatment: tiled.
         assert_eq!(auto.tuning.tile, TileChoice::Auto);
-        assert_ne!(auto.tuning.simd, SimdMode::Scalar);
     }
 
     #[test]

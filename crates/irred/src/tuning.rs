@@ -1,79 +1,54 @@
 //! [`Tuning`] — every performance knob that does not change *what* is
 //! computed, in one builder.
 //!
-//! `Tuning` collects the SIMD mode, tiling, and host thread cap into one
-//! `Copy` struct reachable uniformly through
+//! `Tuning` collects tiling and the host thread cap into one `Copy`
+//! struct reachable uniformly through
 //! [`ExecutionConfig::with_tuning`](crate::ExecutionConfig::with_tuning):
 //!
 //! ```
-//! use irred::{ExecutionConfig, SimdMode, TileChoice, Tuning};
+//! use irred::{ExecutionConfig, TileChoice, Tuning};
 //! use earth_model::native::NativeConfig;
 //!
 //! let cfg = ExecutionConfig::native(NativeConfig::default())
 //!     .with_tuning(Tuning::auto().host_threads(4));
 //! assert_eq!(cfg.native.host_threads, Some(4));
-//! # let _ = (SimdMode::Scalar, TileChoice::Off, cfg);
+//! # let _ = (TileChoice::Off, cfg);
 //! ```
 //!
-//! One knob changes the *plan* (tile) and two change only the
-//! *execution* (simd, host_threads); [`Tuning::plan_fingerprint`] folds
-//! exactly the plan-shaping knob into prepared-plan cache keys.
+//! One knob changes the *plan* (tile) and one changes only the
+//! *execution* (host_threads); [`Tuning::plan_fingerprint`] folds
+//! exactly the plan-shaping knob into prepared-plan cache keys. There
+//! is no inner-loop knob: every unmetered phase runs the one chunked
+//! kernel (`crate::vector`), which performs the float operations of the
+//! simulator's metered loop in its order.
 //!
 //! ## Determinism contract
 //!
-//! * [`SimdMode::Scalar`] is the bit-identical determinism reference —
-//!   the PR 5 const-specialized loops, unchanged.
-//! * [`SimdMode::Chunked`] and [`SimdMode::Intrinsics`] perform the
-//!   identical float operations in the identical order (contributions
-//!   are staged per-chunk, scattered in original iteration order;
-//!   intrinsic adds are lane-independent on distinct components), so
-//!   they are **bit-identical to scalar on every input**, not just
-//!   whole-number weights. Property-tested in `tests/tuning_equivalence.rs`.
+//! * Untiled runs are **bit-identical on every input** — native runs,
+//!   replayed simulator sweeps and the metered simulator sweeps alike.
+//!   Property-tested in `tests/tuning_equivalence.rs`.
 //! * [`TileChoice`] reorders iterations *within* a phase, which
 //!   reassociates floating-point sums across tile boundaries: results
 //!   are bit-identical on whole-number-weight kernels (exact f64 sums)
 //!   and within the documented ULP bound otherwise (DESIGN.md §16).
 
-/// How the flat inner loops compute and scatter contributions.
+/// The inner-loop mode: one variant, the chunked kernel every unmetered
+/// phase runs. It remains only because the benchmark package names
+/// [`SimdMode::preferred`] and [`Tuning::simd`]; both go when the
+/// benchmark next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdMode {
-    /// The scalar determinism reference: one iteration at a time through
-    /// `EdgeKernel::contrib`. The default.
+    /// Contributions for a batch of iterations are computed via
+    /// `EdgeKernel::contrib_batch`, then scattered in original
+    /// iteration order.
     #[default]
-    Scalar,
-    /// Chunked auto-vectorizable kernels: contributions for a block of
-    /// iterations are computed into a stack buffer via
-    /// `EdgeKernel::contrib_batch` (branchless, bounds-check-free inner
-    /// loops the compiler can vectorize), then scattered in original
-    /// iteration order. Bit-identical to [`SimdMode::Scalar`].
     Chunked,
-    /// Explicit `core::arch` SIMD for the scatter/fold adds, behind the
-    /// `simd` cargo feature. Falls back to [`SimdMode::Chunked`] when
-    /// the feature is off, the target is not x86_64, or the CPU lacks
-    /// AVX. Lane-independent adds on distinct components: still
-    /// bit-identical to scalar.
-    Intrinsics,
 }
 
 impl SimdMode {
-    /// The fastest mode this build can honour: [`SimdMode::Intrinsics`]
-    /// when compiled with `--features simd` (it degrades to chunked at
-    /// runtime if the CPU cannot honour it), otherwise
-    /// [`SimdMode::Chunked`].
+    /// The only mode, [`SimdMode::Chunked`].
     pub fn preferred() -> Self {
-        if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-            SimdMode::Intrinsics
-        } else {
-            SimdMode::Chunked
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdMode::Scalar => "scalar",
-            SimdMode::Chunked => "chunked",
-            SimdMode::Intrinsics => "intrinsics",
-        }
+        SimdMode::Chunked
     }
 }
 
@@ -105,13 +80,11 @@ impl TileChoice {
     }
 }
 
-/// The unified tuning bundle: SIMD mode, tiling, and host thread cap.
+/// The unified tuning bundle: tiling and host thread cap.
 /// Carried by [`ExecutionConfig`](crate::ExecutionConfig); every engine
 /// reads its knobs from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Tuning {
-    /// How flat inner loops compute and scatter contributions.
-    pub simd: SimdMode,
     /// Phase-local iteration tiling.
     pub tile: TileChoice,
     /// Cap on host OS threads, for *both* backends (`None` = backend
@@ -127,26 +100,20 @@ pub struct Tuning {
 }
 
 impl Tuning {
-    /// The determinism reference: scalar loops, no tiling, host threads
-    /// from the hardware. Identical to pre-`Tuning`
-    /// behaviour.
+    /// The determinism reference: no tiling, host threads from the
+    /// hardware.
     pub fn new() -> Self {
         Tuning::default()
     }
 
-    /// The performance default: the fastest SIMD mode this build
-    /// honours, memory-model-predicted tiling.
+    /// The performance default: memory-model-predicted tiling.
     pub fn auto() -> Self {
-        Tuning {
-            simd: SimdMode::preferred(),
-            tile: TileChoice::Auto,
-            host_threads: None,
-        }
+        Tuning::new().tile(TileChoice::Auto)
     }
 
-    /// Select the SIMD mode.
-    pub fn simd(mut self, simd: SimdMode) -> Self {
-        self.simd = simd;
+    /// The identity: [`SimdMode`] has one variant. Kept only for the
+    /// benchmark package, which names it (see [`SimdMode`]).
+    pub fn simd(self, _simd: SimdMode) -> Self {
         self
     }
 
@@ -162,16 +129,14 @@ impl Tuning {
         self
     }
 
-    /// Short label for bench reports: `"chunked+tile:auto"`.
+    /// Short label for bench reports: `"tile:auto"`.
     pub fn label(&self) -> String {
-        format!("{}+tile:{}", self.simd.label(), self.tile.label())
+        format!("tile:{}", self.tile.label())
     }
 
     /// Fold of the **plan-shaping** knob (tile) for prepared plan cache
-    /// keys. SIMD mode and host threads are execute-time choices over
-    /// the same plan and deliberately do not participate: a cached plan
-    /// may be re-executed scalar (the server's shed ladder relies on
-    /// this).
+    /// keys. Host threads are an execute-time choice over the same plan
+    /// and deliberately do not participate.
     pub fn plan_fingerprint(&self) -> u64 {
         let tile = match self.tile {
             TileChoice::Off => 0u64,
@@ -194,40 +159,35 @@ mod tests {
     #[test]
     fn default_is_the_determinism_reference() {
         let t = Tuning::default();
-        assert_eq!(t.simd, SimdMode::Scalar);
         assert_eq!(t.tile, TileChoice::Off);
         assert_eq!(t.host_threads, None);
         assert_eq!(t, Tuning::new());
     }
 
     #[test]
-    fn auto_prefers_vector_and_tiled() {
+    fn auto_is_tiled() {
         let t = Tuning::auto();
-        assert_ne!(t.simd, SimdMode::Scalar);
         assert_eq!(t.tile, TileChoice::Auto);
+        assert_eq!(t.host_threads, None);
     }
 
     #[test]
     fn builder_composes() {
         let t = Tuning::new()
-            .simd(SimdMode::Chunked)
             .tile(TileChoice::Elements(256))
             .host_threads(3);
-        assert_eq!(t.simd, SimdMode::Chunked);
         assert_eq!(t.tile, TileChoice::Elements(256));
         assert_eq!(t.host_threads, Some(3));
-        assert_eq!(t.label(), "chunked+tile:elems:256");
+        assert_eq!(t.label(), "tile:elems:256");
     }
 
     #[test]
     fn fingerprint_tracks_plan_knobs_only() {
         let base = Tuning::new();
-        // Execute-time knobs: no fingerprint change.
+        // The execute-time knob: no fingerprint change.
         assert_eq!(
             base.plan_fingerprint(),
-            base.simd(SimdMode::Chunked)
-                .host_threads(7)
-                .plan_fingerprint()
+            base.host_threads(7).plan_fingerprint()
         );
         // The plan-shaping knob: fingerprint changes.
         assert_ne!(

@@ -1,30 +1,35 @@
-//! Chunked, auto-vectorizable flat inner loops (and the optional
-//! `core::arch` intrinsic lane adds behind the `simd` cargo feature).
+//! The one unmetered inner loop: the chunked first loop and copy loop
+//! that every native phase and every replayed simulator sweep runs.
 //!
-//! The scalar flat loops in [`crate::phased`] interleave *compute* (one
+//! A per-iteration loop interleaves *compute* (one
 //! `EdgeKernel::contrib` call) with *scatter* (2–8 dependent
-//! read-modify-writes through indirection) per iteration — the store
-//! aliasing between the two keeps the compiler from vectorizing either.
-//! The chunked loops here split them: contributions for a [`CHUNK`] of
-//! iterations are computed into one stack buffer via
-//! [`EdgeKernel::contrib_batch`] (a branchless batch body the compiler
-//! can auto-vectorize), then scattered in the original iteration order.
+//! read-modify-writes through indirection) — the store aliasing between
+//! the two keeps the compiler from vectorizing either. The chunked loop
+//! splits them: contributions for a batch of iterations are computed
+//! into one buffer via [`EdgeKernel::contrib_batch`] (a branchless batch
+//! body the compiler can auto-vectorize), then scattered in the original
+//! iteration order.
+//!
+//! Storage is always `(region, split, buffer)`: scatter targets below
+//! `split` doubles land in the resident region, targets at or above it
+//! in the node's buffer extension. A native run passes the shared
+//! region of a zero-copy run; a simulator replay splits the node's
+//! private `x` at `num_elements · num_arrays`.
 //!
 //! ## Bit-identity
 //!
-//! Every path in this module performs the identical float operations in
-//! the identical order as the scalar reference:
+//! The loop performs the identical float operations in the identical
+//! order as the simulator's metered `loops` in [`crate::phased`], the
+//! float-order reference:
 //!
 //! * `contrib_batch` is contractually bit-identical to per-iteration
 //!   `contrib` (see the trait docs);
 //! * the scatter walks iterations in original order, references in
-//!   order, components in order — exactly the scalar loop's order;
-//! * the intrinsic lane adds (`_mm_add_pd`, baseline SSE2 on x86_64)
-//!   are lane-independent IEEE adds on *distinct* components — the same
-//!   two-operand additions the scalar loop performs, just issued as one
-//!   instruction.
+//!   order, components in order — exactly the metered loop's order;
+//! * the copy loop folds buffer slots into resident elements in copy
+//!   order and resets each slot, as the metered loop does.
 //!
-//! So chunked and intrinsic execution are bit-identical to scalar **on
+//! So every unmetered run is bit-identical to the metered one **on
 //! every input**, not only whole-number weights. Property-tested in
 //! `tests/tuning_equivalence.rs`; tiling (which genuinely reorders) has
 //! a separate contract, see [`crate::tuning::TileChoice`].
@@ -32,113 +37,51 @@
 use lightinspector::CopyOp;
 
 use crate::kernel::EdgeKernel;
-use crate::phased::{prefetch, PREFETCH_AHEAD};
-use crate::tuning::SimdMode;
 
-/// Iterations per contribution batch. 16 iterations × ≤16 slots keeps
-/// the stack buffer at 2 KiB — resident in L1 next to the hot loop.
-pub(crate) const CHUNK: usize = 16;
+/// Iterations per contribution batch of the const-width arms. 16
+/// iterations × ≤16 slots keeps the stack buffer at 2 KiB — resident in
+/// L1 next to the hot loop.
+const CHUNK: usize = 16;
 
 /// Widest per-iteration contribution group (`num_refs * num_arrays`)
-/// the chunked loops handle; wider kernels stay on the scalar path.
-pub(crate) const MAX_W: usize = 16;
+/// the const-width arms handle; wider kernels take the dynamic arm.
+const MAX_W: usize = 16;
 
-/// Whether this build can honour [`SimdMode::Intrinsics`].
-pub(crate) fn intrinsics_available() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
-}
+/// Distance (in copy ops) the copy loop prefetches ahead. Far enough to
+/// cover an L2 miss, near enough that the lines are still resident when
+/// used.
+const PREFETCH_AHEAD: usize = 8;
 
-/// Collapse [`SimdMode::Intrinsics`] to [`SimdMode::Chunked`] when the
-/// build cannot honour it (feature off or non-x86_64 target).
-pub(crate) fn resolve(mode: SimdMode) -> SimdMode {
-    match mode {
-        SimdMode::Intrinsics if !intrinsics_available() => SimdMode::Chunked,
-        m => m,
-    }
-}
-
-/// Whether the chunked loops support this kernel shape; callers fall
-/// back to the scalar path otherwise (results are identical either way).
-pub(crate) fn supported(m: usize, r_arrays: usize) -> bool {
-    m >= 1 && (1..=4).contains(&r_arrays) && m * r_arrays <= MAX_W
-}
-
-/// `dst[0..R] += src[0..R]`, the scatter/fold lane add. With the `simd`
-/// feature on x86_64 and `intr` set, pairs of lanes are added with
-/// baseline-SSE2 `_mm_add_pd` — per-lane IEEE adds, so the values are
-/// bit-identical to the scalar loop either way.
-///
-/// # Safety
-/// `dst` and `src` must be valid for `R` doubles and must not overlap.
+/// Best-effort prefetch of the cache line holding `ptr`. A pure
+/// latency hint — no architectural effect, so float results are
+/// untouched. `wrapping_add`-derived pointers are fine: the hint never
+/// faults and we never dereference them here.
 #[inline(always)]
-unsafe fn add_lanes<const R: usize>(dst: *mut f64, src: *const f64, intr: bool) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if intr && R >= 2 {
-        use std::arch::x86_64::{_mm_add_pd, _mm_loadu_pd, _mm_storeu_pd};
-        let mut a = 0;
-        while a + 2 <= R {
-            let d = _mm_loadu_pd(dst.add(a));
-            let s = _mm_loadu_pd(src.add(a));
-            _mm_storeu_pd(dst.add(a), _mm_add_pd(d, s));
-            a += 2;
-        }
-        if a < R {
-            *dst.add(a) += *src.add(a);
-        }
-        return;
+fn prefetch(ptr: *const f64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint; it cannot fault or write.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch(ptr as *const i8, std::arch::x86_64::_MM_HINT_T0);
     }
-    let _ = intr;
-    for a in 0..R {
-        *dst.add(a) += *src.add(a);
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
 }
 
-/// The copy loop of the chunked region path: fold each buffered
-/// contribution into its resident element and reset the slot. Same
-/// float operations, same order as the scalar `fold_copies_region`
-/// (sources are buffer slots, destinations resident elements — always
-/// disjoint, so the read-all-then-zero order matches the scalar
-/// per-component walk bit for bit).
+/// Run one phase's first loop and copy loop: `r_arrays` from 1 to 4
+/// with `num_refs · r_arrays <= MAX_W` takes a const-width arm of
+/// [`chunk`], anything wider the dynamic-width arm.
 ///
 /// # Safety
-/// As for the scalar fold: copy sources must be buffer slots
-/// (`src >= split / R` elements) sized into `buf`, destinations
-/// resident elements of the portion the caller owns in `rp`.
-unsafe fn fold_copies_vec<const R: usize>(
-    rp: *mut f64,
-    split: usize,
-    buf: &mut [f64],
-    copies: &[CopyOp],
-    intr: bool,
-) {
-    let bp = buf.as_mut_ptr();
-    for (i, c) in copies.iter().enumerate() {
-        if let Some(nc) = copies.get(i + PREFETCH_AHEAD) {
-            prefetch(rp.wrapping_add(nc.dest as usize * R) as *const f64);
-        }
-        let sb = c.src as usize * R;
-        let db = c.dest as usize * R;
-        debug_assert!(sb >= split && sb - split + R <= buf.len());
-        debug_assert!(db + R <= split);
-        let sp = bp.add(sb - split);
-        add_lanes::<R>(rp.add(db), sp, intr);
-        for a in 0..R {
-            *sp.add(a) = 0.0;
-        }
-    }
-}
-
-/// Chunked flat loops against the shared region of a zero-copy native
-/// run — the vector counterpart of `loops_flat_region_r`. `rp`/`split`
-/// are the region's base pointer and element-slot length.
-///
-/// # Safety
-/// Same contract as the scalar region loops: `rp` must be the shared
-/// region of a phase whose portion the caller owns under the ring
-/// protocol, every scatter ref below `split / R` elements must target
-/// that portion, and `buf` must hold the node's buffer extension.
+/// `rp` must be valid for `split` doubles, and the caller must own (for
+/// the duration of the call, exclusively) every resident element that a
+/// scatter ref below `split / r_arrays` or a copy destination names —
+/// the portion this phase owns under the ring protocol on a shared
+/// region. Every other scatter ref and every copy source must be a
+/// buffer slot sized into `buf`, which must not overlap the region.
+/// Plans built by the inspector (and adopted through `verify_flat`)
+/// satisfy the index half of this by construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn loops_flat_region_vec<K: EdgeKernel>(
+pub(crate) unsafe fn run_phase<K: EdgeKernel>(
     kernel: &K,
     read: &[f64],
     rp: *mut f64,
@@ -149,49 +92,68 @@ pub(crate) unsafe fn loops_flat_region_vec<K: EdgeKernel>(
     elems: &[u32],
     refs: &[u32],
     copies: &[CopyOp],
-    intr: bool,
 ) {
-    macro_rules! r {
+    macro_rules! arm {
         ($r:literal) => {
-            chunk_region_r::<K, $r>(
-                kernel, read, rp, split, buf, giters, elems, refs, copies, intr,
+            chunk::<K, $r>(
+                kernel, read, rp, split, buf, r_arrays, giters, elems, refs, copies,
             )
         };
     }
+    let narrow = kernel.num_refs() * r_arrays <= MAX_W;
     match r_arrays {
-        1 => r!(1),
-        2 => r!(2),
-        3 => r!(3),
-        4 => r!(4),
-        _ => unreachable!("guarded by vector::supported"),
+        1 if narrow => arm!(1),
+        2 if narrow => arm!(2),
+        3 if narrow => arm!(3),
+        4 if narrow => arm!(4),
+        _ => arm!(0),
     }
 }
 
+/// The chunked loops at per-element width `R` (1..=4, so the lane adds
+/// unroll). `R = 0` is the dynamic-width arm: the width is `r_arrays`,
+/// read at run time, and a batch holds `max(1, CHUNK·MAX_W / w)`
+/// iterations, in a heap buffer only when one iteration alone is wider
+/// than the stack one.
+///
+/// # Safety
+/// See [`run_phase`].
 #[allow(clippy::too_many_arguments)]
-unsafe fn chunk_region_r<K: EdgeKernel, const R: usize>(
+unsafe fn chunk<K: EdgeKernel, const R: usize>(
     kernel: &K,
     read: &[f64],
     rp: *mut f64,
     split: usize,
     buf: &mut [f64],
+    r_arrays: usize,
     giters: &[u32],
     elems: &[u32],
     refs: &[u32],
     copies: &[CopyOp],
-    intr: bool,
 ) {
+    let r_w = if R == 0 { r_arrays } else { R };
     let m = if giters.is_empty() {
         1
     } else {
         refs.len() / giters.len()
     };
-    let w = m * R;
-    assert!(w <= MAX_W, "guarded by vector::supported");
+    let w = m * r_w;
+    assert!(R == 0 || w <= MAX_W, "guarded by run_phase");
     assert_eq!(giters.len() * m, refs.len());
     assert_eq!(elems.len(), refs.len());
+    let per = if R == 0 {
+        (CHUNK * MAX_W / w.max(1)).max(1)
+    } else {
+        CHUNK
+    };
     let n_read = kernel.num_read_arrays();
     let bp = buf.as_mut_ptr();
-    // Branch-free region/buffer select — see `loops_flat_region_r`.
+    // Branch-free select of a ref's scatter destination: the resident
+    // region below `split`, the buffer extension above it. Both
+    // candidate pointers are computed with wrapping arithmetic (never
+    // dereferenced when unselected), so the compiler can lower the
+    // select to a cmov instead of an unpredictable branch — the
+    // region/buffer mix within a phase is data-dependent.
     let target = |base: usize| -> *mut f64 {
         let pr = rp.wrapping_add(base);
         let pb = bp.wrapping_add(base.wrapping_sub(split));
@@ -201,16 +163,22 @@ unsafe fn chunk_region_r<K: EdgeKernel, const R: usize>(
             pb
         }
     };
-    // The stack contribution buffer: one chunk of per-iteration slot
-    // groups, zeroed before each batch (the contrib_batch contract).
-    let mut outs = [0.0f64; CHUNK * MAX_W];
+    // The contribution buffer: one batch of per-iteration slot groups,
+    // zeroed before each batch (the contrib_batch contract).
+    let mut stack = [0.0f64; CHUNK * MAX_W];
+    let mut heap = Vec::new();
+    let outs: &mut [f64] = if per * w <= stack.len() {
+        &mut stack
+    } else {
+        heap.resize(per * w, 0.0);
+        &mut heap
+    };
     let n = giters.len();
     let mut lo = 0usize;
     while lo < n {
-        let len = (n - lo).min(CHUNK);
-        // Prefetch the *next* chunk's gather lines and scatter targets
-        // while this chunk computes — the chunk granularity replaces
-        // the scalar path's per-iteration PREFETCH_AHEAD distance.
+        let len = (n - lo).min(per);
+        // Prefetch the *next* batch's gather lines and scatter targets
+        // while this batch computes.
         for pj in lo + len..(lo + 2 * len).min(n) {
             for r in 0..m {
                 if n_read > 0 {
@@ -219,7 +187,7 @@ unsafe fn chunk_region_r<K: EdgeKernel, const R: usize>(
                             .wrapping_add(*elems.get_unchecked(pj * m + r) as usize * n_read),
                     );
                 }
-                prefetch(target(*refs.get_unchecked(pj * m + r) as usize * R));
+                prefetch(target(*refs.get_unchecked(pj * m + r) as usize * r_w));
             }
         }
         let batch = &mut outs[..len * w];
@@ -230,156 +198,41 @@ unsafe fn chunk_region_r<K: EdgeKernel, const R: usize>(
             &elems[lo * m..(lo + len) * m],
             batch,
         );
-        // Scatter in original iteration order: j, then r, then the R
-        // components — the scalar loop's exact order.
+        // Scatter in original iteration order: j, then r, then the
+        // components — the metered loop's exact order.
         for j in 0..len {
             for r in 0..m {
-                let base = *refs.get_unchecked((lo + j) * m + r) as usize * R;
-                debug_assert!(base < split || base - split + R <= buf.len());
+                let base = *refs.get_unchecked((lo + j) * m + r) as usize * r_w;
+                debug_assert!(base < split || base - split + r_w <= buf.len());
                 let p = target(base);
-                add_lanes::<R>(p, outs.as_ptr().add(j * w + r * R), intr);
-            }
-        }
-        lo += len;
-    }
-    fold_copies_vec::<R>(rp, split, buf, copies, intr);
-}
-
-/// Chunked flat loops over a private `x` array (simulator replay and
-/// non-region native runs) — the vector counterpart of `loops_flat_r`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn loops_flat_vec<K: EdgeKernel>(
-    kernel: &K,
-    read: &[f64],
-    x: &mut [f64],
-    r_arrays: usize,
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[CopyOp],
-    intr: bool,
-) {
-    macro_rules! r {
-        ($r:literal) => {
-            chunk_flat_r::<K, $r>(kernel, read, x, giters, elems, refs, copies, intr)
-        };
-    }
-    match r_arrays {
-        1 => r!(1),
-        2 => r!(2),
-        3 => r!(3),
-        4 => r!(4),
-        _ => unreachable!("guarded by vector::supported"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chunk_flat_r<K: EdgeKernel, const R: usize>(
-    kernel: &K,
-    read: &[f64],
-    x: &mut [f64],
-    giters: &[u32],
-    elems: &[u32],
-    refs: &[u32],
-    copies: &[CopyOp],
-    intr: bool,
-) {
-    let m = if giters.is_empty() {
-        1
-    } else {
-        refs.len() / giters.len()
-    };
-    let w = m * R;
-    assert!(w <= MAX_W, "guarded by vector::supported");
-    assert_eq!(giters.len() * m, refs.len());
-    assert_eq!(elems.len(), refs.len());
-    let mut outs = [0.0f64; CHUNK * MAX_W];
-    let n = giters.len();
-    let mut lo = 0usize;
-    while lo < n {
-        let len = (n - lo).min(CHUNK);
-        let batch = &mut outs[..len * w];
-        batch.fill(0.0);
-        kernel.contrib_batch(
-            read,
-            &giters[lo..lo + len],
-            &elems[lo * m..(lo + len) * m],
-            batch,
-        );
-        for j in 0..len {
-            for r in 0..m {
-                let base = refs[(lo + j) * m + r] as usize * R;
-                debug_assert!(base + R <= x.len());
-                // SAFETY: `base` is an inspector-produced, plan-verified
-                // target sized into `x` at prepare time (see
-                // `loops_flat_r`); `outs` holds `len * w` initialized
-                // slots and `x`/`outs` never overlap.
-                unsafe {
-                    add_lanes::<R>(
-                        x.as_mut_ptr().add(base),
-                        outs.as_ptr().add(j * w + r * R),
-                        intr,
-                    );
+                let s = outs.as_ptr().add(j * w + r * r_w);
+                for a in 0..r_w {
+                    *p.add(a) += *s.add(a);
                 }
             }
         }
         lo += len;
     }
-    for c in copies {
-        let sb = c.src as usize * R;
-        let db = c.dest as usize * R;
-        debug_assert!(sb + R <= x.len() && db + R <= x.len());
-        // SAFETY: plan-verified copy endpoints (sources buffer slots,
-        // destinations resident elements — disjoint), both sized into
-        // `x` at prepare time.
-        unsafe {
-            let p = x.as_mut_ptr();
-            add_lanes::<R>(p.add(db), p.add(sb) as *const f64, intr);
-            for a in 0..R {
-                *p.add(sb + a) = 0.0;
-            }
+    // The copy loop: fold each buffered contribution into its resident
+    // element and reset the slot for the next sweep. Sources are buffer
+    // slots and destinations resident elements — always disjoint, so
+    // adding all components then zeroing matches the metered loop's
+    // per-component walk bit for bit.
+    for (i, c) in copies.iter().enumerate() {
+        if let Some(nc) = copies.get(i + PREFETCH_AHEAD) {
+            prefetch(rp.wrapping_add(nc.dest as usize * r_w) as *const f64);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resolve_honours_the_build() {
-        assert_eq!(resolve(SimdMode::Scalar), SimdMode::Scalar);
-        assert_eq!(resolve(SimdMode::Chunked), SimdMode::Chunked);
-        let r = resolve(SimdMode::Intrinsics);
-        if intrinsics_available() {
-            assert_eq!(r, SimdMode::Intrinsics);
-        } else {
-            assert_eq!(r, SimdMode::Chunked);
+        let sb = c.src as usize * r_w;
+        let db = c.dest as usize * r_w;
+        debug_assert!(sb >= split && sb - split + r_w <= buf.len());
+        debug_assert!(db + r_w <= split);
+        let sp = bp.add(sb - split);
+        let dp = rp.add(db);
+        for a in 0..r_w {
+            *dp.add(a) += *sp.add(a);
         }
-    }
-
-    #[test]
-    fn supported_bounds_the_shape() {
-        assert!(supported(2, 1));
-        assert!(supported(2, 4));
-        assert!(supported(4, 4));
-        assert!(!supported(2, 5));
-        assert!(!supported(5, 4));
-        assert!(!supported(0, 1));
-    }
-
-    #[test]
-    fn add_lanes_matches_scalar_adds() {
-        let mut dst = [1.5f64, -2.25, 3.125, 0.0625];
-        let src = [0.1f64, 0.2, 0.3, 0.4];
-        let mut expect = dst;
-        for a in 0..4 {
-            expect[a] += src[a];
-        }
-        // SAFETY: both arrays are valid for 4 doubles and disjoint.
-        unsafe { add_lanes::<4>(dst.as_mut_ptr(), src.as_ptr(), intrinsics_available()) };
-        for a in 0..4 {
-            assert_eq!(dst[a].to_bits(), expect[a].to_bits());
+        for a in 0..r_w {
+            *sp.add(a) = 0.0;
         }
     }
 }

@@ -7,8 +7,9 @@
 //! round-robin — a tenant that floods the queue gets served one job per
 //! turn like everyone else — and a per-tenant in-flight cap keeps one
 //! tenant from occupying every worker. The dequeue side also reports
-//! the shed level: past half capacity, jobs are executed sequentially
-//! (cheap, still bit-identical) so the queue drains instead of growing.
+//! the shed level: at three-quarters capacity, jobs are executed
+//! sequentially (cheap, still bit-identical) so the queue drains
+//! instead of growing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -143,13 +144,10 @@ impl Admission {
         let mut s = self.state.lock().unwrap();
         loop {
             if let Some(job) = Self::pop_fair(&mut s, &self.cfg) {
-                // The shed ladder: half capacity drops to scalar inner
-                // loops (still parallel, still bit-identical), three
-                // quarters drops to sequential.
+                // The shed ladder: three quarters capacity drops to
+                // sequential (still bit-identical).
                 let shed = if s.queued * 4 >= self.cfg.queue_capacity * 3 {
                     ShedLevel::Seq
-                } else if s.queued * 2 >= self.cfg.queue_capacity {
-                    ShedLevel::Scalar
                 } else {
                     ShedLevel::Native
                 };
@@ -304,17 +302,17 @@ mod tests {
         a.submit(job("t", 1));
         let (_, shed) = a.next().unwrap();
         assert_eq!(shed, ShedLevel::Native);
-        // 4 queued after the pop = half capacity: first rung.
+        // 4 queued after the pop = half capacity: still native.
         for i in 2..=6 {
             a.submit(job("t", i));
         }
         let (_, shed) = a.next().unwrap();
         assert_eq!(
             shed,
-            ShedLevel::Scalar,
-            "backlog at half capacity must drop to scalar loops"
+            ShedLevel::Native,
+            "backlog at half capacity stays native"
         );
-        // 6 queued after the pop = three quarters: second rung.
+        // 6 queued after the pop = three quarters: sequential.
         for i in 7..=9 {
             a.submit(job("t", i));
         }

@@ -18,7 +18,7 @@ use earth_model::native::{NativeConfig, RunError, StallReason};
 use earth_model::FaultConfig;
 use irred::{
     EdgeKernel, EngineError, ExecutionConfig, PhasedEngine, PhasedSpec, RecoveryPolicy,
-    ReductionEngine, RunOutcome, SeqEngine, SimdMode, StrategyConfig, Tuning, Workspace,
+    ReductionEngine, RunOutcome, SeqEngine, StrategyConfig, Tuning, Workspace,
 };
 use threadedc::ast::ElemType;
 use threadedc::CompileCache;
@@ -68,49 +68,21 @@ impl EdgeKernel for JobKernel {
 }
 
 /// How hard the server is shedding load when a job is dequeued — a
-/// three-rung ladder. Every rung returns bit-identical values (the repo
-/// invariant: the chunked SIMD path is bit-identical to scalar on all
-/// inputs, and the server never tiles), so shedding only trades
-/// throughput headroom, never answers.
+/// two-rung ladder. Both rungs return bit-identical values (the repo
+/// invariant: every engine and backend agrees bit for bit, and the
+/// server never tiles), so shedding only trades latency, never answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedLevel {
-    /// Normal service: native parallel execution with the vectorized
-    /// flat loops.
+    /// Normal service: native parallel execution (`degraded = 0`).
     Native,
-    /// Queue at half capacity: still native parallel, but scalar inner
-    /// loops — frees the host's vector units and memory bandwidth for
-    /// the backlog while keeping the parallel speedup. Shares cached
-    /// plans with [`ShedLevel::Native`] (SIMD mode is an execute-time
-    /// knob, not a plan-shaping one).
-    Scalar,
-    /// Queue at three-quarters capacity: run sequentially. Only latency
-    /// degrades further.
+    /// Queue at three-quarters capacity: run sequentially
+    /// (`degraded = 2`).
     Seq,
 }
 
-impl ShedLevel {
-    /// The [`Tuning`] this rung executes with. Both native rungs use
-    /// flat layout and no tiling, so their `plan_fingerprint` is equal
-    /// and they check the same plans out of the cache; tiling stays off
-    /// server-wide because it reassociates sums and job weights are
-    /// arbitrary floats.
-    fn tuning(self) -> Tuning {
-        match self {
-            ShedLevel::Native => Tuning::new().simd(SimdMode::preferred()),
-            ShedLevel::Scalar | ShedLevel::Seq => Tuning::new(),
-        }
-    }
-
-    /// The `degraded` byte this rung reports when the run itself did
-    /// not degrade further.
-    fn degraded(self) -> u8 {
-        match self {
-            ShedLevel::Native => 0,
-            ShedLevel::Scalar => 1,
-            ShedLevel::Seq => 2,
-        }
-    }
-}
+/// The `degraded` byte of a job that ran sequentially — shed to the
+/// `Seq` rung, or fallen back there by the recovery ladder.
+const DEGRADED_SEQ: u8 = 2;
 
 /// Everything needed to run jobs; shared by all worker threads.
 pub struct Executor {
@@ -157,9 +129,7 @@ impl Executor {
         });
         match shed {
             ShedLevel::Seq => run_seq(job, &job_spec(job, kernel), &strat),
-            ShedLevel::Native | ShedLevel::Scalar => {
-                self.run_native(job, kernel, &strat, fault, deadline, shed)
-            }
+            ShedLevel::Native => self.run_native(job, kernel, &strat, fault, deadline),
         }
     }
 
@@ -234,11 +204,10 @@ impl Executor {
         // checked indexing. Catch the panic: the job fails typed, the
         // worker survives.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shed {
-            ShedLevel::Seq => (
-                compiled.execute_with(&mut b, &SeqEngine::new(ExecutionConfig::default()), &strat),
-                2u8,
-            ),
-            ShedLevel::Native | ShedLevel::Scalar => {
+            ShedLevel::Seq => {
+                compiled.execute_with(&mut b, &SeqEngine::new(ExecutionConfig::default()), &strat)
+            }
+            ShedLevel::Native => {
                 let mut native = NativeConfig {
                     watchdog: self.watchdog,
                     ..NativeConfig::default()
@@ -248,18 +217,12 @@ impl Executor {
                 if deadline.is_some() {
                     policy.fall_back_to_seq = false;
                 }
-                let engine = PhasedEngine::new(
-                    ExecutionConfig::native(native)
-                        .with_recovery(policy)
-                        .with_tuning(shed.tuning()),
-                );
-                (
-                    compiled.execute_flat(&mut b, &strat, &engine),
-                    shed.degraded(),
-                )
+                let engine =
+                    PhasedEngine::new(ExecutionConfig::native(native).with_recovery(policy));
+                compiled.execute_flat(&mut b, &strat, &engine)
             }
         }));
-        let (result, degraded) = match caught {
+        let result = match caught {
             Ok(r) => r,
             Err(_) => {
                 return err_frame(
@@ -273,7 +236,12 @@ impl Executor {
         };
 
         match result {
-            Ok(_) => {
+            Ok(report) => {
+                let degraded = if shed == ShedLevel::Seq || report.fell_back_to_seq {
+                    DEGRADED_SEQ
+                } else {
+                    0
+                };
                 let values: Vec<Vec<f64>> = compiled
                     .program
                     .decls
@@ -312,9 +280,10 @@ impl Executor {
         strat: &StrategyConfig,
         fault: Option<FaultConfig>,
         deadline: Option<Instant>,
-        shed: ShedLevel,
     ) -> Frame {
-        let tuning = shed.tuning();
+        // Untiled: tiling reassociates sums, and job weights are
+        // arbitrary floats.
+        let tuning = Tuning::new();
         let mut native = NativeConfig {
             watchdog: self.watchdog,
             ..NativeConfig::default()
@@ -381,9 +350,9 @@ impl Executor {
         match result {
             Ok(out) => {
                 let degraded = if out.recovery.fell_back_to_seq {
-                    2
+                    DEGRADED_SEQ
                 } else {
-                    shed.degraded()
+                    0
                 };
                 ok_frame(job.job_id, degraded, out)
             }
@@ -409,7 +378,7 @@ impl Executor {
 /// Bit-identical to the native result by the repo invariant.
 fn run_seq(job: &SubmitJob, spec: &PhasedSpec<JobKernel>, strat: &StrategyConfig) -> Frame {
     match SeqEngine::new(ExecutionConfig::default()).run(spec, strat) {
-        Ok(out) => ok_frame(job.job_id, 2, out),
+        Ok(out) => ok_frame(job.job_id, DEGRADED_SEQ, out),
         Err(e) => engine_err_frame(job.job_id, &e, 0, Vec::new()),
     }
 }
@@ -425,8 +394,7 @@ fn job_spec(job: &SubmitJob, kernel: Arc<JobKernel>) -> PhasedSpec<JobKernel> {
 }
 
 /// The plan-cache key of a job: its structure hash, hashed straight from
-/// the decoded frame's arrays, with the plan-shaping tuning knobs. Both
-/// native rungs fingerprint identically and so share entries.
+/// the decoded frame's arrays, with the plan-shaping tuning knobs.
 fn plan_key(job: &SubmitJob, kernel: &JobKernel, strat: &StrategyConfig, tuning: Tuning) -> u64 {
     irred::structure_hash(job.num_elements as usize, kernel, &job.indirection, strat)
         ^ tuning.plan_fingerprint()
@@ -630,23 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_scalar_rung_is_bit_identical_and_shares_the_plan_cache() {
-        let e = exec();
-        let j = job(9);
-        let native = e.run_job(&j, ShedLevel::Native, None);
-        let scalar = e.run_job(&j, ShedLevel::Scalar, None);
-        let (Frame::JobOk(a), Frame::JobOk(b)) = (native, scalar) else {
-            panic!("both rungs must succeed");
-        };
-        assert_eq!(a.degraded, 0);
-        assert_eq!(b.degraded, 1, "scalar rung reports mild degradation");
-        assert_eq!(a.values, b.values, "scalar rung must stay bit-identical");
-        // SIMD mode is execute-time: the scalar run must have HIT the
-        // plan the vectorized run populated, not prepared a second one.
-        assert_eq!(e.cache.lock().unwrap().hits, 1);
-    }
-
-    #[test]
     fn plan_cache_hits_on_same_structure() {
         let e = exec();
         let mut j = job(3);
@@ -682,7 +633,7 @@ mod tests {
         let plan_a = PhasedEngine::native(NativeConfig::default())
             .prepare(&job_spec(&a, kernel(&a)), &strat)
             .unwrap();
-        let key_b = plan_key(&b, &kernel(&b), &strat, ShedLevel::Native.tuning());
+        let key_b = plan_key(&b, &kernel(&b), &strat, Tuning::new());
         let released =
             e.cache
                 .lock()

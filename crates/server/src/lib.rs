@@ -10,9 +10,9 @@
 //! yields a typed error frame while every other connection keeps being
 //! served. Admission control bounds memory (a full queue answers
 //! `Busy`, not growth), round-robin dispatch with per-tenant in-flight
-//! caps bounds unfairness, and a backlog past half capacity degrades
-//! execution to the (bit-identical) sequential engine before the server
-//! refuses anything.
+//! caps bounds unfairness, and a backlog at three-quarters capacity
+//! degrades execution to the (bit-identical) sequential engine before
+//! the server refuses anything.
 //!
 //! See DESIGN.md §14 for the protocol grammar and the isolation /
 //! degradation ladder.

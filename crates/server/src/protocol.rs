@@ -225,11 +225,11 @@ pub struct SubmitSource {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOk {
     pub job_id: u64,
-    /// Severity of service degradation: 0 = native parallel
-    /// (vectorized loops), 1 = native parallel with scalar loops (first
-    /// shed rung), 2 = sequential (second shed rung, or the recovery
-    /// ladder's fallback after native failures). Values are
-    /// bit-identical at every level.
+    /// Severity of service degradation: 0 = native parallel; 2 =
+    /// sequential, either because admission shed the job at
+    /// three-quarters queue capacity or because the recovery ladder fell
+    /// back after native failures. 1 (a retired shed rung) is no longer
+    /// sent but still decodes. Values are bit-identical at every level.
     pub degraded: u8,
     /// Native attempts made (0 when the job ran sequentially outright).
     pub attempts: u32,

@@ -13,7 +13,10 @@
 //!
 //! The plan preview (and `--run`) uses deterministic synthetic bindings
 //! sized by `--size` (default 64, clamped by literal array sizes), so
-//! the CLI needs no user data.
+//! the CLI needs no user data. `--tuning scalar` (the default) runs
+//! untiled, the determinism reference; `--tuning auto` adds
+//! memory-model-predicted tiling. Both run the one chunked inner
+//! kernel.
 
 use std::process::ExitCode;
 
@@ -34,7 +37,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: threadedc [--procs N] [--k K] [--dist block|cyclic] [--size S] \
-         [--tuning scalar|auto] [--run] <file.tc>"
+         [--tuning scalar|auto] [--run] <file.tc>\n  \
+         --tuning scalar: untiled (default); --tuning auto: predicted tiling"
     );
     std::process::exit(2);
 }
@@ -46,8 +50,8 @@ fn parse_args() -> Args {
         dist: Distribution::Cyclic,
         size: 64,
         run: false,
-        // The determinism reference; `--tuning auto` opts into the
-        // vectorized + tiled fast path.
+        // Untiled, the determinism reference; `--tuning auto` opts into
+        // predicted tiling.
         tuning: Tuning::new(),
         file: String::new(),
     };

@@ -305,6 +305,10 @@ pub struct ExecReport {
     pub phased_loops: usize,
     /// Regular loops executed (sequentially).
     pub regular_loops: usize,
+    /// Whether the recovery ladder fell back to the sequential engine
+    /// for any phased loop (values stay bit-identical; only the
+    /// execution degraded).
+    pub fell_back_to_seq: bool,
 }
 
 /// Why executing a compiled program failed: the spanned diagnostic, and
@@ -401,6 +405,7 @@ impl CompiledProgram {
             time_cycles: 0,
             phased_loops: 0,
             regular_loops: 0,
+            fell_back_to_seq: false,
         };
         for p in &self.plan {
             match p {
@@ -426,6 +431,7 @@ impl CompiledProgram {
                     }
                     rep.time_cycles += out.time_cycles;
                     rep.phased_loops += 1;
+                    rep.fell_back_to_seq |= out.recovery.fell_back_to_seq;
                 }
             }
         }
@@ -579,6 +585,49 @@ mod tests {
 
         assert_eq!(rep_flat.time_cycles, rep_prep.time_cycles);
         for (a, b) in via_flat.f64s["X"].iter().zip(&via_prepare.f64s["X"]) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn exhausted_native_attempts_report_the_sequential_fallback() {
+        use earth_model::native::NativeConfig;
+        use earth_model::FaultConfig;
+        use irred::{ExecutionConfig, RecoveryPolicy, SeqEngine};
+
+        // Every message dropped on every attempt (retries reseed the
+        // plan but keep the drop rate): each native attempt stalls and
+        // the ladder falls back to the sequential engine.
+        let faults = FaultConfig {
+            drop_prob: 1.0,
+            ..FaultConfig::none(3)
+        };
+        let native = NativeConfig {
+            watchdog: std::time::Duration::from_secs(5),
+            ..NativeConfig::default()
+        };
+        let engine = PhasedEngine::new(
+            ExecutionConfig::native(native)
+                .with_faults(faults)
+                .with_recovery(RecoveryPolicy::default()),
+        );
+        let c = compile(FIG1).unwrap();
+        let strat = StrategyConfig::new(2, 2, irred::Distribution::Cyclic, 2);
+
+        let mut fell_back = fig1_bindings(40, 300, 9);
+        let rep = c.execute_flat(&mut fell_back, &strat, &engine).unwrap();
+        assert!(rep.fell_back_to_seq);
+
+        let mut seq = fig1_bindings(40, 300, 9);
+        let seq_rep = c
+            .execute_with(
+                &mut seq,
+                &SeqEngine::new(ExecutionConfig::default()),
+                &strat,
+            )
+            .unwrap();
+        assert!(!seq_rep.fell_back_to_seq);
+        for (a, b) in fell_back.f64s["X"].iter().zip(&seq.f64s["X"]) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -80,11 +80,10 @@ fn main() {
     );
 
     // (c) the same program on real OS threads, with the performance
-    // tuning bundle: vectorized flat loops and memory-model-predicted
-    // cache tiling. `Tuning::auto()` is the one knob; results stay
-    // within reassociation tolerance of the scalar reference (and the
-    // SIMD part is bit-identical — see `Tuning::new()` for the strict
-    // determinism reference).
+    // tuning bundle: memory-model-predicted cache tiling.
+    // `Tuning::auto()` is the one knob; results stay within
+    // reassociation tolerance of the untiled run (see `Tuning::new()`
+    // for the strict determinism reference).
     let native = PhasedEngine::new(
         ExecutionConfig::native(NativeConfig::default()).with_tuning(Tuning::auto()),
     )

@@ -1,15 +1,19 @@
-//! Property suite for the [`Tuning`] API's vectorized and tiled flat
-//! kernels.
+//! Property suite for the one unmetered inner loop and for tiling.
 //!
 //! Three contracts:
 //!
-//! 1. **Vector bit-identity on all inputs.** The chunked (and, when the
-//!    `simd` feature is on, intrinsics) flat path stages contributions
-//!    in a stack buffer and scatters them in original iteration order,
-//!    so it performs exactly the floating-point operations of the
-//!    scalar path in exactly the same order — bit-identical results on
-//!    *arbitrary* float inputs, across three workload families, on the
-//!    simulator and on the native backend under a lossless fault plan.
+//! 1. **Unmetered runs equal the metered run, bit for bit, on all
+//!    inputs.** The simulator's measuring sweeps (sweeps 0–1 of each
+//!    phase) run the metered `loops`, the float-order reference. Every
+//!    native phase and every replayed simulator sweep runs the chunked
+//!    kernel, which stages contributions in a buffer and scatters them
+//!    in original iteration order — the metered loop's float
+//!    operations in its order. So a native run (under a lossless fault
+//!    plan) and a fully replayed simulator run must both equal the
+//!    metered simulator run on *arbitrary* float inputs: across three
+//!    workload families, hot-key widths of 1, 2, 3, 5 and 8 arrays (the
+//!    last two on the kernel's dynamic-width arm), and a five-reference
+//!    four-array kernel (20 contribution slots, also the dynamic arm).
 //!
 //! 2. **Tile bit-identity on whole-number weights.** Tiling reorders
 //!    iterations within a phase, which reassociates the sums; on
@@ -34,8 +38,8 @@ use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::prop_assert;
 use irred::{
-    Distribution, EdgeKernel, ExecutionConfig, PhasedEngine, PhasedSpec, ReductionEngine, SimdMode,
-    StrategyConfig, TileChoice, Tuning,
+    Distribution, EdgeKernel, ExecutionConfig, PhasedEngine, PhasedSpec, ReductionEngine,
+    StrategyConfig, TileChoice, Tuning, Workspace,
 };
 use kernels::{FamilyProblem, MolDynProblem};
 use lightinspector::FlatPlan;
@@ -76,60 +80,59 @@ fn native_cfg(fault_seed: u64) -> NativeConfig {
     }
 }
 
-/// The SIMD modes whose results must be bit-identical to scalar.
-/// `Intrinsics` resolves to the chunked path when the `simd` feature is
-/// off, so listing it unconditionally tests the real intrinsics lane in
-/// `--features simd` builds and degrades to a (cheap) duplicate of the
-/// chunked check otherwise.
-const VECTOR_MODES: [SimdMode; 2] = [SimdMode::Chunked, SimdMode::Intrinsics];
-
-/// Run one spec scalar, then under every vector mode, on the simulator
-/// and on the faulted native backend; demand exact equality throughout.
-fn assert_vector_modes_agree<K: EdgeKernel>(spec: &PhasedSpec<K>, c: &Case) -> Result<(), String> {
+/// Run one spec three ways and demand exact equality: the simulator's
+/// metered run (a fresh workspace, so sweeps 0–1 of every phase run the
+/// metered loop), a second execute of the same prepared plan on the same
+/// workspace (every phase's cost is now cached, so every sweep is a
+/// replay through the chunked kernel), and a native run under a
+/// lossless fault plan (the chunked kernel on the shared region).
+fn assert_unmetered_equals_metered<K: EdgeKernel>(
+    spec: &PhasedSpec<K>,
+    c: &Case,
+) -> Result<(), String> {
     let strat = StrategyConfig::new(c.procs, c.k, c.dist, c.sweeps);
-    let scalar = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()))
+    let sim = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()));
+    let mut prepared = sim.prepare(spec, &strat).map_err(|e| format!("{e}"))?;
+    let mut ws = Workspace::new();
+    let metered = sim
+        .execute(&mut prepared, &mut ws)
+        .map_err(|e| format!("{e}"))?;
+    let replayed = sim
+        .execute(&mut prepared, &mut ws)
+        .map_err(|e| format!("{e}"))?;
+    prop_assert!(
+        replayed.values == metered.values && replayed.read == metered.read,
+        "replayed sim != metered sim for {c:?}"
+    );
+    let nat = PhasedEngine::new(ExecutionConfig::native(native_cfg(c.seed)))
         .run(spec, &strat)
         .map_err(|e| format!("{e}"))?;
-    for mode in VECTOR_MODES {
-        let tuning = Tuning::new().simd(mode);
-        let sim = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()).with_tuning(tuning))
-            .run(spec, &strat)
-            .map_err(|e| format!("{e}"))?;
-        prop_assert!(
-            sim.values == scalar.values && sim.read == scalar.read,
-            "sim {mode:?} != sim scalar for {c:?}"
-        );
-        let nat =
-            PhasedEngine::new(ExecutionConfig::native(native_cfg(c.seed)).with_tuning(tuning))
-                .run(spec, &strat)
-                .map_err(|e| format!("{e}"))?;
-        prop_assert!(
-            nat.values == scalar.values && nat.read == scalar.read,
-            "native {mode:?} (lossless faults) != sim scalar for {c:?}"
-        );
-    }
+    prop_assert!(
+        nat.values == metered.values && nat.read == metered.read,
+        "native (lossless faults) != metered sim for {c:?}"
+    );
     Ok(())
 }
 
 #[test]
-fn moldyn_vector_modes_equal_scalar() {
+fn moldyn_native_and_replay_equal_metered() {
     check(
-        "moldyn_vector_modes_equal_scalar",
+        "moldyn_native_and_replay_equal_metered",
         Config::cases_quick(48),
         gen_case,
         |c| {
             let cells = 2 + c.size.min(1);
             let cutoff = 1.2 + 0.3 * c.size as f64;
             let problem = MolDynProblem::from_config(MolDyn::fcc(cells, cutoff));
-            assert_vector_modes_agree(&problem.spec, c)
+            assert_unmetered_equals_metered(&problem.spec, c)
         },
     );
 }
 
 #[test]
-fn powerlaw_vector_modes_equal_scalar() {
+fn powerlaw_native_and_replay_equal_metered() {
     check(
-        "powerlaw_vector_modes_equal_scalar",
+        "powerlaw_native_and_replay_equal_metered",
         Config::cases_quick(48),
         gen_case,
         |c| {
@@ -139,25 +142,94 @@ fn powerlaw_vector_modes_equal_scalar() {
             let g =
                 PowerLawGraph::generate(nodes, edges, alpha, c.seed).map_err(|e| format!("{e}"))?;
             let p = FamilyProblem::from_family(g.to_family(c.seed));
-            assert_vector_modes_agree(&p.spec, c)
+            assert_unmetered_equals_metered(&p.spec, c)
         },
     );
 }
 
 #[test]
-fn hotkey_vector_modes_equal_scalar() {
+fn hotkey_native_and_replay_equal_metered() {
     check(
-        "hotkey_vector_modes_equal_scalar",
+        "hotkey_native_and_replay_equal_metered",
         Config::cases_quick(48),
         gen_case,
         |c| {
             let keys = 48 + 32 * c.size;
             let rows = 200 + 150 * c.size;
             let hot_frac = [0.0, 0.6, 0.95, 0.99][(c.seed % 4) as usize];
-            let d = HotKeyScatter::generate(keys, rows, 2, hot_frac, 1 + c.size, c.seed)
+            // Widths past four arrays run the kernel's dynamic arm.
+            let components = [1, 2, 3, 5, 8][(c.seed >> 2) as usize % 5];
+            let d = HotKeyScatter::generate(keys, rows, 2, hot_frac, components, c.seed)
                 .map_err(|e| format!("{e}"))?;
             let p = FamilyProblem::from_family(d.to_family(c.seed));
-            assert_vector_modes_agree(&p.spec, c)
+            assert_unmetered_equals_metered(&p.spec, c)
+        },
+    );
+}
+
+/// Five references × four arrays: 20 contribution slots per iteration,
+/// wider than the kernel's const arms, with arbitrary-float
+/// contributions (any reordering of the sums shows in the bits).
+#[derive(Debug)]
+struct WideKernel {
+    weights: Vec<f64>,
+}
+
+impl EdgeKernel for WideKernel {
+    fn num_refs(&self) -> usize {
+        5
+    }
+
+    fn num_arrays(&self) -> usize {
+        4
+    }
+
+    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
+        let w = self.weights[iter];
+        for r in 0..5 {
+            for a in 0..4 {
+                out[r * 4 + a] = w * (1.0 + 0.37 * r as f64) - 0.113 * a as f64 * w * w;
+            }
+        }
+    }
+
+    fn flops_per_iter(&self) -> u64 {
+        60
+    }
+}
+
+#[test]
+fn wide_kernel_native_and_replay_equal_metered() {
+    check(
+        "wide_kernel_native_and_replay_equal_metered",
+        Config::cases_quick(48),
+        gen_case,
+        |c| {
+            let num_elements = 24 + 24 * c.size;
+            let iters = 120 + 100 * c.size;
+            let mut rng = c.seed | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let weights = (0..iters)
+                .map(|_| (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
+                .collect();
+            let indirection = (0..5)
+                .map(|_| {
+                    (0..iters)
+                        .map(|_| (next() % num_elements as u64) as u32)
+                        .collect()
+                })
+                .collect();
+            let spec = PhasedSpec {
+                kernel: Arc::new(WideKernel { weights }),
+                num_elements,
+                indirection: Arc::new(indirection),
+            };
+            assert_unmetered_equals_metered(&spec, c)
         },
     );
 }
@@ -242,7 +314,7 @@ fn tiled_equals_untiled_on_integer_weights() {
                 TileChoice::Auto,
             ];
             for tile in spans {
-                let tuning = Tuning::new().tile(tile).simd(SimdMode::Chunked);
+                let tuning = Tuning::new().tile(tile);
                 let sim = PhasedEngine::new(
                     ExecutionConfig::sim(SimConfig::default()).with_tuning(tuning),
                 )
