@@ -223,21 +223,30 @@ compiler() {
 }
 
 sim() {
-    # Serial ≡ parallel equivalence for the conservative time-window sim
-    # core: three fixed base seeds for deterministic replay, then one
-    # randomized pass to keep widening coverage (its seed prints on
-    # failure for replay via PROP_SEED). Byte-determinism — identical
-    # cycles, RunStats, and trace CSV at every host_threads — is the
-    # core's whole contract; any divergence fails the lane.
+    # EARTH backends: serial ≡ parallel sim ≡ native, plus lane stress.
+    # pdes_equivalence checks the conservative time-window sim core
+    # against the serial core (identical cycles, RunStats and trace CSV
+    # at every host_threads); backend_equivalence checks the native
+    # backend against the sim on random fiber graphs, with the native
+    # side at host_threads 1, 2 and the host default. Both run on three
+    # fixed base seeds for deterministic replay, then one randomized pass
+    # to keep widening coverage (its seed prints on failure for replay
+    # via PROP_SEED). spsc_stress runs in release, where memory-ordering
+    # bugs in the lock-free lanes show.
     for seed in 1 2 3; do
-        echo "== pdes equivalence (PROP_BASE_SEED=$seed) =="
+        echo "== pdes + backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test pdes_equivalence
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
     done
 
-    echo "== pdes equivalence (randomized pass) =="
+    echo "== pdes + backend equivalence (randomized pass) =="
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test pdes_equivalence
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test backend_equivalence
+
+    echo "== SPSC lane stress (release) =="
+    run_tests cargo test -q --release -p earth-model --test spsc_stress
 }
 
 case "${1:-all}" in

@@ -12,8 +12,9 @@
 //!
 //! This crate implements that model with two interchangeable backends:
 //!
-//! * [`native`] — fibers run on real OS threads, one thread per simulated
-//!   node, with atomics for sync slots. This mirrors the paper's remark
+//! * [`native`] — fibers run on real OS threads (one per node, or several
+//!   nodes multiplexed per thread on a smaller host), with atomics for
+//!   sync slots. This mirrors the paper's remark
 //!   that EARTH "can be emulated on off-the-shelf processors", and is
 //!   used for wall-clock benchmarking on the host machine.
 //! * [`sim`] — a deterministic discrete-event simulator that charges a
@@ -29,12 +30,16 @@
 //!
 //! ## Model simplifications
 //!
+//! * A program is a static fiber graph: every fiber is registered before
+//!   the run starts (no `INVOKE`, no run-time spawn) and fires exactly
+//!   once, when its sync count reaches zero. Fibers are enabled only by
+//!   `SYNC` and `DATA_SYNC`/`BLKMOV`; there is no `GET_SYNC`.
 //! * Sync slots are one-per-fiber: `sync(node, fiber)` decrements that
 //!   fiber's counter. (Real EARTH allows several slots per frame; nothing
 //!   in the reproduced programs needs that generality.)
-//! * A "threaded procedure" corresponds to a node's state type `S` (the
-//!   procedure frame) plus the fibers registered against it. Dynamic
-//!   procedure invocation is available through [`FiberCtx::spawn`].
+//! * Each node runs one implicit threaded procedure: the node's state
+//!   type `S` is its frame, and the fibers registered on the node are
+//!   its fibers.
 //!
 //! ## Example
 //!
@@ -62,7 +67,6 @@
 pub mod faults;
 pub mod native;
 pub mod pdes;
-pub mod procedure;
 pub mod program;
 pub mod sim;
 pub mod spsc;
@@ -74,7 +78,6 @@ pub use native::{
     run_native, run_native_traced, run_native_with, NativeConfig, NativeReport, RunError,
     StallDump, StallReason,
 };
-pub use procedure::{instantiate, invoke, FrameStore, ProcedureInstance, ProcedureTemplate};
 pub use program::{
     FiberCtx, FiberSpec, FiberTemplate, MachineProgram, Meter, NodeBuilder, NodeTemplate,
     NullMeter, ProgramTemplate, SharedFiberBody, SlotId,

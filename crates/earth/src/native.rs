@@ -2,11 +2,12 @@
 //!
 //! This backend emulates EARTH on the host SMP the way the paper notes
 //! EARTH was emulated on off-the-shelf multiprocessors: sync slots are
-//! atomic counters, the per-node ready queue is a channel the node's
-//! thread blocks on, and split-phase operations are applied when the
-//! issuing fiber ends (the SU role is folded into the sender — "gradually
-//! replace stock components with specially designed hardware" in the
-//! other direction).
+//! atomic counters, a fiber whose count reaches zero is announced to its
+//! node as a ready message on a lock-free lane (see "Message fabric"),
+//! and split-phase operations are applied when the issuing fiber ends
+//! (the SU role is folded into the sender — "gradually replace stock
+//! components with specially designed hardware" in the other direction).
+//! The program is a static fiber graph: every fiber fires exactly once.
 //!
 //! Accounting methods of [`FiberCtx`] are no-ops here and compile away,
 //! so native runs measure real wall-clock behaviour.
@@ -16,7 +17,7 @@
 //! Every fiber body runs under `catch_unwind`; a panic is captured with
 //! its payload, node, slot, and fiber label, the machine is shut down,
 //! and the run returns [`RunError::NodePanicked`] instead of hanging on
-//! a dead thread's channel. A supervisor loop on the calling thread
+//! a dead node thread. A supervisor loop on the calling thread
 //! watches a global progress heartbeat (bumped by every sync landing and
 //! every fiber completing); if nothing progresses for
 //! [`NativeConfig::watchdog`] while work is still outstanding, the run
@@ -33,12 +34,11 @@
 //!
 //! All inter-node traffic travels on lock-free *lanes*: one
 //! [`SpscQueue`] per (sender, receiver) pair (plus one external lane
-//! per node for the supervising thread's seed messages). Ready
-//! notifications, spawns, GET_SYNC requests, and data deposits are all
-//! lane messages; per-lane FIFO plus a drain-all-lanes step before
-//! every fiber firing preserves the EARTH guarantee that a fiber's
-//! data has landed before its sync fires (see the ordering argument at
-//! `drain_lanes`). Logical nodes are hosted on up to
+//! per node for the supervising thread's seed messages). A lane carries
+//! two message kinds, ready notifications and data deposits; per-lane
+//! FIFO plus a drain-all-lanes step before every fiber firing preserves
+//! the EARTH guarantee that a fiber's data has landed before its sync
+//! fires (see the ordering argument at `drain_lanes`). Logical nodes are hosted on up to
 //! `available_parallelism()` OS threads (one per node on big hosts;
 //! round-robin multiplexed on oversubscribed ones — see
 //! [`NativeConfig::host_threads`]). Idle host threads spin briefly (on
@@ -48,6 +48,7 @@
 //! hermetic-build policy (DESIGN.md).
 
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -102,8 +103,7 @@ impl std::fmt::Display for StallReason {
 #[derive(Debug, Clone)]
 pub struct PendingSlot {
     pub slot: SlotId,
-    /// Fiber label registered at that slot (`"<dynamic>"` for slots
-    /// filled by runtime spawns).
+    /// Fiber label registered at that slot.
     pub fiber: &'static str,
     /// Remaining sync count before the fiber would fire.
     pub remaining: i64,
@@ -117,9 +117,8 @@ pub struct NodeDump {
     pub exited: bool,
     /// Fibers the node fired, when its thread reported back.
     pub fibers_fired: Option<u64>,
-    /// Values sitting undelivered in the node's mailbox (`None` if the
-    /// mailbox lock was held by a wedged thread).
-    pub queued_messages: Option<usize>,
+    /// Values sitting undelivered in the node's mailbox.
+    pub queued_messages: usize,
     /// Sync slots still armed (count > 0) on this node.
     pub pending: Vec<PendingSlot>,
 }
@@ -138,7 +137,7 @@ impl StallDump {
 
     /// Total undelivered mailbox values across all nodes.
     pub fn queued_messages(&self) -> usize {
-        self.nodes.iter().filter_map(|n| n.queued_messages).sum()
+        self.nodes.iter().map(|n| n.queued_messages).sum()
     }
 }
 
@@ -270,37 +269,26 @@ pub struct NativeReport<S> {
     pub wall: Duration,
 }
 
-/// A node's fiber table: slot → body (None = free dynamic slot).
+/// A node's fiber table by slot. A body is taken when its fiber fires,
+/// so a `Some` left at the end of the run is an unfired fiber.
 type FiberSlots<S> = Vec<Option<FiberSpec<S, NativeCtx<S>>>>;
 
 /// One message on a lane. Shutdown is not a message — it is a shared
 /// flag plus an unpark, so any thread may raise it without violating
 /// the lanes' single-producer contract.
-enum LaneMsg<S> {
+enum LaneMsg {
+    /// The fiber at this slot reached a zero sync count.
     Ready(SlotId),
-    Spawn(SlotId, FiberSpec<S, NativeCtx<S>>),
     /// A data payload for the receiver's mailbox under `key`.
-    Deposit {
-        key: u64,
-        value: Value,
-    },
-    /// GET_SYNC request: evaluate against this node's state and reply.
-    Get {
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        reply_to: usize,
-        key: u64,
-        slot: SlotId,
-    },
+    Deposit { key: u64, value: Value },
 }
 
-struct NodeShared<S> {
+struct NodeShared {
     counts: Vec<AtomicI64>,
-    resets: Vec<AtomicI64>,
-    next_dyn: AtomicUsize,
     /// Inbound lanes, one per producer: `lanes[s]` is pushed only by
     /// thread `s`; `lanes[num_nodes]` is the external lane pushed only
     /// by the supervising thread (seeding).
-    lanes: Vec<SpscQueue<LaneMsg<S>>>,
+    lanes: Vec<SpscQueue<LaneMsg>>,
     /// Data values deposited but not yet `recv`'d (approximate while
     /// the machine runs; exact at quiescence). Feeds [`NodeDump`].
     inbox_depth: AtomicUsize,
@@ -321,8 +309,8 @@ struct Failure {
     message: String,
 }
 
-struct Shared<S> {
-    nodes: Vec<NodeShared<S>>,
+struct Shared {
+    nodes: Vec<NodeShared>,
     /// Raised (with an unpark broadcast) to stop every node thread;
     /// replaces a per-node shutdown message so that *any* thread can
     /// end the run without being a lane producer.
@@ -339,7 +327,6 @@ struct Shared<S> {
     messages: AtomicU64,
     local_messages: AtomicU64,
     bytes: AtomicU64,
-    spawns: AtomicU64,
     /// Structured event sink; `tracing` caches `sink.enabled()` so the
     /// untraced fast path pays one predictable branch per hook.
     sink: Arc<dyn TraceSink>,
@@ -349,7 +336,7 @@ struct Shared<S> {
     t0: Instant,
 }
 
-impl<S> Shared<S> {
+impl Shared {
     #[inline]
     fn now(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
@@ -367,7 +354,7 @@ impl<S> Shared<S> {
     /// parked. `src` must be the calling thread's lane index (its node
     /// id, or `num_nodes` for the supervising thread).
     #[inline]
-    fn push(&self, src: usize, node: usize, msg: LaneMsg<S>) {
+    fn push(&self, src: usize, node: usize, msg: LaneMsg) {
         let ns = &self.nodes[node];
         ns.lanes[src].push(msg);
         // Producer half of the park protocol: the SeqCst fence orders
@@ -391,19 +378,11 @@ impl<S> Shared<S> {
     }
 
     /// Decrement slot `slot` on `node`; enqueue the fiber when it reaches
-    /// zero, re-arming repeating fibers. `src` is the calling thread's
-    /// lane index.
+    /// zero. `src` is the calling thread's lane index.
     fn dec(&self, src: usize, node: usize, slot: SlotId) {
-        let ns = &self.nodes[node];
-        let old = ns.counts[slot as usize].fetch_sub(1, Ordering::AcqRel);
+        let old = self.nodes[node].counts[slot as usize].fetch_sub(1, Ordering::AcqRel);
         self.progress.fetch_add(1, Ordering::Relaxed);
         if old == 1 {
-            let reset = ns.resets[slot as usize].load(Ordering::Acquire);
-            if reset > 0 {
-                // fetch_add (not store) so decrements that raced past zero
-                // are preserved in the re-armed count.
-                ns.counts[slot as usize].fetch_add(reset, Ordering::AcqRel);
-            }
             self.make_ready(src, node, slot);
         }
     }
@@ -453,16 +432,17 @@ impl<S> Shared<S> {
 pub struct NativeCtx<S> {
     node: usize,
     num_nodes: usize,
-    shared: Arc<Shared<S>>,
-    ops: Vec<PendingOp<S>>,
+    shared: Arc<Shared>,
+    ops: Vec<PendingOp>,
     /// Events the fiber body emitted; flushed (timestamped) when the
     /// fiber retires, like split-phase ops.
     tbuf: Vec<TraceKind>,
     /// The node's mailbox, on loan while a fiber body runs.
     inbox: HashMap<u64, VecDeque<Value>>,
+    _state: PhantomData<fn(&mut S)>,
 }
 
-enum PendingOp<S> {
+enum PendingOp {
     Sync {
         node: usize,
         slot: SlotId,
@@ -471,17 +451,6 @@ enum PendingOp<S> {
         node: usize,
         key: u64,
         value: Value,
-        slot: SlotId,
-    },
-    Spawn {
-        node: usize,
-        idx: SlotId,
-        spec: FiberSpec<S, NativeCtx<S>>,
-    },
-    Get {
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        key: u64,
         slot: SlotId,
     },
 }
@@ -531,47 +500,12 @@ impl<S: Send + 'static> FiberCtx<S> for NativeCtx<S> {
         }
         v
     }
-
-    fn spawn(&mut self, node: usize, spec: FiberSpec<S, Self>) -> SlotId {
-        let ns = &self.shared.nodes[node];
-        let idx = ns.next_dyn.fetch_add(1, Ordering::AcqRel);
-        assert!(
-            idx < ns.counts.len(),
-            "node {node} exceeded its dynamic fiber capacity ({}): call reserve_dynamic",
-            ns.counts.len()
-        );
-        // Publish the counter before the spawn message so syncs racing
-        // ahead of registration still find a live count.
-        ns.counts[idx].store(spec.sync_count as i64, Ordering::Release);
-        ns.resets[idx].store(spec.reset.map_or(0, |r| r as i64), Ordering::Release);
-        self.ops.push(PendingOp::Spawn {
-            node,
-            idx: idx as SlotId,
-            spec,
-        });
-        idx as SlotId
-    }
-
-    fn get_sync(
-        &mut self,
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        key: u64,
-        slot: SlotId,
-    ) {
-        self.ops.push(PendingOp::Get {
-            node,
-            extract,
-            key,
-            slot,
-        });
-    }
 }
 
 /// Land one sync decrement, routed through the dedup filter when a
 /// fault plan is active. `src` is the issuing thread's lane index.
-fn deliver_sync<S>(
-    shared: &Shared<S>,
+fn deliver_sync(
+    shared: &Shared,
     plan: Option<&FaultPlan>,
     src: usize,
     node: usize,
@@ -599,8 +533,8 @@ fn deliver_sync<S>(
 /// receiver that drains its lanes before firing a ready fiber is
 /// guaranteed to have the payload in its mailbox (see [`drain_lanes`]).
 #[allow(clippy::too_many_arguments)]
-fn deliver_data<S>(
-    shared: &Shared<S>,
+fn deliver_data(
+    shared: &Shared,
     plan: Option<&FaultPlan>,
     src: usize,
     node: usize,
@@ -636,11 +570,7 @@ fn deliver_data<S>(
 /// Flush a retired fiber's buffered split-phase ops. Takes the op
 /// buffer by `&mut` and drains it so the allocation is reused across
 /// firings.
-fn apply_ops<S: Send + 'static>(
-    shared: &Arc<Shared<S>>,
-    op_src: usize,
-    ops: &mut Vec<PendingOp<S>>,
-) {
+fn apply_ops(shared: &Shared, op_src: usize, ops: &mut Vec<PendingOp>) {
     match shared.faults.as_ref() {
         None => {
             for op in ops.drain(..) {
@@ -656,9 +586,9 @@ fn apply_ops<S: Send + 'static>(
             let mut later = Vec::new();
             for op in ops.drain(..) {
                 let fate = match &op {
-                    PendingOp::Sync { node, slot } => p.message_fault(op_src, *node, *slot),
-                    PendingOp::Data { node, slot, .. } => p.message_fault(op_src, *node, *slot),
-                    _ => MessageFault::Deliver,
+                    PendingOp::Sync { node, slot } | PendingOp::Data { node, slot, .. } => {
+                        p.message_fault(op_src, *node, *slot)
+                    }
                 };
                 if fate == MessageFault::Reorder {
                     later.push((op, fate));
@@ -674,11 +604,11 @@ fn apply_ops<S: Send + 'static>(
     }
 }
 
-fn dispatch_op<S: Send + 'static>(
-    shared: &Arc<Shared<S>>,
+fn dispatch_op(
+    shared: &Shared,
     plan: Option<&FaultPlan>,
     op_src: usize,
-    op: PendingOp<S>,
+    op: PendingOp,
     fate: MessageFault,
 ) {
     if let MessageFault::Delay { micros } = fate {
@@ -749,35 +679,6 @@ fn dispatch_op<S: Send + 'static>(
                 },
             );
         }
-        PendingOp::Spawn { node, idx, spec } => {
-            shared.spawns.fetch_add(1, Ordering::Relaxed);
-            let ready_now = spec.sync_count == 0;
-            shared.push(op_src, node, LaneMsg::Spawn(idx, spec));
-            if ready_now {
-                shared.make_ready(op_src, node, idx);
-            }
-        }
-        PendingOp::Get {
-            node,
-            extract,
-            key,
-            slot,
-        } => {
-            // Counted like a ready item so shutdown waits for the
-            // round trip to complete.
-            shared.outstanding.fetch_add(1, Ordering::AcqRel);
-            let reply_to = op_src;
-            shared.push(
-                op_src,
-                node,
-                LaneMsg::Get {
-                    extract,
-                    reply_to,
-                    key,
-                    slot,
-                },
-            );
-        }
     }
 }
 
@@ -802,7 +703,7 @@ struct NodeExit<S> {
 
 /// Snapshot the machine for a [`StallDump`].
 fn build_dump<S>(
-    shared: &Shared<S>,
+    shared: &Shared,
     names: &[Vec<&'static str>],
     exits: &[Option<NodeExit<S>>],
 ) -> StallDump {
@@ -820,11 +721,7 @@ fn build_dump<S>(
                     if v > 0 {
                         Some(PendingSlot {
                             slot: i as SlotId,
-                            fiber: names
-                                .get(n)
-                                .and_then(|fs| fs.get(i))
-                                .copied()
-                                .unwrap_or("<dynamic>"),
+                            fiber: names[n][i],
                             remaining: v,
                         })
                     } else {
@@ -832,13 +729,12 @@ fn build_dump<S>(
                     }
                 })
                 .collect();
-            let queued_messages = Some(ns.inbox_depth.load(Ordering::Relaxed));
-            let exit = exits.get(n).and_then(|e| e.as_ref());
+            let exit = exits[n].as_ref();
             NodeDump {
                 node: n,
                 exited: exit.is_some(),
                 fibers_fired: exit.map(|e| e.fired),
-                queued_messages,
+                queued_messages: ns.inbox_depth.load(Ordering::Relaxed),
                 pending,
             }
         })
@@ -881,28 +777,19 @@ pub fn run_native_traced<S: Send + 'static>(
     let mut node_bodies: Vec<FiberSlots<S>> = Vec::new();
     let mut node_states = Vec::new();
     for nb in prog.nodes {
-        let total = nb.fibers.len() + nb.dynamic_capacity;
-        let counts: Vec<AtomicI64> = (0..total).map(|_| AtomicI64::new(0)).collect();
-        let resets: Vec<AtomicI64> = (0..total).map(|_| AtomicI64::new(0)).collect();
-        let mut bodies: FiberSlots<S> = Vec::with_capacity(total);
-        for (i, f) in nb.fibers.into_iter().enumerate() {
-            counts[i].store(f.sync_count as i64, Ordering::Relaxed);
-            resets[i].store(f.reset.map_or(0, |r| r as i64), Ordering::Relaxed);
-            bodies.push(Some(f));
-        }
-        let static_len = bodies.len();
-        bodies.resize_with(total, || None);
         node_shared.push(NodeShared {
-            counts,
-            resets,
-            next_dyn: AtomicUsize::new(static_len),
+            counts: nb
+                .fibers
+                .iter()
+                .map(|f| AtomicI64::new(f.sync_count as i64))
+                .collect(),
             // One lane per node thread plus the external (seeding) lane.
             lanes: (0..=num_nodes).map(|_| SpscQueue::new()).collect(),
             inbox_depth: AtomicUsize::new(0),
             sleeping: AtomicBool::new(false),
             thread: OnceLock::new(),
         });
-        node_bodies.push(bodies);
+        node_bodies.push(nb.fibers.into_iter().map(Some).collect());
         node_states.push(nb.state);
     }
 
@@ -910,12 +797,7 @@ pub fn run_native_traced<S: Send + 'static>(
     // so a stall dump can name what it finds.
     let fiber_names: Vec<Vec<&'static str>> = node_bodies
         .iter()
-        .map(|bodies| {
-            bodies
-                .iter()
-                .map(|b| b.as_ref().map_or("<dynamic>", |f| f.name))
-                .collect()
-        })
+        .map(|bodies| bodies.iter().flatten().map(|f| f.name).collect())
         .collect();
 
     let shared = Arc::new(Shared {
@@ -929,7 +811,6 @@ pub fn run_native_traced<S: Send + 'static>(
         messages: AtomicU64::new(0),
         local_messages: AtomicU64::new(0),
         bytes: AtomicU64::new(0),
-        spawns: AtomicU64::new(0),
         tracing: sink.enabled(),
         sink,
         t0: Instant::now(),
@@ -938,18 +819,11 @@ pub fn run_native_traced<S: Send + 'static>(
     // Seed initially-ready fibers before any thread starts.
     let mut any_ready = false;
     for (n, bodies) in node_bodies.iter().enumerate() {
-        for (i, b) in bodies.iter().enumerate() {
-            if let Some(spec) = b {
-                if spec.sync_count == 0 {
-                    // Re-arm repeating fibers before their first firing so
-                    // later syncs can trigger them again.
-                    if let Some(r) = spec.reset {
-                        shared.nodes[n].counts[i].store(r as i64, Ordering::Relaxed);
-                    }
-                    // The supervising thread seeds through the external lane.
-                    shared.make_ready(num_nodes, n, i as SlotId);
-                    any_ready = true;
-                }
+        for (i, spec) in bodies.iter().flatten().enumerate() {
+            if spec.sync_count == 0 {
+                // The supervising thread seeds through the external lane.
+                shared.make_ready(num_nodes, n, i as SlotId);
+                any_ready = true;
             }
         }
     }
@@ -1010,10 +884,9 @@ pub fn run_native_traced<S: Send + 'static>(
         state: S,
         ctx: NativeCtx<S>,
         inbox: HashMap<u64, VecDeque<Value>>,
-        work: VecDeque<LaneMsg<S>>,
-        pending_ready: Vec<SlotId>,
+        /// Slots announced ready and not yet fired.
+        work: VecDeque<SlotId>,
         fired: u64,
-        fired_per_fiber: Vec<u64>,
     }
 
     let mut rts: Vec<NodeRt<S>> = node_bodies
@@ -1029,13 +902,12 @@ pub fn run_native_traced<S: Send + 'static>(
                 ops: Vec::new(),
                 tbuf: Vec::new(),
                 inbox: HashMap::new(),
+                _state: PhantomData,
             },
-            fired_per_fiber: vec![0u64; bodies.len()],
             bodies,
             state,
             inbox: HashMap::new(),
             work: VecDeque::new(),
-            pending_ready: Vec::new(),
             fired: 0,
         })
         .collect();
@@ -1076,99 +948,16 @@ pub fn run_native_traced<S: Send + 'static>(
                         continue;
                     }
                     any = true;
-                    while let Some(msg) = rt.work.pop_front() {
+                    while let Some(idx) = rt.work.pop_front() {
                         if shared.shutdown.load(Ordering::Acquire) {
                             break 'run;
                         }
-                        match msg {
-                            LaneMsg::Deposit { key, value } => {
-                                // Normally routed by `drain_lanes`; kept
-                                // for totality.
-                                rt.inbox.entry(key).or_default().push_back(value);
-                            }
-                            LaneMsg::Get {
-                                extract,
-                                reply_to,
-                                key,
-                                slot,
-                            } => {
-                                // The node's SU role: service the remote
-                                // read against local state, reply, then
-                                // retire the outstanding item.
-                                let value = extract(&rt.state);
-                                shared.messages.fetch_add(1, Ordering::Relaxed);
-                                let bytes = value.bytes();
-                                shared.bytes.fetch_add(bytes, Ordering::Relaxed);
-                                shared.record(
-                                    rt.node as u32,
-                                    TraceKind::MsgSend {
-                                        to_node: reply_to as u32,
-                                        bytes,
-                                    },
-                                );
-                                shared.record(
-                                    reply_to as u32,
-                                    TraceKind::MsgRecv {
-                                        from_node: rt.node as u32,
-                                        bytes,
-                                    },
-                                );
-                                shared.push_deposit(rt.node, reply_to, key, value);
-                                shared.dec(rt.node, reply_to, slot);
-                                if shared.finish_one() {
-                                    shared.broadcast_shutdown();
-                                }
-                            }
-                            LaneMsg::Spawn(idx, spec) => {
-                                if rt.bodies.len() <= idx as usize {
-                                    rt.bodies.resize_with(idx as usize + 1, || None);
-                                    rt.fired_per_fiber.resize(idx as usize + 1, 0);
-                                }
-                                rt.bodies[idx as usize] = Some(spec);
-                                if let Some(pos) = rt.pending_ready.iter().position(|&p| p == idx) {
-                                    rt.pending_ready.swap_remove(pos);
-                                    drain_lanes(ns, &mut rt.inbox, &mut rt.work);
-                                    if !run_one(
-                                        rt.node,
-                                        idx,
-                                        &mut rt.bodies,
-                                        &mut rt.state,
-                                        &shared,
-                                        &mut rt.ctx,
-                                        &mut rt.inbox,
-                                        &mut rt.fired,
-                                        &mut rt.fired_per_fiber,
-                                    ) {
-                                        break 'run;
-                                    }
-                                }
-                            }
-                            LaneMsg::Ready(idx) => {
-                                if rt.bodies.get(idx as usize).is_none_or(|b| b.is_none()) {
-                                    // Spawn message not yet processed;
-                                    // defer.
-                                    rt.pending_ready.push(idx);
-                                    continue;
-                                }
-                                // Pull in every deposit that
-                                // happened-before this Ready (see
-                                // `drain_lanes`) so the fiber finds its
-                                // data on arrival.
-                                drain_lanes(ns, &mut rt.inbox, &mut rt.work);
-                                if !run_one(
-                                    rt.node,
-                                    idx,
-                                    &mut rt.bodies,
-                                    &mut rt.state,
-                                    &shared,
-                                    &mut rt.ctx,
-                                    &mut rt.inbox,
-                                    &mut rt.fired,
-                                    &mut rt.fired_per_fiber,
-                                ) {
-                                    break 'run;
-                                }
-                            }
+                        // Pull in every deposit that happened-before this
+                        // Ready (see `drain_lanes`) so the fiber finds its
+                        // data on arrival.
+                        drain_lanes(ns, &mut rt.inbox, &mut rt.work);
+                        if !run_one(rt, idx, &shared) {
+                            break 'run;
                         }
                     }
                 }
@@ -1223,17 +1012,11 @@ pub fn run_native_traced<S: Send + 'static>(
                 }
             }
             for rt in group {
-                let never_fired = rt
-                    .bodies
-                    .iter()
-                    .zip(rt.fired_per_fiber.iter())
-                    .filter(|(b, &f)| b.is_some() && f == 0)
-                    .count() as u64;
                 let _ = done_tx.send(NodeExit {
                     node: rt.node,
+                    never_fired: rt.bodies.iter().flatten().count() as u64,
                     state: rt.state,
                     fired: rt.fired,
-                    never_fired,
                 });
             }
         });
@@ -1241,7 +1024,7 @@ pub fn run_native_traced<S: Send + 'static>(
     drop(done_tx);
 
     /// Move everything queued on `ns`'s lanes into the node-local state:
-    /// deposits into the mailbox, everything else onto the work queue.
+    /// deposits into the mailbox, ready slots onto the work queue.
     ///
     /// Calling this immediately before firing a ready fiber is what
     /// keeps EARTH's data-before-sync guarantee on lock-free lanes: a
@@ -1251,10 +1034,10 @@ pub fn run_native_traced<S: Send + 'static>(
     /// thread's Ready push (Release) is what the consumer popped
     /// (Acquire) to get here — so every deposit ordered before the
     /// firing is already visible on some lane, whatever thread sent it.
-    fn drain_lanes<S>(
-        ns: &NodeShared<S>,
+    fn drain_lanes(
+        ns: &NodeShared,
         inbox: &mut HashMap<u64, VecDeque<Value>>,
-        work: &mut VecDeque<LaneMsg<S>>,
+        work: &mut VecDeque<SlotId>,
     ) {
         for lane in &ns.lanes {
             while let Some(msg) = lane.pop() {
@@ -1262,29 +1045,21 @@ pub fn run_native_traced<S: Send + 'static>(
                     LaneMsg::Deposit { key, value } => {
                         inbox.entry(key).or_default().push_back(value);
                     }
-                    other => work.push_back(other),
+                    LaneMsg::Ready(slot) => work.push_back(slot),
                 }
             }
         }
     }
 
-    /// Run one ready fiber under supervision. Returns false when the
-    /// firing failed (panic, injected or real) and the node must stop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one<S: Send + 'static>(
-        node: usize,
-        idx: SlotId,
-        bodies: &mut [Option<FiberSpec<S, NativeCtx<S>>>],
-        state: &mut S,
-        shared: &Arc<Shared<S>>,
-        ctx: &mut NativeCtx<S>,
-        inbox: &mut HashMap<u64, VecDeque<Value>>,
-        fired: &mut u64,
-        fired_per_fiber: &mut [u64],
-    ) -> bool {
-        // Take the body out so the fiber may (indirectly) reference the
-        // body table through spawns without aliasing.
-        let mut spec = bodies[idx as usize].take().expect("ready fiber has a body");
+    /// Fire the ready fiber at `idx` on `rt` under supervision. The body
+    /// is taken and not put back: a fiber fires exactly once. Returns
+    /// false when the firing failed (panic, injected or real) and the
+    /// node must stop.
+    fn run_one<S: Send + 'static>(rt: &mut NodeRt<S>, idx: SlotId, shared: &Shared) -> bool {
+        let node = rt.node;
+        let FiberSpec { name, body, .. } = rt.bodies[idx as usize]
+            .take()
+            .expect("ready fiber has a body");
         if let Some(plan) = &shared.faults {
             match plan.fiber_fault(node, idx) {
                 FiberFault::Run => {}
@@ -1294,8 +1069,6 @@ pub fn run_native_traced<S: Send + 'static>(
                     std::thread::sleep(Duration::from_micros(micros));
                 }
                 FiberFault::Panic => {
-                    let name = spec.name;
-                    bodies[idx as usize] = Some(spec);
                     shared.record_failure(
                         node,
                         idx,
@@ -1306,17 +1079,15 @@ pub fn run_native_traced<S: Send + 'static>(
                 }
             }
         }
+        let ctx = &mut rt.ctx;
         // Lend the mailbox to the context for the body's `recv` calls.
-        ctx.inbox = std::mem::take(inbox);
+        ctx.inbox = std::mem::take(&mut rt.inbox);
         let fire_ts = if shared.tracing { shared.now() } else { 0 };
-        let outcome = catch_unwind(AssertUnwindSafe(|| (spec.body)(state, ctx)));
-        let name = spec.name;
-        bodies[idx as usize] = Some(spec);
-        *inbox = std::mem::take(&mut ctx.inbox);
+        let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut rt.state, ctx)));
+        rt.inbox = std::mem::take(&mut ctx.inbox);
         match outcome {
             Ok(()) => {
-                *fired += 1;
-                fired_per_fiber[idx as usize] += 1;
+                rt.fired += 1;
                 if shared.tracing {
                     let end = shared.now();
                     shared.sink.record(TraceEvent::new(
@@ -1464,28 +1235,26 @@ pub fn run_native_traced<S: Send + 'static>(
         });
     }
 
-    let mut states = Vec::with_capacity(num_nodes);
-    let mut per_node = Vec::with_capacity(num_nodes);
-    let mut total_fired = 0u64;
-    let mut unfired = 0u64;
-    for ex in exits.into_iter().flatten() {
-        total_fired += ex.fired;
-        unfired += ex.never_fired;
-        per_node.push(NodeStats {
-            fibers_fired: ex.fired,
-            ..Default::default()
-        });
-        states.push(ex.state);
-    }
-
+    let unfired: u64 = exits.iter().flatten().map(|ex| ex.never_fired).sum();
     if cfg.starved_is_error && unfired > 0 {
-        let exits: Vec<Option<NodeExit<S>>> = (0..num_nodes).map(|_| None).collect();
         return Err(RunError::Stalled {
             reason: StallReason::Starved,
             waited: wall,
             outstanding: shared.outstanding.load(Ordering::Relaxed),
             dump: build_dump(&shared, &fiber_names, &exits),
         });
+    }
+
+    let mut states = Vec::with_capacity(num_nodes);
+    let mut per_node = Vec::with_capacity(num_nodes);
+    let mut total_fired = 0u64;
+    for ex in exits.into_iter().flatten() {
+        total_fired += ex.fired;
+        per_node.push(NodeStats {
+            fibers_fired: ex.fired,
+            ..Default::default()
+        });
+        states.push(ex.state);
     }
 
     let messages = shared.messages.load(Ordering::Relaxed);
@@ -1498,7 +1267,6 @@ pub fn run_native_traced<S: Send + 'static>(
                 messages,
                 bytes: shared.bytes.load(Ordering::Relaxed),
                 local_messages: shared.local_messages.load(Ordering::Relaxed),
-                spawns: shared.spawns.load(Ordering::Relaxed),
             },
             unfired_fibers: unfired,
             total_cycles: 0,
@@ -1613,135 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn repeating_fiber_fires_multiple_times() {
-        // A ping-pong between two repeating fibers, 5 rounds.
-        let mut prog: Prog<u32> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(0);
-        prog.node_mut(0).add_fiber(FiberSpec::repeating(
-            "ping",
-            0,
-            1,
-            |s, cx: &mut NativeCtx<u32>| {
-                *s += 1;
-                if *s < 5 {
-                    cx.sync(1, 0);
-                }
-            },
-        ));
-        prog.node_mut(1).add_fiber(FiberSpec::repeating(
-            "pong",
-            1,
-            1,
-            |s, cx: &mut NativeCtx<u32>| {
-                *s += 1;
-                cx.sync(0, 0);
-            },
-        ));
-        let r = run_native(prog).unwrap();
-        assert_eq!(r.states[0], 5);
-        assert_eq!(r.states[1], 4);
-    }
-
-    #[test]
-    fn dynamic_spawn_runs_on_remote_node() {
-        let mut prog: Prog<i64> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(0);
-        prog.node_mut(1).reserve_dynamic(1);
-        prog.node_mut(0).add_fiber(FiberSpec::ready(
-            "invoker",
-            |_s, cx: &mut NativeCtx<i64>| {
-                cx.spawn(1, FiberSpec::ready("worker", |s: &mut i64, _cx| *s = 42));
-            },
-        ));
-        let r = run_native(prog).unwrap();
-        assert_eq!(r.states[1], 42);
-        assert_eq!(r.stats.ops.spawns, 1);
-    }
-
-    #[test]
-    fn spawned_fiber_with_pending_syncs() {
-        // The spawner also syncs the spawned fiber (count 2: one sync from
-        // each of two nodes). Exercises the publish-before-send path.
-        let mut prog: Prog<i64> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(0);
-        prog.add_node(0);
-        prog.node_mut(2).reserve_dynamic(1);
-        prog.node_mut(0).add_fiber(FiberSpec::ready(
-            "spawner",
-            |_s, cx: &mut NativeCtx<i64>| {
-                let slot = cx.spawn(2, FiberSpec::new("gated", 2, |s: &mut i64, _cx| *s = 7));
-                cx.sync(2, slot);
-                cx.sync(1, 0); // tell node 1 to send the second sync
-            },
-        ));
-        prog.node_mut(1).add_fiber(FiberSpec::new(
-            "second",
-            1,
-            |_s, cx: &mut NativeCtx<i64>| {
-                // The dynamic fiber is the first dynamic slot on node 2,
-                // i.e. index = #static fibers there = 0.
-                cx.sync(2, 0);
-            },
-        ));
-        let r = run_native(prog).unwrap();
-        assert_eq!(r.states[2], 7);
-    }
-
-    #[test]
-    fn get_sync_round_trip_native() {
-        let mut prog: Prog<f64> = MachineProgram::new();
-        prog.add_node(0.0);
-        prog.add_node(21.0);
-        prog.node_mut(0)
-            .add_fiber(FiberSpec::ready("ask", |_s, cx: &mut NativeCtx<f64>| {
-                cx.get_sync(1, Box::new(|s: &f64| Value::Scalar(*s)), 9, 1);
-            }));
-        prog.node_mut(0).add_fiber(FiberSpec::new(
-            "use",
-            1,
-            |s: &mut f64, cx: &mut NativeCtx<f64>| {
-                *s = cx.recv(9).unwrap().expect_scalar() * 2.0;
-            },
-        ));
-        let r = run_native(prog).unwrap();
-        assert_eq!(r.states[0], 42.0);
-        assert_eq!(r.states[1], 21.0, "remote state untouched");
-    }
-
-    #[test]
-    fn get_sync_chain_native() {
-        // A chain of gets: 0 reads 1, then 0 reads 2, accumulating.
-        let mut prog: Prog<i64> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(10);
-        prog.add_node(32);
-        prog.node_mut(0)
-            .add_fiber(FiberSpec::ready("ask1", |_s, cx: &mut NativeCtx<i64>| {
-                cx.get_sync(1, Box::new(|s: &i64| Value::Int(*s)), 1, 1);
-            }));
-        prog.node_mut(0).add_fiber(FiberSpec::new(
-            "ask2",
-            1,
-            |s: &mut i64, cx: &mut NativeCtx<i64>| {
-                *s += cx.recv(1).unwrap().expect_int();
-                cx.get_sync(2, Box::new(|s: &i64| Value::Int(*s)), 2, 2);
-            },
-        ));
-        prog.node_mut(0).add_fiber(FiberSpec::new(
-            "sum",
-            1,
-            |s: &mut i64, cx: &mut NativeCtx<i64>| {
-                *s += cx.recv(2).unwrap().expect_int();
-            },
-        ));
-        let r = run_native(prog).unwrap();
-        assert_eq!(r.states[0], 42);
-    }
-
-    #[test]
     fn unfired_fibers_reported() {
         let mut prog: Prog<u32> = MachineProgram::new();
         prog.add_node(0);
@@ -1772,6 +1411,9 @@ mod tests {
                 assert_eq!(dump.pending_slots(), 1);
                 assert_eq!(dump.nodes[0].pending[0].fiber, "never");
                 assert_eq!(dump.nodes[0].pending[0].remaining, 3);
+                // The node thread exited and reported before the dump.
+                assert!(dump.nodes[0].exited);
+                assert_eq!(dump.nodes[0].fibers_fired, Some(1));
             }
             other => panic!("expected Stalled(Starved), got {other:?}"),
         }

@@ -47,14 +47,6 @@
 //! `RunStats`, *and* the drained trace stream byte-identical across
 //! `host_threads` values. DESIGN.md §17 carries the full argument.
 //!
-//! ## Dynamic spawns
-//!
-//! `FiberCtx::spawn` allocates dynamic fiber slots from a *global*
-//! cursor, an inherently sequential resource. Programs that reserve
-//! dynamic capacity therefore run on the serial path regardless of
-//! `host_threads` (none of the reduction engines spawn dynamically; the
-//! gate exists for the procedure-call layer and tests).
-//!
 //! ## Watchdog
 //!
 //! A wedged shard (a fiber body that never returns) would park every
@@ -70,6 +62,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -133,7 +126,7 @@ struct EventKey {
     seq: u64,
 }
 
-pub(crate) enum Ev<S> {
+pub(crate) enum Ev {
     /// `op` is a dedup-filter operation id, present only in faulted runs.
     SyncArrive {
         node: usize,
@@ -148,54 +141,39 @@ pub(crate) enum Ev<S> {
         slot: SlotId,
         op: Option<u64>,
     },
-    SpawnArrive {
-        node: usize,
-        idx: SlotId,
-        spec: FiberSpec<S, SimCtx<S>>,
-    },
-    /// A GET_SYNC request reached the remote SU: evaluate and reply.
-    GetArrive {
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        reply_to: usize,
-        key: u64,
-        slot: SlotId,
-    },
     EuIdle {
         node: usize,
     },
 }
 
-impl<S> Ev<S> {
+impl Ev {
     /// The node whose SU handles this event — the routing key.
     fn dst(&self) -> usize {
         match self {
-            Ev::SyncArrive { node, .. }
-            | Ev::DataArrive { node, .. }
-            | Ev::SpawnArrive { node, .. }
-            | Ev::GetArrive { node, .. }
-            | Ev::EuIdle { node } => *node,
+            Ev::SyncArrive { node, .. } | Ev::DataArrive { node, .. } | Ev::EuIdle { node } => {
+                *node
+            }
         }
     }
 }
 
-pub(crate) struct HeapEv<S> {
+pub(crate) struct HeapEv {
     key: EventKey,
-    ev: Ev<S>,
+    ev: Ev,
 }
 
-impl<S> PartialEq for HeapEv<S> {
+impl PartialEq for HeapEv {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<S> Eq for HeapEv<S> {}
-impl<S> PartialOrd for HeapEv<S> {
+impl Eq for HeapEv {}
+impl PartialOrd for HeapEv {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<S> Ord for HeapEv<S> {
+impl Ord for HeapEv {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key.cmp(&other.key)
     }
@@ -203,43 +181,36 @@ impl<S> Ord for HeapEv<S> {
 
 struct SimNode<S> {
     state: S,
+    /// Fiber bodies by slot; a body is taken when its fiber fires, so a
+    /// `Some` left at the end of the run is an unfired fiber.
     bodies: Vec<Option<FiberSpec<S, SimCtx<S>>>>,
     counts: Vec<i64>,
-    resets: Vec<i64>,
-    static_len: u32,
-    dyn_cap_total: u32,
     mailbox: BTreeMap<u64, VecDeque<Value>>,
     mem: MemModel,
     ready: VecDeque<SlotId>,
-    /// Slots whose count reached zero before their spawn registered.
-    pending_ready: Vec<SlotId>,
     eu_busy: bool,
     out_link_free: u64,
     stats: NodeStats,
-    fired_per_fiber: Vec<u64>,
 }
 
 /// Run-wide immutable state shared by every shard.
 struct Core {
     cfg: SimConfig,
     num_nodes: usize,
-    /// Per node: `static_len + dyn_cap_total`, precomputed once (the old
-    /// serial loop rebuilt this vector on every fiber fire).
-    dyn_cap: Arc<[u32]>,
     sink: Arc<dyn TraceSink>,
     tracing: bool,
     faults: Option<FaultPlan>,
 }
 
 /// Where a shard's emissions go.
-enum Route<'a, S> {
+enum Route<'a> {
     /// Single-shard (serial) run: every destination is local.
     Local,
     /// Sharded run: `lanes[p * shards + q]` is the SPSC lane from
     /// producer shard `p` to consumer shard `q`.
     Lanes {
         owner: &'a [u32],
-        lanes: &'a [SpscQueue<HeapEv<S>>],
+        lanes: &'a [SpscQueue<HeapEv>],
         me: usize,
         shards: usize,
     },
@@ -251,12 +222,11 @@ struct Shard<'a, S> {
     core: &'a Core,
     base: usize,
     nodes: Vec<SimNode<S>>,
-    heap: BinaryHeap<Reverse<HeapEv<S>>>,
+    heap: BinaryHeap<Reverse<HeapEv>>,
     emit_seq: Vec<u64>,
-    next_dyn: Vec<u32>,
     ops: OpCounts,
     now: u64,
-    route: Route<'a, S>,
+    route: Route<'a>,
 }
 
 /// What a shard hands back to the driver after its loop exits.
@@ -267,13 +237,7 @@ struct ShardResult<S> {
 }
 
 impl<'a, S> Shard<'a, S> {
-    fn new(
-        core: &'a Core,
-        base: usize,
-        nodes: Vec<SimNode<S>>,
-        next_dyn: Vec<u32>,
-        route: Route<'a, S>,
-    ) -> Self {
+    fn new(core: &'a Core, base: usize, nodes: Vec<SimNode<S>>, route: Route<'a>) -> Self {
         let emit_seq = vec![0u64; nodes.len()];
         Shard {
             core,
@@ -281,7 +245,6 @@ impl<'a, S> Shard<'a, S> {
             nodes,
             heap: BinaryHeap::new(),
             emit_seq,
-            next_dyn,
             ops: OpCounts::default(),
             now: 0,
             route,
@@ -300,7 +263,7 @@ impl<'a, S> Shard<'a, S> {
     /// Emit an event from `src` (a node this shard owns). The per-source
     /// emission counter is advanced identically on every host schedule,
     /// so the resulting [`EventKey`] is schedule-independent.
-    fn push(&mut self, src: usize, time: u64, ev: Ev<S>) {
+    fn push(&mut self, src: usize, time: u64, ev: Ev) {
         let sli = src - self.base;
         let seq = self.emit_seq[sli];
         self.emit_seq[sli] += 1;
@@ -365,16 +328,8 @@ impl<'a, S> Shard<'a, S> {
         let c = &mut n.counts[slot as usize];
         *c -= 1;
         if *c == 0 {
-            let reset = n.resets[slot as usize];
-            if reset > 0 {
-                *c += reset;
-            }
-            if n.bodies.get(slot as usize).is_none_or(|b| b.is_none()) {
-                n.pending_ready.push(slot);
-            } else {
-                n.ready.push_back(slot);
-                self.try_start(node, t);
-            }
+            n.ready.push_back(slot);
+            self.try_start(node, t);
         }
     }
 
@@ -391,7 +346,7 @@ impl<'a, S> Shard<'a, S> {
         let cfg = self.core.cfg;
         let n = &mut self.nodes[node - self.base];
         n.eu_busy = true;
-        let mut spec = n.bodies[slot as usize]
+        let spec = n.bodies[slot as usize]
             .take()
             .expect("ready fiber has a body");
         let mut ctx = SimCtx {
@@ -402,18 +357,14 @@ impl<'a, S> Shard<'a, S> {
             flop_cycles: cfg.flop_cycles,
             mailbox: std::mem::take(&mut n.mailbox),
             mem: std::mem::replace(&mut n.mem, MemModel::new(cfg.mem)),
-            next_dyn: std::mem::take(&mut self.next_dyn),
-            dyn_cap: Arc::clone(&self.core.dyn_cap),
             ops: Vec::new(),
             tracing: self.core.tracing,
             tbuf: Vec::new(),
+            _state: PhantomData,
         };
         (spec.body)(&mut n.state, &mut ctx);
-        n.bodies[slot as usize] = Some(spec);
-        n.fired_per_fiber[slot as usize] += 1;
         n.mailbox = ctx.mailbox;
         n.mem = ctx.mem;
-        self.next_dyn = ctx.next_dyn;
         let exec = cfg.fiber_switch_cycles + ctx.charged;
         let end = t + exec;
         let n = &mut self.nodes[node - self.base];
@@ -537,56 +488,11 @@ impl<'a, S> Shard<'a, S> {
                         );
                     }
                 }
-                SimOp::Spawn {
-                    node: dst,
-                    idx,
-                    spec,
-                } => {
-                    self.ops.spawns += 1;
-                    let arr = if dst == node {
-                        end + cfg.su_op_cycles
-                    } else {
-                        end + cfg.net_latency_cycles + cfg.su_op_cycles
-                    };
-                    self.push(
-                        node,
-                        arr,
-                        Ev::SpawnArrive {
-                            node: dst,
-                            idx,
-                            spec,
-                        },
-                    );
-                }
-                SimOp::Get {
-                    node: dst,
-                    extract,
-                    key,
-                    slot,
-                } => {
-                    // Request leg of the round trip.
-                    let arr = if dst == node {
-                        end + cfg.su_op_cycles
-                    } else {
-                        end + cfg.net_latency_cycles + cfg.su_op_cycles
-                    };
-                    self.push(
-                        node,
-                        arr,
-                        Ev::GetArrive {
-                            node: dst,
-                            extract,
-                            reply_to: node,
-                            key,
-                            slot,
-                        },
-                    );
-                }
             }
         }
     }
 
-    fn handle(&mut self, t: u64, ev: Ev<S>) {
+    fn handle(&mut self, t: u64, ev: Ev) {
         self.now = t;
         match ev {
             Ev::SyncArrive { node, slot, op } => {
@@ -621,66 +527,6 @@ impl<'a, S> Shard<'a, S> {
                     .push_back(value);
                 self.dec(node, slot, t);
             }
-            Ev::SpawnArrive { node, idx, spec } => {
-                let n = &mut self.nodes[node - self.base];
-                let i = idx as usize;
-                if n.bodies.len() <= i {
-                    n.bodies.resize_with(i + 1, || None);
-                    n.counts.resize(i + 1, 0);
-                    n.resets.resize(i + 1, 0);
-                    n.fired_per_fiber.resize(i + 1, 0);
-                }
-                n.counts[i] = spec.sync_count as i64;
-                n.resets[i] = spec.reset.map_or(0, |r| r as i64);
-                let ready_now = spec.sync_count == 0;
-                n.bodies[i] = Some(spec);
-                if let Some(pos) = n.pending_ready.iter().position(|&p| p == idx) {
-                    n.pending_ready.swap_remove(pos);
-                    n.ready.push_back(idx);
-                }
-                if ready_now {
-                    n.ready.push_back(idx);
-                }
-                self.try_start(node, t);
-            }
-            Ev::GetArrive {
-                node,
-                extract,
-                reply_to,
-                key,
-                slot,
-            } => {
-                // The remote SU evaluates against the node state without
-                // involving its EU, then ships the value back.
-                let value = extract(&self.nodes[node - self.base].state);
-                self.ops.messages += 1;
-                let bytes = value.bytes();
-                self.ops.bytes += bytes;
-                let arr = if reply_to == node {
-                    self.ops.local_messages += 1;
-                    t + self.core.cfg.su_op_cycles
-                } else {
-                    let cfg = self.core.cfg;
-                    let src = &mut self.nodes[node - self.base];
-                    let xfer = bytes.div_ceil(cfg.bytes_per_cycle.max(1));
-                    let start = t.max(src.out_link_free);
-                    src.out_link_free = start + xfer;
-                    src.stats.bytes_sent += bytes;
-                    start + xfer + cfg.net_latency_cycles + cfg.su_op_cycles
-                };
-                self.push(
-                    node,
-                    arr,
-                    Ev::DataArrive {
-                        node: reply_to,
-                        from: node,
-                        key,
-                        value,
-                        slot,
-                        op: None,
-                    },
-                );
-            }
             Ev::EuIdle { node } => {
                 self.nodes[node - self.base].eu_busy = false;
                 self.try_start(node, t);
@@ -692,13 +538,10 @@ impl<'a, S> Shard<'a, S> {
     /// same order the serial loop has always used).
     fn seed(&mut self) {
         for li in 0..self.nodes.len() {
-            for slot in 0..self.nodes[li].counts.len() {
-                if self.nodes[li].counts[slot] == 0 {
-                    let reset = self.nodes[li].resets[slot];
-                    if reset > 0 {
-                        self.nodes[li].counts[slot] = reset;
-                    }
-                    self.nodes[li].ready.push_back(slot as SlotId);
+            let n = &mut self.nodes[li];
+            for (slot, &c) in n.counts.iter().enumerate() {
+                if c == 0 {
+                    n.ready.push_back(slot as SlotId);
                 }
             }
             self.try_start(self.base + li, 0);
@@ -904,27 +747,13 @@ impl Drop for PoisonOnPanic<'_> {
 fn build_nodes<S>(prog: MachineProgram<S, SimCtx<S>>, cfg: &SimConfig) -> Vec<SimNode<S>> {
     let mut nodes = Vec::with_capacity(prog.num_nodes());
     for nb in prog.nodes {
-        let n_static = nb.fibers.len();
-        let mut counts = Vec::with_capacity(n_static);
-        let mut resets = Vec::with_capacity(n_static);
-        let mut bodies: Vec<Option<FiberSpec<S, SimCtx<S>>>> = Vec::with_capacity(n_static);
-        for f in nb.fibers {
-            counts.push(f.sync_count as i64);
-            resets.push(f.reset.map_or(0, |r| r as i64));
-            bodies.push(Some(f));
-        }
         nodes.push(SimNode {
             state: nb.state,
-            counts,
-            resets,
-            static_len: n_static as u32,
-            dyn_cap_total: nb.dynamic_capacity as u32,
-            fired_per_fiber: vec![0; n_static],
-            bodies,
+            counts: nb.fibers.iter().map(|f| f.sync_count as i64).collect(),
+            bodies: nb.fibers.into_iter().map(Some).collect(),
             mailbox: BTreeMap::new(),
             mem: MemModel::new(cfg.mem),
             ready: VecDeque::new(),
-            pending_ready: Vec::new(),
             eu_busy: false,
             out_link_free: 0,
             stats: NodeStats::default(),
@@ -943,29 +772,20 @@ pub(crate) fn execute<S: Send>(
 ) -> Result<SimReport<S>, SimError> {
     let nodes = build_nodes(prog, &cfg);
     let num_nodes = nodes.len();
-    let next_dyn: Vec<u32> = nodes.iter().map(|n| n.static_len).collect();
-    let has_dynamic = nodes.iter().any(|n| n.dyn_cap_total > 0);
-    let dyn_cap: Arc<[u32]> = nodes
-        .iter()
-        .map(|n| n.static_len + n.dyn_cap_total)
-        .collect();
     let core = Core {
         cfg,
         num_nodes,
-        dyn_cap,
         tracing: sink.enabled(),
         sink,
         faults: cfg.faults.filter(|f| !f.is_noop()).map(FaultPlan::new),
     };
     let lookahead = cfg.net_latency_cycles + cfg.su_op_cycles;
     let threads = cfg.host_threads.max(1).min(num_nodes.max(1));
-    // Dynamic spawns allocate from a global cursor (sequential by
-    // nature) and a zero lookahead leaves no window to parallelize:
-    // both fall back to the serial core.
-    let results = if threads > 1 && lookahead > 0 && !has_dynamic {
-        run_parallel(&core, nodes, next_dyn, threads, lookahead)?
+    // A zero lookahead leaves no window to parallelize.
+    let results = if threads > 1 && lookahead > 0 {
+        run_parallel(&core, nodes, threads, lookahead)?
     } else {
-        vec![Shard::new(&core, 0, nodes, next_dyn, Route::Local).run_serial()]
+        vec![Shard::new(&core, 0, nodes, Route::Local).run_serial()]
     };
 
     let mut time_cycles = 0u64;
@@ -977,12 +797,7 @@ pub(crate) fn execute<S: Send>(
         time_cycles = time_cycles.max(sh.now);
         ops.merge(&sh.ops);
         for mut n in sh.nodes {
-            unfired += n
-                .bodies
-                .iter()
-                .zip(n.fired_per_fiber.iter())
-                .filter(|(b, &f)| b.is_some() && f == 0)
-                .count() as u64;
+            unfired += n.bodies.iter().filter(|b| b.is_some()).count() as u64;
             n.stats.mem = n.mem.stats();
             per_node.push(n.stats);
             states.push(n.state);
@@ -1008,7 +823,6 @@ pub(crate) fn execute<S: Send>(
 fn run_parallel<S: Send>(
     core: &Core,
     nodes: Vec<SimNode<S>>,
-    next_dyn: Vec<u32>,
     threads: usize,
     lookahead: u64,
 ) -> Result<Vec<ShardResult<S>>, SimError> {
@@ -1025,8 +839,7 @@ fn run_parallel<S: Send>(
             *o = s as u32;
         }
     }
-    let lanes: Vec<SpscQueue<HeapEv<S>>> =
-        (0..threads * threads).map(|_| SpscQueue::new()).collect();
+    let lanes: Vec<SpscQueue<HeapEv>> = (0..threads * threads).map(|_| SpscQueue::new()).collect();
     let sync = WindowSync::new(threads);
 
     let mut shards = Vec::with_capacity(threads);
@@ -1038,7 +851,6 @@ fn run_parallel<S: Send>(
             core,
             cuts[me],
             slice,
-            next_dyn.clone(),
             Route::Lanes {
                 owner: &owner,
                 lanes: &lanes,
@@ -1185,43 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn repeating_fibers_cross_shards() {
-        // A ring of repeating fibers: each firing re-arms on the sync
-        // from the left neighbour, 10 rounds.
-        let build = || {
-            let n = 6usize;
-            let mut prog: Prog<u64> = MachineProgram::new();
-            for _ in 0..n {
-                prog.add_node(0);
-            }
-            for i in 0..n {
-                let first = i == 0;
-                prog.node_mut(i).add_fiber(FiberSpec::repeating(
-                    "ring",
-                    if first { 0 } else { 1 },
-                    1,
-                    move |s: &mut u64, cx: &mut SimCtx<u64>| {
-                        *s += 1;
-                        let me = cx.node_id();
-                        let n = cx.num_nodes();
-                        if *s < 10 {
-                            cx.sync((me + 1) % n, 0);
-                        } else if me + 1 < n {
-                            cx.sync(me + 1, 0);
-                        }
-                    },
-                ));
-            }
-            prog
-        };
-        let serial = run_sim(build(), with_threads(1));
-        let par = run_sim(build(), with_threads(3));
-        assert_eq!(par.states, serial.states);
-        assert_eq!(par.time_cycles, serial.time_cycles);
-        assert_eq!(par.stats, serial.stats);
-    }
-
-    #[test]
     fn mailbox_fifo_survives_sharding() {
         let build = || {
             let mut prog: Prog<Vec<i64>> = MachineProgram::new();
@@ -1259,27 +1034,6 @@ mod tests {
         assert_eq!(par.states, serial.states);
         // FIFO per key: each receiver sees its sender's 3 values in order.
         assert_eq!(serial.states[1], vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn dynamic_spawns_fall_back_to_serial() {
-        // reserve_dynamic forces the serial core even at host_threads=4;
-        // results must still be correct.
-        let build = || {
-            let mut prog: Prog<i64> = MachineProgram::new();
-            prog.add_node(0);
-            prog.add_node(0);
-            prog.node_mut(1).reserve_dynamic(2);
-            prog.node_mut(0)
-                .add_fiber(FiberSpec::ready("invoker", |_s, cx: &mut SimCtx<i64>| {
-                    cx.spawn(1, FiberSpec::ready("w1", |s: &mut i64, _| *s += 40));
-                    cx.spawn(1, FiberSpec::ready("w2", |s: &mut i64, _| *s += 2));
-                }));
-            prog
-        };
-        let r = run_sim(build(), with_threads(4));
-        assert_eq!(r.states[1], 42);
-        assert_eq!(r.stats.ops.spawns, 2);
     }
 
     #[test]

@@ -8,10 +8,11 @@ use crate::value::Value;
 pub type SlotId = u32;
 
 /// The boxed body of a fiber: runs with exclusive access to the node's
-/// state (the procedure frame) and a backend context for issuing EARTH
-/// operations. `FnMut` because a fiber with a reset count fires many
-/// times.
-pub type FiberBody<S, C> = Box<dyn FnMut(&mut S, &mut C) + Send>;
+/// state and a backend context for issuing EARTH operations. `FnOnce`
+/// because every fiber fires exactly once: the backend takes the body
+/// when the fiber fires, so a body still present at the end of a run is
+/// an unfired fiber.
+pub type FiberBody<S, C> = Box<dyn FnOnce(&mut S, &mut C) + Send>;
 
 /// Specification of one fiber.
 pub struct FiberSpec<S, C> {
@@ -20,10 +21,6 @@ pub struct FiberSpec<S, C> {
     /// Initial sync-slot count. The fiber becomes ready when the count
     /// reaches zero; a count of zero makes it ready at start-up.
     pub sync_count: u32,
-    /// When `Some(r)`, the slot re-arms with count `r` each time it
-    /// fires, so the fiber can fire repeatedly (the standard EARTH idiom
-    /// for loop pipelines). When `None`, the fiber fires at most once.
-    pub reset: Option<u32>,
     /// The code.
     pub body: FiberBody<S, C>,
 }
@@ -33,35 +30,18 @@ impl<S, C> FiberSpec<S, C> {
     pub fn new(
         name: &'static str,
         sync_count: u32,
-        body: impl FnMut(&mut S, &mut C) + Send + 'static,
+        body: impl FnOnce(&mut S, &mut C) + Send + 'static,
     ) -> Self {
         FiberSpec {
             name,
             sync_count,
-            reset: None,
             body: Box::new(body),
         }
     }
 
     /// A fiber that is ready immediately.
-    pub fn ready(name: &'static str, body: impl FnMut(&mut S, &mut C) + Send + 'static) -> Self {
+    pub fn ready(name: &'static str, body: impl FnOnce(&mut S, &mut C) + Send + 'static) -> Self {
         Self::new(name, 0, body)
-    }
-
-    /// A repeating fiber: fires when the count reaches zero, then re-arms
-    /// with `reset`.
-    pub fn repeating(
-        name: &'static str,
-        sync_count: u32,
-        reset: u32,
-        body: impl FnMut(&mut S, &mut C) + Send + 'static,
-    ) -> Self {
-        FiberSpec {
-            name,
-            sync_count,
-            reset: Some(reset),
-            body: Box::new(body),
-        }
     }
 }
 
@@ -70,13 +50,12 @@ impl<S, C> std::fmt::Debug for FiberSpec<S, C> {
         f.debug_struct("FiberSpec")
             .field("name", &self.name)
             .field("sync_count", &self.sync_count)
-            .field("reset", &self.reset)
             .finish_non_exhaustive()
     }
 }
 
 /// A shareable fiber body: unlike [`FiberBody`] it is `Fn` (not
-/// `FnMut`) and reference-counted, so one closure can back the same
+/// `FnOnce`) and reference-counted, so one closure can back the same
 /// fiber across many program instantiations.
 pub type SharedFiberBody<S, C> = std::sync::Arc<dyn Fn(&mut S, &mut C) + Send + Sync>;
 
@@ -88,7 +67,6 @@ pub type SharedFiberBody<S, C> = std::sync::Arc<dyn Fn(&mut S, &mut C) + Send + 
 pub struct FiberTemplate<S, C> {
     pub name: &'static str,
     pub sync_count: u32,
-    pub reset: Option<u32>,
     pub body: SharedFiberBody<S, C>,
 }
 
@@ -102,7 +80,6 @@ impl<S: 'static, C: 'static> FiberTemplate<S, C> {
         FiberTemplate {
             name,
             sync_count,
-            reset: None,
             body: std::sync::Arc::new(body),
         }
     }
@@ -115,7 +92,6 @@ impl<S: 'static, C: 'static> FiberTemplate<S, C> {
         FiberSpec {
             name: self.name,
             sync_count: self.sync_count,
-            reset: self.reset,
             body: Box::new(move |s, c| body(s, c)),
         }
     }
@@ -126,7 +102,6 @@ impl<S, C> std::fmt::Debug for FiberTemplate<S, C> {
         f.debug_struct("FiberTemplate")
             .field("name", &self.name)
             .field("sync_count", &self.sync_count)
-            .field("reset", &self.reset)
             .finish_non_exhaustive()
     }
 }
@@ -136,7 +111,6 @@ impl<S, C> std::fmt::Debug for FiberTemplate<S, C> {
 #[derive(Clone, Debug)]
 pub struct NodeTemplate<S, C> {
     pub(crate) fibers: Vec<FiberTemplate<S, C>>,
-    pub(crate) dynamic_capacity: usize,
 }
 
 impl<S: 'static, C: 'static> NodeTemplate<S, C> {
@@ -146,12 +120,6 @@ impl<S: 'static, C: 'static> NodeTemplate<S, C> {
         let id = self.fibers.len() as SlotId;
         self.fibers.push(t);
         id
-    }
-
-    /// Reserve capacity for dynamically spawned fibers (see
-    /// [`NodeBuilder::reserve_dynamic`]).
-    pub fn reserve_dynamic(&mut self, n: usize) {
-        self.dynamic_capacity = self.dynamic_capacity.max(n);
     }
 
     pub fn num_fibers(&self) -> usize {
@@ -184,10 +152,7 @@ impl<S: 'static, C: 'static> ProgramTemplate<S, C> {
 
     /// Add a node; returns its node id.
     pub fn add_node(&mut self) -> usize {
-        self.nodes.push(NodeTemplate {
-            fibers: Vec::new(),
-            dynamic_capacity: 0,
-        });
+        self.nodes.push(NodeTemplate { fibers: Vec::new() });
         self.nodes.len() - 1
     }
 
@@ -215,7 +180,6 @@ impl<S: 'static, C: 'static> ProgramTemplate<S, C> {
         for (tmpl, state) in self.nodes.iter().zip(states) {
             let id = prog.add_node(state);
             let node = prog.node_mut(id);
-            node.dynamic_capacity = tmpl.dynamic_capacity;
             for f in &tmpl.fibers {
                 node.add_fiber(f.instantiate());
             }
@@ -229,9 +193,6 @@ impl<S: 'static, C: 'static> ProgramTemplate<S, C> {
 pub struct NodeBuilder<S, C> {
     pub state: S,
     pub(crate) fibers: Vec<FiberSpec<S, C>>,
-    /// How many dynamically spawned fibers this node must be able to
-    /// host (pre-sized so sync counters exist before the spawn lands).
-    pub(crate) dynamic_capacity: usize,
 }
 
 impl<S, C> NodeBuilder<S, C> {
@@ -240,12 +201,6 @@ impl<S, C> NodeBuilder<S, C> {
         let id = self.fibers.len() as SlotId;
         self.fibers.push(spec);
         id
-    }
-
-    /// Reserve capacity for fibers spawned at run time via
-    /// [`FiberCtx::spawn`]. Defaults to zero.
-    pub fn reserve_dynamic(&mut self, n: usize) {
-        self.dynamic_capacity = self.dynamic_capacity.max(n);
     }
 
     pub fn num_fibers(&self) -> usize {
@@ -276,7 +231,6 @@ impl<S, C> MachineProgram<S, C> {
         self.nodes.push(NodeBuilder {
             state,
             fibers: Vec::new(),
-            dynamic_capacity: 0,
         });
         self.nodes.len() - 1
     }
@@ -289,7 +243,7 @@ impl<S, C> MachineProgram<S, C> {
         self.nodes.len()
     }
 
-    /// Total statically registered fibers across all nodes.
+    /// Total registered fibers across all nodes.
     pub fn num_fibers(&self) -> usize {
         self.nodes.iter().map(|n| n.fibers.len()).sum()
     }
@@ -307,7 +261,7 @@ impl<S, C> MachineProgram<S, C> {
 /// [`flops`](FiberCtx::flops)) are no-ops on the native backend and
 /// compile away; the simulator maps them to cycles through its cost
 /// model.
-pub trait FiberCtx<S>: Sized {
+pub trait FiberCtx<S> {
     /// Id of the node this fiber runs on.
     fn node_id(&self) -> usize;
 
@@ -326,25 +280,6 @@ pub trait FiberCtx<S>: Sized {
     /// Messages with the same key queue in arrival order.
     fn recv(&mut self, key: u64) -> Option<Value>;
 
-    /// `INVOKE`: instantiate a new fiber on `node` at run time. The
-    /// target node must have reserved capacity via
-    /// [`NodeBuilder::reserve_dynamic`]. Returns the new fiber's slot id.
-    fn spawn(&mut self, node: usize, spec: FiberSpec<S, Self>) -> SlotId;
-
-    /// `GET_SYNC`: split-phase remote read. The remote node's SU
-    /// evaluates `extract` against that node's state (without involving
-    /// its EU — the paper's "SU also handles communication"), deposits
-    /// the result in *this* node's mailbox under `key`, and decrements
-    /// `slot` here. The round trip pays network latency both ways on the
-    /// simulator.
-    fn get_sync(
-        &mut self,
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        key: u64,
-        slot: SlotId,
-    );
-
     /// Charge `cycles` of pure computation to this fiber (sim only).
     #[inline]
     fn charge(&mut self, _cycles: u64) {}
@@ -360,12 +295,6 @@ pub trait FiberCtx<S>: Sized {
     /// Charge one memory store of `addr` through the cache model (sim only).
     #[inline]
     fn store(&mut self, _addr: u64) {}
-
-    /// Mark `addr`'s cache line warm without charging — models data the
-    /// SU/DMA deposited into memory-then-cache (received portions), whose
-    /// transfer cost is billed separately (sim only).
-    #[inline]
-    fn warm(&mut self, _addr: u64) {}
 
     /// Cycles charged so far during the current fiber execution.
     fn charged(&self) -> u64 {
@@ -478,10 +407,8 @@ mod tests {
     fn fiberspec_constructors() {
         let s: FiberSpec<(), ()> = FiberSpec::ready("r", |_, _| {});
         assert_eq!(s.sync_count, 0);
-        assert!(s.reset.is_none());
-        let s = FiberSpec::<(), ()>::repeating("p", 3, 5, |_, _| {});
+        let s = FiberSpec::<(), ()>::new("p", 3, |_, _| {});
         assert_eq!(s.sync_count, 3);
-        assert_eq!(s.reset, Some(5));
         let dbg = format!("{s:?}");
         assert!(dbg.contains("\"p\""));
     }
@@ -502,16 +429,14 @@ mod tests {
             .node_mut(n)
             .add_fiber(FiberTemplate::new("t", 2, |s: &mut u32, _| *s += 1));
         assert_eq!(f, 0);
-        tmpl.node_mut(n).reserve_dynamic(3);
         assert_eq!(tmpl.num_nodes(), 1);
         assert_eq!(tmpl.num_fibers(), 1);
         for round in 0..3 {
             let mut prog = tmpl.instantiate(vec![round]);
             assert_eq!(prog.num_nodes(), 1);
             assert_eq!(prog.num_fibers(), 1);
-            assert_eq!(prog.node_mut(0).dynamic_capacity, 3);
             let node = &mut prog.nodes[0];
-            let spec = &mut node.fibers[0];
+            let spec = node.fibers.pop().unwrap();
             assert_eq!(spec.sync_count, 2);
             (spec.body)(&mut node.state, &mut ());
             assert_eq!(node.state, round + 1);
@@ -527,7 +452,7 @@ mod tests {
         let copy = tmpl.clone();
         let mut prog = copy.instantiate(vec![21]);
         let node = &mut prog.nodes[0];
-        let spec = &mut node.fibers[0];
+        let spec = node.fibers.pop().unwrap();
         (spec.body)(&mut node.state, &mut ());
         assert_eq!(node.state, 42);
     }
@@ -538,14 +463,5 @@ mod tests {
         let mut tmpl: ProgramTemplate<u32, ()> = ProgramTemplate::new();
         tmpl.add_node();
         let _ = tmpl.instantiate(vec![]);
-    }
-
-    #[test]
-    fn reserve_dynamic_takes_max() {
-        let mut prog: MachineProgram<(), ()> = MachineProgram::new();
-        let n = prog.add_node(());
-        prog.node_mut(n).reserve_dynamic(4);
-        prog.node_mut(n).reserve_dynamic(2);
-        assert_eq!(prog.node_mut(n).dynamic_capacity, 4);
     }
 }

@@ -22,6 +22,7 @@
 //! ([`SimConfig::host_threads`] > 1), byte-deterministic either way.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +30,7 @@ use memsim::{MemConfig, MemModel};
 use trace::{NullSink, TraceEvent, TraceKind, TraceSink};
 
 use crate::faults::FaultConfig;
-use crate::program::{FiberCtx, FiberSpec, MachineProgram, SlotId};
+use crate::program::{FiberCtx, MachineProgram, SlotId};
 use crate::stats::RunStats;
 use crate::value::Value;
 
@@ -79,7 +80,8 @@ pub struct SimConfig {
     /// ([`crate::pdes`]), with **identical** simulated cycles, stats,
     /// and trace stream for any value. Simulated time never depends on
     /// this knob — only host wall-clock does. Clamped to the node
-    /// count; programs with dynamic fiber capacity run serially.
+    /// count; a zero lookahead (`net_latency_cycles + su_op_cycles`)
+    /// leaves no window to parallelize and runs serially.
     pub host_threads: usize,
     /// Watchdog deadline for the parallel event loop: if no shard
     /// handles any event for this long, the run aborts with
@@ -193,19 +195,16 @@ pub struct SimCtx<S> {
     pub(crate) flop_cycles: u64,
     pub(crate) mailbox: BTreeMap<u64, VecDeque<Value>>,
     pub(crate) mem: MemModel,
-    pub(crate) next_dyn: Vec<u32>,
-    /// Per node: `static_len + dynamic capacity`, shared by every fiber
-    /// run of the whole simulation (precomputed once in `pdes`).
-    pub(crate) dyn_cap: Arc<[u32]>,
-    pub(crate) ops: Vec<SimOp<S>>,
+    pub(crate) ops: Vec<SimOp>,
     pub(crate) tracing: bool,
     /// Structured events the fiber body emitted, with the cycles charged
     /// at emission time — stamped `fire_time + offset` when the fiber
     /// retires, so timestamps stay deterministic.
     pub(crate) tbuf: Vec<(u64, TraceKind)>,
+    pub(crate) _state: PhantomData<fn(&mut S)>,
 }
 
-pub(crate) enum SimOp<S> {
+pub(crate) enum SimOp {
     Sync {
         node: usize,
         slot: SlotId,
@@ -214,17 +213,6 @@ pub(crate) enum SimOp<S> {
         node: usize,
         key: u64,
         value: Value,
-        slot: SlotId,
-    },
-    Spawn {
-        node: usize,
-        idx: SlotId,
-        spec: FiberSpec<S, SimCtx<S>>,
-    },
-    Get {
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        key: u64,
         slot: SlotId,
     },
 }
@@ -260,32 +248,6 @@ impl<S> FiberCtx<S> for SimCtx<S> {
         v
     }
 
-    fn spawn(&mut self, node: usize, spec: FiberSpec<S, Self>) -> SlotId {
-        let idx = self.next_dyn[node];
-        assert!(
-            idx < self.dyn_cap[node],
-            "node {node} exceeded its dynamic fiber capacity: call reserve_dynamic"
-        );
-        self.next_dyn[node] += 1;
-        self.ops.push(SimOp::Spawn { node, idx, spec });
-        idx
-    }
-
-    fn get_sync(
-        &mut self,
-        node: usize,
-        extract: Box<dyn FnOnce(&S) -> Value + Send>,
-        key: u64,
-        slot: SlotId,
-    ) {
-        self.ops.push(SimOp::Get {
-            node,
-            extract,
-            key,
-            slot,
-        });
-    }
-
     #[inline]
     fn charge(&mut self, cycles: u64) {
         self.charged += cycles;
@@ -304,11 +266,6 @@ impl<S> FiberCtx<S> for SimCtx<S> {
     #[inline]
     fn store(&mut self, addr: u64) {
         self.charged += self.mem.write(addr);
-    }
-
-    #[inline]
-    fn warm(&mut self, addr: u64) {
-        self.mem.touch(addr);
     }
 
     fn charged(&self) -> u64 {
@@ -618,43 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn repeating_fiber_pipeline() {
-        // A self-sustaining 3-firing loop on one node.
-        let mut prog: Prog<u32> = MachineProgram::new();
-        prog.add_node(0);
-        prog.node_mut(0).add_fiber(FiberSpec::repeating(
-            "loop",
-            0,
-            1,
-            |s: &mut u32, cx: &mut SimCtx<u32>| {
-                *s += 1;
-                if *s < 3 {
-                    cx.sync(0, 0);
-                }
-            },
-        ));
-        let r = run_sim(prog, cfg());
-        assert_eq!(r.states[0], 3);
-        assert_eq!(r.stats.ops.fibers_fired, 3);
-    }
-
-    #[test]
-    fn dynamic_spawn_in_sim() {
-        let mut prog: Prog<i64> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(0);
-        prog.node_mut(1).reserve_dynamic(2);
-        prog.node_mut(0)
-            .add_fiber(FiberSpec::ready("invoker", |_s, cx: &mut SimCtx<i64>| {
-                cx.spawn(1, FiberSpec::ready("w1", |s: &mut i64, _| *s += 40));
-                cx.spawn(1, FiberSpec::ready("w2", |s: &mut i64, _| *s += 2));
-            }));
-        let r = run_sim(prog, cfg());
-        assert_eq!(r.states[1], 42);
-        assert_eq!(r.stats.ops.spawns, 2);
-    }
-
-    #[test]
     fn mailbox_fifo_order_per_key() {
         let mut prog: Prog<Vec<i64>> = MachineProgram::new();
         prog.add_node(Vec::new());
@@ -756,54 +676,6 @@ mod tests {
             run_sim_traced(traced_pair(), cfg(), sink).trace
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn get_sync_round_trip() {
-        // Node 0 reads node 1's state without node 1 running any fiber.
-        let mut prog: Prog<f64> = MachineProgram::new();
-        prog.add_node(0.0);
-        prog.add_node(123.5);
-        prog.node_mut(0)
-            .add_fiber(FiberSpec::ready("ask", |_s, cx: &mut SimCtx<f64>| {
-                cx.get_sync(1, Box::new(|s: &f64| Value::Scalar(*s)), 77, 1);
-            }));
-        prog.node_mut(0).add_fiber(FiberSpec::new(
-            "use",
-            1,
-            |s: &mut f64, cx: &mut SimCtx<f64>| {
-                *s = cx.recv(77).unwrap().expect_scalar() * 2.0;
-            },
-        ));
-        let r = run_sim(prog, cfg());
-        assert_eq!(r.states[0], 247.0);
-        // Remote target never fired a fiber.
-        assert_eq!(r.stats.per_node[1].fibers_fired, 0);
-    }
-
-    #[test]
-    fn get_sync_pays_round_trip_latency() {
-        let mut prog: Prog<u64> = MachineProgram::new();
-        prog.add_node(0);
-        prog.add_node(9);
-        prog.node_mut(0)
-            .add_fiber(FiberSpec::ready("ask", |_s, cx: &mut SimCtx<u64>| {
-                cx.get_sync(1, Box::new(|s: &u64| Value::Int(*s as i64)), 5, 1);
-            }));
-        prog.node_mut(0).add_fiber(FiberSpec::new(
-            "use",
-            1,
-            |s: &mut u64, cx: &mut SimCtx<u64>| {
-                *s = cx.now();
-            },
-        ));
-        let r = run_sim(prog, cfg());
-        let c = cfg();
-        // switch + (latency + su) out + 8 bytes + (latency + su) back.
-        let expect = c.fiber_switch_cycles
-            + (c.net_latency_cycles + c.su_op_cycles) * 2
-            + 8 / c.bytes_per_cycle.max(1);
-        assert_eq!(r.states[0], expect);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use memsim::MemStats;
 /// Counts of EARTH operations issued during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Fibers that actually executed (a repeating fiber counts each firing).
+    /// Fibers that actually executed.
     pub fibers_fired: u64,
     /// `SYNC` operations issued (excluding the sync half of `DATA_SYNC`).
     pub syncs: u64,
@@ -15,8 +15,6 @@ pub struct OpCounts {
     pub bytes: u64,
     /// Messages whose source and destination node are the same.
     pub local_messages: u64,
-    /// Fibers instantiated at run time via `INVOKE`.
-    pub spawns: u64,
 }
 
 impl OpCounts {
@@ -26,7 +24,6 @@ impl OpCounts {
         self.messages += o.messages;
         self.bytes += o.bytes;
         self.local_messages += o.local_messages;
-        self.spawns += o.spawns;
     }
 }
 
@@ -95,11 +92,10 @@ mod tests {
             messages: 3,
             bytes: 4,
             local_messages: 5,
-            spawns: 6,
         };
         a.merge(&a.clone());
         assert_eq!(a.fibers_fired, 2);
-        assert_eq!(a.spawns, 12);
+        assert_eq!(a.local_messages, 10);
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub enum Value {
     /// still charges the full payload size per message — sharing is a
     /// sender-side memory optimization, not a modeled hardware feature.
     F64sShared(std::sync::Arc<[f64]>),
-    /// A block of 32-bit indices.
-    U32s(Box<[u32]>),
-    /// A pure synchronization token carrying no data.
-    Unit,
 }
 
 impl Value {
@@ -32,8 +28,6 @@ impl Value {
             Value::Scalar(_) | Value::Int(_) => 8,
             Value::F64s(v) => 8 * v.len() as u64,
             Value::F64sShared(v) => 8 * v.len() as u64,
-            Value::U32s(v) => 4 * v.len() as u64,
-            Value::Unit => 0,
         }
     }
 
@@ -86,12 +80,6 @@ impl From<Vec<f64>> for Value {
     }
 }
 
-impl From<Vec<u32>> for Value {
-    fn from(v: Vec<u32>) -> Self {
-        Value::U32s(v.into_boxed_slice())
-    }
-}
-
 /// Compose a mailbox key from a tag and a sequence number.
 ///
 /// Programs address messages by `u64` keys; using a tag in the high bits
@@ -111,8 +99,6 @@ mod tests {
         assert_eq!(Value::Scalar(1.0).bytes(), 8);
         assert_eq!(Value::Int(3).bytes(), 8);
         assert_eq!(Value::from(vec![0.0f64; 10]).bytes(), 80);
-        assert_eq!(Value::from(vec![0u32; 10]).bytes(), 40);
-        assert_eq!(Value::Unit.bytes(), 0);
     }
 
     #[test]
@@ -127,7 +113,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected F64s")]
     fn wrong_variant_panics() {
-        Value::Unit.expect_f64s();
+        Value::Int(0).expect_f64s();
     }
 
     #[test]

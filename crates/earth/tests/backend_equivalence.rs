@@ -6,9 +6,12 @@
 //! nodes; each fiber accumulates the values it received, adds its own
 //! id, and forwards partial sums to its consumers in the next layer.
 //! Both backends must deliver every message and fire every fiber, so the
-//! final per-node sums agree exactly (integer arithmetic).
+//! final per-node sums agree exactly (integer arithmetic). The native side
+//! runs with one host thread (every node multiplexed on one event loop),
+//! two host threads, and the host default, so the multiplexed loop is
+//! exercised whatever the machine's core count.
 
-use earth_model::native::{run_native, NativeCtx};
+use earth_model::native::{run_native_with, NativeConfig, NativeCtx};
 use earth_model::sim::{run_sim, SimConfig, SimCtx};
 use earth_model::{mailbox_key, FiberCtx, FiberSpec, MachineProgram};
 use harness::prop::{check, Config, Gen};
@@ -123,12 +126,20 @@ fn native_and_sim_agree() {
             build::<SimCtx<State>>(&s.layers, &s.edges, s.procs),
             SimConfig::default(),
         );
-        let nat = run_native(build::<NativeCtx<State>>(&s.layers, &s.edges, s.procs)).unwrap();
-        prop_assert_eq!(&sim.states, &nat.states);
-        prop_assert_eq!(sim.stats.ops.fibers_fired, nat.stats.ops.fibers_fired);
-        prop_assert_eq!(sim.stats.ops.messages, nat.stats.ops.messages);
         prop_assert_eq!(sim.stats.unfired_fibers, 0u64);
-        prop_assert_eq!(nat.stats.unfired_fibers, 0u64);
+        for host_threads in [Some(1), Some(2), None] {
+            let cfg = NativeConfig {
+                host_threads,
+                ..NativeConfig::default()
+            };
+            let nat = run_native_with(build::<NativeCtx<State>>(&s.layers, &s.edges, s.procs), cfg)
+                .unwrap();
+            prop_assert_eq!(&sim.states, &nat.states);
+            prop_assert_eq!(sim.stats.ops.fibers_fired, nat.stats.ops.fibers_fired);
+            prop_assert_eq!(sim.stats.ops.messages, nat.stats.ops.messages);
+            prop_assert_eq!(sim.stats.ops.syncs, nat.stats.ops.syncs);
+            prop_assert_eq!(nat.stats.unfired_fibers, 0u64);
+        }
         Ok(())
     });
 }

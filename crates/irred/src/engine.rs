@@ -196,7 +196,6 @@ impl RunOutcome {
         m.count("messages", ops.messages);
         m.count("bytes", ops.bytes);
         m.count("local_messages", ops.local_messages);
-        m.count("spawns", ops.spawns);
         m.count("trace_events", self.trace.len() as u64);
         m.gauge("time_cycles", self.time_cycles as f64);
         m.gauge("seconds", self.seconds);

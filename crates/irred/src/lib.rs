@@ -76,7 +76,7 @@ pub use engine::{
 pub use gather::{GatherEngine, GatherSpec, PreparedGather};
 pub use kernel::EdgeKernel;
 pub use lightinspector::{portion_stats, PlanStats};
-pub use phased::{structure_hash, PhasedEngine, PhasedError, PhasedSpec, PreparedPhased};
+pub use phased::{structure_hash, PhasedEngine, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};
 pub use seq::{seq_gather_cycles, seq_reduction, PreparedSeq, SeqEngine, SeqResult};
 pub use strategy::{AutoTuning, EngineChoice, StrategyConfig, StrategyError};

@@ -50,7 +50,7 @@ use workloads::Distribution;
 use crate::config::{BackendKind, ExecutionConfig, TraceConfig};
 use crate::engine::{
     attempt_faults, run_recovery_ladder, validate_phased_spec, EngineError, Provenance,
-    ReductionEngine, RunOutcome,
+    RecoveryPolicy, ReductionEngine, RunOutcome,
 };
 use crate::kernel::EdgeKernel;
 use crate::prepared::{PhaseCosts, PlanToken, Workspace};
@@ -58,11 +58,6 @@ use crate::seq::seq_reduction;
 use crate::strategy::StrategyConfig;
 use crate::tuning::{TileChoice, Tuning};
 use crate::vector;
-
-// Compatibility names: the error and recovery types moved to the shared
-// engine layer (crate::engine); these aliases keep old paths working.
-pub use crate::engine::EngineError as PhasedError;
-pub use crate::engine::{RecoveryPolicy, RecoveryReport};
 
 const TAG_PORTION: u32 = 1;
 const TAG_BCAST: u32 = 2;

@@ -17,10 +17,9 @@ use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::{prop_assert, prop_assert_eq};
 use irred::kernel::WeightedPairKernel;
-use irred::phased::PhasedError;
 use irred::{
-    approx_eq, seq_reduction, Distribution, EdgeKernel, PhasedEngine, PhasedSpec, RecoveryPolicy,
-    ReductionEngine, StrategyConfig, Workspace,
+    approx_eq, seq_reduction, Distribution, EdgeKernel, EngineError, PhasedEngine, PhasedSpec,
+    RecoveryPolicy, ReductionEngine, StrategyConfig, Workspace,
 };
 use lightinspector::InspectError;
 
@@ -236,7 +235,7 @@ fn recovery_without_fallback_returns_last_error() {
     match run_recovering_with(&spec, &strat, policy, |a| {
         strict(Some(drop_everything(a as u64 + 40)))
     }) {
-        Err(PhasedError::Run(RunError::Stalled { .. })) => {}
+        Err(EngineError::Run(RunError::Stalled { .. })) => {}
         other => panic!("expected Run(Stalled), got {other:?}"),
     }
 }
@@ -260,7 +259,7 @@ fn out_of_range_indirection_is_invalid_not_retried() {
         ind[1][7] = spec.num_elements as u32 + 3; // outside the array
     }
     match PhasedEngine::native(NativeConfig::default()).run(&spec, &fixed_strat()) {
-        Err(PhasedError::Invalid(InspectError::OutOfRange { elem, .. })) => {
+        Err(EngineError::Invalid(InspectError::OutOfRange { elem, .. })) => {
             assert_eq!(elem, spec.num_elements as u32 + 3);
         }
         other => panic!("expected Invalid(OutOfRange), got {other:?}"),
@@ -269,7 +268,7 @@ fn out_of_range_indirection_is_invalid_not_retried() {
     match PhasedEngine::recovering(NativeConfig::default(), RecoveryPolicy::default())
         .run(&spec, &fixed_strat())
     {
-        Err(PhasedError::Invalid(_)) => {}
+        Err(EngineError::Invalid(_)) => {}
         other => panic!("expected immediate Invalid, got {other:?}"),
     }
 }
@@ -282,7 +281,7 @@ fn ragged_indirection_is_a_shape_error() {
         ind[1].pop(); // now shorter than array 0
     }
     match PhasedEngine::native(NativeConfig::default()).run(&spec, &fixed_strat()) {
-        Err(PhasedError::Shape { expected, got, .. }) => {
+        Err(EngineError::Shape { expected, got, .. }) => {
             assert_eq!(expected, spec.indirection[0].len());
             assert_eq!(got, spec.indirection[0].len() - 1);
         }
@@ -299,7 +298,7 @@ fn wrong_indirection_count_is_a_shape_error() {
         ind.push(vec![0; len]);
     }
     match PhasedEngine::native(NativeConfig::default()).run(&spec, &fixed_strat()) {
-        Err(PhasedError::Shape {
+        Err(EngineError::Shape {
             expected: 2,
             got: 3,
             ..
@@ -310,9 +309,9 @@ fn wrong_indirection_count_is_a_shape_error() {
 
 #[test]
 fn phased_error_display_names_the_cause() {
-    let e = PhasedError::Invalid(InspectError::NoReferences);
+    let e = EngineError::Invalid(InspectError::NoReferences);
     assert!(e.to_string().contains("invalid phased spec"));
-    let e = PhasedError::Shape {
+    let e = EngineError::Shape {
         what: "indirection array length",
         expected: 10,
         got: 9,
@@ -337,7 +336,7 @@ mod gather {
             matrix,
         };
         match GatherEngine::native(NativeConfig::default()).run(&spec, &fixed_strat()) {
-            Err(PhasedError::Shape {
+            Err(EngineError::Shape {
                 expected: 32,
                 got: 36,
                 ..
@@ -355,7 +354,7 @@ mod gather {
             matrix: Arc::new(m),
         };
         match GatherEngine::native(NativeConfig::default()).run(&spec, &fixed_strat()) {
-            Err(PhasedError::Invalid(InspectError::OutOfRange { elem: 99, .. })) => {}
+            Err(EngineError::Invalid(InspectError::OutOfRange { elem: 99, .. })) => {}
             other => panic!("expected Invalid(OutOfRange), got {other:?}"),
         }
     }
@@ -385,7 +384,7 @@ mod gather {
             matrix,
         };
         match GatherEngine::native(strict(Some(drop_everything(2)))).run(&spec, &fixed_strat()) {
-            Err(PhasedError::Run(RunError::Stalled { .. })) => {}
+            Err(EngineError::Run(RunError::Stalled { .. })) => {}
             other => panic!("expected Run(Stalled), got {other:?}"),
         }
     }

@@ -152,13 +152,6 @@ impl MemModel {
         c
     }
 
-    /// Bring `addr`'s line into the cache without charging cycles or
-    /// counting statistics — models data deposited by DMA / the SU
-    /// (e.g. a received portion) that is warm when the EU first reads it.
-    pub fn touch(&mut self, addr: u64) {
-        self.cache.access(addr, AccessKind::Read);
-    }
-
     /// Cycles for a sequential sweep over `bytes` bytes starting at a
     /// line-aligned address, computed without touching the cache — used for
     /// bulk operations (portion receive copies) whose per-byte behaviour is
