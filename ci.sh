@@ -27,10 +27,10 @@
 #                    # pass), the source-over-the-wire server tests
 #                    # (with exact compile-cache accounting), and a CLI
 #                    # smoke over the checked-in fixtures
-#   ./ci.sh sim      # parallel sim core: serial ≡ parallel equivalence
-#                    # suite, including a fixed 256-proc case (3 fixed
-#                    # seeds + one randomized pass), under the hard
-#                    # timeout
+#   ./ci.sh sim      # EARTH backends: the sim ≡ native equivalence and
+#                    # sim chaos-replay suite (3 fixed seeds + one
+#                    # randomized pass), then the SPSC lane stress in
+#                    # release, under the hard timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -223,26 +223,24 @@ compiler() {
 }
 
 sim() {
-    # EARTH backends: serial ≡ parallel sim ≡ native, plus lane stress.
-    # pdes_equivalence checks the conservative time-window sim core
-    # against the serial core (identical cycles, RunStats and trace CSV
-    # at every host_threads); backend_equivalence checks the native
-    # backend against the sim on random fiber graphs, with the native
-    # side at host_threads 1, 2 and the host default. Both run on three
-    # fixed base seeds for deterministic replay, then one randomized pass
-    # to keep widening coverage (its seed prints on failure for replay
-    # via PROP_SEED). spsc_stress runs in release, where memory-ordering
+    # EARTH backends: sim ≡ native, plus lane stress.
+    # backend_equivalence checks the native backend against the sim on
+    # random fiber graphs (states and op counts, local messages
+    # included), with the native side at host_threads 1, 2 and the host
+    # default, and replays the sim under chaos fault plans (identical
+    # trace CSV, RunStats and states). It runs on three fixed base seeds
+    # for deterministic replay, then one randomized pass to keep
+    # widening coverage (its seed prints on failure for replay via
+    # PROP_SEED). spsc_stress runs in release, where memory-ordering
     # bugs in the lock-free lanes show.
     for seed in 1 2 3; do
-        echo "== pdes + backend equivalence (PROP_BASE_SEED=$seed) =="
-        PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test pdes_equivalence
+        echo "== backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
     done
 
-    echo "== pdes + backend equivalence (randomized pass) =="
+    echo "== backend equivalence (randomized pass) =="
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
-    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test pdes_equivalence
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test backend_equivalence
 
     echo "== SPSC lane stress (release) =="

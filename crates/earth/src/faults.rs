@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use harness::rng::splitmix64;
+use trace::FaultKind;
 
 /// Rates and bounds for injected faults. `Copy` so it can ride inside
 /// [`SimConfig`](crate::sim::SimConfig); the stateful counters live in
@@ -143,6 +144,17 @@ pub enum MessageFault {
     Duplicate,
     /// Never deliver.
     Drop,
+}
+
+/// Map a decided message fate onto the trace-level fault taxonomy.
+/// `Deliver` is never passed here (callers only record actual faults).
+pub(crate) fn fault_kind(fate: MessageFault) -> FaultKind {
+    match fate {
+        MessageFault::Delay { .. } => FaultKind::MsgDelay,
+        MessageFault::Reorder => FaultKind::MsgReorder,
+        MessageFault::Duplicate => FaultKind::MsgDuplicate,
+        MessageFault::Drop | MessageFault::Deliver => FaultKind::MsgDrop,
+    }
 }
 
 /// The fate of one fiber firing, decided by [`FaultPlan::fiber_fault`].

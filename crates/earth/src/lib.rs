@@ -17,11 +17,11 @@
 //!   sync slots. This mirrors the paper's remark
 //!   that EARTH "can be emulated on off-the-shelf processors", and is
 //!   used for wall-clock benchmarking on the host machine.
-//! * [`sim`] — a deterministic discrete-event simulator that charges a
-//!   calibrated cycle cost for computation (via [`memsim`]), fiber
-//!   switches, SU operations, and network transfers. This stands in for
-//!   the cycle-accurate MANNA simulator used in the paper (§5.2) and
-//!   scales to any number of simulated nodes.
+//! * [`sim`] — a deterministic discrete-event simulator, one serial
+//!   event loop on the calling thread, that charges a calibrated cycle
+//!   cost for computation (via [`memsim`]), fiber switches, SU
+//!   operations, and network transfers. This stands in for the
+//!   cycle-accurate MANNA simulator used in the paper (§5.2).
 //!
 //! Programs are built once as a [`MachineProgram`] — per-node state plus
 //! a set of [`FiberSpec`]s — and can then be executed by either backend;
@@ -66,7 +66,6 @@
 
 pub mod faults;
 pub mod native;
-pub mod pdes;
 pub mod program;
 pub mod sim;
 pub mod spsc;
@@ -82,9 +81,7 @@ pub use program::{
     FiberCtx, FiberSpec, FiberTemplate, MachineProgram, Meter, NodeBuilder, NodeTemplate,
     NullMeter, ProgramTemplate, SharedFiberBody, SlotId,
 };
-pub use sim::{
-    render_gantt, run_sim, run_sim_checked, run_sim_traced, SimConfig, SimError, SimReport,
-};
+pub use sim::{render_gantt, run_sim, run_sim_traced, SimConfig, SimReport};
 pub use stats::{NodeStats, OpCounts, RunStats};
 pub use trace::{
     CsvSink, FaultKind, MetricsRegistry, NullSink, RingSink, Timeline, TraceEvent, TraceKind,

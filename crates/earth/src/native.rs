@@ -55,23 +55,12 @@ use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::faults::{FaultConfig, FaultPlan, FiberFault, MessageFault};
+use crate::faults::{fault_kind, FaultConfig, FaultPlan, FiberFault, MessageFault};
 use crate::program::{FiberCtx, FiberSpec, MachineProgram, SlotId};
 use crate::spsc::SpscQueue;
 use crate::stats::{NodeStats, OpCounts, RunStats};
 use crate::value::Value;
-use trace::{FaultKind, NullSink, TraceEvent, TraceKind, TraceSink};
-
-/// Map a decided message fate onto the trace-level fault taxonomy.
-/// `Deliver` is never passed here (callers only record actual faults).
-fn fault_kind(fate: MessageFault) -> FaultKind {
-    match fate {
-        MessageFault::Delay { .. } => FaultKind::MsgDelay,
-        MessageFault::Reorder => FaultKind::MsgReorder,
-        MessageFault::Duplicate => FaultKind::MsgDuplicate,
-        MessageFault::Drop | MessageFault::Deliver => FaultKind::MsgDrop,
-    }
-}
+use trace::{NullSink, TraceEvent, TraceKind, TraceSink};
 
 /// Why a run was declared stalled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -669,6 +658,9 @@ fn dispatch_op(
             }
             if fate == MessageFault::Drop {
                 return;
+            }
+            if node == op_src {
+                shared.local_messages.fetch_add(1, Ordering::Relaxed);
             }
             deliver_data(shared, plan, op_src, node, key, value, slot, dup);
             shared.record(

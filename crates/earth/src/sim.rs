@@ -15,26 +15,23 @@
 //! so results can be validated against sequential references in the same
 //! run that produces timing.
 //!
-//! The event loop itself lives in [`crate::pdes`]: a single `Shard`
-//! implementation that runs either serially (`host_threads = 1`, the
-//! default — exactly the historical single-heap loop) or as a
-//! conservative time-window parallel DES across host worker threads
-//! ([`SimConfig::host_threads`] > 1), byte-deterministic either way.
+//! The event loop is one serial discrete-event loop over one heap,
+//! ordered by the content-derived key `(time, source node, per-source
+//! emission seq)`: simulated cycles, [`RunStats`] and the drained trace
+//! stream are byte-identical across runs of the same program.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Duration;
 
 use memsim::{MemConfig, MemModel};
 use trace::{NullSink, TraceEvent, TraceKind, TraceSink};
 
-use crate::faults::FaultConfig;
-use crate::program::{FiberCtx, MachineProgram, SlotId};
-use crate::stats::RunStats;
+use crate::faults::{fault_kind, FaultConfig, FaultPlan, MessageFault};
+use crate::program::{FiberCtx, FiberSpec, MachineProgram, SlotId};
+use crate::stats::{NodeStats, OpCounts, RunStats};
 use crate::value::Value;
-
-pub use crate::pdes::SimError;
 
 /// Cost parameters of the simulated machine.
 ///
@@ -74,21 +71,6 @@ pub struct SimConfig {
     /// (the arrival event is never scheduled). Fiber panic/stall rates
     /// are native-backend concepts and are ignored here.
     pub faults: Option<FaultConfig>,
-    /// Host worker threads for the event loop. `1` (the default) is the
-    /// serial reference loop; `> 1` shards the simulated nodes across
-    /// host threads under the conservative time-window protocol
-    /// ([`crate::pdes`]), with **identical** simulated cycles, stats,
-    /// and trace stream for any value. Simulated time never depends on
-    /// this knob — only host wall-clock does. Clamped to the node
-    /// count; a zero lookahead (`net_latency_cycles + su_op_cycles`)
-    /// leaves no window to parallelize and runs serially.
-    pub host_threads: usize,
-    /// Watchdog deadline for the parallel event loop: if no shard
-    /// handles any event for this long, the run aborts with
-    /// [`SimError::Stalled`] instead of hanging on a wedged fiber body.
-    /// Must comfortably exceed the longest honest fiber body. `None`
-    /// (the default) disables the watchdog; the serial loop ignores it.
-    pub host_watchdog: Option<Duration>,
 }
 
 impl Default for SimConfig {
@@ -104,8 +86,6 @@ impl Default for SimConfig {
             phased_iter_overhead_cycles: 50,
             phased_copy_overhead_cycles: 16,
             faults: None,
-            host_threads: 1,
-            host_watchdog: None,
         }
     }
 }
@@ -116,17 +96,10 @@ impl SimConfig {
         cycles as f64 / self.clock_hz as f64
     }
 
-    /// Run the event loop on `threads` host worker threads (see
-    /// [`SimConfig::host_threads`]).
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        self.host_threads = threads;
-        self
-    }
-
-    /// Arm the parallel event loop's stall watchdog (see
-    /// [`SimConfig::host_watchdog`]).
-    pub fn with_host_watchdog(mut self, deadline: Duration) -> Self {
-        self.host_watchdog = Some(deadline);
+    /// The identity: the simulator is one serial event loop. Kept only
+    /// because the benchmark package (`benchmark/src/layers.rs`) names
+    /// it.
+    pub fn with_host_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -294,13 +267,9 @@ impl<S> FiberCtx<S> for SimCtx<S> {
 }
 
 /// Execute `prog` on the simulated machine. Deterministic: identical
-/// programs produce identical reports — including across
-/// [`SimConfig::host_threads`] values. Untraced: every potential event
+/// programs produce identical reports. Untraced: every potential event
 /// costs one predictable branch.
-///
-/// Panics on [`SimError::Stalled`] (only reachable with a
-/// `host_watchdog`); use [`run_sim_checked`] to handle stalls as values.
-pub fn run_sim<S: Send>(prog: MachineProgram<S, SimCtx<S>>, cfg: SimConfig) -> SimReport<S> {
+pub fn run_sim<S>(prog: MachineProgram<S, SimCtx<S>>, cfg: SimConfig) -> SimReport<S> {
     run_sim_traced(prog, cfg, Arc::new(NullSink))
 }
 
@@ -310,28 +279,436 @@ pub fn run_sim<S: Send>(prog: MachineProgram<S, SimCtx<S>>, cfg: SimConfig) -> S
 /// recorded cycle-stamped as the simulation runs, then drained into
 /// [`SimReport::trace`]. Because recording never consults a clock and
 /// every event is tagged with the simulated node that caused it, the
-/// drained stream is byte-identical across runs of the same program —
-/// serial or sharded.
-pub fn run_sim_traced<S: Send>(
+/// drained stream is byte-identical across runs of the same program.
+pub fn run_sim_traced<S>(
     prog: MachineProgram<S, SimCtx<S>>,
     cfg: SimConfig,
     sink: Arc<dyn TraceSink>,
 ) -> SimReport<S> {
-    match crate::pdes::execute(prog, cfg, sink) {
-        Ok(report) => report,
-        Err(e) => panic!("simulation failed: {e}"),
+    let mut m = Machine::new(prog, cfg, sink);
+    m.seed();
+    while let Some(Reverse(HeapEv { key, ev })) = m.heap.pop() {
+        m.handle(key.time, ev);
+    }
+    m.finish()
+}
+
+/// Content-derived event ordering key: `(time, source node, per-source
+/// emission seq)`. Each node numbers its own emissions, so equal
+/// timestamps break ties by who emitted what, not by global push order.
+/// The pinned figure cycles and trace streams depend on this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
+    time: u64,
+    src: u32,
+    seq: u64,
+}
+
+enum Ev {
+    /// `op` is a dedup-filter operation id, present only in faulted runs.
+    SyncArrive {
+        node: usize,
+        slot: SlotId,
+        op: Option<u64>,
+    },
+    DataArrive {
+        node: usize,
+        from: usize,
+        key: u64,
+        value: Value,
+        slot: SlotId,
+        op: Option<u64>,
+    },
+    EuIdle {
+        node: usize,
+    },
+}
+
+struct HeapEv {
+    key: EventKey,
+    ev: Ev,
+}
+
+impl PartialEq for HeapEv {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for HeapEv {}
+impl PartialOrd for HeapEv {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEv {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
     }
 }
 
-/// [`run_sim_traced`] returning stall failures as typed values instead
-/// of panicking: a wedged shard under an armed
-/// [`SimConfig::host_watchdog`] yields [`SimError::Stalled`].
-pub fn run_sim_checked<S: Send>(
-    prog: MachineProgram<S, SimCtx<S>>,
+struct SimNode<S> {
+    state: S,
+    /// Fiber bodies by slot; a body is taken when its fiber fires, so a
+    /// `Some` left at the end of the run is an unfired fiber.
+    bodies: Vec<Option<FiberSpec<S, SimCtx<S>>>>,
+    counts: Vec<i64>,
+    mailbox: BTreeMap<u64, VecDeque<Value>>,
+    mem: MemModel,
+    ready: VecDeque<SlotId>,
+    eu_busy: bool,
+    out_link_free: u64,
+    stats: NodeStats,
+}
+
+/// Build the per-node runtime state from a program.
+fn build_nodes<S>(prog: MachineProgram<S, SimCtx<S>>, cfg: &SimConfig) -> Vec<SimNode<S>> {
+    let mut nodes = Vec::with_capacity(prog.num_nodes());
+    for nb in prog.nodes {
+        nodes.push(SimNode {
+            state: nb.state,
+            counts: nb.fibers.iter().map(|f| f.sync_count as i64).collect(),
+            bodies: nb.fibers.into_iter().map(Some).collect(),
+            mailbox: BTreeMap::new(),
+            mem: MemModel::new(cfg.mem),
+            ready: VecDeque::new(),
+            eu_busy: false,
+            out_link_free: 0,
+            stats: NodeStats::default(),
+        });
+    }
+    nodes
+}
+
+/// The whole simulated machine: every node, the event heap, and the
+/// per-source emission counters behind [`EventKey`].
+struct Machine<S> {
     cfg: SimConfig,
     sink: Arc<dyn TraceSink>,
-) -> Result<SimReport<S>, SimError> {
-    crate::pdes::execute(prog, cfg, sink)
+    tracing: bool,
+    faults: Option<FaultPlan>,
+    nodes: Vec<SimNode<S>>,
+    heap: BinaryHeap<Reverse<HeapEv>>,
+    emit_seq: Vec<u64>,
+    ops: OpCounts,
+    now: u64,
+}
+
+impl<S> Machine<S> {
+    fn new(prog: MachineProgram<S, SimCtx<S>>, cfg: SimConfig, sink: Arc<dyn TraceSink>) -> Self {
+        let nodes = build_nodes(prog, &cfg);
+        Machine {
+            cfg,
+            tracing: sink.enabled(),
+            sink,
+            faults: cfg.faults.filter(|f| !f.is_noop()).map(FaultPlan::new),
+            emit_seq: vec![0u64; nodes.len()],
+            nodes,
+            heap: BinaryHeap::new(),
+            ops: OpCounts::default(),
+            now: 0,
+        }
+    }
+
+    #[inline]
+    fn record(&self, ts: u64, node: usize, kind: TraceKind) {
+        if self.tracing {
+            self.sink.record(TraceEvent::new(ts, node as u32, kind));
+        }
+    }
+
+    /// Schedule an event emitted by node `src`, keyed by that node's
+    /// next emission number.
+    fn push(&mut self, src: usize, time: u64, ev: Ev) {
+        let seq = self.emit_seq[src];
+        self.emit_seq[src] += 1;
+        let key = EventKey {
+            time,
+            src: src as u32,
+            seq,
+        };
+        self.heap.push(Reverse(HeapEv { key, ev }));
+    }
+
+    /// Decide a message's fate and allocate its dedup-filter id (faulted
+    /// runs only — fault-free runs skip both).
+    fn message_fate(&self, src: usize, dst: usize, slot: SlotId) -> (MessageFault, Option<u64>) {
+        match &self.faults {
+            None => (MessageFault::Deliver, None),
+            Some(p) => (p.message_fault(src, dst, slot), Some(p.next_op_id())),
+        }
+    }
+
+    /// Extra arrival latency implied by a fault. Reorder is modeled as
+    /// one extra network hop: enough to land behind every same-batch
+    /// sibling without losing the message.
+    fn fault_delay_cycles(&self, fate: MessageFault) -> u64 {
+        match fate {
+            MessageFault::Delay { micros } => micros * (self.cfg.clock_hz / 1_000_000).max(1),
+            MessageFault::Reorder => self.cfg.net_latency_cycles + self.cfg.su_op_cycles,
+            _ => 0,
+        }
+    }
+
+    /// True when an arriving operation is a duplicate the SU's dedup
+    /// filter must swallow.
+    fn suppressed(&self, op: Option<u64>) -> bool {
+        match (&self.faults, op) {
+            (Some(p), Some(id)) => !p.first_delivery(id),
+            _ => false,
+        }
+    }
+
+    /// Decrement a slot; enqueue its fiber when it hits zero.
+    fn dec(&mut self, node: usize, slot: SlotId, t: u64) {
+        let n = &mut self.nodes[node];
+        let c = &mut n.counts[slot as usize];
+        *c -= 1;
+        if *c == 0 {
+            n.ready.push_back(slot);
+            self.try_start(node, t);
+        }
+    }
+
+    fn try_start(&mut self, node: usize, t: u64) {
+        let n = &mut self.nodes[node];
+        if n.eu_busy {
+            return;
+        }
+        if let Some(slot) = n.ready.pop_front() {
+            self.run_fiber(node, slot, t);
+        }
+    }
+
+    fn run_fiber(&mut self, node: usize, slot: SlotId, t: u64) {
+        let cfg = self.cfg;
+        let num_nodes = self.nodes.len();
+        let n = &mut self.nodes[node];
+        n.eu_busy = true;
+        let spec = n.bodies[slot as usize]
+            .take()
+            .expect("ready fiber has a body");
+        let mut ctx = SimCtx {
+            node,
+            num_nodes,
+            now: t,
+            charged: 0,
+            flop_cycles: cfg.flop_cycles,
+            mailbox: std::mem::take(&mut n.mailbox),
+            mem: std::mem::replace(&mut n.mem, MemModel::new(cfg.mem)),
+            ops: Vec::new(),
+            tracing: self.tracing,
+            tbuf: Vec::new(),
+            _state: PhantomData,
+        };
+        (spec.body)(&mut n.state, &mut ctx);
+        n.mailbox = ctx.mailbox;
+        n.mem = ctx.mem;
+        let exec = cfg.fiber_switch_cycles + ctx.charged;
+        let end = t + exec;
+        n.stats.busy_cycles += exec;
+        n.stats.fibers_fired += 1;
+        self.ops.fibers_fired += 1;
+        if self.tracing {
+            self.record(t, node, TraceKind::FiberFire { slot });
+            for (off, kind) in ctx.tbuf.drain(..) {
+                self.record(t + cfg.fiber_switch_cycles + off, node, kind);
+            }
+            self.record(end, node, TraceKind::FiberRetire { slot, exec });
+        }
+        self.push(node, end, Ev::EuIdle { node });
+        // Dispatch the fiber's split-phase operations at its end time.
+        for op in ctx.ops {
+            match op {
+                SimOp::Sync { node: dst, slot } => {
+                    self.ops.syncs += 1;
+                    self.record(
+                        end,
+                        node,
+                        TraceKind::Sync {
+                            to_node: dst as u32,
+                            slot,
+                        },
+                    );
+                    let (fate, op) = self.message_fate(node, dst, slot);
+                    if fate != MessageFault::Deliver {
+                        self.record(
+                            end,
+                            node,
+                            TraceKind::FaultInjected {
+                                kind: fault_kind(fate),
+                            },
+                        );
+                    }
+                    if fate == MessageFault::Drop {
+                        continue;
+                    }
+                    let arr = if dst == node {
+                        end + cfg.su_op_cycles
+                    } else {
+                        end + cfg.net_latency_cycles + cfg.su_op_cycles
+                    } + self.fault_delay_cycles(fate);
+                    let copies = if fate == MessageFault::Duplicate {
+                        2
+                    } else {
+                        1
+                    };
+                    for _ in 0..copies {
+                        self.push(
+                            node,
+                            arr,
+                            Ev::SyncArrive {
+                                node: dst,
+                                slot,
+                                op,
+                            },
+                        );
+                    }
+                }
+                SimOp::Data {
+                    node: dst,
+                    key,
+                    value,
+                    slot,
+                } => {
+                    self.ops.messages += 1;
+                    let bytes = value.bytes();
+                    self.ops.bytes += bytes;
+                    self.record(
+                        end,
+                        node,
+                        TraceKind::MsgSend {
+                            to_node: dst as u32,
+                            bytes,
+                        },
+                    );
+                    let (fate, op) = self.message_fate(node, dst, slot);
+                    if fate != MessageFault::Deliver {
+                        self.record(
+                            end,
+                            node,
+                            TraceKind::FaultInjected {
+                                kind: fault_kind(fate),
+                            },
+                        );
+                    }
+                    if fate == MessageFault::Drop {
+                        continue;
+                    }
+                    let arr = if dst == node {
+                        self.ops.local_messages += 1;
+                        end + cfg.su_op_cycles
+                    } else {
+                        let src = &mut self.nodes[node];
+                        let xfer = bytes.div_ceil(cfg.bytes_per_cycle.max(1));
+                        let start = end.max(src.out_link_free);
+                        src.out_link_free = start + xfer;
+                        src.stats.bytes_sent += bytes;
+                        start + xfer + cfg.net_latency_cycles + cfg.su_op_cycles
+                    } + self.fault_delay_cycles(fate);
+                    let copies = if fate == MessageFault::Duplicate {
+                        2
+                    } else {
+                        1
+                    };
+                    for _ in 0..copies {
+                        self.push(
+                            node,
+                            arr,
+                            Ev::DataArrive {
+                                node: dst,
+                                from: node,
+                                key,
+                                value: value.clone(),
+                                slot,
+                                op,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn handle(&mut self, t: u64, ev: Ev) {
+        self.now = t;
+        match ev {
+            Ev::SyncArrive { node, slot, op } => {
+                if self.suppressed(op) {
+                    return;
+                }
+                self.dec(node, slot, t)
+            }
+            Ev::DataArrive {
+                node,
+                from,
+                key,
+                value,
+                slot,
+                op,
+            } => {
+                if self.suppressed(op) {
+                    return;
+                }
+                self.record(
+                    t,
+                    node,
+                    TraceKind::MsgRecv {
+                        from_node: from as u32,
+                        bytes: value.bytes(),
+                    },
+                );
+                self.nodes[node]
+                    .mailbox
+                    .entry(key)
+                    .or_default()
+                    .push_back(value);
+                self.dec(node, slot, t);
+            }
+            Ev::EuIdle { node } => {
+                self.nodes[node].eu_busy = false;
+                self.try_start(node, t);
+            }
+        }
+    }
+
+    /// Fire every initially-ready fiber, in ascending node order.
+    fn seed(&mut self) {
+        for node in 0..self.nodes.len() {
+            let n = &mut self.nodes[node];
+            for (slot, &c) in n.counts.iter().enumerate() {
+                if c == 0 {
+                    n.ready.push_back(slot as SlotId);
+                }
+            }
+            self.try_start(node, 0);
+        }
+    }
+
+    fn finish(self) -> SimReport<S> {
+        let time_cycles = self.now;
+        let mut per_node = Vec::with_capacity(self.nodes.len());
+        let mut states = Vec::with_capacity(self.nodes.len());
+        let mut unfired = 0u64;
+        for mut n in self.nodes {
+            unfired += n.bodies.iter().filter(|b| b.is_some()).count() as u64;
+            n.stats.mem = n.mem.stats();
+            per_node.push(n.stats);
+            states.push(n.state);
+        }
+        SimReport {
+            states,
+            time_cycles,
+            seconds: self.cfg.seconds(time_cycles),
+            stats: RunStats {
+                ops: self.ops,
+                unfired_fibers: unfired,
+                total_cycles: time_cycles,
+                per_node,
+                faults: self.faults.as_ref().map(|p| p.counts()).unwrap_or_default(),
+            },
+            trace: self.sink.drain(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -687,5 +1064,38 @@ mod tests {
             .add_fiber(FiberSpec::new("never", 9, |_, _| {}));
         let r = run_sim(prog, cfg());
         assert_eq!(r.stats.unfired_fibers, 1);
+    }
+
+    #[test]
+    fn panicking_fiber_propagates() {
+        let mut prog: Prog<u64> = MachineProgram::new();
+        prog.add_node(0);
+        prog.add_node(0);
+        prog.node_mut(1)
+            .add_fiber(FiberSpec::ready("boom", |_s, _cx: &mut SimCtx<u64>| {
+                panic!("fiber body panicked on purpose");
+            }));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_sim(prog, cfg())));
+        assert!(r.is_err(), "the fiber's panic must reach the caller");
+    }
+
+    #[test]
+    fn empty_program_terminates() {
+        let mut prog: Prog<u64> = MachineProgram::new();
+        for _ in 0..4 {
+            prog.add_node(0);
+        }
+        let r = run_sim(prog, cfg());
+        assert_eq!(r.time_cycles, 0);
+        assert_eq!(r.states, vec![0; 4]);
+        assert_eq!(r.stats.per_node.len(), 4);
+    }
+
+    #[test]
+    fn with_host_threads_changes_nothing() {
+        let serial = run_sim(traced_pair(), cfg());
+        let named = run_sim(traced_pair(), cfg().with_host_threads(4));
+        assert_eq!(named.time_cycles, serial.time_cycles);
+        assert_eq!(named.stats, serial.stats);
     }
 }

@@ -17,16 +17,6 @@ pub struct OpCounts {
     pub local_messages: u64,
 }
 
-impl OpCounts {
-    pub fn merge(&mut self, o: &OpCounts) {
-        self.fibers_fired += o.fibers_fired;
-        self.syncs += o.syncs;
-        self.messages += o.messages;
-        self.bytes += o.bytes;
-        self.local_messages += o.local_messages;
-    }
-}
-
 /// Per-node statistics from a simulated run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
@@ -38,9 +28,8 @@ pub struct NodeStats {
     pub mem: MemStats,
 }
 
-/// Aggregate statistics for one run. Derives `PartialEq` so the
-/// serial-vs-parallel equivalence suites can assert byte-level equality
-/// of whole reports.
+/// Aggregate statistics for one run. Derives `PartialEq` so replay
+/// tests can assert byte-level equality of whole reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     pub ops: OpCounts,
@@ -83,20 +72,6 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds() {
-        let mut a = OpCounts {
-            fibers_fired: 1,
-            syncs: 2,
-            messages: 3,
-            bytes: 4,
-            local_messages: 5,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.fibers_fired, 2);
-        assert_eq!(a.local_messages, 10);
-    }
 
     #[test]
     fn utilization_uses_recorded_run_length() {

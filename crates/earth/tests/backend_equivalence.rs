@@ -10,10 +10,16 @@
 //! runs with one host thread (every node multiplexed on one event loop),
 //! two host threads, and the host default, so the multiplexed loop is
 //! exercised whatever the machine's core count.
+//!
+//! The same graphs, run twice on the simulator under a chaos fault plan
+//! (drops starve fibers, duplicates and delays reorder arrivals), must
+//! replay exactly: trace CSV, `RunStats` and states.
+
+use std::sync::Arc;
 
 use earth_model::native::{run_native_with, NativeConfig, NativeCtx};
-use earth_model::sim::{run_sim, SimConfig, SimCtx};
-use earth_model::{mailbox_key, FiberCtx, FiberSpec, MachineProgram};
+use earth_model::sim::{run_sim, run_sim_traced, SimConfig, SimCtx};
+use earth_model::{mailbox_key, FaultConfig, FiberCtx, FiberSpec, MachineProgram, RingSink};
 use harness::prop::{check, Config, Gen};
 use harness::prop_assert_eq;
 
@@ -138,10 +144,34 @@ fn native_and_sim_agree() {
             prop_assert_eq!(sim.stats.ops.fibers_fired, nat.stats.ops.fibers_fired);
             prop_assert_eq!(sim.stats.ops.messages, nat.stats.ops.messages);
             prop_assert_eq!(sim.stats.ops.syncs, nat.stats.ops.syncs);
+            prop_assert_eq!(sim.stats.ops.local_messages, nat.stats.ops.local_messages);
             prop_assert_eq!(nat.stats.unfired_fibers, 0u64);
         }
         Ok(())
     });
+}
+
+/// A fixed graph with self-addressed `data_sync`s: node 0's first fiber
+/// sends to a second fiber on node 0 and to one on node 1, and both
+/// forward to a third fiber on node 0. Of the four messages, two are
+/// local, and both backends count each of them once.
+#[test]
+fn self_addressed_data_sync_counts_as_local_on_both_backends() {
+    let layers = vec![vec![0], vec![0, 1], vec![0]];
+    let edges = vec![vec![(0, 0), (0, 1)], vec![(0, 0), (1, 0)]];
+    let sim = run_sim(
+        build::<SimCtx<State>>(&layers, &edges, 2),
+        SimConfig::default(),
+    );
+    let nat = run_native_with(
+        build::<NativeCtx<State>>(&layers, &edges, 2),
+        NativeConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(sim.states, nat.states);
+    assert_eq!(sim.stats.ops.messages, 4);
+    assert_eq!(sim.stats.ops.local_messages, 2);
+    assert_eq!(nat.stats.ops.local_messages, 2);
 }
 
 #[test]
@@ -159,4 +189,35 @@ fn sim_is_reproducible() {
         prop_assert_eq!(a.states, b.states);
         Ok(())
     });
+}
+
+/// Chaos plans drop and duplicate messages, so fibers can starve: the
+/// run still terminates, and a replay with the same seed starves the
+/// same fibers at the same cycles, event for event.
+#[test]
+fn sim_chaos_replay_is_deterministic() {
+    check(
+        "sim_chaos_replay_is_deterministic",
+        Config::cases(48),
+        |g| (scenario(g), g.u64_any()),
+        |(s, seed)| {
+            let run = || {
+                let cfg = SimConfig {
+                    faults: Some(FaultConfig::chaos(*seed)),
+                    ..SimConfig::default()
+                };
+                let sink = Arc::new(RingSink::new(s.procs, 1 << 12));
+                let prog = build::<SimCtx<State>>(&s.layers, &s.edges, s.procs);
+                let r = run_sim_traced(prog, cfg, sink);
+                (trace::events_to_csv(&r.trace), r)
+            };
+            let (csv_a, a) = run();
+            let (csv_b, b) = run();
+            prop_assert_eq!(csv_a, csv_b);
+            prop_assert_eq!(a.time_cycles, b.time_cycles);
+            prop_assert_eq!(&a.stats, &b.stats);
+            prop_assert_eq!(a.states, b.states);
+            Ok(())
+        },
+    );
 }

@@ -90,9 +90,8 @@ impl TraceConfig {
     /// processors: the requested capacity, clamped at ≥
     /// [`Self::BUDGET_NODE_THRESHOLD`] nodes so total retained events
     /// stay within [`Self::AGGREGATE_EVENT_BUDGET`] (with a
-    /// [`Self::MIN_RING_CAPACITY`] floor). Depends only on the node
-    /// count — never on `host_threads` — so the budget cannot break the
-    /// sim core's byte-determinism across thread counts.
+    /// [`Self::MIN_RING_CAPACITY`] floor). Depends only on the
+    /// requested capacity and the node count.
     pub fn budgeted_capacity(capacity: usize, nodes: usize) -> usize {
         if nodes < Self::BUDGET_NODE_THRESHOLD {
             return capacity;
@@ -170,16 +169,14 @@ impl ExecutionConfig {
 
     /// Apply a [`Tuning`] bundle. This is the one place every
     /// performance knob enters an engine: the bundle is stored whole,
-    /// and its `host_threads` cap is mirrored into both backend configs —
-    /// the native thread pool reads `native.host_threads`, and the
-    /// simulator's parallel event core reads `sim.host_threads`. Neither
-    /// changes *what* is computed (the sim core is byte-deterministic
-    /// across thread counts), only how fast.
+    /// and its `host_threads` cap is mirrored into
+    /// `native.host_threads`, the native thread pool's size. It changes
+    /// how fast, never *what* is computed; the simulator is one serial
+    /// event loop and has no thread knob.
     pub fn with_tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         if let Some(t) = tuning.host_threads {
             self.native.host_threads = Some(t);
-            self.sim.host_threads = t;
         }
         self
     }
@@ -279,7 +276,6 @@ mod tests {
         let cfg = ExecutionConfig::native(NativeConfig::default())
             .with_tuning(Tuning::auto().host_threads(3));
         assert_eq!(cfg.native.host_threads, Some(3));
-        assert_eq!(cfg.sim.host_threads, 3);
         assert_eq!(cfg.tuning.tile, TileChoice::Auto);
         // Without a cap, an existing native setting is left alone.
         let native = NativeConfig {

@@ -87,14 +87,11 @@ impl TileChoice {
 pub struct Tuning {
     /// Phase-local iteration tiling.
     pub tile: TileChoice,
-    /// Cap on host OS threads, for *both* backends (`None` = backend
-    /// default: one per hardware core on native, serial on the sim).
-    /// Mirrored into `NativeConfig::host_threads` and
-    /// `SimConfig::host_threads` by
-    /// [`ExecutionConfig::with_tuning`](crate::ExecutionConfig::with_tuning).
-    /// On the simulator this selects the conservative time-window
-    /// parallel core, which is byte-deterministic across thread counts —
-    /// an execute-time knob either way, so it stays out of
+    /// Cap on the native backend's host OS threads (`None` = one per
+    /// hardware core). Mirrored into `NativeConfig::host_threads` by
+    /// [`ExecutionConfig::with_tuning`](crate::ExecutionConfig::with_tuning);
+    /// the simulator is one serial event loop and ignores it. An
+    /// execute-time knob, so it stays out of
     /// [`Tuning::plan_fingerprint`].
     pub host_threads: Option<usize>,
 }
@@ -123,7 +120,7 @@ impl Tuning {
         self
     }
 
-    /// Cap the host thread pool (native node threads; sim event shards).
+    /// Cap the native backend's host thread pool.
     pub fn host_threads(mut self, threads: usize) -> Self {
         self.host_threads = Some(threads);
         self

@@ -237,8 +237,8 @@ struct NodeRing {
 }
 
 /// Per-node bounded ring buffers. Each node's events go to that node's
-/// own ring (one uncontended mutex per node — simulator shards and
-/// native threads each write only their own nodes' rings), so
+/// own ring (one uncontended mutex per node — native threads each
+/// write only their own nodes' rings), so
 /// recording is lock-cheap. When a ring is full the **oldest** event is
 /// overwritten and counted in [`RingSink::dropped`].
 pub struct RingSink {
