@@ -28,9 +28,10 @@
 #                    # (with exact compile-cache accounting), and a CLI
 #                    # smoke over the checked-in fixtures
 #   ./ci.sh sim      # EARTH backends: the sim ≡ native equivalence and
-#                    # sim chaos-replay suite (3 fixed seeds + one
-#                    # randomized pass), then the SPSC lane stress in
-#                    # release, under the hard timeout
+#                    # sim chaos-replay suite and the memsim cache
+#                    # against its stamp-LRU reference (3 fixed seeds +
+#                    # one randomized pass each), then the SPSC lane
+#                    # stress in release, under the hard timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -231,17 +232,23 @@ sim() {
     # trace CSV, RunStats and states). It runs on three fixed base seeds
     # for deterministic replay, then one randomized pass to keep
     # widening coverage (its seed prints on failure for replay via
-    # PROP_SEED). spsc_stress runs in release, where memory-ordering
+    # PROP_SEED). The memsim differential property checks the
+    # recency-ordered cache the sim charges memory through against the
+    # stamp-LRU reference kept in its unit tests, access by access, on
+    # the same seeds. spsc_stress runs in release, where memory-ordering
     # bugs in the lock-free lanes show.
     for seed in 1 2 3; do
         echo "== backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
+        echo "== memsim cache vs stamp LRU (PROP_BASE_SEED=$seed) =="
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
     done
 
     echo "== backend equivalence (randomized pass) =="
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test backend_equivalence
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
 
     echo "== SPSC lane stress (release) =="
     run_tests cargo test -q --release -p earth-model --test spsc_stress

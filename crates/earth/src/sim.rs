@@ -155,7 +155,7 @@ pub fn render_gantt(trace: &[TraceEvent], num_nodes: usize, total: u64, width: u
 
 /// The [`FiberCtx`] implementation for the simulator.
 ///
-/// Owned pieces of the executing node (mailbox, memory model) are swapped
+/// Owned pieces of the executing node (mailbox, memory model) are moved
 /// in for the duration of one fiber execution so the context type carries
 /// no lifetimes. The mailbox is a `BTreeMap` so every per-node state walk
 /// is in sorted key order — no iteration-order nondeterminism can leak
@@ -353,7 +353,8 @@ struct SimNode<S> {
     bodies: Vec<Option<FiberSpec<S, SimCtx<S>>>>,
     counts: Vec<i64>,
     mailbox: BTreeMap<u64, VecDeque<Value>>,
-    mem: MemModel,
+    /// Moved into the [`SimCtx`] while one of the node's fibers runs.
+    mem: Option<MemModel>,
     ready: VecDeque<SlotId>,
     eu_busy: bool,
     out_link_free: u64,
@@ -369,7 +370,7 @@ fn build_nodes<S>(prog: MachineProgram<S, SimCtx<S>>, cfg: &SimConfig) -> Vec<Si
             counts: nb.fibers.iter().map(|f| f.sync_count as i64).collect(),
             bodies: nb.fibers.into_iter().map(Some).collect(),
             mailbox: BTreeMap::new(),
-            mem: MemModel::new(cfg.mem),
+            mem: Some(MemModel::new(cfg.mem)),
             ready: VecDeque::new(),
             eu_busy: false,
             out_link_free: 0,
@@ -494,7 +495,7 @@ impl<S> Machine<S> {
             charged: 0,
             flop_cycles: cfg.flop_cycles,
             mailbox: std::mem::take(&mut n.mailbox),
-            mem: std::mem::replace(&mut n.mem, MemModel::new(cfg.mem)),
+            mem: n.mem.take().expect("an idle node holds its memory"),
             ops: Vec::new(),
             tracing: self.tracing,
             tbuf: Vec::new(),
@@ -502,7 +503,7 @@ impl<S> Machine<S> {
         };
         (spec.body)(&mut n.state, &mut ctx);
         n.mailbox = ctx.mailbox;
-        n.mem = ctx.mem;
+        n.mem = Some(ctx.mem);
         let exec = cfg.fiber_switch_cycles + ctx.charged;
         let end = t + exec;
         n.stats.busy_cycles += exec;
@@ -691,7 +692,7 @@ impl<S> Machine<S> {
         let mut unfired = 0u64;
         for mut n in self.nodes {
             unfired += n.bodies.iter().filter(|b| b.is_some()).count() as u64;
-            n.stats.mem = n.mem.stats();
+            n.stats.mem = n.mem.expect("no fiber is running").stats();
             per_node.push(n.stats);
             states.push(n.state);
         }

@@ -938,6 +938,7 @@ fn loops<K: EdgeKernel, M: Meter>(
     let edge_reads = kernel.edge_reads_per_iter();
     let node_reads = kernel.node_reads_per_elem();
     let flops = kernel.flops_per_iter();
+    let read_stride = n_read.max(1);
 
     // Loop 1: compute contributions and scatter them into the resident
     // portion or the buffer extension.
@@ -947,11 +948,9 @@ fn loops<K: EdgeKernel, M: Meter>(
         let e = &elems[j * m..(j + 1) * m];
         for (r, &el) in e.iter().enumerate() {
             meter.load(regs.elems.addr(pos * m + r));
-            for w in 0..node_reads {
-                meter.load(
-                    regs.read
-                        .addr(el as usize * n_read.max(1) + w % n_read.max(1)),
-                );
+            let row = el as usize * read_stride;
+            for w in (0..read_stride).cycle().take(node_reads) {
+                meter.load(regs.read.addr(row + w));
             }
         }
         for w in 0..edge_reads {

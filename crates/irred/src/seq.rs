@@ -135,8 +135,9 @@ fn seq_reduction_inner<K: EdgeKernel>(
                 }
                 if n_read > 0 {
                     for &el in &elems {
-                        for w in 0..node_reads {
-                            meter.load(read_reg.addr(el as usize * n_read + w % n_read));
+                        let row = el as usize * n_read;
+                        for w in (0..n_read).cycle().take(node_reads) {
+                            meter.load(read_reg.addr(row + w));
                         }
                     }
                 }

@@ -49,21 +49,15 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone timestamp of last touch, for LRU.
-    stamp: u64,
-}
+/// A way's packed entry: `tag << 1 | DIRTY`.
+const DIRTY: u64 = 1;
 
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    stamp: 0,
-};
+/// An invalid way: clean, so evicting it costs no write-back, and with a
+/// tag field no address reaches, since `new` requires lines of at least
+/// 4 bytes and tags and line addresses therefore stay below `2^62`.
+const EMPTY: u64 = !DIRTY;
+/// `last_line` before the first access after construction or a flush.
+const NO_LINE: u64 = u64::MAX;
 
 /// Result of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,33 +68,54 @@ pub struct AccessResult {
 }
 
 /// A set-associative cache simulated per access.
+///
+/// Each set keeps its ways in recency order, most recent first: a hit
+/// moves its way to the front and a miss evicts the last way. This is
+/// exactly LRU with "fill an invalid way first". Ways only become
+/// invalid all at once (a flush), and a miss shifts the whole set back
+/// by one, so the invalid ways of a set always sit at its back: a miss
+/// in a set that is not full evicts an invalid way, and one in a full
+/// set evicts the least recently touched line. Which physical way a
+/// line would occupy is not observable through `access`,
+/// `valid_lines` or the write-back flags.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
-    set_shift: u32,
+    /// `sets × ways` packed entries; set `s` is `ways[s·w .. (s+1)·w]`.
+    ways: Vec<u64>,
+    line_shift: u32,
     set_mask: u64,
-    clock: u64,
+    /// `line_shift` plus the set-index bits.
+    tag_shift: u32,
+    /// Line address of the previous access, and the index of the front
+    /// way of its set, where that line now sits. About half the
+    /// simulator's accesses touch the line the access before did.
+    last_line: u64,
+    last_front: usize,
 }
 
 impl Cache {
     /// Build a cache; panics if the geometry is degenerate (zero sets,
-    /// non-power-of-two line size).
+    /// non-power-of-two line size, lines under 4 bytes).
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.line.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(cfg.line >= 4, "line size must be at least 4 bytes");
         assert!(cfg.ways >= 1, "need at least one way");
         let sets = cfg.sets();
         assert!(sets >= 1, "geometry implies zero sets");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let line_shift = cfg.line.trailing_zeros();
         Cache {
             cfg,
-            lines: vec![INVALID; sets * cfg.ways],
-            set_shift: cfg.line.trailing_zeros(),
+            ways: vec![EMPTY; sets * cfg.ways],
+            line_shift,
             set_mask: (sets - 1) as u64,
-            clock: 0,
+            tag_shift: line_shift + sets.trailing_zeros(),
+            last_line: NO_LINE,
+            last_front: 0,
         }
     }
 
@@ -110,64 +125,48 @@ impl Cache {
 
     /// Simulate one access; returns hit/miss and whether a dirty line was
     /// evicted.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
-        self.clock += 1;
-        let line_addr = addr >> self.set_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let base = set * self.cfg.ways;
-        let ways = &mut self.lines[base..base + self.cfg.ways];
-
-        // Hit?
-        for l in ways.iter_mut() {
-            if l.valid && l.tag == tag {
-                l.stamp = self.clock;
-                if kind == AccessKind::Write {
-                    l.dirty = true;
-                }
-                return AccessResult {
-                    hit: true,
-                    writeback: false,
-                };
-            }
+        let dirty = u64::from(kind == AccessKind::Write);
+        let line = addr >> self.line_shift;
+        if line == self.last_line {
+            self.ways[self.last_front] |= dirty;
+            return AccessResult {
+                hit: true,
+                writeback: false,
+            };
         }
-
-        // Miss: choose victim (invalid first, else LRU).
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        for (i, l) in ways.iter().enumerate() {
-            if !l.valid {
-                victim = i;
-                break;
-            }
-            if l.stamp < best {
-                best = l.stamp;
-                victim = i;
-            }
-        }
-        let writeback = ways[victim].valid && ways[victim].dirty;
-        ways[victim] = Line {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            stamp: self.clock,
+        let w = self.cfg.ways;
+        let front = (line & self.set_mask) as usize * w;
+        self.last_line = line;
+        self.last_front = front;
+        let set = &mut self.ways[front..front + w];
+        let tag = addr >> self.tag_shift;
+        let hit = set.iter().position(|&e| e >> 1 == tag);
+        // A hit rotates its own way to the front; a miss rotates the
+        // last way out.
+        let (end, mut carry) = match hit {
+            Some(i) => (i, set[i] | dirty),
+            None => (w - 1, tag << 1 | dirty),
         };
+        for e in &mut set[..=end] {
+            carry = std::mem::replace(e, carry);
+        }
         AccessResult {
-            hit: false,
-            writeback,
+            hit: hit.is_some(),
+            writeback: hit.is_none() && carry & DIRTY != 0,
         }
     }
 
     /// Invalidate the whole cache (e.g., between independent experiments).
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = INVALID;
-        }
+        self.ways.fill(EMPTY);
+        self.last_line = NO_LINE;
     }
 
     /// Number of currently valid lines (for tests / introspection).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.ways.iter().filter(|&&e| e != EMPTY).count()
     }
 }
 

@@ -32,6 +32,8 @@ pub mod address;
 pub mod analytic;
 pub mod cache;
 pub mod model;
+#[cfg(test)]
+mod stamp_lru;
 pub mod tile;
 
 pub use address::{AddressMap, Region};
