@@ -28,10 +28,12 @@
 #                    # (with exact compile-cache accounting), and a CLI
 #                    # smoke over the checked-in fixtures
 #   ./ci.sh sim      # EARTH backends: the sim ≡ native equivalence and
-#                    # sim chaos-replay suite and the memsim cache
-#                    # against its stamp-LRU reference (3 fixed seeds +
-#                    # one randomized pass each), then the SPSC lane
-#                    # stress in release, under the hard timeout
+#                    # sim chaos-replay suite, the ring programs
+#                    # (phased and gather) sim ≡ native, also under
+#                    # lossless faults, and the memsim cache against its
+#                    # stamp-LRU reference (3 fixed seeds + one
+#                    # randomized pass each), then the SPSC lane stress
+#                    # in release, under the hard timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -224,13 +226,17 @@ compiler() {
 }
 
 sim() {
-    # EARTH backends: sim ≡ native, plus lane stress.
+    # EARTH backends and the ring programs on them: sim ≡ native, plus
+    # lane stress.
     # backend_equivalence checks the native backend against the sim on
     # random fiber graphs (states and op counts, local messages
     # included), with the native side at host_threads 1, 2 and the host
     # default, and replays the sim under chaos fault plans (identical
-    # trace CSV, RunStats and states). It runs on three fixed base seeds
-    # for deterministic replay, then one randomized pass to keep
+    # trace CSV, RunStats and states). cross_backend runs both ring
+    # programs — phased (euler, moldyn, weighted pairs) and gather (mvm)
+    # — on both backends and requires the same values, with the native
+    # side also under lossless fault plans. Both run on three fixed base
+    # seeds for deterministic replay, then one randomized pass to keep
     # widening coverage (its seed prints on failure for replay via
     # PROP_SEED). The memsim differential property checks the
     # recency-ordered cache the sim charges memory through against the
@@ -240,6 +246,8 @@ sim() {
     for seed in 1 2 3; do
         echo "== backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
+        echo "== ring programs sim ≡ native (PROP_BASE_SEED=$seed) =="
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test cross_backend
         echo "== memsim cache vs stamp LRU (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
     done
@@ -248,6 +256,7 @@ sim() {
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test backend_equivalence
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test cross_backend
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
 
     echo "== SPSC lane stress (release) =="

@@ -423,9 +423,9 @@ pub struct NativeCtx<S> {
     num_nodes: usize,
     shared: Arc<Shared>,
     ops: Vec<PendingOp>,
-    /// Events the fiber body emitted; flushed (timestamped) when the
-    /// fiber retires, like split-phase ops.
-    tbuf: Vec<TraceKind>,
+    /// Events the fiber body emitted, stamped when emitted; flushed to
+    /// the sink when the fiber retires, like split-phase ops.
+    tbuf: Vec<(u64, TraceKind)>,
     /// The node's mailbox, on loan while a fiber body runs.
     inbox: HashMap<u64, VecDeque<Value>>,
     _state: PhantomData<fn(&mut S)>,
@@ -459,7 +459,7 @@ impl<S: Send + 'static> FiberCtx<S> for NativeCtx<S> {
 
     fn trace(&mut self, kind: TraceKind) {
         if self.shared.tracing {
-            self.tbuf.push(kind);
+            self.tbuf.push((self.shared.now(), kind));
         }
     }
 
@@ -1087,8 +1087,8 @@ pub fn run_native_traced<S: Send + 'static>(
                         node as u32,
                         TraceKind::FiberFire { slot: idx },
                     ));
-                    for kind in ctx.tbuf.drain(..) {
-                        shared.sink.record(TraceEvent::new(end, node as u32, kind));
+                    for (ts, kind) in ctx.tbuf.drain(..) {
+                        shared.sink.record(TraceEvent::new(ts, node as u32, kind));
                     }
                     shared.sink.record(TraceEvent::new(
                         end,

@@ -38,7 +38,9 @@ use earth_model::{
 use memsim::{AddressMap, Region};
 
 use crate::config::ExecutionConfig;
-use crate::engine::{validate_phased_spec, EngineError, Provenance, ReductionEngine, RunOutcome};
+use crate::engine::{
+    check_sim_fired, validate_phased_spec, EngineError, Provenance, ReductionEngine, RunOutcome,
+};
 use crate::kernel::EdgeKernel;
 use crate::phased::PhasedSpec;
 use crate::prepared::{PhaseCosts, PlanToken, Workspace};
@@ -574,7 +576,7 @@ impl<K: EdgeKernel> ReductionEngine<PhasedSpec<K>> for IeEngine {
         let prog = prepared.template.instantiate(nodes);
         let sink = self.cfg.trace.make_sink(prepared.node_plans.len());
         let report = run_sim_traced(prog, self.cfg.sim, Arc::clone(&sink));
-        assert_eq!(report.stats.unfired_fibers, 0);
+        check_sim_fired(&report.stats)?;
         let values = prepared.finish(report.states, ws);
         let mut out = RunOutcome {
             values,

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use earth_model::native::RunError;
+use earth_model::native::{RunError, StallDump, StallReason};
 use earth_model::RunStats;
 use lightinspector::{InspectError, PlanError};
 use trace::{MetricsRegistry, Timeline, TraceEvent, TraceKind, TraceSink, RUN_NODE};
@@ -360,6 +360,25 @@ pub fn validate_gather_x(
         });
     }
     Ok(())
+}
+
+/// A simulated run that went quiescent with fibers still armed — some
+/// sync they waited for never arrived, e.g. because a fault plan dropped
+/// the message — is the native backend's starved stall, with the unfired
+/// fibers as the outstanding count. The simulator keeps no per-slot
+/// record, so the dump is empty. Programs that fire every fiber (the
+/// ring programs, the inspector/executor baseline) check every sim run
+/// with this instead of returning a silently short result.
+pub(crate) fn check_sim_fired(stats: &RunStats) -> Result<(), EngineError> {
+    if stats.unfired_fibers == 0 {
+        return Ok(());
+    }
+    Err(EngineError::Run(RunError::Stalled {
+        reason: StallReason::Starved,
+        waited: Duration::ZERO,
+        outstanding: stats.unfired_fibers as i64,
+        dump: StallDump { nodes: Vec::new() },
+    }))
 }
 
 /// The fault plan a given retry rung runs under: attempt 0 keeps the

@@ -13,6 +13,13 @@
 //! per nonzero (its column), which is always resident in its phase: the
 //! schedule has no buffer and no second loop.
 //!
+//! Because only the array that rotates differs, this module supplies
+//! just the gather program's hooks — zero `y` at sweep start, receive
+//! the resident `x` portion, the gather-accumulate loop, forward `x`
+//! (immutable, so data flows every hop) — and runs through the same
+//! ring driver as [`crate::phased`]: one template, one execute path,
+//! one recovery ladder (falling back to a plain sequential SpMV).
+//!
 //! The phase bucketing depends only on the matrix structure, so a
 //! [`PreparedGather`] is reused across input vectors: a CG iteration
 //! swaps in the next `x` with [`PreparedGather::set_x`] and re-executes
@@ -21,27 +28,19 @@
 
 use std::sync::Arc;
 
-use earth_model::native::{run_native_traced, NativeConfig, NativeCtx};
-use earth_model::sim::{run_sim_traced, SimConfig, SimCtx};
-use earth_model::{
-    mailbox_key, FiberCtx, FiberTemplate, Meter, NullMeter, ProgramTemplate, SlotId, TraceSink,
-    Value,
-};
+use earth_model::{FiberCtx, Meter, NullMeter};
 use lightinspector::{inspect, FlatPlan, InspectorInput, PhaseGeometry};
-use memsim::{AddressMap, Region, StreamModel};
-use trace::TraceKind;
+use memsim::{AddressMap, Region};
 use workloads::{distribute, SparseMatrix};
 
-use crate::config::{BackendKind, ExecutionConfig};
 use crate::engine::{
-    attempt_faults, run_recovery_ladder, validate_gather_spec, validate_gather_x, EngineError,
-    Provenance, RecoveryPolicy, ReductionEngine, RunOutcome,
+    validate_gather_spec, validate_gather_x, EngineError, ReductionEngine, RunOutcome,
 };
-use crate::phased::fan_out;
-use crate::prepared::{PhaseCosts, PlanToken, Workspace};
+use crate::prepared::Workspace;
+use crate::ring::{
+    fan_out, recv_portion, Assembled, NodeOf, Phase, PreparedRing, RingEngine, RingProgram,
+};
 use crate::strategy::StrategyConfig;
-
-const TAG_XPORT: u32 = 3;
 
 /// Problem description for the gather-rotation executor.
 #[derive(Clone)]
@@ -63,7 +62,6 @@ struct NodeRegions {
 /// nonzeros and the cache-model regions. Depends on the matrix and the
 /// strategy only — never on the vector contents.
 struct GatherNodePlan {
-    geometry: PhaseGeometry,
     /// Rows owned by this node (global ids, ascending).
     rows: Vec<u32>,
     /// The node's nonzeros in schedule order (phase `p` occupies
@@ -117,7 +115,6 @@ impl GatherNodePlan {
         };
 
         Ok(GatherNodePlan {
-            geometry,
             rows,
             nz_rows,
             vals,
@@ -150,339 +147,58 @@ impl GatherNodePlan {
 /// Node state for the gather executor: the shared plan plus this
 /// execute's mutable buffers.
 pub struct GatherNode {
-    proc: usize,
-    sweeps: usize,
     data: Arc<GatherNodePlan>,
     /// Local copy of x (portions become valid as they arrive).
     x: Vec<f64>,
     /// Local y block, indexed like `data.rows`.
     y: Vec<f64>,
-    /// Recycled portion-payload buffers (see the phased executor): the
-    /// boxes received from the ring predecessor are reused for our own
-    /// forwards, so the steady state allocates nothing per message.
-    pool: Vec<Box<[f64]>>,
-    phase_cost: Vec<Option<u64>>,
-    stream: StreamModel,
 }
 
-/// Most pooled payload buffers a node retains.
-const MAX_NODE_POOL: usize = 32;
-
-fn slot_of(abs: usize) -> SlotId {
-    abs as SlotId
-}
-
-impl GatherNode {
-    fn run_phase<C: FiberCtx<Self>>(s: &mut Self, t: usize, p: usize, ctx: &mut C) {
-        let g = s.data.geometry;
-        let kp = g.num_phases();
-        let k = g.k();
-        let portion = g.portion_owned_by(s.proc, p);
-        let range = g.portion_range(portion);
-        let abs = t * kp + p;
-        let tracing = ctx.trace_enabled();
-        if tracing {
-            ctx.trace(TraceKind::PhaseEnter {
-                sweep: t as u32,
-                phase: p as u32,
-            });
-            ctx.trace(TraceKind::CopyEnter {
-                sweep: t as u32,
-                phase: p as u32,
-            });
-        }
-
-        // Zero y at each sweep start.
-        if p == 0 {
-            s.y.fill(0.0);
-            if ctx.is_sim() && !s.y.is_empty() {
-                ctx.charge(s.stream.stream(s.y.len() as u64, 8));
-            }
-        }
-
-        // Receive the resident x portion (except the initially-held ones).
-        if !(range.is_empty() || (t == 0 && p < k)) {
-            let payload = ctx
-                .recv(mailbox_key(TAG_XPORT, abs as u32))
-                .expect("x portion must have arrived");
-            let vals = payload.expect_f64s();
-            // SU-deposited (split-phase block move): no EU copy charge;
-            // first-touch misses are paid by the metered loop.
-            s.x[range.clone()].copy_from_slice(vals);
-            // Recycle the payload buffer for our own forwards.
-            if let Value::F64s(b) = payload {
-                if s.pool.len() < MAX_NODE_POOL {
-                    s.pool.push(b);
-                }
-            }
-        }
-        if tracing {
-            ctx.trace(TraceKind::CopyExit {
-                sweep: t as u32,
-                phase: p as u32,
-            });
-        }
-
-        // The gather-accumulate loop. Sweep 0 runs on a cold cache; the
-        // steady-state cost is measured on sweep 1 and replayed after.
-        if ctx.is_sim() {
-            match s.phase_cost[p] {
-                Some(c) => {
-                    s.exec_loop(p, &mut NullMeter);
-                    ctx.charge(c);
-                }
-                None => {
-                    let before = ctx.charged();
-                    let mut meter = earth_model::program::CtxMeter::<Self, C>::new(ctx);
-                    s.exec_loop(p, &mut meter);
-                    let cost = ctx.charged() - before;
-                    if t > 0 || s.sweeps == 1 {
-                        s.phase_cost[p] = Some(cost);
-                    }
-                }
-            }
-        } else {
-            s.exec_loop(p, &mut NullMeter);
-        }
-
-        // Forward the portion (x is immutable, so data flows every hop).
-        let next_abs = abs + k;
-        if next_abs < s.sweeps * kp {
-            let dest = g.next_owner(s.proc);
-            if tracing {
-                ctx.trace(TraceKind::PortionRotate {
-                    portion: portion as u32,
-                    to_node: dest as u32,
-                });
-            }
-            if range.is_empty() {
-                ctx.sync(dest, slot_of(next_abs));
-            } else {
-                // One contiguous copy into a recycled exact-length buffer
-                // (portion sizes take at most two distinct values).
-                let need = range.len();
-                let mut payload = match s.pool.iter().position(|b| b.len() == need) {
-                    Some(i) => s.pool.swap_remove(i),
-                    None => vec![0.0f64; need].into_boxed_slice(),
-                };
-                payload.copy_from_slice(&s.x[range.clone()]);
-                ctx.data_sync(
-                    dest,
-                    mailbox_key(TAG_XPORT, next_abs as u32),
-                    Value::F64s(payload),
-                    slot_of(next_abs),
-                );
-            }
-        }
-
-        // Chain to the next phase on this node.
-        if abs + 1 < s.sweeps * kp {
-            ctx.sync(s.proc, slot_of(abs + 1));
-        }
-        if tracing {
-            ctx.trace(TraceKind::PhaseExit {
-                sweep: t as u32,
-                phase: p as u32,
-            });
-        }
-    }
-
-    fn exec_loop<M: Meter>(&mut self, p: usize, meter: &mut M) {
-        self.data.gather_phase(p, &self.x, &mut self.y, meter);
-    }
-}
-
-enum GatherTemplate {
-    Sim(ProgramTemplate<GatherNode, SimCtx<GatherNode>>),
-    Native(ProgramTemplate<GatherNode, NativeCtx<GatherNode>>),
-}
-
-fn build_template<C: FiberCtx<GatherNode> + 'static>(
-    strat: &StrategyConfig,
-) -> ProgramTemplate<GatherNode, C> {
-    let kp = strat.phases_per_sweep();
-    let mut tmpl = ProgramTemplate::new();
-    for _proc in 0..strat.procs {
-        let id = tmpl.add_node();
-        for t in 0..strat.sweeps {
-            for p in 0..kp {
-                let mut count = 0u32;
-                if !(t == 0 && p == 0) {
-                    count += 1; // chain
-                }
-                if !(t == 0 && p < strat.k) {
-                    count += 1; // portion arrival
-                }
-                tmpl.node_mut(id).add_fiber(FiberTemplate::new(
-                    "mvm-phase",
-                    count,
-                    move |s: &mut GatherNode, ctx: &mut C| {
-                        GatherNode::run_phase(s, t, p, ctx);
-                    },
-                ));
-            }
-        }
-    }
-    tmpl
-}
-
-/// A fully prepared gather run: validated matrix, phase-bucketed
-/// nonzeros per node, and the EARTH program template. The input vector
-/// is *state* of the prepared run — swap it per execute with
-/// [`Self::set_x`] (a CG iteration does exactly this) without touching
-/// the plan.
-pub struct PreparedGather {
+/// The gather program as the ring driver runs it: the matrix, the
+/// phase-bucketed nonzeros per node, and the vector the next execute
+/// multiplies by. The public face is [`PreparedGather`].
+pub struct GatherProgram {
     matrix: Arc<SparseMatrix>,
-    strat: StrategyConfig,
     /// The vector the next execute multiplies by.
     x_current: Vec<f64>,
     node_data: Vec<Arc<GatherNodePlan>>,
-    mem_cfg: memsim::MemConfig,
-    template: GatherTemplate,
-    token: PlanToken,
-    executions: u64,
 }
 
-impl std::fmt::Debug for PreparedGather {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedGather")
-            .field("strat", &self.strat)
-            .field("token", &self.token)
-            .field("executions", &self.executions)
-            .finish_non_exhaustive()
-    }
-}
+impl RingProgram for GatherProgram {
+    type Node = GatherNode;
+    const ENGINE: &'static str = "gather";
+    const FIBER: &'static str = "mvm-phase";
+    const TAG: u32 = 3;
 
-impl PreparedGather {
-    fn new(
-        spec: &GatherSpec,
-        strat: &StrategyConfig,
-        cfg: &ExecutionConfig,
-    ) -> Result<Self, EngineError> {
-        validate_gather_spec(&spec.matrix, spec.x.len())?;
-        // ncols < k·P is legal: trailing x portions are empty and those
-        // phases degenerate to bare synchronization.
-        let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.matrix.ncols)?;
-        let rows = distribute(spec.matrix.nrows, strat.procs, strat.distribution);
-        // Per-node phase bucketing only reads the shared matrix, so it
-        // fans out like the phased executor's prepare, merged in
-        // processor order.
-        let node_data = fan_out(rows, |proc, proc_rows| {
-            GatherNodePlan::new(&spec.matrix, geometry, proc, proc_rows).map(Arc::new)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let (mem_cfg, template) = match cfg.backend {
-            BackendKind::Sim => (cfg.sim.mem, GatherTemplate::Sim(build_template(strat))),
-            BackendKind::Native => (
-                memsim::MemConfig::i860xp(),
-                GatherTemplate::Native(build_template(strat)),
-            ),
-        };
-        Ok(PreparedGather {
-            matrix: Arc::clone(&spec.matrix),
-            strat: *strat,
-            x_current: spec.x.as_ref().clone(),
-            node_data,
-            mem_cfg,
-            template,
-            token: PlanToken::fresh(),
-            executions: 0,
-        })
-    }
-
-    /// Replace the input vector for subsequent executes. The plan (and
-    /// any cached phase costs — the access *pattern* is unchanged) stays
-    /// valid.
-    pub fn set_x(&mut self, x: &[f64]) -> Result<(), EngineError> {
-        validate_gather_x(&self.matrix, x.len())?;
-        self.x_current.copy_from_slice(x);
-        Ok(())
-    }
-
-    /// The vector the next execute will multiply by.
-    pub fn x(&self) -> &[f64] {
-        &self.x_current
-    }
-
-    pub fn strategy(&self) -> &StrategyConfig {
-        &self.strat
-    }
-
-    pub fn token(&self) -> PlanToken {
-        self.token
-    }
-
-    pub fn executions(&self) -> u64 {
-        self.executions
-    }
-
-    fn make_nodes(&self, ws: &mut Workspace, sim: bool) -> Vec<GatherNode> {
-        let kp = self.strat.phases_per_sweep();
-        let cached = if sim {
-            ws.costs_for(self.token).cloned()
-        } else {
-            None
-        };
-        (0..self.strat.procs)
-            .map(|proc| {
-                let data = Arc::clone(&self.node_data[proc]);
+    fn make_nodes(&self, ws: &mut Workspace, _sim: bool) -> Vec<GatherNode> {
+        self.node_data
+            .iter()
+            .map(|data| {
                 let mut x = ws.take_buffer(self.matrix.ncols);
                 x.copy_from_slice(&self.x_current);
-                let y = ws.take_buffer(data.rows.len());
-                let phase_cost = cached
-                    .as_ref()
-                    .and_then(|c| c.get(proc).cloned())
-                    .unwrap_or_else(|| vec![None; kp]);
                 GatherNode {
-                    proc,
-                    sweeps: self.strat.sweeps,
-                    data,
+                    data: Arc::clone(data),
                     x,
-                    y,
-                    pool: Vec::new(),
-                    phase_cost,
-                    stream: StreamModel::new(self.mem_cfg),
+                    y: ws.take_buffer(data.rows.len()),
                 }
             })
             .collect()
     }
 
-    /// Collect the global y, return buffers to the pool, and (for
-    /// simulated runs) harvest measured phase costs.
-    fn finish(&self, nodes: Vec<GatherNode>, ws: &mut Workspace, sim: bool) -> Vec<f64> {
+    fn finish(&self, nodes: Vec<GatherNode>, ws: &mut Workspace) -> Assembled {
         let mut y = vec![0.0f64; self.matrix.nrows];
-        let mut harvest: PhaseCosts = Vec::with_capacity(if sim { nodes.len() } else { 0 });
         for node in nodes {
             for (lr, &r) in node.data.rows.iter().enumerate() {
                 y[r as usize] = node.y[lr];
             }
-            if sim {
-                harvest.push(node.phase_cost);
-            }
             ws.put_buffer(node.x);
             ws.put_buffer(node.y);
-            for b in node.pool {
-                ws.put_buffer(b.into_vec());
-            }
         }
-        if sim {
-            ws.store_costs(self.token, harvest);
-        }
-        y
+        (vec![y], Vec::new())
     }
 
-    fn provenance(&self, backend: &'static str, reused: bool) -> Provenance {
-        Provenance {
-            engine: "gather",
-            backend,
-            reused_plan: reused,
-            executions: self.executions,
-        }
-    }
-
-    /// Sequential fallback: plain SpMV with the current vector.
-    fn seq_fallback(&self) -> RunOutcome {
+    /// Plain SpMV with the current vector.
+    fn seq_fallback(&self, _sweeps: usize) -> RunOutcome {
         let mut y = vec![0.0; self.matrix.nrows];
         self.matrix.spmv(&self.x_current, &mut y);
         RunOutcome {
@@ -491,126 +207,67 @@ impl PreparedGather {
         }
     }
 
-    fn execute(
-        &mut self,
-        cfg: &ExecutionConfig,
-        ws: &mut Workspace,
-    ) -> Result<RunOutcome, EngineError> {
-        let reused = self.executions > 0;
-        self.executions += 1;
-        let sink = cfg.trace.make_sink(self.strat.procs);
-        match (&self.template, cfg.backend) {
-            (GatherTemplate::Sim(tmpl), BackendKind::Sim) => {
-                let nodes = self.make_nodes(ws, true);
-                let prog = tmpl.instantiate(nodes);
-                let report = run_sim_traced(prog, cfg.sim, Arc::clone(&sink));
-                assert_eq!(report.stats.unfired_fibers, 0);
-                let y = self.finish(report.states, ws, true);
-                let mut out = RunOutcome {
-                    values: vec![y],
-                    time_cycles: report.time_cycles,
-                    seconds: report.seconds,
-                    stats: report.stats,
-                    trace: report.trace,
-                    provenance: self.provenance("sim", reused),
-                    ..RunOutcome::default()
-                };
-                out.fill_metrics();
-                out.record_trace_drops(sink.as_ref());
-                Ok(out)
+    fn plan(node: &GatherNode) -> &FlatPlan {
+        &node.data.sched
+    }
+
+    /// Zero `y` at each sweep start, then take the resident `x` portion
+    /// (except the initially held ones).
+    fn arrive<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
+        let s = &mut n.state;
+        if ph.p == 0 {
+            s.y.fill(0.0);
+            if ctx.is_sim() && !s.y.is_empty() {
+                ctx.charge(n.stream.stream(s.y.len() as u64, 8));
             }
-            (GatherTemplate::Native(_), BackendKind::Native) => {
-                let base = cfg.native;
-                let mut out = match cfg.recovery {
-                    None => self.native_attempt(base, &sink, ws)?,
-                    Some(policy) => run_recovery_ladder(
-                        policy,
-                        sink.as_ref(),
-                        |attempt| attempt_faults(base.faults, attempt).map(|f| f.seed),
-                        |attempt| {
-                            let mut c = base;
-                            c.faults = attempt_faults(base.faults, attempt);
-                            self.native_attempt(c, &sink, ws)
-                        },
-                        || self.seq_fallback(),
-                    )?,
-                };
-                // The sink accumulates across retry attempts, so the
-                // drained stream shows every rung, not just the winner.
-                out.trace = sink.drain();
-                out.provenance = self.provenance("native", reused);
-                out.fill_metrics();
-                out.record_trace_drops(sink.as_ref());
-                Ok(out)
-            }
-            _ => Err(EngineError::Unsupported(
-                "prepared run was built for the other backend",
-            )),
+        }
+        if !(ph.range.is_empty() || (ph.t == 0 && ph.first_visit())) {
+            recv_portion::<Self, C>(ctx, ph, &mut s.x[ph.range.clone()], &mut n.pool);
         }
     }
 
-    /// One native run from the prepared plan. Like the phased executor,
-    /// a starved machine is reported as a typed `Stalled` error, never
-    /// as a silently short result.
-    fn native_attempt(
-        &self,
-        cfg: NativeConfig,
-        sink: &Arc<dyn TraceSink>,
-        ws: &mut Workspace,
-    ) -> Result<RunOutcome, EngineError> {
-        let GatherTemplate::Native(tmpl) = &self.template else {
-            return Err(EngineError::Unsupported(
-                "prepared run was built for the simulator",
-            ));
-        };
-        let cfg = NativeConfig {
-            starved_is_error: true,
-            ..cfg
-        };
-        let nodes = self.make_nodes(ws, false);
-        let prog = tmpl.instantiate(nodes);
-        let report = run_native_traced(prog, cfg, Arc::clone(sink))?;
-        let y = self.finish(report.states, ws, false);
-        Ok(RunOutcome {
-            values: vec![y],
-            wall: report.wall,
-            stats: report.stats,
-            ..RunOutcome::default()
-        })
+    fn run_loops(node: &mut GatherNode, ph: &Phase) {
+        node.data
+            .gather_phase(ph.p, &node.x, &mut node.y, &mut NullMeter);
+    }
+
+    fn run_loops_metered<M: Meter>(node: &mut GatherNode, ph: &Phase, meter: &mut M) {
+        node.data.gather_phase(ph.p, &node.x, &mut node.y, meter);
+    }
+
+    fn forwarded<'a>(node: &'a GatherNode, ph: &Phase) -> Option<&'a [f64]> {
+        (!ph.range.is_empty()).then(|| &node.x[ph.range.clone()])
     }
 }
 
-/// The `mvm` gather executor as a [`ReductionEngine`].
+/// A fully prepared gather run: validated matrix, phase-bucketed
+/// nonzeros per node, and the EARTH program template. The input vector
+/// is *state* of the prepared run — swap it per execute with
+/// `set_x` (a CG iteration does exactly this) without touching the
+/// plan.
+pub type PreparedGather = PreparedRing<GatherProgram, GatherNode>;
+
+/// The `mvm` gather executor as a [`ReductionEngine`]; under a recovery
+/// policy its fallback is a plain sequential SpMV.
+pub type GatherEngine = RingEngine<Gather>;
+
+/// Names the gather program in [`GatherEngine`].
 #[derive(Debug, Clone, Copy)]
-pub struct GatherEngine {
-    cfg: ExecutionConfig,
-}
+pub enum Gather {}
 
-impl GatherEngine {
-    /// The general constructor: any [`ExecutionConfig`] (or a bare
-    /// `SimConfig`/`NativeConfig` via `Into`).
-    pub fn new(cfg: impl Into<ExecutionConfig>) -> Self {
-        GatherEngine { cfg: cfg.into() }
+impl PreparedGather {
+    /// Replace the input vector for subsequent executes. The plan (and
+    /// any cached phase costs — the access *pattern* is unchanged) stays
+    /// valid.
+    pub fn set_x(&mut self, x: &[f64]) -> Result<(), EngineError> {
+        validate_gather_x(&self.prog.matrix, x.len())?;
+        self.prog.x_current.copy_from_slice(x);
+        Ok(())
     }
 
-    /// Run on the discrete-event simulator.
-    pub fn sim(cfg: SimConfig) -> Self {
-        Self::new(ExecutionConfig::sim(cfg))
-    }
-
-    /// Run on real OS threads.
-    pub fn native(cfg: NativeConfig) -> Self {
-        Self::new(ExecutionConfig::native(cfg))
-    }
-
-    /// Run natively under a [`RecoveryPolicy`]; the fallback is a plain
-    /// sequential SpMV.
-    pub fn recovering(cfg: NativeConfig, policy: RecoveryPolicy) -> Self {
-        Self::new(ExecutionConfig::native(cfg).with_recovery(policy))
-    }
-
-    pub fn config(&self) -> &ExecutionConfig {
-        &self.cfg
+    /// The vector the next execute will multiply by.
+    pub fn x(&self) -> &[f64] {
+        &self.prog.x_current
     }
 }
 
@@ -626,7 +283,31 @@ impl ReductionEngine<GatherSpec> for GatherEngine {
         spec: &GatherSpec,
         strat: &StrategyConfig,
     ) -> Result<Self::Prepared, EngineError> {
-        PreparedGather::new(spec, strat, &self.cfg)
+        validate_gather_spec(&spec.matrix, spec.x.len())?;
+        // ncols < k·P is legal: trailing x portions are empty and those
+        // phases degenerate to bare synchronization.
+        let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.matrix.ncols)?;
+        let rows = distribute(spec.matrix.nrows, strat.procs, strat.distribution);
+        // Per-node phase bucketing only reads the shared matrix, so it
+        // fans out like the phased executor's prepare, merged in
+        // processor order.
+        let node_data = fan_out(rows, |proc, proc_rows| {
+            GatherNodePlan::new(&spec.matrix, geometry, proc, proc_rows).map(Arc::new)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let prog = GatherProgram {
+            matrix: Arc::clone(&spec.matrix),
+            x_current: spec.x.as_ref().clone(),
+            node_data,
+        };
+        Ok(PreparedRing::new(
+            prog,
+            strat,
+            geometry,
+            &self.cfg,
+            Vec::new(),
+        ))
     }
 
     fn execute(
@@ -641,6 +322,10 @@ impl ReductionEngine<GatherSpec> for GatherEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecutionConfig;
+    use earth_model::native::NativeConfig;
+    use earth_model::sim::SimConfig;
+    use trace::TraceKind;
     use workloads::Distribution;
 
     fn spec(n: usize, nnz: usize, seed: u64) -> GatherSpec {
@@ -713,6 +398,24 @@ mod tests {
         let kp = strat.phases_per_sweep();
         let expected = strat.procs as u64 * (strat.sweeps * kp - strat.k) as u64;
         assert_eq!(r.stats.ops.messages, expected);
+    }
+
+    #[test]
+    fn phase_iter_counts_are_nonzeros_per_node_per_phase() {
+        let s = spec(96, 900, 10);
+        let strat = StrategyConfig::new(3, 2, Distribution::Cyclic, 2);
+        for engine in [
+            GatherEngine::sim(SimConfig::default()),
+            GatherEngine::native(NativeConfig::default()),
+        ] {
+            let counts = engine.run(&s, &strat).unwrap().phase_iter_counts;
+            assert_eq!(counts.len(), strat.procs);
+            for row in &counts {
+                assert_eq!(row.len(), strat.phases_per_sweep());
+            }
+            let total: usize = counts.iter().flatten().sum();
+            assert_eq!(total, s.matrix.col_idx.len());
+        }
     }
 
     #[test]

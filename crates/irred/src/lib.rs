@@ -34,6 +34,13 @@
 //! * [`gather::GatherEngine`] — the `mvm` shape: the *gathered* vector
 //!   rotates, the reduction array stays local; no buffers or second
 //!   loop (§3's single-reference remark).
+//!
+//!   Both are one rotating-portion strategy with a different rotating
+//!   array, so both run through one ring driver: the same program
+//!   template, execute path, recovery ladder and phase-fiber protocol,
+//!   with each program supplying only its node state and per-phase
+//!   hooks. [`PreparedPhased`] and [`PreparedGather`] are the two
+//!   instantiations of that driver's prepared run.
 //! * [`seq::SeqEngine`] — the sequential reference executor
 //!   (validation + the speedup denominator).
 //! * [`baseline::IeEngine`] — the classic communicating
@@ -64,6 +71,7 @@ pub mod gather;
 pub mod kernel;
 pub mod phased;
 pub mod prepared;
+mod ring;
 pub mod seq;
 pub mod strategy;
 pub mod tuning;
@@ -78,6 +86,7 @@ pub use kernel::EdgeKernel;
 pub use lightinspector::{portion_stats, PlanStats};
 pub use phased::{structure_hash, PhasedEngine, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};
+pub use ring::{PreparedRing, RingEngine};
 pub use seq::{seq_gather_cycles, seq_reduction, PreparedSeq, SeqEngine, SeqResult};
 pub use strategy::{AutoTuning, EngineChoice, StrategyConfig, StrategyError};
 pub use tuning::{SimdMode, TileChoice, Tuning};

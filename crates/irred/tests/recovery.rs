@@ -11,11 +11,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use earth_model::native::{NativeConfig, RunError};
+use earth_model::native::{NativeConfig, RunError, StallReason};
 use earth_model::sim::SimConfig;
 use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::{prop_assert, prop_assert_eq};
+use irred::baseline::IeEngine;
 use irred::kernel::WeightedPairKernel;
 use irred::{
     approx_eq, seq_reduction, Distribution, EdgeKernel, EngineError, PhasedEngine, PhasedSpec,
@@ -307,6 +308,37 @@ fn wrong_indirection_count_is_a_shape_error() {
     }
 }
 
+// --- starved simulator runs: the native backend's typed stall -----------
+
+/// A simulator whose fault plan drops every message.
+fn starving_sim() -> SimConfig {
+    SimConfig {
+        faults: Some(drop_everything(7)),
+        ..SimConfig::default()
+    }
+}
+
+fn assert_starved(res: Result<irred::RunOutcome, EngineError>) {
+    match res {
+        Err(EngineError::Run(RunError::Stalled {
+            reason: StallReason::Starved,
+            outstanding,
+            ..
+        })) => assert!(outstanding > 0, "unfired fibers are outstanding"),
+        other => panic!("expected Run(Stalled(Starved)), got {other:?}"),
+    }
+}
+
+#[test]
+fn phased_starved_sim_is_a_typed_stall() {
+    assert_starved(PhasedEngine::sim(starving_sim()).run(&fixed_spec(14), &fixed_strat()));
+}
+
+#[test]
+fn ie_starved_sim_is_a_typed_stall() {
+    assert_starved(IeEngine::sim(starving_sim()).run(&fixed_spec(15), &fixed_strat()));
+}
+
 #[test]
 fn phased_error_display_names_the_cause() {
     let e = EngineError::Invalid(InspectError::NoReferences);
@@ -387,5 +419,52 @@ mod gather {
             Err(EngineError::Run(RunError::Stalled { .. })) => {}
             other => panic!("expected Run(Stalled), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn gather_starved_sim_is_a_typed_stall() {
+        let spec = GatherSpec {
+            x: Arc::new(vec![1.0; 48]),
+            matrix: Arc::new(SparseMatrix::random(48, 48, 600, 10)),
+        };
+        assert_starved(GatherEngine::sim(starving_sim()).run(&spec, &fixed_strat()));
+    }
+
+    /// Both recovery entry points walk the ladder down to the plain
+    /// sequential SpMV and return it bit for bit.
+    #[test]
+    fn gather_recovery_falls_back_to_spmv() {
+        let matrix = Arc::new(SparseMatrix::random(48, 48, 600, 11));
+        let spec = GatherSpec {
+            x: Arc::new((0..48).map(|i| (i % 5) as f64 + 0.25).collect()),
+            matrix,
+        };
+        let mut y = vec![0.0; 48];
+        spec.matrix.spmv(&spec.x, &mut y);
+        let policy = RecoveryPolicy {
+            max_attempts: 2,
+            initial_backoff: Duration::ZERO,
+            ..RecoveryPolicy::default()
+        };
+        let check = |res: irred::RunOutcome| {
+            assert_eq!(res.recovery.attempts, 2);
+            assert_eq!(res.recovery.errors.len(), 2);
+            assert!(res.recovery.fell_back_to_seq);
+            assert_eq!(res.values.len(), 1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&res.values[0]), bits(&y));
+        };
+        let engine = GatherEngine::recovering(strict(Some(drop_everything(3))), policy);
+        check(engine.run(&spec, &fixed_strat()).unwrap());
+        let mut prepared = GatherEngine::native(NativeConfig::default())
+            .prepare(&spec, &fixed_strat())
+            .unwrap();
+        let res = prepared
+            .execute_recovering_with(&mut Workspace::new(), policy, |a| {
+                strict(Some(drop_everything(u64::from(a) + 20)))
+            })
+            .unwrap();
+        assert_eq!(res.recovery.fault_seeds, vec![Some(20), Some(21)]);
+        check(res);
     }
 }
