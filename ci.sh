@@ -15,9 +15,12 @@
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
-#                    # deterministic sim (3 fixed seeds + one
-#                    # randomized pass), and a quick `figs adaptive`
-#                    # run that must print its prepared-run table
+#                    # deterministic sim, the unmetered-equals-metered
+#                    # and tiling suite, and the coefficient-table batch
+#                    # body against its scalar reference (3 fixed seeds
+#                    # + one randomized pass each), and a quick
+#                    # `figs adaptive` run that must print its
+#                    # prepared-run table
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
 #                    # seeds + one randomized pass) and the chaos-client
 #                    # soak — all under the hard timeout (the daemon's
@@ -134,19 +137,26 @@ faults() {
 }
 
 workloads() {
-    # The golden-oracle property suite for the skewed workload families:
-    # three fixed base seeds for deterministic replay, then one
-    # randomized pass to keep widening coverage (its seed prints on
-    # failure for replay via PROP_SEED).
+    # The golden-oracle property suite for the skewed workload families,
+    # the chunked kernel's native and replayed runs against the metered
+    # run on the same families (tuning_equivalence), and the batch body
+    # those families and the server's jobs share against its scalar
+    # reference (batch_kernels): three fixed base seeds for
+    # deterministic replay, then one randomized pass to keep widening
+    # coverage (its seed prints on failure for replay via PROP_SEED).
     for seed in 1 2 3; do
-        echo "== workload families (PROP_BASE_SEED=$seed) =="
+        echo "== workload families, tuning equivalence, batch kernels (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test workload_families
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test tuning_equivalence
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test batch_kernels
     done
 
-    echo "== workload families (randomized pass) =="
+    echo "== workload families, tuning equivalence, batch kernels (randomized pass) =="
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test workload_families
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test tuning_equivalence
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test batch_kernels
 
     echo "== adaptive smoke (figs adaptive, prepared-run churn sweep) =="
     # The churn sweep through PreparedPhased::apply_updates on a

@@ -73,10 +73,14 @@ pub trait EdgeKernel: Send + Sync + 'static {
     /// `elems[j*m..(j+1)*m]`) writes the
     /// `num_refs() * num_arrays()`-wide slot group
     /// `out[j*w..(j+1)*w]`. This is the hook of the chunked kernel that
-    /// runs every native phase and every replayed simulator sweep: the
-    /// default calls [`Self::contrib`] per iteration, and kernels may
-    /// override it with a branchless batch body the compiler can
-    /// auto-vectorize.
+    /// runs every native phase and every replayed simulator sweep.
+    ///
+    /// The default costs one [`Self::contrib`] call per iteration, with
+    /// `m` and `w` read at run time, so nothing unrolls or vectorizes
+    /// across iterations. Kernels on a hot path override it with a
+    /// branchless batch body the compiler can auto-vectorize. A kernel
+    /// whose slot `s` is `coeffs[s] · weight[i]` overrides this with the
+    /// shared [`scaled_batch`].
     ///
     /// **Contract:** an override must produce, slot for slot, the
     /// bit-identical values of `num_refs()*num_arrays()` pre-zeroed
@@ -132,6 +136,69 @@ pub trait EdgeKernel: Send + Sync + 'static {
     }
 }
 
+/// The shared batch body of coefficient-table kernels: slot `s` of
+/// iteration `giters[j]` is `coeffs[s] · weights[giters[j]]`, written to
+/// `out[j * w + s]` where `w = coeffs.len()`.
+///
+/// A kernel whose contribution is a fixed coefficient per slot times a
+/// per-iteration weight calls this from `contrib_batch`; its `contrib`
+/// keeps the plain `coeffs[s] * weight` loop, which is the same
+/// multiplication, so the two agree bit for bit. The body is
+/// monomorphised on `w` for the widths the benchmarked traffic has
+/// (1, 2 and 4); every other width takes one run-time-width arm with
+/// the same arithmetic. Each slot is one multiplication,
+/// `coeffs[s] * weight`, in that operand order on every arm.
+///
+/// # Panics
+/// If `out.len() != giters.len() * coeffs.len()`, or a `giters` entry
+/// is out of `weights`' bounds.
+pub fn scaled_batch(weights: &[f64], coeffs: &[f64], giters: &[u32], out: &mut [f64]) {
+    let w = coeffs.len();
+    assert_eq!(
+        out.len(),
+        giters.len() * w,
+        "one {w}-slot group per iteration"
+    );
+    macro_rules! arm {
+        ($w:literal) => {
+            scaled::<$w>(
+                weights,
+                coeffs.try_into().expect("arm matched on the width"),
+                giters,
+                out,
+            )
+        };
+    }
+    match w {
+        0 => {}
+        1 => arm!(1),
+        2 => arm!(2),
+        4 => arm!(4),
+        _ => {
+            for (o, &gi) in out.chunks_exact_mut(w).zip(giters) {
+                let x = weights[gi as usize];
+                for (o, &c) in o.iter_mut().zip(coeffs) {
+                    *o = c * x;
+                }
+            }
+        }
+    }
+}
+
+/// [`scaled_batch`] at const width `W`: the coefficient row lives in
+/// registers and each slot group is a fixed-length array, so the
+/// per-iteration loop unrolls with no bounds checks but the gather.
+fn scaled<const W: usize>(weights: &[f64], coeffs: &[f64; W], giters: &[u32], out: &mut [f64]) {
+    let c = *coeffs;
+    let (groups, _) = out.as_chunks_mut::<W>();
+    for (o, &gi) in groups.iter_mut().zip(giters) {
+        let x = weights[gi as usize];
+        for s in 0..W {
+            o[s] = c[s] * x;
+        }
+    }
+}
+
 /// A minimal test kernel: `X[e1] += w·y[i]`, `X[e2] += 2w·y[i]` with a
 /// per-iteration weight array. Used across the crate's tests.
 #[derive(Debug, Clone)]
@@ -148,7 +215,9 @@ impl EdgeKernel for WeightedPairKernel {
 
     // Branchless batch body (same arithmetic per slot as `contrib`, so
     // bit-identical): the gather + two stores per iteration
-    // auto-vectorize once the bounds checks hoist.
+    // auto-vectorize once the bounds checks hoist. Not `scaled_batch`
+    // with coefficients `[1, 2]`: slot 0 is `w` itself, and `1.0 * w`
+    // is not `w` when `w` is a signalling NaN.
     fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
         let weights = &self.weights[..];
         for (j, &gi) in giters.iter().enumerate() {

@@ -82,7 +82,7 @@ pub use engine::{
     EngineError, Provenance, RecoveryPolicy, RecoveryReport, ReductionEngine, RunOutcome,
 };
 pub use gather::{GatherEngine, GatherSpec, PreparedGather};
-pub use kernel::EdgeKernel;
+pub use kernel::{scaled_batch, EdgeKernel};
 pub use lightinspector::{portion_stats, PlanStats};
 pub use phased::{structure_hash, PhasedEngine, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};

@@ -16,10 +16,12 @@
 
 use std::sync::Arc;
 
-use irred::{EdgeKernel, GatherSpec, PhasedSpec};
+use irred::{scaled_batch, EdgeKernel, GatherSpec, PhasedSpec};
 use workloads::{FamilySpec, SparseMatrix};
 
-/// The shared loop body of the skewed families.
+/// The shared loop body of the skewed families. `contrib_batch` runs
+/// [`scaled_batch`] over `coeffs`; `contrib` computes the same
+/// `coeffs[s] * weight` per slot, so the two agree bit for bit.
 #[derive(Debug)]
 pub struct FamilyKernel {
     weights: Arc<Vec<f64>>,
@@ -43,6 +45,10 @@ impl EdgeKernel for FamilyKernel {
         for (o, &c) in out.iter_mut().zip(&self.coeffs) {
             *o = c * w;
         }
+    }
+
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        scaled_batch(&self.weights, &self.coeffs, giters, out);
     }
 
     fn flops_per_iter(&self) -> u64 {

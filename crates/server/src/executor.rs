@@ -32,11 +32,20 @@ use crate::protocol::{
 /// Compiled programs cached per tenant (FIFO, keyed by source hash).
 const COMPILE_CACHE_CAP: usize = 32;
 
+/// Coefficient tables up to this many slots are built on the stack —
+/// every wire shape (at most 4 refs × 3 arrays) fits.
+const STACK_COEFFS: usize = 16;
+
 /// The server's job kernel: per-iteration weighted contributions,
 /// `out[r * num_arrays + a] = (r + 1) · (a + 1) · w[iter]`. Simple
 /// enough to transport as one weight array, rich enough to exercise
 /// multi-ref/multi-array plans; deterministic, so server results are
 /// bit-comparable against a direct engine run of the same kernel.
+///
+/// `contrib_batch` builds the `(r + 1) · (a + 1)` table once per batch
+/// of the chunked kernel and runs [`irred::scaled_batch`] over it;
+/// `contrib` computes the same product per slot, so the two agree bit
+/// for bit.
 #[derive(Debug, Clone)]
 pub struct JobKernel {
     pub num_refs: usize,
@@ -60,6 +69,24 @@ impl EdgeKernel for JobKernel {
                 out[r * self.num_arrays + a] = (r + 1) as f64 * (a + 1) as f64 * w;
             }
         }
+    }
+
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        let w = self.num_refs * self.num_arrays;
+        let mut stack = [0.0; STACK_COEFFS];
+        let mut heap = Vec::new();
+        let coeffs = if w <= STACK_COEFFS {
+            &mut stack[..w]
+        } else {
+            heap.resize(w, 0.0);
+            &mut heap[..]
+        };
+        for r in 0..self.num_refs {
+            for a in 0..self.num_arrays {
+                coeffs[r * self.num_arrays + a] = (r + 1) as f64 * (a + 1) as f64;
+            }
+        }
+        irred::scaled_batch(&self.weights, coeffs, giters, out);
     }
 
     fn flops_per_iter(&self) -> u64 {
@@ -527,6 +554,7 @@ fn engine_err_code(e: &EngineError) -> ErrCode {
 mod tests {
     use super::*;
     use crate::protocol::FaultSpec;
+    use earth_model::sim::SimConfig;
 
     fn job(id: u64) -> SubmitJob {
         SubmitJob {
@@ -595,6 +623,75 @@ mod tests {
         assert_eq!(a.degraded, 0);
         assert_eq!(b.degraded, 2);
         assert_eq!(a.values, b.values);
+    }
+
+    #[test]
+    fn widest_wire_job_matches_metered_sim_seq_engine_and_formula() {
+        // 4 refs × 3 arrays (12 slots, the widest wire shape) with
+        // arbitrary-float weights, so a changed product or sum order
+        // shows in the bits. The native rung (`contrib_batch`) must equal
+        // the simulator's metered sweeps (`contrib`, the float-order
+        // reference) bit for bit; the Seq rung must equal `SeqEngine` and
+        // the kernel's formula summed in iteration order. The rings and
+        // `SeqEngine` sum an element in different orders, so they agree
+        // bit for bit only on exactly summable weights (the other tests'
+        // quarter multiples); here they agree to rounding.
+        let mut rng = harness::rng::Rng64::seed_from_u64(0x4A0B);
+        let j = SubmitJob {
+            num_refs: 4,
+            num_arrays: 3,
+            weights: (0..40).map(|_| rng.gen_f64() * 2e3 - 1e3).collect(),
+            indirection: (1..=4)
+                .map(|r| (0..40).map(|i| (i * (2 * r + 1) % 16) as u32).collect())
+                .collect(),
+            ..job(9)
+        };
+        let e = exec();
+        let (Frame::JobOk(native), Frame::JobOk(shed)) = (
+            e.run_job(&j, ShedLevel::Native, None),
+            e.run_job(&j, ShedLevel::Seq, None),
+        ) else {
+            panic!("both rungs must succeed");
+        };
+        assert_eq!((native.degraded, shed.degraded), (0, DEGRADED_SEQ));
+        let kernel = Arc::new(JobKernel {
+            num_refs: 4,
+            num_arrays: 3,
+            weights: Arc::new(j.weights.clone()),
+        });
+        let spec = job_spec(&j, kernel);
+        let strat = StrategyConfig::try_new(2, 2, Distribution::Block, 2).unwrap();
+        let metered = PhasedEngine::sim(SimConfig::default())
+            .run(&spec, &strat)
+            .unwrap();
+        let seq = SeqEngine::new(ExecutionConfig::default())
+            .run(&spec, &strat)
+            .unwrap();
+        let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|a| a.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        // `SeqEngine`'s order: iterations, then refs, then arrays.
+        let mut oracle = vec![vec![0.0f64; 16]; 3];
+        for (i, &w) in j.weights.iter().enumerate() {
+            for (r, ind) in j.indirection.iter().enumerate() {
+                for (a, x) in oracle.iter_mut().enumerate() {
+                    x[ind[i] as usize] += (r + 1) as f64 * (a + 1) as f64 * w;
+                }
+            }
+        }
+        assert_eq!(bits(&seq.values), bits(&oracle));
+        assert_eq!(bits(&shed.values), bits(&seq.values));
+        assert_eq!(bits(&native.values), bits(&metered.values));
+        for (a, b) in native
+            .values
+            .iter()
+            .flatten()
+            .zip(shed.values.iter().flatten())
+        {
+            assert!((a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0));
+        }
     }
 
     #[test]
