@@ -22,9 +22,10 @@
 #                    # `figs adaptive` run that must print its
 #                    # prepared-run table
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
-#                    # seeds + one randomized pass) and the chaos-client
-#                    # soak — all under the hard timeout (the daemon's
-#                    # contract is "typed error, never a hang")
+#                    # seeds + one randomized pass), the chaos-client
+#                    # soak and the plan-admission accounting against a
+#                    # live daemon — all under the hard timeout (the
+#                    # daemon's contract is "typed error, never a hang")
 #   ./ci.sh compiler # threadedc front door: the compiled-vs-interpreter
 #                    # property suite (3 fixed seeds + one randomized
 #                    # pass), the source-over-the-wire server tests
@@ -193,6 +194,12 @@ server() {
     # clean shutdown. The hard timeout is the hang detector.
     echo "== server chaos soak =="
     run_tests cargo test -q -p server --test soak
+
+    # Plan admission: a structure's plan enters the cache on its second
+    # sighting, one-off structures are refused, and GetMetrics accounts
+    # for both exactly.
+    echo "== server plan admission =="
+    run_tests cargo test -q -p server --test plan_admission
 }
 
 compiler() {

@@ -9,6 +9,12 @@
 //! identical results, `degraded = 2`) or surfaces as a typed [`JobErr`]
 //! carrying the engine error `Display` text — including the `StallDump`
 //! summary — plus the per-attempt fault seeds for replay.
+//!
+//! Native jobs go through the [`PlanCache`], which admits a plan on its
+//! structure's second sighting: the first job of a structure prepares,
+//! runs, and drops its plan (off the cache mutex), leaving only the key
+//! behind; the next job of that structure prepares again and its plan is
+//! kept, so a third job hits. One-off structures never pin memory.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -336,6 +342,8 @@ impl Executor {
         // (a 64-bit key collision fails the comparison) and accept this
         // kernel's shape, and only then are our kernel values swapped in.
         // Anything else is a miss, and the stale plan is dropped unlocked.
+        // A miss on a structure's first sighting still runs; only its
+        // check-in is refused.
         let checkout = self.cache.lock().unwrap().checkout(key);
         let hit = match checkout {
             Checkout::Hit {
@@ -349,7 +357,7 @@ impl Executor {
                     && prepared.indirection() == job.indirection.as_slice()
                     && prepared.set_kernel(Arc::clone(&kernel)).is_ok();
                 if !exact {
-                    self.cache.lock().unwrap().collision();
+                    self.cache.lock().unwrap().collision(key);
                 }
                 exact.then_some((prepared, ws, failures))
             }
@@ -370,7 +378,7 @@ impl Executor {
             .lock()
             .unwrap()
             .checkin(key, prepared, ws, ok, prior_failures);
-        // The evicted (or quarantined) plan is freed here, with the
+        // A refused, evicted or quarantined plan is freed here, with the
         // cache mutex already released.
         drop(released);
 
@@ -698,8 +706,17 @@ mod tests {
     fn plan_cache_hits_on_same_structure() {
         let e = exec();
         let mut j = job(3);
+        // First sighting: the job runs, its plan is refused.
         let _ = e.run_job(&j, ShedLevel::Native, None);
-        // Same structure, different values: must hit.
+        {
+            let c = e.cache.lock().unwrap();
+            assert_eq!((c.refused, c.len()), (1, 0));
+        }
+        // Same structure, different values: the second sighting admits...
+        j.weights.iter_mut().for_each(|w| *w += 1.0);
+        let _ = e.run_job(&j, ShedLevel::Native, None);
+        assert_eq!(e.cache.lock().unwrap().len(), 1);
+        // ...and the third must hit.
         j.weights.iter_mut().for_each(|w| *w += 1.0);
         let before = e.cache.lock().unwrap().hits;
         let frame = e.run_job(&j, ShedLevel::Native, None);
@@ -710,6 +727,54 @@ mod tests {
         let misses = e.cache.lock().unwrap().misses;
         let _ = e.run_job(&j, ShedLevel::Native, None);
         assert_eq!(e.cache.lock().unwrap().misses, misses + 1);
+    }
+
+    #[test]
+    fn one_off_structures_never_displace_a_hot_plan() {
+        let e = exec();
+        let strat = StrategyConfig::try_new(2, 2, Distribution::Block, 2).unwrap();
+        let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|a| a.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        // Runs `j` natively and checks the reply against `SeqEngine`: the
+        // quarter-multiple weights sum exactly in any order.
+        let run_checked = |j: &SubmitJob| {
+            let Frame::JobOk(ok) = e.run_job(j, ShedLevel::Native, None) else {
+                panic!("job {} must succeed", j.job_id);
+            };
+            let kernel = Arc::new(JobKernel {
+                num_refs: 2,
+                num_arrays: 1,
+                weights: Arc::new(j.weights.clone()),
+            });
+            let seq = SeqEngine::new(ExecutionConfig::default())
+                .run(&job_spec(j, kernel), &strat)
+                .unwrap();
+            assert_eq!(bits(&ok.values), bits(&seq.values), "job {}", j.job_id);
+        };
+        // The hot structure's second sighting admits its plan.
+        let hot = job(12);
+        run_checked(&hot);
+        run_checked(&hot);
+        assert_eq!(e.cache.lock().unwrap().len(), 1);
+        for s in 0..200u32 {
+            // The hot job's first ref starts [0, 7, 14]; a third entry of
+            // 15 sets every one-off apart from it, the first two entries
+            // from each other.
+            let mut one_off = job(100 + u64::from(s));
+            one_off.indirection[0][..3].copy_from_slice(&[s % 16, s / 16, 15]);
+            run_checked(&one_off);
+            assert!(e.cache.lock().unwrap().len() <= 1);
+            let hits = e.cache.lock().unwrap().hits;
+            run_checked(&hot);
+            let c = e.cache.lock().unwrap();
+            assert_eq!(c.hits, hits + 1, "the hot plan must hit after one-off {s}");
+            assert!(c.len() <= 1);
+        }
+        // The hot structure's first sighting and every one-off.
+        assert_eq!(e.cache.lock().unwrap().refused, 201);
     }
 
     #[test]

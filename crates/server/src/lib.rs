@@ -140,6 +140,7 @@ impl ServerInner {
             out.push_str(&format!("plan_cache_misses {}\n", c.misses));
             out.push_str(&format!("plan_cache_quarantined {}\n", c.quarantined));
             out.push_str(&format!("plan_cache_evicted {}\n", c.evicted));
+            out.push_str(&format!("plan_cache_refused {}\n", c.refused));
             out.push_str(&format!("plan_cache_collisions {}\n", c.collisions));
         }
         {
