@@ -27,10 +27,12 @@
 #                    # live daemon — all under the hard timeout (the
 #                    # daemon's contract is "typed error, never a hang")
 #   ./ci.sh compiler # threadedc front door: the compiled-vs-interpreter
-#                    # property suite (3 fixed seeds + one randomized
-#                    # pass), the source-over-the-wire server tests
-#                    # (with exact compile-cache accounting), and a CLI
-#                    # smoke over the checked-in fixtures
+#                    # property suite, including the block evaluator's
+#                    # `InterpKernel::contrib_batch` ≡ per-iteration
+#                    # `contrib` property (3 fixed seeds + one
+#                    # randomized pass), the source-over-the-wire server
+#                    # tests (with exact compile-cache accounting), and
+#                    # a CLI smoke over the checked-in fixtures
 #   ./ci.sh sim      # EARTH backends: the sim ≡ native equivalence and
 #                    # sim chaos-replay suite, the ring programs
 #                    # (phased and gather) sim ≡ native, also under
@@ -205,7 +207,9 @@ server() {
 compiler() {
     # The compiler property suite (compiled execution vs the
     # interpreter, bit-identity across engines, fission, gather
-    # cross-check) and the server's SubmitSource path: three fixed base
+    # cross-check, the block-evaluated `InterpKernel::contrib_batch`
+    # against per-iteration `contrib` on arbitrary bit patterns) and the
+    # server's SubmitSource path: three fixed base
     # seeds for deterministic replay, then one randomized pass to keep
     # widening coverage (its seed prints on failure for replay via
     # PROP_SEED).

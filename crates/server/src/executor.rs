@@ -280,7 +280,7 @@ impl Executor {
                     .decls
                     .iter()
                     .filter(|d| d.ty == ElemType::Double && !d.name.starts_with("__tmp_"))
-                    .filter_map(|d| b.f64s.get(&d.name).cloned())
+                    .filter_map(|d| b.f64s.remove(&d.name))
                     .collect();
                 Frame::JobOk(JobOk {
                     job_id: job.job_id,

@@ -1,6 +1,7 @@
 //! Lowering: from a fissioned loop to the machine's input — slot-resolved
-//! loop bodies (one evaluator for regular loops and phased kernels) plus
-//! the CSR [`lightinspector::FlatPlan`] the executors' fast path streams.
+//! loop bodies (one evaluator, a block of iterations per tree node, for
+//! regular loops and phased kernels) plus the CSR
+//! [`lightinspector::FlatPlan`] the executors' fast path streams.
 //!
 //! This is the "generate code for the execution strategy presented in
 //! Section 2" step of §4, taken all the way down. `lower_body` runs
@@ -28,10 +29,15 @@ use crate::ast::*;
 use crate::interp::Bindings;
 use crate::{Diagnostic, Span};
 
-/// Loop-local scalars one loop body may declare: the evaluators keep
+/// Loop-local scalars one loop body may declare: the evaluator keeps
 /// them in a fixed stack frame. [`lower_body`] rejects a longer body, so
 /// the limit is a compile error, never a job-time panic.
 pub(crate) const MAX_LOCALS: usize = 16;
+
+/// Iterations one block evaluates per tree node: the chunked kernel's
+/// batch length (`irred::vector::CHUNK`), so one `contrib_batch` call of
+/// that kernel is one block.
+pub(crate) const B: usize = 16;
 
 /// A compiled (resolved-reference) expression, evaluable without name
 /// lookups.
@@ -49,33 +55,70 @@ enum CExpr {
 }
 
 impl CExpr {
-    /// Evaluate at iteration `i` against slot tables — shared `Arc`
-    /// snapshots under a phased kernel, the arrays themselves under a
-    /// regular loop. Indexing is checked: an out-of-range binding
-    /// panics, which every caller that takes outside input catches.
-    fn eval<F: AsRef<[f64]>, I: AsRef<[u32]>>(
+    /// Evaluate for the block of iterations `iters` (at most `N`: [`B`],
+    /// or 1 for a row at a time) into `dst[..iters.len()]`, against slot
+    /// tables — shared `Arc` snapshots under a phased kernel, the arrays
+    /// themselves under a regular loop. Each tree node is dispatched once
+    /// per block; `locals[s]` is local `s`'s column. Indexing is checked:
+    /// an out-of-range binding panics, which every caller that takes
+    /// outside input catches.
+    fn eval_block<const N: usize, F: AsRef<[f64]>, I: AsRef<[u32]>>(
         &self,
-        i: usize,
-        locals: &[f64],
+        iters: &[u32],
+        locals: &[[f64; N]],
         f64s: &[F],
         ints: &[I],
-    ) -> f64 {
+        dst: &mut [f64; N],
+    ) {
+        let n = iters.len();
         match self {
-            CExpr::Number(v) => *v,
-            CExpr::LoopVar => i as f64,
-            CExpr::Local(s) => locals[*s],
-            CExpr::Direct(a) => f64s[*a].as_ref()[i],
-            CExpr::Indirect(a, v) => f64s[*a].as_ref()[ints[*v].as_ref()[i] as usize],
-            CExpr::Bin(op, x, y) => {
-                let (x, y) = (x.eval(i, locals, f64s, ints), y.eval(i, locals, f64s, ints));
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
+            CExpr::Number(v) => dst[..n].fill(*v),
+            CExpr::LoopVar => {
+                for (d, &i) in dst.iter_mut().zip(iters) {
+                    *d = f64::from(i);
                 }
             }
-            CExpr::Neg(x) => -x.eval(i, locals, f64s, ints),
+            CExpr::Local(s) => dst[..n].copy_from_slice(&locals[*s][..n]),
+            CExpr::Direct(a) => {
+                let x = f64s[*a].as_ref();
+                for (d, &i) in dst.iter_mut().zip(iters) {
+                    *d = x[i as usize];
+                }
+            }
+            CExpr::Indirect(a, v) => {
+                let (x, via) = (f64s[*a].as_ref(), ints[*v].as_ref());
+                for (d, &i) in dst.iter_mut().zip(iters) {
+                    *d = x[via[i as usize] as usize];
+                }
+            }
+            CExpr::Bin(op, x, y) => {
+                let mut rhs = [0.0f64; N];
+                x.eval_block(iters, locals, f64s, ints, dst);
+                y.eval_block(iters, locals, f64s, ints, &mut rhs);
+                let pairs = dst[..n].iter_mut().zip(&rhs);
+                match op {
+                    BinOp::Add => pairs.for_each(|(d, r)| *d += r),
+                    BinOp::Sub => pairs.for_each(|(d, r)| *d -= r),
+                    BinOp::Mul => pairs.for_each(|(d, r)| *d *= r),
+                    BinOp::Div => pairs.for_each(|(d, r)| *d /= r),
+                }
+            }
+            CExpr::Neg(x) => {
+                x.eval_block(iters, locals, f64s, ints, dst);
+                dst[..n].iter_mut().for_each(|d| *d = -*d);
+            }
+        }
+    }
+
+    /// Whether this expression reads f64 slot `array` through an
+    /// indirection — the one read a block can order differently from
+    /// the row loop.
+    fn reads_indirect(&self, array: usize) -> bool {
+        match self {
+            CExpr::Indirect(a, _) => *a == array,
+            CExpr::Bin(_, x, y) => x.reads_indirect(array) || y.reads_indirect(array),
+            CExpr::Neg(x) => x.reads_indirect(array),
+            CExpr::Number(_) | CExpr::LoopVar | CExpr::Local(_) | CExpr::Direct(_) => false,
         }
     }
 }
@@ -115,6 +158,9 @@ pub(crate) struct LoweredBody<W> {
     f64_names: Vec<String>,
     int_names: Vec<String>,
     stmts: Vec<LStmt<W>>,
+    /// Iterations per block: [`B`], or 1 when a statement reads through
+    /// an indirection an array the loop stores (see [`lower_regular`]).
+    block: usize,
     flops: u64,
     edge_reads: usize,
     node_reads: usize,
@@ -204,6 +250,7 @@ fn lower_body<W>(
         f64_names: slots.f64s,
         int_names: slots.ints,
         stmts,
+        block: B,
         flops,
         edge_reads: slots.edge_reads,
         node_reads: slots.node_reads,
@@ -212,8 +259,14 @@ fn lower_body<W>(
 
 /// Lower a regular loop (no inspector needed): locals and direct stores
 /// by the loop index, in source order.
+///
+/// The body runs a block of iterations per statement, which gives the
+/// row loop's bits unless a statement reads `X[IA[i]]` of an array `X`
+/// the loop stores: a direct read `Y[i]` sees only its own iteration's
+/// stores, which keep statement order, and a local is read only after
+/// its own iteration defined it. Such a body gets block length 1.
 pub(crate) fn lower_regular(l: &Forall) -> Result<LoweredBody<DirectStore>, Diagnostic> {
-    lower_body(l, |s, slots| match s {
+    let mut body = lower_body(l, |s, slots| match s {
         Stmt::AssignDirect {
             array, accumulate, ..
         } => Ok(DirectStore {
@@ -226,7 +279,16 @@ pub(crate) fn lower_regular(l: &Forall) -> Result<LoweredBody<DirectStore>, Diag
             s.span(),
             "indirect store inside a regular loop (analysis should have classified it)",
         )),
-    })
+    })?;
+    let reads_stored_indirectly = body.stored_slots().any(|a| {
+        body.stmts.iter().any(|s| match s {
+            LStmt::Local(_, e) | LStmt::Write(_, e) => e.reads_indirect(a),
+        })
+    });
+    if reads_stored_indirectly {
+        body.block = 1;
+    }
+    Ok(body)
 }
 
 /// Lower one fissioned irregular loop: locals and the reduction updates
@@ -258,20 +320,24 @@ pub(crate) fn lower_phased(
 }
 
 impl LoweredBody<DirectStore> {
-    /// The f64 arrays this loop stores into.
-    pub(crate) fn stored(&self) -> impl Iterator<Item = &str> {
+    fn stored_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.stmts.iter().filter_map(|s| match s {
-            LStmt::Write(w, _) => Some(self.f64_names[w.array].as_str()),
+            LStmt::Write(w, _) => Some(w.array),
             LStmt::Local(..) => None,
         })
     }
 
-    /// Run the loop sequentially over `0..count`: iterations in order,
-    /// statements in order — the semantics of
-    /// [`crate::interp::interpret_loop`], bit for bit. `b` must be
-    /// materialized. The loop's f64 arrays leave `b` for a slot table
-    /// once, up front (a store may alias a read), and return when the
-    /// loop is done.
+    /// The f64 arrays this loop stores into.
+    pub(crate) fn stored(&self) -> impl Iterator<Item = &str> {
+        self.stored_slots().map(|a| self.f64_names[a].as_str())
+    }
+
+    /// Run the loop sequentially over `0..count`, a block of iterations
+    /// at a time and, within a block, statement by statement — the
+    /// semantics of [`crate::interp::interpret_loop`], bit for bit (see
+    /// [`lower_regular`] for why). `b` must be materialized. The loop's
+    /// f64 arrays leave `b` for a slot table once, up front (a store may
+    /// alias a read), and return when the loop is done.
     pub(crate) fn run(&self, count: usize, b: &mut Bindings) {
         let ints: Vec<&[u32]> = self
             .int_names
@@ -284,28 +350,48 @@ impl LoweredBody<DirectStore> {
             .map(|n| std::mem::take(b.f64s.get_mut(n).expect("materialized")))
             .collect();
 
-        let mut locals = [0.0f64; MAX_LOCALS];
-        for i in 0..count {
-            for s in &self.stmts {
-                match s {
-                    LStmt::Local(slot, init) => {
-                        locals[*slot] = init.eval(i, &locals, &f64s, &ints);
-                    }
-                    LStmt::Write(w, value) => {
-                        let v = value.eval(i, &locals, &f64s, &ints);
-                        let y = &mut f64s[w.array][i];
-                        if w.accumulate {
-                            *y += v;
-                        } else {
-                            *y = v;
-                        }
-                    }
-                }
-            }
+        let count = u32::try_from(count).expect("a loop's iterations are u32-indexed");
+        match self.block {
+            1 => self.run_blocks::<1>(count, &mut f64s, &ints),
+            _ => self.run_blocks::<B>(count, &mut f64s, &ints),
         }
 
         for (n, data) in self.f64_names.iter().zip(f64s) {
             *b.f64s.get_mut(n).expect("materialized") = data;
+        }
+    }
+
+    /// `0..count` in blocks of `N` iterations; a store lands on the
+    /// block's `[start..start + n]`.
+    fn run_blocks<const N: usize>(&self, count: u32, f64s: &mut [Vec<f64>], ints: &[&[u32]]) {
+        let mut locals = [[0.0f64; N]; MAX_LOCALS];
+        let mut v = [0.0f64; N];
+        let mut iters = [0u32; N];
+        let mut start = 0u32;
+        while start < count {
+            let n = (count - start).min(N as u32) as usize;
+            for (j, it) in iters[..n].iter_mut().enumerate() {
+                *it = start + j as u32;
+            }
+            let (iters, lo) = (&iters[..n], start as usize);
+            for s in &self.stmts {
+                match s {
+                    LStmt::Local(slot, init) => {
+                        init.eval_block(iters, &locals, f64s, ints, &mut v);
+                        locals[*slot] = v;
+                    }
+                    LStmt::Write(w, value) => {
+                        value.eval_block(iters, &locals, f64s, ints, &mut v);
+                        let y = &mut f64s[w.array][lo..lo + n];
+                        if w.accumulate {
+                            y.iter_mut().zip(&v).for_each(|(y, v)| *y += v);
+                        } else {
+                            y.copy_from_slice(&v[..n]);
+                        }
+                    }
+                }
+            }
+            start += n as u32;
         }
     }
 }
@@ -321,6 +407,34 @@ pub struct InterpKernel {
     num_arrays: usize,
 }
 
+impl InterpKernel {
+    /// `giters` in blocks of `N` iterations, statements in source order:
+    /// locals become columns, and each write adds its column onto its
+    /// slots, which arrive zeroed (`+=`, so a `-0.0` contribution lands
+    /// as `+0.0`).
+    fn run_blocks<const N: usize>(&self, giters: &[u32], out: &mut [f64]) {
+        let w = self.num_refs * self.num_arrays;
+        let mut locals = [[0.0f64; N]; MAX_LOCALS];
+        let mut v = [0.0f64; N];
+        for (iters, out) in giters.chunks(N).zip(out.chunks_mut(N * w)) {
+            for s in &self.body.stmts {
+                match s {
+                    LStmt::Local(slot, init) => {
+                        init.eval_block(iters, &locals, &self.f64s, &self.ints, &mut v);
+                        locals[*slot] = v;
+                    }
+                    LStmt::Write(c, value) => {
+                        value.eval_block(iters, &locals, &self.f64s, &self.ints, &mut v);
+                        for (slot, v) in out.chunks_exact_mut(w).zip(&v[..iters.len()]) {
+                            slot[c.out] += if c.negate { -v } else { *v };
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl EdgeKernel for InterpKernel {
     fn num_refs(&self) -> usize {
         self.num_refs
@@ -330,19 +444,14 @@ impl EdgeKernel for InterpKernel {
         self.num_arrays
     }
 
+    /// One iteration is a one-iteration block.
     fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let mut locals = [0.0f64; MAX_LOCALS];
-        for s in &self.body.stmts {
-            match s {
-                LStmt::Local(slot, init) => {
-                    locals[*slot] = init.eval(iter, &locals, &self.f64s, &self.ints);
-                }
-                LStmt::Write(w, value) => {
-                    let v = value.eval(iter, &locals, &self.f64s, &self.ints);
-                    out[w.out] += if w.negate { -v } else { v };
-                }
-            }
-        }
+        let iter = u32::try_from(iter).expect("a loop's iterations are u32-indexed");
+        self.run_blocks::<1>(&[iter], out);
+    }
+
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        self.run_blocks::<B>(giters, out);
     }
 
     fn flops_per_iter(&self) -> u64 {
@@ -550,6 +659,7 @@ mod tests {
                 },
                 CExpr::Number(1.0),
             )],
+            block: B,
             flops: 1,
             edge_reads: 0,
             node_reads: 0,
@@ -573,5 +683,38 @@ mod tests {
         assert_eq!(s.total_refs, e * 2);
         assert_eq!(s.num_phases, 8);
         assert!(s.to_string().contains("P=4 k=2"));
+    }
+
+    /// The fission prelude of the benchmark's two-group program takes
+    /// the block path, and a regular loop that reads a stored array
+    /// through an indirection runs a row at a time.
+    #[test]
+    fn block_length_follows_indirect_reads_of_stored_arrays() {
+        let src = "double P[n]; double Q[n]; double W[e]; int A[e]; int B[e];
+            forall (i = 0; i < e; i++) {
+                double f = W[i] * 2.0;
+                P[A[i]] = P[A[i]] + f;
+                Q[B[i]] = Q[B[i]] - f;
+            }";
+        let c = crate::compile(src).unwrap();
+        let preludes: Vec<&Forall> = c
+            .plan
+            .iter()
+            .filter_map(|p| match p {
+                crate::LoopPlan::Regular(rl) => Some(&c.program.loops[rl.loop_index]),
+                crate::LoopPlan::Phased(_) => None,
+            })
+            .collect();
+        assert_eq!(preludes.len(), 1);
+        let prelude = lower_regular(preludes[0]).unwrap();
+        assert_eq!(prelude.stored().collect::<Vec<_>>(), ["__tmp_f"]);
+        assert_eq!(prelude.block, B);
+
+        let chain = crate::parse(
+            "double Y[e]; int A[e];
+            forall (i = 0; i < e; i++) { Y[i] = Y[A[i]] + 1.0; }",
+        )
+        .unwrap();
+        assert_eq!(lower_regular(&chain.loops[0]).unwrap().block, 1);
     }
 }

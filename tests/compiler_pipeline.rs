@@ -5,6 +5,7 @@
 //! The former `.proptest-regressions` seed is preserved as the named
 //! unit test [`regression_single_sub_stmt_six_procs`].
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use earth_model::native::NativeConfig;
@@ -12,11 +13,12 @@ use earth_model::sim::SimConfig;
 use earth_model::FaultConfig;
 use harness::prop::{check, Config, Gen};
 use harness::prop_assert;
+use threadedc::lower::InterpKernel;
 use threadedc::{compile, interpret, parse, Bindings};
 
 use irred::{
-    Distribution, EdgeKernel, ExecutionConfig, GatherEngine, GatherSpec, PhasedEngine, PhasedSpec,
-    ReductionEngine, SeqEngine, StrategyConfig,
+    Distribution, EdgeKernel, EngineError, ExecutionConfig, GatherEngine, GatherSpec, PhasedEngine,
+    PhasedSpec, ReductionEngine, RunOutcome, SeqEngine, StrategyConfig, Workspace,
 };
 use workloads::SparseMatrix;
 
@@ -618,4 +620,241 @@ fn bindings_small() -> Bindings {
     b.ints
         .insert("B".into(), (0..40).map(|i| (i * 11 % 16) as u32).collect());
     b
+}
+
+/// A random expression for a phased loop body: the loop variable,
+/// locals defined so far, direct reads of `W`/`V` and indirect reads of
+/// the read-only `Z`. Division is by a nonzero literal only.
+fn phased_expr(g: &mut Gen, locals: usize, depth: usize) -> String {
+    if depth == 0 || g.prob(0.3) {
+        return match g.usize_in(0..5) {
+            0 => format!("{}.5", g.usize_in(0..9)),
+            1 => "i".into(),
+            2 if locals > 0 => format!("t{}", g.usize_in(0..locals)),
+            3 => format!("Z[{}[i]]", g.pick(&["A", "B", "C"])),
+            _ => format!("{}[i]", g.pick(&["W", "V"])),
+        };
+    }
+    let lhs = phased_expr(g, locals, depth - 1);
+    match g.usize_in(0..5) {
+        0 => format!("-({lhs})"),
+        1 => format!("({lhs}) / {}.25", g.usize_incl(1, 7)),
+        op => format!(
+            "({lhs}) {} ({})",
+            ["+", "-", "*"][op - 2],
+            phased_expr(g, locals, depth - 1)
+        ),
+    }
+}
+
+/// Any f64, with the special classes drawn often: ±0, subnormals, ±inf,
+/// NaN (payload included), and arbitrary bit patterns.
+fn any_f64(g: &mut Gen) -> f64 {
+    let sign = if g.prob(0.5) { 1u64 << 63 } else { 0 };
+    let bits = match g.usize_in(0..6) {
+        0 => 0,
+        1 => g.u64_in(1..1 << 52),
+        2 => 0x7ff0_0000_0000_0000,
+        3 => 0x7ff0_0000_0000_0000 | g.u64_in(1..1 << 52),
+        4 => (g.u64_in(1..10) as f64).to_bits(),
+        _ => g.u64_any(),
+    };
+    f64::from_bits(bits | sign)
+}
+
+/// One case of the batch property: a single-group phased program (so
+/// its locals stay in the phased body), its bindings, and the `giters`
+/// lists each kernel is probed with.
+#[derive(Debug)]
+struct BatchCase {
+    src: String,
+    n: usize,
+    f64s: Vec<(&'static str, Vec<f64>)>,
+    ints: Vec<(&'static str, Vec<u32>)>,
+    giters: Vec<Vec<u32>>,
+}
+
+fn batch_case(g: &mut Gen) -> BatchCase {
+    let (n, e) = (g.usize_incl(1, 16), g.usize_incl(1, 60));
+    let mut src = String::from(
+        "double X[n]; double Z[n]; double W[e]; double V[e]; int A[e]; int B[e]; int C[e];\n\
+         forall (i = 0; i < e; i++) {\n",
+    );
+    let (mut locals, mut writes) = (0, 0);
+    for _ in 0..g.usize_incl(1, 6) {
+        let value = phased_expr(g, locals, 3);
+        if g.prob(0.4) {
+            src.push_str(&format!("  double t{locals} = {value};\n"));
+            locals += 1;
+        } else {
+            let op = g.pick(&["+=", "-="]);
+            src.push_str(&format!("  X[{}[i]] {op} {value};\n", g.pick(&["A", "B"])));
+            writes += 1;
+        }
+    }
+    if writes == 0 {
+        src.push_str(&format!("  X[A[i]] -= {};\n", phased_expr(g, locals, 3)));
+    }
+    src.push_str("}\n");
+    let f64s = vec![
+        ("W", g.vec(e, e, any_f64)),
+        ("V", g.vec(e, e, any_f64)),
+        ("Z", g.vec(n, n, any_f64)),
+    ];
+    let ints = ["A", "B", "C"]
+        .map(|name| (name, g.vec(e, e, |g| g.u32_in(0..n as u32))))
+        .to_vec();
+    let giters = (0..3)
+        .map(|_| g.vec(0, 40, |g| g.u32_in(0..e as u32)))
+        .collect();
+    BatchCase {
+        src,
+        n,
+        f64s,
+        ints,
+        giters,
+    }
+}
+
+/// A test engine that probes every kernel it is handed — batch against
+/// per-iteration `contrib` over its `giters` lists — then runs the spec
+/// on the sequential engine so the program carries on.
+struct BatchProbe<'a> {
+    giters: &'a [Vec<u32>],
+    seq: SeqEngine,
+    probed: Cell<usize>,
+    mismatch: RefCell<Option<String>>,
+}
+
+impl ReductionEngine<PhasedSpec<InterpKernel>> for BatchProbe<'_> {
+    type Prepared = <SeqEngine as ReductionEngine<PhasedSpec<InterpKernel>>>::Prepared;
+
+    fn name(&self) -> &'static str {
+        "batch-probe"
+    }
+
+    fn prepare(
+        &self,
+        spec: &PhasedSpec<InterpKernel>,
+        strat: &StrategyConfig,
+    ) -> Result<Self::Prepared, EngineError> {
+        self.probed.set(self.probed.get() + 1);
+        let k = &spec.kernel;
+        let m = k.num_refs();
+        let w = m * k.num_arrays();
+        for giters in self.giters {
+            let elems: Vec<u32> = giters
+                .iter()
+                .flat_map(|&i| spec.indirection.iter().map(move |a| a[i as usize]))
+                .collect();
+            let mut batch = vec![0.0; giters.len() * w];
+            k.contrib_batch(&[], giters, &elems, &mut batch);
+            for (j, &gi) in giters.iter().enumerate() {
+                let mut one = vec![0.0; w];
+                k.contrib(&[], gi as usize, &elems[j * m..(j + 1) * m], &mut one);
+                for (s, (b, o)) in batch[j * w..(j + 1) * w].iter().zip(&one).enumerate() {
+                    if b.to_bits() != o.to_bits() && self.mismatch.borrow().is_none() {
+                        *self.mismatch.borrow_mut() = Some(format!(
+                            "giters {giters:?}: batch[{j}][{s}] = {b:e} ({:#x}) vs contrib \
+                             {o:e} ({:#x})",
+                            b.to_bits(),
+                            o.to_bits()
+                        ));
+                    }
+                }
+            }
+        }
+        self.seq.prepare(spec, strat)
+    }
+
+    fn execute(
+        &self,
+        prepared: &mut Self::Prepared,
+        ws: &mut Workspace,
+    ) -> Result<RunOutcome, EngineError> {
+        self.seq.execute(prepared, ws)
+    }
+}
+
+/// `InterpKernel::contrib_batch` — a block of iterations per statement —
+/// equals per-iteration `contrib` bit for bit: on arbitrary f64 bit
+/// patterns, batch lengths 0..=40 (partial blocks), repeated and
+/// out-of-order iterations, negated writes and locals.
+#[test]
+fn interp_kernel_batch_equals_contrib() {
+    check(
+        "interp_kernel_batch_equals_contrib",
+        Config::cases(96),
+        batch_case,
+        |c| {
+            let compiled = compile(&c.src).map_err(|d| format!("{d}\nprogram:\n{}", c.src))?;
+            let mut b = Bindings::default();
+            b.sizes.insert("n".into(), c.n);
+            b.sizes.insert("e".into(), c.ints[0].1.len());
+            for (name, v) in &c.f64s {
+                b.f64s.insert((*name).into(), v.clone());
+            }
+            for (name, v) in &c.ints {
+                b.ints.insert((*name).into(), v.clone());
+            }
+            let probe = BatchProbe {
+                giters: &c.giters,
+                seq: SeqEngine::new(ExecutionConfig::default()),
+                probed: Cell::new(0),
+                mismatch: RefCell::new(None),
+            };
+            let strat = StrategyConfig::new(2, 1, Distribution::Cyclic, 1);
+            compiled
+                .execute_with(&mut b, &probe, &strat)
+                .map_err(|e| format!("{e}\nprogram:\n{}", c.src))?;
+            prop_assert!(probe.probed.get() == 1, "one phased loop\n{}", c.src);
+            match probe.mismatch.into_inner() {
+                Some(m) => Err(format!("{m}\nprogram:\n{}", c.src)),
+                None => Ok(()),
+            }
+        },
+    );
+}
+
+/// `Y[i] = Y[A[i]] + 1.0` with `A[i] = i - 1` carries each iteration's
+/// store into the next one's read, across block boundaries: a body that
+/// reads a stored array through an indirection must run a row at a time
+/// and match the interpreter.
+#[test]
+fn regular_loop_reading_its_own_store_indirectly_matches_interpreter() {
+    let src = "double Y[e]; int A[e];\n\
+               forall (i = 0; i < e; i++) {\n  Y[i] = Y[A[i]] + 1.0;\n}\n";
+    let e = 40usize;
+    let fresh = || {
+        let mut b = Bindings::default();
+        b.sizes.insert("e".into(), e);
+        b.f64s
+            .insert("Y".into(), (0..e).map(|i| i as f64 * 10.0).collect());
+        b.ints.insert(
+            "A".into(),
+            (0..e).map(|i| i.saturating_sub(1) as u32).collect(),
+        );
+        b
+    };
+    let mut want = fresh();
+    interpret(&parse(src).unwrap(), &mut want).unwrap();
+    let compiled = compile(src).unwrap();
+    let strat = StrategyConfig::new(2, 2, Distribution::Cyclic, 1);
+    let mut flat = fresh();
+    compiled
+        .execute_sim(&mut flat, &strat, SimConfig::default())
+        .unwrap();
+    let mut with = fresh();
+    compiled
+        .execute_with(
+            &mut with,
+            &SeqEngine::new(ExecutionConfig::default()),
+            &strat,
+        )
+        .unwrap();
+    for (label, got) in [("execute_flat", &flat), ("execute_with", &with)] {
+        for (i, (a, w)) in got.f64s["Y"].iter().zip(&want.f64s["Y"]).enumerate() {
+            assert_eq!(a.to_bits(), w.to_bits(), "{label}: Y[{i}] = {a} vs {w}");
+        }
+    }
 }
