@@ -15,8 +15,8 @@
 #   ./ci.sh faults   # fault-injection / recovery sweeps only
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
-#                    # deterministic sim, the unmetered-equals-metered
-#                    # and tiling suite, and the coefficient-table batch
+#                    # deterministic sim, the native-equals-simulator
+#                    # suite, and the coefficient-table batch
 #                    # body against its scalar reference (3 fixed seeds
 #                    # + one randomized pass each), and a quick
 #                    # `figs adaptive` run that must print its
@@ -83,7 +83,7 @@ tier1() {
     # cold prepare path (a never-seen structure per job), the adaptive
     # path (apply_updates re-inspecting a live plan's touched nodes
     # every job), the library's native chunked kernel (engine-moldyn)
-    # and the simulator's metered and replayed sweeps (sim-moldyn-p32)
+    # and the simulator's measuring and replayed sweeps (sim-moldyn-p32)
     # end to end.
     # The quick runs' header says NOT FOR NUMBERS — only the exit code
     # (0 = it built and every checked output was correct: values
@@ -141,8 +141,8 @@ faults() {
 
 workloads() {
     # The golden-oracle property suite for the skewed workload families,
-    # the chunked kernel's native and replayed runs against the metered
-    # run on the same families (tuning_equivalence), and the batch body
+    # native and replayed runs against the simulator's measuring run on
+    # the same families (tuning_equivalence), and the batch body
     # those families and the server's jobs share against its scalar
     # reference (batch_kernels): three fixed base seeds for
     # deterministic replay, then one randomized pass to keep widening

@@ -36,7 +36,7 @@ use irred::baseline::{
 use irred::kernel::WeightedPairKernel;
 use irred::{
     seq_reduction, EdgeKernel, ExecutionConfig, PhasedEngine, PhasedSpec, ReductionEngine,
-    RunOutcome, StrategyConfig, Tuning, Workspace,
+    RunOutcome, StrategyConfig, Workspace,
 };
 use kernels::{EulerProblem, FamilyProblem, MolDynProblem, MvmProblem};
 use lightinspector::{inspect, InspectorInput, PhaseGeometry};
@@ -705,7 +705,7 @@ fn adaptive(trace: bool) {
 /// `PreparedPhased::apply_updates` call, which validates the churn,
 /// rewrites the indirection and re-inspects every node it touches, on a
 /// particle-in-cell deck of the `engine-pic` shape (524 288 particles,
-/// 65 536 cells, P8 2c, native tuning; an eighth of that under
+/// 65 536 cells, P8 2c, native backend; an eighth of that under
 /// `REPRO_QUICK`). Each churn level times several steps after the first
 /// (which also gathers the nodes' local indirection), against a fresh
 /// `prepare` of the same deck. Every timed update follows an untimed
@@ -718,9 +718,7 @@ fn adaptive_prepared(rep: &mut Report) {
         (65_536, 524_288, 20)
     };
     let strat = StrategyConfig::new(8, 2, Distribution::Cyclic, 4);
-    let engine = PhasedEngine::new(
-        ExecutionConfig::native(NativeConfig::default()).with_tuning(Tuning::auto()),
-    );
+    let engine = PhasedEngine::native(NativeConfig::default());
     let median_ms = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]

@@ -130,7 +130,7 @@ pub struct ExecutionConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Trace-sink selection (see [`TraceConfig`]).
     pub trace: TraceConfig,
-    /// Performance knobs that do not change what is computed: tiling,
+    /// The performance knob that does not change what is computed: the
     /// host thread cap (see [`Tuning`]).
     pub tuning: Tuning,
 }
@@ -272,11 +272,9 @@ mod tests {
 
     #[test]
     fn with_tuning_mirrors_host_threads_into_native() {
-        use crate::tuning::TileChoice;
         let cfg = ExecutionConfig::native(NativeConfig::default())
-            .with_tuning(Tuning::auto().host_threads(3));
+            .with_tuning(Tuning::new().host_threads(3));
         assert_eq!(cfg.native.host_threads, Some(3));
-        assert_eq!(cfg.tuning.tile, TileChoice::Auto);
         // Without a cap, an existing native setting is left alone.
         let native = NativeConfig {
             host_threads: Some(2),

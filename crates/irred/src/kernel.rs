@@ -84,9 +84,10 @@ pub trait EdgeKernel: Send + Sync + 'static {
     ///
     /// **Contract:** an override must produce, slot for slot, the
     /// bit-identical values of `num_refs()*num_arrays()` pre-zeroed
-    /// per-iteration `contrib` calls — the chunked kernel's bit-identity
-    /// to the simulator's metered sweep (which calls `contrib`) rests on
-    /// it (property-tested in `tests/tuning_equivalence.rs`). `out`
+    /// per-iteration `contrib` calls — the phased runs' agreement with
+    /// the per-iteration callers, `SeqEngine` and the IE baseline, rests
+    /// on it (unit-tested beside each override, property-tested in
+    /// `tests/batch_kernels.rs`). `out`
     /// arrives zeroed; overrides that assign every slot may rely on
     /// nothing else.
     fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {

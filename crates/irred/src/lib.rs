@@ -88,8 +88,8 @@ pub use phased::{structure_hash, PhasedEngine, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};
 pub use ring::{PreparedRing, RingEngine};
 pub use seq::{seq_gather_cycles, seq_reduction, PreparedSeq, SeqEngine, SeqResult};
-pub use strategy::{AutoTuning, EngineChoice, StrategyConfig, StrategyError};
-pub use tuning::{SimdMode, TileChoice, Tuning};
+pub use strategy::{EngineChoice, StrategyConfig, StrategyError};
+pub use tuning::{SimdMode, Tuning};
 pub use workloads::{distribute, Distribution};
 
 /// Compare two reduction results element-wise with a tolerance that

@@ -54,9 +54,8 @@ use crate::kernel::EdgeKernel;
 use crate::prepared::Workspace;
 use crate::ring::{fan_out, PreparedRing, RingEngine};
 use crate::strategy::StrategyConfig;
-use crate::tuning::Tuning;
 use node::{Phased, PhasedNode, PhasedProgram};
-use plan::{resolve_tile_span, NodePlanData};
+use plan::NodePlanData;
 use spec::fold64;
 pub use spec::{structure_hash, PhasedSpec};
 
@@ -120,7 +119,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         // degenerate to bare synchronization (PhaseGeometry handles this).
         let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
         let total_iterations = spec.num_iterations();
-        let tile_span = resolve_tile_span(&cfg.tuning, cfg, &geometry, &*spec.kernel);
         let prepped = fan_out(sources, |proc, source| {
             let local_iters: Vec<u32> = strat
                 .distribution
@@ -138,7 +136,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 spec.num_elements,
                 total_iterations,
                 &*spec.kernel,
-                tile_span,
             );
             Ok::<_, EngineError>((local_iters, data, events))
         });
@@ -163,8 +160,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let prog = PhasedProgram {
             kernel: Arc::clone(&spec.kernel),
             num_elements: spec.num_elements,
-            tuning: cfg.tuning,
-            tile_span,
             indirection: Arc::clone(&spec.indirection),
             local_iters,
             node_data,
@@ -196,21 +191,16 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     }
 
     /// The prepare-time structure hash of the originating (spec,
-    /// strategy) pair. The plan-shaping Tuning knobs participate: a
-    /// tiled plan is not interchangeable with an untiled one. The
-    /// execute-time knob (host_threads) deliberately does not — see
-    /// [`Tuning::plan_fingerprint`].
+    /// strategy) pair.
     fn structure_hash(&self) -> u64 {
         let prog = &self.prog;
         *prog.structure_hash.get_or_init(|| {
-            let mut h = structure_hash(
+            structure_hash(
                 prog.num_elements,
                 &*prog.kernel,
                 &prog.indirection,
                 &self.strat,
-            );
-            fold64(&mut h, prog.tuning.plan_fingerprint());
-            h
+            )
         })
     }
 
@@ -253,19 +243,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.prog.num_elements
     }
 
-    /// The [`Tuning`] this run was prepared under.
-    pub fn tuning(&self) -> Tuning {
-        self.prog.tuning
-    }
-
-    /// The resolved phase-local tile span in elements (`None` when the
-    /// plan is untiled — [`TileChoice::Off`](crate::TileChoice::Off),
-    /// or `Auto` on a problem whose portions already fit the cache
-    /// budget).
-    pub fn tile_span(&self) -> Option<usize> {
-        self.prog.tile_span
-    }
-
     /// Number of processors in the prepared plan.
     pub fn num_procs(&self) -> usize {
         self.strat.procs
@@ -276,8 +253,8 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.geometry.num_phases()
     }
 
-    /// Processor `proc`'s frozen schedule: the (possibly tiled) CSR
-    /// plan its executor streams, rows in [`Self::phase_order`] order.
+    /// Processor `proc`'s frozen schedule: the CSR plan its executor
+    /// streams, rows in [`Self::phase_order`] order.
     pub fn node_plan(&self, proc: usize) -> &lightinspector::FlatPlan {
         &self.prog.node_data[proc].flat
     }
@@ -287,10 +264,9 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         self.prog.node_data[proc].buffer_len
     }
 
-    /// The (possibly tiled) iteration order of phase `p` on processor
-    /// `proc`, as global iteration ids. Exposed so tests can prove the
-    /// tiling contract: within one tile block the order is a
-    /// subsequence of the untiled order (stable sort).
+    /// The iteration order of phase `p` on processor `proc`, as global
+    /// iteration ids. Exposed so tests can compare an updated plan with
+    /// a fresh prepare row for row.
     pub fn phase_order(&self, proc: usize, p: usize) -> Vec<u32> {
         self.prog.node_data[proc].phase(p).0.to_vec()
     }
@@ -374,7 +350,6 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         }
         let touched: Vec<usize> = (0..procs).filter(|&p| touched[p]).collect();
         let (local_ind, kernel) = (&*local_ind, &*prog.kernel);
-        let tile_span = prog.tile_span;
         let rebuilt = fan_out(touched.clone(), |_, proc| {
             let local: Vec<&[u32]> = local_ind[proc].iter().map(Vec::as_slice).collect();
             let input = InspectorInput {
@@ -383,15 +358,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 indirection: &local,
             };
             let fi = inspect(input).expect("validated updates keep the node inspectable");
-            NodePlanData::build(
-                fi,
-                &local,
-                &local_iters[proc],
-                num_elements,
-                total,
-                kernel,
-                tile_span,
-            )
+            NodePlanData::build(fi, &local, &local_iters[proc], num_elements, total, kernel)
         });
         for (proc, data) in touched.into_iter().zip(rebuilt) {
             prog.node_data[proc] = Arc::new(data);
@@ -1042,15 +1009,13 @@ mod tests {
     }
 
     #[test]
-    fn prepared_hash_is_the_spec_hash_with_the_tuning_folded_in() {
+    fn prepared_hash_is_the_spec_hash() {
         let spec = tiny_spec(64, 26, 300);
         let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 2);
         let prepared = PhasedEngine::sim(SimConfig::default())
             .prepare(&spec, &strat)
             .unwrap();
-        let mut h = spec.structure_hash(&strat);
-        fold64(&mut h, prepared.tuning().plan_fingerprint());
-        assert_eq!(prepared.structure_hash(), h);
+        assert_eq!(prepared.structure_hash(), spec.structure_hash(&strat));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The phased program's node: its state, the hooks the ring driver
-//! calls in every phase fiber, and the two loops.
+//! calls in every phase fiber, and the measuring sweep's address walk.
 //!
 //! Under the simulator every node keeps private reduction and read
 //! arrays and the ring moves real payloads. Native runs share one
@@ -23,7 +23,6 @@ use crate::kernel::EdgeKernel;
 use crate::prepared::Workspace;
 use crate::ring::{recv_portion, slot_of, Assembled, NodeOf, Phase, RingProgram};
 use crate::seq::seq_reduction;
-use crate::tuning::Tuning;
 use crate::vector;
 
 /// Mailbox tag of the post-sweep read broadcasts (portions use 1).
@@ -35,11 +34,6 @@ const TAG_BCAST: u32 = 2;
 pub struct PhasedProgram<K> {
     pub(super) kernel: Arc<K>,
     pub(super) num_elements: usize,
-    /// Tuning captured at prepare time (tile shaped the plan).
-    pub(super) tuning: Tuning,
-    /// Resolved phase-local tile span in elements (`None` = untiled);
-    /// see [`TileChoice`](crate::TileChoice).
-    pub(super) tile_span: Option<usize>,
     /// Current global indirection arrays: the spec's own allocation
     /// until the first `apply_updates` writes to it.
     pub(super) indirection: Arc<Vec<Vec<u32>>>,
@@ -58,11 +52,11 @@ pub struct PhasedProgram<K> {
     /// Modeled per-iteration / per-copy overhead of the generated phased
     /// loop code (0 on the native backend).
     pub(super) overheads: (u64, u64),
-    /// The structure hash of the originating (spec, strategy) pair and
-    /// the plan-shaping tuning, combined with the mutation version to
-    /// form `cache_key`. Hashing reads the whole indirection, so it runs
-    /// on the first `cache_key` or before the first update rewrites the
-    /// indirection, whichever comes first.
+    /// The structure hash of the originating (spec, strategy) pair,
+    /// combined with the mutation version to form `cache_key`. Hashing
+    /// reads the whole indirection, so it runs on the first `cache_key`
+    /// or before the first update rewrites the indirection, whichever
+    /// comes first.
     pub(super) structure_hash: OnceLock<u64>,
 }
 
@@ -103,8 +97,6 @@ pub struct PhasedNode<K> {
     /// Reduction-group width / read-group width (cached off the kernel).
     r_arrays: usize,
     n_read: usize,
-    /// Scratch for kernel contributions.
-    out: Vec<f64>,
     /// Modeled per-iteration / per-copy overhead of the generated phased
     /// loop code (0 on the native backend).
     overheads: (u64, u64),
@@ -266,7 +258,6 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
     fn make_nodes(&self, ws: &mut Workspace, sim: bool) -> Vec<PhasedNode<K>> {
         let r_arrays = self.kernel.num_arrays();
         let n_read = self.kernel.num_read_arrays();
-        let m = self.kernel.num_refs();
         let n = self.num_elements;
         // Native runs share one region allocation: the ring rotation
         // moves portion *ownership* (a bare sync), never the doubles.
@@ -299,7 +290,6 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
                 read,
                 r_arrays,
                 n_read,
-                out: vec![0.0; m * r_arrays],
                 overheads: self.overheads,
                 staged: Vec::new(),
                 results: Vec::new(),
@@ -418,8 +408,11 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
         node.exec_loops(ph.t, ph.p);
     }
 
+    /// Charge the phase's accesses, then compute its values with the
+    /// same loop as every other sweep.
     fn run_loops_metered<M: Meter>(node: &mut PhasedNode<K>, ph: &Phase, meter: &mut M) {
-        loops(node, ph.p, meter);
+        meter_phase(&node.data, &*node.kernel, ph.p, meter);
+        node.exec_loops(ph.t, ph.p);
     }
 
     /// Charge the generated-code overhead of the phased loops (see
@@ -567,9 +560,9 @@ impl<K: EdgeKernel> PhasedProgram<K> {
 }
 
 impl<K: EdgeKernel> PhasedNode<K> {
-    /// Loop 1 + loop 2 without metering: the native / replay hot path,
-    /// streaming the node's flat schedule through the chunked kernel
-    /// ([`vector::run_phase`]).
+    /// Loop 1 + loop 2: the one value loop of every sweep — native,
+    /// replayed and measuring — streaming the node's flat schedule
+    /// through the chunked kernel ([`vector::run_phase`]).
     fn exec_loops(&mut self, t: usize, p: usize) {
         let (giters, elems, refs, copies) = self.data.phase(p);
         let (read, rp, split, buf): (&[f64], *mut f64, usize, &mut [f64]) = match &self.region {
@@ -617,21 +610,21 @@ impl<K: EdgeKernel> PhasedNode<K> {
     }
 }
 
-/// The metered inner loops of phase `p`: the simulator's first
-/// (measuring) sweep of each phase, over the same schedule
-/// [`PhasedNode::exec_loops`] streams. Every array access goes through
-/// the meter at the address `Regions` assigns it; the float
-/// operations and their order are the flat loops' own.
-fn loops<K: EdgeKernel, M: Meter>(s: &mut PhasedNode<K>, p: usize, meter: &mut M) {
-    let (giters, elems, refs, copies) = s.data.phase(p);
-    let (kernel, read, x, out) = (&*s.kernel, &s.read, &mut s.x, &mut s.out);
-    let (r_arrays, n_read, regs) = (s.r_arrays, s.n_read, &s.data.regions);
-    let phase_off = s.data.flat.phase_rows(p).start;
+/// The measuring sweep's address walk of phase `p`: every load, store
+/// and flop the first loop and the copy loop perform, in their order,
+/// at the addresses `Regions` assigns — and no float arithmetic. The
+/// cycle model is a function of the schedule's addresses, so the values
+/// come from [`PhasedNode::exec_loops`] like every other sweep's.
+fn meter_phase<K: EdgeKernel, M: Meter>(data: &NodePlanData, kernel: &K, p: usize, meter: &mut M) {
+    let (giters, elems, refs, copies) = data.phase(p);
+    let regs = &data.regions;
+    let phase_off = data.flat.phase_rows(p).start;
     let m = kernel.num_refs();
+    let r_arrays = kernel.num_arrays();
+    let read_stride = kernel.num_read_arrays().max(1);
     let edge_reads = kernel.edge_reads_per_iter();
     let node_reads = kernel.node_reads_per_elem();
     let flops = kernel.flops_per_iter();
-    let read_stride = n_read.max(1);
 
     // Loop 1: compute contributions and scatter them into the resident
     // portion or the buffer extension.
@@ -646,18 +639,14 @@ fn loops<K: EdgeKernel, M: Meter>(s: &mut PhasedNode<K>, p: usize, meter: &mut M
                 meter.load(regs.read.addr(row + w));
             }
         }
-        for w in 0..edge_reads {
-            let _ = w;
+        for _ in 0..edge_reads {
             meter.load(regs.edge.addr(gi as usize));
         }
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, e, out);
         meter.flops(flops);
         for r in 0..m {
             let base = refs[j * m + r] as usize * r_arrays;
             meter.load(regs.refs[r].addr(pos));
             for a in 0..r_arrays {
-                x[base + a] += out[r * r_arrays + a];
                 meter.load(regs.x.addr(base + a));
                 meter.store(regs.x.addr(base + a));
                 meter.flops(1);
@@ -672,14 +661,107 @@ fn loops<K: EdgeKernel, M: Meter>(s: &mut PhasedNode<K>, p: usize, meter: &mut M
         let sb = c.src as usize * r_arrays;
         let db = c.dest as usize * r_arrays;
         for a in 0..r_arrays {
-            let v = x[sb + a];
-            x[db + a] += v;
-            x[sb + a] = 0.0;
             meter.load(regs.x.addr(sb + a));
             meter.load(regs.x.addr(db + a));
             meter.store(regs.x.addr(db + a));
             meter.store(regs.x.addr(sb + a));
             meter.flops(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lightinspector::{inspect, InspectorInput};
+
+    /// Two references, two reduction arrays, two read arrays, and cost
+    /// declarations that differ from each other and from the defaults,
+    /// so a term charged with the wrong count shows.
+    struct Costed;
+
+    impl EdgeKernel for Costed {
+        fn num_arrays(&self) -> usize {
+            2
+        }
+        fn num_read_arrays(&self) -> usize {
+            2
+        }
+        fn contrib(&self, _read: &[f64], _iter: usize, _elems: &[u32], _out: &mut [f64]) {}
+        fn flops_per_iter(&self) -> u64 {
+            7
+        }
+        fn edge_reads_per_iter(&self) -> usize {
+            2
+        }
+        fn node_reads_per_elem(&self) -> usize {
+            3
+        }
+    }
+
+    #[derive(Default)]
+    struct Count {
+        loads: u64,
+        stores: u64,
+        flops: u64,
+    }
+
+    impl Meter for Count {
+        fn load(&mut self, _addr: u64) {
+            self.loads += 1;
+        }
+        fn store(&mut self, _addr: u64) {
+            self.stores += 1;
+        }
+        fn flops(&mut self, n: u64) {
+            self.flops += n;
+        }
+    }
+
+    /// Each phase's charged loads, stores and flops equal the closed
+    /// form in its row and copy counts and the kernel's declared costs.
+    #[test]
+    fn meter_phase_charges_the_closed_form() {
+        let kernel = Costed;
+        let (m, w) = (kernel.num_refs() as u64, kernel.num_arrays() as u64);
+        let node_reads = kernel.node_reads_per_elem() as u64;
+        let edge_reads = kernel.edge_reads_per_iter() as u64;
+        let flops = kernel.flops_per_iter();
+        // Processor 0 of 2, k = 1, 12 elements: portions of 6. Pairs
+        // that straddle the portions leave buffer slots for copy-folds.
+        let num_elements = 12;
+        let a: Vec<u32> = vec![0, 1, 5, 7, 2, 9, 11, 3, 6, 4];
+        let b: Vec<u32> = vec![6, 8, 4, 2, 10, 1, 0, 7, 9, 5];
+        let local: Vec<&[u32]> = vec![&a, &b];
+        let local_iters: Vec<u32> = (0..a.len() as u32).map(|i| 2 * i).collect();
+        let geometry = PhaseGeometry::try_new(2, 1, num_elements).unwrap();
+        let fi = inspect(InspectorInput {
+            geometry,
+            proc_id: 0,
+            indirection: &local,
+        })
+        .unwrap();
+        let data = NodePlanData::build(fi, &local, &local_iters, num_elements, 20, &kernel);
+        let mut copies_seen = 0;
+        for p in 0..data.flat.num_phases() {
+            let rows = data.flat.phase_rows(p).len() as u64;
+            let copies = data.flat.phase_copies(p).len() as u64;
+            copies_seen += copies;
+            let mut c = Count::default();
+            meter_phase(&data, &kernel, p, &mut c);
+            let row_loads = 1 + m * (1 + node_reads) + edge_reads + m * (1 + w);
+            assert_eq!(
+                c.loads,
+                rows * row_loads + copies * (1 + 2 * w),
+                "loads, phase {p}"
+            );
+            assert_eq!(c.stores, rows * m * w + copies * 2 * w, "stores, phase {p}");
+            assert_eq!(
+                c.flops,
+                rows * (flops + m * w) + copies * w,
+                "flops, phase {p}"
+            );
+        }
+        assert!(copies_seen > 0, "the plan must exercise the copy loop");
     }
 }

@@ -1,13 +1,11 @@
 //! The phased program's frozen per-node schedule: the LightInspector's
-//! flat plan (optionally tiled), the global ids its kernels read, and
-//! the addressing the cache model charges.
+//! flat plan, the global ids its kernels read, and the addressing the
+//! cache model charges.
 
-use lightinspector::{FlatInspection, PhaseGeometry};
+use lightinspector::FlatInspection;
 use memsim::{AddressMap, Region};
 
-use crate::config::{BackendKind, ExecutionConfig};
 use crate::kernel::EdgeKernel;
-use crate::tuning::{TileChoice, Tuning};
 
 /// Per-node regions for the cache model. The reduction group and the
 /// read arrays are modeled with array-of-structs layout (one struct of
@@ -29,7 +27,7 @@ pub(super) struct Regions {
 /// prepared run and every node state instantiated from it, and rebuilt
 /// only when a mesh update touches the node.
 pub(super) struct NodePlanData {
-    /// The (possibly tiled) CSR schedule: `m`-interleaved scatter
+    /// The CSR schedule: `m`-interleaved scatter
     /// targets per row and the concatenated copy ops, per phase through
     /// `iter_ptr` / `copy_ptr`.
     pub(super) flat: lightinspector::FlatPlan,
@@ -42,93 +40,22 @@ pub(super) struct NodePlanData {
     pub(super) regions: Regions,
 }
 
-/// Stable phase-local tiling: reorder each phase's rows so that
-/// scatters landing in the same `span`-element block of the local
-/// reduction index space happen together (and likewise cluster the
-/// copy-folds by destination block). The sort key is the *first*
-/// reference's target block — the reference-group layout makes that the
-/// line the iteration is guaranteed to touch — and the sort is stable,
-/// so within one tile block iterations keep their original relative
-/// order (the property `PreparedPhased::phase_order` exposes and
-/// `tests/tuning_equivalence.rs` proves).
-///
-/// Tiling permutes rows *within a phase only*: phase membership, portion
-/// ownership, and the communication schedule are untouched, so the
-/// plan stays valid by construction. It does reassociate each element's
-/// partial sums across tiles — exact on whole-number weights,
-/// ULP-bounded otherwise (see DESIGN.md §16).
-fn tile_rows(fi: &mut FlatInspection, span: usize) {
-    let span = span.max(1) as u32;
-    let m = fi.flat.m();
-    let (mut order, mut iters, mut refs) = (Vec::new(), Vec::new(), Vec::new());
-    for p in 0..fi.flat.num_phases() {
-        let rows = fi.flat.phase_rows(p);
-        if rows.len() > 1 {
-            let prefs = fi.flat.phase_refs(p);
-            order.clear();
-            order.extend(0..rows.len());
-            order.sort_by_key(|&j| prefs[j * m] / span);
-            iters.clear();
-            iters.extend(order.iter().map(|&j| fi.iters[rows.start + j]));
-            refs.clear();
-            for &j in &order {
-                refs.extend_from_slice(&prefs[j * m..(j + 1) * m]);
-            }
-            fi.iters[rows.clone()].copy_from_slice(&iters);
-            fi.flat.refs[rows.start * m..rows.end * m].copy_from_slice(&refs);
-        }
-        let copies = fi.flat.copy_ptr[p] as usize..fi.flat.copy_ptr[p + 1] as usize;
-        fi.flat.copies[copies].sort_by_key(|c| c.dest / span);
-    }
-}
-
-/// Resolve the [`TileChoice`] into a concrete span for this prepare:
-/// `Auto` predicts from the backend's cache geometry (the simulator's
-/// configured model, or a conservative host L2 for native runs) and
-/// declines to tile when a whole portion already fits; an explicit
-/// `Elements` request is honoured as given.
-pub(super) fn resolve_tile_span<K: EdgeKernel>(
-    tuning: &Tuning,
-    cfg: &ExecutionConfig,
-    geometry: &PhaseGeometry,
-    kernel: &K,
-) -> Option<usize> {
-    match tuning.tile {
-        TileChoice::Off => None,
-        TileChoice::Elements(s) => Some(s.max(1)),
-        TileChoice::Auto => {
-            let mem = match cfg.backend {
-                BackendKind::Sim => cfg.sim.mem,
-                BackendKind::Native => memsim::MemConfig::host_l2(),
-            };
-            let span =
-                memsim::predict_tile_elems(&mem, kernel.num_arrays(), kernel.num_read_arrays());
-            (span < geometry.portion_size()).then_some(span)
-        }
-    }
-}
-
 impl NodePlanData {
     /// Freeze one processor's inspection into the node's schedule —
     /// the one construction path for fresh, adopted, and updated plans.
-    /// Tiles the rows if asked, then turns the local iteration order
-    /// into global ids in place and gathers the original element ids
-    /// the kernels read; the CSR arrays themselves are adopted, not
-    /// copied. `local_ind` is this processor's
-    /// indirection, indexed by local iteration. In debug builds every
-    /// node is checked against the flat verifier.
+    /// Turns the local iteration order into global ids in place and
+    /// gathers the original element ids the kernels read; the CSR
+    /// arrays themselves are adopted, not copied. `local_ind` is this
+    /// processor's indirection, indexed by local iteration. In debug
+    /// builds every node is checked against the flat verifier.
     pub(super) fn build<K: EdgeKernel>(
-        mut fi: FlatInspection,
+        fi: FlatInspection,
         local_ind: &[&[u32]],
         local_iters: &[u32],
         spec_elems: usize,
         total_iterations: usize,
         kernel: &K,
-        tile_span: Option<usize>,
     ) -> NodePlanData {
-        if let Some(span) = tile_span {
-            tile_rows(&mut fi, span);
-        }
         debug_assert_eq!(lightinspector::verify_flat(&fi, local_ind), Ok(()));
         let m = kernel.num_refs();
         let mut elems = Vec::with_capacity(fi.iters.len() * m);

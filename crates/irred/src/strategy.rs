@@ -6,8 +6,6 @@
 use lightinspector::PlanStats;
 use workloads::Distribution;
 
-use crate::tuning::{TileChoice, Tuning};
-
 /// Why a strategy configuration is rejected. Every field of
 /// [`StrategyConfig`] must be at least 1: zero processors or zero phases
 /// describe no machine, and zero sweeps describe no work.
@@ -117,26 +115,7 @@ impl StrategyConfig {
     /// while the rotating ring degrades toward serial execution. Shapes
     /// the IE baseline cannot run (more than 64 processors; its scatter
     /// keying limit) always select rotating portions.
-    ///
-    /// The returned [`AutoTuning`] pairs the engine choice with a full
-    /// [`Tuning`]: for rotating portions, whose per-phase portion
-    /// working set is the locality hook, memory-model-predicted tiling
-    /// ([`TileChoice::Auto`], which switches itself off at prepare time
-    /// when a portion already fits the modeled cache). The IE executor
-    /// walks owner-partitioned data in index order and gets no tiling.
-    pub fn auto_select(&self, stats: &PlanStats) -> AutoTuning {
-        let engine = self.select_engine(stats);
-        let tile = match engine {
-            EngineChoice::RotatingPortions => TileChoice::Auto,
-            EngineChoice::InspectorExecutor => TileChoice::Off,
-        };
-        AutoTuning {
-            engine,
-            tuning: Tuning::new().tile(tile),
-        }
-    }
-
-    fn select_engine(&self, stats: &PlanStats) -> EngineChoice {
+    pub fn auto_select(&self, stats: &PlanStats) -> EngineChoice {
         if self.procs <= 1 || self.procs > 64 {
             return EngineChoice::RotatingPortions;
         }
@@ -177,17 +156,6 @@ impl StrategyConfig {
     /// Modeled cycles per reference of the IE communicating inspector
     /// (hash translation), matching the simulator's charge.
     pub const INSPECT_REF_CYCLES: f64 = 12.0;
-}
-
-/// What [`StrategyConfig::auto_select`] returns: the engine choice plus
-/// a full [`Tuning`] recommendation derived from the same statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoTuning {
-    /// Which executor the cost model picked.
-    pub engine: EngineChoice,
-    /// The recommended tuning bundle — hand it to
-    /// `ExecutionConfig::with_tuning`.
-    pub tuning: Tuning,
 }
 
 /// Which executor [`StrategyConfig::auto_select`] picks.
@@ -274,10 +242,7 @@ mod tests {
         let s = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
         // 8 balanced portions over 800 distinct elements.
         let flat = stats(vec![1_000; 8], 800);
-        let auto = s.auto_select(&flat);
-        assert_eq!(auto.engine, EngineChoice::RotatingPortions);
-        // Phased gets the locality treatment: tiled.
-        assert_eq!(auto.tuning.tile, TileChoice::Auto);
+        assert_eq!(s.auto_select(&flat), EngineChoice::RotatingPortions);
     }
 
     #[test]
@@ -285,9 +250,7 @@ mod tests {
         let s = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
         // Everything lands in one portion, on 4 distinct hot keys.
         let hot = stats(vec![8_000, 0, 0, 0, 0, 0, 0, 0], 4);
-        let auto = s.auto_select(&hot);
-        assert_eq!(auto.engine, EngineChoice::InspectorExecutor);
-        assert_eq!(auto.tuning.tile, TileChoice::Off);
+        assert_eq!(s.auto_select(&hot), EngineChoice::InspectorExecutor);
     }
 
     #[test]
@@ -296,12 +259,9 @@ mod tests {
         // that the choice must stay phased even for scorching skew.
         let s = StrategyConfig::new(65, 1, Distribution::Block, 1);
         let hot = stats(vec![8_000, 0, 0, 0], 4);
-        assert_eq!(s.auto_select(&hot).engine, EngineChoice::RotatingPortions);
+        assert_eq!(s.auto_select(&hot), EngineChoice::RotatingPortions);
         let single = StrategyConfig::new(1, 2, Distribution::Block, 1);
-        assert_eq!(
-            single.auto_select(&hot).engine,
-            EngineChoice::RotatingPortions
-        );
+        assert_eq!(single.auto_select(&hot), EngineChoice::RotatingPortions);
     }
 
     #[test]

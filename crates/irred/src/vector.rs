@@ -1,5 +1,7 @@
-//! The one unmetered inner loop: the chunked first loop and copy loop
-//! that every native phase and every replayed simulator sweep runs.
+//! The one value loop: the chunked first loop and copy loop that every
+//! phased sweep runs — native phases, replayed simulator sweeps, and
+//! the simulator's measuring sweeps, which charge their accesses with a
+//! separate address walk first (`meter_phase` in `crate::phased`).
 //!
 //! A per-iteration loop interleaves *compute* (one
 //! `EdgeKernel::contrib` call) with *scatter* (2–8 dependent
@@ -13,26 +15,21 @@
 //! Storage is always `(region, split, buffer)`: scatter targets below
 //! `split` doubles land in the resident region, targets at or above it
 //! in the node's buffer extension. A native run passes the shared
-//! region of a zero-copy run; a simulator replay splits the node's
+//! region of a zero-copy run; a simulator sweep splits the node's
 //! private `x` at `num_elements · num_arrays`.
 //!
-//! ## Bit-identity
+//! ## Float order
 //!
-//! The loop performs the identical float operations in the identical
-//! order as the simulator's metered `loops` in [`crate::phased`], the
-//! float-order reference:
+//! Every phased sweep computes its values here, so native, replayed and
+//! measuring sweeps agree bit for bit by construction. The order is the
+//! plan's:
 //!
 //! * `contrib_batch` is contractually bit-identical to per-iteration
 //!   `contrib` (see the trait docs);
-//! * the scatter walks iterations in original order, references in
-//!   order, components in order — exactly the metered loop's order;
+//! * the scatter walks iterations in the inspector's phase-local order,
+//!   references in order, components in order;
 //! * the copy loop folds buffer slots into resident elements in copy
-//!   order and resets each slot, as the metered loop does.
-//!
-//! So every unmetered run is bit-identical to the metered one **on
-//! every input**, not only whole-number weights. Property-tested in
-//! `tests/tuning_equivalence.rs`; tiling (which genuinely reorders) has
-//! a separate contract, see [`crate::tuning::TileChoice`].
+//!   order and resets each slot.
 
 use lightinspector::CopyOp;
 
@@ -199,7 +196,7 @@ unsafe fn chunk<K: EdgeKernel, const R: usize>(
             batch,
         );
         // Scatter in original iteration order: j, then r, then the
-        // components — the metered loop's exact order.
+        // components.
         for j in 0..len {
             for r in 0..m {
                 let base = *refs.get_unchecked((lo + j) * m + r) as usize * r_w;
@@ -216,8 +213,8 @@ unsafe fn chunk<K: EdgeKernel, const R: usize>(
     // The copy loop: fold each buffered contribution into its resident
     // element and reset the slot for the next sweep. Sources are buffer
     // slots and destinations resident elements — always disjoint, so
-    // adding all components then zeroing matches the metered loop's
-    // per-component walk bit for bit.
+    // adding all components then zeroing equals a per-component
+    // add-and-reset bit for bit.
     for (i, c) in copies.iter().enumerate() {
         if let Some(nc) = copies.get(i + PREFETCH_AHEAD) {
             prefetch(rp.wrapping_add(nc.dest as usize * r_w) as *const f64);

@@ -3,8 +3,8 @@
 //! prepared run's per-node schedule (row order, scatter targets, copy
 //! ops, buffer extension) equals a fresh prepare's, and it executes to
 //! the same values, read state and simulated cycles, bit for bit — for
-//! arbitrary float weights, both distributions, tiled and untiled
-//! plans, both backends, and any number of references per iteration.
+//! arbitrary float weights, both distributions, both backends, and any
+//! number of references per iteration.
 //! A rejected batch changes nothing.
 
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use earth_model::sim::SimConfig;
 use irred::kernel::WeightedPairKernel;
 use irred::{
     Distribution, EdgeKernel, EngineError, ExecutionConfig, PhasedEngine, PhasedSpec,
-    PreparedPhased, ReductionEngine, StrategyConfig, TileChoice, Tuning, Workspace,
+    PreparedPhased, ReductionEngine, StrategyConfig, Workspace,
 };
 use lightinspector::InspectError;
 use workloads::diff_pairs;
@@ -66,12 +66,7 @@ fn assert_matches_fresh_prepare<K: EdgeKernel>(
         ..spec.clone()
     };
     let mut fresh = engine.prepare(&updated, &strat).unwrap();
-    let at = format!(
-        "{at}, {} on {:?} under {}",
-        strat.label(),
-        engine.config().backend,
-        engine.config().tuning.label()
-    );
+    let at = format!("{at}, {} on {:?}", strat.label(), engine.config().backend);
     for proc in 0..strat.procs {
         let plan = |r: &PreparedPhased<K>| {
             let order: Vec<_> = (0..r.num_phases())
@@ -118,7 +113,7 @@ fn apply_updates_matches_fresh_prepare() {
 }
 
 /// Several rounds of updates on one lazily built run, over both
-/// distributions, untiled and tiled at 8 elements, on both backends.
+/// distributions, on both backends.
 #[test]
 fn lazy_incremental_updates_equal_fresh_prepare_bitwise() {
     let spec = spec(256, 25, 1_200);
@@ -134,14 +129,12 @@ fn lazy_incremental_updates_equal_fresh_prepare_bitwise() {
         .collect();
     for dist in [Distribution::Cyclic, Distribution::Block] {
         let strat = StrategyConfig::new(4, 2, dist, 2);
-        for tile in [TileChoice::Off, TileChoice::Elements(8)] {
-            for cfg in [
-                ExecutionConfig::sim(SimConfig::default()),
-                ExecutionConfig::native(NativeConfig::default()),
-            ] {
-                let engine = PhasedEngine::new(cfg.with_tuning(Tuning::new().tile(tile)));
-                assert_updates_equal_fresh_prepare(&engine, &spec, &strat, &batches);
-            }
+        for cfg in [
+            ExecutionConfig::sim(SimConfig::default()),
+            ExecutionConfig::native(NativeConfig::default()),
+        ] {
+            let engine = PhasedEngine::new(cfg);
+            assert_updates_equal_fresh_prepare(&engine, &spec, &strat, &batches);
         }
     }
 }

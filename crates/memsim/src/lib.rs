@@ -19,9 +19,6 @@
 //! * [`analytic`] — a cheap closed-form alternative for very large runs
 //!   where per-access simulation is too slow (used for the class-B `mvm`
 //!   sweeps).
-//! * [`tile`] — tile-size prediction for the phased executor's
-//!   phase-local iteration tiling (validated against a per-access sweep
-//!   in `tests/tile_prediction.rs`).
 //!
 //! The default parameters ([`MemConfig::i860xp`]) approximate the i860XP's
 //! 16 KiB 4-way data cache with 32-byte lines; the miss penalty is the
@@ -34,10 +31,8 @@ pub mod cache;
 pub mod model;
 #[cfg(test)]
 mod stamp_lru;
-pub mod tile;
 
 pub use address::{AddressMap, Region};
 pub use analytic::StreamModel;
 pub use cache::{AccessKind, Cache, CacheConfig};
 pub use model::{MemConfig, MemModel, MemStats};
-pub use tile::{predict_tile_elems, MIN_TILE_ELEMS};

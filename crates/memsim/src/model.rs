@@ -32,10 +32,9 @@ impl MemConfig {
         }
     }
 
-    /// A generic modern host's per-core L2 slice (256 KiB, 8-way, 64 B
-    /// lines): the geometry the native backend's tile-size prediction
-    /// targets. Deliberately conservative — undershooting a real L2
-    /// still tiles well, overshooting thrashes.
+    /// A 256 KiB, 8-way, 64 B-line geometry, one of the cache's
+    /// test geometries (its recency order is checked against the
+    /// stamp-LRU reference on it). It models no particular host.
     pub const fn host_l2() -> Self {
         MemConfig {
             cache: CacheConfig {

@@ -24,7 +24,7 @@ use earth_model::native::{NativeConfig, RunError, StallReason};
 use earth_model::FaultConfig;
 use irred::{
     EdgeKernel, EngineError, ExecutionConfig, PhasedEngine, PhasedSpec, RecoveryPolicy,
-    ReductionEngine, RunOutcome, SeqEngine, StrategyConfig, Tuning, Workspace,
+    ReductionEngine, RunOutcome, SeqEngine, StrategyConfig, Workspace,
 };
 use threadedc::ast::ElemType;
 use threadedc::CompileCache;
@@ -101,9 +101,10 @@ impl EdgeKernel for JobKernel {
 }
 
 /// How hard the server is shedding load when a job is dequeued — a
-/// two-rung ladder. Both rungs return bit-identical values (the repo
-/// invariant: every engine and backend agrees bit for bit, and the
-/// server never tiles), so shedding only trades latency, never answers.
+/// two-rung ladder. Both rungs compute the same reduction: the `Seq`
+/// rung adds in original iteration order and the native rung in the
+/// phased schedule's order, so on non-integer weights the two can
+/// differ in the last bits. Shedding trades latency, not answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedLevel {
     /// Normal service: native parallel execution (`degraded = 0`).
@@ -314,9 +315,6 @@ impl Executor {
         fault: Option<FaultConfig>,
         deadline: Option<Instant>,
     ) -> Frame {
-        // Untiled: tiling reassociates sums, and job weights are
-        // arbitrary floats.
-        let tuning = Tuning::new();
         let mut native = NativeConfig {
             watchdog: self.watchdog,
             ..NativeConfig::default()
@@ -328,14 +326,12 @@ impl Executor {
             // unbounded sequential fallback.
             policy.fall_back_to_seq = false;
         }
-        let mut cfg = ExecutionConfig::native(native)
-            .with_recovery(policy)
-            .with_tuning(tuning);
+        let mut cfg = ExecutionConfig::native(native).with_recovery(policy);
         if let Some(f) = fault {
             cfg = cfg.with_faults(f);
         }
         let engine = PhasedEngine::new(cfg);
-        let key = plan_key(job, &kernel, strat, tuning);
+        let key = plan_key(job, &kernel, strat);
 
         // Check the plan cache out exclusively. A hit is exact, not
         // probabilistic: the cached plan must be for this very structure
@@ -353,7 +349,6 @@ impl Executor {
             } => {
                 let exact = prepared.num_elements() == job.num_elements as usize
                     && prepared.strategy() == strat
-                    && prepared.tuning().plan_fingerprint() == tuning.plan_fingerprint()
                     && prepared.indirection() == job.indirection.as_slice()
                     && prepared.set_kernel(Arc::clone(&kernel)).is_ok();
                 if !exact {
@@ -410,7 +405,8 @@ impl Executor {
 
 /// Load-shed path: sequential execution, no plan cache, no faults (the
 /// fault plan models machine-level faults; there is no machine here).
-/// Bit-identical to the native result by the repo invariant.
+/// The native rung's reduction, summed in original iteration order
+/// (see [`ShedLevel`]).
 fn run_seq(job: &SubmitJob, spec: &PhasedSpec<JobKernel>, strat: &StrategyConfig) -> Frame {
     match SeqEngine::new(ExecutionConfig::default()).run(spec, strat) {
         Ok(out) => ok_frame(job.job_id, DEGRADED_SEQ, out),
@@ -429,10 +425,9 @@ fn job_spec(job: &SubmitJob, kernel: Arc<JobKernel>) -> PhasedSpec<JobKernel> {
 }
 
 /// The plan-cache key of a job: its structure hash, hashed straight from
-/// the decoded frame's arrays, with the plan-shaping tuning knobs.
-fn plan_key(job: &SubmitJob, kernel: &JobKernel, strat: &StrategyConfig, tuning: Tuning) -> u64 {
+/// the decoded frame's arrays.
+fn plan_key(job: &SubmitJob, kernel: &JobKernel, strat: &StrategyConfig) -> u64 {
     irred::structure_hash(job.num_elements as usize, kernel, &job.indirection, strat)
-        ^ tuning.plan_fingerprint()
 }
 
 /// The checks every job passes before any work is done on it: the
@@ -795,7 +790,7 @@ mod tests {
         let plan_a = PhasedEngine::native(NativeConfig::default())
             .prepare(&job_spec(&a, kernel(&a)), &strat)
             .unwrap();
-        let key_b = plan_key(&b, &kernel(&b), &strat, Tuning::new());
+        let key_b = plan_key(&b, &kernel(&b), &strat);
         let released =
             e.cache
                 .lock()

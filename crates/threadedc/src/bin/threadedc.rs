@@ -8,20 +8,17 @@
 //!
 //! ```text
 //! threadedc [--procs N] [--k K] [--dist block|cyclic] [--size S]
-//!           [--tuning scalar|auto] [--run] <file.tc>
+//!           [--run] <file.tc>
 //! ```
 //!
 //! The plan preview (and `--run`) uses deterministic synthetic bindings
 //! sized by `--size` (default 64, clamped by literal array sizes), so
-//! the CLI needs no user data. `--tuning scalar` (the default) runs
-//! untiled, the determinism reference; `--tuning auto` adds
-//! memory-model-predicted tiling. Both run the one chunked inner
-//! kernel.
+//! the CLI needs no user data.
 
 use std::process::ExitCode;
 
 use earth_model::sim::SimConfig;
-use irred::{Distribution, ExecutionConfig, PhasedEngine, StrategyConfig, Tuning};
+use irred::{Distribution, ExecutionConfig, PhasedEngine, StrategyConfig};
 use threadedc::{compile, synthetic_bindings, LoopPlan};
 
 struct Args {
@@ -30,15 +27,13 @@ struct Args {
     dist: Distribution,
     size: usize,
     run: bool,
-    tuning: Tuning,
     file: String,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: threadedc [--procs N] [--k K] [--dist block|cyclic] [--size S] \
-         [--tuning scalar|auto] [--run] <file.tc>\n  \
-         --tuning scalar: untiled (default); --tuning auto: predicted tiling"
+         [--run] <file.tc>"
     );
     std::process::exit(2);
 }
@@ -50,9 +45,6 @@ fn parse_args() -> Args {
         dist: Distribution::Cyclic,
         size: 64,
         run: false,
-        // Untiled, the determinism reference; `--tuning auto` opts into
-        // predicted tiling.
-        tuning: Tuning::new(),
         file: String::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -71,13 +63,6 @@ fn parse_args() -> Args {
                 args.dist = match it.next().as_deref() {
                     Some("block") => Distribution::Block,
                     Some("cyclic") => Distribution::Cyclic,
-                    _ => usage(),
-                }
-            }
-            "--tuning" => {
-                args.tuning = match it.next().as_deref() {
-                    Some("scalar") => Tuning::new(),
-                    Some("auto") => Tuning::auto(),
                     _ => usage(),
                 }
             }
@@ -143,8 +128,7 @@ fn main() -> ExitCode {
 
     if args.run {
         let mut b = synthetic_bindings(&compiled.program, args.size);
-        let engine =
-            PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()).with_tuning(args.tuning));
+        let engine = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()));
         match compiled.execute_flat(&mut b, &strat, &engine) {
             Ok(rep) => {
                 println!(

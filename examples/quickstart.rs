@@ -15,7 +15,7 @@ use earth_model::native::NativeConfig;
 use earth_model::sim::SimConfig;
 use irred::{
     approx_eq, seq_reduction, Distribution, EdgeKernel, ExecutionConfig, PhasedEngine, PhasedSpec,
-    ReductionEngine, StrategyConfig, Tuning,
+    ReductionEngine, StrategyConfig,
 };
 
 /// The loop body: contributions `w` and `2w` through the two references.
@@ -79,31 +79,21 @@ fn main() {
         sim.bytes()
     );
 
-    // (c) the same program on real OS threads, with the performance
-    // tuning bundle: memory-model-predicted cache tiling.
-    // `Tuning::auto()` is the one knob; results stay within
-    // reassociation tolerance of the untiled run (see `Tuning::new()`
-    // for the strict determinism reference).
-    let native = PhasedEngine::new(
-        ExecutionConfig::native(NativeConfig::default()).with_tuning(Tuning::auto()),
-    )
-    .run(&spec, &strat)
-    .expect("native run");
+    // (c) the same program on real OS threads: the same schedule and
+    // the same inner loop as the simulator, so the same bits.
+    let native = PhasedEngine::native(NativeConfig::default())
+        .run(&spec, &strat)
+        .expect("native run");
     println!(
-        "phased host: {:>8.2?} wall on {} threads [{}]",
-        native.wall,
-        strat.procs,
-        Tuning::auto().label()
+        "phased host: {:>8.2?} wall on {} threads",
+        native.wall, strat.procs
     );
 
     assert!(
         approx_eq(&sim.values[0], &seq.x[0], 1e-9),
         "sim result mismatch"
     );
-    assert!(
-        approx_eq(&native.values[0], &seq.x[0], 1e-9),
-        "native result mismatch"
-    );
+    assert_eq!(native.values, sim.values, "native result mismatch");
     println!("all three executions agree ✓");
 
     // Visualize the overlap: trace one 2-sweep run and fold the event

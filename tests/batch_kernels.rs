@@ -16,9 +16,9 @@
 //!    power-law, hot-key and particle-in-cell decks, with the generated
 //!    weights replaced by arbitrary bit patterns.
 //!
-//! The chunked kernel's bit-identity to the simulator's metered sweep
-//! (`tests/tuning_equivalence.rs`) rests on 2 and 3: the metered sweep
-//! calls `contrib`, the chunked kernel `contrib_batch`.
+//! The phased runs' agreement with the per-iteration callers of
+//! `contrib` — `SeqEngine` and the IE baseline — rests on 2 and 3: every
+//! phased sweep calls `contrib_batch`.
 
 use std::sync::Arc;
 

@@ -28,7 +28,7 @@ use harness::prop_assert;
 use irred::baseline::{IeEngine, InspectorExecutor};
 use irred::{
     Distribution, EngineChoice, GatherEngine, PhasedEngine, ReductionEngine, SeqEngine,
-    StrategyConfig, Tuning, Workspace,
+    StrategyConfig, Workspace,
 };
 use kernels::FamilyProblem;
 use workloads::{oracle_reduce, FamilySpec, HotKeyScatter, PicDeck, PowerLawGraph};
@@ -312,7 +312,7 @@ fn auto_and_empirical(family: FamilySpec) -> (EngineChoice, EngineChoice) {
     } else {
         EngineChoice::RotatingPortions
     };
-    (strat.auto_select(&stats).engine, empirical)
+    (strat.auto_select(&stats), empirical)
 }
 
 /// The skew endpoints of the generated sweep: a flat deck must keep the
@@ -333,10 +333,7 @@ fn auto_select_picks_by_skew_endpoint() {
         .unwrap();
     let s = prepared.plan_stats();
     assert!(s.skew < 2.0, "flat deck skew {}", s.skew);
-    let auto = strat.auto_select(&s);
-    assert_eq!(auto.engine, EngineChoice::RotatingPortions);
-    // The phased pick recommends the full performance bundle.
-    assert_eq!(auto.tuning, Tuning::auto());
+    assert_eq!(strat.auto_select(&s), EngineChoice::RotatingPortions);
 
     let hot = HotKeyScatter::generate(512, 8_000, 1, 0.995, 1, 42)
         .unwrap()
@@ -347,10 +344,7 @@ fn auto_select_picks_by_skew_endpoint() {
         .unwrap();
     let s = prepared.plan_stats();
     assert!(s.skew > 8.0, "hot deck skew {}", s.skew);
-    let auto = strat.auto_select(&s);
-    assert_eq!(auto.engine, EngineChoice::InspectorExecutor);
-    // The IE engine has no phase-local iteration space to tile.
-    assert_eq!(auto.tuning.tile, irred::TileChoice::Off);
+    assert_eq!(strat.auto_select(&s), EngineChoice::InspectorExecutor);
 
     let powerlaw = |alpha| {
         PowerLawGraph::generate(4_096, 4_096 * 8, alpha, 1)
