@@ -39,7 +39,8 @@
 #                    # lossless faults, and the memsim cache against its
 #                    # stamp-LRU reference (3 fixed seeds + one
 #                    # randomized pass each), then the SPSC lane stress
-#                    # in release, under the hard timeout
+#                    # and the prepare-pool tests in release, under the
+#                    # hard timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -263,7 +264,11 @@ sim() {
     # recency-ordered cache the sim charges memory through against the
     # stamp-LRU reference kept in its unit tests, access by access, on
     # the same seeds. spsc_stress runs in release, where memory-ordering
-    # bugs in the lock-free lanes show.
+    # bugs in the lock-free lanes show. The prepare-pool tests
+    # (irred's `ring::tests`: typed panics, concurrent and nested
+    # fan-outs, one pool of cores − 1 threads) run in release after it;
+    # a pool bug shows as a hang, which the hard timeout turns into a
+    # failure.
     for seed in 1 2 3; do
         echo "== backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
@@ -282,6 +287,9 @@ sim() {
 
     echo "== SPSC lane stress (release) =="
     run_tests cargo test -q --release -p earth-model --test spsc_stress
+
+    echo "== prepare pool (release) =="
+    run_tests cargo test -q --release -p irred --lib ring::tests
 }
 
 case "${1:-all}" in

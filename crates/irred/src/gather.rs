@@ -293,7 +293,7 @@ impl ReductionEngine<GatherSpec> for GatherEngine {
         // processor order.
         let node_data = fan_out(rows, |proc, proc_rows| {
             GatherNodePlan::new(&spec.matrix, geometry, proc, proc_rows).map(Arc::new)
-        })
+        })?
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
         let prog = GatherProgram {

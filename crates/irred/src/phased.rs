@@ -94,12 +94,13 @@ fn local_indirection(indirection: &[Vec<u32>], iters: &[u32]) -> Vec<Vec<u32>> {
 
 impl<K: EdgeKernel> PreparedPhased<K> {
     /// The one construction path behind [`ReductionEngine::prepare`]
-    /// and [`PhasedEngine::prepare_from_flat`]. Per processor — fanned out over
-    /// `min(P, cores)` workers and merged in processor order, so plans
-    /// and trace events do not depend on the host — split off its
-    /// iterations, gather its local indirection, obtain its flat
-    /// inspection from `plan_of` (run the inspector, or check an adopted
-    /// plan), and freeze it with [`NodePlanData::build`].
+    /// and [`PhasedEngine::prepare_from_flat`]. Per processor — fanned
+    /// out over `min(P, cores)` workers (the caller and the process-wide
+    /// pool) and merged in processor order, so plans and trace events do
+    /// not depend on the host — split off its iterations, gather its
+    /// local indirection, obtain its flat inspection from `plan_of` (run
+    /// the inspector, or check an adopted plan), and freeze it with
+    /// [`NodePlanData::build`].
     fn build<S: Send>(
         spec: &PhasedSpec<K>,
         strat: &StrategyConfig,
@@ -138,7 +139,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 &*spec.kernel,
             );
             Ok::<_, EngineError>((local_iters, data, events))
-        });
+        })?;
         let mut local_iters = Vec::with_capacity(strat.procs);
         let mut node_data = Vec::with_capacity(strat.procs);
         let mut inspector_events = Vec::new();
@@ -296,6 +297,9 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// left behind is the plan a fresh prepare of the updated spec would
     /// build; the token bump invalidates cached phase costs. The first
     /// call gathers each node's local indirection from the global one.
+    /// A panic while re-inspecting is an internal bug: it returns
+    /// [`EngineError::Run`], and the run, its indirection already
+    /// updated but not its plan, must be dropped.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<u32>)]) -> Result<(), EngineError> {
         if updates.is_empty() {
             return Ok(());
@@ -333,11 +337,13 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let (procs, dist, geometry) = (self.strat.procs, self.strat.distribution, self.geometry);
         let prog = &mut self.prog;
         let (indirection, local_iters) = (&prog.indirection, &prog.local_iters);
-        let local_ind = prog.local_ind.get_or_insert_with(|| {
-            fan_out(local_iters.iter().collect(), |_, iters: &Vec<u32>| {
-                local_indirection(indirection, iters)
-            })
-        });
+        if prog.local_ind.is_none() {
+            prog.local_ind = Some(fan_out(
+                local_iters.iter().collect(),
+                |_, iters: &Vec<u32>| local_indirection(indirection, iters),
+            )?);
+        }
+        let local_ind = prog.local_ind.as_mut().expect("gathered above");
         let indirection = Arc::make_mut(&mut prog.indirection);
         let mut touched = vec![false; procs];
         for (iter, new_refs) in updates {
@@ -359,7 +365,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             };
             let fi = inspect(input).expect("validated updates keep the node inspectable");
             NodePlanData::build(fi, &local, &local_iters[proc], num_elements, total, kernel)
-        });
+        })?;
         for (proc, data) in touched.into_iter().zip(rebuilt) {
             prog.node_data[proc] = Arc::new(data);
         }
@@ -379,6 +385,10 @@ impl PhasedEngine {
     /// exactly as [`ReductionEngine::prepare`] freezes the inspector's
     /// output, so the prepared run is bit-identical: incremental
     /// updates, plan caching, and repeated executes all work.
+    ///
+    /// No execute path adopts plans any more: compiled programs prepare
+    /// through [`ReductionEngine::prepare`] like every other job. This
+    /// stays because `benchmark/src/layers.rs` times it.
     pub fn prepare_from_flat<K: EdgeKernel>(
         &self,
         spec: &PhasedSpec<K>,

@@ -8,13 +8,18 @@
 //! fallback, and the per-phase hooks — and this module owns the rest:
 //! the program template and its sync counts, plan token, execution
 //! count, phase-cost cache, inspector-event replay, the one execute and
-//! recovery path, and the phase-fiber skeleton ([`run_phase`]). Hooks
-//! are generic, never `dyn`, so each program monomorphises.
+//! recovery path, the phase-fiber skeleton ([`run_phase`]), and the
+//! per-processor prepare fan-out ([`fan_out`]) over one process-wide
+//! pool of long-lived threads. Hooks are generic, never `dyn`, so each
+//! program monomorphises.
 
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use earth_model::native::{run_native_traced, NativeConfig, NativeCtx};
+use earth_model::native::{panic_message, run_native_traced, NativeConfig, NativeCtx, RunError};
 use earth_model::program::CtxMeter;
 use earth_model::sim::{run_sim_traced, SimConfig, SimCtx};
 use earth_model::{
@@ -618,13 +623,25 @@ impl<P> RingEngine<P> {
     }
 }
 
-/// Run `f` over `items` on `min(items, cores)` workers (the calling
-/// thread plus scoped threads), each taking a contiguous run of items,
-/// and return the results in item order — so the output never depends
-/// on the host's core count.
-pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let per = items.len().div_ceil(workers).max(1);
+/// Run `f` over `items` on `min(items, cores)` workers — the calling
+/// thread plus the process-wide [`Pool`] — each taking a contiguous run
+/// of items, and return the results in item order, so the output never
+/// depends on the host's core count. A panic in `f` comes back as
+/// [`RunError::NodePanicked`] naming the first panicking item (fiber
+/// `"prepare"`); the pool's workers survive it.
+///
+/// The caller queues every run but its first, runs that one itself,
+/// then pops queued tasks (its own or another caller's) until its own
+/// have all finished, parking only while the queue is empty. A caller
+/// never waits on a task nobody has started, so nested and concurrent
+/// calls cannot deadlock.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    items: Vec<T>,
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Result<Vec<R>, EngineError> {
+    let (pool, cores) = Pool::get();
+    let len = items.len();
+    let per = len.div_ceil(cores).max(1);
     let mut runs: Vec<Vec<(usize, T)>> = Vec::new();
     for (i, t) in items.into_iter().enumerate() {
         if i % per == 0 {
@@ -632,19 +649,313 @@ pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R
         }
         runs.last_mut().expect("pushed above").push((i, t));
     }
-    let f = &f;
-    let work =
-        move |run: Vec<(usize, T)>| -> Vec<R> { run.into_iter().map(|(i, t)| f(i, t)).collect() };
     let mut runs = runs.into_iter();
     let Some(first) = runs.next() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
-        let mut out = work(first);
-        for h in handles {
-            out.extend(h.join().expect("prepare worker panicked"));
+    let rest: Vec<_> = runs.collect();
+    let slots: Vec<Mutex<Option<RunResult<R>>>> = rest.iter().map(|_| Mutex::new(None)).collect();
+    let latch = Latch {
+        remaining: AtomicUsize::new(rest.len()),
+        owner: std::thread::current(),
+    };
+    let (f, latch) = (&f, &latch);
+    let tasks: Vec<Task> = rest
+        .into_iter()
+        .zip(&slots)
+        .map(|(run, slot)| {
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let out = run_items(run, f);
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+                latch.count_down();
+            });
+            // SAFETY: the task borrows `f`, `slot` and `latch` from this
+            // frame and owns items whose type may borrow from the
+            // caller; only the lifetime is erased, never the layout.
+            // That is sound because this function neither returns nor
+            // unwinds until `latch` reads zero, and a task's last touch
+            // of anything borrowed is its `count_down`. Nothing between
+            // the push below and the end of the wait loop can unwind:
+            // the caller's own slice and every task (ours or another
+            // caller's, popped while helping) run `f` under
+            // `catch_unwind` in `run_items`; the queue and slot locks
+            // ignore poisoning; `count_down`, `park` and `unpark` do not
+            // panic; and panic payloads are dropped only after the
+            // wait. So no queued task can outlive what it borrows, even
+            // when the caller's own slice panics.
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) }
+        })
+        .collect();
+    pool.push(tasks);
+    let mine = run_items(first, f);
+    while latch.remaining.load(Ordering::Acquire) != 0 {
+        match pool.pop() {
+            Some(task) => task(),
+            None => std::thread::park(),
         }
-        out
-    })
+    }
+    let theirs = slots.into_iter().map(|slot| {
+        let out = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+        out.expect("a task fills its slot before counting down")
+    });
+    let mut out = Vec::with_capacity(len);
+    for run in std::iter::once(mine).chain(theirs) {
+        match run {
+            Ok(values) => out.extend(values),
+            Err((item, payload)) => {
+                return Err(EngineError::Run(RunError::NodePanicked {
+                    node: item,
+                    slot: 0,
+                    fiber: "prepare",
+                    message: panic_message(payload),
+                }))
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// One run's results, or the item that panicked and its payload.
+type RunResult<R> = Result<Vec<R>, (usize, Box<dyn std::any::Any + Send>)>;
+
+/// A queued run of a [`fan_out`] call, its lifetime erased.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// Apply `f` to one run of items, catching a panic so that neither a
+/// pool worker nor a caller with queued tasks ever unwinds out of it.
+fn run_items<T, R>(run: Vec<(usize, T)>, f: &impl Fn(usize, T) -> R) -> RunResult<R> {
+    let mut at = 0;
+    let mut out = Vec::with_capacity(run.len());
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        for (i, t) in run {
+            at = i;
+            out.push(f(i, t));
+        }
+    }));
+    caught.map(|()| out).map_err(|payload| (at, payload))
+}
+
+/// A [`fan_out`] call's countdown of queued tasks still running; the
+/// last one to finish unparks the calling thread.
+struct Latch {
+    remaining: AtomicUsize,
+    owner: std::thread::Thread,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        // Clone first: once the count reaches zero the caller may
+        // return and free `self`.
+        let owner = self.owner.clone();
+        // Release pairs with the caller's Acquire load: the slot write
+        // before this is visible once it reads zero.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            owner.unpark();
+        }
+    }
+}
+
+/// The process-wide prepare pool: `cores − 1` long-lived workers (the
+/// caller of [`fan_out`] is the last core), started on first use and
+/// parked on a condition variable between calls. Its threads, and the
+/// malloc arenas they warm, are reused by every prepare, incremental
+/// update and gather bucketing in the process.
+struct Pool {
+    queue: Mutex<VecDeque<Task>>,
+    ready: Condvar,
+}
+
+/// What the pool's threads are named (`/proc/<pid>/task/*/comm`).
+const POOL_THREAD_NAME: &str = "irred-pool";
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(VecDeque::new()),
+    ready: Condvar::new(),
+};
+
+impl Pool {
+    /// The pool and the host's core count, starting the workers on the
+    /// first call.
+    fn get() -> (&'static Pool, usize) {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            for _ in 1..cores {
+                // Workers are never joined: they live as long as the
+                // process and never unwind (every task catches its own
+                // panic). One that fails to start only leaves more
+                // queued work to the callers, who drain the queue too.
+                let _ = std::thread::Builder::new()
+                    .name(POOL_THREAD_NAME.into())
+                    .spawn(|| POOL.serve());
+            }
+            cores
+        });
+        (&POOL, cores)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Task>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, tasks: Vec<Task>) {
+        let n = tasks.len();
+        if n == 0 {
+            return;
+        }
+        self.lock().extend(tasks);
+        for _ in 0..n {
+            self.ready.notify_one();
+        }
+    }
+
+    fn pop(&self) -> Option<Task> {
+        self.lock().pop_front()
+    }
+
+    /// A worker's loop: run queued tasks, parking while there are none.
+    fn serve(&self) {
+        loop {
+            let task = {
+                let mut queue = self.lock();
+                loop {
+                    if let Some(task) = queue.pop_front() {
+                        break task;
+                    }
+                    queue = self
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            task();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    fn panicked_item(result: Result<Vec<usize>, EngineError>) -> (usize, String) {
+        match result {
+            Err(EngineError::Run(RunError::NodePanicked {
+                node,
+                fiber: "prepare",
+                message,
+                ..
+            })) => (node, message),
+            other => panic!("expected a typed prepare panic, got {other:?}"),
+        }
+    }
+
+    fn panic_at(bad: usize) -> impl Fn(usize, usize) -> usize + Sync {
+        move |i, x| {
+            assert!(i != bad, "item {i} refused");
+            x * 2
+        }
+    }
+
+    #[test]
+    fn fan_out_panic_in_the_callers_slice_is_typed() {
+        let (node, message) = panicked_item(fan_out((0..16).collect(), panic_at(0)));
+        assert_eq!(node, 0);
+        assert!(message.contains("item 0 refused"), "{message}");
+    }
+
+    #[test]
+    fn fan_out_panic_in_another_slice_is_typed() {
+        // The last item sits in the last run, which is queued for the
+        // pool whenever the host has more than one core.
+        let (node, message) = panicked_item(fan_out((0..16).collect(), panic_at(15)));
+        assert_eq!(node, 15);
+        assert!(message.contains("item 15 refused"), "{message}");
+    }
+
+    #[test]
+    fn fan_out_after_a_panic_still_succeeds() {
+        panicked_item(fan_out((0..16).collect(), panic_at(15)));
+        let out = fan_out((0..64).collect(), panic_at(usize::MAX)).unwrap();
+        assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
+        // Two runs that must overlap: item 0 (the caller's) waits for
+        // item 1 (queued), so a second thread has to take it.
+        if Pool::get().1 > 1 {
+            let (tx, rx) = mpsc::channel();
+            let rx = Mutex::new(rx);
+            let met = fan_out(vec![0, 1], |i, _: u8| match i {
+                0 => {
+                    let rx = rx.lock().unwrap();
+                    rx.recv_timeout(Duration::from_secs(60)).is_ok()
+                }
+                _ => tx.send(()).is_ok(),
+            })
+            .unwrap();
+            assert_eq!(met, vec![true, true]);
+        }
+    }
+
+    #[test]
+    fn concurrent_and_nested_fan_outs_keep_item_order() {
+        let items = 8 * Pool::get().1 + 3;
+        let start = Barrier::new(2);
+        let call = |salt: usize| {
+            start.wait();
+            fan_out((0..items).collect(), |i, x: usize| {
+                let inner = fan_out((0..i % 5).collect(), |j, y: usize| j + y).unwrap();
+                (x + salt, inner.iter().sum::<usize>())
+            })
+            .unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| call(0));
+            let b = s.spawn(|| call(1000));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (salt, out) in [(0, a), (1000, b)] {
+            let want: Vec<_> = (0..items)
+                .map(|i| (i + salt, (i % 5) * (i % 5).saturating_sub(1)))
+                .collect();
+            assert_eq!(out, want);
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn prepares_reuse_one_pool_of_cores_minus_one_threads() {
+        use crate::kernel::WeightedPairKernel;
+        use crate::{PhasedEngine, PhasedSpec, ReductionEngine};
+        use workloads::Distribution;
+
+        let iters = 400;
+        let spec = PhasedSpec {
+            kernel: Arc::new(WeightedPairKernel {
+                weights: Arc::new(vec![1.0; iters]),
+            }),
+            num_elements: 64,
+            indirection: Arc::new(vec![
+                (0..iters as u32).map(|i| i % 64).collect(),
+                (0..iters as u32).map(|i| (i * 7) % 64).collect(),
+            ]),
+        };
+        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..32 {
+                        engine.prepare(&spec, &strat).unwrap();
+                    }
+                });
+            }
+        });
+        let named_for_the_pool = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == POOL_THREAD_NAME)
+            .count();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(named_for_the_pool, cores - 1);
+    }
 }

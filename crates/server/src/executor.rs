@@ -168,9 +168,11 @@ impl Executor {
     }
 
     /// Run one source-submitted job: compile (through the tenant's
-    /// compile cache), bind the named inputs, execute on the compiled
-    /// flat fast path (or sequentially when shedding), and reply with
-    /// every non-temporary declared f64 array in declaration order.
+    /// compile cache), bind the named inputs, execute on the native
+    /// phased engine (or sequentially when shedding), each phased loop
+    /// prepared through the engine's `prepare` like a `SubmitJob`, and
+    /// reply with every non-temporary declared f64 array in declaration
+    /// order.
     /// Compile failures come back as [`ErrCode::Compile`] carrying the
     /// spanned diagnostic verbatim; the worker never drops the
     /// connection over bad source.
@@ -253,7 +255,7 @@ impl Executor {
                 }
                 let engine =
                     PhasedEngine::new(ExecutionConfig::native(native).with_recovery(policy));
-                compiled.execute_flat(&mut b, &strat, &engine)
+                compiled.execute_with(&mut b, &engine, &strat)
             }
         }));
         let result = match caught {

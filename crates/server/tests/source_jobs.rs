@@ -1,11 +1,11 @@
 //! End-to-end tests for the `SubmitSource` path: a live daemon compiles
 //! tenant-submitted DSL programs (through the per-tenant compile
-//! cache), executes them on the compiled flat fast path, and returns
+//! cache), executes them on the native phased engine, and returns
 //! either the declared arrays or a typed, span-carrying compile error —
 //! never a dropped connection.
 
 use server::client::Client;
-use server::protocol::{ErrCode, Frame, SubmitSource};
+use server::protocol::{ErrCode, Frame, SubmitJob, SubmitSource};
 use server::{Server, ServerConfig};
 use threadedc::{interpret, parse, Bindings};
 
@@ -57,6 +57,36 @@ fn source_job(id: u64, n: u32, e: u32, seed: u64) -> SubmitSource {
     }
 }
 
+/// The sequential interpreter's bindings after running `source` on
+/// [`source_job`]'s inputs: the reference every reply must match.
+fn interpreted(source: &str, n: u32, e: u32, seed: u64) -> Bindings {
+    let (w, a, b) = inputs(n as usize, e as usize, seed);
+    let mut bind = Bindings::default();
+    bind.sizes.insert("n".into(), n as usize);
+    bind.sizes.insert("e".into(), e as usize);
+    bind.f64s.insert("W".into(), w);
+    bind.ints.insert("A".into(), a);
+    bind.ints.insert("B".into(), b);
+    interpret(&parse(source).unwrap(), &mut bind).unwrap();
+    bind
+}
+
+/// Asserts a `JobOk` reply carries `P` and `Q` bit-identical to `want`
+/// (values are the non-temp f64 decls in declaration order: P, Q, W).
+fn assert_matches(frame: Frame, want: &Bindings, what: &str) {
+    let Frame::JobOk(ok) = frame else {
+        panic!("{what}: expected JobOk, got {frame:?}");
+    };
+    assert_eq!(ok.values.len(), 3);
+    for (name, got) in [("P", &ok.values[0]), ("Q", &ok.values[1])] {
+        let want = &want.f64s[name];
+        assert_eq!(got.len(), want.len());
+        for (x, y) in got.iter().zip(want) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} {name}: {x} vs {y}");
+        }
+    }
+}
+
 fn start() -> (Server, std::net::SocketAddr) {
     let srv = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = srv.local_addr().expect("addr");
@@ -82,15 +112,7 @@ fn source_job_matches_interpreter_and_cache_hits_on_resubmit() {
         let source = MULTI_GROUP.replace("2.0", &format!("{}.0", idx + 2));
         let seed = 42 + idx;
 
-        // Reference: the sequential interpreter on identical bindings.
-        let (w, a, b) = inputs(n as usize, e as usize, seed);
-        let mut bind = Bindings::default();
-        bind.sizes.insert("n".into(), n as usize);
-        bind.sizes.insert("e".into(), e as usize);
-        bind.f64s.insert("W".into(), w);
-        bind.ints.insert("A".into(), a);
-        bind.ints.insert("B".into(), b);
-        interpret(&parse(&source).unwrap(), &mut bind).unwrap();
+        let bind = interpreted(&source, n, e, seed);
 
         for _ in 0..=RESUBMITS {
             id += 1;
@@ -99,18 +121,7 @@ fn source_job_matches_interpreter_and_cache_hits_on_resubmit() {
                 ..source_job(id, n, e, seed)
             };
             let frame = c.submit_source(job).expect("submit");
-            let Frame::JobOk(ok) = frame else {
-                panic!("program {idx}: expected JobOk, got {frame:?}");
-            };
-            // Values are the non-temp f64 decls in declaration order: P, Q, W.
-            assert_eq!(ok.values.len(), 3);
-            for (name, got) in [("P", &ok.values[0]), ("Q", &ok.values[1])] {
-                let want = &bind.f64s[name];
-                assert_eq!(got.len(), want.len());
-                for (x, y) in got.iter().zip(want) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "program {idx} {name}: {x} vs {y}");
-                }
-            }
+            assert_matches(frame, &bind, &format!("program {idx}"));
         }
     }
 
@@ -328,6 +339,61 @@ fn error_codes_come_from_the_error_kind_not_the_message_text() {
         err.message.contains("outside the reduction array"),
         "{}",
         err.message
+    );
+
+    srv.stop();
+}
+
+/// An indirection value past the reduction array in a phased loop is
+/// found by the LightInspector, which runs on a prepare-pool task: the
+/// reply is the typed `JobErr` a `SubmitJob` with that indirection gets,
+/// and the connection and the pool go on serving.
+#[test]
+fn inspector_rejection_matches_submit_job_and_the_next_source_job_succeeds() {
+    let (srv, addr) = start();
+    let mut c = Client::connect(addr, "grace").expect("connect");
+
+    let (n, e) = (24u32, 150u32);
+    let mut bad = source_job(60, n, e, 11);
+    bad.ints[0].1[7] = n;
+    let weights = bad.f64s[0].1.clone();
+    let indirection = vec![bad.ints[0].1.clone()];
+    let Frame::JobErr(source_err) = c.submit_source(bad).expect("submit") else {
+        panic!("A[7] = n must be refused");
+    };
+    let job = SubmitJob {
+        job_id: 61,
+        deadline_ms: 0,
+        flags: 0,
+        num_elements: n,
+        iterations: e,
+        num_refs: 1,
+        num_arrays: 1,
+        procs: 2,
+        k: 2,
+        dist: 1,
+        sweeps: 1,
+        fault: None,
+        weights,
+        indirection,
+    };
+    let Frame::JobErr(job_err) = c.submit(job).expect("submit") else {
+        panic!("an out-of-range SubmitJob must be refused");
+    };
+    assert_eq!(source_err.job_id, 60);
+    assert_eq!(source_err.code, job_err.code);
+    assert_eq!(source_err.code, ErrCode::InvalidSpec);
+    assert!(
+        source_err.message.contains("line 2"),
+        "{}",
+        source_err.message
+    );
+
+    let frame = c.submit_source(source_job(62, n, e, 12)).expect("submit");
+    assert_matches(
+        frame,
+        &interpreted(MULTI_GROUP, n, e, 12),
+        "after the rejection",
     );
 
     srv.stop();

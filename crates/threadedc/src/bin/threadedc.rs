@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 
 use earth_model::sim::SimConfig;
-use irred::{Distribution, ExecutionConfig, PhasedEngine, StrategyConfig};
+use irred::{Distribution, StrategyConfig};
 use threadedc::{compile, synthetic_bindings, LoopPlan};
 
 struct Args {
@@ -128,8 +128,7 @@ fn main() -> ExitCode {
 
     if args.run {
         let mut b = synthetic_bindings(&compiled.program, args.size);
-        let engine = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()));
-        match compiled.execute_flat(&mut b, &strat, &engine) {
+        match compiled.execute_sim(&mut b, &strat, SimConfig::default()) {
             Ok(rep) => {
                 println!(
                     "-- run (sim, synthetic bindings): {} cycles, {} phased / {} regular --",

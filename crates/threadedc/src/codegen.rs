@@ -13,19 +13,20 @@
 //! sequential interpreter on synthetic bindings before accepting it.
 //! Every loop body is lowered to slot-resolved form once, here
 //! ([`crate::lower`]). Each irregular loop becomes a [`CompiledLoop`];
-//! execution binds it to the job's arrays as an [`InterpKernel`] plus
-//! per-processor CSR flat plans emitted directly by the compiler
-//! ([`crate::lower::emit_flat_plans`]) and adopted by the engine
-//! ([`irred::PhasedEngine::prepare_from_flat`]: gather, verify,
-//! freeze — no inspector run) — that is
-//! [`CompiledProgram::execute_flat`], the compiled fast path, with
-//! [`CompiledProgram::execute_sim`] as the simulator default.
-//! [`CompiledProgram::execute_with`] remains engine-agnostic (any
-//! [`irred::ReductionEngine`] over the emitted specs). Regular loops
-//! (a [`RegularLoop`]: user-written ones and fission preludes) run
-//! sequentially between phased loops through the same lowered
-//! evaluator; the AST interpreter ([`crate::interp`]) stays out of job
-//! execution and serves as the reference both are tested against.
+//! execution binds it to the job's arrays as a [`PhasedSpec`] over an
+//! [`InterpKernel`] and hands it to an engine, which prepares it through
+//! its own `prepare`: for the phased engine, the LightInspector runtime
+//! pass the paper's generated code calls (§4), fanned out over the
+//! process-wide prepare pool exactly as for a hand-built spec. That is
+//! [`CompiledProgram::execute_with`], engine-agnostic (any
+//! [`irred::ReductionEngine`]), with [`CompiledProgram::execute_sim`] as
+//! the simulator default. Regular loops (a [`RegularLoop`]: user-written
+//! ones and fission preludes) run sequentially between phased loops
+//! through the same lowered evaluator; the AST interpreter
+//! ([`crate::interp`]) stays out of job execution and serves as the
+//! reference both are tested against. [`CompiledProgram::flat_summaries`]
+//! (the CLI's plan preview) emits each loop's flat plans with
+//! [`crate::lower::emit_flat_plans`] and executes nothing.
 
 use std::sync::Arc;
 
@@ -360,44 +361,6 @@ impl CompiledProgram {
     where
         E: ReductionEngine<PhasedSpec<InterpKernel>>,
     {
-        self.execute_loops(b, engine.name(), |spec, ws| {
-            let mut prepared = engine.prepare(spec, strat)?;
-            engine.execute(&mut prepared, ws)
-        })
-    }
-
-    /// Execute on the compiled fast path: the compiler emits each
-    /// loop's per-processor CSR flat plans directly
-    /// ([`crate::lower::emit_flat_plans`]) and the phased engine adopts
-    /// them ([`PhasedEngine::prepare_from_flat`]) — no inspector run.
-    /// Results are bit-identical to [`Self::execute_with`] on the same
-    /// engine configuration.
-    pub fn execute_flat(
-        &self,
-        b: &mut Bindings,
-        strat: &StrategyConfig,
-        engine: &PhasedEngine,
-    ) -> Result<ExecReport, ExecError> {
-        self.execute_loops(b, "phased", |spec, ws| {
-            let flats = emit_flat_plans(spec, strat).map_err(EngineError::Invalid)?;
-            let mut prepared = engine.prepare_from_flat(spec, strat, flats)?;
-            engine.execute(&mut prepared, ws)
-        })
-    }
-
-    /// The one walk over the plan behind every execute entry point:
-    /// regular loops through their lowered bodies, phased loops bound
-    /// to the job's arrays and handed to `run_phased`, reductions
-    /// accumulated back into the bindings.
-    fn execute_loops(
-        &self,
-        b: &mut Bindings,
-        engine_name: &str,
-        mut run_phased: impl FnMut(
-            &PhasedSpec<InterpKernel>,
-            &mut Workspace,
-        ) -> Result<RunOutcome, EngineError>,
-    ) -> Result<ExecReport, ExecError> {
         b.materialize(&self.program)?;
         let mut ws = Workspace::new();
         let mut snaps = Snapshots::default();
@@ -418,10 +381,13 @@ impl CompiledProgram {
                 LoopPlan::Phased(cl) => {
                     let l = &self.program.loops[cl.loop_index];
                     let spec = lower_kernel(l, cl, b, &mut snaps)?;
-                    let out = run_phased(&spec, &mut ws).map_err(|e| ExecError {
+                    let run = engine
+                        .prepare(&spec, strat)
+                        .and_then(|mut prepared| engine.execute(&mut prepared, &mut ws));
+                    let out = run.map_err(|e| ExecError {
                         diagnostic: Diagnostic::at(
                             l.span,
-                            format!("engine `{engine_name}` failed: {e}"),
+                            format!("engine `{}` failed: {e}", engine.name()),
                         ),
                         cause: Some(e),
                     })?;
@@ -438,15 +404,26 @@ impl CompiledProgram {
         Ok(rep)
     }
 
+    /// [`Self::execute_with`] on a [`PhasedEngine`], kept under its old
+    /// name because `benchmark/src/layers.rs` and the tests call it.
+    pub fn execute_flat(
+        &self,
+        b: &mut Bindings,
+        strat: &StrategyConfig,
+        engine: &PhasedEngine,
+    ) -> Result<ExecReport, ExecError> {
+        self.execute_with(b, engine, strat)
+    }
+
     /// Execute on the paper's target: the phased engine over the
-    /// simulated EARTH machine, via the compiled flat fast path.
+    /// simulated EARTH machine.
     pub fn execute_sim(
         &self,
         b: &mut Bindings,
         strat: &StrategyConfig,
         cfg: SimConfig,
     ) -> Result<ExecReport, ExecError> {
-        self.execute_flat(b, strat, &PhasedEngine::sim(cfg))
+        self.execute_with(b, &PhasedEngine::sim(cfg), strat)
     }
 
     /// Summarize the flat plans the compiler would emit for each phased
@@ -569,22 +546,33 @@ mod tests {
     }
 
     #[test]
-    fn flat_path_is_bit_identical_to_engine_prepare() {
-        // The compiled fast path (compiler-emitted flat plans, adopted
-        // by the engine) must agree bit-for-bit with the engine running
-        // its own inspector on the same spec.
+    fn emitted_plans_adopt_to_what_execute_runs() {
+        // No execute path adopts compiler-emitted plans any more, but the
+        // CLI previews them: adopting them must reproduce, bit for bit
+        // and cycle for cycle, what the engine's own prepare executes.
         let c = compile(FIG1).unwrap();
         let strat = StrategyConfig::new(3, 2, irred::Distribution::Block, 1);
         let engine = PhasedEngine::sim(SimConfig::default());
 
-        let mut via_flat = fig1_bindings(32, 250, 7);
-        let rep_flat = c.execute_flat(&mut via_flat, &strat, &engine).unwrap();
-
         let mut via_prepare = fig1_bindings(32, 250, 7);
-        let rep_prep = c.execute_with(&mut via_prepare, &engine, &strat).unwrap();
+        let rep = c.execute_with(&mut via_prepare, &engine, &strat).unwrap();
 
-        assert_eq!(rep_flat.time_cycles, rep_prep.time_cycles);
-        for (a, b) in via_flat.f64s["X"].iter().zip(&via_prepare.f64s["X"]) {
+        let mut adopted = fig1_bindings(32, 250, 7);
+        adopted.materialize(&c.program).unwrap();
+        let LoopPlan::Phased(cl) = &c.plan[0] else {
+            panic!("FIG1 is one phased loop");
+        };
+        let l = &c.program.loops[cl.loop_index];
+        let spec = lower_kernel(l, cl, &adopted, &mut Snapshots::default()).unwrap();
+        let flats = emit_flat_plans(&spec, &strat).unwrap();
+        let mut prepared = engine.prepare_from_flat(&spec, &strat, flats).unwrap();
+        let out = engine
+            .execute(&mut prepared, &mut Workspace::new())
+            .unwrap();
+        c.accumulate(cl, &mut adopted, &out);
+
+        assert_eq!(out.time_cycles, rep.time_cycles);
+        for (a, b) in adopted.f64s["X"].iter().zip(&via_prepare.f64s["X"]) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -869,11 +857,9 @@ mod tests {
         b.ints.get_mut("IA2").unwrap()[7] = 8;
         let strat = StrategyConfig::new(2, 2, irred::Distribution::Block, 1);
         let engine = PhasedEngine::sim(SimConfig::default());
-        let err = c.execute_flat(&mut b.clone(), &strat, &engine).unwrap_err();
-        assert!(matches!(err.cause, Some(EngineError::Invalid(_))), "{err}");
-        assert_eq!(err.diagnostic.span.line, 3);
         let err = c.execute_with(&mut b, &engine, &strat).unwrap_err();
         assert!(matches!(err.cause, Some(EngineError::Invalid(_))), "{err}");
+        assert_eq!(err.diagnostic.span.line, 3);
         // A binding error has no engine cause.
         let mut b = fig1_bindings(8, 30, 3);
         b.ints.get_mut("IA1").unwrap().pop();

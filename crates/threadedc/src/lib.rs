@@ -37,9 +37,9 @@
 //! 5. [`fission`] — loop fission by reference group, verified against
 //!    the interpreter at compile time;
 //! 6. [`codegen`] / [`lower`] — a [`codegen::CompiledLoop`] per
-//!    fissioned loop, lowered *directly* to the CSR
-//!    [`lightinspector::FlatPlan`] the PR 5 fast path streams — no
-//!    nested-plan intermediate;
+//!    fissioned loop, bound at execution to an [`irred::PhasedSpec`]
+//!    that the engine prepares itself (the LightInspector as a runtime
+//!    pass);
 //! 7. [`interp`] — a direct sequential interpreter of the DSL, the
 //!    reference the compiled execution is validated against;
 //! 8. [`cache`] — a source-hash keyed compile cache for edit–rerun

@@ -1,7 +1,7 @@
 //! Lowering: from a fissioned loop to the machine's input — slot-resolved
 //! loop bodies (one evaluator, a block of iterations per tree node, for
-//! regular loops and phased kernels) plus the CSR
-//! [`lightinspector::FlatPlan`] the executors' fast path streams.
+//! regular loops and phased kernels) and the [`PhasedSpec`] each
+//! irregular loop hands the engine.
 //!
 //! This is the "generate code for the execution strategy presented in
 //! Section 2" step of §4, taken all the way down. `lower_body` runs
@@ -9,15 +9,13 @@
 //! becomes a slot index, so nothing at job time hashes a string per
 //! access. A regular loop (user-written or a fission prelude) then runs
 //! through `LoweredBody::run`; an irregular loop is bound to a job's
-//! arrays by `lower_kernel`, its flat schedule emitted *directly* with
-//! [`emit_flat_plans`] (one [`lightinspector::inspect`] pass per
-//! processor, under the same iteration distribution the engine uses),
-//! and the engine *adopts* that schedule via
-//! [`irred::PhasedEngine::prepare_from_flat`]: it gathers each
-//! processor's local indirection once, verifies the flat schedule
-//! against it, and freezes it exactly as its own `prepare` would — no
-//! inspector run. A compiler bug therefore surfaces as a typed error,
-//! never as silent corruption.
+//! arrays by `lower_kernel` into a [`PhasedSpec`], which the engine
+//! prepares itself — the LightInspector is a runtime pass, as in the
+//! paper. [`emit_flat_plans`] (one [`lightinspector::inspect`] pass per
+//! processor, under the same iteration distribution the engine uses)
+//! runs on no execute path: the CLI's plan preview summarises its
+//! output, and `benchmark/src/layers.rs` times it with
+//! [`irred::PhasedEngine::prepare_from_flat`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -557,10 +555,11 @@ pub(crate) fn lower_kernel(
 /// Emit the per-processor CSR flat plans for a spec under a strategy —
 /// the compiler-side LightInspector. Iterations are split exactly the
 /// way the engine splits them (the strategy's [`irred::Distribution`]),
-/// one processor's slice at a time — the full iteration → processor
-/// table is built once per loop, by the engine at adoption — and each
-/// local slice goes through the LightInspector. The result feeds
-/// [`irred::PhasedEngine::prepare_from_flat`].
+/// one processor's slice at a time, and each local slice goes through
+/// the LightInspector. The result feeds
+/// [`irred::PhasedEngine::prepare_from_flat`]. No execute path calls
+/// this: it stays for [`crate::CompiledProgram::flat_summaries`] (the
+/// CLI's plan preview) and for `benchmark/src/layers.rs`.
 pub fn emit_flat_plans<K: EdgeKernel>(
     spec: &PhasedSpec<K>,
     strat: &StrategyConfig,

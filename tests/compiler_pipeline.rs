@@ -203,10 +203,10 @@ fn assert_bits_eq(label: &str, src: &str, got: &Bindings, want: &Bindings) -> Re
 }
 
 /// Compiled execution is *bit-identical* to the interpreter across every
-/// engine and preparation path: the flat fast path on the simulator, the
-/// inspector `prepare` path on the same engine, and the sequential
-/// engine. The generator includes un-annotated multi-group programs, so
-/// automatic fission is exercised on every path.
+/// engine: the phased engine on the simulator and on native threads, and
+/// the sequential engine. The generator includes un-annotated
+/// multi-group programs, so automatic fission is exercised on every
+/// engine.
 #[test]
 fn engines_bit_identical_to_interpreter() {
     check(
@@ -226,27 +226,21 @@ fn engines_bit_identical_to_interpreter() {
             let mut want = int_bindings(*n, *e, *seed);
             interpret(&parse(src).unwrap(), &mut want).unwrap();
 
-            // Flat fast path: compiler-emitted CSR plans, no inspector.
-            let mut flat = int_bindings(*n, *e, *seed);
-            let flat_rep = compiled
-                .execute_sim(&mut flat, &strat, SimConfig::default())
+            let mut sim = int_bindings(*n, *e, *seed);
+            compiled
+                .execute_sim(&mut sim, &strat, SimConfig::default())
                 .unwrap();
-            assert_bits_eq("flat/sim", src, &flat, &want)?;
+            assert_bits_eq("phased/sim", src, &sim, &want)?;
 
-            // Inspector prepare path on the same engine: identical
-            // results *and* identical simulated cost — the emitted flat
-            // plan is the inspector's plan, not an approximation of it.
-            let mut insp = int_bindings(*n, *e, *seed);
-            let insp_rep = compiled
-                .execute_with(&mut insp, &PhasedEngine::sim(SimConfig::default()), &strat)
+            let mut native = int_bindings(*n, *e, *seed);
+            compiled
+                .execute_with(
+                    &mut native,
+                    &PhasedEngine::native(NativeConfig::default()),
+                    &strat,
+                )
                 .unwrap();
-            assert_bits_eq("prepare/sim", src, &insp, &want)?;
-            prop_assert!(
-                flat_rep.time_cycles == insp_rep.time_cycles,
-                "flat path cost {} != prepare path cost {}\nprogram:\n{src}",
-                flat_rep.time_cycles,
-                insp_rep.time_cycles
-            );
+            assert_bits_eq("phased/native", src, &native, &want)?;
 
             // Sequential engine (the shed path the server falls back to).
             let mut seq = int_bindings(*n, *e, *seed);
@@ -528,8 +522,7 @@ fn regular_program(g: &mut Gen) -> String {
 
 /// The lowered regular loops a compiled program runs are bit-identical
 /// to the interpreter (`interpret_loop`, the reference semantics) on
-/// arbitrary floats — through both execute entry points, which share
-/// one regular-loop implementation.
+/// arbitrary floats.
 #[test]
 fn lowered_regular_loops_bit_identical_to_interpreter() {
     check(
@@ -548,27 +541,17 @@ fn lowered_regular_loops_bit_identical_to_interpreter() {
             interpret(&parse(src).unwrap(), &mut want).unwrap();
 
             let strat = StrategyConfig::new(2, 2, Distribution::Cyclic, 1);
-            let mut flat = bindings(*e, *e, *seed);
+            let mut got = bindings(*e, *e, *seed);
             let rep = compiled
-                .execute_sim(&mut flat, &strat, SimConfig::default())
+                .execute_sim(&mut got, &strat, SimConfig::default())
                 .unwrap();
             prop_assert!(rep.phased_loops == 0 && rep.regular_loops >= 1);
-            let mut with = bindings(*e, *e, *seed);
-            compiled
-                .execute_with(
-                    &mut with,
-                    &SeqEngine::new(ExecutionConfig::default()),
-                    &strat,
-                )
-                .unwrap();
-            for (label, got) in [("execute_flat", &flat), ("execute_with", &with)] {
-                for arr in ["Y", "Z", "U", "W", "V"] {
-                    for (i, (a, b)) in got.f64s[arr].iter().zip(&want.f64s[arr]).enumerate() {
-                        prop_assert!(
-                            a.to_bits() == b.to_bits(),
-                            "{label}: {arr}[{i}] = {a} vs interpreter {b}\nprogram:\n{src}"
-                        );
-                    }
+            for arr in ["Y", "Z", "U", "W", "V"] {
+                for (i, (a, b)) in got.f64s[arr].iter().zip(&want.f64s[arr]).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "{arr}[{i}] = {a} vs interpreter {b}\nprogram:\n{src}"
+                    );
                 }
             }
             Ok(())
@@ -576,11 +559,12 @@ fn lowered_regular_loops_bit_identical_to_interpreter() {
     );
 }
 
-/// The checked-in multigroup fixture (prelude + two phased loops):
-/// `execute_flat`, `execute_with` and the interpreter agree bit for bit,
-/// and under the CLI's defaults the simulated cost is the number the
-/// fixture has always produced — lowering the prelude and adopting
-/// plans in one pass change host time only, never the modeled machine.
+/// The checked-in multigroup fixture (prelude + two phased loops): the
+/// compiled program and the interpreter agree bit for bit, and under the
+/// CLI's defaults the simulated cost is the number the fixture has
+/// always produced — lowering the prelude and preparing through the
+/// engine instead of adopting emitted plans change host time only,
+/// never the modeled machine.
 #[test]
 fn multigroup_fixture_paths_agree_and_sim_cycles_are_pinned() {
     let src = include_str!("../crates/threadedc/testdata/multigroup.tc");
@@ -596,15 +580,12 @@ fn multigroup_fixture_paths_agree_and_sim_cycles_are_pinned() {
 
     let mut want = int_bindings(48, 333, 4);
     interpret(&parse(src).unwrap(), &mut want).unwrap();
-    let mut flat = int_bindings(48, 333, 4);
-    let flat_rep = compiled.execute_flat(&mut flat, &strat, &sim).unwrap();
-    let mut with = int_bindings(48, 333, 4);
-    let with_rep = compiled.execute_with(&mut with, &sim, &strat).unwrap();
-    assert_eq!(flat_rep.time_cycles, with_rep.time_cycles);
+    let mut got = int_bindings(48, 333, 4);
+    let rep = compiled.execute_with(&mut got, &sim, &strat).unwrap();
+    assert_eq!(rep.phased_loops, 2);
     for arr in ["P", "Q", "W"] {
         for (i, w) in want.f64s[arr].iter().enumerate() {
-            assert_eq!(flat.f64s[arr][i].to_bits(), w.to_bits(), "flat {arr}[{i}]");
-            assert_eq!(with.f64s[arr][i].to_bits(), w.to_bits(), "with {arr}[{i}]");
+            assert_eq!(got.f64s[arr][i].to_bits(), w.to_bits(), "{arr}[{i}]");
         }
     }
 }
@@ -840,21 +821,11 @@ fn regular_loop_reading_its_own_store_indirectly_matches_interpreter() {
     interpret(&parse(src).unwrap(), &mut want).unwrap();
     let compiled = compile(src).unwrap();
     let strat = StrategyConfig::new(2, 2, Distribution::Cyclic, 1);
-    let mut flat = fresh();
+    let mut got = fresh();
     compiled
-        .execute_sim(&mut flat, &strat, SimConfig::default())
+        .execute_sim(&mut got, &strat, SimConfig::default())
         .unwrap();
-    let mut with = fresh();
-    compiled
-        .execute_with(
-            &mut with,
-            &SeqEngine::new(ExecutionConfig::default()),
-            &strat,
-        )
-        .unwrap();
-    for (label, got) in [("execute_flat", &flat), ("execute_with", &with)] {
-        for (i, (a, w)) in got.f64s["Y"].iter().zip(&want.f64s["Y"]).enumerate() {
-            assert_eq!(a.to_bits(), w.to_bits(), "{label}: Y[{i}] = {a} vs {w}");
-        }
+    for (i, (a, w)) in got.f64s["Y"].iter().zip(&want.f64s["Y"]).enumerate() {
+        assert_eq!(a.to_bits(), w.to_bits(), "Y[{i}] = {a} vs {w}");
     }
 }
