@@ -36,8 +36,10 @@
 #   ./ci.sh sim      # EARTH backends: the sim ≡ native equivalence and
 #                    # sim chaos-replay suite, the ring programs
 #                    # (phased and gather) sim ≡ native, also under
-#                    # lossless faults, and the memsim cache against its
-#                    # stamp-LRU reference (3 fixed seeds + one
+#                    # lossless faults, the memsim cache against its
+#                    # stamp-LRU reference, and the LightInspector
+#                    # against its per-iteration reference plus its
+#                    # plan-validity properties (3 fixed seeds + one
 #                    # randomized pass each), then the SPSC lane stress
 #                    # and the prepare-pool tests in release, under the
 #                    # hard timeout
@@ -263,7 +265,11 @@ sim() {
     # PROP_SEED). The memsim differential property checks the
     # recency-ordered cache the sim charges memory through against the
     # stamp-LRU reference kept in its unit tests, access by access, on
-    # the same seeds. spsc_stress runs in release, where memory-ordering
+    # the same seeds. The inspector differential property compares
+    # every `inspect` output, byte for byte, with a plain per-iteration
+    # inspector kept in lightinspector's tests (both const-width arms
+    # and the run-time-width arm), next to the crate's plan-validity
+    # properties, on the same seeds. spsc_stress runs in release, where memory-ordering
     # bugs in the lock-free lanes show. The prepare-pool tests
     # (irred's `ring::tests`: typed panics, concurrent and nested
     # fan-outs, one pool of cores − 1 threads) run in release after it;
@@ -276,6 +282,8 @@ sim() {
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test cross_backend
         echo "== memsim cache vs stamp LRU (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
+        echo "== inspector vs per-iteration reference (PROP_BASE_SEED=$seed) =="
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p lightinspector --test reference --test proptests
     done
 
     echo "== backend equivalence (randomized pass) =="
@@ -284,6 +292,7 @@ sim() {
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-model --test backend_equivalence
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test cross_backend
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p lightinspector --test reference --test proptests
 
     echo "== SPSC lane stress (release) =="
     run_tests cargo test -q --release -p earth-model --test spsc_stress

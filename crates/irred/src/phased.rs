@@ -298,8 +298,9 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// build; the token bump invalidates cached phase costs. The first
     /// call gathers each node's local indirection from the global one.
     /// A panic while re-inspecting is an internal bug: it returns
-    /// [`EngineError::Run`], and the run, its indirection already
-    /// updated but not its plan, must be dropped.
+    /// [`EngineError::Run`] and leaves the run as it was before the
+    /// call — indirection, plans and cache key — because the batch is
+    /// committed only once every touched node has been rebuilt.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<u32>)]) -> Result<(), EngineError> {
         if updates.is_empty() {
             return Ok(());
@@ -343,19 +344,21 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 |_, iters: &Vec<u32>| local_indirection(indirection, iters),
             )?);
         }
+        // The batch goes into the per-node indirection the rebuild reads;
+        // the global indirection keeps the old references until every
+        // touched node is rebuilt, and restores the per-node copies if
+        // one is not.
         let local_ind = prog.local_ind.as_mut().expect("gathered above");
-        let indirection = Arc::make_mut(&mut prog.indirection);
         let mut touched = vec![false; procs];
         for (iter, new_refs) in updates {
             let (proc, local) = dist.locate(*iter, total, procs);
             for (r, &e) in new_refs.iter().enumerate() {
-                indirection[r][*iter] = e;
                 local_ind[proc][r][local] = e;
             }
             touched[proc] = true;
         }
         let touched: Vec<usize> = (0..procs).filter(|&p| touched[p]).collect();
-        let (local_ind, kernel) = (&*local_ind, &*prog.kernel);
+        let kernel = &*prog.kernel;
         let rebuilt = fan_out(touched.clone(), |_, proc| {
             let local: Vec<&[u32]> = local_ind[proc].iter().map(Vec::as_slice).collect();
             let input = InspectorInput {
@@ -365,7 +368,25 @@ impl<K: EdgeKernel> PreparedPhased<K> {
             };
             let fi = inspect(input).expect("validated updates keep the node inspectable");
             NodePlanData::build(fi, &local, &local_iters[proc], num_elements, total, kernel)
-        })?;
+        });
+        let rebuilt = match rebuilt {
+            Ok(rebuilt) => rebuilt,
+            Err(e) => {
+                for (iter, _) in updates {
+                    let (proc, local) = dist.locate(*iter, total, procs);
+                    for (r, old) in indirection.iter().enumerate() {
+                        local_ind[proc][r][local] = old[*iter];
+                    }
+                }
+                return Err(e);
+            }
+        };
+        let indirection = Arc::make_mut(&mut prog.indirection);
+        for (iter, new_refs) in updates {
+            for (r, &e) in new_refs.iter().enumerate() {
+                indirection[r][*iter] = e;
+            }
+        }
         for (proc, data) in touched.into_iter().zip(rebuilt) {
             prog.node_data[proc] = Arc::new(data);
         }
@@ -477,7 +498,7 @@ mod tests {
     use crate::approx_eq;
     use crate::kernel::WeightedPairKernel;
     use crate::seq::seq_reduction;
-    use earth_model::native::NativeConfig;
+    use earth_model::native::{NativeConfig, RunError};
     use earth_model::sim::SimConfig;
     use lightinspector::{FlatInspection, PlanError};
     use workloads::{distribute, Distribution};
@@ -1073,6 +1094,94 @@ mod tests {
         ));
         let err = prepared.apply_updates(&[(500, vec![1, 2])]).unwrap_err();
         assert!(matches!(err, EngineError::Shape { .. }));
+    }
+
+    /// [`WeightedPairKernel`] that panics while a node plan is frozen
+    /// (`NodePlanData::build` reads `num_arrays`) once `armed` is set.
+    struct ArmedKernel {
+        inner: WeightedPairKernel,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl EdgeKernel for ArmedKernel {
+        fn num_arrays(&self) -> usize {
+            use std::sync::atomic::Ordering;
+            assert!(!self.armed.load(Ordering::Relaxed), "armed kernel");
+            self.inner.num_arrays()
+        }
+
+        fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
+            self.inner.contrib(read, iter, elems, out)
+        }
+    }
+
+    #[test]
+    fn failed_rebuild_leaves_the_run_as_it_was() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let tiny = tiny_spec(64, 21, 400);
+        let armed = Arc::new(AtomicBool::new(false));
+        let spec = PhasedSpec {
+            kernel: Arc::new(ArmedKernel {
+                inner: (*tiny.kernel).clone(),
+                armed: Arc::clone(&armed),
+            }),
+            num_elements: tiny.num_elements,
+            indirection: Arc::clone(&tiny.indirection),
+        };
+        let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 1);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        let mut prepared = engine.prepare(&spec, &strat).unwrap();
+        let mut ws = Workspace::new();
+        let bits = |out: &RunOutcome| -> Vec<u64> {
+            out.values.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        let plans = |run: &PreparedPhased<ArmedKernel>| -> Vec<lightinspector::FlatPlan> {
+            (0..strat.procs).map(|p| run.node_plan(p).clone()).collect()
+        };
+        let before = engine.execute(&mut prepared, &mut ws).unwrap();
+        let (key, plans_before) = (prepared.cache_key(), plans(&prepared));
+
+        // Iterations 0..4 sit on four different nodes under `Cyclic`.
+        let failing: Vec<(usize, Vec<u32>)> = (0..4).map(|i| (i, vec![1, 62])).collect();
+        armed.store(true, Ordering::Relaxed);
+        let err = prepared.apply_updates(&failing).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Run(RunError::NodePanicked {
+                    fiber: "prepare",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        armed.store(false, Ordering::Relaxed);
+        assert_eq!(prepared.indirection(), &spec.indirection[..]);
+        assert_eq!(prepared.cache_key(), key);
+        assert_eq!(plans(&prepared), plans_before);
+        let after = engine.execute(&mut prepared, &mut ws).unwrap();
+        assert_eq!(bits(&after), bits(&before));
+        assert_eq!(after.time_cycles, before.time_cycles);
+
+        // The next batch, on the same nodes but other iterations, sees
+        // none of the failed one: its plan is a fresh prepare's.
+        let next: Vec<(usize, Vec<u32>)> = (4..8).map(|i| (i, vec![3, 40])).collect();
+        prepared.apply_updates(&next).unwrap();
+        let mut want = spec.indirection.to_vec();
+        for (i, refs) in &next {
+            want[0][*i] = refs[0];
+            want[1][*i] = refs[1];
+        }
+        let fresh_spec = PhasedSpec {
+            indirection: Arc::new(want),
+            ..spec.clone()
+        };
+        let mut fresh = engine.prepare(&fresh_spec, &strat).unwrap();
+        assert_eq!(prepared.indirection(), &fresh_spec.indirection[..]);
+        assert_eq!(plans(&prepared), plans(&fresh));
+        let got = engine.execute(&mut prepared, &mut ws).unwrap();
+        let want = engine.execute(&mut fresh, &mut Workspace::new()).unwrap();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The LightInspector algorithm (§3 of the paper).
 //!
 //! Two passes, both linear in the number of local iterations, with no
-//! inter-processor communication:
+//! inter-processor communication, in one function body compiled for
+//! each reference count the traffic has (`m = 1`, `m = 2`) plus a
+//! run-time-width arm for any other `m`:
 //!
 //! 1. **Classify.** For every local iteration, find the phases at which
 //!    each referenced reduction element is resident here; the minimum is
@@ -13,6 +15,14 @@
 //!    the iteration's phase) or to a freshly allocated buffer slot, and
 //!    the slot's second-loop fold `X[e] += X[slot]` is placed in the
 //!    phase at which `e`'s portion is resident (strictly later).
+//!
+//! Neither pass branches on the data beyond one test per iteration:
+//! a reference's phase is a multiply and a table load, and when some
+//! reference of an iteration is buffered, each reference's choice
+//! between resident and buffered is made with selects. On random
+//! indirection that choice follows no pattern a branch predictor can
+//! learn; on local indirection every reference is resident and the
+//! one test per iteration predicts well.
 //!
 //! The algorithm handles any number `m ≥ 1` of distinct indirection
 //! references ("trivially extended", §3); the paper's examples use
@@ -116,53 +126,55 @@ fn validate(g: &PhaseGeometry, proc_id: usize, indirection: &[&[u32]]) -> Result
                 expected: num_iters,
             });
         }
+        // A max folds into vector code; the first offender is looked
+        // for only once there is one.
         let n = g.num_elements();
-        for (i, &e) in arr.iter().enumerate() {
-            if e as usize >= n {
-                return Err(InspectError::OutOfRange {
-                    r,
-                    iter: i,
-                    elem: e,
-                    num_elements: n,
-                });
-            }
+        if arr.iter().fold(0, |hi, &e| hi.max(e)) as usize >= n {
+            let iter = arr
+                .iter()
+                .position(|&e| e as usize >= n)
+                .expect("the max is one");
+            return Err(InspectError::OutOfRange {
+                r,
+                iter,
+                elem: arr[iter],
+                num_elements: n,
+            });
         }
     }
     Ok(())
 }
 
 /// The phase at which element `e` is resident on one processor —
-/// `g.phase_of_portion_on(proc, g.portion_of(e))` — without a hardware
-/// divide: the portion is `e · ⌈2^64 / portion_size⌉ >> 64`, exact for
-/// every 32-bit `e` (Lemire, Kaser & Kurz, "Faster remainder by direct
-/// computation", 2019), and the ring offset needs one conditional
-/// subtract. The inspector evaluates it twice per reference.
+/// `g.phase_of_portion_on(proc, g.portion_of(e))` — with neither a
+/// hardware divide nor a branch: the portion is
+/// `e · ⌈2^64 / portion_size⌉ >> 64`, exact for every 32-bit `e`
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+/// 2019), and a `k·P`-entry table turns it into the phase. The table
+/// replaces the ring offset's conditional subtract, which the compiler
+/// lowered to a branch in the const-width loops — one that random
+/// indirection mispredicts on every processor but 0. The inspector
+/// evaluates it once per reference in each pass.
 struct PhaseOf {
     magic: u128,
-    kp: usize,
-    offset: usize,
+    phase: Vec<u32>,
 }
 
 impl PhaseOf {
     fn new(g: &PhaseGeometry, proc: usize) -> Self {
-        let kp = g.num_phases();
         let d = g.portion_size() as u128;
         PhaseOf {
             magic: (1u128 << 64).div_ceil(d),
-            kp,
-            offset: kp - (g.k() * proc) % kp,
+            phase: (0..g.num_phases())
+                .map(|q| g.phase_of_portion_on(proc, q) as u32)
+                .collect(),
         }
     }
 
     #[inline]
     fn phase(&self, e: u32) -> usize {
         let portion = ((self.magic * u128::from(e)) >> 64) as usize;
-        let ph = portion + self.offset;
-        if ph >= self.kp {
-            ph - self.kp
-        } else {
-            ph
-        }
+        self.phase[portion] as usize
     }
 }
 
@@ -195,94 +207,148 @@ pub fn inspect_observed(
     input: InspectorInput<'_>,
     observe: &mut dyn FnMut(u32),
 ) -> Result<FlatInspection, InspectError> {
-    let g = input.geometry;
-    validate(&g, input.proc_id, input.indirection)?;
+    validate(&input.geometry, input.proc_id, input.indirection)?;
     observe(STAGE_VALIDATE);
-    let m = input.indirection.len();
+    Ok(match input.indirection.len() {
+        1 => inspect_at::<1>(input, observe),
+        2 => inspect_at::<2>(input, observe),
+        _ => inspect_at::<0>(input, observe),
+    })
+}
+
+/// Both passes at `M` references per iteration — the widths the
+/// traffic has; `M = 0` is the run-time-width arm, `m` read from the
+/// input. At a const width an iteration's phases are a fixed array the
+/// compiler keeps in registers and every per-reference loop unrolls.
+///
+/// Each pass tests once per iteration whether all its references are
+/// resident — on local indirection almost every iteration is, and
+/// skips the copy and slot bookkeeping. Otherwise each reference's
+/// choice between resident and buffered is a select, not a branch: its
+/// `refs` entry, its copy op (a resident reference's lands in a spare
+/// op past the end, cut off below), the copy cursor bump and the slot
+/// counter. On random two-reference indirection at `k·P = 8`, seven
+/// iterations in eight have a buffered reference and which of the two
+/// is resident is a coin flip, so a branch there mispredicts about
+/// once per iteration.
+#[allow(clippy::needless_range_loop)] // `r` indexes three arrays at once
+fn inspect_at<const M: usize>(
+    input: InspectorInput<'_>,
+    observe: &mut dyn FnMut(u32),
+) -> FlatInspection {
+    let g = input.geometry;
+    let m = if M == 0 { input.indirection.len() } else { M };
     let num_iters = input.indirection[0].len();
+    // Every column cut to the iteration count: indexing by `i` below
+    // needs no further check.
+    let cols: Vec<&[u32]> = input
+        .indirection
+        .iter()
+        .map(|col| &col[..num_iters])
+        .collect();
+    let cols = &cols[..m];
     let kp = g.num_phases();
     let phase_of = PhaseOf::new(&g, input.proc_id);
+    // One iteration's reference phases, and its own phase (the
+    // earliest of them). Macros, not closures: with `ph` passed to a
+    // closure the passes ran no faster than the parent's.
+    let mut fixed = [0usize; M];
+    let mut dynamic = vec![0usize; if M == 0 { m } else { 0 }];
+    let ph: &mut [usize] = if M == 0 { &mut dynamic } else { &mut fixed };
+    macro_rules! classify {
+        ($i:expr) => {{
+            let mut p = usize::MAX;
+            for r in 0..m {
+                ph[r] = phase_of.phase(cols[r][$i]);
+                p = p.min(ph[r]);
+            }
+            p
+        }};
+    }
+    // Whether every reference is resident at phase `p`, as one test of
+    // an OR of differences: comparing them one by one branches on each.
+    macro_rules! all_resident {
+        ($p:expr) => {
+            ph.iter().fold(0, |d, &q| d | (q ^ $p)) == 0
+        };
+    }
 
-    // Pass 1: phase of each iteration + per-phase iteration/copy counts.
-    let mut iter_phase = vec![0u32; num_iters];
-    let mut phase_counts = vec![0usize; kp];
-    let mut copy_counts = vec![0usize; kp];
-    let mut scratch = vec![0usize; m];
+    // Pass 1: per-phase iteration and copy counts.
+    let mut iter_cursor = vec![0u32; kp];
+    let mut copy_cursor = vec![0u32; kp];
     for i in 0..num_iters {
-        let mut min_phase = usize::MAX;
-        for (r, ind) in input.indirection.iter().enumerate() {
-            let ph = phase_of.phase(ind[i]);
-            scratch[r] = ph;
-            min_phase = min_phase.min(ph);
-        }
-        iter_phase[i] = min_phase as u32;
-        phase_counts[min_phase] += 1;
-        for &ph in &scratch {
-            if ph > min_phase {
-                copy_counts[ph] += 1;
+        let p = classify!(i);
+        iter_cursor[p] += 1;
+        if !all_resident!(p) {
+            for &q in ph.iter() {
+                copy_cursor[q] += u32::from(q != p);
             }
         }
     }
     observe(STAGE_CLASSIFY);
 
-    // CSR pointers are exactly the prefix sums of the counts.
-    let mut iter_ptr = Vec::with_capacity(kp + 1);
-    let mut copy_ptr = Vec::with_capacity(kp + 1);
-    iter_ptr.push(0u32);
-    copy_ptr.push(0u32);
+    // CSR pointers are exactly the prefix sums of the counts; the
+    // counts then become each phase's cursor.
+    let mut iter_ptr = vec![0u32; kp + 1];
+    let mut copy_ptr = vec![0u32; kp + 1];
     for p in 0..kp {
-        iter_ptr.push(iter_ptr[p] + phase_counts[p] as u32);
-        copy_ptr.push(copy_ptr[p] + copy_counts[p] as u32);
+        iter_ptr[p + 1] = iter_ptr[p] + std::mem::replace(&mut iter_cursor[p], iter_ptr[p]);
+        copy_ptr[p + 1] = copy_ptr[p] + std::mem::replace(&mut copy_cursor[p], copy_ptr[p]);
     }
 
     // Pass 2: place every iteration straight into its phase's CSR range.
     // Scanning iterations in ascending order and bumping a per-phase
     // cursor keeps each phase in ascending local order; the single
     // `next_slot` counter numbers buffer slots in scan order.
-    let total_iters: usize = *iter_ptr.last().unwrap() as usize;
-    let total_copies: usize = *copy_ptr.last().unwrap() as usize;
-    let mut iters = vec![0u32; total_iters];
-    let mut refs = vec![0u32; total_iters * m];
-    let mut copies = vec![CopyOp { dest: 0, src: 0 }; total_copies];
-    let mut iter_cursor: Vec<u32> = iter_ptr[..kp].to_vec();
-    let mut copy_cursor: Vec<u32> = copy_ptr[..kp].to_vec();
+    let total_copies = copy_ptr[kp] as usize;
+    let mut iters = vec![0u32; num_iters];
+    let mut refs = vec![0u32; num_iters * m];
+    let mut copies = vec![CopyOp { dest: 0, src: 0 }; total_copies + 1];
     let n = g.num_elements() as u32;
     let mut next_slot = n;
     for i in 0..num_iters {
-        let p = iter_phase[i] as usize;
+        let p = classify!(i);
         let j = iter_cursor[p] as usize;
         iter_cursor[p] += 1;
         iters[j] = i as u32;
-        for (r, ind) in input.indirection.iter().enumerate() {
-            let e = ind[i];
-            let ph = phase_of.phase(e);
-            refs[j * m + r] = if ph == p {
-                e
-            } else {
-                // Owned in a future phase: extend X with a buffer slot and
-                // schedule the second-loop fold for phase `ph`.
-                let slot = next_slot;
-                next_slot += 1;
-                let ci = copy_cursor[ph] as usize;
-                copy_cursor[ph] += 1;
-                copies[ci] = CopyOp { dest: e, src: slot };
-                slot
+        let row = &mut refs[j * m..(j + 1) * m];
+        if all_resident!(p) {
+            for r in 0..m {
+                row[r] = cols[r][i];
+            }
+            continue;
+        }
+        for r in 0..m {
+            // Owned in a future phase: extend X with a buffer slot and
+            // schedule the second-loop fold for phase `q`. Resident: keep
+            // `e`, and write the copy op to the spare.
+            let (e, q) = (cols[r][i], ph[r]);
+            let buffered = q != p;
+            row[r] = if buffered { next_slot } else { e };
+            let c = copy_cursor[q];
+            let at = if buffered { c as usize } else { total_copies };
+            copies[at] = CopyOp {
+                dest: e,
+                src: next_slot,
             };
+            copy_cursor[q] = c + u32::from(buffered);
+            next_slot += u32::from(buffered);
         }
     }
+    copies.truncate(total_copies);
     debug_assert_eq!(iter_cursor, iter_ptr[1..]);
     debug_assert_eq!(copy_cursor, copy_ptr[1..]);
     observe(STAGE_PLACE);
 
     let flat = FlatPlan::new(m, iter_ptr, refs, copy_ptr, copies)
         .expect("prefix-sum construction satisfies the CSR invariants");
-    Ok(FlatInspection {
+    FlatInspection {
         geometry: g,
         proc_id: input.proc_id,
         buffer_len: (next_slot - n) as usize,
         iters,
         flat,
-    })
+    }
 }
 
 #[cfg(test)]
