@@ -37,12 +37,13 @@
 #                    # sim chaos-replay suite, the ring programs
 #                    # (phased and gather) sim ≡ native, also under
 #                    # lossless faults, the memsim cache against its
-#                    # stamp-LRU reference, and the LightInspector
-#                    # against its per-iteration reference plus its
-#                    # plan-validity properties (3 fixed seeds + one
-#                    # randomized pass each), then the SPSC lane stress
-#                    # and the prepare-pool tests in release, under the
-#                    # hard timeout
+#                    # stamp-LRU reference, the LightInspector against
+#                    # its per-iteration reference plus its
+#                    # plan-validity properties, and the chunked value
+#                    # loop against its per-iteration reference (3 fixed
+#                    # seeds + one randomized pass each), then the SPSC
+#                    # lane stress and the prepare-pool tests in release,
+#                    # under the hard timeout
 #
 # Every test invocation runs under a hard timeout: a hang anywhere —
 # including in the code under test, whose whole contract is "typed error,
@@ -269,7 +270,12 @@ sim() {
     # every `inspect` output, byte for byte, with a plain per-iteration
     # inspector kept in lightinspector's tests (both const-width arms
     # and the run-time-width arm), next to the crate's plan-validity
-    # properties, on the same seeds. spsc_stress runs in release, where memory-ordering
+    # properties, on the same seeds. The value-loop property compares
+    # irred's `vector::run_phase` (every const-width and const-m arm and
+    # the run-time arms, phases around the batch length) bit for bit
+    # with a plain per-iteration first loop and copy loop, on the same
+    # seeds: the native ≡ simulator suites cannot catch a bug in an arm,
+    # since both sides run the same loop. spsc_stress runs in release, where memory-ordering
     # bugs in the lock-free lanes show. The prepare-pool tests
     # (irred's `ring::tests`: typed panics, concurrent and nested
     # fan-outs, one pool of cores − 1 threads) run in release after it;
@@ -284,6 +290,8 @@ sim() {
         PROP_BASE_SEED=$seed run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
         echo "== inspector vs per-iteration reference (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p lightinspector --test reference --test proptests
+        echo "== value loop vs per-iteration reference (PROP_BASE_SEED=$seed) =="
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p irred --lib vector::tests
     done
 
     echo "== backend equivalence (randomized pass) =="
@@ -293,6 +301,7 @@ sim() {
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test cross_backend
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p lightinspector --test reference --test proptests
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p irred --lib vector::tests
 
     echo "== SPSC lane stress (release) =="
     run_tests cargo test -q --release -p earth-model --test spsc_stress

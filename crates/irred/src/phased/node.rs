@@ -108,6 +108,9 @@ pub struct PhasedNode<K> {
     staged: Vec<(Range<usize>, Arc<[f64]>)>,
     /// Final portions collected during the last sweep.
     results: Vec<FinalPortion>,
+    /// The chunked kernel's contribution buffer, reused by every phase
+    /// of every sweep (see [`vector::run_phase`]).
+    batch: Vec<f64>,
 }
 
 /// One node's final values for one portion: `(element range,
@@ -293,6 +296,7 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
                 overheads: self.overheads,
                 staged: Vec::new(),
                 results: Vec::new(),
+                batch: Vec::new(),
             });
         }
         nodes
@@ -600,6 +604,7 @@ impl<K: EdgeKernel> PhasedNode<K> {
                 rp,
                 split,
                 buf,
+                &mut self.batch,
                 self.r_arrays,
                 giters,
                 elems,

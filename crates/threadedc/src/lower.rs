@@ -32,9 +32,9 @@ use crate::{Diagnostic, Span};
 /// the limit is a compile error, never a job-time panic.
 pub(crate) const MAX_LOCALS: usize = 16;
 
-/// Iterations one block evaluates per tree node: the chunked kernel's
-/// batch length (`irred::vector::CHUNK`), so one `contrib_batch` call of
-/// that kernel is one block.
+/// Iterations one block evaluates per tree node. A `contrib_batch`
+/// call from the chunked kernel (one batch of its iterations) runs as
+/// consecutive blocks of this length.
 pub(crate) const B: usize = 16;
 
 /// A compiled (resolved-reference) expression, evaluable without name
