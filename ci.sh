@@ -251,8 +251,9 @@ compiler() {
 }
 
 sim() {
-    # EARTH backends and the ring programs on them: sim ≡ native, plus
-    # lane stress.
+    # EARTH backends and the ring programs on them: sim ≡ native, the
+    # value loop and the sequential sweeps against per-iteration
+    # references, plus lane stress.
     # backend_equivalence checks the native backend against the sim on
     # random fiber graphs (states and op counts, local messages
     # included), with the native side at host_threads 1, 2 and the host
@@ -275,7 +276,11 @@ sim() {
     # the run-time arms, phases around the batch length) bit for bit
     # with a plain per-iteration first loop and copy loop, on the same
     # seeds: the native ≡ simulator suites cannot catch a bug in an arm,
-    # since both sides run the same loop. spsc_stress runs in release, where memory-ordering
+    # since both sides run the same loop. The sequential property
+    # compares irred's `seq_reduction` (the same loop, one phase per
+    # block of iterations in original order) bit for bit with a plain
+    # per-iteration sequential loop, every arm, 1 and 3 sweeps through a
+    # read-updating post-sweep, on the same seeds. spsc_stress runs in release, where memory-ordering
     # bugs in the lock-free lanes show. The prepare-pool tests
     # (irred's `ring::tests`: typed panics, concurrent and nested
     # fan-outs, one pool of cores − 1 threads) run in release after it;
@@ -292,6 +297,8 @@ sim() {
         PROP_BASE_SEED=$seed run_tests cargo test -q -p lightinspector --test reference --test proptests
         echo "== value loop vs per-iteration reference (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p irred --lib vector::tests
+        echo "== sequential sweeps vs per-iteration reference (PROP_BASE_SEED=$seed) =="
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p irred --lib seq::tests::seq_equals_reference
     done
 
     echo "== backend equivalence (randomized pass) =="
@@ -302,6 +309,7 @@ sim() {
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p memsim --lib recency_cache_equals_stamp_lru
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p lightinspector --test reference --test proptests
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p irred --lib vector::tests
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p irred --lib seq::tests::seq_equals_reference
 
     echo "== SPSC lane stress (release) =="
     run_tests cargo test -q --release -p earth-model --test spsc_stress

@@ -56,54 +56,43 @@ pub trait EdgeKernel: Send + Sync + 'static {
         false
     }
 
-    /// Compute the contributions of (global) iteration `iter`.
+    /// Compute the contributions of a batch of (global) iterations — the
+    /// one value method a kernel writes. Iteration `giters[j]` writes
+    /// the `w = num_refs() * num_arrays()`-wide slot group
+    /// `out[j*w..(j+1)*w]`:
     ///
     /// * `read` — the node's replicated read arrays, element-major
     ///   interleaved: `read[el * num_read_arrays() + a]` (see
     ///   [`Self::init_read`]); empty when `num_read_arrays() == 0`;
-    /// * `elems` — the `m` global reduction elements this iteration
-    ///   updates (original indirection values);
-    /// * `out` — `num_refs() * num_arrays()` slots, laid out
-    ///   `out[r * num_arrays() + a]` = contribution to array `a` through
-    ///   reference `r`. All slots are pre-zeroed.
-    fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]);
+    /// * `elems[j*m..(j+1)*m]` — the `m` global reduction elements
+    ///   iteration `giters[j]` updates (original indirection values);
+    /// * `out[j*w + r * num_arrays() + a]` — its contribution to array
+    ///   `a` through reference `r`. `out` arrives zeroed.
+    ///
+    /// Every sweep calls it from the chunked value loop (see
+    /// `crate::vector`): native phases, replayed and measuring simulator
+    /// sweeps, and `SeqEngine`'s sequential sweeps. A kernel whose slot
+    /// `s` is `coeffs[s] · weight[i]` writes it as the shared
+    /// [`scaled_batch`].
+    ///
+    /// **Contract:** an iteration's slots depend only on that iteration,
+    /// not on the batch it arrives in — a batch equals the same
+    /// iterations as one-wide batches, bit for bit. Sequential and
+    /// phased sweeps cut the same iterations into different batches,
+    /// and their agreement rests on it (property-tested for the server,
+    /// family and compiled kernels, unit-tested for `WeightedPairKernel`
+    /// and `MolDynKernel`).
+    fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]);
 
-    /// Compute the contributions of a *chunk* of iterations into a
-    /// caller-provided buffer: iteration `giters[j]` (with elements
-    /// `elems[j*m..(j+1)*m]`) writes the
-    /// `num_refs() * num_arrays()`-wide slot group
-    /// `out[j*w..(j+1)*w]`. This is the hook of the chunked kernel that
-    /// runs every native phase and every replayed simulator sweep.
-    ///
-    /// The default costs one [`Self::contrib`] call per iteration, with
-    /// `m` and `w` read at run time, so nothing unrolls or vectorizes
-    /// across iterations. Kernels on a hot path override it with a
-    /// branchless batch body the compiler can auto-vectorize. A kernel
-    /// whose slot `s` is `coeffs[s] · weight[i]` overrides this with the
-    /// shared [`scaled_batch`].
-    ///
-    /// **Contract:** an override must produce, slot for slot, the
-    /// bit-identical values of `num_refs()*num_arrays()` pre-zeroed
-    /// per-iteration `contrib` calls — the phased runs' agreement with
-    /// the per-iteration callers, `SeqEngine` and the IE baseline, rests
-    /// on it (unit-tested beside each override, property-tested in
-    /// `tests/batch_kernels.rs`). `out`
-    /// arrives zeroed; overrides that assign every slot may rely on
-    /// nothing else.
-    fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
-        let m = self.num_refs();
-        let w = m * self.num_arrays();
-        for (j, &gi) in giters.iter().enumerate() {
-            self.contrib(
-                read,
-                gi as usize,
-                &elems[j * m..(j + 1) * m],
-                &mut out[j * w..(j + 1) * w],
-            );
-        }
+    /// One iteration as a one-wide [`Self::contrib_batch`], for callers
+    /// that walk iterations one at a time (the inspector/executor and
+    /// shared-memory baselines). `out` must arrive zeroed.
+    fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
+        let iter = u32::try_from(iter).expect("a loop's iterations are u32-indexed");
+        self.contrib_batch(read, &[iter], elems, out);
     }
 
-    /// Arithmetic cost of one `contrib` call, in floating-point ops.
+    /// Arithmetic cost of one iteration, in floating-point ops.
     fn flops_per_iter(&self) -> u64 {
         10
     }
@@ -142,9 +131,7 @@ pub trait EdgeKernel: Send + Sync + 'static {
 /// `out[j * w + s]` where `w = coeffs.len()`.
 ///
 /// A kernel whose contribution is a fixed coefficient per slot times a
-/// per-iteration weight calls this from `contrib_batch`; its `contrib`
-/// keeps the plain `coeffs[s] * weight` loop, which is the same
-/// multiplication, so the two agree bit for bit. The body is
+/// per-iteration weight writes this as its `contrib_batch`. The body is
 /// monomorphised on `w` for the widths the benchmarked traffic has
 /// (1, 2 and 4); every other width takes one run-time-width arm with
 /// the same arithmetic. Each slot is one multiplication,
@@ -208,17 +195,10 @@ pub struct WeightedPairKernel {
 }
 
 impl EdgeKernel for WeightedPairKernel {
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        out[0] = w;
-        out[1] = 2.0 * w;
-    }
-
-    // Branchless batch body (same arithmetic per slot as `contrib`, so
-    // bit-identical): the gather + two stores per iteration
-    // auto-vectorize once the bounds checks hoist. Not `scaled_batch`
-    // with coefficients `[1, 2]`: slot 0 is `w` itself, and `1.0 * w`
-    // is not `w` when `w` is a signalling NaN.
+    // Branchless: the gather + two stores per iteration auto-vectorize
+    // once the bounds checks hoist. Not `scaled_batch` with coefficients
+    // `[1, 2]`: slot 0 is `w` itself, and `1.0 * w` is not `w` when `w`
+    // is a signalling NaN.
     fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
         let weights = &self.weights[..];
         for (j, &gi) in giters.iter().enumerate() {
@@ -250,6 +230,7 @@ mod tests {
         assert!(k.init_read().is_empty());
     }
 
+    /// The provided `contrib` is one iteration's slot group.
     #[test]
     fn contrib_layout() {
         let k = WeightedPairKernel {
@@ -260,8 +241,9 @@ mod tests {
         assert_eq!(out, [3.0, 6.0]);
     }
 
+    /// A batch equals the same iterations as one-wide batches.
     #[test]
-    fn contrib_batch_override_is_bit_identical_to_contrib() {
+    fn contrib_batch_equals_one_wide_batches() {
         let k = WeightedPairKernel {
             weights: Arc::new((0..16).map(|i| 0.1 * i as f64).collect()),
         };
@@ -271,7 +253,7 @@ mod tests {
         k.contrib_batch(&[], &giters, &elems, &mut batch);
         for (j, &gi) in giters.iter().enumerate() {
             let mut one = [0.0; 2];
-            k.contrib(&[], gi as usize, &elems[j * 2..(j + 1) * 2], &mut one);
+            k.contrib_batch(&[], &[gi], &elems[j * 2..(j + 1) * 2], &mut one);
             assert_eq!(one[0].to_bits(), batch[j * 2].to_bits());
             assert_eq!(one[1].to_bits(), batch[j * 2 + 1].to_bits());
         }

@@ -1110,8 +1110,8 @@ mod tests {
             self.inner.num_arrays()
         }
 
-        fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
-            self.inner.contrib(read, iter, elems, out)
+        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+            self.inner.contrib_batch(read, giters, elems, out)
         }
     }
 

@@ -692,7 +692,7 @@ mod tests {
         fn num_read_arrays(&self) -> usize {
             2
         }
-        fn contrib(&self, _read: &[f64], _iter: usize, _elems: &[u32], _out: &mut [f64]) {}
+        fn contrib_batch(&self, _read: &[f64], _giters: &[u32], _elems: &[u32], _out: &mut [f64]) {}
         fn flops_per_iter(&self) -> u64 {
             7
         }

@@ -4,7 +4,11 @@
 //! output is checked against them) and the *speedup denominator* — the
 //! paper times sequential versions on one i860XP, so we meter the
 //! sequential loops through the same cache/cost model the simulator
-//! uses, making `T_seq / T_par` meaningful.
+//! uses, making `T_seq / T_par` meaningful. As in the simulator's
+//! measuring sweep, what is computed and what it costs are separate: a
+//! sequential sweep sums through the same value loop as every phased
+//! sweep (`crate::vector`), and the first sweep's cost comes from an
+//! address walk that does no float work.
 
 use std::sync::Arc;
 
@@ -19,6 +23,7 @@ use crate::kernel::EdgeKernel;
 use crate::phased::PhasedSpec;
 use crate::prepared::Workspace;
 use crate::strategy::StrategyConfig;
+use crate::vector::{self, BATCH};
 use lightinspector::InspectError;
 
 /// A [`Meter`] that charges a real [`MemModel`] — the sequential
@@ -66,18 +71,51 @@ pub struct SeqResult {
 
 /// Execute the irregular reduction sequentially for `sweeps` time steps,
 /// metering the first sweep and scaling (the access pattern repeats).
+///
+/// # Panics
+/// With [`InspectError::OutOfRange`]'s message if an indirection entry
+/// names an element at or above `spec.num_elements`.
 pub fn seq_reduction<K: EdgeKernel>(
     spec: &PhasedSpec<K>,
     sweeps: usize,
     cfg: SimConfig,
 ) -> SeqResult {
+    if let Err(e) = check_elements(spec) {
+        panic!("{e}");
+    }
     seq_reduction_inner(spec, sweeps, cfg, None)
 }
 
-/// The shared loop behind [`seq_reduction`] and [`SeqEngine`]: when
-/// `known_sweep0` carries a previously measured sweep cost, metering is
-/// skipped entirely — the values are bit-identical either way because
-/// the meter only accumulates cycles.
+/// Every indirection entry names an element below `num_elements`. The
+/// parallel engines range-check through the inspector; the sequential
+/// loop scatters through the indirection directly, so [`seq_reduction`]
+/// and [`SeqEngine`]'s `prepare` check here before any value loop runs.
+fn check_elements<K>(spec: &PhasedSpec<K>) -> Result<(), InspectError> {
+    for (r, arr) in spec.indirection.iter().enumerate() {
+        for (iter, &elem) in arr.iter().enumerate() {
+            if elem as usize >= spec.num_elements {
+                return Err(InspectError::OutOfRange {
+                    r,
+                    iter,
+                    elem,
+                    num_elements: spec.num_elements,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The shared loop behind [`seq_reduction`] and [`SeqEngine`]. Values
+/// come from the one value loop, [`vector::run_phase`], as one phase
+/// per block of iterations in original order: the whole element-major
+/// `x` is the resident region, there is no buffer and no copy loop, and
+/// each reference scatters straight to its element. Cycles come from
+/// [`meter_sweep`], unless `known_sweep0` carries a previously measured
+/// sweep cost.
+///
+/// The caller has checked every indirection entry with
+/// [`check_elements`].
 fn seq_reduction_inner<K: EdgeKernel>(
     spec: &PhasedSpec<K>,
     sweeps: usize,
@@ -88,14 +126,85 @@ fn seq_reduction_inner<K: EdgeKernel>(
     let m = spec.kernel.num_refs();
     let r_arrays = spec.kernel.num_arrays();
     let n_read = spec.kernel.num_read_arrays();
-    let e = spec.num_iterations();
+    let e = u32::try_from(spec.num_iterations()).expect("a loop's iterations are u32-indexed");
 
     // Element-major interleaved storage (one struct of `r_arrays` /
-    // `n_read` doubles per element) — the layout the cache model below
-    // has always charged for, now also the layout the loop runs on.
+    // `n_read` doubles per element) — the layout the cache model
+    // charges for, and the layout the loop runs on.
     let mut x = vec![0.0f64; n * r_arrays];
     let mut read = spec.kernel.init_read();
     debug_assert_eq!(read.len(), n * n_read);
+
+    let mut outs = Vec::new();
+    let mut giters = Vec::with_capacity(BATCH);
+    let mut elems = Vec::with_capacity(BATCH * m);
+    for _ in 0..sweeps {
+        x.fill(0.0);
+        for lo in (0..e).step_by(BATCH) {
+            giters.clear();
+            giters.extend(lo..lo + (e - lo).min(BATCH as u32));
+            elems.clear();
+            for &i in &giters {
+                elems.extend(spec.indirection[..m].iter().map(|ind| ind[i as usize]));
+            }
+            // SAFETY: `x` is a local buffer of exactly `split` doubles,
+            // borrowed exclusively for the call. Every scatter ref is an
+            // indirection entry, and `check_elements` found every entry
+            // below `n` before this function ran (`seq_reduction` calls
+            // it; `SeqEngine::prepare` does before building the
+            // `PreparedSeq`, whose private spec never changes), so its
+            // `r_arrays` components lie below `split`: all land in the
+            // region, and the empty buffer and copy list are untouched.
+            unsafe {
+                vector::run_phase(
+                    &*spec.kernel,
+                    &read,
+                    x.as_mut_ptr(),
+                    x.len(),
+                    &mut [],
+                    &mut outs,
+                    r_arrays,
+                    &giters,
+                    &elems,
+                    &elems,
+                    &[],
+                );
+            }
+        }
+        // Node-level update on final values.
+        spec.kernel.post_sweep(&mut read, 0..n, &x);
+    }
+
+    let cycles = match (sweeps, known_sweep0) {
+        (0, _) => 0,
+        (_, Some(c)) => c * sweeps as u64,
+        (_, None) => meter_sweep(spec, cfg) * sweeps as u64,
+    };
+    // De-interleave into the per-array shape the public result keeps.
+    let columns = |flat: &[f64], width: usize| -> Vec<Vec<f64>> {
+        (0..width)
+            .map(|a| (0..n).map(|i| flat[i * width + a]).collect())
+            .collect()
+    };
+    SeqResult {
+        x: columns(&x, r_arrays),
+        read: columns(&read, n_read),
+        cycles,
+        seconds: cfg.seconds(cycles),
+    }
+}
+
+/// The metered sweep's address walk: every load, store and flop one
+/// sequential sweep performs, in the loop's order, at the addresses an
+/// element-major layout assigns — and no float arithmetic. Returns the
+/// sweep's cycles on one node of the simulated machine.
+fn meter_sweep<K: EdgeKernel>(spec: &PhasedSpec<K>, cfg: SimConfig) -> u64 {
+    let n = spec.num_elements;
+    let m = spec.kernel.num_refs();
+    let r_arrays = spec.kernel.num_arrays();
+    let n_read = spec.kernel.num_read_arrays();
+    let e = spec.num_iterations();
+    let refs = &spec.indirection[..m];
 
     let mut am = AddressMap::new(64);
     let x_reg: Region = am.alloc_f64(n * r_arrays);
@@ -104,88 +213,43 @@ fn seq_reduction_inner<K: EdgeKernel>(
     let edge_reg = am.alloc_f64(e.max(1));
 
     let mut meter = MemMeter::new(cfg);
-    let mut out = vec![0.0f64; m * r_arrays];
-    let mut elems = vec![0u32; m];
     let edge_reads = spec.kernel.edge_reads_per_iter();
     let node_reads = spec.kernel.node_reads_per_elem();
     let flops = spec.kernel.flops_per_iter();
-    let mut sweep0_cost = 0u64;
 
-    for sweep in 0..sweeps {
-        let metered = sweep == 0 && known_sweep0.is_none();
-        let before = meter.cycles;
-        // Zero the reduction arrays.
-        x.fill(0.0);
-        if metered {
-            for i in (0..n * r_arrays).step_by(4) {
-                meter.store(x_reg.addr(i)); // one touch per few words ≈ stream
-            }
+    // Zero the reduction arrays.
+    for i in (0..n * r_arrays).step_by(4) {
+        meter.store(x_reg.addr(i)); // one touch per few words ≈ stream
+    }
+    // The reduction loop, in original iteration order.
+    for i in 0..e {
+        for reg in ind_regs.iter() {
+            meter.load(reg.addr(i));
         }
-        // The reduction loop, in original iteration order.
-        for i in 0..e {
-            for (r, er) in elems.iter_mut().enumerate() {
-                *er = spec.indirection[r][i];
-            }
-            if metered {
-                for reg in ind_regs.iter() {
-                    meter.load(reg.addr(i));
-                }
-                for _ in 0..edge_reads {
-                    meter.load(edge_reg.addr(i));
-                }
-                if n_read > 0 {
-                    for &el in &elems {
-                        let row = el as usize * n_read;
-                        for w in (0..n_read).cycle().take(node_reads) {
-                            meter.load(read_reg.addr(row + w));
-                        }
-                    }
-                }
-                meter.flops(flops);
-            }
-            out.fill(0.0);
-            spec.kernel.contrib(&read, i, &elems, &mut out);
-            for (r, &el) in elems.iter().enumerate() {
-                let base = el as usize * r_arrays;
-                for a in 0..r_arrays {
-                    x[base + a] += out[r * r_arrays + a];
-                    if metered {
-                        meter.load(x_reg.addr(base + a));
-                        meter.store(x_reg.addr(base + a));
-                        meter.flops(1);
-                    }
+        for _ in 0..edge_reads {
+            meter.load(edge_reg.addr(i));
+        }
+        if n_read > 0 {
+            for ind in refs {
+                let row = ind[i] as usize * n_read;
+                for w in (0..n_read).cycle().take(node_reads) {
+                    meter.load(read_reg.addr(row + w));
                 }
             }
         }
-        // Node-level update on final values.
-        spec.kernel.post_sweep(&mut read, 0..n, &x);
-        if metered {
-            meter.flops(n as u64 * spec.kernel.post_flops_per_elem());
-            sweep0_cost = meter.cycles - before;
+        meter.flops(flops);
+        for ind in refs {
+            let base = ind[i] as usize * r_arrays;
+            for a in 0..r_arrays {
+                meter.load(x_reg.addr(base + a));
+                meter.store(x_reg.addr(base + a));
+                meter.flops(1);
+            }
         }
     }
-
-    let sweep0_cost = known_sweep0.unwrap_or(sweep0_cost);
-    let cycles = sweep0_cost * sweeps as u64;
-    // De-interleave into the per-array shape the public result keeps.
-    let mut x_out = vec![vec![0.0f64; n]; r_arrays];
-    for (i, chunk) in x.chunks_exact(r_arrays.max(1)).enumerate().take(n) {
-        for (a, &v) in chunk.iter().enumerate() {
-            x_out[a][i] = v;
-        }
-    }
-    let mut read_out = vec![vec![0.0f64; n]; n_read];
-    for (i, chunk) in read.chunks_exact(n_read.max(1)).enumerate().take(n) {
-        for (a, &v) in chunk.iter().enumerate() {
-            read_out[a][i] = v;
-        }
-    }
-    SeqResult {
-        x: x_out,
-        read: read_out,
-        cycles,
-        seconds: cfg.seconds(cycles),
-    }
+    // Node-level update on final values.
+    meter.flops(n as u64 * spec.kernel.post_flops_per_elem());
+    meter.cycles
 }
 
 /// A prepared sequential run: validated spec plus the measured
@@ -249,20 +313,7 @@ impl<K: EdgeKernel> ReductionEngine<PhasedSpec<K>> for SeqEngine {
         strat: &StrategyConfig,
     ) -> Result<Self::Prepared, EngineError> {
         validate_phased_spec(spec)?;
-        // The parallel engines range-check elements through the
-        // inspector; the sequential loop indexes directly, so check here.
-        for (r, arr) in spec.indirection.iter().enumerate() {
-            for (i, &e) in arr.iter().enumerate() {
-                if e as usize >= spec.num_elements {
-                    return Err(EngineError::Invalid(InspectError::OutOfRange {
-                        r,
-                        iter: i,
-                        elem: e,
-                        num_elements: spec.num_elements,
-                    }));
-                }
-            }
-        }
+        check_elements(spec).map_err(EngineError::Invalid)?;
         Ok(PreparedSeq {
             spec: spec.clone(),
             sweeps: strat.sweeps,
@@ -358,6 +409,9 @@ pub fn seq_gather_cycles(
 mod tests {
     use super::*;
     use crate::kernel::WeightedPairKernel;
+    use harness::prop::{check, Config, Gen};
+    use harness::prop_assert_eq;
+    use std::ops::Range;
 
     fn spec() -> PhasedSpec<WeightedPairKernel> {
         PhasedSpec {
@@ -419,6 +473,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "indirection[1][0] = 7 is outside the reduction array (n = 2)")]
+    fn seq_reduction_rejects_out_of_range() {
+        let s = PhasedSpec {
+            kernel: Arc::new(WeightedPairKernel {
+                weights: Arc::new(vec![1.0]),
+            }),
+            num_elements: 2,
+            indirection: Arc::new(vec![vec![0], vec![7]]),
+        };
+        seq_reduction(&s, 1, SimConfig::default());
+    }
+
+    #[test]
     fn gather_matches_spmv() {
         let m = Arc::new(SparseMatrix::random(40, 40, 300, 5));
         let x: Vec<f64> = (0..40).map(|i| i as f64 * 0.25).collect();
@@ -448,5 +515,159 @@ mod tests {
         let dense = seq_reduction(&mk(1), 1, SimConfig::default()).cycles;
         let scattered = seq_reduction(&mk(7919), 1, SimConfig::default()).cycles;
         assert!(scattered > dense, "{scattered} vs {dense}");
+    }
+
+    /// Slot `s` of iteration `i` is a table entry plus, with a read
+    /// array, the read value of the slot's reference's element, *added*
+    /// into the slot — so a slot that does not arrive zeroed shows. With
+    /// a read array, `post_sweep` adds each element's first component
+    /// into its read value, so later sweeps read earlier sweeps' sums.
+    #[derive(Debug)]
+    struct TableKernel {
+        m: usize,
+        r: usize,
+        n_read: usize,
+        table: Vec<f64>,
+        read0: Vec<f64>,
+    }
+
+    impl EdgeKernel for TableKernel {
+        fn num_refs(&self) -> usize {
+            self.m
+        }
+
+        fn num_arrays(&self) -> usize {
+            self.r
+        }
+
+        fn num_read_arrays(&self) -> usize {
+            self.n_read
+        }
+
+        fn init_read(&self) -> Vec<f64> {
+            self.read0.clone()
+        }
+
+        fn updates_read_state(&self) -> bool {
+            self.n_read > 0
+        }
+
+        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+            let w = self.m * self.r;
+            for (j, &gi) in giters.iter().enumerate() {
+                for s in 0..w {
+                    let mut v = self.table[(gi as usize * w + s) % self.table.len()];
+                    if self.n_read > 0 {
+                        v += read[elems[j * self.m + s / self.r] as usize];
+                    }
+                    out[j * w + s] += v;
+                }
+            }
+        }
+
+        fn post_sweep(&self, read: &mut [f64], range: Range<usize>, x: &[f64]) -> bool {
+            if self.n_read == 0 {
+                return false;
+            }
+            for (i, v) in range.enumerate() {
+                read[v] += x[i * self.r];
+            }
+            true
+        }
+    }
+
+    /// Mostly small exact values, a quarter arbitrary bit patterns
+    /// (NaNs, infinities, subnormals, signed zeros among them).
+    fn any_f64(g: &mut Gen) -> f64 {
+        if g.prob(0.25) {
+            f64::from_bits(g.u64_any())
+        } else {
+            g.i64_in(-1024..=1024) as f64 / 8.0
+        }
+    }
+
+    fn case(g: &mut Gen) -> (PhasedSpec<TableKernel>, usize) {
+        // r = 5 takes the value loop's all-run-time arm; m = 3 the
+        // run-time-m arm.
+        let m = *g.pick(&[1usize, 2, 3]);
+        let r = *g.pick(&[1usize, 2, 3, 4, 5]);
+        let n_read = g.usize_incl(0, 1);
+        let e = *g.pick(&[0, 1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 5]);
+        let n = g.usize_incl(1, 24);
+        let sweeps = *g.pick(&[1usize, 3]);
+        let table = g.vec(1, 64, any_f64);
+        let read0 = g.vec(n * n_read, n * n_read, any_f64);
+        let indirection = (0..m)
+            .map(|_| g.vec(e, e, |g| g.u32_in(0..n as u32)))
+            .collect();
+        let spec = PhasedSpec {
+            kernel: Arc::new(TableKernel {
+                m,
+                r,
+                n_read,
+                table,
+                read0,
+            }),
+            num_elements: n,
+            indirection: Arc::new(indirection),
+        };
+        (spec, sweeps)
+    }
+
+    /// The plain per-iteration loop: per sweep, zero `x`, then for each
+    /// iteration in order one-wide `contrib` into a zeroed group,
+    /// scattered reference by reference, component by component; then
+    /// `post_sweep`. Returns `x` and `read`, element-major.
+    fn reference(spec: &PhasedSpec<TableKernel>, sweeps: usize) -> (Vec<f64>, Vec<f64>) {
+        let k = &spec.kernel;
+        let (m, r) = (k.m, k.r);
+        let mut x = vec![0.0; spec.num_elements * r];
+        let mut read = k.init_read();
+        let mut out = vec![0.0; m * r];
+        for _ in 0..sweeps {
+            x.fill(0.0);
+            for i in 0..spec.num_iterations() {
+                let elems: Vec<u32> = spec.indirection.iter().map(|ind| ind[i]).collect();
+                out.fill(0.0);
+                k.contrib(&read, i, &elems, &mut out);
+                for (rr, &el) in elems.iter().enumerate() {
+                    for a in 0..r {
+                        x[el as usize * r + a] += out[rr * r + a];
+                    }
+                }
+            }
+            k.post_sweep(&mut read, 0..spec.num_elements, &x);
+        }
+        (x, read)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `seq_reduction` ≡ the per-iteration reference, bit for bit: m 1–3
+    /// and r 1–5 (every arm of the value loop), 0 or 1 read arrays,
+    /// 0, 1, `BATCH ± 1`, `BATCH` and `3·BATCH + 5` iterations, and 1 or
+    /// 3 sweeps through a read-updating `post_sweep`.
+    #[test]
+    fn seq_equals_reference() {
+        check(
+            "seq_equals_reference",
+            Config::cases(256),
+            case,
+            |(spec, sweeps)| {
+                let (x, read) = reference(spec, *sweeps);
+                let got = seq_reduction(spec, *sweeps, SimConfig::default());
+                let n = spec.num_elements;
+                let interleave = |cols: &[Vec<f64>]| -> Vec<f64> {
+                    (0..n)
+                        .flat_map(|el| cols.iter().map(move |c| c[el]))
+                        .collect()
+                };
+                prop_assert_eq!(bits(&interleave(&got.x)), bits(&x), "x");
+                prop_assert_eq!(bits(&interleave(&got.read)), bits(&read), "read");
+                Ok(())
+            },
+        );
     }
 }

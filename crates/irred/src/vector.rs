@@ -1,36 +1,41 @@
 //! The one value loop: the chunked first loop and copy loop that every
-//! phased sweep runs — native phases, replayed simulator sweeps, and
-//! the simulator's measuring sweeps, which charge their accesses with a
-//! separate address walk first (`meter_phase` in `crate::phased`).
+//! sweep runs — native phases, replayed simulator sweeps, the
+//! simulator's measuring sweeps, which charge their accesses with a
+//! separate address walk first (`meter_phase` in `crate::phased`), and
+//! the sequential sweeps of `SeqEngine`, which run each block of
+//! iterations as one phase with no buffer and no copies (and meter with
+//! their own address walk, `meter_sweep` in `crate::seq`).
 //!
-//! A per-iteration loop interleaves *compute* (one
-//! `EdgeKernel::contrib` call) with *scatter* (2–8 dependent
-//! read-modify-writes through indirection) — the store aliasing between
-//! the two keeps the compiler from vectorizing either. The chunked loop
-//! splits them: contributions for a batch of [`BATCH`] iterations are
-//! computed into one buffer via [`EdgeKernel::contrib_batch`] (a
-//! branchless batch body the compiler can auto-vectorize), then
-//! scattered in the original iteration order. The loop issues no
-//! software prefetch: the prefetching loop measured slower on the serve
-//! and pic shapes and no faster on moldyn's (EXPERIMENTS.md "The value
-//! loop at the host's memory parallelism").
+//! A per-iteration loop interleaves *compute* (one kernel call) with
+//! *scatter* (2–8 dependent read-modify-writes through indirection) —
+//! the store aliasing between the two keeps the compiler from
+//! vectorizing either. The chunked loop splits them: contributions for
+//! a batch of [`BATCH`] iterations are computed into one buffer via
+//! [`EdgeKernel::contrib_batch`] (a branchless batch body the compiler
+//! can auto-vectorize), then scattered in the original iteration order.
+//! The loop issues no software prefetch: the prefetching loop measured
+//! slower on the serve and pic shapes and no faster on moldyn's
+//! (EXPERIMENTS.md "The value loop at the host's memory parallelism").
 //!
 //! Storage is always `(region, split, buffer)`: scatter targets below
 //! `split` doubles land in the resident region, targets at or above it
 //! in the node's buffer extension. A native run passes the shared
 //! region of a zero-copy run; a simulator sweep splits the node's
-//! private `x` at `num_elements · num_arrays`.
+//! private `x` at `num_elements · num_arrays`; a sequential sweep passes
+//! its whole `x` and an empty buffer.
 //!
 //! ## Float order
 //!
-//! Every phased sweep computes its values here, so native, replayed and
-//! measuring sweeps agree bit for bit by construction. The order is the
-//! plan's, in every arm:
+//! Every sweep computes its values here, so native, replayed and
+//! measuring sweeps agree bit for bit by construction, and a sequential
+//! sweep differs from them only in its order. The order is the
+//! schedule's, in every arm:
 //!
-//! * `contrib_batch` is contractually bit-identical to per-iteration
-//!   `contrib` (see the trait docs);
-//! * the scatter walks iterations in the inspector's phase-local order,
-//!   references in order, components in order;
+//! * an iteration's slots do not depend on how its batch is cut (the
+//!   `contrib_batch` contract, see the trait docs);
+//! * the scatter walks iterations in the schedule's order (the
+//!   inspector's phase-local order, or original order for a sequential
+//!   sweep), references in order, components in order;
 //! * the copy loop folds buffer slots into resident elements in copy
 //!   order and resets each slot.
 
@@ -43,7 +48,7 @@ use crate::kernel::EdgeKernel;
 /// `engine-moldyn` shapes (EXPERIMENTS.md "The value loop at the host's
 /// memory parallelism"): 128 beat 16, 32 and 64 on the serve and pic
 /// shapes, and tied 256 there and on moldyn at half its buffer.
-const BATCH: usize = 128;
+pub(crate) const BATCH: usize = 128;
 
 /// Run one phase's first loop and copy loop. Per-element widths
 /// `r_arrays` of 1 to 4 take a const-`R` arm of [`chunk`], each with
@@ -221,11 +226,13 @@ mod tests {
             1
         }
 
-        fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
-            let w = out.len();
-            for (s, o) in out.iter_mut().enumerate() {
-                *o += self.table[(iter * w + s) % self.table.len()]
-                    + read[elems[s / self.r] as usize];
+        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+            let w = self.m * self.r;
+            for (j, &gi) in giters.iter().enumerate() {
+                for s in 0..w {
+                    out[j * w + s] += self.table[(gi as usize * w + s) % self.table.len()]
+                        + read[elems[j * self.m + s / self.r] as usize];
+                }
             }
         }
     }
@@ -289,9 +296,10 @@ mod tests {
         }
     }
 
-    /// The plain per-iteration first loop and copy loop: `contrib` into
-    /// a zeroed group, the group scattered in `(r, a)` order, then the
-    /// copies in order. Returns the resident and buffer values.
+    /// The plain per-iteration first loop and copy loop: one-wide
+    /// `contrib` into a zeroed group, the group scattered in `(r, a)`
+    /// order, then the copies in order. Returns the resident and buffer
+    /// values.
     fn reference(c: &Case) -> (Vec<f64>, Vec<f64>) {
         let (k, r) = (&c.kernel, c.kernel.r);
         let (mut res, mut buf) = (c.resident.clone(), c.buffer.clone());

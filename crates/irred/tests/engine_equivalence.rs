@@ -51,12 +51,15 @@ impl EdgeKernel for IntArityKernel {
     fn num_arrays(&self) -> usize {
         self.r_arrays
     }
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        for r in 0..self.m {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            for a in 0..self.r_arrays {
-                out[r * self.r_arrays + a] = sign * (r + 1) as f64 * (a + 1) as f64 * w;
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        let width = self.m * self.r_arrays;
+        for (o, &gi) in out.chunks_exact_mut(width).zip(giters) {
+            let w = self.weights[gi as usize];
+            for r in 0..self.m {
+                let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
+                for a in 0..self.r_arrays {
+                    o[r * self.r_arrays + a] = sign * (r + 1) as f64 * (a + 1) as f64 * w;
+                }
             }
         }
     }
@@ -165,8 +168,11 @@ fn gather_agrees_bitwise_with_phased_formulation() {
         fn num_arrays(&self) -> usize {
             1
         }
-        fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-            out[0] = self.matrix.values[iter] * self.x[self.matrix.col_idx[iter] as usize];
+        fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+            for (o, &gi) in out.iter_mut().zip(giters) {
+                let i = gi as usize;
+                *o = self.matrix.values[i] * self.x[self.matrix.col_idx[i] as usize];
+            }
         }
         fn flops_per_iter(&self) -> u64 {
             2
@@ -354,10 +360,12 @@ fn prepared_read_updating_kernel_matches_fresh_runs() {
         fn updates_read_state(&self) -> bool {
             true
         }
-        fn contrib(&self, read: &[f64], _iter: usize, elems: &[u32], out: &mut [f64]) {
-            let d = read[elems[1] as usize] - read[elems[0] as usize];
-            out[0] = d;
-            out[1] = -d;
+        fn contrib_batch(&self, read: &[f64], _giters: &[u32], elems: &[u32], out: &mut [f64]) {
+            for (o, e) in out.chunks_exact_mut(2).zip(elems.chunks_exact(2)) {
+                let d = read[e[1] as usize] - read[e[0] as usize];
+                o[0] = d;
+                o[1] = -d;
+            }
         }
         fn flops_per_iter(&self) -> u64 {
             3

@@ -34,12 +34,15 @@ impl EdgeKernel for ArityKernel {
     fn num_arrays(&self) -> usize {
         self.r_arrays
     }
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        for r in 0..self.m {
-            let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
-            for a in 0..self.r_arrays {
-                out[r * self.r_arrays + a] = sign * (r + 1) as f64 * (a + 1) as f64 * w;
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        let width = self.m * self.r_arrays;
+        for (o, &gi) in out.chunks_exact_mut(width).zip(giters) {
+            let w = self.weights[gi as usize];
+            for r in 0..self.m {
+                let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
+                for a in 0..self.r_arrays {
+                    o[r * self.r_arrays + a] = sign * (r + 1) as f64 * (a + 1) as f64 * w;
+                }
             }
         }
     }

@@ -52,25 +52,28 @@ impl EdgeKernel for EulerKernel {
         true
     }
 
-    fn contrib(&self, read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
-        let (n1, n2) = (elems[0] as usize, elems[1] as usize);
-        let w = self.coeff[iter];
-        let (q1, q2) = (read[n1], read[n2]);
-        let d = q1 - q2;
-        let avg = 0.5 * (q1 + q2);
-        let f_mass = w * d;
-        let f_mx = w * d * avg;
-        let f_my = 0.5 * w * (q1 * q1 - q2 * q2);
-        let f_energy = f_mass * avg * avg;
-        // Conservative: node 1 loses what node 2 gains.
-        out[0] = -f_mass;
-        out[1] = -f_mx;
-        out[2] = -f_my;
-        out[3] = -f_energy;
-        out[4] = f_mass;
-        out[5] = f_mx;
-        out[6] = f_my;
-        out[7] = f_energy;
+    fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+        for (j, &gi) in giters.iter().enumerate() {
+            let (n1, n2) = (elems[j * 2] as usize, elems[j * 2 + 1] as usize);
+            let w = self.coeff[gi as usize];
+            let (q1, q2) = (read[n1], read[n2]);
+            let d = q1 - q2;
+            let avg = 0.5 * (q1 + q2);
+            let f_mass = w * d;
+            let f_mx = w * d * avg;
+            let f_my = 0.5 * w * (q1 * q1 - q2 * q2);
+            let f_energy = f_mass * avg * avg;
+            // Conservative: node 1 loses what node 2 gains.
+            let o = &mut out[j * 8..(j + 1) * 8];
+            o[0] = -f_mass;
+            o[1] = -f_mx;
+            o[2] = -f_my;
+            o[3] = -f_energy;
+            o[4] = f_mass;
+            o[5] = f_mx;
+            o[6] = f_my;
+            o[7] = f_energy;
+        }
     }
 
     fn flops_per_iter(&self) -> u64 {
@@ -118,9 +121,9 @@ impl EdgeKernel for FrozenEulerKernel {
         0
     }
 
-    fn contrib(&self, _read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
         // Euler has one read array, so `q0` already is the interleaved layout.
-        self.0.contrib(&self.0.q0, iter, elems, out)
+        self.0.contrib_batch(&self.0.q0, giters, elems, out)
     }
 
     fn flops_per_iter(&self) -> u64 {

@@ -19,9 +19,8 @@ use std::sync::Arc;
 use irred::{scaled_batch, EdgeKernel, GatherSpec, PhasedSpec};
 use workloads::{FamilySpec, SparseMatrix};
 
-/// The shared loop body of the skewed families. `contrib_batch` runs
-/// [`scaled_batch`] over `coeffs`; `contrib` computes the same
-/// `coeffs[s] * weight` per slot, so the two agree bit for bit.
+/// The shared loop body of the skewed families: [`scaled_batch`] over
+/// `coeffs`.
 #[derive(Debug)]
 pub struct FamilyKernel {
     weights: Arc<Vec<f64>>,
@@ -38,13 +37,6 @@ impl EdgeKernel for FamilyKernel {
 
     fn num_arrays(&self) -> usize {
         self.arrays
-    }
-
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        for (o, &c) in out.iter_mut().zip(&self.coeffs) {
-            *o = c * w;
-        }
     }
 
     fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {

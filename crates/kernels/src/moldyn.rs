@@ -71,34 +71,11 @@ impl EdgeKernel for MolDynKernel {
         true
     }
 
-    fn contrib(&self, read: &[f64], _iter: usize, elems: &[u32], out: &mut [f64]) {
-        // One 3-double struct per molecule: the two position loads touch
-        // two cache lines, not six.
-        let (i, j) = (elems[0] as usize * 3, elems[1] as usize * 3);
-        let (pi, pj) = (&read[i..i + 3], &read[j..j + 3]);
-        let d = [
-            self.min_image(pj[0] - pi[0]),
-            self.min_image(pj[1] - pi[1]),
-            self.min_image(pj[2] - pi[2]),
-        ];
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS;
-        let u2 = SIGMA2 / r2;
-        let u6 = u2 * u2 * u2;
-        // Truncated LJ magnitude (repulsive minus attractive), clamped.
-        let f = (24.0 * u6 * (2.0 * u6 - 1.0) / r2).clamp(-FMAX, FMAX);
-        for a in 0..3 {
-            out[a] = f * d[a]; // ref 0 (molecule i) pulled toward j
-            out[3 + a] = -f * d[a]; // ref 1 (molecule j), opposite
-        }
-    }
-
-    // Branchless batch body for the chunked flat loops: per iteration
-    // the same float expressions in the same order as `contrib` (the
-    // `min_image` branches depend only on data, not loop position), so
-    // each slot group is bit-identical to a per-iteration call — the
-    // contract `EdgeKernel::contrib_batch` demands. Writing straight
-    // into the caller's chunk buffer lets the compiler keep the whole
-    // pair computation in registers and vectorize across iterations.
+    // Branchless batch body: writing straight into the caller's chunk
+    // buffer lets the compiler keep the whole pair computation in
+    // registers and vectorize across iterations (the `min_image`
+    // branches depend only on data). One 3-double struct per molecule:
+    // the two position loads touch two cache lines, not six.
     fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
         for j in 0..giters.len() {
             let (i, k) = (elems[j * 2] as usize * 3, elems[j * 2 + 1] as usize * 3);
@@ -111,11 +88,12 @@ impl EdgeKernel for MolDynKernel {
             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS;
             let u2 = SIGMA2 / r2;
             let u6 = u2 * u2 * u2;
+            // Truncated LJ magnitude (repulsive minus attractive), clamped.
             let f = (24.0 * u6 * (2.0 * u6 - 1.0) / r2).clamp(-FMAX, FMAX);
             let o = &mut out[j * 6..(j + 1) * 6];
             for a in 0..3 {
-                o[a] = f * d[a];
-                o[3 + a] = -f * d[a];
+                o[a] = f * d[a]; // ref 0 (molecule i) pulled toward j
+                o[3 + a] = -f * d[a]; // ref 1 (molecule j), opposite
             }
         }
     }
@@ -271,8 +249,9 @@ mod tests {
         }
     }
 
+    /// A batch equals the same iterations as one-wide batches.
     #[test]
-    fn contrib_batch_override_is_bit_identical_to_contrib() {
+    fn contrib_batch_equals_one_wide_batches() {
         let mut config = MolDyn::fcc(3, 0.75);
         config.perturb(0.04, 13);
         config.rebuild_interactions();
@@ -288,7 +267,7 @@ mod tests {
         kernel.contrib_batch(&read, &giters, &elems, &mut batch);
         for j in 0..n {
             let mut one = [0.0f64; 6];
-            kernel.contrib(&read, j, &elems[j * 2..(j + 1) * 2], &mut one);
+            kernel.contrib_batch(&read, &[j as u32], &elems[j * 2..(j + 1) * 2], &mut one);
             for s in 0..6 {
                 assert_eq!(
                     one[s].to_bits(),

@@ -8,8 +8,9 @@
 //! turn like everyone else — and a per-tenant in-flight cap keeps one
 //! tenant from occupying every worker. The dequeue side also reports
 //! the shed level: at three-quarters capacity, jobs are executed
-//! sequentially (cheap, still bit-identical) so the queue drains
-//! instead of growing.
+//! sequentially so the queue drains instead of growing. The sequential
+//! run adds in iteration order, so its result is bit-identical to the
+//! native one only where the sums are exact.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -145,7 +146,8 @@ impl Admission {
         loop {
             if let Some(job) = Self::pop_fair(&mut s, &self.cfg) {
                 // The shed ladder: three quarters capacity drops to
-                // sequential (still bit-identical).
+                // sequential, which adds in iteration order (bit-identical
+                // to native only where the sums are exact).
                 let shed = if s.queued * 4 >= self.cfg.queue_capacity * 3 {
                     ShedLevel::Seq
                 } else {

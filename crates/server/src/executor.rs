@@ -5,8 +5,8 @@
 //! Fault isolation is layered: a panicking node is caught by the native
 //! supervisor (typed [`RunError`]), a wedged node by the watchdog, a
 //! healthy-but-slow run by the per-job deadline, and whatever survives
-//! the retry ladder either falls back to the sequential executor (bit-
-//! identical results, `degraded = 2`) or surfaces as a typed [`JobErr`]
+//! the retry ladder either falls back to the sequential executor (the
+//! same sums in iteration order, `degraded = 2`) or surfaces as a typed [`JobErr`]
 //! carrying the engine error `Display` text — including the `StallDump`
 //! summary — plus the per-attempt fault seeds for replay.
 //!
@@ -49,9 +49,7 @@ const STACK_COEFFS: usize = 16;
 /// bit-comparable against a direct engine run of the same kernel.
 ///
 /// `contrib_batch` builds the `(r + 1) · (a + 1)` table once per batch
-/// of the chunked kernel and runs [`irred::scaled_batch`] over it;
-/// `contrib` computes the same product per slot, so the two agree bit
-/// for bit.
+/// of the chunked kernel and runs [`irred::scaled_batch`] over it.
 #[derive(Debug, Clone)]
 pub struct JobKernel {
     pub num_refs: usize,
@@ -66,15 +64,6 @@ impl EdgeKernel for JobKernel {
 
     fn num_arrays(&self) -> usize {
         self.num_arrays
-    }
-
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        for r in 0..self.num_refs {
-            for a in 0..self.num_arrays {
-                out[r * self.num_arrays + a] = (r + 1) as f64 * (a + 1) as f64 * w;
-            }
-        }
     }
 
     fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
@@ -634,9 +623,9 @@ mod tests {
     fn widest_wire_job_matches_metered_sim_seq_engine_and_formula() {
         // 4 refs × 3 arrays (12 slots, the widest wire shape) with
         // arbitrary-float weights, so a changed product or sum order
-        // shows in the bits. The native rung (`contrib_batch`) must equal
-        // the simulator's metered sweeps (`contrib`, the float-order
-        // reference) bit for bit; the Seq rung must equal `SeqEngine` and
+        // shows in the bits. The native rung must equal the simulator's
+        // metered sweeps (the same value loop on the same plan) bit for
+        // bit; the Seq rung must equal `SeqEngine` and
         // the kernel's formula summed in iteration order. The rings and
         // `SeqEngine` sum an element in different orders, so they agree
         // bit for bit only on exactly summable weights (the other tests'

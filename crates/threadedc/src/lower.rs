@@ -405,16 +405,24 @@ pub struct InterpKernel {
     num_arrays: usize,
 }
 
-impl InterpKernel {
-    /// `giters` in blocks of `N` iterations, statements in source order:
-    /// locals become columns, and each write adds its column onto its
-    /// slots, which arrive zeroed (`+=`, so a `-0.0` contribution lands
-    /// as `+0.0`).
-    fn run_blocks<const N: usize>(&self, giters: &[u32], out: &mut [f64]) {
+impl EdgeKernel for InterpKernel {
+    fn num_refs(&self) -> usize {
+        self.num_refs
+    }
+
+    fn num_arrays(&self) -> usize {
+        self.num_arrays
+    }
+
+    /// `giters` in blocks of `B` iterations, statements in source
+    /// order: locals become columns, and each write adds its column onto
+    /// its slots, which arrive zeroed (`+=`, so a `-0.0` contribution
+    /// lands as `+0.0`).
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
         let w = self.num_refs * self.num_arrays;
-        let mut locals = [[0.0f64; N]; MAX_LOCALS];
-        let mut v = [0.0f64; N];
-        for (iters, out) in giters.chunks(N).zip(out.chunks_mut(N * w)) {
+        let mut locals = [[0.0f64; B]; MAX_LOCALS];
+        let mut v = [0.0f64; B];
+        for (iters, out) in giters.chunks(B).zip(out.chunks_mut(B * w)) {
             for s in &self.body.stmts {
                 match s {
                     LStmt::Local(slot, init) => {
@@ -430,26 +438,6 @@ impl InterpKernel {
                 }
             }
         }
-    }
-}
-
-impl EdgeKernel for InterpKernel {
-    fn num_refs(&self) -> usize {
-        self.num_refs
-    }
-
-    fn num_arrays(&self) -> usize {
-        self.num_arrays
-    }
-
-    /// One iteration is a one-iteration block.
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let iter = u32::try_from(iter).expect("a loop's iterations are u32-indexed");
-        self.run_blocks::<1>(&[iter], out);
-    }
-
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
-        self.run_blocks::<B>(giters, out);
     }
 
     fn flops_per_iter(&self) -> u64 {

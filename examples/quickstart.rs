@@ -24,10 +24,12 @@ struct PairKernel {
 }
 
 impl EdgeKernel for PairKernel {
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        out[0] = w; // through IA1
-        out[1] = 2.0 * w; // through IA2
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        for (o, &gi) in out.chunks_exact_mut(2).zip(giters) {
+            let w = self.weights[gi as usize];
+            o[0] = w; // through IA1
+            o[1] = 2.0 * w; // through IA2
+        }
     }
 }
 

@@ -8,17 +8,17 @@
 //!    on arbitrary f64 bit patterns (±0, subnormals, ±inf, quiet and
 //!    signalling NaNs with payloads) and on repeated, out-of-order
 //!    `giters`.
-//! 2. **`JobKernel`'s batch equals its per-iteration `contrib`** on all
-//!    12 wire shapes (1..=4 refs × 1..=3 arrays) and a directly built
-//!    5 × 4 shape, and both equal `(r + 1) · (a + 1) · w` evaluated left
-//!    to right.
-//! 3. **`FamilyKernel`'s batch equals its per-iteration `contrib`** on
-//!    power-law, hot-key and particle-in-cell decks, with the generated
-//!    weights replaced by arbitrary bit patterns.
+//! 2. **`JobKernel`'s batch equals the same iterations as one-wide
+//!    batches** on all 12 wire shapes (1..=4 refs × 1..=3 arrays) and a
+//!    directly built 5 × 4 shape, and equals `(r + 1) · (a + 1) · w`
+//!    evaluated left to right.
+//! 3. **`FamilyKernel`'s batch equals the same iterations as one-wide
+//!    batches** on power-law, hot-key and particle-in-cell decks, with
+//!    the generated weights replaced by arbitrary bit patterns.
 //!
-//! The phased runs' agreement with the per-iteration callers of
-//! `contrib` — `SeqEngine` and the IE baseline — rests on 2 and 3: every
-//! phased sweep calls `contrib_batch`.
+//! 2 and 3 are the `contrib_batch` contract: sequential and phased
+//! sweeps cut the same iterations into different batches, and their
+//! agreement rests on an iteration's slots not depending on the cut.
 
 use std::sync::Arc;
 
@@ -119,9 +119,9 @@ fn scaled_batch_equals_scalar_reference() {
     );
 }
 
-/// `kernel.contrib_batch` over `giters` equals one pre-zeroed `contrib`
-/// per iteration, bit for bit. Returns the batch output.
-fn batch_equals_contrib<K: EdgeKernel>(kernel: &K, giters: &[u32]) -> Result<Vec<f64>, String> {
+/// `kernel.contrib_batch` over `giters` equals one pre-zeroed one-wide
+/// batch per iteration, bit for bit. Returns the batch output.
+fn batch_equals_one_wide<K: EdgeKernel>(kernel: &K, giters: &[u32]) -> Result<Vec<f64>, String> {
     let m = kernel.num_refs();
     let w = m * kernel.num_arrays();
     let elems = vec![0u32; giters.len() * m];
@@ -130,12 +130,12 @@ fn batch_equals_contrib<K: EdgeKernel>(kernel: &K, giters: &[u32]) -> Result<Vec
     let mut one = vec![0.0; w];
     for (j, &gi) in giters.iter().enumerate() {
         one.fill(0.0);
-        kernel.contrib(&[], gi as usize, &elems[j * m..(j + 1) * m], &mut one);
+        kernel.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], &mut one);
         for (s, (&a, &b)) in batch[j * w..(j + 1) * w].iter().zip(&one).enumerate() {
             if a.to_bits() != b.to_bits() {
                 return Err(format!(
                     "{m} refs × {} arrays, iteration {j} (giter {gi}), slot {s}: \
-                     batch {:#018x}, contrib {:#018x}",
+                     batch {:#018x}, one-wide {:#018x}",
                     kernel.num_arrays(),
                     a.to_bits(),
                     b.to_bits()
@@ -172,7 +172,7 @@ fn job_kernel_batch_equals_contrib_on_every_wire_shape() {
                     num_arrays,
                     weights: Arc::new(c.weights.clone()),
                 };
-                let batch = batch_equals_contrib(&kernel, &c.giters)?;
+                let batch = batch_equals_one_wide(&kernel, &c.giters)?;
                 let w = num_refs * num_arrays;
                 for (j, &gi) in c.giters.iter().enumerate() {
                     let x = c.weights[gi as usize];
@@ -234,7 +234,7 @@ fn family_kernel_batch_equals_contrib_on_every_generator() {
             assert_eq!(deck.num_iterations(), c.weights.len());
             deck.weights = c.weights.clone();
             let p = FamilyProblem::from_family(deck);
-            batch_equals_contrib(p.spec.kernel.as_ref(), &c.giters).map(|_| ())
+            batch_equals_one_wide(p.spec.kernel.as_ref(), &c.giters).map(|_| ())
         },
     );
 }

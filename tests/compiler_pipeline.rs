@@ -301,10 +301,12 @@ struct Fig1Kernel {
 }
 
 impl EdgeKernel for Fig1Kernel {
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let f = self.w[iter] * 0.5;
-        out[0] = f; // X[IA1[i]] += f
-        out[1] = -f; // X[IA2[i]] -= f
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        for (o, &gi) in out.chunks_exact_mut(2).zip(giters) {
+            let f = self.w[gi as usize] * 0.5;
+            o[0] = f; // X[IA1[i]] += f
+            o[1] = -f; // X[IA2[i]] -= f
+        }
     }
 }
 
@@ -697,9 +699,10 @@ fn batch_case(g: &mut Gen) -> BatchCase {
     }
 }
 
-/// A test engine that probes every kernel it is handed — batch against
-/// per-iteration `contrib` over its `giters` lists — then runs the spec
-/// on the sequential engine so the program carries on.
+/// A test engine that probes every kernel it is handed — each batch of
+/// its `giters` lists against the same iterations as one-wide batches —
+/// then runs the spec on the sequential engine so the program carries
+/// on.
 struct BatchProbe<'a> {
     giters: &'a [Vec<u32>],
     seq: SeqEngine,
@@ -732,11 +735,11 @@ impl ReductionEngine<PhasedSpec<InterpKernel>> for BatchProbe<'_> {
             k.contrib_batch(&[], giters, &elems, &mut batch);
             for (j, &gi) in giters.iter().enumerate() {
                 let mut one = vec![0.0; w];
-                k.contrib(&[], gi as usize, &elems[j * m..(j + 1) * m], &mut one);
+                k.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], &mut one);
                 for (s, (b, o)) in batch[j * w..(j + 1) * w].iter().zip(&one).enumerate() {
                     if b.to_bits() != o.to_bits() && self.mismatch.borrow().is_none() {
                         *self.mismatch.borrow_mut() = Some(format!(
-                            "giters {giters:?}: batch[{j}][{s}] = {b:e} ({:#x}) vs contrib \
+                            "giters {giters:?}: batch[{j}][{s}] = {b:e} ({:#x}) vs one-wide \
                              {o:e} ({:#x})",
                             b.to_bits(),
                             o.to_bits()
@@ -758,9 +761,12 @@ impl ReductionEngine<PhasedSpec<InterpKernel>> for BatchProbe<'_> {
 }
 
 /// `InterpKernel::contrib_batch` — a block of iterations per statement —
-/// equals per-iteration `contrib` bit for bit: on arbitrary f64 bit
-/// patterns, batch lengths 0..=40 (partial blocks), repeated and
-/// out-of-order iterations, negated writes and locals.
+/// equals the same iterations as one-wide batches (what the provided
+/// `contrib` runs), bit for bit: on arbitrary f64 bit patterns, batch
+/// lengths 0..=40 (partial blocks), repeated and out-of-order
+/// iterations, negated writes and locals. `SeqEngine` and the phased
+/// sweeps cut a loop's iterations into different blocks, so their
+/// agreement rests on this.
 #[test]
 fn interp_kernel_batch_equals_contrib() {
     check(

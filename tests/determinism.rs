@@ -75,8 +75,8 @@ impl<K: EdgeKernel> EdgeKernel for Frozen<K> {
     fn num_arrays(&self) -> usize {
         self.inner.num_arrays()
     }
-    fn contrib(&self, _read: &[f64], iter: usize, elems: &[u32], out: &mut [f64]) {
-        self.inner.contrib(&self.read, iter, elems, out)
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+        self.inner.contrib_batch(&self.read, giters, elems, out)
     }
     fn flops_per_iter(&self) -> u64 {
         self.inner.flops_per_iter()
@@ -110,8 +110,11 @@ impl EdgeKernel for SpmvKernel {
     fn num_refs(&self) -> usize {
         1
     }
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        out[0] = self.values[iter] * self.x[self.col_idx[iter] as usize];
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        for (o, &gi) in out.iter_mut().zip(giters) {
+            let i = gi as usize;
+            *o = self.values[i] * self.x[self.col_idx[i] as usize];
+        }
     }
     fn flops_per_iter(&self) -> u64 {
         2

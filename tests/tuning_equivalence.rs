@@ -8,8 +8,9 @@
 //! fault plan) and a fully replayed simulator run must both equal the
 //! measuring simulator run on *arbitrary* float inputs: across three
 //! workload families, hot-key widths of 1, 2, 3, 5 and 8 arrays (the
-//! last two on the kernel's dynamic-width arm), and a five-reference
-//! four-array kernel (20 contribution slots, also the dynamic arm).
+//! last two on the value loop's all-run-time arm), and a five-reference
+//! four-array kernel (20 contribution slots, on the run-time-`m` arm of
+//! the const width four, `chunk::<K, 4, 0>`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -165,11 +166,13 @@ impl EdgeKernel for WideKernel {
         4
     }
 
-    fn contrib(&self, _read: &[f64], iter: usize, _elems: &[u32], out: &mut [f64]) {
-        let w = self.weights[iter];
-        for r in 0..5 {
-            for a in 0..4 {
-                out[r * 4 + a] = w * (1.0 + 0.37 * r as f64) - 0.113 * a as f64 * w * w;
+    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        for (o, &gi) in out.chunks_exact_mut(20).zip(giters) {
+            let w = self.weights[gi as usize];
+            for r in 0..5 {
+                for a in 0..4 {
+                    o[r * 4 + a] = w * (1.0 + 0.37 * r as f64) - 0.113 * a as f64 * w * w;
+                }
             }
         }
     }
