@@ -23,9 +23,11 @@
 #                    # prepared-run table
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
 #                    # seeds + one randomized pass), the chaos-client
-#                    # soak and the plan-admission accounting against a
-#                    # live daemon — all under the hard timeout (the
-#                    # daemon's contract is "typed error, never a hang")
+#                    # soak, the plan-admission accounting and every
+#                    # live error code reached over a socket
+#                    # (error_codes) against a live daemon — all under
+#                    # the hard timeout (the daemon's contract is "typed
+#                    # error, never a hang")
 #   ./ci.sh compiler # threadedc front door: the compiled-vs-interpreter
 #                    # property suite, including the block evaluator's
 #                    # `InterpKernel::contrib_batch` ≡ per-iteration
@@ -206,6 +208,13 @@ server() {
     # for both exactly.
     echo "== server plan admission =="
     run_tests cargo test -q -p server --test plan_admission
+
+    # Error codes: a live daemon is driven to a JobErr with every code a
+    # client can receive (exact message, attempts and fault seeds); a
+    # reply that never comes is a hang, which the timeout turns into a
+    # failure.
+    echo "== server error codes =="
+    run_tests cargo test -q -p server --test error_codes
 }
 
 compiler() {

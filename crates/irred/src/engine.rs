@@ -26,12 +26,14 @@ use trace::{MetricsRegistry, Timeline, TraceEvent, TraceKind, TraceSink, RUN_NOD
 
 use crate::kernel::EdgeKernel;
 use crate::prepared::Workspace;
-use crate::strategy::{StrategyConfig, StrategyError};
+use crate::strategy::StrategyConfig;
 
 /// Why an engine rejected or failed a run. `Invalid`, `Shape`,
-/// `Strategy`, and `Unsupported` are caller bugs and are never retried
-/// by the recovery machinery; `Run` is a (possibly transient) backend
-/// failure.
+/// `Strategy`, `Unsupported` and `Plan` are caller bugs and are never
+/// retried by the recovery machinery. `Run` is a backend failure: the
+/// ladder retries it, except a `Stalled` run whose reason is
+/// `DeadlineExceeded`, which it returns at once — a retry would start
+/// with the whole budget after the deadline has passed.
 #[derive(Debug)]
 pub enum EngineError {
     /// The LightInspector rejected the geometry or indirection contents.
@@ -42,8 +44,9 @@ pub enum EngineError {
         expected: usize,
         got: usize,
     },
-    /// The strategy configuration itself is malformed.
-    Strategy(StrategyError),
+    /// The strategy configuration itself is malformed (a zero
+    /// processor, phase or sweep count); the payload says which.
+    Strategy(&'static str),
     /// The engine cannot run this spec/backend combination at all
     /// (e.g. the inspector/executor baseline with read-updating kernels).
     Unsupported(&'static str),
@@ -85,12 +88,6 @@ impl From<InspectError> for EngineError {
 impl From<RunError> for EngineError {
     fn from(e: RunError) -> Self {
         EngineError::Run(e)
-    }
-}
-
-impl From<StrategyError> for EngineError {
-    fn from(e: StrategyError) -> Self {
-        EngineError::Strategy(e)
     }
 }
 
@@ -401,10 +398,10 @@ pub(crate) fn attempt_faults(
 
 /// The one recovery ladder every native engine walks: retry `attempt`
 /// with backoff, collecting errors; `Run` errors walk the ladder, caller
-/// bugs return immediately. After exhausting retries, `fallback` (the
-/// engine's sequential reference) supplies the answer when the policy
-/// allows. The returned outcome's `recovery` field records what
-/// happened.
+/// bugs and deadline stalls return immediately. After exhausting
+/// retries, `fallback` (the engine's sequential reference) supplies the
+/// answer when the policy allows. The returned outcome's `recovery`
+/// field records what happened.
 ///
 /// Each rung is recorded into `sink` as a [`TraceKind::RecoveryRung`]
 /// event (`attempt: u32::MAX` marks the sequential-fallback rung) at
@@ -453,6 +450,14 @@ pub(crate) fn run_recovery_ladder(
                 res.recovery = report;
                 return Ok(res);
             }
+            // A spent deadline: a retry (or the fallback) would run on
+            // the whole budget again after it has passed.
+            Err(
+                e @ EngineError::Run(RunError::Stalled {
+                    reason: StallReason::DeadlineExceeded,
+                    ..
+                }),
+            ) => return Err(e),
             Err(EngineError::Run(e)) => {
                 report.errors.push(e.to_string());
                 last_err = Some(e);

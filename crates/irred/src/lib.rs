@@ -88,7 +88,7 @@ pub use phased::{structure_hash, PhasedEngine, PhasedSpec, PreparedPhased};
 pub use prepared::{PlanToken, Workspace};
 pub use ring::{PreparedRing, RingEngine};
 pub use seq::{seq_gather_cycles, seq_reduction, PreparedSeq, SeqEngine, SeqResult};
-pub use strategy::{EngineChoice, StrategyConfig, StrategyError};
+pub use strategy::{EngineChoice, StrategyConfig};
 pub use tuning::{SimdMode, Tuning};
 pub use workloads::{distribute, Distribution};
 

@@ -6,27 +6,7 @@
 use lightinspector::PlanStats;
 use workloads::Distribution;
 
-/// Why a strategy configuration is rejected. Every field of
-/// [`StrategyConfig`] must be at least 1: zero processors or zero phases
-/// describe no machine, and zero sweeps describe no work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyError {
-    ZeroProcs,
-    ZeroK,
-    ZeroSweeps,
-}
-
-impl std::fmt::Display for StrategyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StrategyError::ZeroProcs => write!(f, "strategy needs at least 1 processor"),
-            StrategyError::ZeroK => write!(f, "strategy needs k >= 1"),
-            StrategyError::ZeroSweeps => write!(f, "strategy needs at least 1 sweep"),
-        }
-    }
-}
-
-impl std::error::Error for StrategyError {}
+use crate::engine::EngineError;
 
 /// One point in the paper's strategy space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,21 +22,23 @@ pub struct StrategyConfig {
 }
 
 impl StrategyConfig {
-    /// Validating constructor with a typed error.
+    /// Validating constructor. Every field must be at least 1: zero
+    /// processors or zero phases describe no machine, and zero sweeps
+    /// describe no work; each is an [`EngineError::Strategy`].
     pub fn try_new(
         procs: usize,
         k: usize,
         distribution: Distribution,
         sweeps: usize,
-    ) -> Result<Self, StrategyError> {
+    ) -> Result<Self, EngineError> {
         if procs < 1 {
-            return Err(StrategyError::ZeroProcs);
+            return Err(EngineError::Strategy("strategy needs at least 1 processor"));
         }
         if k < 1 {
-            return Err(StrategyError::ZeroK);
+            return Err(EngineError::Strategy("strategy needs k >= 1"));
         }
         if sweeps < 1 {
-            return Err(StrategyError::ZeroSweeps);
+            return Err(EngineError::Strategy("strategy needs at least 1 sweep"));
         }
         Ok(StrategyConfig {
             procs,
@@ -68,8 +50,7 @@ impl StrategyConfig {
 
     /// Panicking wrapper around [`Self::try_new`] for static strategies.
     pub fn new(procs: usize, k: usize, distribution: Distribution, sweeps: usize) -> Self {
-        Self::try_new(procs, k, distribution, sweeps)
-            .unwrap_or_else(|e| panic!("invalid strategy: {e}"))
+        Self::try_new(procs, k, distribution, sweeps).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The paper's label for this strategy: `"2c"`, `"4c"`, `"2b"`, …
@@ -202,17 +183,19 @@ mod tests {
 
     #[test]
     fn try_new_rejects_zeroes() {
+        let reject = |procs, k, sweeps| {
+            StrategyConfig::try_new(procs, k, Distribution::Block, sweeps)
+                .unwrap_err()
+                .to_string()
+        };
         assert_eq!(
-            StrategyConfig::try_new(0, 2, Distribution::Block, 1),
-            Err(StrategyError::ZeroProcs)
+            reject(0, 2, 1),
+            "invalid strategy: strategy needs at least 1 processor"
         );
+        assert_eq!(reject(2, 0, 1), "invalid strategy: strategy needs k >= 1");
         assert_eq!(
-            StrategyConfig::try_new(2, 0, Distribution::Block, 1),
-            Err(StrategyError::ZeroK)
-        );
-        assert_eq!(
-            StrategyConfig::try_new(2, 2, Distribution::Block, 0),
-            Err(StrategyError::ZeroSweeps)
+            reject(2, 2, 0),
+            "invalid strategy: strategy needs at least 1 sweep"
         );
         assert!(StrategyConfig::try_new(1, 1, Distribution::Cyclic, 1).is_ok());
     }

@@ -242,6 +242,35 @@ fn recovery_without_fallback_returns_last_error() {
 }
 
 #[test]
+fn deadline_stall_is_returned_at_once_not_retried() {
+    let spec = fixed_spec(16);
+    let strat = fixed_strat();
+    // Fallback stays allowed: a spent deadline must skip it too.
+    let policy = RecoveryPolicy {
+        max_attempts: 3,
+        ..RecoveryPolicy::default()
+    };
+    // The ladder asks for each attempt's config (and its fault seed) by
+    // attempt number, so the highest number asked for counts attempts.
+    let attempts = std::cell::Cell::new(0u32);
+    let res = run_recovering_with(&spec, &strat, policy, |a| {
+        attempts.set(attempts.get().max(a + 1));
+        NativeConfig {
+            deadline: Some(Duration::ZERO),
+            ..strict(Some(FaultConfig::lossless(5)))
+        }
+    });
+    match res {
+        Err(EngineError::Run(RunError::Stalled {
+            reason: StallReason::DeadlineExceeded,
+            ..
+        })) => {}
+        other => panic!("expected Run(Stalled(DeadlineExceeded)), got {other:?}"),
+    }
+    assert_eq!(attempts.get(), 1, "one attempt, so one fault seed");
+}
+
+#[test]
 fn reseeded_fault_plans_differ_between_attempts() {
     // run_recovering itself must not replay the identical fault schedule
     // on retry: the reseed changes the per-site decisions.

@@ -10,6 +10,10 @@
 //! carrying the engine error `Display` text — including the `StallDump`
 //! summary — plus the per-attempt fault seeds for replay.
 //!
+//! Every failure that reaches a client is first one `Failure` value:
+//! its `code` is the one table from failure to [`ErrCode`], and
+//! `err_frame` the one `JobErr` built from it (DESIGN.md §14).
+//!
 //! Native jobs go through the [`PlanCache`], which admits a plan on its
 //! structure's second sighting: the first job of a structure prepares,
 //! runs, and drops its plan (off the cache mutex), leaving only the key
@@ -27,7 +31,7 @@ use irred::{
     ReductionEngine, RunOutcome, SeqEngine, StrategyConfig, Workspace,
 };
 use threadedc::ast::ElemType;
-use threadedc::CompileCache;
+use threadedc::{CompileCache, Diagnostic, ExecError};
 use workloads::Distribution;
 
 use crate::cache::{Checkout, PlanCache};
@@ -140,20 +144,18 @@ impl Executor {
     /// Run one job to a reply frame. Never panics the worker: every
     /// failure mode becomes a typed [`JobErr`].
     pub fn run_job(&self, job: &SubmitJob, shed: ShedLevel, deadline: Option<Instant>) -> Frame {
-        let fault = job_fault(job);
-        let strat = match admit(job.job_id, deadline, job.procs, job.k, job.dist, job.sweeps) {
-            Ok(s) => s,
-            Err(frame) => return frame,
-        };
-        let kernel = Arc::new(JobKernel {
-            num_refs: usize::from(job.num_refs),
-            num_arrays: usize::from(job.num_arrays),
-            weights: Arc::new(job.weights.clone()),
+        let result = admit(deadline, job.procs, job.k, job.dist, job.sweeps).and_then(|strat| {
+            let kernel = Arc::new(JobKernel {
+                num_refs: usize::from(job.num_refs),
+                num_arrays: usize::from(job.num_arrays),
+                weights: Arc::new(job.weights.clone()),
+            });
+            match shed {
+                ShedLevel::Seq => run_seq(job, &job_spec(job, kernel), &strat),
+                ShedLevel::Native => self.run_native(job, kernel, &strat, deadline),
+            }
         });
-        match shed {
-            ShedLevel::Seq => run_seq(job, &job_spec(job, kernel), &strat),
-            ShedLevel::Native => self.run_native(job, kernel, &strat, fault, deadline),
-        }
+        result.map_or_else(|f| err_frame(job.job_id, f), Frame::JobOk)
     }
 
     /// Run one source-submitted job: compile (through the tenant's
@@ -162,7 +164,7 @@ impl Executor {
     /// prepared through the engine's `prepare` like a `SubmitJob`, and
     /// reply with every non-temporary declared f64 array in declaration
     /// order.
-    /// Compile failures come back as [`ErrCode::Compile`] carrying the
+    /// A compile failure comes back as a `Compile` reply carrying the
     /// spanned diagnostic verbatim; the worker never drops the
     /// connection over bad source.
     pub fn run_source(
@@ -172,47 +174,44 @@ impl Executor {
         shed: ShedLevel,
         deadline: Option<Instant>,
     ) -> Frame {
-        let strat = match admit(job.job_id, deadline, job.procs, job.k, job.dist, job.sweeps) {
-            Ok(s) => s,
-            Err(frame) => return frame,
-        };
+        self.source(tenant, job, shed, deadline)
+            .map_or_else(|f| err_frame(job.job_id, f), Frame::JobOk)
+    }
 
-        let compiled = {
-            let mut caches = self.compile_caches.lock().unwrap();
-            let cache = caches
-                .entry(tenant.to_string())
-                .or_insert_with(|| CompileCache::new(COMPILE_CACHE_CAP));
-            match cache.get_or_compile(&job.source) {
-                Ok(c) => c,
-                Err(d) => {
-                    return err_frame(job.job_id, ErrCode::Compile, 0, Vec::new(), d.to_string())
-                }
-            }
-        };
+    fn source(
+        &self,
+        tenant: &str,
+        job: &SubmitSource,
+        shed: ShedLevel,
+        deadline: Option<Instant>,
+    ) -> Result<JobOk, Failure> {
+        let strat = admit(deadline, job.procs, job.k, job.dist, job.sweeps)?;
+
+        let compiled = self
+            .compile_caches
+            .lock()
+            .unwrap()
+            .entry(tenant.to_string())
+            .or_insert_with(|| CompileCache::new(COMPILE_CACHE_CAP))
+            .get_or_compile(&job.source)
+            .map_err(Failure::Compile)?;
 
         let mut b = threadedc::Bindings::default();
         for (name, v) in &job.sizes {
             if *v == 0 || *v > MAX_ELEMENTS {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::InvalidSpec,
-                    0,
-                    Vec::new(),
-                    format!("size binding `{name}` = {v} is out of range"),
-                );
+                return Err(Failure::Binding(format!(
+                    "size binding `{name}` = {v} is out of range"
+                )));
             }
             b.sizes.insert(name.clone(), *v as usize);
         }
         for d in &compiled.program.decls {
             if let Ok(n) = d.size.parse::<usize>() {
                 if n > MAX_ELEMENTS as usize {
-                    return err_frame(
-                        job.job_id,
-                        ErrCode::InvalidSpec,
-                        0,
-                        Vec::new(),
-                        format!("array `{}` declares {n} elements (over the cap)", d.name),
-                    );
+                    return Err(Failure::Binding(format!(
+                        "array `{}` declares {n} elements (over the cap)",
+                        d.name
+                    )));
                 }
             }
         }
@@ -228,71 +227,54 @@ impl Executor {
         // regular loops, which run inline on this worker thread with
         // checked indexing. Catch the panic: the job fails typed, the
         // worker survives.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shed {
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shed {
             ShedLevel::Seq => {
                 compiled.execute_with(&mut b, &SeqEngine::new(ExecutionConfig::default()), &strat)
             }
             ShedLevel::Native => {
-                let mut native = NativeConfig {
-                    watchdog: self.watchdog,
-                    ..NativeConfig::default()
-                };
-                native.deadline = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                let mut policy = self.recovery;
-                if deadline.is_some() {
-                    policy.fall_back_to_seq = false;
-                }
-                let engine =
-                    PhasedEngine::new(ExecutionConfig::native(native).with_recovery(policy));
-                compiled.execute_with(&mut b, &engine, &strat)
+                compiled.execute_with(&mut b, &self.native_engine(deadline, false, None), &strat)
             }
-        }));
-        let result = match caught {
-            Ok(r) => r,
-            Err(_) => {
-                return err_frame(
-                    job.job_id,
-                    ErrCode::Panicked,
-                    0,
-                    Vec::new(),
-                    "source job panicked during execution (index out of range?)".into(),
-                )
-            }
-        };
+        }))
+        .map_err(|_| Failure::SourcePanicked)?
+        .map_err(Failure::Source)?;
 
-        match result {
-            Ok(report) => {
-                let degraded = if shed == ShedLevel::Seq || report.fell_back_to_seq {
-                    DEGRADED_SEQ
-                } else {
-                    0
-                };
-                let values: Vec<Vec<f64>> = compiled
-                    .program
-                    .decls
-                    .iter()
-                    .filter(|d| d.ty == ElemType::Double && !d.name.starts_with("__tmp_"))
-                    .filter_map(|d| b.f64s.remove(&d.name))
-                    .collect();
-                Frame::JobOk(JobOk {
-                    job_id: job.job_id,
-                    degraded,
-                    attempts: 0,
-                    fault_seeds: Vec::new(),
-                    values,
-                })
-            }
-            // Post-compile failures carry the spanned diagnostic text:
-            // an engine failure under the code `run_job` would give it,
-            // a binding error (unbound/ill-shaped array) as InvalidSpec.
-            Err(e) => {
-                let code = e
-                    .cause
-                    .as_ref()
-                    .map_or(ErrCode::InvalidSpec, engine_err_code);
-                err_frame(job.job_id, code, 0, Vec::new(), e.to_string())
-            }
-        }
+        let values: Vec<Vec<f64>> = compiled
+            .program
+            .decls
+            .iter()
+            .filter(|d| d.ty == ElemType::Double && !d.name.starts_with("__tmp_"))
+            .filter_map(|d| b.f64s.remove(&d.name))
+            .collect();
+        let seq = shed == ShedLevel::Seq || report.fell_back_to_seq;
+        Ok(JobOk {
+            job_id: job.job_id,
+            degraded: if seq { DEGRADED_SEQ } else { 0 },
+            attempts: 0,
+            fault_seeds: Vec::new(),
+            values,
+        })
+    }
+
+    /// The native engine a job runs on: the watchdog, the job's
+    /// remaining budget, the job's fault plan, and the recovery ladder —
+    /// without its sequential fallback when the job has a deadline (a
+    /// hard deadline must not be quietly absorbed by an unbounded
+    /// sequential run) or asked for none.
+    fn native_engine(
+        &self,
+        deadline: Option<Instant>,
+        no_fallback: bool,
+        fault: Option<FaultConfig>,
+    ) -> PhasedEngine {
+        let native = NativeConfig {
+            watchdog: self.watchdog,
+            deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            ..NativeConfig::default()
+        };
+        let mut policy = self.recovery;
+        policy.fall_back_to_seq &= !no_fallback && deadline.is_none();
+        let cfg = ExecutionConfig::native(native).with_recovery(policy);
+        PhasedEngine::new(fault.map_or(cfg, |f| cfg.with_faults(f)))
     }
 
     /// The warm path reads the job's indirection twice — once to hash
@@ -303,25 +285,10 @@ impl Executor {
         job: &SubmitJob,
         kernel: Arc<JobKernel>,
         strat: &StrategyConfig,
-        fault: Option<FaultConfig>,
         deadline: Option<Instant>,
-    ) -> Frame {
-        let mut native = NativeConfig {
-            watchdog: self.watchdog,
-            ..NativeConfig::default()
-        };
-        native.deadline = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let mut policy = self.recovery;
-        if job.flags & FLAG_NO_FALLBACK != 0 || deadline.is_some() {
-            // A hard deadline must not be quietly absorbed by an
-            // unbounded sequential fallback.
-            policy.fall_back_to_seq = false;
-        }
-        let mut cfg = ExecutionConfig::native(native).with_recovery(policy);
-        if let Some(f) = fault {
-            cfg = cfg.with_faults(f);
-        }
-        let engine = PhasedEngine::new(cfg);
+    ) -> Result<JobOk, Failure> {
+        let fault = job_fault(job);
+        let engine = self.native_engine(deadline, job.flags & FLAG_NO_FALLBACK != 0, fault);
         let key = plan_key(job, &kernel, strat);
 
         // Check the plan cache out exclusively. A hit is exact, not
@@ -351,10 +318,11 @@ impl Executor {
         };
         let (mut prepared, mut ws, prior_failures) = match hit {
             Some(hit) => hit,
-            None => match engine.prepare(&job_spec(job, kernel), strat) {
-                Ok(p) => (Box::new(p), Workspace::new(), 0),
-                Err(e) => return engine_err_frame(job.job_id, &e, 0, Vec::new()),
-            },
+            None => (
+                Box::new(engine.prepare(&job_spec(job, kernel), strat)?),
+                Workspace::new(),
+                0,
+            ),
         };
 
         let result = engine.execute(&mut prepared, &mut ws);
@@ -368,29 +336,9 @@ impl Executor {
         // cache mutex already released.
         drop(released);
 
-        match result {
-            Ok(out) => {
-                let degraded = if out.recovery.fell_back_to_seq {
-                    DEGRADED_SEQ
-                } else {
-                    0
-                };
-                ok_frame(job.job_id, degraded, out)
-            }
-            Err(e) => {
-                // The ladder's report is lost on the error path; the
-                // seeds are reconstructible because retries reseed
-                // deterministically (attempt n uses `reseeded(n)`).
-                let attempts = match &e {
-                    EngineError::Run(_) => policy.max_attempts,
-                    _ => 1,
-                };
-                let seeds = (0..attempts)
-                    .map(|n| attempt_seed(fault, n))
-                    .collect::<Vec<_>>();
-                engine_err_frame(job.job_id, &e, attempts, seeds)
-            }
-        }
+        let out =
+            result.map_err(|error| Failure::ladder(error, self.recovery.max_attempts, fault))?;
+        Ok(job_ok(job.job_id, false, out))
     }
 }
 
@@ -398,11 +346,13 @@ impl Executor {
 /// fault plan models machine-level faults; there is no machine here).
 /// The native rung's reduction, summed in original iteration order
 /// (see [`ShedLevel`]).
-fn run_seq(job: &SubmitJob, spec: &PhasedSpec<JobKernel>, strat: &StrategyConfig) -> Frame {
-    match SeqEngine::new(ExecutionConfig::default()).run(spec, strat) {
-        Ok(out) => ok_frame(job.job_id, DEGRADED_SEQ, out),
-        Err(e) => engine_err_frame(job.job_id, &e, 0, Vec::new()),
-    }
+fn run_seq(
+    job: &SubmitJob,
+    spec: &PhasedSpec<JobKernel>,
+    strat: &StrategyConfig,
+) -> Result<JobOk, Failure> {
+    let out = SeqEngine::new(ExecutionConfig::default()).run(spec, strat)?;
+    Ok(job_ok(job.job_id, true, out))
 }
 
 /// The job as an engine spec. This copies the indirection, so the
@@ -425,54 +375,26 @@ fn plan_key(job: &SubmitJob, kernel: &JobKernel, strat: &StrategyConfig) -> u64 
 /// deadline has not already expired in the queue, and the requested
 /// strategy is well-formed.
 fn admit(
-    job_id: u64,
     deadline: Option<Instant>,
     procs: u16,
     k: u16,
     dist: u8,
     sweeps: u16,
-) -> Result<StrategyConfig, Frame> {
+) -> Result<StrategyConfig, Failure> {
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(err_frame(
-            job_id,
-            ErrCode::Deadline,
-            0,
-            Vec::new(),
-            "deadline expired before execution started".into(),
-        ));
+        return Err(Failure::Expired);
     }
     let dist = if dist == 0 {
         Distribution::Block
     } else {
         Distribution::Cyclic
     };
-    StrategyConfig::try_new(
+    Ok(StrategyConfig::try_new(
         usize::from(procs),
         usize::from(k),
         dist,
         usize::from(sweeps),
-    )
-    .map_err(|e| {
-        err_frame(
-            job_id,
-            ErrCode::Strategy,
-            0,
-            Vec::new(),
-            EngineError::Strategy(e).to_string(),
-        )
-    })
-}
-
-/// The seed the fault plan had at retry rung `attempt` — the same rule
-/// the recovery ladder applies, so error frames are replayable.
-fn attempt_seed(fault: Option<FaultConfig>, attempt: u32) -> Option<u64> {
-    fault.map(|f| {
-        if attempt > 0 {
-            f.reseeded(u64::from(attempt)).seed
-        } else {
-            f.seed
-        }
-    })
+    )?)
 }
 
 fn job_fault(job: &SubmitJob) -> Option<FaultConfig> {
@@ -483,23 +405,147 @@ fn job_fault(job: &SubmitJob) -> Option<FaultConfig> {
     })
 }
 
-fn ok_frame(job_id: u64, degraded: u8, out: RunOutcome) -> Frame {
-    Frame::JobOk(JobOk {
+/// A run's reply; `shed` marks a job that ran sequentially outright.
+fn job_ok(job_id: u64, shed: bool, out: RunOutcome) -> JobOk {
+    let seq = shed || out.recovery.fell_back_to_seq;
+    JobOk {
         job_id,
-        degraded,
+        degraded: if seq { DEGRADED_SEQ } else { 0 },
         attempts: out.recovery.attempts,
         fault_seeds: out.recovery.fault_seeds,
         values: out.values,
-    })
+    }
 }
 
-fn err_frame(
-    job_id: u64,
-    code: ErrCode,
-    attempts: u32,
-    fault_seeds: Vec<Option<u64>>,
-    message: String,
-) -> Frame {
+/// Every way a job can fail on its way to a client, one value each:
+/// [`Failure::code`] is the one table from failure to wire code, and
+/// [`err_frame`] the one reply built from it. DESIGN.md §14 lists the
+/// rows with the input that reaches each.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// The job's deadline passed while it waited in the queue.
+    Expired,
+    /// Admission is shut down.
+    Refused,
+    /// A `SubmitSource` program failed to compile.
+    Compile(Diagnostic),
+    /// A source job's size binding or declared array is over the cap.
+    Binding(String),
+    /// A source job's execution failed: a binding the lowering rejects
+    /// (no cause) or an engine error in one of its phased loops.
+    Source(ExecError),
+    /// A source job's regular loop panicked (an out-of-range read).
+    SourcePanicked,
+    /// The engine rejected the job (strategy, spec or indirection), or
+    /// a native run failed on the recovery ladder after `attempts`
+    /// attempts, the fault-plan seed of each in `fault_seeds` (0 and
+    /// none outside the ladder).
+    Engine {
+        error: EngineError,
+        attempts: u32,
+        fault_seeds: Vec<Option<u64>>,
+    },
+}
+
+impl Failure {
+    /// The wire code of this failure. `EngineError`'s `Shape`,
+    /// `Unsupported` and `Plan` map to `InvalidSpec`: no wire input
+    /// reaches them (DESIGN.md §14).
+    pub(crate) fn code(&self) -> ErrCode {
+        match self {
+            Failure::Expired => ErrCode::Deadline,
+            Failure::Refused => ErrCode::Refused,
+            Failure::Compile(_) => ErrCode::Compile,
+            Failure::SourcePanicked => ErrCode::Panicked,
+            Failure::Binding(_) | Failure::Source(ExecError { cause: None, .. }) => {
+                ErrCode::InvalidSpec
+            }
+            Failure::Engine { error: e, .. }
+            | Failure::Source(ExecError { cause: Some(e), .. }) => match e {
+                EngineError::Strategy(_) => ErrCode::Strategy,
+                EngineError::Run(RunError::Stalled {
+                    reason: StallReason::DeadlineExceeded,
+                    ..
+                }) => ErrCode::Deadline,
+                EngineError::Run(RunError::Stalled { .. }) => ErrCode::Stalled,
+                EngineError::Run(RunError::NodePanicked { .. }) => ErrCode::Panicked,
+                EngineError::Invalid(_)
+                | EngineError::Shape { .. }
+                | EngineError::Unsupported(_)
+                | EngineError::Plan(_) => ErrCode::InvalidSpec,
+            },
+        }
+    }
+
+    /// A native run's failure on the recovery ladder. The ladder's
+    /// report is lost on the error path, but the seeds are
+    /// reconstructible because retries reseed deterministically (attempt
+    /// n > 0 uses `reseeded(n)`, the rule the ladder applies): a runtime
+    /// error walked all `max_attempts` rungs, except a deadline stall,
+    /// which the ladder returns at once.
+    fn ladder(error: EngineError, max_attempts: u32, fault: Option<FaultConfig>) -> Failure {
+        let attempts = match &error {
+            EngineError::Run(RunError::Stalled {
+                reason: StallReason::DeadlineExceeded,
+                ..
+            }) => 1,
+            EngineError::Run(_) => max_attempts,
+            _ => 1,
+        };
+        let seed = |n: u32| match n {
+            0 => fault.map(|f| f.seed),
+            n => fault.map(|f| f.reseeded(n.into()).seed),
+        };
+        Failure::Engine {
+            error,
+            attempts,
+            fault_seeds: (0..attempts).map(seed).collect(),
+        }
+    }
+}
+
+impl From<EngineError> for Failure {
+    fn from(error: EngineError) -> Self {
+        Failure::Engine {
+            error,
+            attempts: 0,
+            fault_seeds: Vec::new(),
+        }
+    }
+}
+
+/// The message is each failure's stable `Display` text, forwarded
+/// verbatim.
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Expired => write!(f, "deadline expired before execution started"),
+            Failure::Refused => write!(f, "server is shutting down"),
+            Failure::Compile(d) => write!(f, "{d}"),
+            Failure::Binding(why) => write!(f, "{why}"),
+            Failure::Source(e) => write!(f, "{e}"),
+            Failure::SourcePanicked => write!(
+                f,
+                "source job panicked during execution (index out of range?)"
+            ),
+            Failure::Engine { error, .. } => write!(f, "{error}"),
+        }
+    }
+}
+
+/// The one `JobErr` reply: a failure's code, message, attempts and
+/// fault seeds.
+pub(crate) fn err_frame(job_id: u64, failure: Failure) -> Frame {
+    let code = failure.code();
+    let message = failure.to_string();
+    let (attempts, fault_seeds) = match failure {
+        Failure::Engine {
+            attempts,
+            fault_seeds,
+            ..
+        } => (attempts, fault_seeds),
+        _ => (0, Vec::new()),
+    };
     Frame::JobErr(JobErr {
         job_id,
         code,
@@ -507,41 +553,6 @@ fn err_frame(
         fault_seeds,
         message,
     })
-}
-
-/// Map an [`EngineError`] to a typed wire code, forwarding the stable
-/// `Display` text verbatim (the satellite error-audit guarantees every
-/// leaf implements `Error` with stable `Display`).
-fn engine_err_frame(
-    job_id: u64,
-    e: &EngineError,
-    attempts: u32,
-    fault_seeds: Vec<Option<u64>>,
-) -> Frame {
-    err_frame(
-        job_id,
-        engine_err_code(e),
-        attempts,
-        fault_seeds,
-        e.to_string(),
-    )
-}
-
-/// The wire code of each [`EngineError`] kind — one table for job and
-/// source replies.
-fn engine_err_code(e: &EngineError) -> ErrCode {
-    match e {
-        EngineError::Invalid(_) | EngineError::Plan(_) => ErrCode::InvalidSpec,
-        EngineError::Shape { .. } => ErrCode::Shape,
-        EngineError::Strategy(_) => ErrCode::Strategy,
-        EngineError::Unsupported(_) => ErrCode::Unsupported,
-        EngineError::Run(RunError::Stalled {
-            reason: StallReason::DeadlineExceeded,
-            ..
-        }) => ErrCode::Deadline,
-        EngineError::Run(RunError::Stalled { .. }) => ErrCode::Stalled,
-        EngineError::Run(_) => ErrCode::Panicked,
-    }
 }
 
 #[cfg(test)]
@@ -853,31 +864,5 @@ mod tests {
             unreachable!()
         };
         assert_eq!(ok.values, d.values);
-    }
-
-    #[test]
-    fn expired_deadline_is_refused_before_execution() {
-        let e = exec();
-        let frame = e.run_job(
-            &job(7),
-            ShedLevel::Native,
-            Some(Instant::now() - Duration::from_millis(1)),
-        );
-        let Frame::JobErr(err) = frame else {
-            panic!("expired deadline must fail");
-        };
-        assert_eq!(err.code, ErrCode::Deadline);
-    }
-
-    #[test]
-    fn malformed_strategy_is_a_typed_error() {
-        let e = exec();
-        let mut j = job(8);
-        j.procs = 0;
-        let Frame::JobErr(err) = e.run_job(&j, ShedLevel::Native, None) else {
-            panic!("zero procs must fail");
-        };
-        assert_eq!(err.code, ErrCode::Strategy);
-        assert!(err.message.contains("invalid strategy"));
     }
 }

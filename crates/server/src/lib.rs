@@ -11,8 +11,9 @@
 //! served. Admission control bounds memory (a full queue answers
 //! `Busy`, not growth), round-robin dispatch with per-tenant in-flight
 //! caps bounds unfairness, and a backlog at three-quarters capacity
-//! degrades execution to the (bit-identical) sequential engine before
-//! the server refuses anything.
+//! degrades execution to the sequential engine before the server
+//! refuses anything: the same reduction, bit-identical only where the
+//! sums are exact.
 //!
 //! See DESIGN.md §14 for the protocol grammar and the isolation /
 //! degradation ladder.

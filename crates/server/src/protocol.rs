@@ -99,25 +99,26 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Typed per-job failure codes carried by [`JobErr`].
+/// Typed per-job failure codes carried by [`JobErr`]. Numbers 2 and 4
+/// are retired (array-shape and unsupported-backend failures, which no
+/// wire input reaches; DESIGN.md §14) and stay reserved: they no longer
+/// decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrCode {
-    /// The inspector rejected the indirection/geometry.
+    /// The inspector rejected the indirection/geometry, or a source
+    /// job's bindings are out of range or ill-shaped.
     InvalidSpec = 1,
-    /// Array shapes disagree with the kernel.
-    Shape = 2,
     /// The strategy configuration is malformed.
     Strategy = 3,
-    /// The engine cannot run this spec/backend combination.
-    Unsupported = 4,
-    /// A node panicked on every attempt.
+    /// A node panicked on every attempt, or a source job's regular loop
+    /// panicked.
     Panicked = 5,
     /// The watchdog declared the run stalled on every attempt.
     Stalled = 6,
     /// The job's deadline expired (before or during execution).
     Deadline = 7,
-    /// Admission refused the job for a non-queue reason (e.g. shutdown).
+    /// Admission refused the job because the server is shutting down.
     Refused = 8,
     /// A [`SubmitSource`] program failed to compile; the message is the
     /// compiler diagnostic verbatim (`line L:C: …`).
@@ -128,9 +129,7 @@ impl ErrCode {
     pub fn from_u8(v: u8) -> Option<ErrCode> {
         Some(match v {
             1 => ErrCode::InvalidSpec,
-            2 => ErrCode::Shape,
             3 => ErrCode::Strategy,
-            4 => ErrCode::Unsupported,
             5 => ErrCode::Panicked,
             6 => ErrCode::Stalled,
             7 => ErrCode::Deadline,
@@ -229,7 +228,10 @@ pub struct JobOk {
     /// sequential, either because admission shed the job at
     /// three-quarters queue capacity or because the recovery ladder fell
     /// back after native failures. 1 (a retired shed rung) is no longer
-    /// sent but still decodes. Values are bit-identical at every level.
+    /// sent but still decodes. Every level computes the same reduction;
+    /// values are bit-identical across levels only where the sums are
+    /// exact, since the sequential engine adds in iteration order and
+    /// the native one in phase order.
     pub degraded: u8,
     /// Native attempts made (0 when the job ran sequentially outright).
     pub attempts: u32,
@@ -966,6 +968,29 @@ mod tests {
             decode(&extra),
             Err(ProtocolError::TrailingBytes { extra: 1 })
         );
+    }
+
+    #[test]
+    fn retired_codes_do_not_decode() {
+        let mut bytes = encode(&Frame::JobErr(JobErr {
+            job_id: 1,
+            code: ErrCode::InvalidSpec,
+            attempts: 0,
+            fault_seeds: Vec::new(),
+            message: String::new(),
+        }));
+        // The code byte follows the length, the type and the job id.
+        for retired in [2u8, 4] {
+            assert_eq!(ErrCode::from_u8(retired), None);
+            bytes[13] = retired;
+            assert_eq!(
+                decode(&bytes[4..]),
+                Err(ProtocolError::BadValue {
+                    what: "error code",
+                    got: u64::from(retired),
+                })
+            );
+        }
     }
 
     #[test]

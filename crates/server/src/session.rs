@@ -11,7 +11,10 @@
 //!   a time (slowloris) is dropped, not waited on;
 //! - any protocol violation gets one best-effort [`ProtoErr`] frame and
 //!   the connection is closed. The daemon never answers garbage with a
-//!   panic, a hang, or silence-plus-leak.
+//!   panic, a hang, or silence-plus-leak;
+//! - after a shutdown, a connection is closed between frames; a frame
+//!   already begun is finished, and a job it submits is refused with a
+//!   typed `JobErr`.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -22,9 +25,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::admission::{Admit, Job, JobWork};
+use crate::executor::{err_frame, Failure};
 use crate::protocol::{
-    check_len, decode, encode, Busy, ErrCode, Frame, HelloAck, JobErr, ProtoErr, ProtocolError,
-    HELLO_MAX_FRAME, VERSION,
+    check_len, decode, encode, Busy, Frame, HelloAck, ProtoErr, ProtocolError, HELLO_MAX_FRAME,
+    VERSION,
 };
 use crate::ServerInner;
 
@@ -119,13 +123,15 @@ fn read_frame<C: Conn>(
     let mut body: Option<(Vec<u8>, usize)> = None;
 
     loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return ReadEnd::Closed;
-        }
         let now = Instant::now();
         match frame_deadline {
             Some(d) if now >= d => return ReadEnd::Closed, // slowloris
-            None if now >= idle_deadline => return ReadEnd::Closed,
+            // Shutdown closes a connection between frames only: a frame
+            // whose first byte has arrived is read to its end (within
+            // the mid-frame deadline) and answered.
+            None if now >= idle_deadline || shutdown.load(Ordering::Relaxed) => {
+                return ReadEnd::Closed
+            }
             _ => {}
         }
         let dst: &mut [u8] = match &mut body {
@@ -182,36 +188,23 @@ pub fn serve<C: Conn>(mut conn: C, srv: Arc<ServerInner>) {
     let mut max_frame = HELLO_MAX_FRAME;
 
     loop {
-        let bytes = match read_frame(
+        let read = read_frame(
             &mut conn,
             max_frame,
             srv.cfg.idle_timeout,
             srv.cfg.midframe_timeout,
             &srv.shutdown,
-        ) {
-            ReadEnd::Frame(b) => b,
+        );
+        let frame = match read {
+            ReadEnd::Frame(bytes) => decode(&bytes),
             ReadEnd::Closed => return,
-            ReadEnd::Proto(e) => {
-                srv.count_proto_error();
-                reply.send(&Frame::ProtoErr(ProtoErr {
-                    message: e.to_string(),
-                }));
-                return;
-            }
+            ReadEnd::Proto(e) => Err(e),
         };
-        let frame = match decode(&bytes) {
-            Ok(f) => f,
-            Err(e) => {
-                srv.count_proto_error();
-                reply.send(&Frame::ProtoErr(ProtoErr {
-                    message: e.to_string(),
-                }));
-                return;
-            }
-        };
-
-        match (frame, &tenant) {
-            (Frame::Hello(h), None) => {
+        // Every protocol violation ends here: one best-effort `ProtoErr`,
+        // then the connection closes.
+        let violation = match (frame, &tenant) {
+            (Err(e), _) => e.to_string(),
+            (Ok(Frame::Hello(h)), None) => {
                 let granted = match h.max_frame {
                     0 => srv.cfg.max_frame,
                     req => req.min(srv.cfg.max_frame).max(HELLO_MAX_FRAME),
@@ -224,68 +217,63 @@ pub fn serve<C: Conn>(mut conn: C, srv: Arc<ServerInner>) {
                     queue_capacity: srv.admission.config().queue_capacity as u32,
                     tenant_inflight: srv.admission.config().tenant_inflight as u16,
                 }));
+                continue;
             }
-            (Frame::Hello(_), Some(_)) => {
-                srv.count_proto_error();
-                reply.send(&Frame::ProtoErr(ProtoErr {
-                    message: "duplicate Hello".into(),
-                }));
-                return;
+            (Ok(Frame::Hello(_)), Some(_)) => "duplicate Hello".into(),
+            (Ok(Frame::SubmitJob(job)), Some(t)) => {
+                submit(&srv, &reply, t, JobWork::Job(job));
+                continue;
             }
-            (frame @ (Frame::SubmitJob(_) | Frame::SubmitSource(_)), Some(t)) => {
-                let work = match frame {
-                    Frame::SubmitJob(submit) => JobWork::Job(submit),
-                    Frame::SubmitSource(src) => JobWork::Source(src),
-                    _ => unreachable!("matched above"),
-                };
-                let deadline_ms = match &work {
-                    JobWork::Job(j) => j.deadline_ms,
-                    JobWork::Source(s) => s.deadline_ms,
-                };
-                let deadline = (deadline_ms > 0)
-                    .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-                let job_id = work.job_id();
-                let admit = srv.admission.submit(Job {
-                    tenant: t.clone(),
-                    work,
-                    reply: reply.clone(),
-                    deadline,
-                });
-                match admit {
-                    Admit::Accepted => {}
-                    Admit::Busy { retry_after_ms } => {
-                        srv.count_tenant(t, "jobs_busy");
-                        reply.send(&Frame::Busy(Busy {
-                            job_id,
-                            retry_after_ms,
-                        }));
-                    }
-                    Admit::Refused => {
-                        reply.send(&Frame::JobErr(JobErr {
-                            job_id,
-                            code: ErrCode::Refused,
-                            attempts: 0,
-                            fault_seeds: Vec::new(),
-                            message: "server is shutting down".into(),
-                        }));
-                    }
-                }
+            (Ok(Frame::SubmitSource(src)), Some(t)) => {
+                submit(&srv, &reply, t, JobWork::Source(src));
+                continue;
             }
-            (Frame::GetMetrics, Some(_)) => {
+            (Ok(Frame::GetMetrics), Some(_)) => {
                 reply.send(&Frame::MetricsReport(srv.metrics_report()));
+                continue;
             }
-            (Frame::Shutdown, Some(_)) => {
-                reply.send(&Frame::ShutdownAck);
+            (Ok(Frame::Shutdown), Some(_)) => {
+                // Acknowledge a shutdown already begun: a submit that
+                // lands after the ack is refused, never run.
                 srv.begin_shutdown();
+                reply.send(&Frame::ShutdownAck);
                 return;
             }
-            _ => {
-                srv.count_proto_error();
-                reply.send(&Frame::ProtoErr(ProtoErr {
-                    message: "frame not valid in this state".into(),
-                }));
-                return;
-            }
+            _ => "frame not valid in this state".into(),
+        };
+        srv.count_proto_error();
+        reply.send(&Frame::ProtoErr(ProtoErr { message: violation }));
+        return;
+    }
+}
+
+/// Hand a submitted job to admission; a job it does not accept is
+/// answered at once.
+fn submit(srv: &ServerInner, reply: &Reply, tenant: &str, work: JobWork) {
+    let deadline_ms = match &work {
+        JobWork::Job(j) => j.deadline_ms,
+        JobWork::Source(s) => s.deadline_ms,
+    };
+    let deadline =
+        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+    let job_id = work.job_id();
+    let admit = srv.admission.submit(Job {
+        tenant: tenant.to_string(),
+        work,
+        reply: reply.clone(),
+        deadline,
+    });
+    match admit {
+        Admit::Accepted => {}
+        Admit::Busy { retry_after_ms } => {
+            srv.count_tenant(tenant, "jobs_busy");
+            reply.send(&Frame::Busy(Busy {
+                job_id,
+                retry_after_ms,
+            }));
+        }
+        Admit::Refused => {
+            reply.send(&err_frame(job_id, Failure::Refused));
         }
     }
 }

@@ -31,6 +31,11 @@ fn arbitrary_bytes_never_panic_the_decoder() {
     );
 }
 
+/// Every code a `JobErr` can carry: the ones `ErrCode::from_u8` decodes.
+fn live_codes() -> Vec<ErrCode> {
+    (0..=u8::MAX).filter_map(ErrCode::from_u8).collect()
+}
+
 /// Generate a structurally valid frame of any type.
 fn arbitrary_frame(g: &mut Gen) -> Frame {
     let seeds = |g: &mut Gen| {
@@ -91,7 +96,7 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
         }
         4 => Frame::JobErr(JobErr {
             job_id: g.u64_any(),
-            code: ErrCode::from_u8(g.u32_in(1..9) as u8).expect("valid code range"),
+            code: *g.pick(&live_codes()),
             attempts: g.u32_in(0..5),
             fault_seeds: seeds(g),
             message: format!("err {}", g.usize_in(0..100)),
