@@ -16,11 +16,13 @@
 #   ./ci.sh workloads # skewed-family golden-oracle sweeps, including
 #                    # the strategy auto-selection check on the
 #                    # deterministic sim, the native-equals-simulator
-#                    # suite, and the coefficient-table batch
-#                    # body against its scalar reference (3 fixed seeds
-#                    # + one randomized pass each), and a quick
-#                    # `figs adaptive` run that must print its
-#                    # prepared-run table
+#                    # suite, the coefficient-table batch
+#                    # body against its scalar reference, and the plan's
+#                    # edge column against the kernel's stream through
+#                    # prepare, updates, set_kernel and a rolled-back
+#                    # update (3 fixed seeds + one randomized pass
+#                    # each), and a quick `figs adaptive` run that must
+#                    # print its prepared-run table
 #   ./ci.sh server   # daemon robustness: frame-decoder fuzz (3 fixed
 #                    # seeds + one randomized pass), the chaos-client
 #                    # soak, the plan-admission accounting and every
@@ -148,24 +150,31 @@ faults() {
 workloads() {
     # The golden-oracle property suite for the skewed workload families,
     # native and replayed runs against the simulator's measuring run on
-    # the same families (tuning_equivalence), and the batch body
+    # the same families (tuning_equivalence), the batch body
     # those families and the server's jobs share against its scalar
-    # reference (batch_kernels): three fixed base seeds for
-    # deterministic replay, then one randomized pass to keep widening
-    # coverage (its seed prints on failure for replay via PROP_SEED).
+    # reference (batch_kernels), and the phased plan's per-node edge
+    # column — the kernel's stream in schedule order — against the
+    # stream and a fresh prepare after prepare, updates, set_kernel and
+    # a rolled-back update (edge_column_follows_the_schedule): three
+    # fixed base seeds for deterministic replay, then one randomized
+    # pass to keep widening coverage (its seed prints on failure for
+    # replay via PROP_SEED).
+    local column=phased::tests::edge_column_follows_the_schedule
     for seed in 1 2 3; do
-        echo "== workload families, tuning equivalence, batch kernels (PROP_BASE_SEED=$seed) =="
+        echo "== workload families, tuning equivalence, batch kernels, edge column (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test workload_families
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test tuning_equivalence
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-irred --test batch_kernels
+        PROP_BASE_SEED=$seed run_tests cargo test -q -p irred --lib "$column"
     done
 
-    echo "== workload families, tuning equivalence, batch kernels (randomized pass) =="
+    echo "== workload families, tuning equivalence, batch kernels, edge column (randomized pass) =="
     rand_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
     echo "   PROP_BASE_SEED=$rand_seed"
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test workload_families
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test tuning_equivalence
     PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p earth-irred --test batch_kernels
+    PROP_BASE_SEED="$rand_seed" run_tests cargo test -q -p irred --lib "$column"
 
     echo "== adaptive smoke (figs adaptive, prepared-run churn sweep) =="
     # The churn sweep through PreparedPhased::apply_updates on a

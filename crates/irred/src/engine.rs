@@ -319,7 +319,23 @@ pub fn validate_phased_spec<K: EdgeKernel>(spec: &crate::PhasedSpec<K>) -> Resul
             });
         }
     }
-    Ok(())
+    check_edge_len(&*spec.kernel, iters)
+}
+
+/// The kernel's stream, if it declares one, holds one value per
+/// iteration. Shared by [`validate_phased_spec`] and `set_kernel`.
+pub(crate) fn check_edge_len<K: EdgeKernel>(
+    kernel: &K,
+    iterations: usize,
+) -> Result<(), EngineError> {
+    match kernel.edge() {
+        Some(s) if s.len() != iterations => Err(EngineError::Shape {
+            what: "kernel edge stream length (num_iterations)",
+            expected: iterations,
+            got: s.len(),
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// Check a gather spec: `x` must span the matrix columns and every

@@ -41,6 +41,7 @@ mod node;
 mod plan;
 mod spec;
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use lightinspector::{
@@ -49,13 +50,15 @@ use lightinspector::{
 use trace::{TraceEvent, TraceKind};
 
 use crate::config::{BackendKind, ExecutionConfig};
-use crate::engine::{validate_phased_spec, EngineError, ReductionEngine, RunOutcome};
+use crate::engine::{
+    check_edge_len, validate_phased_spec, EngineError, ReductionEngine, RunOutcome,
+};
 use crate::kernel::EdgeKernel;
 use crate::prepared::Workspace;
 use crate::ring::{fan_out, PreparedRing, RingEngine};
 use crate::strategy::StrategyConfig;
-use node::{Phased, PhasedNode, PhasedProgram};
-use plan::NodePlanData;
+use node::{Phased, PhasedNode, PhasedProgram, Routing};
+use plan::{row_column, stream_column, NodePlanData};
 use spec::fold64;
 pub use spec::{structure_hash, PhasedSpec};
 
@@ -98,8 +101,10 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// out over `min(P, cores)` workers (the caller and the process-wide
     /// pool) and merged in processor order, so plans and trace events do
     /// not depend on the host — split off its iterations, gather its
-    /// local indirection, obtain its flat inspection from `plan_of` (run
-    /// the inspector, or check an adopted plan), and freeze it with
+    /// local indirection and (when the kernel declares a stream) its
+    /// local stream values, obtain its flat inspection from `plan_of`
+    /// (run the inspector, or check an adopted plan), gather the values
+    /// into row order, and freeze the schedule with
     /// [`NodePlanData::build`].
     fn build<S: Send>(
         spec: &PhasedSpec<K>,
@@ -120,6 +125,7 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         // degenerate to bare synchronization (PhaseGeometry handles this).
         let geometry = PhaseGeometry::try_new(strat.procs, strat.k, spec.num_elements)?;
         let total_iterations = spec.num_iterations();
+        let stream = spec.kernel.edge();
         let prepped = fan_out(sources, |proc, source| {
             let local_iters: Vec<u32> = strat
                 .distribution
@@ -127,9 +133,13 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 .map(|i| i as u32)
                 .collect();
             let local_ind = local_indirection(&spec.indirection, &local_iters);
+            let local_edge: Vec<f64> = stream.map_or_else(Vec::new, |s| {
+                local_iters.iter().map(|&i| s[i as usize]).collect()
+            });
             let local: Vec<&[u32]> = local_ind.iter().map(Vec::as_slice).collect();
             let mut events = Vec::new();
             let fi = plan_of(proc, source, &geometry, &local, &mut events)?;
+            let edge = Arc::new(row_column(&fi.iters, &local_edge, Vec::new()));
             let data = NodePlanData::build(
                 fi,
                 &local,
@@ -138,15 +148,17 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 total_iterations,
                 &*spec.kernel,
             );
-            Ok::<_, EngineError>((local_iters, data, events))
+            Ok::<_, EngineError>((local_iters, data, edge, events))
         })?;
         let mut local_iters = Vec::with_capacity(strat.procs);
         let mut node_data = Vec::with_capacity(strat.procs);
+        let mut edge = Vec::with_capacity(strat.procs);
         let mut inspector_events = Vec::new();
         for prep in prepped {
-            let (iters, data, events) = prep?;
+            let (iters, data, col, events) = prep?;
             local_iters.push(iters);
             node_data.push(Arc::new(data));
+            edge.push(col);
             inspector_events.extend(events);
         }
 
@@ -161,10 +173,10 @@ impl<K: EdgeKernel> PreparedPhased<K> {
         let prog = PhasedProgram {
             kernel: Arc::clone(&spec.kernel),
             num_elements: spec.num_elements,
-            indirection: Arc::clone(&spec.indirection),
+            routing: Routing::Global(Arc::clone(&spec.indirection)),
             local_iters,
             node_data,
-            local_ind: None,
+            edge,
             read_init,
             overheads,
             structure_hash: OnceLock::new(),
@@ -196,12 +208,10 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     fn structure_hash(&self) -> u64 {
         let prog = &self.prog;
         *prog.structure_hash.get_or_init(|| {
-            structure_hash(
-                prog.num_elements,
-                &*prog.kernel,
-                &prog.indirection,
-                &self.strat,
-            )
+            let Routing::Global(indirection) = &prog.routing else {
+                unreachable!("apply_updates hashes before it routes per node")
+            };
+            structure_hash(prog.num_elements, &*prog.kernel, indirection, &self.strat)
         })
     }
 
@@ -210,8 +220,10 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// Valid because the inspector plans, addressing, and program
     /// template depend only on kernel shape; the kernel itself is
     /// re-read from the plan on every execute. The initial read state
-    /// is recomputed from the new kernel. Rejects (with no change) any
-    /// kernel whose ref/array counts or read-update flag differ.
+    /// is recomputed from the new kernel, and its stream (if it declares
+    /// one) is gathered again into every node's row order. Rejects (with
+    /// no change) any kernel whose ref/array counts or read-update flag
+    /// differ, or whose stream does not hold one value per iteration.
     pub fn set_kernel(&mut self, kernel: Arc<K>) -> Result<(), EngineError> {
         let shape = |k: &K| {
             [
@@ -234,7 +246,13 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                 });
             }
         }
+        check_edge_len(&*kernel, prog.num_iterations())?;
         prog.read_init = checked_read_init(&*kernel, prog.num_elements)?;
+        prog.edge = prog
+            .node_data
+            .iter()
+            .map(|d| Arc::new(stream_column(&*kernel, &d.giters)))
+            .collect();
         prog.kernel = kernel;
         Ok(())
     }
@@ -273,18 +291,21 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     }
 
     /// The current global indirection arrays (reflecting all applied
-    /// updates).
-    pub fn indirection(&self) -> &[Vec<u32>] {
-        &self.prog.indirection
+    /// updates): the spec's own arrays, borrowed, until the first
+    /// [`Self::apply_updates`]; from then on built from the nodes'
+    /// local arrays on each call.
+    pub fn indirection(&self) -> Cow<'_, [Vec<u32>]> {
+        self.prog.global_indirection()
     }
 
-    /// Portion-space statistics of the *current* indirection (kept in
-    /// sync by [`Self::apply_updates`]): the portion histogram,
-    /// max/mean references, distinct-element count, and the skew
-    /// coefficient — the inputs to
+    /// Portion-space statistics of the *current* indirection (see
+    /// [`Self::indirection`]): the portion histogram, max/mean
+    /// references, distinct-element count, and the skew coefficient —
+    /// the inputs to
     /// [`StrategyConfig::auto_select`](crate::StrategyConfig::auto_select).
     pub fn plan_stats(&self) -> lightinspector::PlanStats {
-        let refs: Vec<&[u32]> = self.prog.indirection.iter().map(|v| v.as_slice()).collect();
+        let indirection = self.indirection();
+        let refs: Vec<&[u32]> = indirection.iter().map(Vec::as_slice).collect();
         lightinspector::portion_stats(&self.geometry, &refs)
     }
 
@@ -293,21 +314,36 @@ impl<K: EdgeKernel> PreparedPhased<K> {
     /// array). The batch is validated all-or-nothing first. Every node
     /// the batch touches then re-runs the LightInspector over its updated
     /// local indirection and is frozen exactly as `prepare` freezes it
-    /// (fanned out over `min(touched nodes, cores)` workers), so the plan
-    /// left behind is the plan a fresh prepare of the updated spec would
-    /// build; the token bump invalidates cached phase costs. The first
-    /// call gathers each node's local indirection from the global one.
-    /// A panic while re-inspecting is an internal bug: it returns
-    /// [`EngineError::Run`] and leaves the run as it was before the
-    /// call — indirection, plans and cache key — because the batch is
-    /// committed only once every touched node has been rebuilt.
+    /// (fanned out over `min(touched nodes, cores)` workers), with its
+    /// stream column reordered from the old rows into the new ones
+    /// through a node-local scratch buffer and back into the column's
+    /// own allocation, so the plan left behind is the plan a fresh
+    /// prepare of the updated spec would build; the token bump
+    /// invalidates cached phase costs.
+    ///
+    /// The first call gathers each node's local indirection from the
+    /// spec's global arrays; from then on the nodes' local arrays are
+    /// the only copy of the current indirection. Nothing global is kept
+    /// in step: each node's share of the batch is written into its own
+    /// arrays by the worker that rebuilds it, and [`Self::indirection`]
+    /// builds the global arrays on demand. A panic while re-inspecting
+    /// is an internal bug: it returns [`EngineError::Run`] and leaves
+    /// the run as it was before the call — indirection, plans, columns
+    /// and cache key — because no plan is replaced until every touched
+    /// node is rebuilt, and a touched node's local arrays and column are
+    /// read back from its unchanged plan (each row's `elems` are its
+    /// iteration's references) and from the kernel's stream.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<u32>)]) -> Result<(), EngineError> {
         if updates.is_empty() {
             return Ok(());
         }
         let m = self.prog.kernel.num_refs();
-        let total = self.prog.indirection[0].len();
+        let total = self.prog.num_iterations();
         let num_elements = self.prog.num_elements;
+        let (procs, dist, geometry) = (self.strat.procs, self.strat.distribution, self.geometry);
+        // Each node's share of the batch, in batch order, so a later
+        // entry for the same iteration wins.
+        let mut shares: Vec<Vec<(usize, &[u32])>> = vec![Vec::new(); procs];
         for (iter, new_refs) in updates {
             if new_refs.len() != m {
                 return Err(EngineError::Shape {
@@ -333,62 +369,68 @@ impl<K: EdgeKernel> PreparedPhased<K> {
                     }));
                 }
             }
+            let (proc, local) = dist.locate(*iter, total, procs);
+            shares[proc].push((local, new_refs));
         }
         self.structure_hash();
-        let (procs, dist, geometry) = (self.strat.procs, self.strat.distribution, self.geometry);
         let prog = &mut self.prog;
-        let (indirection, local_iters) = (&prog.indirection, &prog.local_iters);
-        if prog.local_ind.is_none() {
-            prog.local_ind = Some(fan_out(
-                local_iters.iter().collect(),
-                |_, iters: &Vec<u32>| local_indirection(indirection, iters),
-            )?);
+        if let Routing::Global(indirection) = &prog.routing {
+            let local = fan_out(prog.local_iters.iter().collect(), |_, iters: &Vec<u32>| {
+                local_indirection(indirection, iters)
+            })?;
+            prog.routing = Routing::PerNode(local);
         }
-        // The batch goes into the per-node indirection the rebuild reads;
-        // the global indirection keeps the old references until every
-        // touched node is rebuilt, and restores the per-node copies if
-        // one is not.
-        let local_ind = prog.local_ind.as_mut().expect("gathered above");
-        let mut touched = vec![false; procs];
-        for (iter, new_refs) in updates {
-            let (proc, local) = dist.locate(*iter, total, procs);
-            for (r, &e) in new_refs.iter().enumerate() {
-                local_ind[proc][r][local] = e;
+        let Routing::PerNode(local_ind) = &mut prog.routing else {
+            unreachable!("routed per node above")
+        };
+        // Each touched node's arrays and column go to the worker that
+        // rebuilds it. The column moves and is rewritten in place: the
+        // new rows are a permutation of the old ones, so no second
+        // column is ever held beside it.
+        let work: Vec<_> = shares
+            .into_iter()
+            .zip(local_ind.iter_mut())
+            .zip(prog.edge.iter_mut())
+            .enumerate()
+            .filter(|(_, ((share, _), _))| !share.is_empty())
+            .map(|(p, ((share, ind), col))| (p, share, ind, std::mem::take(col)))
+            .collect();
+        let touched: Vec<usize> = work.iter().map(|w| w.0).collect();
+        let (kernel, local_iters, node_data) = (&*prog.kernel, &prog.local_iters, &prog.node_data);
+        let rebuilt = fan_out(work, |_, (proc, share, ind, col)| {
+            let iters = &local_iters[proc];
+            for (l, new_refs) in share {
+                for (arr, &e) in ind.iter_mut().zip(new_refs) {
+                    arr[l] = e;
+                }
             }
-            touched[proc] = true;
-        }
-        let touched: Vec<usize> = (0..procs).filter(|&p| touched[p]).collect();
-        let kernel = &*prog.kernel;
-        let rebuilt = fan_out(touched.clone(), |_, proc| {
-            let local: Vec<&[u32]> = local_ind[proc].iter().map(Vec::as_slice).collect();
+            let col = Arc::unwrap_or_clone(col);
+            let values = node_data[proc].local_values(&col, iters);
+            let local: Vec<&[u32]> = ind.iter().map(Vec::as_slice).collect();
             let input = InspectorInput {
                 geometry,
                 proc_id: proc,
                 indirection: &local,
             };
             let fi = inspect(input).expect("validated updates keep the node inspectable");
-            NodePlanData::build(fi, &local, &local_iters[proc], num_elements, total, kernel)
+            let col = row_column(&fi.iters, &values, col);
+            let data = NodePlanData::build(fi, &local, iters, num_elements, total, kernel);
+            (data, col)
         });
         let rebuilt = match rebuilt {
             Ok(rebuilt) => rebuilt,
             Err(e) => {
-                for (iter, _) in updates {
-                    let (proc, local) = dist.locate(*iter, total, procs);
-                    for (r, old) in indirection.iter().enumerate() {
-                        local_ind[proc][r][local] = old[*iter];
-                    }
+                for proc in touched {
+                    let old = &prog.node_data[proc];
+                    local_ind[proc] = old.local_indirection(&prog.local_iters[proc]);
+                    prog.edge[proc] = Arc::new(stream_column(&*prog.kernel, &old.giters));
                 }
                 return Err(e);
             }
         };
-        let indirection = Arc::make_mut(&mut prog.indirection);
-        for (iter, new_refs) in updates {
-            for (r, &e) in new_refs.iter().enumerate() {
-                indirection[r][*iter] = e;
-            }
-        }
-        for (proc, data) in touched.into_iter().zip(rebuilt) {
+        for (proc, (data, col)) in touched.into_iter().zip(rebuilt) {
             prog.node_data[proc] = Arc::new(data);
+            prog.edge[proc] = Arc::new(col);
         }
         self.token.bump();
         Ok(())
@@ -504,8 +546,8 @@ mod tests {
     use workloads::{distribute, Distribution};
 
     /// Capacity, in bytes, of the schedule vectors a prepared run holds:
-    /// every node's flat schedule, the local→global iteration maps, and
-    /// (once built) the nodes' local indirection copies.
+    /// every node's flat schedule and stream column, the local→global
+    /// iteration maps, and (once built) the nodes' local indirection.
     fn resident_bytes<K: EdgeKernel>(prepared: &PreparedPhased<K>) -> usize {
         let prog = &prepared.prog;
         let nodes: usize = prog
@@ -521,15 +563,13 @@ mod tests {
                     + std::mem::size_of::<lightinspector::CopyOp>() * f.copies.capacity()
             })
             .sum();
+        let columns: usize = prog.edge.iter().map(|c| 8 * c.capacity()).sum();
         let iters: usize = prog.local_iters.iter().map(|v| 4 * v.capacity()).sum();
-        let local: usize = prog
-            .local_ind
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|v| 4 * v.capacity())
-            .sum();
-        nodes + iters + local
+        let local: usize = match &prog.routing {
+            Routing::Global(_) => 0,
+            Routing::PerNode(local) => local.iter().flatten().map(|v| 4 * v.capacity()).sum(),
+        };
+        nodes + columns + iters + local
     }
 
     fn tiny_spec(num_elems: usize, seed: u64, iters: usize) -> PhasedSpec<WeightedPairKernel> {
@@ -871,18 +911,20 @@ mod tests {
             .execute(&mut prepared, &mut Workspace::new())
             .unwrap();
         prepared.apply_updates(&[]).unwrap();
-        assert!(
-            prepared.prog.local_ind.is_none(),
-            "no update state before an update"
-        );
-        assert!(Arc::ptr_eq(&prepared.prog.indirection, &spec.indirection));
+        let Routing::Global(global) = &prepared.prog.routing else {
+            panic!("no update state before an update");
+        };
+        assert!(Arc::ptr_eq(global, &spec.indirection));
+        assert!(matches!(prepared.indirection(), Cow::Borrowed(_)));
         let untouched: Vec<_> = prepared.prog.node_data.iter().map(Arc::clone).collect();
         // Block over 4 procs: iteration 75 is processor 1's first.
         let before = spec.indirection[0][75];
         prepared
             .apply_updates(&[(75, vec![before ^ 1, 2])])
             .unwrap();
-        let local = prepared.prog.local_ind.as_ref().unwrap();
+        let Routing::PerNode(local) = &prepared.prog.routing else {
+            panic!("the first update routes per node");
+        };
         assert_eq!((local[1][0][0], local[1][1][0]), (before ^ 1, 2));
         assert_eq!(local[2][0], spec.indirection[0][150..225]);
         assert_eq!(prepared.indirection()[0][75], before ^ 1);
@@ -894,9 +936,10 @@ mod tests {
 
     /// Plan size at the `serve-cold` shape: two references into one
     /// array, P4 k2 cyclic, 131 072 random iterations on 16 384
-    /// elements. Holding the schedule once costs ≈ 31 B/iteration; the
-    /// bound leaves room for slack, not for a nested second form of the
-    /// plan (≈ 23 B/iteration more).
+    /// elements. Holding the schedule once costs ≈ 31 B/iteration, and
+    /// the test kernel's stream column 8 more; the bound leaves room for
+    /// slack, not for a nested second form of the plan (≈ 23
+    /// B/iteration more).
     #[test]
     fn prepared_plan_holds_its_schedule_once() {
         let spec = tiny_spec(16_384, 26, 131_072);
@@ -911,8 +954,8 @@ mod tests {
     /// At the `engine-pic` shape (P8 k2 cyclic, 524 288 two-reference
     /// iterations on 65 536 elements), a 10 % update leaves exactly the
     /// plan a fresh prepare of the updated spec builds — rows, buffer
-    /// slots and copies — plus only the nodes' local indirection
-    /// copies: 4·m B/iteration.
+    /// slots, copies and stream columns — plus only the nodes' local
+    /// indirection: 4·m B/iteration.
     #[test]
     fn updated_plan_costs_a_fresh_plan_plus_the_local_indirection() {
         let spec = tiny_spec(65_536, 27, 524_288);
@@ -938,6 +981,7 @@ mod tests {
             assert_eq!(a.buffer_len, b.buffer_len);
             assert_eq!((&a.giters, &a.elems), (&b.giters, &b.elems));
         }
+        assert_eq!(prepared.prog.edge, fresh.prog.edge);
         let m = spec.kernel.num_refs();
         let bound = resident_bytes(&fresh) + 4 * m * spec.num_iterations();
         assert!(
@@ -1110,8 +1154,19 @@ mod tests {
             self.inner.num_arrays()
         }
 
-        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
-            self.inner.contrib_batch(read, giters, elems, out)
+        fn edge(&self) -> Option<&[f64]> {
+            self.inner.edge()
+        }
+
+        fn contrib_batch(
+            &self,
+            read: &[f64],
+            giters: &[u32],
+            elems: &[u32],
+            edge: &[f64],
+            out: &mut [f64],
+        ) {
+            self.inner.contrib_batch(read, giters, elems, edge, out)
         }
     }
 
@@ -1182,6 +1237,226 @@ mod tests {
         let got = engine.execute(&mut prepared, &mut ws).unwrap();
         let want = engine.execute(&mut fresh, &mut Workspace::new()).unwrap();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A coefficient kernel over a declared stream, with `m` references
+    /// and `r` arrays: slot `s` of row `j` is `coeffs[s] · edge[j]`. It
+    /// panics while a node plan is frozen (`NodePlanData::build` reads
+    /// `num_arrays`) once `armed` is set.
+    #[derive(Debug)]
+    struct ColumnKernel {
+        m: usize,
+        r: usize,
+        coeffs: Vec<f64>,
+        weights: Vec<f64>,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl EdgeKernel for ColumnKernel {
+        fn num_refs(&self) -> usize {
+            self.m
+        }
+
+        fn num_arrays(&self) -> usize {
+            use std::sync::atomic::Ordering;
+            assert!(!self.armed.load(Ordering::Relaxed), "armed kernel");
+            self.r
+        }
+
+        fn edge(&self) -> Option<&[f64]> {
+            Some(&self.weights)
+        }
+
+        fn contrib_batch(
+            &self,
+            _read: &[f64],
+            _giters: &[u32],
+            _elems: &[u32],
+            edge: &[f64],
+            out: &mut [f64],
+        ) {
+            crate::scaled_batch(edge, &self.coeffs, out);
+        }
+    }
+
+    /// One plan's life: its shape and strategy, the batches it applies,
+    /// the weights `set_kernel` swaps in, and a batch whose rebuild
+    /// panics.
+    #[derive(Debug)]
+    struct ColumnCase {
+        m: usize,
+        r: usize,
+        num_elements: usize,
+        strat: StrategyConfig,
+        indirection: Vec<Vec<u32>>,
+        weights: Vec<f64>,
+        batches: Vec<Vec<(usize, Vec<u32>)>>,
+        reweighted: Vec<f64>,
+        failing: Vec<(usize, Vec<u32>)>,
+    }
+
+    fn column_case(g: &mut harness::prop::Gen) -> ColumnCase {
+        let m = g.usize_incl(1, 3);
+        let r = g.usize_incl(1, 4);
+        let dist = *g.pick(&[Distribution::Block, Distribution::Cyclic]);
+        let strat = StrategyConfig::new(g.usize_incl(1, 5), g.usize_incl(1, 3), dist, 2);
+        let n = g.usize_incl(1, 40);
+        let e = g.usize_incl(1, 160);
+        let weight = |g: &mut harness::prop::Gen| g.i64_in(-64..=64) as f64 / 4.0;
+        let batch = |g: &mut harness::prop::Gen| {
+            g.vec(1, e.div_ceil(3), |g| {
+                let refs = g.vec(m, m, |g| g.u32_in(0..n as u32));
+                (g.usize_in(0..e), refs)
+            })
+        };
+        ColumnCase {
+            m,
+            r,
+            num_elements: n,
+            strat,
+            indirection: (0..m)
+                .map(|_| g.vec(e, e, |g| g.u32_in(0..n as u32)))
+                .collect(),
+            weights: g.vec(e, e, weight),
+            batches: (0..g.usize_incl(1, 3)).map(|_| batch(g)).collect(),
+            reweighted: g.vec(e, e, weight),
+            failing: batch(g),
+        }
+    }
+
+    /// Every node's column holds the kernel's stream in its rows' order,
+    /// and the plan executes bit for bit as a fresh prepare of its
+    /// current indirection and kernel.
+    fn check_column(
+        prepared: &mut PreparedPhased<ColumnKernel>,
+        strat: &StrategyConfig,
+        step: &str,
+    ) -> Result<(), String> {
+        let stream = prepared.prog.kernel.edge().expect("declared");
+        for (proc, (data, col)) in prepared
+            .prog
+            .node_data
+            .iter()
+            .zip(&prepared.prog.edge)
+            .enumerate()
+        {
+            harness::prop_assert_eq!(col.len(), data.giters.len(), "{step}: node {proc} rows");
+            for (row, (&g, &v)) in data.giters.iter().zip(col.iter()).enumerate() {
+                harness::prop_assert_eq!(
+                    v.to_bits(),
+                    stream[g as usize].to_bits(),
+                    "{step}: node {proc} row {row} (iteration {g})"
+                );
+            }
+        }
+        let engine = PhasedEngine::sim(SimConfig::default());
+        let spec = PhasedSpec {
+            kernel: Arc::clone(&prepared.prog.kernel),
+            num_elements: prepared.num_elements(),
+            indirection: Arc::new(prepared.indirection().into_owned()),
+        };
+        let got = engine.execute(prepared, &mut Workspace::new()).unwrap();
+        let want = engine.run(&spec, strat).unwrap();
+        let bits = |o: &RunOutcome| -> Vec<u64> {
+            o.values.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        harness::prop_assert_eq!(bits(&got), bits(&want), "{step}: values");
+        harness::prop_assert_eq!(got.time_cycles, want.time_cycles, "{step}: cycles");
+        Ok(())
+    }
+
+    /// The column invariant — `edge[proc][row] == kernel.edge()[giters[row]]`
+    /// and execute ≡ a fresh prepare's execute — after prepare, after
+    /// each of several `apply_updates` batches, after `set_kernel` with
+    /// new weights (and a batch on top of it), and after a batch whose
+    /// rebuild panics, which also leaves `indirection()` at the
+    /// pre-batch arrays. m 1–3, widths 1–4, Block and Cyclic, P 1–5,
+    /// k 1–3.
+    #[test]
+    fn edge_column_follows_the_schedule() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        harness::prop::check(
+            "edge_column_follows_the_schedule",
+            harness::prop::Config::cases(48),
+            column_case,
+            |c| {
+                let armed = Arc::new(AtomicBool::new(false));
+                let kernel = |weights: &[f64]| {
+                    Arc::new(ColumnKernel {
+                        m: c.m,
+                        r: c.r,
+                        coeffs: (0..c.m * c.r).map(|s| (s + 1) as f64).collect(),
+                        weights: weights.to_vec(),
+                        armed: Arc::clone(&armed),
+                    })
+                };
+                let spec = PhasedSpec {
+                    kernel: kernel(&c.weights),
+                    num_elements: c.num_elements,
+                    indirection: Arc::new(c.indirection.clone()),
+                };
+                let engine = PhasedEngine::sim(SimConfig::default());
+                let mut prepared = engine.prepare(&spec, &c.strat).unwrap();
+                check_column(&mut prepared, &c.strat, "prepare")?;
+                for (i, batch) in c.batches.iter().enumerate() {
+                    prepared.apply_updates(batch).unwrap();
+                    check_column(&mut prepared, &c.strat, &format!("batch {i}"))?;
+                }
+                prepared.set_kernel(kernel(&c.reweighted)).unwrap();
+                check_column(&mut prepared, &c.strat, "set_kernel")?;
+                prepared.apply_updates(&c.batches[0]).unwrap();
+                check_column(&mut prepared, &c.strat, "batch after set_kernel")?;
+
+                let before = prepared.indirection().into_owned();
+                armed.store(true, Ordering::Relaxed);
+                let err = prepared.apply_updates(&c.failing);
+                armed.store(false, Ordering::Relaxed);
+                harness::prop_assert!(
+                    matches!(err, Err(EngineError::Run(_))),
+                    "a panicking rebuild is a typed run error: {err:?}"
+                );
+                harness::prop_assert_eq!(prepared.indirection(), &before[..], "rolled back");
+                check_column(&mut prepared, &c.strat, "rolled back")
+            },
+        );
+    }
+
+    /// A stream that is not one value per iteration is a typed shape
+    /// error at prepare (`validate_phased_spec`) and at `set_kernel`,
+    /// which then leaves the plan as it was.
+    #[test]
+    fn stream_of_the_wrong_length_is_a_shape_error() {
+        let spec = tiny_spec(16, 31, 40);
+        let short = |len: usize| {
+            Arc::new(WeightedPairKernel {
+                weights: Arc::new(vec![1.5; len]),
+            })
+        };
+        let is_len = |err: Option<EngineError>, len: usize| {
+            matches!(err, Some(EngineError::Shape {
+                what: "kernel edge stream length (num_iterations)",
+                expected: 40,
+                got,
+            }) if got == len)
+        };
+        let bad = PhasedSpec {
+            kernel: short(39),
+            ..spec.clone()
+        };
+        assert!(is_len(validate_phased_spec(&bad).err(), 39));
+        let strat = StrategyConfig::new(2, 2, Distribution::Cyclic, 1);
+        let engine = PhasedEngine::sim(SimConfig::default());
+        assert!(is_len(engine.prepare(&bad, &strat).err(), 39));
+
+        let mut prepared = engine.prepare(&spec, &strat).unwrap();
+        let columns = prepared.prog.edge.clone();
+        assert!(is_len(prepared.set_kernel(short(41)).err(), 41));
+        assert!(Arc::ptr_eq(&prepared.prog.kernel, &spec.kernel));
+        assert_eq!(prepared.prog.edge, columns);
+        let got = engine
+            .execute(&mut prepared, &mut Workspace::new())
+            .unwrap();
+        assert_eq!(got.values, engine.run(&spec, &strat).unwrap().values);
     }
 
     #[test]

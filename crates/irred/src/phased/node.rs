@@ -8,6 +8,7 @@
 //! rotation moves ownership, not doubles. All of the phased program's
 //! `unsafe` code lives in this file.
 
+use std::borrow::Cow;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -34,18 +35,18 @@ const TAG_BCAST: u32 = 2;
 pub struct PhasedProgram<K> {
     pub(super) kernel: Arc<K>,
     pub(super) num_elements: usize,
-    /// Current global indirection arrays: the spec's own allocation
-    /// until the first `apply_updates` writes to it.
-    pub(super) indirection: Arc<Vec<Vec<u32>>>,
+    /// Where the current indirection lives.
+    pub(super) routing: Routing,
     /// Per-proc local→global iteration maps.
     pub(super) local_iters: Vec<Vec<u32>>,
     /// Frozen per-node plan snapshots handed to node states.
     pub(super) node_data: Vec<Arc<NodePlanData>>,
-    /// Each node's current local indirection, `local_ind[proc][r][i]`
-    /// for its local iteration `i` — the inspector's input when an
-    /// update rebuilds the node. Built by the first `apply_updates`, so
-    /// runs that never adapt never pay for it.
-    pub(super) local_ind: Option<Vec<Vec<Vec<u32>>>>,
+    /// Each node's kernel stream in its schedule's row order:
+    /// `edge[proc][row] == kernel.edge()[giters[row]]`, one `f64` column
+    /// beside the rows; empty per node when the kernel declares no
+    /// stream. Gathered at prepare, again by `set_kernel`, and reordered
+    /// for each node `apply_updates` rebuilds.
+    pub(super) edge: Vec<Arc<Vec<f64>>>,
     /// The kernel's initial read state (element-major interleaved),
     /// computed once and copied into pooled buffers on each execute.
     pub(super) read_init: Vec<f64>,
@@ -58,6 +59,45 @@ pub struct PhasedProgram<K> {
     /// or before the first update rewrites the indirection, whichever
     /// comes first.
     pub(super) structure_hash: OnceLock<u64>,
+}
+
+/// The one copy of a plan's current indirection.
+pub(super) enum Routing {
+    /// The spec's own global arrays, shared with the caller, until the
+    /// first `apply_updates`.
+    Global(Arc<Vec<Vec<u32>>>),
+    /// From the first `apply_updates` on: each node's local arrays,
+    /// `[proc][r][i]` for its local iteration `i` — the inspector's
+    /// input when an update rebuilds the node. Runs that never adapt
+    /// never build them.
+    PerNode(Vec<Vec<Vec<u32>>>),
+}
+
+impl<K: EdgeKernel> PhasedProgram<K> {
+    /// Iterations of the whole loop.
+    pub(super) fn num_iterations(&self) -> usize {
+        self.local_iters.iter().map(Vec::len).sum()
+    }
+
+    /// The current global indirection: borrowed while the plan routes
+    /// through the spec's arrays, scattered from the nodes' local arrays
+    /// once updates have applied.
+    pub(super) fn global_indirection(&self) -> Cow<'_, [Vec<u32>]> {
+        match &self.routing {
+            Routing::Global(indirection) => Cow::Borrowed(indirection),
+            Routing::PerNode(local) => {
+                let mut global = vec![vec![0u32; self.num_iterations()]; self.kernel.num_refs()];
+                for (iters, arrays) in self.local_iters.iter().zip(local) {
+                    for (g, l) in global.iter_mut().zip(arrays) {
+                        for (&i, &e) in iters.iter().zip(l) {
+                            g[i as usize] = e;
+                        }
+                    }
+                }
+                Cow::Owned(global)
+            }
+        }
+    }
 }
 
 /// Names the phased program in [`PhasedEngine`](crate::PhasedEngine),
@@ -77,6 +117,9 @@ pub enum Phased {}
 pub struct PhasedNode<K> {
     kernel: Arc<K>,
     data: Arc<NodePlanData>,
+    /// The node's stream column, row-aligned with `data` (empty without
+    /// a stream).
+    edge: Arc<Vec<f64>>,
     /// Reduction arrays with buffer extension, interleaved:
     /// `(num_elements + buffer_len) * num_arrays` doubles. When
     /// `region` is set (native runs) this holds *only* the buffer
@@ -129,7 +172,7 @@ type FinalPortion = (Range<usize>, Vec<f64>, Vec<f64>);
 /// writes to the next owner's reads (see the ordering argument at
 /// `drain_lanes` in the native backend).
 struct SharedX {
-    data: UnsafeCell<Box<[f64]>>,
+    data: UnsafeCell<Vec<f64>>,
     len: usize,
 }
 
@@ -139,10 +182,11 @@ unsafe impl Send for SharedX {}
 unsafe impl Sync for SharedX {}
 
 impl SharedX {
-    fn new(len: usize) -> Self {
+    /// Over a zeroed buffer (one checked out of the [`Workspace`]).
+    fn new(data: Vec<f64>) -> Self {
         SharedX {
-            data: UnsafeCell::new(vec![0.0f64; len].into_boxed_slice()),
-            len,
+            len: data.len(),
+            data: UnsafeCell::new(data),
         }
     }
 
@@ -185,7 +229,7 @@ impl SharedX {
 /// parity start at `(t+1, 0)`, which the `kp-k` broadcast syncs
 /// order after every writer.
 struct SharedRead {
-    bufs: [UnsafeCell<Box<[f64]>>; 2],
+    bufs: [UnsafeCell<Vec<f64>>; 2],
     len: usize,
 }
 
@@ -197,20 +241,27 @@ unsafe impl Sync for SharedRead {}
 
 impl SharedRead {
     /// `init` seeds the parity-0 buffer (sweep 0 reads it). The
-    /// parity-1 buffer is only allocated when the kernel updates read
-    /// state (otherwise parity 0 serves every sweep read-only).
-    fn new(init: &[f64], updates_read: bool) -> Self {
+    /// parity-1 buffer is only taken when the kernel updates read state
+    /// (otherwise parity 0 serves every sweep read-only). Both come from
+    /// `ws` and go back there in [`Self::release`].
+    fn new(init: &[f64], updates_read: bool, ws: &mut Workspace) -> Self {
+        let mut first = ws.take_buffer(init.len());
+        first.copy_from_slice(init);
         let other = if updates_read {
-            vec![0.0f64; init.len()]
+            ws.take_buffer(init.len())
         } else {
             Vec::new()
         };
         SharedRead {
-            bufs: [
-                UnsafeCell::new(init.to_vec().into_boxed_slice()),
-                UnsafeCell::new(other.into_boxed_slice()),
-            ],
+            bufs: [UnsafeCell::new(first), UnsafeCell::new(other)],
             len: init.len(),
+        }
+    }
+
+    /// Return both parities to `ws`.
+    fn release(self, ws: &mut Workspace) {
+        for buf in self.bufs {
+            ws.put_buffer(buf.into_inner());
         }
     }
 
@@ -266,15 +317,16 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
         // moves portion *ownership* (a bare sync), never the doubles.
         // The simulator keeps private arrays and real payloads so the
         // modeled message costs stay byte-identical.
-        let region = (!sim).then(|| Arc::new(SharedX::new(n * r_arrays)));
+        // Both shared allocations come from the workspace, like the
+        // nodes' own arrays, so a steady-state execute writes into
+        // pages it already owns.
+        let region = (!sim).then(|| Arc::new(SharedX::new(ws.take_buffer(n * r_arrays))));
         let shared_read = region.is_some().then(|| {
-            Arc::new(SharedRead::new(
-                &self.read_init,
-                self.kernel.updates_read_state(),
-            ))
+            let updates = self.kernel.updates_read_state();
+            Arc::new(SharedRead::new(&self.read_init, updates, ws))
         });
         let mut nodes = Vec::with_capacity(self.node_data.len());
-        for data in &self.node_data {
+        for (data, edge) in self.node_data.iter().zip(&self.edge) {
             // Native runs hold only the private buffer extension: the
             // element range lives in the shared region.
             let resident = if sim { n } else { 0 };
@@ -287,6 +339,7 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
             nodes.push(PhasedNode {
                 kernel: Arc::clone(&self.kernel),
                 data: Arc::clone(data),
+                edge: Arc::clone(edge),
                 x,
                 region: region.clone(),
                 shared_read: shared_read.clone(),
@@ -310,7 +363,9 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
         let r_read = self.kernel.num_read_arrays();
         let mut x = vec![vec![0.0f64; n]; r_arrays];
         let mut read = vec![vec![0.0f64; n]; r_read];
+        let mut shared = None;
         for node in nodes {
+            shared = shared.or(node.region.zip(node.shared_read));
             for (range, xs, rs) in node.results {
                 for (i, v) in range.enumerate() {
                     for (a, xa) in x.iter_mut().enumerate() {
@@ -324,16 +379,30 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
             ws.put_buffer(node.x);
             ws.put_buffer(node.read);
         }
+        // Every node is gone, so the run's shared buffers have one owner
+        // left each and go back to the pool.
+        if let Some((region, shared_read)) = shared {
+            if let Ok(region) = Arc::try_unwrap(region) {
+                ws.put_buffer(region.data.into_inner());
+            }
+            if let Ok(shared_read) = Arc::try_unwrap(shared_read) {
+                shared_read.release(ws);
+            }
+        }
         (x, read)
     }
 
     /// The sequential executor on the *current* indirection arrays
     /// (post-updates).
     fn seq_fallback(&self, sweeps: usize) -> RunOutcome {
+        let indirection = match &self.routing {
+            Routing::Global(indirection) => Arc::clone(indirection),
+            Routing::PerNode(_) => Arc::new(self.global_indirection().into_owned()),
+        };
         let spec = PhasedSpec {
             kernel: Arc::clone(&self.kernel),
             num_elements: self.num_elements,
-            indirection: Arc::clone(&self.indirection),
+            indirection,
         };
         let seq = seq_reduction(&spec, sweeps, SimConfig::default());
         RunOutcome {
@@ -565,10 +634,16 @@ impl<K: EdgeKernel> PhasedProgram<K> {
 
 impl<K: EdgeKernel> PhasedNode<K> {
     /// Loop 1 + loop 2: the one value loop of every sweep — native,
-    /// replayed and measuring — streaming the node's flat schedule
-    /// through the chunked kernel ([`vector::run_phase`]).
+    /// replayed and measuring — streaming the node's flat schedule and
+    /// its stream column through the chunked kernel
+    /// ([`vector::run_phase`]).
     fn exec_loops(&mut self, t: usize, p: usize) {
         let (giters, elems, refs, copies) = self.data.phase(p);
+        let edge = if self.edge.is_empty() {
+            &[][..]
+        } else {
+            &self.edge[self.data.flat.phase_rows(p)]
+        };
         let (read, rp, split, buf): (&[f64], *mut f64, usize, &mut [f64]) = match &self.region {
             Some(reg) => {
                 let read = match &self.shared_read {
@@ -608,6 +683,7 @@ impl<K: EdgeKernel> PhasedNode<K> {
                 self.r_arrays,
                 giters,
                 elems,
+                edge,
                 refs,
                 copies,
             );
@@ -692,7 +768,15 @@ mod tests {
         fn num_read_arrays(&self) -> usize {
             2
         }
-        fn contrib_batch(&self, _read: &[f64], _giters: &[u32], _elems: &[u32], _out: &mut [f64]) {}
+        fn contrib_batch(
+            &self,
+            _read: &[f64],
+            _giters: &[u32],
+            _elems: &[u32],
+            _edge: &[f64],
+            _out: &mut [f64],
+        ) {
+        }
         fn flops_per_iter(&self) -> u64 {
             7
         }

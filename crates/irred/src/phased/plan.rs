@@ -1,6 +1,7 @@
 //! The phased program's frozen per-node schedule: the LightInspector's
 //! flat plan, the global ids its kernels read, and the addressing the
-//! cache model charges.
+//! cache model charges; and the gather that puts a node's per-iteration
+//! values into the schedule's row order.
 
 use lightinspector::FlatInspection;
 use memsim::{AddressMap, Region};
@@ -101,5 +102,99 @@ impl NodePlanData {
             self.flat.phase_refs(p),
             self.flat.phase_copies(p),
         )
+    }
+}
+
+/// A node's per-iteration values in its schedule's row order, written
+/// into `into`'s allocation: row `j` of an inspection whose `iters[j]`
+/// is local iteration `li` reads `local[li]`. `local` holds one value
+/// per local iteration, or is empty when the kernel declares no stream
+/// (so is the result). The same two-step gather as the local
+/// indirection and `elems`: a pass in local order builds `local`, then
+/// this row gather reads it.
+pub(super) fn row_column(iters: &[u32], local: &[f64], mut into: Vec<f64>) -> Vec<f64> {
+    into.clear();
+    if !local.is_empty() {
+        into.extend(iters.iter().map(|&li| local[li as usize]));
+    }
+    into
+}
+
+/// The column of a node whose rows are `giters`, gathered straight from
+/// the kernel's stream — what `set_kernel` installs, and what a failed
+/// update restores.
+pub(super) fn stream_column<K: EdgeKernel>(kernel: &K, giters: &[u32]) -> Vec<f64> {
+    kernel.edge().map_or_else(Vec::new, |s| {
+        giters.iter().map(|&g| s[g as usize]).collect()
+    })
+}
+
+/// The local id of each of a node's global iterations. A node's
+/// iterations are an arithmetic progression under both distributions
+/// (`off + stride · l`: stride 1 under Block, `P` under Cyclic), so a
+/// local id is an exact division of the global one: a shift by the
+/// stride's power of two and a multiplication by the inverse of its odd
+/// part modulo 2³², with no divide instruction in a per-row loop.
+struct LocalIds {
+    off: u32,
+    shift: u32,
+    inv: u32,
+}
+
+impl LocalIds {
+    fn new(local_iters: &[u32]) -> Self {
+        let off = local_iters.first().copied().unwrap_or(0);
+        let stride = local_iters.get(1).map_or(1, |&next| next - off);
+        let shift = stride.trailing_zeros();
+        let odd = stride >> shift;
+        // Newton's iteration doubles the correct low bits of an inverse
+        // of an odd number: `odd` itself is right to 3 bits, so four
+        // steps reach 48 ≥ 32.
+        let mut inv = odd;
+        for _ in 0..4 {
+            inv = inv.wrapping_mul(2u32.wrapping_sub(odd.wrapping_mul(inv)));
+        }
+        LocalIds { off, shift, inv }
+    }
+
+    fn of(&self, g: u32) -> usize {
+        ((g - self.off) >> self.shift).wrapping_mul(self.inv) as usize
+    }
+}
+
+impl NodePlanData {
+    /// The node's edge column reordered into local order: `out[l]` is
+    /// the value of the row whose iteration is `local_iters[l]` — the
+    /// scratch an updated node's new rows gather from with
+    /// [`row_column`]. Empty when `col` is (no stream).
+    pub(super) fn local_values(&self, col: &[f64], local_iters: &[u32]) -> Vec<f64> {
+        if col.is_empty() {
+            return Vec::new();
+        }
+        let ids = LocalIds::new(local_iters);
+        let mut out = vec![0.0; local_iters.len()];
+        for (&g, &v) in self.giters.iter().zip(col) {
+            let l = ids.of(g);
+            debug_assert_eq!(local_iters[l], g);
+            out[l] = v;
+        }
+        out
+    }
+
+    /// The local indirection the node was built from, read back from
+    /// its rows: `ind[r][l]` is reference `r` of local iteration `l`
+    /// (each row's `elems` are its iteration's references, and the rows
+    /// cover every local iteration once). What a failed update restores.
+    pub(super) fn local_indirection(&self, local_iters: &[u32]) -> Vec<Vec<u32>> {
+        let m = self.flat.m();
+        let ids = LocalIds::new(local_iters);
+        let mut ind = vec![vec![0u32; local_iters.len()]; m];
+        for (&g, refs) in self.giters.iter().zip(self.elems.chunks_exact(m)) {
+            let l = ids.of(g);
+            for (arr, &e) in ind.iter_mut().zip(refs) {
+                arr[l] = e;
+            }
+        }
+        ind
     }
 }

@@ -5,7 +5,8 @@
 //! A [`Workspace`] is deliberately separate from the prepared runs that
 //! use it: prepared plans are immutable structure, the workspace is
 //! scratch. One workspace can serve many prepared runs (buffers are
-//! pooled by size-agnostic recycling; costs are keyed by plan identity).
+//! pooled and handed out best-fit by capacity; costs are keyed by plan
+//! identity).
 
 use std::collections::HashMap;
 
@@ -65,11 +66,27 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Check out a zeroed buffer of length `len`, reusing pooled
-    /// capacity when available.
+    /// Check out a zeroed buffer of length `len`: the pooled buffer of
+    /// least capacity that holds `len`, else the largest pooled buffer,
+    /// grown, else a new one; an empty request takes nothing. Best fit,
+    /// not the last one returned: an execute takes buffers of very
+    /// different lengths (the shared region, the read parities, each
+    /// node's buffer extension), and each gets back an allocation that
+    /// already holds it instead of growing a smaller one into fresh
+    /// pages. Every take that finds the pool non-empty removes one
+    /// buffer, so a steady state of takes and returns keeps the pool's
+    /// size.
     pub(crate) fn take_buffer(&mut self, len: usize) -> Vec<f64> {
-        match self.pool.pop() {
-            Some(mut b) => {
+        if len == 0 {
+            return Vec::new();
+        }
+        let fit = (0..self.pool.len())
+            .filter(|&i| self.pool[i].capacity() >= len)
+            .min_by_key(|&i| self.pool[i].capacity())
+            .or_else(|| (0..self.pool.len()).max_by_key(|&i| self.pool[i].capacity()));
+        match fit {
+            Some(i) => {
+                let mut b = self.pool.swap_remove(i);
                 b.clear();
                 b.resize(len, 0.0);
                 b
@@ -126,6 +143,34 @@ mod tests {
         assert_eq!(ws.pooled_buffers(), 0);
         assert!(b2.capacity() >= cap.min(80));
         assert!(b2.iter().all(|&v| v == 0.0), "checked-out buffer is zeroed");
+    }
+
+    /// Each length gets back the smallest pooled buffer that holds it,
+    /// whatever order the buffers were returned in.
+    #[test]
+    fn buffers_are_taken_best_fit() {
+        let mut ws = Workspace::new();
+        let (big, small) = (ws.take_buffer(1 << 16), ws.take_buffer(64));
+        let (big_ptr, small_ptr) = (big.as_ptr(), small.as_ptr());
+        ws.put_buffer(big);
+        ws.put_buffer(small);
+        let b = ws.take_buffer(1 << 16);
+        assert_eq!(
+            b.as_ptr(),
+            big_ptr,
+            "the large buffer, not the last returned"
+        );
+        let s = ws.take_buffer(32);
+        assert_eq!(s.as_ptr(), small_ptr);
+        assert_eq!(ws.pooled_buffers(), 0);
+        ws.put_buffer(s);
+        assert!(
+            ws.take_buffer(0).capacity() == 0,
+            "an empty take takes nothing"
+        );
+        let grown = ws.take_buffer(1 << 10);
+        assert_eq!(grown.len(), 1 << 10, "with none large enough, one grows");
+        assert_eq!(ws.pooled_buffers(), 0);
     }
 
     #[test]

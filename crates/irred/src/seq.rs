@@ -109,8 +109,10 @@ fn check_elements<K>(spec: &PhasedSpec<K>) -> Result<(), InspectError> {
 /// The shared loop behind [`seq_reduction`] and [`SeqEngine`]. Values
 /// come from the one value loop, [`vector::run_phase`], as one phase
 /// per block of iterations in original order: the whole element-major
-/// `x` is the resident region, there is no buffer and no copy loop, and
-/// each reference scatters straight to its element. Cycles come from
+/// `x` is the resident region, there is no buffer and no copy loop,
+/// each reference scatters straight to its element, and the kernel's
+/// stream is already in the block's order — each block reads its
+/// contiguous sub-slice. Cycles come from
 /// [`meter_sweep`], unless `known_sweep0` carries a previously measured
 /// sweep cost.
 ///
@@ -134,6 +136,7 @@ fn seq_reduction_inner<K: EdgeKernel>(
     let mut x = vec![0.0f64; n * r_arrays];
     let mut read = spec.kernel.init_read();
     debug_assert_eq!(read.len(), n * n_read);
+    let stream = spec.kernel.edge();
 
     let mut outs = Vec::new();
     let mut giters = Vec::with_capacity(BATCH);
@@ -147,6 +150,8 @@ fn seq_reduction_inner<K: EdgeKernel>(
             for &i in &giters {
                 elems.extend(spec.indirection[..m].iter().map(|ind| ind[i as usize]));
             }
+            let rows = lo as usize..lo as usize + giters.len();
+            let edge = stream.map_or(&[][..], |s| &s[rows]);
             // SAFETY: `x` is a local buffer of exactly `split` doubles,
             // borrowed exclusively for the call. Every scatter ref is an
             // indirection entry, and `check_elements` found every entry
@@ -166,6 +171,7 @@ fn seq_reduction_inner<K: EdgeKernel>(
                     r_arrays,
                     &giters,
                     &elems,
+                    edge,
                     &elems,
                     &[],
                 );
@@ -518,10 +524,12 @@ mod tests {
     }
 
     /// Slot `s` of iteration `i` is a table entry plus, with a read
-    /// array, the read value of the slot's reference's element, *added*
-    /// into the slot — so a slot that does not arrive zeroed shows. With
-    /// a read array, `post_sweep` adds each element's first component
-    /// into its read value, so later sweeps read earlier sweeps' sums.
+    /// array, the read value of the slot's reference's element, plus,
+    /// with a stream, the iteration's streamed value, *added* into the
+    /// slot — so a slot that does not arrive zeroed shows, and so does a
+    /// value from another iteration. With a read array, `post_sweep`
+    /// adds each element's first component into its read value, so
+    /// later sweeps read earlier sweeps' sums.
     #[derive(Debug)]
     struct TableKernel {
         m: usize,
@@ -529,6 +537,7 @@ mod tests {
         n_read: usize,
         table: Vec<f64>,
         read0: Vec<f64>,
+        stream: Option<Vec<f64>>,
     }
 
     impl EdgeKernel for TableKernel {
@@ -552,13 +561,27 @@ mod tests {
             self.n_read > 0
         }
 
-        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+        fn edge(&self) -> Option<&[f64]> {
+            self.stream.as_deref()
+        }
+
+        fn contrib_batch(
+            &self,
+            read: &[f64],
+            giters: &[u32],
+            elems: &[u32],
+            edge: &[f64],
+            out: &mut [f64],
+        ) {
             let w = self.m * self.r;
             for (j, &gi) in giters.iter().enumerate() {
                 for s in 0..w {
                     let mut v = self.table[(gi as usize * w + s) % self.table.len()];
                     if self.n_read > 0 {
                         v += read[elems[j * self.m + s / self.r] as usize];
+                    }
+                    if self.stream.is_some() {
+                        v += edge[j];
                     }
                     out[j * w + s] += v;
                 }
@@ -597,6 +620,7 @@ mod tests {
         let sweeps = *g.pick(&[1usize, 3]);
         let table = g.vec(1, 64, any_f64);
         let read0 = g.vec(n * n_read, n * n_read, any_f64);
+        let stream = g.prob(0.5).then(|| g.vec(e, e, any_f64));
         let indirection = (0..m)
             .map(|_| g.vec(e, e, |g| g.u32_in(0..n as u32)))
             .collect();
@@ -607,6 +631,7 @@ mod tests {
                 n_read,
                 table,
                 read0,
+                stream,
             }),
             num_elements: n,
             indirection: Arc::new(indirection),
@@ -646,7 +671,8 @@ mod tests {
     }
 
     /// `seq_reduction` ≡ the per-iteration reference, bit for bit: m 1–3
-    /// and r 1–5 (every arm of the value loop), 0 or 1 read arrays,
+    /// and r 1–5 (every arm of the value loop), 0 or 1 read arrays, with
+    /// and without a stream,
     /// 0, 1, `BATCH ± 1`, `BATCH` and `3·BATCH + 5` iterations, and 1 or
     /// 3 sweeps through a read-updating `post_sweep`.
     #[test]

@@ -22,7 +22,10 @@
 //! in the node's buffer extension. A native run passes the shared
 //! region of a zero-copy run; a simulator sweep splits the node's
 //! private `x` at `num_elements · num_arrays`; a sequential sweep passes
-//! its whole `x` and an empty buffer.
+//! its whole `x` and an empty buffer. A kernel's per-iteration stream
+//! arrives the same way from every caller: a row-aligned slice (the
+//! node's edge column for a phase, the stream's own block for a
+//! sequential sweep), of which each batch gets its contiguous part.
 //!
 //! ## Float order
 //!
@@ -57,7 +60,10 @@ pub(crate) const BATCH: usize = 128;
 /// is the caller's contribution buffer, kept between calls so that a
 /// phase allocates nothing: each batch resizes it to the slots it uses
 /// and zeroes only those (the `contrib_batch` contract), so a call
-/// costs its own iterations, not the buffer's capacity.
+/// costs its own iterations, not the buffer's capacity. `edge` is the
+/// phase's slice of the kernel's stream in row order (`edge[j]` is row
+/// `j`'s value) or empty when the kernel declares none; each batch
+/// hands the kernel its contiguous sub-slice.
 ///
 /// # Safety
 /// `rp` must be valid for `split` doubles, and the caller must own (for
@@ -79,13 +85,14 @@ pub(crate) unsafe fn run_phase<K: EdgeKernel>(
     r_arrays: usize,
     giters: &[u32],
     elems: &[u32],
+    edge: &[f64],
     refs: &[u32],
     copies: &[CopyOp],
 ) {
     macro_rules! arm {
         ($r:literal, $m:literal) => {
             chunk::<K, $r, $m>(
-                kernel, read, rp, split, buf, outs, r_arrays, giters, elems, refs, copies,
+                kernel, read, rp, split, buf, outs, r_arrays, giters, elems, edge, refs, copies,
             )
         };
     }
@@ -125,6 +132,7 @@ unsafe fn chunk<K: EdgeKernel, const R: usize, const M: usize>(
     r_arrays: usize,
     giters: &[u32],
     elems: &[u32],
+    edge: &[f64],
     refs: &[u32],
     copies: &[CopyOp],
 ) {
@@ -133,6 +141,7 @@ unsafe fn chunk<K: EdgeKernel, const R: usize, const M: usize>(
     let w = m * r_w;
     assert_eq!(giters.len() * m, refs.len());
     assert_eq!(elems.len(), refs.len());
+    assert!(edge.is_empty() || edge.len() == giters.len());
     let bp = buf.as_mut_ptr();
     // Branch-free select of a ref's scatter destination: the resident
     // region below `split`, the buffer extension above it. Both
@@ -155,10 +164,16 @@ unsafe fn chunk<K: EdgeKernel, const R: usize, const M: usize>(
         let len = (n - lo).min(BATCH);
         outs.clear();
         outs.resize(len * w, 0.0);
+        let e = if edge.is_empty() {
+            edge
+        } else {
+            &edge[lo..lo + len]
+        };
         kernel.contrib_batch(
             read,
             &giters[lo..lo + len],
             &elems[lo * m..(lo + len) * m],
+            e,
             outs,
         );
         // Scatter in original iteration order: j, then r, then the
@@ -204,13 +219,16 @@ mod tests {
     use harness::prop_assert_eq;
 
     /// Slot `s` of iteration `i` is a table entry plus the read value of
-    /// the slot's reference's element, *added* into the slot — so a slot
-    /// that does not arrive zeroed shows in the result.
+    /// the slot's reference's element, plus (with a stream) `s + 1`
+    /// times the iteration's streamed value, *added* into the slot — so
+    /// a slot that does not arrive zeroed, or a value from another row,
+    /// shows in the result.
     #[derive(Debug)]
     struct TableKernel {
         m: usize,
         r: usize,
         table: Vec<f64>,
+        stream: Option<Vec<f64>>,
     }
 
     impl EdgeKernel for TableKernel {
@@ -226,12 +244,27 @@ mod tests {
             1
         }
 
-        fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+        fn edge(&self) -> Option<&[f64]> {
+            self.stream.as_deref()
+        }
+
+        fn contrib_batch(
+            &self,
+            read: &[f64],
+            giters: &[u32],
+            elems: &[u32],
+            edge: &[f64],
+            out: &mut [f64],
+        ) {
             let w = self.m * self.r;
             for (j, &gi) in giters.iter().enumerate() {
                 for s in 0..w {
-                    out[j * w + s] += self.table[(gi as usize * w + s) % self.table.len()]
+                    let mut v = self.table[(gi as usize * w + s) % self.table.len()]
                         + read[elems[j * self.m + s / self.r] as usize];
+                    if self.stream.is_some() {
+                        v += (s + 1) as f64 * edge[j];
+                    }
+                    out[j * w + s] += v;
                 }
             }
         }
@@ -247,6 +280,8 @@ mod tests {
         buffer: Vec<f64>,
         giters: Vec<u32>,
         elems: Vec<u32>,
+        /// The phase's stream values in row order, or empty.
+        edge: Vec<f64>,
         refs: Vec<u32>,
         copies: Vec<CopyOp>,
     }
@@ -274,6 +309,11 @@ mod tests {
         let resident = g.vec(n_res * r, n_res * r, any_f64);
         let buffer = g.vec(n_slots * r, n_slots * r, any_f64);
         let giters = g.vec(n, n, |g| g.u32_in(0..1000));
+        let stream = g.prob(0.5).then(|| g.vec(1000, 1000, any_f64));
+        let edge = match &stream {
+            Some(s) => giters.iter().map(|&gi| s[gi as usize]).collect(),
+            None => Vec::new(),
+        };
         let elems = g.vec(n * m, n * m, |g| g.u32_in(0..n_read as u32));
         let refs = g.vec(n * m, n * m, |g| g.u32_in(0..(n_res + n_slots) as u32));
         let copies = if n_slots == 0 {
@@ -285,19 +325,26 @@ mod tests {
             })
         };
         Case {
-            kernel: TableKernel { m, r, table },
+            kernel: TableKernel {
+                m,
+                r,
+                table,
+                stream,
+            },
             read,
             resident,
             buffer,
             giters,
             elems,
+            edge,
             refs,
             copies,
         }
     }
 
     /// The plain per-iteration first loop and copy loop: one-wide
-    /// `contrib` into a zeroed group, the group scattered in `(r, a)`
+    /// `contrib` (which slices the kernel's own stream) into a zeroed
+    /// group, the group scattered in `(r, a)`
     /// order, then the copies in order. Returns the resident and buffer
     /// values.
     fn reference(c: &Case) -> (Vec<f64>, Vec<f64>) {
@@ -336,7 +383,8 @@ mod tests {
 
     /// `run_phase` ≡ the per-iteration reference, bit for bit, in every
     /// arm: const `R` 1–4 and the run-time width, const `m` 1 and 2 and
-    /// the run-time count, and phases of 0, 1, `BATCH ± 1`, `BATCH` and
+    /// the run-time count, with and without a stream column, and phases
+    /// of 0, 1, `BATCH ± 1`, `BATCH` and
     /// `3·BATCH + 5` iterations.
     #[test]
     fn run_phase_equals_reference() {
@@ -364,6 +412,7 @@ mod tests {
                         c.kernel.r,
                         &c.giters,
                         &c.elems,
+                        &c.edge,
                         &c.refs,
                         &c.copies,
                     );

@@ -149,7 +149,14 @@ impl EdgeKernel for NineRefKernel {
         9
     }
 
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         for (o, &gi) in out.chunks_exact_mut(9).zip(giters) {
             for (r, o) in o.iter_mut().enumerate() {
                 *o = self.weights[gi as usize] * (r as f64 + 0.5);

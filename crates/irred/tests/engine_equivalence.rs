@@ -51,7 +51,14 @@ impl EdgeKernel for IntArityKernel {
     fn num_arrays(&self) -> usize {
         self.r_arrays
     }
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         let width = self.m * self.r_arrays;
         for (o, &gi) in out.chunks_exact_mut(width).zip(giters) {
             let w = self.weights[gi as usize];
@@ -168,7 +175,14 @@ fn gather_agrees_bitwise_with_phased_formulation() {
         fn num_arrays(&self) -> usize {
             1
         }
-        fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+        fn contrib_batch(
+            &self,
+            _read: &[f64],
+            giters: &[u32],
+            _elems: &[u32],
+            _edge: &[f64],
+            out: &mut [f64],
+        ) {
             for (o, &gi) in out.iter_mut().zip(giters) {
                 let i = gi as usize;
                 *o = self.matrix.values[i] * self.x[self.matrix.col_idx[i] as usize];
@@ -360,7 +374,14 @@ fn prepared_read_updating_kernel_matches_fresh_runs() {
         fn updates_read_state(&self) -> bool {
             true
         }
-        fn contrib_batch(&self, read: &[f64], _giters: &[u32], elems: &[u32], out: &mut [f64]) {
+        fn contrib_batch(
+            &self,
+            read: &[f64],
+            _giters: &[u32],
+            elems: &[u32],
+            _edge: &[f64],
+            out: &mut [f64],
+        ) {
             for (o, e) in out.chunks_exact_mut(2).zip(elems.chunks_exact(2)) {
                 let d = read[e[1] as usize] - read[e[0] as usize];
                 o[0] = d;

@@ -34,7 +34,14 @@ impl EdgeKernel for ArityKernel {
     fn num_arrays(&self) -> usize {
         self.r_arrays
     }
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         let width = self.m * self.r_arrays;
         for (o, &gi) in out.chunks_exact_mut(width).zip(giters) {
             let w = self.weights[gi as usize];

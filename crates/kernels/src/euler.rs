@@ -52,10 +52,22 @@ impl EdgeKernel for EulerKernel {
         true
     }
 
-    fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
-        for (j, &gi) in giters.iter().enumerate() {
+    /// The per-edge coefficients, reused by every sweep of every
+    /// time step.
+    fn edge(&self) -> Option<&[f64]> {
+        Some(&self.coeff)
+    }
+
+    fn contrib_batch(
+        &self,
+        read: &[f64],
+        _giters: &[u32],
+        elems: &[u32],
+        edge: &[f64],
+        out: &mut [f64],
+    ) {
+        for (j, &w) in edge.iter().enumerate() {
             let (n1, n2) = (elems[j * 2] as usize, elems[j * 2 + 1] as usize);
-            let w = self.coeff[gi as usize];
             let (q1, q2) = (read[n1], read[n2]);
             let d = q1 - q2;
             let avg = 0.5 * (q1 + q2);
@@ -121,9 +133,20 @@ impl EdgeKernel for FrozenEulerKernel {
         0
     }
 
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+    fn edge(&self) -> Option<&[f64]> {
+        self.0.edge()
+    }
+
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        elems: &[u32],
+        edge: &[f64],
+        out: &mut [f64],
+    ) {
         // Euler has one read array, so `q0` already is the interleaved layout.
-        self.0.contrib_batch(&self.0.q0, giters, elems, out)
+        self.0.contrib_batch(&self.0.q0, giters, elems, edge, out)
     }
 
     fn flops_per_iter(&self) -> u64 {

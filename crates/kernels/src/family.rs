@@ -19,8 +19,10 @@ use std::sync::Arc;
 use irred::{scaled_batch, EdgeKernel, GatherSpec, PhasedSpec};
 use workloads::{FamilySpec, SparseMatrix};
 
-/// The shared loop body of the skewed families: [`scaled_batch`] over
-/// `coeffs`.
+/// The shared loop body of the skewed families: [`scaled_batch`] of
+/// `coeffs` over the weights, which the kernel declares as its stream
+/// ([`EdgeKernel::edge`]) — a phased plan holds them in each node's row
+/// order and the batch reads them at unit stride.
 #[derive(Debug)]
 pub struct FamilyKernel {
     weights: Arc<Vec<f64>>,
@@ -39,8 +41,19 @@ impl EdgeKernel for FamilyKernel {
         self.arrays
     }
 
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
-        scaled_batch(&self.weights, &self.coeffs, giters, out);
+    fn edge(&self) -> Option<&[f64]> {
+        Some(&self.weights)
+    }
+
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        _giters: &[u32],
+        _elems: &[u32],
+        edge: &[f64],
+        out: &mut [f64],
+    ) {
+        scaled_batch(edge, &self.coeffs, out);
     }
 
     fn flops_per_iter(&self) -> u64 {

@@ -76,7 +76,14 @@ impl EdgeKernel for MolDynKernel {
     // registers and vectorize across iterations (the `min_image`
     // branches depend only on data). One 3-double struct per molecule:
     // the two position loads touch two cache lines, not six.
-    fn contrib_batch(&self, read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        read: &[f64],
+        giters: &[u32],
+        elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         for j in 0..giters.len() {
             let (i, k) = (elems[j * 2] as usize * 3, elems[j * 2 + 1] as usize * 3);
             let (pi, pj) = (&read[i..i + 3], &read[k..k + 3]);
@@ -264,10 +271,11 @@ mod tests {
             .flat_map(|i| [p.spec.indirection[0][i], p.spec.indirection[1][i]])
             .collect();
         let mut batch = vec![0.0f64; n * 6];
-        kernel.contrib_batch(&read, &giters, &elems, &mut batch);
+        kernel.contrib_batch(&read, &giters, &elems, &[], &mut batch);
         for j in 0..n {
             let mut one = [0.0f64; 6];
-            kernel.contrib_batch(&read, &[j as u32], &elems[j * 2..(j + 1) * 2], &mut one);
+            let e = &elems[j * 2..(j + 1) * 2];
+            kernel.contrib_batch(&read, &[j as u32], e, &[], &mut one);
             for s in 0..6 {
                 assert_eq!(
                     one[s].to_bits(),

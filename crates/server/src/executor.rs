@@ -46,6 +46,10 @@ const COMPILE_CACHE_CAP: usize = 32;
 /// every wire shape (at most 4 refs × 3 arrays) fits.
 const STACK_COEFFS: usize = 16;
 
+/// Weights [`JobKernel`] gathers onto the stack per run of
+/// [`irred::scaled_batch`]: one batch of the chunked value loop.
+const STACK_WEIGHTS: usize = 128;
+
 /// The server's job kernel: per-iteration weighted contributions,
 /// `out[r * num_arrays + a] = (r + 1) · (a + 1) · w[iter]`. Simple
 /// enough to transport as one weight array, rich enough to exercise
@@ -53,7 +57,13 @@ const STACK_COEFFS: usize = 16;
 /// bit-comparable against a direct engine run of the same kernel.
 ///
 /// `contrib_batch` builds the `(r + 1) · (a + 1)` table once per batch
-/// of the chunked kernel and runs [`irred::scaled_batch`] over it.
+/// of the chunked kernel, gathers the batch's weights through `giters`
+/// into a stack buffer, 128 at a time, and runs [`irred::scaled_batch`]
+/// over them. It declares no [`EdgeKernel::edge`] stream: a job's kernel
+/// serves one execute (or one cache hit's), so a plan-held column
+/// would gather what the sweep reads anyway — measured slower on
+/// `serve-cold` and heavier on both serve workloads (EXPERIMENTS.md
+/// "Edge data in schedule order").
 #[derive(Debug, Clone)]
 pub struct JobKernel {
     pub num_refs: usize,
@@ -70,8 +80,18 @@ impl EdgeKernel for JobKernel {
         self.num_arrays
     }
 
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         let w = self.num_refs * self.num_arrays;
+        if w == 0 {
+            return;
+        }
         let mut stack = [0.0; STACK_COEFFS];
         let mut heap = Vec::new();
         let coeffs = if w <= STACK_COEFFS {
@@ -85,7 +105,17 @@ impl EdgeKernel for JobKernel {
                 coeffs[r * self.num_arrays + a] = (r + 1) as f64 * (a + 1) as f64;
             }
         }
-        irred::scaled_batch(&self.weights, coeffs, giters, out);
+        let mut values = [0.0; STACK_WEIGHTS];
+        for (iters, out) in giters
+            .chunks(STACK_WEIGHTS)
+            .zip(out.chunks_mut(STACK_WEIGHTS * w))
+        {
+            let values = &mut values[..iters.len()];
+            for (v, &gi) in values.iter_mut().zip(iters) {
+                *v = self.weights[gi as usize];
+            }
+            irred::scaled_batch(values, coeffs, out);
+        }
     }
 
     fn flops_per_iter(&self) -> u64 {

@@ -418,7 +418,14 @@ impl EdgeKernel for InterpKernel {
     /// order: locals become columns, and each write adds its column onto
     /// its slots, which arrive zeroed (`+=`, so a `-0.0` contribution
     /// lands as `+0.0`).
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         let w = self.num_refs * self.num_arrays;
         let mut locals = [[0.0f64; B]; MAX_LOCALS];
         let mut v = [0.0f64; B];

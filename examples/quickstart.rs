@@ -24,9 +24,22 @@ struct PairKernel {
 }
 
 impl EdgeKernel for PairKernel {
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
-        for (o, &gi) in out.chunks_exact_mut(2).zip(giters) {
-            let w = self.weights[gi as usize];
+    // The weights are per-iteration data every sweep reads: declared as
+    // the kernel's stream, each batch receives its rows' weights as
+    // `edge`, already in the schedule's order.
+    fn edge(&self) -> Option<&[f64]> {
+        Some(&self.weights)
+    }
+
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        _giters: &[u32],
+        _elems: &[u32],
+        edge: &[f64],
+        out: &mut [f64],
+    ) {
+        for (o, &w) in out.chunks_exact_mut(2).zip(edge) {
             o[0] = w; // through IA1
             o[1] = 2.0 * w; // through IA2
         }

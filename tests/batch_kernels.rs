@@ -2,19 +2,21 @@
 //! `irred::scaled_batch`, and the two kernels that run it.
 //!
 //! 1. **The body equals a scalar reference, bit for bit.** Slot `s` of
-//!    iteration `giters[j]` is `coeffs[s] * weights[giters[j]]`, one
-//!    multiplication per slot. Every case runs every width 0..=20, so each
-//!    const arm (1, 2, 4) and the run-time-width arm run,
-//!    on arbitrary f64 bit patterns (±0, subnormals, ±inf, quiet and
-//!    signalling NaNs with payloads) and on repeated, out-of-order
-//!    `giters`.
+//!    row `j` is `coeffs[s] * values[j]`, one multiplication per slot.
+//!    Every case runs every width 0..=20, so each const arm (1, 2, 4)
+//!    and the run-time-width arm run, on arbitrary f64 bit patterns (±0,
+//!    subnormals, ±inf, quiet and signalling NaNs with payloads).
 //! 2. **`JobKernel`'s batch equals the same iterations as one-wide
 //!    batches** on all 12 wire shapes (1..=4 refs × 1..=3 arrays) and a
-//!    directly built 5 × 4 shape, and equals `(r + 1) · (a + 1) · w`
-//!    evaluated left to right.
+//!    directly built 5 × 4 shape, on repeated, out-of-order `giters`
+//!    longer than its 128-weight stack gather, and equals
+//!    `(r + 1) · (a + 1) · w` evaluated left to right.
 //! 3. **`FamilyKernel`'s batch equals the same iterations as one-wide
 //!    batches** on power-law, hot-key and particle-in-cell decks, with
-//!    the generated weights replaced by arbitrary bit patterns.
+//!    the generated weights replaced by arbitrary bit patterns; the
+//!    batch reads its weights from the `edge` slice of its declared
+//!    stream, one value per row, as a plan's column hands them over,
+//!    and equals the provided one-wide `contrib`.
 //!
 //! 2 and 3 are the `contrib_batch` contract: sequential and phased
 //! sweeps cut the same iterations into different batches, and their
@@ -58,10 +60,11 @@ fn any_f64(g: &mut Gen) -> f64 {
     }
 }
 
-/// A `giters` stream over `n` weights: uniform draws, so a stream longer
-/// than `n` repeats indices and every stream is out of order.
-fn any_giters(g: &mut Gen, n: usize) -> Vec<u32> {
-    g.vec(0, 40, |g| g.u32_in(0..n as u32))
+/// A `giters` stream over `n` weights, of up to `max` entries: uniform
+/// draws, so a stream longer than `n` repeats indices and every stream
+/// is out of order.
+fn any_giters(g: &mut Gen, n: usize, max: usize) -> Vec<u32> {
+    g.vec(0, max, |g| g.u32_in(0..n as u32))
 }
 
 /// `a` and `b` are the same result of `c * x`: the same bits, except
@@ -74,9 +77,8 @@ fn same_product(c: f64, x: f64, a: f64, b: f64) -> bool {
 
 #[derive(Debug, Clone)]
 struct BodyCase {
-    weights: Vec<f64>,
+    values: Vec<f64>,
     coeffs: Vec<f64>,
-    giters: Vec<u32>,
 }
 
 #[test]
@@ -84,28 +86,22 @@ fn scaled_batch_equals_scalar_reference() {
     check(
         "scaled_batch_equals_scalar_reference",
         Config::cases(64),
-        |g: &mut Gen| {
-            let weights = g.vec(1, 12, any_f64);
-            let giters = any_giters(g, weights.len());
-            BodyCase {
-                coeffs: (0..20).map(|_| any_f64(g)).collect(),
-                weights,
-                giters,
-            }
+        |g: &mut Gen| BodyCase {
+            values: g.vec(0, 40, any_f64),
+            coeffs: (0..20).map(|_| any_f64(g)).collect(),
         },
         |c| {
             for w in 0..=20 {
                 let coeffs = &c.coeffs[..w];
                 // A sentinel, not zeros: every slot must be assigned.
-                let mut out = vec![f64::from_bits(0x7FF0_DEAD_BEEF_0001); c.giters.len() * w];
-                scaled_batch(&c.weights, coeffs, &c.giters, &mut out);
-                for (j, &gi) in c.giters.iter().enumerate() {
-                    let x = c.weights[gi as usize];
+                let mut out = vec![f64::from_bits(0x7FF0_DEAD_BEEF_0001); c.values.len() * w];
+                scaled_batch(&c.values, coeffs, &mut out);
+                for (j, &x) in c.values.iter().enumerate() {
                     for (s, &k) in coeffs.iter().enumerate() {
                         let got = out[j * w + s];
                         if !same_product(k, x, got, k * x) {
                             return Err(format!(
-                                "w = {w}, iteration {j} (giter {gi}), slot {s}: \
+                                "w = {w}, row {j}, slot {s}: \
                                  {k:e} * {x:e} gave {:#018x}, reference {:#018x}",
                                 got.to_bits(),
                                 (k * x).to_bits()
@@ -119,26 +115,41 @@ fn scaled_batch_equals_scalar_reference() {
     );
 }
 
-/// `kernel.contrib_batch` over `giters` equals one pre-zeroed one-wide
-/// batch per iteration, bit for bit. Returns the batch output.
+/// `kernel.contrib_batch` over `giters` — with the batch's slice of the
+/// kernel's stream, gathered as a plan's column holds it, when it
+/// declares one — equals one pre-zeroed one-wide batch per iteration
+/// with its one value, and the provided one-wide `contrib`, bit for
+/// bit. Returns the batch output.
 fn batch_equals_one_wide<K: EdgeKernel>(kernel: &K, giters: &[u32]) -> Result<Vec<f64>, String> {
     let m = kernel.num_refs();
     let w = m * kernel.num_arrays();
     let elems = vec![0u32; giters.len() * m];
+    let edge: Vec<f64> = kernel.edge().map_or_else(Vec::new, |s| {
+        giters.iter().map(|&gi| s[gi as usize]).collect()
+    });
     let mut batch = vec![0.0; giters.len() * w];
-    kernel.contrib_batch(&[], giters, &elems, &mut batch);
-    let mut one = vec![0.0; w];
+    kernel.contrib_batch(&[], giters, &elems, &edge, &mut batch);
+    let (mut one, mut provided) = (vec![0.0; w], vec![0.0; w]);
     for (j, &gi) in giters.iter().enumerate() {
+        let e = if edge.is_empty() {
+            &[][..]
+        } else {
+            &edge[j..=j]
+        };
         one.fill(0.0);
-        kernel.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], &mut one);
-        for (s, (&a, &b)) in batch[j * w..(j + 1) * w].iter().zip(&one).enumerate() {
-            if a.to_bits() != b.to_bits() {
+        kernel.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], e, &mut one);
+        provided.fill(0.0);
+        kernel.contrib(&[], gi as usize, &elems[j * m..(j + 1) * m], &mut provided);
+        let rows = batch[j * w..(j + 1) * w].iter().zip(&one).zip(&provided);
+        for (s, ((&a, &b), &c)) in rows.enumerate() {
+            if a.to_bits() != b.to_bits() || b.to_bits() != c.to_bits() {
                 return Err(format!(
                     "{m} refs × {} arrays, iteration {j} (giter {gi}), slot {s}: \
-                     batch {:#018x}, one-wide {:#018x}",
+                     batch {:#018x}, one-wide {:#018x}, contrib {:#018x}",
                     kernel.num_arrays(),
                     a.to_bits(),
-                    b.to_bits()
+                    b.to_bits(),
+                    c.to_bits()
                 ));
             }
         }
@@ -154,7 +165,7 @@ struct WeightCase {
 
 fn gen_weight_case(g: &mut Gen) -> WeightCase {
     let weights = g.vec(1, 24, any_f64);
-    let giters = any_giters(g, weights.len());
+    let giters = any_giters(g, weights.len(), 300);
     WeightCase { weights, giters }
 }
 
@@ -227,7 +238,7 @@ fn family_kernel_batch_equals_contrib_on_every_generator() {
             seed: g.u64_any(),
             // Every deck above has 60 iterations.
             weights: (0..60).map(|_| any_f64(g)).collect(),
-            giters: any_giters(g, 60),
+            giters: any_giters(g, 60, 40),
         },
         |c| {
             let mut deck = family_deck(c)?;

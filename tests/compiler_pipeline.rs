@@ -301,7 +301,14 @@ struct Fig1Kernel {
 }
 
 impl EdgeKernel for Fig1Kernel {
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         for (o, &gi) in out.chunks_exact_mut(2).zip(giters) {
             let f = self.w[gi as usize] * 0.5;
             o[0] = f; // X[IA1[i]] += f
@@ -732,10 +739,10 @@ impl ReductionEngine<PhasedSpec<InterpKernel>> for BatchProbe<'_> {
                 .flat_map(|&i| spec.indirection.iter().map(move |a| a[i as usize]))
                 .collect();
             let mut batch = vec![0.0; giters.len() * w];
-            k.contrib_batch(&[], giters, &elems, &mut batch);
+            k.contrib_batch(&[], giters, &elems, &[], &mut batch);
             for (j, &gi) in giters.iter().enumerate() {
                 let mut one = vec![0.0; w];
-                k.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], &mut one);
+                k.contrib_batch(&[], &[gi], &elems[j * m..(j + 1) * m], &[], &mut one);
                 for (s, (b, o)) in batch[j * w..(j + 1) * w].iter().zip(&one).enumerate() {
                     if b.to_bits() != o.to_bits() && self.mismatch.borrow().is_none() {
                         *self.mismatch.borrow_mut() = Some(format!(

@@ -75,8 +75,19 @@ impl<K: EdgeKernel> EdgeKernel for Frozen<K> {
     fn num_arrays(&self) -> usize {
         self.inner.num_arrays()
     }
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], elems: &[u32], out: &mut [f64]) {
-        self.inner.contrib_batch(&self.read, giters, elems, out)
+    fn edge(&self) -> Option<&[f64]> {
+        self.inner.edge()
+    }
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        elems: &[u32],
+        edge: &[f64],
+        out: &mut [f64],
+    ) {
+        self.inner
+            .contrib_batch(&self.read, giters, elems, edge, out)
     }
     fn flops_per_iter(&self) -> u64 {
         self.inner.flops_per_iter()
@@ -110,7 +121,14 @@ impl EdgeKernel for SpmvKernel {
     fn num_refs(&self) -> usize {
         1
     }
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         for (o, &gi) in out.iter_mut().zip(giters) {
             let i = gi as usize;
             *o = self.values[i] * self.x[self.col_idx[i] as usize];

@@ -166,7 +166,14 @@ impl EdgeKernel for WideKernel {
         4
     }
 
-    fn contrib_batch(&self, _read: &[f64], giters: &[u32], _elems: &[u32], out: &mut [f64]) {
+    fn contrib_batch(
+        &self,
+        _read: &[f64],
+        giters: &[u32],
+        _elems: &[u32],
+        _edge: &[f64],
+        out: &mut [f64],
+    ) {
         for (o, &gi) in out.chunks_exact_mut(20).zip(giters) {
             let w = self.weights[gi as usize];
             for r in 0..5 {
