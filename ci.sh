@@ -278,7 +278,7 @@ sim() {
     # default, and replays the sim under chaos fault plans (identical
     # trace CSV, RunStats and states). cross_backend runs both ring
     # programs — phased (euler, moldyn, weighted pairs) and gather (mvm)
-    # — on both backends and requires the same values, with the native
+    # — on both backends and requires the same bits, with the native
     # side also under lossless fault plans. Both run on three fixed base
     # seeds for deterministic replay, then one randomized pass to keep
     # widening coverage (its seed prints on failure for replay via
@@ -303,7 +303,11 @@ sim() {
     # (irred's `ring::tests`: typed panics, concurrent and nested
     # fan-outs, one pool of cores − 1 threads) run in release after it;
     # a pool bug shows as a hang, which the hard timeout turns into a
-    # failure.
+    # failure. The simulator pin (determinism's
+    # `simulated_runs_are_pinned`: exact cycles, op counts and trace
+    # digest on a read-updating phased, a static phased and a gather
+    # plan, and the native run's value bits) also runs in release, the
+    # build the benchmark measures, against the same constants.
     for seed in 1 2 3; do
         echo "== backend equivalence (PROP_BASE_SEED=$seed) =="
         PROP_BASE_SEED=$seed run_tests cargo test -q -p earth-model --test backend_equivalence
@@ -334,6 +338,9 @@ sim() {
 
     echo "== prepare pool (release) =="
     run_tests cargo test -q --release -p irred --lib ring::tests
+
+    echo "== simulator pin (release) =="
+    run_tests cargo test -q --release -p earth-irred --test determinism simulated_runs_are_pinned
 }
 
 case "${1:-all}" in

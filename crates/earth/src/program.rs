@@ -259,8 +259,8 @@ impl<S, C> MachineProgram<S, C> {
 /// The accounting methods ([`charge`](FiberCtx::charge),
 /// [`load`](FiberCtx::load), [`store`](FiberCtx::store),
 /// [`flops`](FiberCtx::flops)) are no-ops on the native backend and
-/// compile away; the simulator maps them to cycles through its cost
-/// model.
+/// compile away, and [`handoff`](FiberCtx::handoff) is a bare sync
+/// there; the simulator maps them to cycles through its cost model.
 pub trait FiberCtx<S> {
     /// Id of the node this fiber runs on.
     fn node_id(&self) -> usize;
@@ -279,6 +279,16 @@ pub trait FiberCtx<S> {
     /// Take one message deposited under `key` in this node's mailbox.
     /// Messages with the same key queue in arrival order.
     fn recv(&mut self, key: u64) -> Option<Value>;
+
+    /// An in-place `BLKMOV` hand-off: decrement `slot` on `node` once a
+    /// block of `bytes` would have moved there. The data stays where it
+    /// is (the receiver reads shared memory), so nothing lands in the
+    /// mailbox. The native backend issues a plain [`sync`](FiberCtx::sync);
+    /// the simulator charges the transfer like a `bytes`-sized message.
+    #[inline]
+    fn handoff(&mut self, node: usize, slot: SlotId, _bytes: u64) {
+        self.sync(node, slot);
+    }
 
     /// Charge `cycles` of pure computation to this fiber (sim only).
     #[inline]

@@ -182,10 +182,12 @@ pub(crate) enum SimOp {
         node: usize,
         slot: SlotId,
     },
+    /// A message of `bytes`; `deposit` is its mailbox payload, `None`
+    /// for an in-place hand-off.
     Data {
         node: usize,
-        key: u64,
-        value: Value,
+        bytes: u64,
+        deposit: Option<(u64, Value)>,
         slot: SlotId,
     },
 }
@@ -206,8 +208,20 @@ impl<S> FiberCtx<S> for SimCtx<S> {
     fn data_sync(&mut self, node: usize, key: u64, value: Value, slot: SlotId) {
         self.ops.push(SimOp::Data {
             node,
-            key,
-            value,
+            bytes: value.bytes(),
+            deposit: Some((key, value)),
+            slot,
+        });
+    }
+
+    /// Charged exactly like a `bytes`-sized `data_sync`: link occupancy,
+    /// latency, counters, events and fault fate — only the deposit is
+    /// missing.
+    fn handoff(&mut self, node: usize, slot: SlotId, bytes: u64) {
+        self.ops.push(SimOp::Data {
+            node,
+            bytes,
+            deposit: None,
             slot,
         });
     }
@@ -314,8 +328,8 @@ enum Ev {
     DataArrive {
         node: usize,
         from: usize,
-        key: u64,
-        value: Value,
+        bytes: u64,
+        deposit: Option<(u64, Value)>,
         slot: SlotId,
         op: Option<u64>,
     },
@@ -567,12 +581,11 @@ impl<S> Machine<S> {
                 }
                 SimOp::Data {
                     node: dst,
-                    key,
-                    value,
+                    bytes,
+                    deposit,
                     slot,
                 } => {
                     self.ops.messages += 1;
-                    let bytes = value.bytes();
                     self.ops.bytes += bytes;
                     self.record(
                         end,
@@ -618,8 +631,8 @@ impl<S> Machine<S> {
                             Ev::DataArrive {
                                 node: dst,
                                 from: node,
-                                key,
-                                value: value.clone(),
+                                bytes,
+                                deposit: deposit.clone(),
                                 slot,
                                 op,
                             },
@@ -642,8 +655,8 @@ impl<S> Machine<S> {
             Ev::DataArrive {
                 node,
                 from,
-                key,
-                value,
+                bytes,
+                deposit,
                 slot,
                 op,
             } => {
@@ -655,14 +668,16 @@ impl<S> Machine<S> {
                     node,
                     TraceKind::MsgRecv {
                         from_node: from as u32,
-                        bytes: value.bytes(),
+                        bytes,
                     },
                 );
-                self.nodes[node]
-                    .mailbox
-                    .entry(key)
-                    .or_default()
-                    .push_back(value);
+                if let Some((key, value)) = deposit {
+                    self.nodes[node]
+                        .mailbox
+                        .entry(key)
+                        .or_default()
+                        .push_back(value);
+                }
                 self.dec(node, slot, t);
             }
             Ev::EuIdle { node } => {
@@ -807,6 +822,40 @@ mod tests {
             c.fiber_switch_cycles + 8000 + c.net_latency_cycles + c.su_op_cycles
         );
         assert_eq!(r.stats.ops.bytes, 8000);
+    }
+
+    #[test]
+    fn handoff_is_charged_like_a_message_of_its_size() {
+        // The same 8000-byte transfer as a payload and as an in-place
+        // hand-off: identical arrival time and counters, no deposit.
+        let run = |handoff: bool| {
+            let mut prog: Prog<(u64, bool)> = MachineProgram::new();
+            prog.add_node((0, false));
+            prog.add_node((0, false));
+            prog.node_mut(0).add_fiber(FiberSpec::ready(
+                "send",
+                move |_s, cx: &mut SimCtx<(u64, bool)>| {
+                    if handoff {
+                        cx.handoff(1, 0, 8000);
+                    } else {
+                        cx.data_sync(1, 5, Value::from(vec![0.0f64; 1000]), 0);
+                    }
+                },
+            ));
+            prog.node_mut(1).add_fiber(FiberSpec::new(
+                "recv",
+                1,
+                |s: &mut (u64, bool), cx: &mut SimCtx<(u64, bool)>| {
+                    *s = (cx.now(), cx.recv(5).is_some());
+                },
+            ));
+            run_sim(prog, cfg())
+        };
+        let (moved, handed) = (run(false), run(true));
+        assert_eq!(handed.states[1].0, moved.states[1].0);
+        assert_eq!((moved.states[1].1, handed.states[1].1), (true, false));
+        assert_eq!(handed.stats.ops, moved.stats.ops);
+        assert_eq!(handed.stats.ops.bytes, 8000);
     }
 
     #[test]

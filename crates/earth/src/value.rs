@@ -11,14 +11,8 @@ pub enum Value {
     Scalar(f64),
     /// A single integer word.
     Int(i64),
-    /// A block of doubles (`BLKMOV`) — e.g. a rotating reduction portion.
+    /// A block of doubles (`BLKMOV`).
     F64s(Box<[f64]>),
-    /// A block of doubles shared between several in-flight messages
-    /// (e.g. one broadcast segment fanned out to `P − 1` destinations):
-    /// cloning the `Value` clones the `Arc`, not the data. The network
-    /// still charges the full payload size per message — sharing is a
-    /// sender-side memory optimization, not a modeled hardware feature.
-    F64sShared(std::sync::Arc<[f64]>),
 }
 
 impl Value {
@@ -27,7 +21,6 @@ impl Value {
         match self {
             Value::Scalar(_) | Value::Int(_) => 8,
             Value::F64s(v) => 8 * v.len() as u64,
-            Value::F64sShared(v) => 8 * v.len() as u64,
         }
     }
 
@@ -35,18 +28,6 @@ impl Value {
     pub fn expect_f64s(&self) -> &[f64] {
         match self {
             Value::F64s(v) => v,
-            Value::F64sShared(v) => v,
-            other => panic!("expected F64s payload, got {other:?}"),
-        }
-    }
-
-    /// Consume into a boxed slice of doubles; panics when the variant
-    /// differs. A shared payload is copied out (the rare path — hot
-    /// consumers borrow via [`Self::expect_f64s`] instead).
-    pub fn into_f64s(self) -> Box<[f64]> {
-        match self {
-            Value::F64s(v) => v,
-            Value::F64sShared(v) => v.to_vec().into_boxed_slice(),
             other => panic!("expected F64s payload, got {other:?}"),
         }
     }
@@ -107,25 +88,12 @@ mod tests {
         assert_eq!(Value::Int(-3).expect_int(), -3);
         let v = Value::from(vec![1.0, 2.0]);
         assert_eq!(v.expect_f64s(), &[1.0, 2.0]);
-        assert_eq!(&*v.into_f64s(), &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "expected F64s")]
     fn wrong_variant_panics() {
         Value::Int(0).expect_f64s();
-    }
-
-    #[test]
-    fn shared_blocks_behave_like_owned() {
-        let seg: std::sync::Arc<[f64]> = vec![1.0, 2.0, 3.0].into();
-        let v = Value::F64sShared(std::sync::Arc::clone(&seg));
-        assert_eq!(v.bytes(), 24);
-        assert_eq!(v.expect_f64s(), &[1.0, 2.0, 3.0]);
-        // Cloning the value shares the block instead of copying it.
-        let c = v.clone();
-        assert_eq!(std::sync::Arc::strong_count(&seg), 3);
-        assert_eq!(&*c.into_f64s(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl<K: EdgeKernel> IeNode<K> {
                 None => {
                     let before = ctx.charged();
                     let mut meter = earth_model::program::CtxMeter::<Self, C>::new(ctx);
-                    s.exec_metered(&mut meter);
+                    s.exec(&mut meter);
                     s.sweep_cost = Some(ctx.charged() - before);
                 }
             }
@@ -175,66 +175,32 @@ impl<K: EdgeKernel> IeNode<K> {
         }
     }
 
-    fn exec(&mut self, meter: &mut NullMeter) {
-        let p = &self.plan;
-        ie_loop(
-            &*self.kernel,
-            &mut self.x,
-            &p.giters,
-            &p.local_refs,
-            &p.elems,
-            &mut self.out,
-            &p.regs,
-            meter,
-        );
-    }
-
-    fn exec_metered<M: Meter>(&mut self, meter: &mut M) {
-        let p = &self.plan;
-        ie_loop(
-            &*self.kernel,
-            &mut self.x,
-            &p.giters,
-            &p.local_refs,
-            &p.elems,
-            &mut self.out,
-            &p.regs,
-            meter,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ie_loop<K: EdgeKernel, M: Meter>(
-    kernel: &K,
-    x: &mut [Vec<f64>],
-    giters: &[u32],
-    local_refs: &[u32],
-    elems: &[u32],
-    out: &mut [f64],
-    regs: &IeRegions,
-    meter: &mut M,
-) {
-    let m = kernel.num_refs();
-    let r_arrays = x.len();
-    let read: &[f64] = &[];
-    let edge_reads = kernel.edge_reads_per_iter();
-    let flops = kernel.flops_per_iter();
-    for (j, &gi) in giters.iter().enumerate() {
-        meter.load(regs.ind.addr(j));
-        for _ in 0..edge_reads {
-            meter.load(regs.edge.addr(j));
-        }
-        out.fill(0.0);
-        kernel.contrib(read, gi as usize, &elems[j * m..(j + 1) * m], out);
-        meter.flops(flops);
-        for r in 0..m {
-            let tgt = local_refs[j * m + r] as usize;
-            for (a, xa) in x.iter_mut().enumerate() {
-                xa[tgt] += out[r * r_arrays + a];
-                meter.load(regs.x.addr(tgt * r_arrays + a));
-                meter.store(regs.x.addr(tgt * r_arrays + a));
-                meter.flops(1);
+    /// The per-iteration compute loop, metered (measuring sweeps) or
+    /// not ([`NullMeter`]).
+    fn exec<M: Meter>(&mut self, meter: &mut M) {
+        let (kernel, p, x, out) = (&*self.kernel, &self.plan, &mut self.x, &mut self.out);
+        let (giters, local_refs, elems, regs) = (&p.giters, &p.local_refs, &p.elems, &p.regs);
+        let m = kernel.num_refs();
+        let r_arrays = x.len();
+        let read: &[f64] = &[];
+        let edge_reads = kernel.edge_reads_per_iter();
+        let flops = kernel.flops_per_iter();
+        for (j, &gi) in giters.iter().enumerate() {
+            meter.load(regs.ind.addr(j));
+            for _ in 0..edge_reads {
+                meter.load(regs.edge.addr(j));
+            }
+            out.fill(0.0);
+            kernel.contrib(read, gi as usize, &elems[j * m..(j + 1) * m], out);
+            meter.flops(flops);
+            for r in 0..m {
+                let tgt = local_refs[j * m + r] as usize;
+                for (a, xa) in x.iter_mut().enumerate() {
+                    xa[tgt] += out[r * r_arrays + a];
+                    meter.load(regs.x.addr(tgt * r_arrays + a));
+                    meter.store(regs.x.addr(tgt * r_arrays + a));
+                    meter.flops(1);
+                }
             }
         }
     }

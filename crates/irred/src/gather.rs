@@ -14,11 +14,13 @@
 //! schedule has no buffer and no second loop.
 //!
 //! Because only the array that rotates differs, this module supplies
-//! just the gather program's hooks — zero `y` at sweep start, receive
-//! the resident `x` portion, the gather-accumulate loop, forward `x`
-//! (immutable, so data flows every hop) — and runs through the same
-//! ring driver as [`crate::phased`]: one template, one execute path,
-//! one recovery ladder (falling back to a plain sequential SpMV).
+//! just the gather program's hooks — zero `y` at sweep start, the
+//! gather-accumulate loop, hand the `x` portion on (immutable, so every
+//! hop is charged as a block move of `range.len()·8` bytes) — and runs
+//! through the same ring driver as [`crate::phased`]: one template, one
+//! execute path, one recovery ladder (falling back to a plain
+//! sequential SpMV). Every node reads the one shared, immutable `x`; the
+//! rotation orders the reads, it never copies the doubles.
 //!
 //! The phase bucketing depends only on the matrix structure, so a
 //! [`PreparedGather`] is reused across input vectors: a CG iteration
@@ -37,9 +39,7 @@ use crate::engine::{
     validate_gather_spec, validate_gather_x, EngineError, ReductionEngine, RunOutcome,
 };
 use crate::prepared::Workspace;
-use crate::ring::{
-    fan_out, recv_portion, Assembled, NodeOf, Phase, PreparedRing, RingEngine, RingProgram,
-};
+use crate::ring::{fan_out, Assembled, NodeOf, Phase, PreparedRing, RingEngine, RingProgram};
 use crate::strategy::StrategyConfig;
 
 /// Problem description for the gather-rotation executor.
@@ -148,8 +148,8 @@ impl GatherNodePlan {
 /// execute's mutable buffers.
 pub struct GatherNode {
     data: Arc<GatherNodePlan>,
-    /// Local copy of x (portions become valid as they arrive).
-    x: Vec<f64>,
+    /// The execute's input vector, shared by every node.
+    x: Arc<Vec<f64>>,
     /// Local y block, indexed like `data.rows`.
     y: Vec<f64>,
 }
@@ -160,7 +160,7 @@ pub struct GatherNode {
 pub struct GatherProgram {
     matrix: Arc<SparseMatrix>,
     /// The vector the next execute multiplies by.
-    x_current: Vec<f64>,
+    x_current: Arc<Vec<f64>>,
     node_data: Vec<Arc<GatherNodePlan>>,
 }
 
@@ -168,19 +168,14 @@ impl RingProgram for GatherProgram {
     type Node = GatherNode;
     const ENGINE: &'static str = "gather";
     const FIBER: &'static str = "mvm-phase";
-    const TAG: u32 = 3;
 
-    fn make_nodes(&self, ws: &mut Workspace, _sim: bool) -> Vec<GatherNode> {
+    fn make_nodes(&self, ws: &mut Workspace) -> Vec<GatherNode> {
         self.node_data
             .iter()
-            .map(|data| {
-                let mut x = ws.take_buffer(self.matrix.ncols);
-                x.copy_from_slice(&self.x_current);
-                GatherNode {
-                    data: Arc::clone(data),
-                    x,
-                    y: ws.take_buffer(data.rows.len()),
-                }
+            .map(|data| GatherNode {
+                data: Arc::clone(data),
+                x: Arc::clone(&self.x_current),
+                y: ws.take_buffer(data.rows.len()),
             })
             .collect()
     }
@@ -191,7 +186,6 @@ impl RingProgram for GatherProgram {
             for (lr, &r) in node.data.rows.iter().enumerate() {
                 y[r as usize] = node.y[lr];
             }
-            ws.put_buffer(node.x);
             ws.put_buffer(node.y);
         }
         (vec![y], Vec::new())
@@ -211,8 +205,8 @@ impl RingProgram for GatherProgram {
         &node.data.sched
     }
 
-    /// Zero `y` at each sweep start, then take the resident `x` portion
-    /// (except the initially held ones).
+    /// Zero `y` at each sweep start. The resident `x` portion is
+    /// already in the shared vector.
     fn arrive<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
         let s = &mut n.state;
         if ph.p == 0 {
@@ -220,9 +214,6 @@ impl RingProgram for GatherProgram {
             if ctx.is_sim() && !s.y.is_empty() {
                 ctx.charge(n.stream.stream(s.y.len() as u64, 8));
             }
-        }
-        if !(ph.range.is_empty() || (ph.t == 0 && ph.first_visit())) {
-            recv_portion::<Self, C>(ctx, ph, &mut s.x[ph.range.clone()], &mut n.pool);
         }
     }
 
@@ -235,8 +226,9 @@ impl RingProgram for GatherProgram {
         node.data.gather_phase(ph.p, &node.x, &mut node.y, meter);
     }
 
-    fn forwarded<'a>(node: &'a GatherNode, ph: &Phase) -> Option<&'a [f64]> {
-        (!ph.range.is_empty()).then(|| &node.x[ph.range.clone()])
+    /// `x` is immutable, so every non-empty hop is a block move.
+    fn forwarded(_node: &GatherNode, ph: &Phase) -> Option<u64> {
+        (!ph.range.is_empty()).then(|| ph.range.len() as u64 * 8)
     }
 }
 
@@ -261,7 +253,9 @@ impl PreparedGather {
     /// valid.
     pub fn set_x(&mut self, x: &[f64]) -> Result<(), EngineError> {
         validate_gather_x(&self.prog.matrix, x.len())?;
-        self.prog.x_current.copy_from_slice(x);
+        // No node outlives an execute, so this writes in place unless the
+        // caller still holds the spec's vector.
+        Arc::make_mut(&mut self.prog.x_current).copy_from_slice(x);
         Ok(())
     }
 
@@ -298,7 +292,7 @@ impl ReductionEngine<GatherSpec> for GatherEngine {
         .collect::<Result<Vec<_>, _>>()?;
         let prog = GatherProgram {
             matrix: Arc::clone(&spec.matrix),
-            x_current: spec.x.as_ref().clone(),
+            x_current: Arc::clone(&spec.x),
             node_data,
         };
         Ok(PreparedRing::new(

@@ -1,11 +1,11 @@
 //! The phased program's node: its state, the hooks the ring driver
 //! calls in every phase fiber, and the measuring sweep's address walk.
 //!
-//! Under the simulator every node keeps private reduction and read
-//! arrays and the ring moves real payloads. Native runs share one
-//! region allocation for the reduction arrays ([`SharedX`]) and a
-//! sweep-parity pair for the read arrays ([`SharedRead`]), so the
-//! rotation moves ownership, not doubles. All of the phased program's
+//! Every run, simulated or native, shares one region allocation for
+//! the reduction arrays ([`SharedX`]) and a sweep-parity pair for the
+//! read arrays ([`SharedRead`]), so the rotation moves ownership, not
+//! doubles; the simulator charges each hand-off as the block move it
+//! stands for ([`FiberCtx::handoff`]). All of the phased program's
 //! `unsafe` code lives in this file.
 
 use std::borrow::Cow;
@@ -14,7 +14,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use earth_model::sim::SimConfig;
-use earth_model::{mailbox_key, FiberCtx, Meter, Value};
+use earth_model::{FiberCtx, Meter};
 use lightinspector::{FlatPlan, PhaseGeometry};
 
 use super::plan::NodePlanData;
@@ -22,12 +22,9 @@ use super::PhasedSpec;
 use crate::engine::RunOutcome;
 use crate::kernel::EdgeKernel;
 use crate::prepared::Workspace;
-use crate::ring::{recv_portion, slot_of, Assembled, NodeOf, Phase, RingProgram};
+use crate::ring::{slot_of, Assembled, NodeOf, Phase, RingProgram};
 use crate::seq::seq_reduction;
 use crate::vector;
-
-/// Mailbox tag of the post-sweep read broadcasts (portions use 1).
-const TAG_BCAST: u32 = 2;
 
 /// The phased program as the ring driver runs it: the prepared plan's
 /// per-node schedules and everything derived from the spec. The public
@@ -112,43 +109,30 @@ pub enum Phased {}
 /// struct of `num_arrays` / `num_read_arrays` doubles per element) —
 /// the layout the cache model has always charged for. A kernel
 /// iteration touches one cache line per referenced element instead of
-/// one per component, and every portion / broadcast segment is a single
-/// contiguous slice, so message assembly is one `memcpy`.
+/// one per component, and every portion / read segment is a single
+/// contiguous slice.
 pub struct PhasedNode<K> {
     kernel: Arc<K>,
     data: Arc<NodePlanData>,
     /// The node's stream column, row-aligned with `data` (empty without
     /// a stream).
     edge: Arc<Vec<f64>>,
-    /// Reduction arrays with buffer extension, interleaved:
-    /// `(num_elements + buffer_len) * num_arrays` doubles. When
-    /// `region` is set (native runs) this holds *only* the buffer
-    /// extension — the element range lives in the shared region.
+    /// The node's private buffer extension of the reduction arrays,
+    /// interleaved: `buffer_len * num_arrays` doubles.
     x: Vec<f64>,
-    /// Zero-copy portion handoff (native runs): the element range of the
-    /// reduction arrays, shared with every other node. See [`SharedX`]
-    /// for the exclusivity and ordering argument. `None` on the
-    /// simulator, which models the message payloads.
-    region: Option<Arc<SharedX>>,
-    /// Zero-copy read refresh (native runs): the sweep-parity shared
-    /// read buffers — see [`SharedRead`]. `None` on the simulator, which
-    /// replicates `read` per node and ships broadcast payloads.
-    shared_read: Option<Arc<SharedRead>>,
-    /// Replicated read arrays, interleaved: `num_elements *
-    /// num_read_arrays` doubles (empty when `shared_read` is set).
-    read: Vec<f64>,
+    /// The element range of the reduction arrays, shared with every
+    /// other node. See [`SharedX`] for the exclusivity and ordering
+    /// argument.
+    region: Arc<SharedX>,
+    /// The sweep-parity read buffers, shared with every other node —
+    /// see [`SharedRead`].
+    shared_read: Arc<SharedRead>,
     /// Reduction-group width / read-group width (cached off the kernel).
     r_arrays: usize,
     n_read: usize,
     /// Modeled per-iteration / per-copy overhead of the generated phased
     /// loop code (0 on the native backend).
     overheads: (u64, u64),
-    /// Own post-sweep read updates, staged until the next sweep starts so
-    /// that all of a sweep's iterations see sweep-start read values (the
-    /// sequential semantics): `(element range, interleaved segment)`. The
-    /// segment is the same shared buffer the broadcast sends, so staging
-    /// costs a refcount, not a copy.
-    staged: Vec<(Range<usize>, Arc<[f64]>)>,
     /// Final portions collected during the last sweep.
     results: Vec<FinalPortion>,
     /// The chunked kernel's contribution buffer, reused by every phase
@@ -160,9 +144,10 @@ pub struct PhasedNode<K> {
 /// interleaved x segment, interleaved read segment)`.
 type FinalPortion = (Range<usize>, Vec<f64>, Vec<f64>);
 
-/// The reduction arrays of a native run, shared by every
-/// node: the ring rotation transfers portion *ownership* as a bare
-/// sync and the portion's doubles never travel. Sound because the
+/// The reduction arrays of a run, shared by every node: the ring
+/// rotation transfers portion *ownership* as a hand-off (a bare sync
+/// natively, a charged block move on the simulator) and the portion's
+/// doubles never travel. Sound because the
 /// phased plan gives each phase exclusive write access to exactly one
 /// portion range (scatters land in the owned portion or the node's
 /// private buffer extension; copy-folds target the owned portion), and
@@ -170,7 +155,9 @@ type FinalPortion = (Range<usize>, Vec<f64>, Vec<f64>);
 /// sync-counter RMW (AcqRel) → Ready push (Release) → lane pop
 /// (Acquire) — carries a happens-before edge from the previous owner's
 /// writes to the next owner's reads (see the ordering argument at
-/// `drain_lanes` in the native backend).
+/// `drain_lanes` in the native backend). The simulator runs one fiber
+/// at a time and fires a fiber only after its syncs land, so the same
+/// order holds there.
 struct SharedX {
     data: UnsafeCell<Vec<f64>>,
     len: usize,
@@ -212,11 +199,11 @@ impl SharedX {
     }
 }
 
-/// The replicated read arrays of a zero-copy native run, shared by
-/// every node as a sweep-parity ping-pong pair: during sweep `t` all
+/// The replicated read arrays of a run, shared by every node as a
+/// sweep-parity ping-pong pair: during sweep `t` all
 /// nodes read `bufs[t & 1]`; the final owner of each portion writes
 /// that portion's segment of `bufs[(t + 1) & 1]` from its post-sweep
-/// update, and the broadcast degenerates to bare syncs.
+/// update, and the broadcast is a hand-off that moves no data.
 ///
 /// Soundness of the parity reuse: the first write into parity
 /// `(t + 1) & 1` happens at some node's phase `(t, kp-k)` — enabling
@@ -296,7 +283,6 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
     type Node = PhasedNode<K>;
     const ENGINE: &'static str = "phased";
     const FIBER: &'static str = "phase";
-    const TAG: u32 = 1;
 
     /// Read-updating kernels: the first phase of every later sweep waits
     /// for the `k·P − k` broadcast segments of the other nodes' final
@@ -309,45 +295,26 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
         }
     }
 
-    fn make_nodes(&self, ws: &mut Workspace, sim: bool) -> Vec<PhasedNode<K>> {
+    fn make_nodes(&self, ws: &mut Workspace) -> Vec<PhasedNode<K>> {
         let r_arrays = self.kernel.num_arrays();
-        let n_read = self.kernel.num_read_arrays();
-        let n = self.num_elements;
-        // Native runs share one region allocation: the ring rotation
-        // moves portion *ownership* (a bare sync), never the doubles.
-        // The simulator keeps private arrays and real payloads so the
-        // modeled message costs stay byte-identical.
         // Both shared allocations come from the workspace, like the
         // nodes' own arrays, so a steady-state execute writes into
         // pages it already owns.
-        let region = (!sim).then(|| Arc::new(SharedX::new(ws.take_buffer(n * r_arrays))));
-        let shared_read = region.is_some().then(|| {
-            let updates = self.kernel.updates_read_state();
-            Arc::new(SharedRead::new(&self.read_init, updates, ws))
-        });
+        let region = Arc::new(SharedX::new(ws.take_buffer(self.num_elements * r_arrays)));
+        let updates = self.kernel.updates_read_state();
+        let shared_read = Arc::new(SharedRead::new(&self.read_init, updates, ws));
         let mut nodes = Vec::with_capacity(self.node_data.len());
         for (data, edge) in self.node_data.iter().zip(&self.edge) {
-            // Native runs hold only the private buffer extension: the
-            // element range lives in the shared region.
-            let resident = if sim { n } else { 0 };
-            let x = ws.take_buffer((resident + data.buffer_len) * r_arrays);
-            let mut read = Vec::new();
-            if sim {
-                read = ws.take_buffer(n * n_read);
-                read.copy_from_slice(&self.read_init);
-            }
             nodes.push(PhasedNode {
                 kernel: Arc::clone(&self.kernel),
                 data: Arc::clone(data),
                 edge: Arc::clone(edge),
-                x,
-                region: region.clone(),
-                shared_read: shared_read.clone(),
-                read,
+                x: ws.take_buffer(data.buffer_len * r_arrays),
+                region: Arc::clone(&region),
+                shared_read: Arc::clone(&shared_read),
                 r_arrays,
-                n_read,
+                n_read: self.kernel.num_read_arrays(),
                 overheads: self.overheads,
-                staged: Vec::new(),
                 results: Vec::new(),
                 batch: Vec::new(),
             });
@@ -365,7 +332,7 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
         let mut read = vec![vec![0.0f64; n]; r_read];
         let mut shared = None;
         for node in nodes {
-            shared = shared.or(node.region.zip(node.shared_read));
+            shared = Some((node.region, node.shared_read));
             for (range, xs, rs) in node.results {
                 for (i, v) in range.enumerate() {
                     for (a, xa) in x.iter_mut().enumerate() {
@@ -377,7 +344,6 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
                 }
             }
             ws.put_buffer(node.x);
-            ws.put_buffer(node.read);
         }
         // Every node is gone, so the run's shared buffers have one owner
         // left each and go back to the pool.
@@ -419,60 +385,19 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
     }
 
     /// Zero the portion at its first visit of a sweep (the reduction
-    /// identity; the transfer that enabled the fiber was a bare sync),
-    /// otherwise take its payload; at a later sweep's start, also apply
-    /// the read segments the previous sweep's final owners broadcast.
+    /// identity; the transfer that enabled the fiber was a bare sync).
+    /// Later visits find the portion where the previous owner left it,
+    /// and a later sweep's read refresh is already in the parity this
+    /// sweep reads: the syncs that enabled this fiber order both.
     fn arrive<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
         let s = &mut n.state;
         let range = &ph.range;
-        let xr = range.start * s.r_arrays..range.end * s.r_arrays;
         if ph.first_visit() {
-            match &s.region {
-                // SAFETY: this fiber owns `portion` for the phase.
-                Some(reg) => unsafe { reg.slice_mut(xr) }.fill(0.0),
-                None => s.x[xr].fill(0.0),
-            }
+            let xr = range.start * s.r_arrays..range.end * s.r_arrays;
+            // SAFETY: this fiber owns `portion` for the phase.
+            unsafe { s.region.slice_mut(xr) }.fill(0.0);
             if ctx.is_sim() && !range.is_empty() {
                 ctx.charge(n.stream.stream((range.len() * s.r_arrays) as u64, 8));
-            }
-        } else if !range.is_empty() && s.region.is_none() {
-            // The interleaved wire format makes this one contiguous copy.
-            recv_portion::<Self, C>(ctx, ph, &mut s.x[xr], &mut n.pool);
-        }
-
-        // Read-array refresh at sweep start. Under shared read buffers
-        // (native zero-copy path) there is nothing to copy: the
-        // broadcast syncs that enabled this fiber already order the
-        // other-parity writes, and this sweep's loops read that parity
-        // directly.
-        if ph.p == 0 && ph.t > 0 && s.kernel.updates_read_state() && s.shared_read.is_none() {
-            let g = n.geometry;
-            let n_read = s.n_read;
-            // Own staged updates from the previous sweep's post-sweep.
-            for (r, seg) in std::mem::take(&mut s.staged) {
-                s.read[r.start * n_read..r.end * n_read].copy_from_slice(&seg);
-            }
-            // Remote segments from the other nodes' final owners.
-            for pi in 0..ph.kp {
-                let owner = g
-                    .owner_at(pi, g.last_visit_phase(pi))
-                    .expect("last visit owner");
-                if owner == n.proc {
-                    continue; // applied from the staging buffer above
-                }
-                let key = mailbox_key(TAG_BCAST, ((ph.t - 1) * ph.kp + pi) as u32);
-                let seg_range = g.portion_range(pi);
-                if seg_range.is_empty() {
-                    // Empty segments still arrive (zero-length) to keep the
-                    // sync count uniform.
-                    let _ = ctx.recv(key);
-                    continue;
-                }
-                let payload = ctx.recv(key).expect("broadcast segment must have arrived");
-                let vals = payload.expect_f64s();
-                debug_assert_eq!(vals.len(), seg_range.len() * n_read);
-                // SU-deposited, like portion payloads: no EU copy charge.
-                s.read[seg_range.start * n_read..seg_range.end * n_read].copy_from_slice(vals);
             }
         }
     }
@@ -500,61 +425,60 @@ impl<K: EdgeKernel> RingProgram for PhasedProgram<K> {
             );
         }
         if ph.last_visit() {
-            if s.shared_read.is_some() {
-                Self::post_sweep_shared(n, ph, ctx);
-            } else {
-                Self::post_sweep_staged(n, ph, ctx);
-            }
+            Self::post_sweep(n, ph, ctx);
         }
     }
 
     /// A bare sync suffices when the next visit starts a new sweep (the
-    /// receiver zeroes), the portion is empty, or the run shares one
-    /// region allocation (zero-copy handoff: ownership rotates, the
-    /// doubles never travel — the sync chain carries the happens-before
-    /// edge, see [`SharedX`]).
-    fn forwarded<'a>(s: &'a PhasedNode<K>, ph: &Phase) -> Option<&'a [f64]> {
-        if ph.last_visit() || ph.range.is_empty() || s.region.is_some() {
+    /// receiver zeroes) or the portion is empty; otherwise the hand-off
+    /// declares the portion's bytes. Ownership rotates, the doubles
+    /// never travel — the sync chain carries the happens-before edge,
+    /// see [`SharedX`].
+    fn forwarded(s: &PhasedNode<K>, ph: &Phase) -> Option<u64> {
+        if ph.last_visit() || ph.range.is_empty() {
             None
         } else {
-            Some(&s.x[ph.range.start * s.r_arrays..ph.range.end * s.r_arrays])
+            Some((ph.range.len() * s.r_arrays * 8) as u64)
         }
     }
 }
 
 impl<K: EdgeKernel> PhasedProgram<K> {
-    /// Post-sweep on the zero-copy path: the update writes the portion's
-    /// segment of the *other* parity buffer directly (this sweep's loops
-    /// keep reading the current parity, preserving the sequential
-    /// sweep-start semantics), and the broadcast degenerates to bare syncs.
-    fn post_sweep_shared<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
+    /// The post-sweep at a portion's last visit: the update writes the
+    /// portion's segment of the *other* parity buffer (this sweep's
+    /// loops keep reading the current parity, preserving the sequential
+    /// sweep-start semantics), and the broadcast of the refreshed
+    /// segment to every other node is a hand-off of its bytes.
+    fn post_sweep<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
         let (t, range) = (ph.t, ph.range.clone());
         let s = &mut n.state;
         let xr = range.start * s.r_arrays..range.end * s.r_arrays;
         let rr = range.start * s.n_read..range.end * s.n_read;
-        let sr = s.shared_read.clone().expect("zero-copy path");
-        let reg = s
-            .region
-            .as_ref()
-            .expect("shared read implies shared region");
+        let (reg, sr) = (&s.region, &s.shared_read);
         let updates = s.kernel.updates_read_state();
-        if updates && !range.is_empty() {
-            // SAFETY: this fiber is the portion's unique final-visit
-            // owner for sweep `t` (see [`SharedRead`] / [`SharedX`]).
-            unsafe {
-                let cur = sr.read_for(t, true);
-                let next = sr.write_for(t);
-                next[rr.clone()].copy_from_slice(&cur[rr.clone()]);
-                let xs = reg.slice_mut(xr.clone());
-                let changed = s.kernel.post_sweep(next, range.clone(), xs);
-                debug_assert_eq!(changed, updates);
+        if !range.is_empty() {
+            if updates {
+                // SAFETY: this fiber is the portion's unique final-visit
+                // owner for sweep `t` (see [`SharedRead`] / [`SharedX`]).
+                unsafe {
+                    let cur = sr.read_for(t, true);
+                    let next = sr.write_for(t);
+                    next[rr.clone()].copy_from_slice(&cur[rr.clone()]);
+                    let xs = reg.slice_mut(xr.clone());
+                    let changed = s.kernel.post_sweep(next, range.clone(), xs);
+                    debug_assert!(changed);
+                }
+            }
+            if ctx.is_sim() {
+                ctx.flops(range.len() as u64 * s.kernel.post_flops_per_elem());
             }
         }
         if updates && t + 1 < n.sweeps {
             let dst_slot = slot_of(t + 1, 0, ph.kp);
+            let bytes = (rr.len() * 8) as u64;
             for d in 0..n.geometry.num_procs() {
                 if d != n.proc {
-                    ctx.sync(d, dst_slot);
+                    ctx.handoff(d, dst_slot, bytes);
                 }
             }
         }
@@ -568,64 +492,6 @@ impl<K: EdgeKernel> PhasedProgram<K> {
                 unsafe { &sr.write_for(t)[rr] }.to_vec()
             } else {
                 unsafe { &sr.read_for(t, false)[rr] }.to_vec()
-            };
-            s.results.push((range, xs, rs));
-        }
-    }
-
-    /// Post-sweep on private arrays: run the kernel's node-level update,
-    /// but *stage* its writes to the read arrays — the rest of this sweep
-    /// (later phases on this node) must keep seeing sweep-start read
-    /// values, exactly as a sequential time step would — and broadcast the
-    /// refreshed segment for the next sweep.
-    fn post_sweep_staged<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C) {
-        let (t, range) = (ph.t, ph.range.clone());
-        let s = &mut n.state;
-        let xr = range.start * s.r_arrays..range.end * s.r_arrays;
-        let rr = range.start * s.n_read..range.end * s.n_read;
-        let mut updated: Option<Arc<[f64]>> = None;
-        if !range.is_empty() {
-            let snapshot: Vec<f64> = s.read[rr.clone()].to_vec();
-            let changed = s
-                .kernel
-                .post_sweep(&mut s.read, range.clone(), &s.x[xr.clone()]);
-            if ctx.is_sim() {
-                ctx.flops(range.len() as u64 * s.kernel.post_flops_per_elem());
-            }
-            debug_assert_eq!(changed, s.kernel.updates_read_state());
-            if changed {
-                // One copy out into the shared segment; the broadcast,
-                // the staging buffer, and the final results all alias
-                // this one allocation.
-                updated = Some(s.read[rr.clone()].into());
-                s.read[rr.clone()].copy_from_slice(&snapshot);
-            }
-        }
-        // Broadcast the refreshed segment for the next sweep and stage our
-        // own copy. The segment is built once and shared (`Arc`) across all
-        // `P − 1` destinations — no per-dest copy.
-        if s.kernel.updates_read_state() && t + 1 < n.sweeps {
-            let seg: Arc<[f64]> = updated.clone().unwrap_or_else(|| Vec::new().into());
-            // Keyed by (sweep, portion): the receiver's sweep-start fiber
-            // iterates portions, not phases.
-            let key = mailbox_key(TAG_BCAST, (t * ph.kp + ph.portion) as u32);
-            let dst_slot = slot_of(t + 1, 0, ph.kp);
-            for d in 0..n.geometry.num_procs() {
-                if d != n.proc {
-                    ctx.data_sync(d, key, Value::F64sShared(Arc::clone(&seg)), dst_slot);
-                }
-            }
-            s.staged.push((range.clone(), seg));
-        }
-        // Keep final values after the last sweep. The read segment is the
-        // *updated* one: the last time step's node update has happened,
-        // matching the sequential executor.
-        if t + 1 == n.sweeps {
-            let xs = s.x[xr].to_vec();
-            let rs = if s.kernel.updates_read_state() {
-                updated.map(|u| u.to_vec()).unwrap_or_default()
-            } else {
-                s.read[rr].to_vec()
             };
             s.results.push((range, xs, rs));
         }
@@ -644,30 +510,19 @@ impl<K: EdgeKernel> PhasedNode<K> {
         } else {
             &self.edge[self.data.flat.phase_rows(p)]
         };
-        let (read, rp, split, buf): (&[f64], *mut f64, usize, &mut [f64]) = match &self.region {
-            Some(reg) => {
-                let read = match &self.shared_read {
-                    // SAFETY: called from a sweep-`t` fiber; see
-                    // [`SharedRead::read_for`].
-                    Some(sr) => unsafe { sr.read_for(t, self.kernel.updates_read_state()) },
-                    None => &self.read,
-                };
-                // SAFETY: every region offset the kernel dereferences
-                // lies inside the portion this phase owns (scatter refs
-                // below the region length target the resident portion;
-                // copy dests are resident elements by construction —
-                // see the inspector's PLACE pass), so the accesses are
-                // exclusive under the ring protocol on [`SharedX`].
-                (read, unsafe { reg.ptr() }, reg.len(), &mut self.x)
-            }
-            None => {
-                // Simulator replay: the private `x` is the resident
-                // element range followed by the buffer extension.
-                let split = self.x.len() - self.data.buffer_len * self.r_arrays;
-                let (resident, buf) = self.x.split_at_mut(split);
-                (&self.read, resident.as_mut_ptr(), split, buf)
-            }
+        // SAFETY: called from a sweep-`t` fiber; see
+        // [`SharedRead::read_for`].
+        let read = unsafe {
+            self.shared_read
+                .read_for(t, self.kernel.updates_read_state())
         };
+        // SAFETY: every region offset the kernel dereferences lies inside
+        // the portion this phase owns (scatter refs below the region
+        // length target the resident portion; copy dests are resident
+        // elements by construction — see the inspector's PLACE pass), so
+        // the accesses are exclusive under the ring protocol on
+        // [`SharedX`].
+        let (rp, split) = (unsafe { self.region.ptr() }, self.region.len());
         // SAFETY: `rp` is valid for `split` doubles the phase owns (see
         // above), `buf` is the node's private buffer extension, and the
         // schedule is inspector-built and plan-verified, so every scatter
@@ -678,7 +533,7 @@ impl<K: EdgeKernel> PhasedNode<K> {
                 read,
                 rp,
                 split,
-                buf,
+                &mut self.x,
                 &mut self.batch,
                 self.r_arrays,
                 giters,

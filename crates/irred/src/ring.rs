@@ -12,6 +12,12 @@
 //! per-processor prepare fan-out ([`fan_out`]) over one process-wide
 //! pool of long-lived threads. Hooks are generic, never `dyn`, so each
 //! program monomorphises.
+//!
+//! Both backends run one node memory: a rotating portion stays where it
+//! is and only its ownership moves. The skeleton hands it on with
+//! [`FiberCtx::handoff`], a bare sync natively that the simulator
+//! charges as a block move of the bytes [`RingProgram::forwarded`]
+//! declares.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -22,9 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use earth_model::native::{panic_message, run_native_traced, NativeConfig, NativeCtx, RunError};
 use earth_model::program::CtxMeter;
 use earth_model::sim::{run_sim_traced, SimConfig, SimCtx};
-use earth_model::{
-    mailbox_key, FiberCtx, FiberTemplate, Meter, ProgramTemplate, SlotId, TraceSink, Value,
-};
+use earth_model::{FiberCtx, FiberTemplate, Meter, ProgramTemplate, SlotId, TraceSink};
 use lightinspector::{FlatPlan, PhaseGeometry};
 use memsim::{MemConfig, StreamModel};
 use trace::{TraceEvent, TraceKind};
@@ -41,10 +45,6 @@ use crate::strategy::StrategyConfig;
 /// shape.
 pub(crate) type Assembled = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 
-/// Most pooled payload buffers a node retains (portion sizes take at
-/// most two distinct values, so a handful is plenty).
-const MAX_NODE_POOL: usize = 32;
-
 /// What one rotating-portion program supplies to the ring driver. The
 /// skeleton calls the hooks of phase fiber `(t, p)` in a fixed order
 /// (arrive, loop, after-loop, forward), and the simulator's cycles and
@@ -56,8 +56,6 @@ pub trait RingProgram {
     const ENGINE: &'static str;
     /// Label of every phase fiber.
     const FIBER: &'static str;
-    /// Mailbox tag of forwarded portion payloads.
-    const TAG: u32;
 
     /// Extra syncs the first phase of every later sweep waits for.
     fn sweep_start_syncs(&self, _g: &PhaseGeometry) -> u32 {
@@ -65,7 +63,7 @@ pub trait RingProgram {
     }
 
     /// Instantiate the per-node states, drawing buffers from `ws`.
-    fn make_nodes(&self, ws: &mut Workspace, sim: bool) -> Vec<Self::Node>;
+    fn make_nodes(&self, ws: &mut Workspace) -> Vec<Self::Node>;
 
     /// Assemble the global result and return the nodes' buffers to `ws`.
     fn finish(&self, nodes: Vec<Self::Node>, ws: &mut Workspace) -> Assembled;
@@ -77,7 +75,7 @@ pub trait RingProgram {
     /// [`RunOutcome::phase_iter_counts`].
     fn plan(node: &Self::Node) -> &FlatPlan;
 
-    /// Initialise or receive what the phase's loop needs.
+    /// Initialise what the phase's loop needs.
     fn arrive<C: FiberCtx<NodeOf<Self>>>(n: &mut NodeOf<Self>, ph: &Phase, ctx: &mut C);
 
     /// The phase's loop (native runs, replayed sweeps).
@@ -89,9 +87,9 @@ pub trait RingProgram {
     /// Work after the loop, before the portion moves on.
     fn after_loops<C: FiberCtx<NodeOf<Self>>>(_n: &mut NodeOf<Self>, _ph: &Phase, _ctx: &mut C) {}
 
-    /// The payload forwarded to the ring successor; `None` sends a bare
-    /// sync.
-    fn forwarded<'a>(node: &'a Self::Node, ph: &Phase) -> Option<&'a [f64]>;
+    /// The bytes the hand-off to the ring successor would carry as a
+    /// block move ([`FiberCtx::handoff`]); `None` sends a bare sync.
+    fn forwarded(node: &Self::Node, ph: &Phase) -> Option<u64>;
 }
 
 /// One node of a ring program: the driver's bookkeeping around the
@@ -100,10 +98,6 @@ pub struct RingNode<S> {
     pub(crate) proc: usize,
     pub(crate) sweeps: usize,
     pub(crate) geometry: PhaseGeometry,
-    /// Recycled portion-payload buffers: boxes received from the ring
-    /// predecessor are reused for our own forwards, so the steady state
-    /// allocates nothing on the message path.
-    pub(crate) pool: Vec<Box<[f64]>>,
     /// Measured per-phase loop cost, replayed after the metering sweep
     /// (and seeded from the [`Workspace`] cost cache under plan reuse).
     phase_cost: Vec<Option<u64>>,
@@ -121,7 +115,6 @@ pub struct Phase {
     pub(crate) p: usize,
     pub(crate) k: usize,
     pub(crate) kp: usize,
-    pub(crate) portion: usize,
     pub(crate) range: Range<usize>,
 }
 
@@ -154,32 +147,12 @@ fn sync_count(t: usize, p: usize, k: usize, sweep_start: u32) -> u32 {
         c += 1; // chain from the previous phase on this node
     }
     if !(t == 0 && p < k) {
-        c += 1; // portion arrival (data or bare sync)
+        c += 1; // portion arrival (hand-off or bare sync)
     }
     if p == 0 && t > 0 {
         c += sweep_start;
     }
     c
-}
-
-/// Receive the portion payload forwarded to phase `ph` into `dst` and
-/// keep its buffer for our own forwards. The SU deposits the payload
-/// directly into the portion's memory (split-phase block move): no EU
-/// copy charge; the metered loop pays the first-touch misses.
-pub(crate) fn recv_portion<R: RingProgram, C: FiberCtx<NodeOf<R>>>(
-    ctx: &mut C,
-    ph: &Phase,
-    dst: &mut [f64],
-    pool: &mut Vec<Box<[f64]>>,
-) {
-    let key = mailbox_key(R::TAG, ph.abs() as u32);
-    let payload = ctx.recv(key).expect("portion payload must have arrived");
-    dst.copy_from_slice(payload.expect_f64s());
-    if let Value::F64s(b) = payload {
-        if pool.len() < MAX_NODE_POOL {
-            pool.push(b);
-        }
-    }
 }
 
 /// The body of phase fiber `(t, p)`: the protocol both programs share,
@@ -197,7 +170,6 @@ fn run_phase<R: RingProgram, C: FiberCtx<NodeOf<R>>>(
         p,
         k: g.k(),
         kp: g.num_phases(),
-        portion,
         range: g.portion_range(portion),
     };
     let (sweep, phase) = (t as u32, p as u32);
@@ -234,7 +206,9 @@ fn run_phase<R: RingProgram, C: FiberCtx<NodeOf<R>>>(
     }
     R::after_loops(n, &ph, ctx);
 
-    // Forward the portion around the ring.
+    // Hand the portion on around the ring. It stays in the node memory
+    // every node shares; the simulator charges the block move it stands
+    // for (no EU copy: the metered loop pays the first-touch misses).
     let abs = ph.abs();
     let next_abs = abs + ph.k;
     if next_abs < n.sweeps * ph.kp {
@@ -247,17 +221,7 @@ fn run_phase<R: RingProgram, C: FiberCtx<NodeOf<R>>>(
         }
         match R::forwarded(&n.state, &ph) {
             None => ctx.sync(dest, next_abs as SlotId),
-            Some(src) => {
-                // One contiguous copy into a recycled buffer of exactly
-                // the right length (almost always pooled).
-                let mut payload = match n.pool.iter().position(|b| b.len() == src.len()) {
-                    Some(i) => n.pool.swap_remove(i),
-                    None => vec![0.0f64; src.len()].into_boxed_slice(),
-                };
-                payload.copy_from_slice(src);
-                let key = mailbox_key(R::TAG, next_abs as u32);
-                ctx.data_sync(dest, key, Value::F64s(payload), next_abs as SlotId);
-            }
+            Some(bytes) => ctx.handoff(dest, next_abs as SlotId, bytes),
         }
     }
 
@@ -384,13 +348,12 @@ impl<R: RingProgram<Node = S>, S: Send + 'static> PreparedRing<R, S> {
             None
         };
         let kp = self.geometry.num_phases();
-        let states = self.prog.make_nodes(ws, sim).into_iter().enumerate();
+        let states = self.prog.make_nodes(ws).into_iter().enumerate();
         states
             .map(|(proc, state)| RingNode {
                 proc,
                 sweeps: self.strat.sweeps,
                 geometry: self.geometry,
-                pool: Vec::new(),
                 phase_cost: cached
                     .as_ref()
                     .and_then(|c| c.get(proc).cloned())
@@ -417,9 +380,6 @@ impl<R: RingProgram<Node = S>, S: Send + 'static> PreparedRing<R, S> {
             );
             if sim {
                 harvest.push(n.phase_cost);
-            }
-            for b in n.pool {
-                ws.put_buffer(b.into_vec());
             }
             states.push(n.state);
         }

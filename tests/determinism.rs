@@ -2,11 +2,12 @@
 //! identical times, statistics, and values — the property that makes the
 //! figures reproducible.
 
+use earth_model::native::NativeConfig;
 use earth_model::sim::SimConfig;
 use irred::baseline::IeEngine;
 use irred::{
-    approx_eq, seq_reduction, Distribution, EdgeKernel, GatherEngine, PhasedEngine, PhasedSpec,
-    ReductionEngine, StrategyConfig,
+    approx_eq, seq_reduction, Distribution, EdgeKernel, ExecutionConfig, GatherEngine,
+    PhasedEngine, PhasedSpec, ReductionEngine, StrategyConfig,
 };
 use kernels::{EulerProblem, FamilyProblem, MolDynProblem, MvmProblem};
 use std::sync::Arc;
@@ -318,4 +319,115 @@ fn workload_generators_are_seed_stable() {
     let ma = workloads::MolDyn::preset(workloads::MolDynPreset::MolDyn2K);
     let mb = workloads::MolDyn::preset(workloads::MolDynPreset::MolDyn2K);
     assert_eq!(ma.ia1, mb.ia1);
+}
+
+/// What a traced simulated run must reproduce exactly: makespan, op
+/// counts and a digest of every trace event's `(ts, node, kind)`.
+#[derive(Debug, PartialEq, Eq)]
+struct SimPin {
+    time_cycles: u64,
+    messages: u64,
+    bytes: u64,
+    syncs: u64,
+    trace_digest: u64,
+}
+
+/// FNV-1a over each event's timestamp, node and `Debug` form, in
+/// drained order: independent of the host's hasher and word size.
+fn trace_digest(trace: &[earth_model::TraceEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for ev in trace {
+        for b in format!("{} {} {:?}\n", ev.ts, ev.node, ev.kind).bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn pin_of(out: &irred::RunOutcome) -> SimPin {
+    assert!(!out.trace.is_empty(), "the pinned run must be traced");
+    assert_eq!(out.metrics().counter("trace_dropped_events"), Some(0));
+    SimPin {
+        time_cycles: out.time_cycles,
+        messages: out.stats.ops.messages,
+        bytes: out.stats.ops.bytes,
+        syncs: out.stats.ops.syncs,
+        trace_digest: trace_digest(&out.trace),
+    }
+}
+
+fn bits(arrays: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    arrays
+        .iter()
+        .map(|a| a.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// Run a phased plan traced on the simulator, check it against `want`,
+/// and check that the native backend returns the same value bits.
+fn assert_phased_pinned<K: EdgeKernel>(name: &str, spec: &PhasedSpec<K>, want: SimPin) {
+    let strat = StrategyConfig::new(4, 2, Distribution::Cyclic, 3);
+    let sim = PhasedEngine::new(ExecutionConfig::sim(SimConfig::default()).traced())
+        .run(spec, &strat)
+        .unwrap();
+    let nat = PhasedEngine::native(NativeConfig::default())
+        .run(spec, &strat)
+        .unwrap();
+    assert_eq!(pin_of(&sim), want, "{name}: simulated run moved");
+    assert_eq!(bits(&nat.values), bits(&sim.values), "{name}: values");
+    assert_eq!(bits(&nat.read), bits(&sim.read), "{name}: read arrays");
+}
+
+/// The simulator pinned on three plans — read-updating phased
+/// (moldyn), static phased (euler with frozen read arrays) and gather
+/// (mvm) — to the cycles, op counts and trace it produced when every
+/// node still carried private arrays and every hand-off a payload. The
+/// native backend must return the same bits on each.
+#[test]
+fn simulated_runs_are_pinned() {
+    let moldyn = MolDynProblem::from_config(MolDyn::fcc(3, 0.9));
+    assert_phased_pinned(
+        "moldyn",
+        &moldyn.spec,
+        SimPin {
+            time_cycles: 113_493,
+            messages: 120,
+            bytes: 38_880,
+            syncs: 108,
+            trace_digest: 14_823_592_584_895_710_402,
+        },
+    );
+    let euler = EulerProblem::from_mesh(Mesh::generate3d(300, 1_500, 42), 42);
+    assert_phased_pinned(
+        "euler",
+        &freeze(&euler.spec),
+        SimPin {
+            time_cycles: 271_644,
+            messages: 72,
+            bytes: 86_400,
+            syncs: 108,
+            trace_digest: 15_346_451_182_128_722_291,
+        },
+    );
+
+    let mvm = MvmProblem::from_matrix(Arc::new(SparseMatrix::random(256, 256, 4_000, 7)));
+    let strat = StrategyConfig::new(4, 2, Distribution::Block, 2);
+    let sim = GatherEngine::new(ExecutionConfig::sim(SimConfig::default()).traced())
+        .run(&mvm.spec, &strat)
+        .unwrap();
+    let nat = GatherEngine::native(NativeConfig::default())
+        .run(&mvm.spec, &strat)
+        .unwrap();
+    assert_eq!(
+        pin_of(&sim),
+        SimPin {
+            time_cycles: 57_538,
+            messages: 56,
+            bytes: 14_336,
+            syncs: 60,
+            trace_digest: 12_803_937_855_690_552_895,
+        },
+        "mvm: simulated run moved"
+    );
+    assert_eq!(bits(&nat.values), bits(&sim.values), "mvm: values");
 }

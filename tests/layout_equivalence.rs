@@ -2,8 +2,9 @@
 //! phase-sorted CSR iteration layout with pooled zero-copy region
 //! handoff — the only layout; the naive nested plan walk these tests
 //! were first written against is gone — must be **bit-identical** to
-//! the simulator's metered walk of the same flat plan, which ships every
-//! portion as a payload message. The native side runs under a lossless
+//! the simulator's metered walk of the same flat plan, which runs the
+//! same shared node memory and charges each hand-off by its size. The
+//! native side runs under a lossless
 //! fault plan (delays, reorders, duplicate deliveries), which doubles as
 //! a dedup check on the SPSC lanes: a duplicated deposit that slipped
 //! through, or a lost one, would shift the reduction sums and break
